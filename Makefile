@@ -13,8 +13,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The kernel micro-benchmarks run once each so that they cannot rot, and the
+# benchmark module (its own go.mod, invisible to ./...) runs its unit and
+# smoke tests.
 test:
 	$(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...

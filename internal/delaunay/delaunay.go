@@ -146,6 +146,7 @@ func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	}
 	m.Carve()
 	m.CarveFrom(holeSeeds)
+	m.ReleaseScratch()
 	return m, ids, nil
 }
 
@@ -156,6 +157,10 @@ type refiner struct {
 	beta  float64
 	bad   []mesh.TriID // stack of candidate bad triangles (rechecked at pop)
 	stats Stats
+
+	// segBuf is the storage of refineTriangle's list of encroached
+	// segments, kept between calls.
+	segBuf [][2]mesh.VertexID
 }
 
 // Refine runs Ruppert refinement on m in place. m must be a carved CDT: its
@@ -165,6 +170,7 @@ func Refine(m *mesh.Mesh, opts Options) (Stats, error) {
 		return Stats{}, ErrBadOptions
 	}
 	r := &refiner{m: m, opts: opts, beta: opts.qualityBound()}
+	defer m.ReleaseScratch()
 	if opts.OnSegmentSplit != nil {
 		// Hook at the mesh level so that every constrained split is seen,
 		// including Steiner points landing exactly on a segment.
@@ -232,7 +238,8 @@ func (r *refiner) isBad(t mesh.TriID) bool {
 // apex).
 func (r *refiner) encroached(a, b mesh.VertexID) bool {
 	seg := geom.Segment{A: r.m.Vertex(a), B: r.m.Vertex(b)}
-	for _, t := range r.m.EdgeTriangles(a, b) {
+	var buf [2]mesh.TriID
+	for _, t := range r.m.AppendEdgeTriangles(buf[:0], a, b) {
 		tr := r.m.Tri(t)
 		for k := 0; k < 3; k++ {
 			v := tr.V[k]
@@ -312,9 +319,7 @@ func (r *refiner) splitAllEncroached() error {
 // queueAround pushes all triangles incident to v onto the bad-candidate
 // stack (they are rechecked at pop time).
 func (r *refiner) queueAround(v mesh.VertexID) {
-	for _, t := range r.m.IncidentTriangles(v) {
-		r.bad = append(r.bad, t)
-	}
+	r.bad = r.m.AppendIncidentTriangles(r.bad, v)
 }
 
 // refineTriangle attempts to kill bad triangle t by inserting its
@@ -333,14 +338,19 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 		return fmt.Errorf("delaunay: degenerate triangle %d", t)
 	}
 
-	// Find the constrained segments the would-be cavity of c exposes, and
-	// test them for encroachment by c.
-	segs, loc := r.cavitySegments(c, t)
-	var encroachedSegs [][2]mesh.VertexID
-	for _, s := range segs {
-		seg := geom.Segment{A: r.m.Vertex(s[0]), B: r.m.Vertex(s[1])}
-		if seg.DiametralContains(c) {
-			encroachedSegs = append(encroachedSegs, s)
+	// Grow the cavity c would carve, once, and test the constrained
+	// segments it exposes for encroachment by c. The probe is seeded with
+	// loc.Tri alone even when c lies on one of its edges, so that it stays
+	// on one side of a constrained edge through c.
+	loc := r.m.Locate(c, t)
+	encroachedSegs := r.segBuf[:0]
+	if loc.Kind == mesh.LocateInside || loc.Kind == mesh.LocateOnEdge {
+		r.m.GrowCavity(c, mesh.Location{Kind: mesh.LocateInside, Tri: loc.Tri})
+		for _, s := range r.m.CavitySegments() {
+			seg := geom.Segment{A: r.m.Vertex(s[0]), B: r.m.Vertex(s[1])}
+			if seg.DiametralContains(c) {
+				encroachedSegs = append(encroachedSegs, s)
+			}
 		}
 	}
 	if loc.Kind == mesh.LocateFailed && len(encroachedSegs) == 0 {
@@ -354,6 +364,7 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 			return nil
 		}
 	}
+	r.segBuf = encroachedSegs
 
 	if len(encroachedSegs) > 0 && r.opts.NoSegmentSplit {
 		// Segments are frozen: leave this triangle be.
@@ -383,52 +394,15 @@ func (r *refiner) refineTriangle(t mesh.TriID) error {
 		return nil // circumcenter coincides with an existing vertex
 	case mesh.LocateFailed:
 		return nil
+	case mesh.LocateOnEdge:
+		// Insertion seeds the cavity from both sides of the edge, which
+		// numbers the new triangles differently from the probe.
+		r.m.GrowCavity(c, loc)
 	}
-	v, err := r.m.InsertPoint(c, loc.Tri)
-	if err == mesh.ErrDuplicate || err == mesh.ErrOutside {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("delaunay: inserting Steiner point: %w", err)
-	}
+	v := r.m.CommitCavity()
 	r.stats.SteinerPoints++
 	r.queueAround(v)
 	return nil
-}
-
-// cavitySegments computes, without mutating the mesh, the constrained edges
-// on the boundary of the Bowyer–Watson cavity that inserting c would carve.
-// It returns the located position of c as well.
-func (r *refiner) cavitySegments(c geom.Point, hint mesh.TriID) ([][2]mesh.VertexID, mesh.Location) {
-	loc := r.m.Locate(c, hint)
-	if loc.Kind == mesh.LocateFailed || loc.Kind == mesh.LocateOnVert {
-		return nil, loc
-	}
-	inCavity := map[mesh.TriID]bool{loc.Tri: true}
-	stack := []mesh.TriID{loc.Tri}
-	var segs [][2]mesh.VertexID
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		tr := r.m.Tri(t)
-		for i := 0; i < 3; i++ {
-			a := tr.V[(i+1)%3]
-			b := tr.V[(i+2)%3]
-			n := tr.N[i]
-			if r.m.IsConstrained(a, b) {
-				segs = append(segs, [2]mesh.VertexID{a, b})
-				continue
-			}
-			if n == mesh.NoTri || inCavity[n] {
-				continue
-			}
-			if r.m.Triangle(n).CircumcircleContains(c) {
-				inCavity[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	return segs, loc
 }
 
 // blockingSegment walks from triangle t toward target and returns the first
@@ -450,7 +424,7 @@ func (r *refiner) blockingSegment(t mesh.TriID, target geom.Point) ([2]mesh.Vert
 			if !geom.SegmentsProperlyIntersect(from, target, pa, pb) {
 				continue
 			}
-			if r.m.IsConstrained(a, b) {
+			if r.m.EdgeConstrained(cur, i) {
 				return [2]mesh.VertexID{a, b}, true
 			}
 			n := tr.N[i]

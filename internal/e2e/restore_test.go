@@ -98,7 +98,7 @@ func exportInProc(t *testing.T, n int, dir string, fault *storage.FaultConfig) *
 		}
 		ds[i] = d
 	}
-	barrier := func(f func(d *meshgen.Dist) error) {
+	barrier := func(f func(node int, d *meshgen.Dist) error) {
 		var wg sync.WaitGroup
 		errs := make([]error, n)
 		for i, d := range ds {
@@ -106,7 +106,7 @@ func exportInProc(t *testing.T, n int, dir string, fault *storage.FaultConfig) *
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[i] = f(d)
+				errs[i] = f(i, d)
 			}()
 		}
 		wg.Wait()
@@ -116,7 +116,7 @@ func exportInProc(t *testing.T, n int, dir string, fault *storage.FaultConfig) *
 			}
 		}
 	}
-	barrier(func(d *meshgen.Dist) error {
+	barrier(func(_ int, d *meshgen.Dist) error {
 		d.PostPhase(0)
 		d.WaitPhase()
 		if m := d.Mismatches(); m != 0 {
@@ -135,12 +135,7 @@ func exportInProc(t *testing.T, n int, dir string, fault *storage.FaultConfig) *
 		}
 		ws[i] = w
 	}
-	i := 0
-	barrier(func(d *meshgen.Dist) error {
-		w := ws[i]
-		i++
-		return d.Export(w)
-	})
+	barrier(func(node int, d *meshgen.Dist) error { return d.Export(ws[node]) })
 	for _, w := range ws {
 		if _, err := w.Finalize(); err != nil {
 			t.Fatal(err)

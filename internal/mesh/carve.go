@@ -10,7 +10,7 @@ package mesh
 func (m *Mesh) Carve() {
 	var seeds []TriID
 	for i := range m.tris {
-		if m.alive[i] && m.HasSuperVertex(TriID(i)) {
+		if m.live(TriID(i)) && m.HasSuperVertex(TriID(i)) {
 			seeds = append(seeds, TriID(i))
 		}
 	}
@@ -21,38 +21,32 @@ func (m *Mesh) Carve() {
 // CarveFrom deletes every triangle reachable from the seed triangles without
 // crossing a constrained edge.
 func (m *Mesh) CarveFrom(seeds []TriID) {
-	kill := make(map[TriID]bool, len(seeds)*4)
-	stack := make([]TriID, 0, len(seeds))
-	for _, s := range seeds {
-		if s != NoTri && m.alive[s] && !kill[s] {
-			kill[s] = true
-			stack = append(stack, s)
+	s := m.scratch()
+	s.begin(len(m.tris))
+	kill := s.cavity[:0] // in discovery order, so the freed slots are too
+	for _, t := range seeds {
+		if t != NoTri && m.live(t) && s.mark[t] != s.epoch {
+			s.mark[t] = s.epoch
+			kill = append(kill, t)
 		}
 	}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		tr := m.tris[t]
-		for i := 0; i < 3; i++ {
-			n := tr.N[i]
-			if n == NoTri || kill[n] {
+	s.stack = append(s.stack[:0], kill...)
+	for len(s.stack) > 0 {
+		t := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for i, n := range m.tris[t].N {
+			if n == NoTri || s.mark[n] == s.epoch || m.EdgeConstrained(t, i) {
 				continue
 			}
-			a := tr.V[(i+1)%3]
-			b := tr.V[(i+2)%3]
-			if m.IsConstrained(a, b) {
-				continue
-			}
-			kill[n] = true
-			stack = append(stack, n)
+			s.mark[n] = s.epoch
+			kill = append(kill, n)
+			s.stack = append(s.stack, n)
 		}
 	}
 	// Unlink neighbors pointing into the killed region, then delete.
-	for t := range kill {
-		tr := m.tris[t]
-		for i := 0; i < 3; i++ {
-			n := tr.N[i]
-			if n == NoTri || kill[n] {
+	for _, t := range kill {
+		for _, n := range m.tris[t].N {
+			if n == NoTri || s.mark[n] == s.epoch {
 				continue
 			}
 			for j := 0; j < 3; j++ {
@@ -62,7 +56,8 @@ func (m *Mesh) CarveFrom(seeds []TriID) {
 			}
 		}
 	}
-	for t := range kill {
+	for _, t := range kill {
 		m.killTri(t)
 	}
+	s.cavity = kill
 }

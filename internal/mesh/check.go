@@ -8,11 +8,12 @@ import (
 
 // Validate checks the structural invariants of the triangulation: CCW
 // orientation of every live triangle, neighbor symmetry, shared-edge
-// consistency, and constrained edges being actual edges. It returns the
-// first violation found, or nil. Intended for tests and debug assertions.
+// consistency, every edge's constrained flag agreeing with the constrained
+// set, and constrained edges being actual edges. It returns the first
+// violation found, or nil. Intended for tests and debug assertions.
 func (m *Mesh) Validate() error {
 	for i := range m.tris {
-		if !m.alive[i] {
+		if !m.live(TriID(i)) {
 			continue
 		}
 		t := TriID(i)
@@ -22,15 +23,18 @@ func (m *Mesh) Validate() error {
 			return fmt.Errorf("triangle %d not CCW: %v %v %v", t, a, b, c)
 		}
 		for k := 0; k < 3; k++ {
+			ea := tr.V[(k+1)%3]
+			eb := tr.V[(k+2)%3]
+			if flag, set := m.EdgeConstrained(t, k), m.IsConstrained(ea, eb); flag != set {
+				return fmt.Errorf("triangle %d edge %d (%d,%d): constrained flag %v, constrained set %v", t, k, ea, eb, flag, set)
+			}
 			n := tr.N[k]
 			if n == NoTri {
 				continue
 			}
-			if int(n) >= len(m.tris) || !m.alive[n] {
+			if int(n) >= len(m.tris) || !m.live(n) {
 				return fmt.Errorf("triangle %d neighbor %d dead or out of range", t, n)
 			}
-			ea := tr.V[(k+1)%3]
-			eb := tr.V[(k+2)%3]
 			// The neighbor must hold the same edge reversed and point back.
 			back := false
 			for j := 0; j < 3; j++ {
@@ -61,7 +65,7 @@ func (m *Mesh) Validate() error {
 // is not strictly inside the circumcircle. Returns the first violation.
 func (m *Mesh) CheckDelaunay() error {
 	for i := range m.tris {
-		if !m.alive[i] {
+		if !m.live(TriID(i)) {
 			continue
 		}
 		t := TriID(i)
@@ -73,7 +77,7 @@ func (m *Mesh) CheckDelaunay() error {
 			}
 			ea := tr.V[(k+1)%3]
 			eb := tr.V[(k+2)%3]
-			if m.IsConstrained(ea, eb) {
+			if m.EdgeConstrained(t, k) {
 				continue
 			}
 			// Vertex of n opposite the shared edge.

@@ -38,6 +38,19 @@ func (m *Mesh) Flip(t TriID, i int) (TriID, TriID) {
 		panic("mesh: Flip: shared edge mismatch")
 	}
 
+	// The four outer edges carry their constraint bits along; the new
+	// diagonal may have been marked before it existed.
+	edgeBit := func(x TriID, k, to int) triFlags {
+		return ((m.flags[x] >> k) & flagEdge0) << to
+	}
+	tf := flagAlive | edgeBit(u, (j+1)%3, 0) | edgeBit(t, (i+2)%3, 2)
+	uf := flagAlive | edgeBit(u, (j+2)%3, 0) | edgeBit(t, (i+1)%3, 1)
+	if m.constrained[mkEdge(p, q)] {
+		tf |= flagEdge0 << 1
+		uf |= flagEdge0 << 2
+	}
+	m.flags[t], m.flags[u] = tf, uf
+
 	// New triangles: t' = (p, a, q), u' = (p, q, b).
 	m.tris[t].V = [3]VertexID{p, a, q}
 	m.tris[u].V = [3]VertexID{p, q, b}
@@ -156,7 +169,8 @@ func (m *Mesh) crossingEdges(a, b VertexID) ([]edgeKey, error) {
 	var first edgeKey
 	found := false
 	// Iterate over all triangles around a.
-	ring, err := m.triangleRing(a, start)
+	var buf [ringBuf]TriID
+	ring, err := m.appendRing(buf[:0], a, start)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +194,11 @@ func (m *Mesh) crossingEdges(a, b VertexID) ([]edgeKey, error) {
 	var out []edgeKey
 	cur := first
 	for {
-		if m.IsConstrained(cur.a, cur.b) {
+		i := m.edgeIndex(t, cur.a, cur.b)
+		if m.EdgeConstrained(t, i) {
 			return nil, ErrCrossConstrain
 		}
 		out = append(out, cur)
-		i := m.edgeIndex(t, cur.a, cur.b)
 		u := m.tris[t].N[i]
 		if u == NoTri {
 			return nil, ErrNoPath
@@ -218,36 +232,41 @@ func (m *Mesh) crossingEdges(a, b VertexID) ([]edgeKey, error) {
 	}
 }
 
-// triangleRing returns the triangles around vertex v in order, starting from
-// triangle start (which must be incident to v). It handles open fans at the
-// hull by walking both directions.
-func (m *Mesh) triangleRing(v VertexID, start TriID) ([]TriID, error) {
-	var ring []TriID
-	seen := make(map[TriID]bool)
+// ringBuf is the size of the stack buffers that vertex-ring walks start
+// with; a ring longer than this (rare: the mean degree is 6) spills to the
+// heap.
+const ringBuf = 32
+
+// appendRing appends to ring the triangles around vertex v in order,
+// starting from triangle start (which must be incident to v). It handles
+// open fans at the hull by walking both directions.
+func (m *Mesh) appendRing(ring []TriID, v VertexID, start TriID) ([]TriID, error) {
+	// A ring visits no triangle twice, so more steps than there are
+	// triangles means the topology is corrupt.
+	limit := len(ring) + len(m.tris)
 	// Walk counter-clockwise.
 	t := start
-	for t != NoTri && !seen[t] {
-		seen[t] = true
+	for {
 		ring = append(ring, t)
 		i := m.vertIndex(t, v)
-		if i < 0 {
+		if i < 0 || len(ring) > limit {
 			return nil, ErrNoPath
 		}
 		// Next CCW triangle is across edge (v, V[i+1]) = edge opposite V[i+2].
 		t = m.tris[t].N[(i+2)%3]
-	}
-	if t == start && len(ring) > 0 && seen[start] {
-		return ring, nil // closed ring
+		if t == start {
+			return ring, nil // closed ring
+		}
+		if t == NoTri {
+			break
+		}
 	}
 	// Open fan: also walk clockwise from start.
-	t = start
-	i := m.vertIndex(t, v)
-	t = m.tris[t].N[(i+1)%3]
-	for t != NoTri && !seen[t] {
-		seen[t] = true
+	t = m.tris[start].N[(m.vertIndex(start, v)+1)%3]
+	for t != NoTri {
 		ring = append(ring, t)
 		i := m.vertIndex(t, v)
-		if i < 0 {
+		if i < 0 || len(ring) > limit {
 			return nil, ErrNoPath
 		}
 		t = m.tris[t].N[(i+1)%3]
@@ -261,7 +280,8 @@ func (m *Mesh) findEdge(a, b VertexID) TriID {
 	if start == NoTri {
 		return NoTri
 	}
-	ring, err := m.triangleRing(a, start)
+	var buf [ringBuf]TriID
+	ring, err := m.appendRing(buf[:0], a, start)
 	if err != nil {
 		return NoTri
 	}

@@ -2,10 +2,13 @@ package mesh
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"mrts/internal/geom"
 )
@@ -32,7 +35,14 @@ func (m *Mesh) EncodedSize() int {
 
 // EncodeTo writes a compact binary encoding of the mesh to w. Triangle IDs
 // are not preserved (dead slots are compacted); vertex IDs are preserved.
+// Constraints are written in sorted (a, b) order, so the bytes are a function
+// of the mesh state alone.
 func (m *Mesh) EncodeTo(w io.Writer) error {
+	// A growable destination (bytes.Buffer) is sized once instead of
+	// doubling its way up.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(m.EncodedSize())
+	}
 	bw := bufio.NewWriter(w)
 	var scratch [16]byte
 
@@ -68,7 +78,7 @@ func (m *Mesh) EncodeTo(w io.Writer) error {
 		return err
 	}
 	for i := range m.tris {
-		if !m.alive[i] {
+		if !m.live(TriID(i)) {
 			continue
 		}
 		for k := 0; k < 3; k++ {
@@ -80,7 +90,14 @@ func (m *Mesh) EncodeTo(w io.Writer) error {
 	if err := putU32(uint32(len(m.constrained))); err != nil {
 		return err
 	}
+	edges := make([]edgeKey, 0, len(m.constrained))
 	for k := range m.constrained {
+		edges = append(edges, k)
+	}
+	slices.SortFunc(edges, func(x, y edgeKey) int {
+		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
+	})
+	for _, k := range edges {
 		if err := putI32(int32(k.a)); err != nil {
 			return err
 		}
@@ -91,135 +108,239 @@ func (m *Mesh) EncodeTo(w io.Writer) error {
 	return bw.Flush()
 }
 
+// halfEdge is one directed triangle edge, filed during decoding under its
+// lower endpoint: the higher endpoint and where the edge sits.
+type halfEdge struct {
+	hi  VertexID
+	ref uint32 // triangle index<<3 | edge index<<1 | 1 if the edge runs hi→lo
+}
+
+// decodeScratch is the working storage of one DecodeFrom, pooled because
+// the out-of-core layers decode a mesh on every reload.
+type decodeScratch struct {
+	buf   [1 << 15]byte
+	first []uint32   // bucket boundaries of half, per vertex
+	half  []halfEdge // all directed edges, bucketed by lower endpoint
+}
+
+var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// readRecords reads n records of size bytes each from r through s.buf and
+// calls parse for every record with its index.
+func (s *decodeScratch) readRecords(r io.Reader, n, size int, parse func(i int, rec []byte) error) error {
+	per := len(s.buf) / size
+	for i := 0; i < n; {
+		c := min(per, n-i)
+		chunk := s.buf[:c*size]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return err
+		}
+		for ; c > 0; c, i = c-1, i+1 {
+			if err := parse(i, chunk[:size]); err != nil {
+				return err
+			}
+			chunk = chunk[size:]
+		}
+	}
+	return nil
+}
+
 // DecodeFrom reads a mesh previously written by EncodeTo and replaces the
 // receiver's contents. Triangle adjacency is rebuilt from the vertex triples.
+// It reads exactly the encoding's bytes from r and no more.
 func (m *Mesh) DecodeFrom(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var scratch [16]byte
+	s := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(s)
+	u32 := binary.LittleEndian.Uint32
 
-	getU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-
-	magic, err := getU32()
-	if err != nil {
+	if _, err := io.ReadFull(r, s.buf[:8]); err != nil {
 		return err
 	}
-	if magic != encodeMagic {
+	if magic := u32(s.buf[:]); magic != encodeMagic {
 		return fmt.Errorf("mesh: bad magic %#x", magic)
 	}
-	version, err := getU32()
-	if err != nil {
-		return err
-	}
-	if version != encodeVersion {
+	if version := u32(s.buf[4:]); version != encodeVersion {
 		return fmt.Errorf("mesh: unsupported version %d", version)
 	}
-
-	nv, err := getU32()
-	if err != nil {
+	if _, err := io.ReadFull(r, s.buf[:4]); err != nil {
 		return err
 	}
+	nv := u32(s.buf[:])
 	if nv > maxDecodeElems {
 		return fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
 	}
 	verts := make([]geom.Point, nv)
-	for i := range verts {
-		if _, err := io.ReadFull(br, scratch[:16]); err != nil {
-			return err
-		}
-		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:8]))
-		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8:16]))
-	}
-	var super [3]VertexID
-	for i := range super {
-		v, err := getU32()
-		if err != nil {
-			return err
-		}
-		super[i] = VertexID(int32(v))
-	}
-	nt, err := getU32()
+	err := s.readRecords(r, len(verts), 16, func(i int, rec []byte) error {
+		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(rec))
+		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+		return nil
+	})
 	if err != nil {
 		return err
 	}
+	if _, err := io.ReadFull(r, s.buf[:16]); err != nil {
+		return err
+	}
+	var super [3]VertexID
+	for i := range super {
+		super[i] = VertexID(int32(u32(s.buf[4*i:])))
+	}
+	nt := u32(s.buf[12:])
 	if nt > maxDecodeElems {
 		return fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
 	}
 	tris := make([]Tri, nt)
-	for i := range tris {
+	err = s.readRecords(r, len(tris), 12, func(i int, rec []byte) error {
 		for k := 0; k < 3; k++ {
-			v, err := getU32()
-			if err != nil {
-				return err
-			}
-			id := VertexID(int32(v))
+			id := VertexID(int32(u32(rec[4*k:])))
 			if id < 0 || int(id) >= len(verts) {
 				return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, id)
 			}
 			tris[i].V[k] = id
 		}
 		tris[i].N = [3]TriID{NoTri, NoTri, NoTri}
-	}
-	nc, err := getU32()
+		return nil
+	})
 	if err != nil {
 		return err
 	}
+	if _, err := io.ReadFull(r, s.buf[:4]); err != nil {
+		return err
+	}
+	nc := u32(s.buf[:])
 	if nc > maxDecodeElems {
 		return fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
 	}
 	constrained := make(map[edgeKey]bool, nc)
-	for i := uint32(0); i < nc; i++ {
-		a, err := getU32()
-		if err != nil {
-			return err
-		}
-		b, err := getU32()
-		if err != nil {
-			return err
-		}
-		constrained[mkEdge(VertexID(int32(a)), VertexID(int32(b)))] = true
+	err = s.readRecords(r, int(nc), 8, func(_ int, rec []byte) error {
+		constrained[mkEdge(VertexID(int32(u32(rec))), VertexID(int32(u32(rec[4:]))))] = true
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
-	// Rebuild adjacency from directed half-edges.
-	type dedge struct{ a, b VertexID }
-	half := make(map[dedge]TriID, 3*len(tris))
-	for i := range tris {
-		for k := 0; k < 3; k++ {
-			a := tris[i].V[(k+1)%3]
-			b := tris[i].V[(k+2)%3]
-			half[dedge{a, b}] = TriID(i)
-		}
+	flags := make([]triFlags, len(tris))
+	vertTri := make([]TriID, len(verts))
+	for i := range vertTri {
+		vertTri[i] = NoTri
 	}
 	for i := range tris {
-		for k := 0; k < 3; k++ {
-			a := tris[i].V[(k+1)%3]
-			b := tris[i].V[(k+2)%3]
-			if n, ok := half[dedge{b, a}]; ok {
-				tris[i].N[k] = n
-			}
+		flags[i] = flagAlive
+		for _, v := range tris[i].V {
+			vertTri[v] = TriID(i)
+		}
+	}
+	s.bucketHalfEdges(tris, len(verts))
+	s.linkNeighbors(tris)
+	for e := range constrained {
+		for _, h := range s.edgesOf(e) {
+			flags[h.ref>>3] |= flagEdge0 << (h.ref >> 1 & 3)
 		}
 	}
 
 	m.verts = verts
 	m.tris = tris
-	m.alive = make([]bool, len(tris))
-	m.vertTri = make([]TriID, len(verts))
-	for i := range m.vertTri {
-		m.vertTri[i] = NoTri
-	}
-	for i := range tris {
-		m.alive[i] = true
-		for k := 0; k < 3; k++ {
-			m.vertTri[tris[i].V[k]] = TriID(i)
-		}
-	}
+	m.flags = flags
+	m.vertTri = vertTri
 	m.free = nil
 	m.constrained = constrained
 	m.super = super
 	m.nAlive = len(tris)
 	return nil
+}
+
+// bucketHalfEdges files the three directed edges of every triangle under
+// their lower endpoint (a counting sort over nv vertices, in triangle
+// order), then orders each bucket by higher endpoint, keeping triangle order
+// among equals. Afterwards the two directions of an edge sit side by side.
+func (s *decodeScratch) bucketHalfEdges(tris []Tri, nv int) {
+	s.first = append(s.first[:0], make([]uint32, nv+1)...)
+	for i := range tris {
+		v := tris[i].V
+		s.first[min(v[1], v[2])]++
+		s.first[min(v[2], v[0])]++
+		s.first[min(v[0], v[1])]++
+	}
+	sum := uint32(0)
+	for v, n := range s.first {
+		s.first[v] = sum
+		sum += n
+	}
+	if cap(s.half) < 3*len(tris) {
+		s.half = make([]halfEdge, 3*len(tris))
+	}
+	s.half = s.half[:3*len(tris)]
+	file := func(a, b VertexID, ref uint32) {
+		if a > b {
+			a, b, ref = b, a, ref|1
+		}
+		s.half[s.first[a]] = halfEdge{hi: b, ref: ref}
+		s.first[a]++
+	}
+	for i := range tris {
+		v, ref := tris[i].V, uint32(i)<<3
+		file(v[1], v[2], ref)
+		file(v[2], v[0], ref|1<<1)
+		file(v[0], v[1], ref|2<<1)
+	}
+	// Filling advanced first[v] to the end of bucket v; shift it back.
+	copy(s.first[1:], s.first)
+	s.first[0] = 0
+	for v := 0; v < nv; v++ {
+		sortByHi(s.half[s.first[v]:s.first[v+1]])
+	}
+}
+
+// sortByHi sorts one vertex's half-edges by higher endpoint, stably. A
+// bucket holds about six, so an insertion sort in place of a call per
+// comparison is most of what bucketing costs; the library sort bounds the
+// time on a malformed input that hangs every edge on one vertex.
+func sortByHi(b []halfEdge) {
+	if len(b) > 32 {
+		slices.SortStableFunc(b, func(x, y halfEdge) int { return cmp.Compare(x.hi, y.hi) })
+		return
+	}
+	for i := 1; i < len(b); i++ {
+		for j := i; j > 0 && b[j].hi < b[j-1].hi; j-- {
+			b[j], b[j-1] = b[j-1], b[j]
+		}
+	}
+}
+
+// edgesOf returns the half-edges between e's endpoints.
+func (s *decodeScratch) edgesOf(e edgeKey) []halfEdge {
+	if e.a < 0 || int(e.a) >= len(s.first)-1 {
+		return nil
+	}
+	bucket := s.half[s.first[e.a]:s.first[e.a+1]]
+	lo, _ := slices.BinarySearchFunc(bucket, e.b, func(h halfEdge, b VertexID) int { return cmp.Compare(h.hi, b) })
+	hi := lo
+	for hi < len(bucket) && bucket[hi].hi == e.b {
+		hi++
+	}
+	return bucket[lo:hi]
+}
+
+// linkNeighbors sets, for every half-edge, the neighbor across it: the
+// triangle holding the same edge in the opposite direction — the last such
+// triangle if a malformed input offers several.
+func (s *decodeScratch) linkNeighbors(tris []Tri) {
+	for v := 0; v+1 < len(s.first); v++ {
+		bucket := s.half[s.first[v]:s.first[v+1]]
+		for len(bucket) > 0 {
+			n := 1
+			for n < len(bucket) && bucket[n].hi == bucket[0].hi {
+				n++
+			}
+			last := [2]TriID{NoTri, NoTri} // by direction
+			for _, h := range bucket[:n] {
+				last[h.ref&1] = TriID(h.ref >> 3)
+			}
+			for _, h := range bucket[:n] {
+				tris[h.ref>>3].N[h.ref>>1&3] = last[h.ref&1^1]
+			}
+			bucket = bucket[n:]
+		}
+	}
 }

@@ -15,7 +15,7 @@ import "mrts/internal/geom"
 // that region — the property the subdomain-local refinement of UPDR/NUPDR and
 // PCDM relies on.
 func (m *Mesh) InsertPoint(p geom.Point, hint TriID) (VertexID, error) {
-	return m.insertLocated(p, m.Locate(p, hint))
+	return m.insertAt(p, m.Locate(p, hint))
 }
 
 // SplitEdge inserts the midpoint of the existing edge (a, b) by a purely
@@ -33,145 +33,156 @@ func (m *Mesh) SplitEdge(a, b VertexID) (VertexID, error) {
 		return NoVertex, ErrDuplicate // edge too short to split in float64
 	}
 	i := m.edgeIndex(t, a, b)
-	return m.insertLocated(mid, Location{Kind: LocateOnEdge, Tri: t, Edge: i})
+	return m.insertAt(mid, Location{Kind: LocateOnEdge, Tri: t, Edge: i})
 }
 
-func (m *Mesh) insertLocated(p geom.Point, loc Location) (VertexID, error) {
+func (m *Mesh) insertAt(p geom.Point, loc Location) (VertexID, error) {
 	switch loc.Kind {
 	case LocateFailed:
 		return NoVertex, ErrOutside
 	case LocateOnVert:
 		return loc.Vert, ErrDuplicate
 	}
+	m.GrowCavity(p, loc)
+	return m.CommitCavity(), nil
+}
 
-	var (
-		splitA, splitB VertexID = NoVertex, NoVertex
-		excludeEdge    edgeKey
-		hasExclude     bool
-	)
-	seeds := []TriID{loc.Tri}
+// GrowCavity finds, without changing the mesh, the cavity that inserting p
+// at loc retriangulates: the triangles whose circumcircle strictly contains
+// p, reached from loc without crossing a constrained edge. loc must be
+// LocateInside or LocateOnEdge. The result stays valid until the next
+// mutation and is consumed by CommitCavity or simply dropped.
+//
+// The cavity is an ordered list, seeded with loc.Tri (then, for a point on
+// an edge, the neighbor across it) and grown depth-first with a LIFO stack,
+// edge index 0→2. Triangle IDs follow from this order, and through them the
+// order of everything downstream, so it is part of the kernel's contract.
+func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
+	s := m.scratch()
+	s.begin(len(m.tris))
+	s.p = p
+	s.splitA, s.splitB = NoVertex, NoVertex
+	s.cavity = append(s.cavity[:0], loc.Tri)
+	s.mark[loc.Tri] = s.epoch
 	if loc.Kind == LocateOnEdge {
 		tr := m.tris[loc.Tri]
-		a := tr.V[(loc.Edge+1)%3]
-		b := tr.V[(loc.Edge+2)%3]
-		if m.IsConstrained(a, b) {
-			// Split a constrained segment: temporarily unmark it so the
-			// cavity may span both sides, and remember to mark the halves.
-			splitA, splitB = a, b
-			m.SetConstrained(a, b, false)
-			excludeEdge, hasExclude = mkEdge(a, b), true
+		if m.EdgeConstrained(loc.Tri, loc.Edge) {
+			// p splits a constrained segment: the cavity spans both sides
+			// (both are seeds, so the walk never asks to cross it), and the
+			// commit marks the halves.
+			s.splitA, s.splitB = tr.V[(loc.Edge+1)%3], tr.V[(loc.Edge+2)%3]
 		}
 		if n := tr.N[loc.Edge]; n != NoTri {
-			seeds = append(seeds, n)
+			s.cavity = append(s.cavity, n)
+			s.mark[n] = s.epoch
 		}
 	}
-
-	// Grow the cavity: triangles whose circumcircle strictly contains p,
-	// reached without crossing constrained edges. The cavity is kept as an
-	// ordered list (discovery order) so that retriangulation — and hence
-	// everything downstream of it — is deterministic.
-	inCavity := make(map[TriID]bool, 8)
-	var cavity []TriID
-	stack := make([]TriID, 0, 8)
-	for _, s := range seeds {
-		if !inCavity[s] {
-			inCavity[s] = true
-			cavity = append(cavity, s)
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		t := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	s.stack = append(s.stack[:0], s.cavity...)
+	s.segs = s.segs[:0]
+	for len(s.stack) > 0 {
+		t := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
-			n := tr.N[i]
-			if n == NoTri || inCavity[n] {
+			if m.EdgeConstrained(t, i) {
+				s.segs = append(s.segs, [2]VertexID{tr.V[(i+1)%3], tr.V[(i+2)%3]})
 				continue
 			}
-			a := tr.V[(i+1)%3]
-			b := tr.V[(i+2)%3]
-			if m.IsConstrained(a, b) {
+			n := tr.N[i]
+			if n == NoTri || s.mark[n] == s.epoch {
 				continue
 			}
 			if m.Triangle(n).CircumcircleContains(p) {
-				inCavity[n] = true
-				cavity = append(cavity, n)
-				stack = append(stack, n)
+				s.mark[n] = s.epoch
+				s.cavity = append(s.cavity, n)
+				s.stack = append(s.stack, n)
 			}
 		}
 	}
 
-	// Collect cavity boundary edges (a, b) with the outside triangle, CCW
-	// as seen from inside the cavity. The edge being split (if any) is
-	// excluded: p lies on it, so it contributes the two hull edges (a,p),
-	// (p,b) instead of a degenerate fan triangle.
-	type bedge struct {
-		a, b VertexID
-		out  TriID
-	}
-	var boundary []bedge
-	for _, t := range cavity {
+	// The edge being split (if any) is left out of the boundary: p lies on
+	// it, so it contributes the two hull edges (a,p), (p,b) instead of a
+	// degenerate fan triangle.
+	s.boundary = s.boundary[:0]
+	for _, t := range s.cavity {
 		tr := m.tris[t]
 		for i := 0; i < 3; i++ {
-			a := tr.V[(i+1)%3]
-			b := tr.V[(i+2)%3]
 			n := tr.N[i]
-			if n != NoTri && inCavity[n] {
+			if n != NoTri && s.mark[n] == s.epoch {
 				continue
 			}
-			if hasExclude && mkEdge(a, b) == excludeEdge {
+			a, b := tr.V[(i+1)%3], tr.V[(i+2)%3]
+			if s.splitA != NoVertex && mkEdge(a, b) == mkEdge(s.splitA, s.splitB) {
 				continue
 			}
-			boundary = append(boundary, bedge{a, b, n})
+			s.boundary = append(s.boundary, bedge{a, b, n, m.EdgeConstrained(t, i)})
 		}
 	}
+}
 
-	v := m.addVertex(p)
+// CavitySegments returns the constrained edges of the triangles of the
+// cavity GrowCavity found, in the order its walk met them. These are the
+// segments the new point could encroach. An edge constrained on both sides
+// of the cavity appears twice. The slice is overwritten by the next
+// GrowCavity.
+func (m *Mesh) CavitySegments() [][2]VertexID { return m.scr.segs }
 
-	for _, t := range cavity {
+// CommitCavity inserts the point of the preceding GrowCavity, which must not
+// have been followed by any other mutation: it kills the cavity and
+// retriangulates it as a fan around the new vertex, which it returns.
+func (m *Mesh) CommitCavity() VertexID {
+	s := m.scr
+	v := m.addVertex(s.p)
+	for _, t := range s.cavity {
 		m.killTri(t)
 	}
-
-	// Retriangulate: fan of (v, a, b) triangles. Wire internal edges via
-	// the boundary chain: successor of (v,a,b) across edge (b,v) is the
-	// triangle whose first base vertex is b; predecessor across (v,a) is
-	// the one whose second base vertex is a.
-	byA := make(map[VertexID]TriID, len(boundary))
-	byB := make(map[VertexID]TriID, len(boundary))
-	created := make([]TriID, 0, len(boundary))
-	for _, e := range boundary {
-		t := m.newTri(v, e.a, e.b)
-		byA[e.a] = t
-		byB[e.b] = t
-		created = append(created, t)
+	s.created = s.created[:0]
+	for _, e := range s.boundary {
+		s.created = append(s.created, m.newTri(v, e.a, e.b))
 	}
-	for i, e := range boundary {
-		t := created[i]
-		m.tris[t].N[0] = NoTri
+	// Fan triangle (v, a, b) keeps the boundary edge's neighbor and
+	// constraint across edge 0. Across (b, v) lies the triangle whose first
+	// base vertex is b, across (v, a) the one whose second base vertex is
+	// a; where a pinched cavity offers two, the later one wins.
+	for i, e := range s.boundary {
+		t := s.created[i]
+		if e.constrained {
+			m.flags[t] |= flagEdge0
+		}
 		if e.out != NoTri {
 			m.link(t, 0, e.out)
 		}
-		if nb, ok := byA[e.b]; ok {
-			m.tris[t].N[1] = nb // edge (b, v)
-		} else {
-			m.tris[t].N[1] = NoTri
+		for j := len(s.boundary) - 1; j >= 0; j-- {
+			if s.boundary[j].a == e.b {
+				m.tris[t].N[1] = s.created[j]
+				break
+			}
 		}
-		if pb, ok := byB[e.a]; ok {
-			m.tris[t].N[2] = pb // edge (v, a)
-		} else {
-			m.tris[t].N[2] = NoTri
+		for j := len(s.boundary) - 1; j >= 0; j-- {
+			if s.boundary[j].b == e.a {
+				m.tris[t].N[2] = s.created[j]
+				break
+			}
 		}
 	}
 
-	if splitA != NoVertex {
-		m.SetConstrained(splitA, v, true)
-		m.SetConstrained(v, splitB, true)
+	if s.splitA != NoVertex {
+		delete(m.constrained, mkEdge(s.splitA, s.splitB))
+		m.constrained[mkEdge(s.splitA, v)] = true
+		m.constrained[mkEdge(v, s.splitB)] = true
+		for i, e := range s.boundary {
+			if e.b == s.splitA || e.b == s.splitB {
+				m.flags[s.created[i]] |= flagEdge0 << 1 // edge (b, v)
+			}
+			if e.a == s.splitA || e.a == s.splitB {
+				m.flags[s.created[i]] |= flagEdge0 << 2 // edge (v, a)
+			}
+		}
 		if m.splitHook != nil {
-			m.splitHook(m.verts[splitA], m.verts[splitB], p)
+			m.splitHook(m.verts[s.splitA], m.verts[s.splitB], s.p)
 		}
 	}
-	return v, nil
+	return v
 }
 
 // InsertVertexAt adds p as a vertex without touching the triangulation.

@@ -26,7 +26,7 @@ type Location struct {
 // invalid). The mesh must contain at least one live triangle.
 func (m *Mesh) Locate(p geom.Point, hint TriID) Location {
 	t := hint
-	if t == NoTri || int(t) >= len(m.tris) || !m.alive[t] {
+	if t == NoTri || int(t) >= len(m.tris) || !m.live(t) {
 		t = m.anyTri()
 		if t == NoTri {
 			return Location{Kind: LocateFailed}
@@ -101,7 +101,7 @@ func (m *Mesh) Locate(p geom.Point, hint TriID) Location {
 // locateExhaustive is the O(n) fallback when walking fails to converge.
 func (m *Mesh) locateExhaustive(p geom.Point) Location {
 	for i := range m.tris {
-		if !m.alive[i] {
+		if !m.live(TriID(i)) {
 			continue
 		}
 		t := TriID(i)
@@ -138,7 +138,7 @@ func (m *Mesh) locateExhaustive(p geom.Point) Location {
 
 func (m *Mesh) anyTri() TriID {
 	for i := range m.tris {
-		if m.alive[i] {
+		if m.live(TriID(i)) {
 			return TriID(i)
 		}
 	}

@@ -52,6 +52,15 @@ func mkEdge(a, b VertexID) edgeKey {
 	return edgeKey{a, b}
 }
 
+// triFlags is the per-slot state of a triangle: whether the slot is live and
+// which of its three edges are constrained.
+type triFlags uint8
+
+const (
+	flagAlive triFlags = 1 << iota
+	flagEdge0          // edge k is constrained when flagEdge0<<k is set
+)
+
 // Mesh is a mutable 2-D triangulation.
 //
 // A Mesh is not safe for concurrent mutation; the parallel mesh generation
@@ -60,14 +69,22 @@ func mkEdge(a, b VertexID) edgeKey {
 type Mesh struct {
 	verts []geom.Point
 	tris  []Tri
-	alive []bool
+	flags []triFlags
 	free  []TriID
 
 	// vertTri[v] is some triangle incident to v, used as a location hint
 	// and to start incident-triangle walks.
 	vertTri []TriID
 
+	// constrained is the set of constrained edges by vertex pair. It is the
+	// truth: an edge may be marked before it exists in the triangulation.
+	// The edge bits of flags cache it for the edges that do exist, and
+	// Validate checks the two against each other.
 	constrained map[edgeKey]bool
+
+	// scr is the working storage of the mutating operations; nil on a mesh
+	// that has not been mutated since ReleaseScratch.
+	scr *scratch
 
 	// splitHook, when set, observes every constrained-edge split (see
 	// SetSplitHook). It is not serialized.
@@ -95,7 +112,7 @@ func NewWithCapacity(nv, nt int) *Mesh {
 	m.verts = make([]geom.Point, 0, nv)
 	m.vertTri = make([]TriID, 0, nv)
 	m.tris = make([]Tri, 0, nt)
-	m.alive = make([]bool, 0, nt)
+	m.flags = make([]triFlags, 0, nt)
 	return m
 }
 
@@ -112,9 +129,12 @@ func (m *Mesh) Vertex(v VertexID) geom.Point { return m.verts[v] }
 // returned value across mutations.
 func (m *Mesh) Tri(t TriID) Tri { return m.tris[t] }
 
+// live reports whether slot t, which must be in range, holds a triangle.
+func (m *Mesh) live(t TriID) bool { return m.flags[t]&flagAlive != 0 }
+
 // Alive reports whether triangle t is live.
 func (m *Mesh) Alive(t TriID) bool {
-	return t >= 0 && int(t) < len(m.tris) && m.alive[t]
+	return t >= 0 && int(t) < len(m.tris) && m.live(t)
 }
 
 // IsSuper reports whether v is one of the synthetic bounding vertices.
@@ -137,7 +157,7 @@ func (m *Mesh) Triangle(t TriID) geom.Triangle {
 // ForEachTri calls f for every live triangle. f must not mutate the mesh.
 func (m *Mesh) ForEachTri(f func(TriID, Tri)) {
 	for i := range m.tris {
-		if m.alive[i] {
+		if m.live(TriID(i)) {
 			f(TriID(i), m.tris[i])
 		}
 	}
@@ -147,7 +167,7 @@ func (m *Mesh) ForEachTri(f func(TriID, Tri)) {
 func (m *Mesh) TriIDs() []TriID {
 	out := make([]TriID, 0, m.nAlive)
 	for i := range m.tris {
-		if m.alive[i] {
+		if m.live(TriID(i)) {
 			out = append(out, TriID(i))
 		}
 	}
@@ -162,17 +182,17 @@ func (m *Mesh) addVertex(p geom.Point) VertexID {
 }
 
 // newTri allocates a triangle (recycling dead slots) with the given CCW
-// vertices and no neighbors.
+// vertices, no neighbors and no constrained edge.
 func (m *Mesh) newTri(a, b, c VertexID) TriID {
 	var id TriID
 	if n := len(m.free); n > 0 {
 		id = m.free[n-1]
 		m.free = m.free[:n-1]
 		m.tris[id] = Tri{V: [3]VertexID{a, b, c}, N: [3]TriID{NoTri, NoTri, NoTri}}
-		m.alive[id] = true
+		m.flags[id] = flagAlive
 	} else {
 		m.tris = append(m.tris, Tri{V: [3]VertexID{a, b, c}, N: [3]TriID{NoTri, NoTri, NoTri}})
-		m.alive = append(m.alive, true)
+		m.flags = append(m.flags, flagAlive)
 		id = TriID(len(m.tris) - 1)
 	}
 	m.nAlive++
@@ -183,10 +203,10 @@ func (m *Mesh) newTri(a, b, c VertexID) TriID {
 }
 
 func (m *Mesh) killTri(t TriID) {
-	if !m.alive[t] {
+	if !m.live(t) {
 		return
 	}
-	m.alive[t] = false
+	m.flags[t] = 0
 	m.free = append(m.free, t)
 	m.nAlive--
 }
@@ -267,11 +287,37 @@ func (m *Mesh) SetConstrained(a, b VertexID, c bool) {
 	} else {
 		delete(m.constrained, k)
 	}
+	if t := m.findEdge(a, b); t != NoTri {
+		m.flagEdge(t, m.edgeIndex(t, a, b), c)
+	}
+}
+
+// flagEdge sets or clears the constrained bit of t's edge i, and of the same
+// edge in the neighbor across it.
+func (m *Mesh) flagEdge(t TriID, i int, c bool) {
+	set := func(x TriID, k int) {
+		if c {
+			m.flags[x] |= flagEdge0 << k
+		} else {
+			m.flags[x] &^= flagEdge0 << k
+		}
+	}
+	set(t, i)
+	if n := m.tris[t].N[i]; n != NoTri {
+		tr := m.tris[t]
+		set(n, m.edgeIndex(n, tr.V[(i+1)%3], tr.V[(i+2)%3]))
+	}
 }
 
 // IsConstrained reports whether edge (a, b) is constrained.
 func (m *Mesh) IsConstrained(a, b VertexID) bool {
 	return m.constrained[mkEdge(a, b)]
+}
+
+// EdgeConstrained reports whether edge i of live triangle t (the edge
+// opposite V[i]) is constrained, without hashing the vertex pair.
+func (m *Mesh) EdgeConstrained(t TriID, i int) bool {
+	return m.flags[t]&(flagEdge0<<i) != 0
 }
 
 // SetSplitHook installs (or clears, with nil) a callback invoked whenever a
@@ -303,12 +349,12 @@ func (m *Mesh) Neighbor(t TriID, a, b VertexID) TriID {
 // IncidentTri returns some live triangle incident to v, or NoTri.
 func (m *Mesh) IncidentTri(v VertexID) TriID {
 	t := m.vertTri[v]
-	if t != NoTri && m.alive[t] && m.vertIndex(t, v) >= 0 {
+	if t != NoTri && m.live(t) && m.vertIndex(t, v) >= 0 {
 		return t
 	}
 	// Hint is stale: scan (rare; hints are refreshed on every newTri).
 	for i := range m.tris {
-		if m.alive[i] && m.vertIndex(TriID(i), v) >= 0 {
+		if m.live(TriID(i)) && m.vertIndex(TriID(i), v) >= 0 {
 			m.vertTri[v] = TriID(i)
 			return TriID(i)
 		}

@@ -10,7 +10,7 @@ import (
 
 // buildRandom builds a Delaunay triangulation of n random points in the unit
 // square (plus the super triangle).
-func buildRandom(t *testing.T, n int, seed int64) *Mesh {
+func buildRandom(t testing.TB, n int, seed int64) *Mesh {
 	t.Helper()
 	m := New()
 	m.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
@@ -250,7 +250,7 @@ func TestCrossingConstraintRejected(t *testing.T) {
 
 // carveSquare builds a CDT of the unit square with constrained boundary and
 // carves the exterior.
-func carveSquare(t *testing.T, interior int, seed int64) *Mesh {
+func carveSquare(t testing.TB, interior int, seed int64) *Mesh {
 	t.Helper()
 	m := New()
 	m.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
@@ -431,7 +431,7 @@ func TestTriangleRingClosedAndOpen(t *testing.T) {
 		if start == NoTri {
 			continue // super vertices have no triangles after carving
 		}
-		ring, err := m.triangleRing(v, start)
+		ring, err := m.appendRing(nil, v, start)
 		if err != nil {
 			t.Fatalf("ring(%d): %v", v, err)
 		}
@@ -442,5 +442,31 @@ func TestTriangleRingClosedAndOpen(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no vertices checked")
+	}
+}
+
+// TestScratchEpochWrap runs insertions across the wrap of the scratch's
+// 32-bit epoch, where stale marks would otherwise read as current.
+func TestScratchEpochWrap(t *testing.T) {
+	m := buildRandom(t, 50, 3)
+	m.scr.epoch = ^uint32(0) - 2
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 10; i++ {
+		if _, err := m.InsertPoint(geom.Pt(rng.Float64(), rng.Float64()), NoTri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.scr.epoch > 10 {
+		t.Fatalf("epoch %d did not wrap", m.scr.epoch)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckDelaunay(); err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseScratch()
+	if m.scr != nil {
+		t.Fatal("scratch kept after release")
 	}
 }

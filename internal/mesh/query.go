@@ -4,13 +4,18 @@ package mesh
 // (open fans at the hull are still fully covered). Returns nil if v has no
 // incident triangle.
 func (m *Mesh) IncidentTriangles(v VertexID) []TriID {
+	return m.AppendIncidentTriangles(nil, v)
+}
+
+// AppendIncidentTriangles appends to dst what IncidentTriangles(v) returns.
+func (m *Mesh) AppendIncidentTriangles(dst []TriID, v VertexID) []TriID {
 	start := m.IncidentTri(v)
 	if start == NoTri {
-		return nil
+		return dst
 	}
-	ring, err := m.triangleRing(v, start)
+	ring, err := m.appendRing(dst, v, start)
 	if err != nil {
-		return nil
+		return dst
 	}
 	return ring
 }
@@ -18,18 +23,26 @@ func (m *Mesh) IncidentTriangles(v VertexID) []TriID {
 // EdgeTriangles returns the one or two live triangles having edge (a, b).
 // Returns nil if (a, b) is not an edge of the triangulation.
 func (m *Mesh) EdgeTriangles(a, b VertexID) []TriID {
+	return m.AppendEdgeTriangles(nil, a, b)
+}
+
+// AppendEdgeTriangles appends to dst what EdgeTriangles(a, b) returns.
+func (m *Mesh) AppendEdgeTriangles(dst []TriID, a, b VertexID) []TriID {
 	t := m.findEdge(a, b)
 	if t == NoTri {
-		return nil
+		return dst
 	}
-	out := []TriID{t}
+	dst = append(dst, t)
 	if i := m.edgeIndex(t, a, b); i >= 0 {
 		if n := m.tris[t].N[i]; n != NoTri {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	}
-	return out
+	return dst
 }
 
 // VertexDegree returns the number of triangles incident to v.
-func (m *Mesh) VertexDegree(v VertexID) int { return len(m.IncidentTriangles(v)) }
+func (m *Mesh) VertexDegree(v VertexID) int {
+	var buf [ringBuf]TriID
+	return len(m.AppendIncidentTriangles(buf[:0], v))
+}

@@ -1,0 +1,66 @@
+package mesh
+
+import (
+	"sync"
+
+	"mrts/internal/geom"
+)
+
+// bedge is one edge (a, b) of a cavity's boundary, counter-clockwise as seen
+// from inside, with the triangle beyond it and whether it is constrained.
+type bedge struct {
+	a, b        VertexID
+	out         TriID
+	constrained bool
+}
+
+// scratch is the working storage of the operations that mutate a mesh. A
+// mesh takes one from scratchPool on its first mutation and keeps it until
+// ReleaseScratch, so a burst of insertions allocates nothing and a mesh at
+// rest carries none. Nothing in it identifies the mesh: the marks compare
+// against the scratch's own epoch, which only ever grows.
+type scratch struct {
+	mark  []uint32 // mark[t] == epoch: slot t is in the set being grown
+	epoch uint32
+
+	// The cavity GrowCavity found and CommitCavity consumes.
+	p              geom.Point
+	cavity         []TriID // in discovery order
+	boundary       []bedge // in cavity order, edge index 0→2 within a triangle
+	segs           [][2]VertexID
+	splitA, splitB VertexID // the constrained edge p splits, or NoVertex
+
+	stack, created []TriID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// begin starts a new marked set over n triangle slots.
+func (s *scratch) begin(n int) {
+	if len(s.mark) < n {
+		s.mark = append(s.mark, make([]uint32, n-len(s.mark))...)
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stamps of 2³² sets ago would read as current
+		clear(s.mark)
+		s.epoch = 1
+	}
+}
+
+func (m *Mesh) scratch() *scratch {
+	if m.scr == nil {
+		m.scr = scratchPool.Get().(*scratch)
+	}
+	return m.scr
+}
+
+// ReleaseScratch hands the mesh's working storage back for other meshes to
+// use. Callers that mutate a mesh in bursts (BuildCDT, Refine) call it at the
+// end of one, so that resident meshes carry no per-triangle scratch. It
+// invalidates a cavity grown but not committed.
+func (m *Mesh) ReleaseScratch() {
+	if m.scr != nil {
+		scratchPool.Put(m.scr)
+		m.scr = nil
+	}
+}

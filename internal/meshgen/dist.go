@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -263,30 +264,28 @@ func hashMesh(data []byte) []byte {
 		h := sha256.Sum256(append([]byte("undecodable:"), data...))
 		return h[:]
 	}
-	type tri [6]float64
-	var tris []tri
+	type point [2]float64
+	less := func(p, q point) bool { return p[0] < q[0] || (p[0] == q[0] && p[1] < q[1]) }
+	tris := make([][6]float64, 0, m.NumTriangles())
 	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
 		if m.HasSuperVertex(t) {
 			return
 		}
 		g := m.Triangle(t)
-		pts := [3][2]float64{{g.A.X, g.A.Y}, {g.B.X, g.B.Y}, {g.C.X, g.C.Y}}
-		sort.Slice(pts[:], func(a, b int) bool {
-			if pts[a][0] != pts[b][0] {
-				return pts[a][0] < pts[b][0]
-			}
-			return pts[a][1] < pts[b][1]
-		})
-		tris = append(tris, tri{pts[0][0], pts[0][1], pts[1][0], pts[1][1], pts[2][0], pts[2][1]})
-	})
-	sort.Slice(tris, func(a, b int) bool {
-		for k := 0; k < 6; k++ {
-			if tris[a][k] != tris[b][k] {
-				return tris[a][k] < tris[b][k]
-			}
+		p0, p1, p2 := point{g.A.X, g.A.Y}, point{g.B.X, g.B.Y}, point{g.C.X, g.C.Y}
+		// Three compare-exchanges sort three points.
+		if less(p1, p0) {
+			p0, p1 = p1, p0
 		}
-		return false
+		if less(p2, p1) {
+			p1, p2 = p2, p1
+		}
+		if less(p1, p0) {
+			p0, p1 = p1, p0
+		}
+		tris = append(tris, [6]float64{p0[0], p0[1], p1[0], p1[1], p2[0], p2[1]})
 	})
+	slices.SortFunc(tris, func(a, b [6]float64) int { return slices.Compare(a[:], b[:]) })
 	h := sha256.New()
 	var b [8]byte
 	for _, tr := range tris {
