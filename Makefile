@@ -13,12 +13,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The kernel micro-benchmarks run once each so that they cannot rot, and the
-# benchmark module (its own go.mod, invisible to ./...) runs its unit and
-# smoke tests.
+# The kernel, residency-manager and block-digest micro-benchmarks run once
+# each so that they cannot rot, and the benchmark module (its own go.mod,
+# invisible to ./...) runs its unit and smoke tests.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen
 	cd benchmark && $(GO) test ./...
 
 race:

@@ -15,6 +15,8 @@ import "fmt"
 //     loudly, not parked forever)
 //   - every speculation snapshot belongs to a live local object (a snapshot
 //     on a missing or lost object can never be rolled back or committed)
+//   - the ooc manager's resident and wanted indexes agree with its object
+//     table (ooc.Manager.CheckInvariants)
 //
 // Checked only at quiescence (quiescent=true) — these are stable properties
 // of a terminated system, racy while work is in flight:
@@ -103,6 +105,10 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 		if st == stLost {
 			fail("speculation snapshot held for lost object %v", p)
 		}
+	}
+
+	for _, msg := range rt.mem.CheckInvariants() {
+		fail("%s", msg)
 	}
 
 	if !quiescent {

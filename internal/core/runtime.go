@@ -115,7 +115,12 @@ type localObject struct {
 	scheduled bool // a drain task is queued or running
 	running   bool // a handler is executing right now
 	wantLoad  bool // load requested while storing
-	migrating bool
+	// wantDemand qualifies wantLoad: something is blocked on the object (a
+	// lock, a multicast collection), so the reload goes in at demand class.
+	// At prefetch class memory pressure could cancel it, and with no message
+	// queued on the object nothing would ever ask for it again.
+	wantDemand bool
+	migrating  bool
 }
 
 // Runtime is one node's MRTS instance.
@@ -502,9 +507,11 @@ func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
 	for {
 		lo.mu.Lock()
-		if lo.state != stInCore {
-			// Evicted or migrating between messages; the load/install
-			// path will reschedule.
+		if lo.state != stInCore || lo.running {
+			// Evicted or migrating between messages, and the load/install
+			// path will reschedule; or another worker is running a handler
+			// on the object through CallInline, whose epilogue resubmits the
+			// drain if messages are still queued.
 			lo.scheduled = false
 			lo.mu.Unlock()
 			return

@@ -60,7 +60,7 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 		if lo.state == stLoading {
 			lo.state = stOut
 			if !rt.closed.Load() && (len(lo.queue) > 0 || lo.wantLoad) {
-				lo.wantLoad = false
+				lo.wantLoad, lo.wantDemand = false, false
 				rt.startLoadLocked(lo, swapio.Demand)
 			}
 		}
@@ -95,7 +95,7 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 		n := len(lo.queue)
 		lo.queue = nil
 		lo.state = stLost
-		lo.wantLoad = false
+		lo.wantLoad, lo.wantDemand = false, false
 		lo.mu.Unlock()
 		rt.mem.SetQueueLen(id, 0)
 		rt.work.Add(int64(-n))
@@ -107,6 +107,8 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	lo.mu.Lock()
 	lo.obj = obj
 	lo.state = stInCore
+	// Satisfied; left set it would reload the next eviction at once.
+	lo.wantLoad, lo.wantDemand = false, false
 	rt.mem.MarkIn(id)
 	if len(lo.queue) > 0 && !lo.scheduled {
 		lo.scheduled = true
@@ -189,7 +191,7 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 		lo.mu.Lock()
 		lo.obj = obj
 		lo.state = stInCore
-		lo.wantLoad = false
+		lo.wantLoad, lo.wantDemand = false, false
 		rt.mem.MarkIn(id)
 		if len(lo.queue) > 0 && !lo.scheduled {
 			lo.scheduled = true
@@ -207,10 +209,10 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 	lo.state = stOut
 	want := lo.wantLoad || len(lo.queue) > 0
 	class := swapio.Prefetch
-	if len(lo.queue) > 0 {
+	if len(lo.queue) > 0 || lo.wantDemand {
 		class = swapio.Demand
 	}
-	lo.wantLoad = false
+	lo.wantLoad, lo.wantDemand = false, false
 	if want {
 		rt.startLoadLocked(lo, class)
 	}
@@ -279,9 +281,11 @@ func (rt *Runtime) maybeEvictForSoft() {
 // runtime exists to overlap. Queue-depth feedback throttles it: the tick
 // only fills the gap between the scheduler's queued prefetches and the
 // configured depth, and the scheduler itself refuses speculative loads when
-// its backlog saturates.
+// its backlog saturates. It runs after every object a drain empties, and
+// almost always nothing out of core is wanted: that case must cost neither
+// the manager's lock nor the scheduler's, so it is tested first.
 func (rt *Runtime) prefetchTick() {
-	if rt.closed.Load() {
+	if !rt.mem.PrefetchWanted() || rt.closed.Load() {
 		return
 	}
 	budget := rt.pfDepth - rt.io.QueuedPrefetches()
@@ -371,9 +375,15 @@ func (rt *Runtime) forceLoad(ptr MobilePtr) bool {
 	case stOut:
 		rt.startLoadLocked(lo, swapio.Demand)
 	case stStoring:
-		lo.wantLoad = true
+		lo.wantLoad, lo.wantDemand = true, true
 	case stLoading:
-		rt.io.Promote(storeKey(lo.ptr))
+		if !rt.io.Promote(storeKey(lo.ptr)) {
+			// The load is no longer the scheduler's: it has been read and
+			// is about to install, or it was a prefetch that memory pressure
+			// just cancelled. Nothing is queued on the object to make the
+			// cancellation path load it again, so ask for that here.
+			lo.wantLoad = true
+		}
 	}
 	lo.mu.Unlock()
 	return true

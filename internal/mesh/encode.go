@@ -121,6 +121,8 @@ type decodeScratch struct {
 	buf   [1 << 15]byte
 	first []uint32   // bucket boundaries of half, per vertex
 	half  []halfEdge // all directed edges, bucketed by lower endpoint
+
+	digest digestScratch
 }
 
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
@@ -145,12 +147,23 @@ func (s *decodeScratch) readRecords(r io.Reader, n, size int, parse func(i int, 
 	return nil
 }
 
-// DecodeFrom reads a mesh previously written by EncodeTo and replaces the
-// receiver's contents. Triangle adjacency is rebuilt from the vertex triples.
-// It reads exactly the encoding's bytes from r and no more.
-func (m *Mesh) DecodeFrom(r io.Reader) error {
-	s := decodePool.Get().(*decodeScratch)
-	defer decodePool.Put(s)
+// sections is the content of one encoding, as read by readSections.
+type sections struct {
+	verts       []geom.Point
+	super       [3]VertexID
+	tris        []Tri // vertex triples in encoding order; neighbors unset
+	constrained map[edgeKey]bool
+}
+
+// readSections reads one encoding from r into sec — header, vertices, super
+// vertices, triangles, constraints — applying every check the format has:
+// magic and version, the count bounds, triangle vertex references in range,
+// and no section cut short. It is the only parser of the format: DecodeFrom
+// and CanonicalDigest both read through it, so a blob is accepted by both or
+// by neither. sec's slices are reused when large enough; the constraint set
+// is built only when keepConstraints is set, but its section is read and
+// checked either way. It reads exactly the encoding's bytes from r.
+func (s *decodeScratch) readSections(r io.Reader, sec *sections, keepConstraints bool) error {
 	u32 := binary.LittleEndian.Uint32
 
 	if _, err := io.ReadFull(r, s.buf[:8]); err != nil {
@@ -169,7 +182,7 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if nv > maxDecodeElems {
 		return fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
 	}
-	verts := make([]geom.Point, nv)
+	verts := slices.Grow(sec.verts[:0], int(nv))[:nv]
 	err := s.readRecords(r, len(verts), 16, func(i int, rec []byte) error {
 		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(rec))
 		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
@@ -181,15 +194,14 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if _, err := io.ReadFull(r, s.buf[:16]); err != nil {
 		return err
 	}
-	var super [3]VertexID
-	for i := range super {
-		super[i] = VertexID(int32(u32(s.buf[4*i:])))
+	for i := range sec.super {
+		sec.super[i] = VertexID(int32(u32(s.buf[4*i:])))
 	}
 	nt := u32(s.buf[12:])
 	if nt > maxDecodeElems {
 		return fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
 	}
-	tris := make([]Tri, nt)
+	tris := slices.Grow(sec.tris[:0], int(nt))[:nt]
 	err = s.readRecords(r, len(tris), 12, func(i int, rec []byte) error {
 		for k := 0; k < 3; k++ {
 			id := VertexID(int32(u32(rec[4*k:])))
@@ -211,14 +223,34 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	if nc > maxDecodeElems {
 		return fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
 	}
-	constrained := make(map[edgeKey]bool, nc)
+	sec.constrained = nil
+	if keepConstraints {
+		sec.constrained = make(map[edgeKey]bool, nc)
+	}
 	err = s.readRecords(r, int(nc), 8, func(_ int, rec []byte) error {
-		constrained[mkEdge(VertexID(int32(u32(rec))), VertexID(int32(u32(rec[4:]))))] = true
+		if keepConstraints {
+			sec.constrained[mkEdge(VertexID(int32(u32(rec))), VertexID(int32(u32(rec[4:]))))] = true
+		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	sec.verts, sec.tris = verts, tris
+	return nil
+}
+
+// DecodeFrom reads a mesh previously written by EncodeTo and replaces the
+// receiver's contents. Triangle adjacency is rebuilt from the vertex triples.
+// It reads exactly the encoding's bytes from r and no more.
+func (m *Mesh) DecodeFrom(r io.Reader) error {
+	s := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(s)
+	var sec sections
+	if err := s.readSections(r, &sec, true); err != nil {
+		return err
+	}
+	verts, super, tris, constrained := sec.verts, sec.super, sec.tris, sec.constrained
 
 	flags := make([]triFlags, len(tris))
 	vertTri := make([]TriID, len(verts))

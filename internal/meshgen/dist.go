@@ -3,12 +3,10 @@ package meshgen
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -227,7 +225,7 @@ func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error)
 		if w == nil {
 			return
 		}
-		if err := exportBlock(w, i, j, o); err != nil {
+		if err := exportBlock(w, i, j, o, hex.EncodeToString(hashMesh(o.MeshData))); err != nil {
 			d.mu.Lock()
 			if d.expErr == nil {
 				d.expErr = err
@@ -241,60 +239,27 @@ func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error)
 // exportBlock frames one block into a store chunk: the canonical mesh
 // digest for offline verification, and the block's full encoded state as
 // the payload a rank-independent restore re-creates it from.
-func exportBlock(w *meshstore.Writer, i, j int, o *blockObj) error {
+func exportBlock(w *meshstore.Writer, i, j int, o *blockObj, digest string) error {
 	bw := bufpool.GetWriter(o.SizeHint())
 	defer bufpool.PutWriter(bw)
 	if err := o.EncodeTo(bw); err != nil {
 		return err
 	}
-	return w.Append(meshstore.BlockKey(i, j), i, j, o.Elements,
-		hex.EncodeToString(hashMesh(o.MeshData)), bw.Bytes())
+	return w.Append(meshstore.BlockKey(i, j), i, j, o.Elements, digest, bw.Bytes())
 }
 
-// hashMesh digests a block's refined mesh by geometry, not by encoding:
-// mesh.EncodeTo's byte output depends on internal ID assignment order, which
-// varies with scheduling, so two geometrically identical meshes can encode
-// differently. The canonical form is the multiset of live non-super triangles,
-// each as its three vertex coordinates sorted, the list itself sorted.
+// hashMesh digests a block's refined mesh by geometry, not by encoding: two
+// geometrically identical meshes whose internal IDs were assigned in a
+// different order encode differently but digest alike (mesh.CanonicalDigest).
 func hashMesh(data []byte) []byte {
-	m := mesh.New()
-	if err := m.DecodeFrom(bytes.NewReader(data)); err != nil {
+	d, err := mesh.CanonicalDigest(data)
+	if err != nil {
 		// An undecodable mesh hashes to a tagged digest of the raw bytes so
 		// the equality check fails loudly rather than panicking mid-handler.
 		h := sha256.Sum256(append([]byte("undecodable:"), data...))
 		return h[:]
 	}
-	type point [2]float64
-	less := func(p, q point) bool { return p[0] < q[0] || (p[0] == q[0] && p[1] < q[1]) }
-	tris := make([][6]float64, 0, m.NumTriangles())
-	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
-		if m.HasSuperVertex(t) {
-			return
-		}
-		g := m.Triangle(t)
-		p0, p1, p2 := point{g.A.X, g.A.Y}, point{g.B.X, g.B.Y}, point{g.C.X, g.C.Y}
-		// Three compare-exchanges sort three points.
-		if less(p1, p0) {
-			p0, p1 = p1, p0
-		}
-		if less(p2, p1) {
-			p1, p2 = p2, p1
-		}
-		if less(p1, p0) {
-			p0, p1 = p1, p0
-		}
-		tris = append(tris, [6]float64{p0[0], p0[1], p1[0], p1[1], p2[0], p2[1]})
-	})
-	slices.SortFunc(tris, func(a, b [6]float64) int { return slices.Compare(a[:], b[:]) })
-	h := sha256.New()
-	var b [8]byte
-	for _, tr := range tris {
-		for _, v := range tr {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			h.Write(b[:])
-		}
-	}
-	return h.Sum(nil)
+	return d
 }
 
 // CreateBlocks creates this node's blocks in the canonical order and

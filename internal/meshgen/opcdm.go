@@ -194,8 +194,10 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 		}
 	}
 	// Wire neighbor pointers through messages so the writes serialize with
-	// any swapping, then start refinement. Per-pair FIFO ordering makes the
-	// wire message arrive before the refine message.
+	// any swapping, and start refinement only once every subdomain is wired:
+	// a refining subdomain posts splits to its neighbors at once, and one
+	// that met a split before its own wiring would refine believing it has no
+	// neighbors and never report its boundary splits.
 	for j := 0; j < g; j++ {
 		for i := 0; i < g; i++ {
 			idx := j*g + i
@@ -212,10 +214,12 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 			if j+1 < g {
 				nbs[sideTop] = ptrs[idx+g]
 			}
-			rt := cl.RT(int(ptrs[idx].Home))
-			rt.Post(ptrs[idx], hSDWire, encodePtrList(nbs))
-			rt.Post(ptrs[idx], hSDRefine, nil)
+			cl.RT(int(ptrs[idx].Home)).Post(ptrs[idx], hSDWire, encodePtrList(nbs))
 		}
+	}
+	cl.Wait()
+	for _, p := range ptrs {
+		cl.RT(int(p.Home)).Post(p, hSDRefine, nil)
 	}
 	cl.Wait()
 

@@ -191,16 +191,12 @@ func registerOUPDR(cl *cluster.Cluster, sh *oupdrShared) {
 			nb := int(binary.LittleEndian.Uint32(arg))
 			i := int(math.Round(o.Rect.Min.X * float64(nb)))
 			j := int(math.Round(o.Rect.Min.Y * float64(nb)))
+			digest := hex.EncodeToString(hashMesh(o.MeshData))
 			sh.dumpMu.Lock()
-			sh.dump = append(sh.dump, BlockDump{
-				I:        i,
-				J:        j,
-				Elements: o.Elements,
-				Hash:     hex.EncodeToString(hashMesh(o.MeshData)),
-			})
+			sh.dump = append(sh.dump, BlockDump{I: i, J: j, Elements: o.Elements, Hash: digest})
 			sh.dumpMu.Unlock()
 			if sh.export != nil {
-				if err := exportBlock(sh.export, i, j, o); err != nil {
+				if err := exportBlock(sh.export, i, j, o, digest); err != nil {
 					sh.exportFail(err)
 				}
 			}

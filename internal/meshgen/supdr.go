@@ -611,19 +611,15 @@ func specCommit(c *core.Ctx, o *specBlockObj, sh *supdrShared) {
 	// block for the identical digest.
 	nb := int(o.Nb)
 	i, j := int(o.ID)%nb, int(o.ID)/nb
+	digest := hex.EncodeToString(hashMesh(o.MeshData))
 	sh.dumpMu.Lock()
-	sh.dump = append(sh.dump, BlockDump{
-		I:        i,
-		J:        j,
-		Elements: o.Elements,
-		Hash:     hex.EncodeToString(hashMesh(o.MeshData)),
-	})
+	sh.dump = append(sh.dump, BlockDump{I: i, J: j, Elements: o.Elements, Hash: digest})
 	sh.dumpMu.Unlock()
 	// Streaming export rides the same irrevocability: once committed, this
 	// block's bytes can never change, so they are appended to the chunk
 	// right now, mid-run — a reader polling the store sees the mesh grow.
 	if sh.export != nil {
-		if err := exportSpecBlock(sh.export, i, j, o); err != nil {
+		if err := exportSpecBlock(sh.export, i, j, o, digest); err != nil {
 			sh.exportFail(err)
 		}
 	}
@@ -635,7 +631,7 @@ func specCommit(c *core.Ctx, o *specBlockObj, sh *supdrShared) {
 // committed block's durable identity is its geometry and mesh — and the
 // neighbor pointers are rewritten against the restoring run's placement
 // anyway.
-func exportSpecBlock(w *meshstore.Writer, i, j int, o *specBlockObj) error {
+func exportSpecBlock(w *meshstore.Writer, i, j int, o *specBlockObj, digest string) error {
 	return exportBlock(w, i, j, &blockObj{
 		Rect:     o.Rect,
 		H:        o.H,
@@ -645,7 +641,7 @@ func exportSpecBlock(w *meshstore.Writer, i, j int, o *specBlockObj) error {
 		MeshData: o.MeshData,
 		Elements: o.Elements,
 		Verts:    o.Verts,
-	})
+	}, digest)
 }
 
 // specIfaceHandler verifies a committed neighbor's interface points against

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ObjectID identifies a mobile object to the residency manager.
@@ -91,7 +92,14 @@ type entry struct {
 	firstSeen  uint64 // logical clock at registration / load
 	accesses   uint64
 	queueLen   int // pending messages (control layer input)
+	// pos is the entry's index in Manager.resident while in core, in
+	// Manager.wanted while out of core and wanted, and -1 otherwise.
+	pos int
 }
+
+// hinted reports whether something asks for e to be in core: a queued
+// message or a priority hint. Out of core, that makes it a prefetch candidate.
+func (e *entry) hinted() bool { return e.queueLen > 0 || e.priority > 0 }
 
 // Stats summarizes manager activity.
 type Stats struct {
@@ -120,8 +128,20 @@ type Manager struct {
 	used int64
 	peak int64
 
-	clock         uint64
-	entries       map[ObjectID]*entry
+	clock   uint64
+	entries map[ObjectID]*entry
+	// Two maintained indexes over entries, both dense and unordered (an
+	// entry knows its position, removal swaps the last element in), so no
+	// per-message or per-load call walks the object table: resident holds
+	// every in-core entry — what PickVictims selects from — and wanted every
+	// out-of-core entry with queued work or a priority hint — all that
+	// SuggestPrefetchRanked ranks. wantedN mirrors len(wanted) for the
+	// lock-free PrefetchWanted. scratch is the selection buffer both reuse.
+	resident []*entry
+	wanted   []*entry
+	wantedN  atomic.Int32
+	scratch  []*entry
+
 	largestStored int64 // largest object ever written to disk
 	evictions     uint64
 	loads         uint64
@@ -162,12 +182,45 @@ func (m *Manager) Register(id ObjectID, size int64) error {
 		return fmt.Errorf("ooc: object %d already registered", id)
 	}
 	m.clock++
-	m.entries[id] = &entry{
+	e := &entry{
 		id: id, size: size, inCore: true,
 		lastAccess: m.clock, firstSeen: m.clock,
 	}
+	m.entries[id] = e
+	push(&m.resident, e)
 	m.addUsed(size)
 	return nil
+}
+
+// push appends e to the index *s and records its position.
+func push(s *[]*entry, e *entry) {
+	e.pos = len(*s)
+	*s = append(*s, e)
+}
+
+// remove takes e out of the index *s by moving the last element into its
+// slot.
+func remove(s *[]*entry, e *entry) {
+	last := len(*s) - 1
+	moved := (*s)[last]
+	(*s)[e.pos] = moved
+	moved.pos = e.pos
+	(*s)[last] = nil
+	*s = (*s)[:last]
+	e.pos = -1
+}
+
+// setWanted puts the out-of-core entry e in or out of the wanted set.
+func (m *Manager) setWanted(e *entry, want bool) {
+	if want == (e.pos >= 0) {
+		return
+	}
+	if want {
+		push(&m.wanted, e)
+	} else {
+		remove(&m.wanted, e)
+	}
+	m.wantedN.Store(int32(len(m.wanted)))
 }
 
 // Unregister removes an object entirely (e.g. after migration to another
@@ -181,6 +234,9 @@ func (m *Manager) Unregister(id ObjectID) {
 	}
 	if e.inCore {
 		m.used -= e.size
+		remove(&m.resident, e)
+	} else {
+		m.setWanted(e, false)
 	}
 	delete(m.entries, id)
 }
@@ -257,6 +313,9 @@ func (m *Manager) SetPriority(id ObjectID, pri int) {
 	defer m.mu.Unlock()
 	if e, ok := m.entries[id]; ok {
 		e.priority = pri
+		if !e.inCore {
+			m.setWanted(e, e.hinted())
+		}
 	}
 }
 
@@ -268,6 +327,9 @@ func (m *Manager) SetQueueLen(id ObjectID, n int) {
 	defer m.mu.Unlock()
 	if e, ok := m.entries[id]; ok {
 		e.queueLen = n
+		if !e.inCore {
+			m.setWanted(e, e.hinted())
+		}
 	}
 }
 
@@ -287,7 +349,9 @@ func (m *Manager) MarkOut(id ObjectID) {
 	if !ok || !e.inCore {
 		return
 	}
+	remove(&m.resident, e)
 	e.inCore = false
+	m.setWanted(e, e.hinted())
 	m.used -= e.size
 	m.evictions++
 	if e.size > m.largestStored {
@@ -303,7 +367,9 @@ func (m *Manager) MarkIn(id ObjectID) {
 	if !ok || e.inCore {
 		return
 	}
+	m.setWanted(e, false)
 	e.inCore = true
+	push(&m.resident, e)
 	m.clock++
 	e.lastAccess = m.clock
 	e.firstSeen = m.clock
@@ -370,61 +436,103 @@ func (m *Manager) NeedForAlloc(extra int64) int64 {
 	return over
 }
 
+// victimKey is the policy's eviction key for e: lower goes first. LFU's key
+// ages with the manager clock, so it is computed at selection time, never
+// stored.
+func (m *Manager) victimKey(e *entry) float64 {
+	switch m.cfg.Policy {
+	case MRU:
+		return -float64(e.lastAccess)
+	case LFU:
+		age := m.clock - e.firstSeen + 1
+		return float64(e.accesses) / float64(age)
+	case MU:
+		return -float64(e.accesses)
+	case LU:
+		return float64(e.accesses)
+	default: // LRU
+		return float64(e.lastAccess)
+	}
+}
+
+// evictsBefore is the victim order, a strict total order: priority, then
+// queue length, then the policy key, then id.
+func (m *Manager) evictsBefore(a, b *entry) bool {
+	if a.priority != b.priority {
+		return a.priority < b.priority
+	}
+	if a.queueLen != b.queueLen {
+		return a.queueLen < b.queueLen
+	}
+	if ka, kb := m.victimKey(a), m.victimKey(b); ka != kb {
+		return ka < kb
+	}
+	return a.id < b.id
+}
+
+// prefetchesBefore is the candidate order, a strict total order: most
+// queued messages, then highest priority, then id.
+func prefetchesBefore(a, b *entry) bool {
+	if a.queueLen != b.queueLen {
+		return a.queueLen > b.queueLen
+	}
+	if a.priority != b.priority {
+		return a.priority > b.priority
+	}
+	return a.id < b.id
+}
+
+// insertRanked inserts e into sel, which is ascending under before.
+func insertRanked(sel []*entry, e *entry, before func(a, b *entry) bool) []*entry {
+	i := sort.Search(len(sel), func(i int) bool { return before(e, sel[i]) })
+	sel = append(sel, nil)
+	copy(sel[i+1:], sel[i:])
+	sel[i] = e
+	return sel
+}
+
 // PickVictims selects unlocked in-core objects to evict, in policy order,
 // until their sizes sum to at least need. Objects with pending messages and
 // higher priorities are avoided when possible: candidates are ranked by
 // priority, then queue length, then the policy key.
+//
+// One pass over the resident index keeps the shortest leading run of the
+// victim order that frees need bytes: an entry is compared with the worst
+// one kept and almost always skipped, so the cost is one comparison per
+// resident plus an insertion per victim, and only the result is allocated.
 func (m *Manager) PickVictims(need int64) []ObjectID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var cands []*entry
-	for _, e := range m.entries {
-		if e.inCore && e.locked == 0 {
-			cands = append(cands, e)
-		}
-	}
-	clock := m.clock
-	key := func(e *entry) float64 {
-		switch m.cfg.Policy {
-		case LRU:
-			return float64(e.lastAccess)
-		case MRU:
-			return -float64(e.lastAccess)
-		case LFU:
-			age := clock - e.firstSeen + 1
-			return float64(e.accesses) / float64(age)
-		case MU:
-			return -float64(e.accesses)
-		case LU:
-			return float64(e.accesses)
-		default:
-			return float64(e.lastAccess)
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.priority != b.priority {
-			return a.priority < b.priority
-		}
-		if a.queueLen != b.queueLen {
-			return a.queueLen < b.queueLen
-		}
-		ka, kb := key(a), key(b)
-		if ka != kb {
-			return ka < kb
-		}
-		return a.id < b.id
-	})
-	var out []ObjectID
+	sel := m.scratch[:0]
 	var freed int64
-	for _, e := range cands {
-		if freed >= need {
-			break
+	for _, e := range m.resident {
+		if e.locked > 0 {
+			continue
 		}
-		out = append(out, e.id)
+		if freed >= need && (len(sel) == 0 || !m.evictsBefore(e, sel[len(sel)-1])) {
+			continue
+		}
+		sel = insertRanked(sel, e, m.evictsBefore)
 		freed += e.size
+		for last := len(sel) - 1; last >= 0 && freed-sel[last].size >= need; last-- {
+			freed -= sel[last].size
+			sel[last] = nil
+			sel = sel[:last]
+		}
 	}
+	out := make([]ObjectID, len(sel))
+	for i, e := range sel {
+		out[i] = e.id
+	}
+	m.release(sel)
 	return out
+}
+
+// release hands the selection buffer back for reuse, cleared so that it
+// keeps no unregistered entry alive.
+func (m *Manager) release(sel []*entry) {
+	clear(sel)
+	m.scratch = sel[:0]
 }
 
 // Candidate is one prefetch suggestion: the object plus a class hint for the
@@ -436,36 +544,34 @@ type Candidate struct {
 	Urgent bool
 }
 
+// PrefetchWanted reports, without taking the manager's lock, whether any
+// out-of-core object has queued work or a priority hint — whether
+// SuggestPrefetchRanked could return anything.
+func (m *Manager) PrefetchWanted() bool { return m.wantedN.Load() > 0 }
+
 // SuggestPrefetchRanked returns up to limit out-of-core objects worth
 // loading ahead of need, ranked by pending message count then priority — the
 // cache population policy of the out-of-core layer — each tagged with its
-// urgency class hint.
+// urgency class hint. It ranks only the wanted index, which is usually empty
+// or a handful of entries.
 func (m *Manager) SuggestPrefetchRanked(limit int) []Candidate {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var cands []*entry
-	for _, e := range m.entries {
-		if !e.inCore && (e.queueLen > 0 || e.priority > 0) {
-			cands = append(cands, e)
+	sel := m.scratch[:0]
+	for _, e := range m.wanted {
+		if limit > 0 && len(sel) == limit {
+			if !prefetchesBefore(e, sel[limit-1]) {
+				continue
+			}
+			sel = sel[:limit-1]
 		}
+		sel = insertRanked(sel, e, prefetchesBefore)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.queueLen != b.queueLen {
-			return a.queueLen > b.queueLen
-		}
-		if a.priority != b.priority {
-			return a.priority > b.priority
-		}
-		return a.id < b.id
-	})
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit]
-	}
-	out := make([]Candidate, len(cands))
-	for i, e := range cands {
+	out := make([]Candidate, len(sel))
+	for i, e := range sel {
 		out[i] = Candidate{ID: e.id, Urgent: e.queueLen > 0}
 	}
+	m.release(sel)
 	return out
 }
 
@@ -536,9 +642,11 @@ func (m *Manager) NoteRetries(n uint64) {
 func (m *Manager) Snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Stats{
+	return Stats{
 		Evictions:     m.evictions,
 		Loads:         m.loads,
+		InCore:        len(m.resident),
+		OutOfCore:     len(m.entries) - len(m.resident),
 		MemUsed:       m.used,
 		MemBudget:     m.cfg.Budget,
 		PeakMemUsed:   m.peak,
@@ -547,14 +655,57 @@ func (m *Manager) Snapshot() Stats {
 		Retries:       m.retries,
 		ObjectsLost:   m.objectsLost,
 	}
-	for _, e := range m.entries {
-		if e.inCore {
-			s.InCore++
-		} else {
-			s.OutOfCore++
+}
+
+// CheckInvariants audits the indexes against the object table and returns
+// one message per violation (empty = healthy): every entry sits in exactly
+// the index its state calls for, at the position it records; the indexes
+// hold nothing else; the lock-free wanted count matches; and the in-core
+// byte count is the sum of the resident sizes.
+func (m *Manager) CheckInvariants() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
+	fail := func(format string, args ...any) {
+		out = append(out, "ooc: "+fmt.Sprintf(format, args...))
+	}
+	at := func(index []*entry, e *entry) bool {
+		return e.pos >= 0 && e.pos < len(index) && index[e.pos] == e
+	}
+	var resident, wanted int
+	var used int64
+	for id, e := range m.entries {
+		switch {
+		case e.id != id:
+			fail("object %d filed under id %d", e.id, id)
+		case e.inCore:
+			resident++
+			used += e.size
+			if !at(m.resident, e) {
+				fail("in-core object %d not at resident[%d]", id, e.pos)
+			}
+		case e.hinted():
+			wanted++
+			if !at(m.wanted, e) {
+				fail("wanted object %d not at wanted[%d]", id, e.pos)
+			}
+		case e.pos != -1:
+			fail("idle out-of-core object %d records index position %d", id, e.pos)
 		}
 	}
-	return s
+	if resident != len(m.resident) {
+		fail("resident index holds %d entries, %d objects are in core", len(m.resident), resident)
+	}
+	if wanted != len(m.wanted) {
+		fail("wanted index holds %d entries, %d objects are wanted", len(m.wanted), wanted)
+	}
+	if n := int(m.wantedN.Load()); n != len(m.wanted) {
+		fail("wanted count reads %d, index holds %d", n, len(m.wanted))
+	}
+	if used != m.used {
+		fail("%d bytes accounted in core, resident sizes sum to %d", m.used, used)
+	}
+	return out
 }
 
 // String implements fmt.Stringer for the report printers.

@@ -690,9 +690,12 @@ func (s *Store) scheduleDemotion(key storage.Key, ent *entry, gen uint64) {
 // reservePromoteLocked charges the lease for an upcoming promotion so
 // concurrent promotions cannot oversubscribe it. Promotion is gated on the
 // high watermark: promoting into a contended lease would just thrash the
-// demoter.
+// demoter. A latched key is refused: its mover still owns ent.charged — a
+// demotion publishes inSlow before it has scrubbed the fast copy and released
+// that charge, and a reservation made in between would be overwritten and
+// then released in its place, leaking the blob's bytes from the lease.
 func (s *Store) reservePromoteLocked(ent *entry) bool {
-	if s.cfg.Capacity == 0 || s.fast == nil {
+	if s.cfg.Capacity == 0 || s.fast == nil || ent.writing {
 		return false
 	}
 	if s.cfg.Capacity > 0 {

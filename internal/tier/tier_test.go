@@ -33,6 +33,14 @@ func checkClean(t *testing.T, s *Store) {
 	}
 }
 
+// closeOnce returns a function that closes ch the first time it is called: a
+// test defers it, so that a failed assertion cannot leave a gated store
+// holding Close, and also calls it where the gate is meant to open.
+func closeOnce(ch chan struct{}) func() {
+	var once sync.Once
+	return func() { once.Do(func() { close(ch) }) }
+}
+
 func blob(n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -120,11 +128,33 @@ func TestAdmitMax(t *testing.T) {
 	checkClean(t, s)
 }
 
+// heldPuts is a slow store whose Puts, but for one key, wait to be released.
+type heldPuts struct {
+	storage.Store
+	except  storage.Key
+	release chan struct{}
+}
+
+func (h *heldPuts) Put(k storage.Key, d []byte) error {
+	if k != h.except {
+		<-h.release
+	}
+	return h.Store.Put(k, d)
+}
+
 func TestHeatAdmissionAboveHighWater(t *testing.T) {
 	// Capacity 1000, high water 900. Fill to 850, then write one cold key
 	// and one warm key of 100 bytes each: the warm one is admitted (it was
 	// seen before), the cold one spills.
-	s := newTiered(t, Config{Capacity: 1000, HighWater: 0.9, LowWater: 0.1, PromoteAfter: -1})
+	//
+	// The warm write crosses the high mark and starts a demotion wave in the
+	// background; were it to finish before the cold write, the lease would be
+	// uncontended again and the cold key admitted. The slow tier therefore
+	// holds every demotion write until both admissions have been decided.
+	slow := &heldPuts{Store: storage.NewMem(), except: "cold", release: make(chan struct{})}
+	s := newTiered(t, Config{Slow: slow, Capacity: 1000, HighWater: 0.9, LowWater: 0.1, PromoteAfter: -1})
+	release := closeOnce(slow.release)
+	defer release()
 	for i := 0; i < 17; i++ {
 		if err := s.Put(storage.Key(fmt.Sprintf("fill%d", i)), blob(50)); err != nil {
 			t.Fatal(err)
@@ -148,6 +178,7 @@ func TestHeatAdmissionAboveHighWater(t *testing.T) {
 	if st.Spills != base.Spills+1 {
 		t.Fatalf("cold key not spilled: base %+v now %+v", base, st)
 	}
+	release()
 	s.WaitIdle() // the warm admit crossed high water; let demotion settle
 	if msgs := s.CheckInvariants(true); len(msgs) > 0 {
 		t.Fatalf("invariants: %v", msgs)
@@ -393,6 +424,71 @@ func TestConcurrentHammer(t *testing.T) {
 	checkClean(t, s)
 	if st := s.Snapshot(); st.FastBytes > lease {
 		t.Fatalf("lease exceeded at rest: %+v", st)
+	}
+}
+
+// gatedDelete is a fast store whose Delete of one key announces itself and
+// then waits to be released, holding a demotion inside its done hook.
+type gatedDelete struct {
+	storage.Store
+	key              storage.Key
+	entered, release chan struct{}
+}
+
+func (g *gatedDelete) Delete(k storage.Key) error {
+	if k == g.key {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Store.Delete(k)
+}
+
+// TestGetDuringDemotionScrubKeepsLease is the deterministic form of the leak
+// the hammer used to hit: a demotion has published its key as slow-resident
+// but is still scrubbing the fast copy — charged and latched — when a Get
+// reaches the promotion threshold. The Get must not reserve lease bytes for
+// the key: the demotion's epilogue would release that reservation instead of
+// its own charge and the promotion would install uncharged.
+func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
+	fast := &gatedDelete{Store: storage.NewMem(), key: "a",
+		entered: make(chan struct{}), release: make(chan struct{})}
+	s := newTiered(t, Config{Fast: fast, Capacity: 1000, HighWater: 0.8, LowWater: 0.7, PromoteAfter: 1})
+	release := closeOnce(fast.release)
+	defer release()
+	if err := s.Put("a", blob(300)); err != nil {
+		t.Fatal(err)
+	}
+	// "b" is written twice so that the write crossing the high watermark is
+	// warm and admitted: 900 > 800 demotes "a", the coldest, down to 700.
+	for _, n := range []int{100, 600} {
+		if err := s.Put("b", blob(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-fast.entered
+	// Make room under the high watermark so that only the latch stands
+	// between the Get and a promotion reservation.
+	if err := s.Delete("b"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("a"); err != nil || len(got) != 300 {
+		t.Fatalf("get during the scrub: %d bytes, %v", len(got), err)
+	}
+	if msgs := s.CheckInvariants(false); len(msgs) > 0 {
+		t.Fatalf("inside the window: %v", msgs)
+	}
+	release()
+	checkClean(t, s)
+	if st := s.Snapshot(); st.FastBytes != 0 || st.Demotions != 1 || st.Promotions != 0 {
+		t.Fatalf("after the demotion settled: %+v", st)
+	}
+	// The key is promotable again once the latch is gone.
+	if _, err := s.Get("a"); err != nil {
+		t.Fatal(err)
+	}
+	checkClean(t, s)
+	if st := s.Snapshot(); st.Promotions != 1 || st.FastBytes != 300 {
+		t.Fatalf("promotion after the demotion settled: %+v", st)
 	}
 }
 
