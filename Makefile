@@ -90,16 +90,26 @@ sim-soak:
 	$(GO) test ./internal/sim/ -run Soak -sim.seeds 100 -count=1 -timeout 30m
 
 # Packages that must take time from an injected clock.Clock so the
-# deterministic simulation harness can virtualize them. Only the clock
-# implementations themselves may call the time package for "now"/sleeping.
+# deterministic simulation harness can virtualize them (the TCP membership,
+# heartbeat and sharded-directory code in internal/comm and internal/cluster
+# included). Only the clock implementations themselves may call the time
+# package for "now"/sleeping.
 CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool
 
-# gofmt check (staticcheck additionally runs in CI, where installing the
-# pinned version is possible), plus two layering rules: the clock-injection
-# rule (no package below cmd/ that the simulator drives may read real time
-# directly) and the transport-encapsulation rule (all raw TCP lives behind
-# internal/comm — everything else addresses peers by NodeID through an
-# Endpoint, so the simulator can swap the transport).
+# gofmt and vet, then four layering rules. This target is their only
+# statement: CI's lint job calls it, then runs staticcheck (which needs an
+# install, so it stays there).
+# - Clock injection: no package below cmd/ that the simulator drives may
+#   read real time directly.
+# - Transport encapsulation: all raw TCP lives behind internal/comm;
+#   everything else addresses peers by NodeID through an Endpoint, so the
+#   simulator can swap the transport out from under them.
+# - Routing encapsulation: first-hop routing belongs to the core.Locator
+#   seam; nothing outside internal/core sends, posts or migrates against
+#   ptr.Home directly, so the policy stays swappable.
+# - Mesh-format encapsulation: the chunk file format belongs to
+#   internal/meshstore; a chunk filename anywhere else means a second,
+#   unversioned implementation of the format is growing.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...

@@ -161,15 +161,23 @@ type refiner struct {
 	// segBuf is the storage of refineTriangle's list of encroached
 	// segments, kept between calls.
 	segBuf [][2]mesh.VertexID
+
+	// audit, which only tests set, sees every triangle isBad judges and the
+	// verdict it reached.
+	audit func(tr geom.Triangle, bad bool)
 }
 
 // Refine runs Ruppert refinement on m in place. m must be a carved CDT: its
 // hull edges must all be constrained (BuildCDT guarantees this).
 func Refine(m *mesh.Mesh, opts Options) (Stats, error) {
+	return refine(m, opts, nil)
+}
+
+func refine(m *mesh.Mesh, opts Options, audit func(geom.Triangle, bool)) (Stats, error) {
 	if opts.QualityBound != 0 && opts.QualityBound < 1 {
 		return Stats{}, ErrBadOptions
 	}
-	r := &refiner{m: m, opts: opts, beta: opts.qualityBound()}
+	r := &refiner{m: m, opts: opts, beta: opts.qualityBound(), audit: audit}
 	defer m.ReleaseScratch()
 	if opts.OnSegmentSplit != nil {
 		// Hook at the mesh level so that every constrained split is seen,
@@ -188,7 +196,7 @@ func Refine(m *mesh.Mesh, opts Options) (Stats, error) {
 
 	// Phase 2: seed the bad-triangle queue.
 	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
-		if r.isBad(t) {
+		if bad, _, _ := r.isBad(t); bad {
 			r.bad = append(r.bad, t)
 		}
 	})
@@ -201,10 +209,14 @@ func Refine(m *mesh.Mesh, opts Options) (Stats, error) {
 		}
 		t := r.bad[len(r.bad)-1]
 		r.bad = r.bad[:len(r.bad)-1]
-		if !r.m.Alive(t) || !r.isBad(t) {
+		if !r.m.Alive(t) {
 			continue
 		}
-		if err := r.refineTriangle(t); err != nil {
+		bad, cc, ok := r.isBad(t)
+		if !bad {
+			continue
+		}
+		if err := r.refineTriangle(t, cc, ok); err != nil {
 			return r.stats, err
 		}
 	}
@@ -215,21 +227,23 @@ func (r *refiner) capped() bool {
 	return r.opts.MaxVertices > 0 && r.m.NumVertices() >= r.opts.MaxVertices
 }
 
-// isBad reports whether triangle t violates the quality or size bounds.
-func (r *refiner) isBad(t mesh.TriID) bool {
+// isBad reports whether triangle t violates the quality or size bounds, and
+// returns its circumcenter as geom.Triangle.Circumcenter does: a bad
+// triangle is refined there.
+func (r *refiner) isBad(t mesh.TriID) (bad bool, cc geom.Point, ok bool) {
 	tr := r.m.Triangle(t)
-	if tr.Quality() > r.beta {
-		return true
+	bad, cc, ok = tr.QualityExceeds(r.beta)
+	if !bad && r.opts.MaxArea > 0 {
+		bad = tr.Area() > r.opts.MaxArea
 	}
-	if r.opts.MaxArea > 0 && tr.Area() > r.opts.MaxArea {
-		return true
+	if !bad && r.opts.SizeFunc != nil {
+		h := r.opts.SizeFunc(tr.Centroid())
+		bad = h > 0 && tr.LongestEdgeExceeds(h)
 	}
-	if r.opts.SizeFunc != nil {
-		if h := r.opts.SizeFunc(tr.Centroid()); h > 0 && tr.LongestEdge() > h {
-			return true
-		}
+	if r.audit != nil {
+		r.audit(tr, bad)
 	}
-	return false
+	return bad, cc, ok
 }
 
 // encroached reports whether the constrained edge (a, b) is encroached by
@@ -324,15 +338,11 @@ func (r *refiner) queueAround(v mesh.VertexID) {
 
 // refineTriangle attempts to kill bad triangle t by inserting its
 // circumcenter (or off-center); if the new point would encroach constrained
-// segments, those segments are split instead (Ruppert's rule).
-func (r *refiner) refineTriangle(t mesh.TriID) error {
-	tr := r.m.Triangle(t)
-	var c geom.Point
-	var ok bool
+// segments, those segments are split instead (Ruppert's rule). c and ok are
+// t's circumcenter as isBad returned it.
+func (r *refiner) refineTriangle(t mesh.TriID, c geom.Point, ok bool) error {
 	if r.opts.OffCenters {
-		c, ok = tr.OffCenter(r.beta)
-	} else {
-		c, ok = tr.Circumcenter()
+		c, ok = r.m.Triangle(t).OffCenter(r.beta)
 	}
 	if !ok {
 		return fmt.Errorf("delaunay: degenerate triangle %d", t)

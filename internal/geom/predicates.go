@@ -1,6 +1,9 @@
 package geom
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
 // Sign is the sign of a geometric determinant.
 type Sign int
@@ -22,13 +25,6 @@ const (
 	iccErrBound  = (10.0 + 96.0*epsilon) * epsilon
 	absErrExpand = 1.0
 )
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
 
 // Orient2D returns Positive if points a, b, c make a counter-clockwise turn,
 // Negative for clockwise, and Zero if they are collinear. The result is exact:
@@ -116,9 +112,9 @@ func InCircle(a, b, c, d Point) Sign {
 
 	det := alift*(bdxcdy-cdxbdy) + blift*(cdxady-adxcdy) + clift*(adxbdy-bdxady)
 
-	permanent := (abs(bdxcdy)+abs(cdxbdy))*alift +
-		(abs(cdxady)+abs(adxcdy))*blift +
-		(abs(adxbdy)+abs(bdxady))*clift
+	permanent := (math.Abs(bdxcdy)+math.Abs(cdxbdy))*alift +
+		(math.Abs(cdxady)+math.Abs(adxcdy))*blift +
+		(math.Abs(adxbdy)+math.Abs(bdxady))*clift
 	errBound := iccErrBound * permanent
 	if det > errBound || -det > errBound {
 		return signOf(det)

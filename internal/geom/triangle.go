@@ -74,6 +74,82 @@ func (t Triangle) Quality() float64 {
 	return t.Circumradius() / se
 }
 
+// The squared-length predicates below decide only when the two sides differ
+// by more than decisionBand relative, and only when every square involved
+// lies in [minSquare, maxSquare], where it carries full relative precision
+// (no subnormal term dominates, nothing has overflowed). Both forms start
+// from the same coordinate differences and the same circumcenter, so they
+// differ only in how they round from there on: under 2⁻⁴⁹ relative for the
+// squared form (a sum of two squares, a minimum, two products) and under
+// 2⁻⁴⁸ for the oracle (Hypot to an ulp or two, one division). A band of
+// 1e-12 on squares is 5e-13 on the ratio itself, a hundred times either.
+const (
+	decisionBand = 1e-12
+	minSquare    = 1e-280
+	maxSquare    = 1e280
+)
+
+// exceedsSq reports whether lhs > rhs for two squared quantities, and
+// whether that verdict is certain to match the comparison of their roots
+// however those were rounded. NaN on either side is never certain.
+func exceedsSq(lhs, rhs float64) (exceeds, certain bool) {
+	if !(lhs > minSquare && rhs > minSquare && lhs < maxSquare && rhs < maxSquare) {
+		return false, false
+	}
+	slack := decisionBand * rhs
+	return lhs > rhs, lhs > rhs+slack || lhs < rhs-slack
+}
+
+// edgeLengths2 returns the squared lengths of t's three edges.
+func (t Triangle) edgeLengths2() (ab, bc, ca float64) {
+	return t.A.Dist2(t.B), t.B.Dist2(t.C), t.C.Dist2(t.A)
+}
+
+// qualityExceedsSq is the squared-length form of Quality() > beta for a t
+// whose circumcenter is cc.
+func (t Triangle) qualityExceedsSq(cc Point, beta float64) (exceeds, certain bool) {
+	ab, bc, ca := t.edgeLengths2()
+	s2 := min(ab, bc, ca)
+	if !(beta > 0 && s2 > minSquare) { // beta² could lift a subnormal s2 into range
+		return false, false
+	}
+	return exceedsSq(cc.Dist2(t.A), beta*beta*s2)
+}
+
+// longestEdgeExceedsSq is the squared-length form of LongestEdge() > h.
+func (t Triangle) longestEdgeExceedsSq(h float64) (exceeds, certain bool) {
+	if !(h > 0) {
+		return false, false
+	}
+	ab, bc, ca := t.edgeLengths2()
+	return exceedsSq(max(ab, bc, ca), h*h)
+}
+
+// QualityExceeds reports whether t.Quality() > beta, the verdict of Ruppert
+// refinement on t, without a square root or a division beyond those of the
+// circumcenter, which it returns as Circumcenter does since a caller that
+// gets true wants it next. It compares squared lengths and falls back to
+// Quality itself when those cannot certify the answer, so the two agree on
+// every input: the filter-then-exact shape of Orient2D.
+func (t Triangle) QualityExceeds(beta float64) (exceeds bool, cc Point, ok bool) {
+	cc, ok = t.Circumcenter()
+	if ok {
+		if exceeds, certain := t.qualityExceedsSq(cc, beta); certain {
+			return exceeds, cc, ok
+		}
+	}
+	return t.Quality() > beta, cc, ok
+}
+
+// LongestEdgeExceeds reports whether t.LongestEdge() > h, by the same
+// squared comparison with LongestEdge as the fallback.
+func (t Triangle) LongestEdgeExceeds(h float64) bool {
+	if exceeds, certain := t.longestEdgeExceedsSq(h); certain {
+		return exceeds
+	}
+	return t.LongestEdge() > h
+}
+
 // MinAngle returns the smallest interior angle of t in radians.
 func (t Triangle) MinAngle() float64 {
 	angle := func(v, p, q Point) float64 {

@@ -144,6 +144,11 @@ func (m *Mesh) CommitCavity() VertexID {
 	// constraint across edge 0. Across (b, v) lies the triangle whose first
 	// base vertex is b, across (v, a) the one whose second base vertex is
 	// a; where a pinched cavity offers two, the later one wins.
+	s.ends = extended(s.ends, len(m.verts))
+	for i, e := range s.boundary {
+		s.end(e.a).from = int32(i)
+		s.end(e.b).into = int32(i)
+	}
 	for i, e := range s.boundary {
 		t := s.created[i]
 		if e.constrained {
@@ -152,17 +157,11 @@ func (m *Mesh) CommitCavity() VertexID {
 		if e.out != NoTri {
 			m.link(t, 0, e.out)
 		}
-		for j := len(s.boundary) - 1; j >= 0; j-- {
-			if s.boundary[j].a == e.b {
-				m.tris[t].N[1] = s.created[j]
-				break
-			}
+		if j := s.end(e.b).from; j >= 0 {
+			m.tris[t].N[1] = s.created[j]
 		}
-		for j := len(s.boundary) - 1; j >= 0; j-- {
-			if s.boundary[j].b == e.a {
-				m.tris[t].N[2] = s.created[j]
-				break
-			}
+		if j := s.end(e.a).into; j >= 0 {
+			m.tris[t].N[2] = s.created[j]
 		}
 	}
 

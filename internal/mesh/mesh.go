@@ -8,6 +8,7 @@ package mesh
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mrts/internal/geom"
 )
@@ -174,10 +175,21 @@ func (m *Mesh) TriIDs() []TriID {
 	return out
 }
 
+// room returns s with space for one more element, doubling a full slice.
+// append alone grows a large slice by a quarter, which copies a mesh that
+// refinement grows from a few triangles to thousands five times over;
+// doubling copies it twice.
+func room[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 16))
+	}
+	return s
+}
+
 // addVertex appends a vertex without any triangulation bookkeeping.
 func (m *Mesh) addVertex(p geom.Point) VertexID {
-	m.verts = append(m.verts, p)
-	m.vertTri = append(m.vertTri, NoTri)
+	m.verts = append(room(m.verts), p)
+	m.vertTri = append(room(m.vertTri), NoTri)
 	return VertexID(len(m.verts) - 1)
 }
 
@@ -191,8 +203,8 @@ func (m *Mesh) newTri(a, b, c VertexID) TriID {
 		m.tris[id] = Tri{V: [3]VertexID{a, b, c}, N: [3]TriID{NoTri, NoTri, NoTri}}
 		m.flags[id] = flagAlive
 	} else {
-		m.tris = append(m.tris, Tri{V: [3]VertexID{a, b, c}, N: [3]TriID{NoTri, NoTri, NoTri}})
-		m.flags = append(m.flags, flagAlive)
+		m.tris = append(room(m.tris), Tri{V: [3]VertexID{a, b, c}, N: [3]TriID{NoTri, NoTri, NoTri}})
+		m.flags = append(room(m.flags), flagAlive)
 		id = TriID(len(m.tris) - 1)
 	}
 	m.nAlive++

@@ -31,20 +31,47 @@ type scratch struct {
 	splitA, splitB VertexID // the constrained edge p splits, or NoVertex
 
 	stack, created []TriID
+
+	// ends[v].epoch == epoch: v is on the boundary CommitCavity is wiring.
+	ends []boundaryEnds
+}
+
+// boundaryEnds is, for one vertex, the index in scratch.boundary of the last
+// edge that starts there and of the last that ends there, or -1.
+type boundaryEnds struct {
+	epoch      uint32
+	from, into int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// extended returns s lengthened with zero values to at least n elements.
+func extended[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // begin starts a new marked set over n triangle slots.
 func (s *scratch) begin(n int) {
-	if len(s.mark) < n {
-		s.mark = append(s.mark, make([]uint32, n-len(s.mark))...)
-	}
+	s.mark = extended(s.mark, n)
 	s.epoch++
 	if s.epoch == 0 { // wrapped: stamps of 2³² sets ago would read as current
 		clear(s.mark)
+		clear(s.ends)
 		s.epoch = 1
 	}
+}
+
+// end returns the boundary record of vertex v in the current set, fresh if
+// this is the set's first look at v. ends must cover v.
+func (s *scratch) end(v VertexID) *boundaryEnds {
+	e := &s.ends[v]
+	if e.epoch != s.epoch {
+		*e = boundaryEnds{epoch: s.epoch, from: -1, into: -1}
+	}
+	return e
 }
 
 func (m *Mesh) scratch() *scratch {

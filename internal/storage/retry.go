@@ -9,9 +9,9 @@ import (
 	"mrts/internal/clock"
 )
 
-// RetryPolicy configures transparent retry of failed store operations inside
-// the Async facade: transient I/O faults are absorbed with exponential
-// backoff and jitter before they ever reach the runtime's swap path.
+// RetryPolicy configures a Retrier's transparent retry of failed store
+// operations: transient I/O faults are absorbed with exponential backoff and
+// jitter before they ever reach the runtime's swap path.
 // Permanent errors (IsPermanent) are never retried.
 //
 // The zero value disables retry (a single attempt per operation).
@@ -45,8 +45,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// retrier executes operations under a RetryPolicy and counts retries.
-type retrier struct {
+// Retrier executes storage operations under a RetryPolicy, absorbing
+// transient failures with exponential backoff and jitter, and counts the
+// retries. The swap I/O scheduler runs every operation through one.
+type Retrier struct {
 	p       RetryPolicy
 	clk     clock.Clock
 	mu      sync.Mutex
@@ -54,47 +56,32 @@ type retrier struct {
 	retries atomic.Uint64
 }
 
-func newRetrier(p RetryPolicy) *retrier {
+// NewRetrier returns a Retrier for the given policy.
+func NewRetrier(p RetryPolicy) *Retrier {
 	p = p.withDefaults()
-	return &retrier{p: p, clk: clock.Or(p.Clock), rng: rand.New(rand.NewSource(p.Seed))}
+	return &Retrier{p: p, clk: clock.Or(p.Clock), rng: rand.New(rand.NewSource(p.Seed))}
 }
 
 // jitter returns a duration in [d/2, d] ("equal jitter"), decorrelating
 // concurrent waiters without losing the exponential envelope.
-func (r *retrier) jitter(d time.Duration) time.Duration {
+func (r *Retrier) jitter(d time.Duration) time.Duration {
 	r.mu.Lock()
 	f := 0.5 + 0.5*r.rng.Float64()
 	r.mu.Unlock()
 	return time.Duration(float64(d) * f)
 }
 
-// Retrier executes storage operations under a RetryPolicy, absorbing
-// transient failures with exponential backoff and jitter. It is the policy
-// engine shared by the Async facade and the swap I/O scheduler, exported so
-// both layers retry with identical semantics (same backoff envelope, same
-// IsPermanent cutoff, same OnRetry observation).
-type Retrier struct {
-	r *retrier
-}
-
-// NewRetrier returns a Retrier for the given policy.
-func NewRetrier(p RetryPolicy) *Retrier {
-	return &Retrier{r: newRetrier(p)}
-}
-
-// Do runs op, retrying transient failures within the attempt budget. key is
-// reported to the policy's OnRetry observer.
-func (t *Retrier) Do(key Key, op func() error) error { return t.r.do(key, op) }
-
-// DoGetBuf runs GetBuf(st, key) under the retry policy. It exists alongside
-// Do because the swap read path calls it per load: taking the operation as a
-// closure would heap-allocate the closure on every call, and the hot path
-// must stay allocation-free in the steady state.
-func (t *Retrier) DoGetBuf(st Store, key Key) ([]byte, error) {
-	delay := t.r.p.BaseDelay
+// DoGetBuf runs GetBuf(st, key) under the retry policy, retrying transient
+// failures within the attempt budget; key is reported to the policy's OnRetry
+// observer. It takes the store rather than the operation as a closure
+// because the swap read path calls it per load: the closure would be
+// heap-allocated on every call, and the hot path must stay allocation-free
+// in the steady state.
+func (r *Retrier) DoGetBuf(st Store, key Key) ([]byte, error) {
+	delay := r.p.BaseDelay
 	for attempt := 1; ; attempt++ {
 		blob, err := GetBuf(st, key)
-		if err == nil || !t.r.shouldRetry(key, attempt, err, &delay) {
+		if err == nil || !r.shouldRetry(key, attempt, err, &delay) {
 			return blob, err
 		}
 	}
@@ -104,34 +91,23 @@ func (t *Retrier) DoGetBuf(st Store, key Key) ([]byte, error) {
 // like DoGetBuf. PutBuf's ownership contract holds across retries: the
 // buffer transfers only on success, so a failed attempt may safely retry
 // with the same bytes.
-func (t *Retrier) DoPutBuf(st Store, key Key, blob []byte) error {
-	delay := t.r.p.BaseDelay
-	for attempt := 1; ; attempt++ {
-		err := PutBuf(st, key, blob)
-		if err == nil || !t.r.shouldRetry(key, attempt, err, &delay) {
-			return err
-		}
-	}
-}
-
-// Retries returns the cumulative count of absorbed (retried) failures.
-func (t *Retrier) Retries() uint64 { return t.r.retries.Load() }
-
-// do runs op, retrying transient failures within the attempt budget.
-func (r *retrier) do(key Key, op func() error) error {
+func (r *Retrier) DoPutBuf(st Store, key Key, blob []byte) error {
 	delay := r.p.BaseDelay
 	for attempt := 1; ; attempt++ {
-		err := op()
+		err := PutBuf(st, key, blob)
 		if err == nil || !r.shouldRetry(key, attempt, err, &delay) {
 			return err
 		}
 	}
 }
 
+// Retries returns the cumulative count of absorbed (retried) failures.
+func (r *Retrier) Retries() uint64 { return r.retries.Load() }
+
 // shouldRetry decides whether another attempt is allowed after err on the
 // given 1-based attempt; when it is, it performs the retry bookkeeping and
 // backoff sleep and advances *delay along the exponential envelope.
-func (r *retrier) shouldRetry(key Key, attempt int, err error, delay *time.Duration) bool {
+func (r *Retrier) shouldRetry(key Key, attempt int, err error, delay *time.Duration) bool {
 	if attempt >= r.p.MaxAttempts || IsPermanent(err) {
 		return false
 	}

@@ -6,17 +6,16 @@
 // disk's service time (seek + transfer) so that comp/IO overlap remains
 // measurable on fast hardware.
 //
-// Both blocking and asynchronous load/store operations are provided, matching
-// the paper ("blocking and non-blocking operations for loading and storing a
-// mobile object"). This functionality is used by the out-of-core layer and is
-// not normally called by applications.
+// Stores block; the paper's "blocking and non-blocking operations for loading
+// and storing a mobile object" are internal/swapio's, which queues, orders and
+// retries (Retrier) operations on a Store. This functionality is used by the
+// out-of-core layer and is not normally called by applications.
 package storage
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mrts/internal/bufpool"
@@ -72,169 +71,9 @@ type SizedStore interface {
 	BytesResident() int64
 }
 
-// AsyncResult is the completion handle of an asynchronous operation.
-type AsyncResult struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
-// Done returns a channel closed when the operation completes.
-func (r *AsyncResult) Done() <-chan struct{} { return r.done }
-
-// Wait blocks until completion and returns the result of the operation
-// (data is non-nil only for loads).
-func (r *AsyncResult) Wait() ([]byte, error) {
-	<-r.done
-	return r.data, r.err
-}
-
-// ErrClosed is returned by asynchronous operations submitted after Close.
+// ErrClosed is returned by operations submitted to a store, or to a layer
+// over one, that has been closed.
 var ErrClosed = errors.New("storage: async store closed")
-
-// Async wraps a Store with a worker pool performing Put/Get in the
-// background, so the control layer can overlap disk I/O with computation —
-// the central claim of the paper's evaluation (Tables IV-VI). The internal
-// queue is unbounded (memory pressure is the out-of-core layer's job, not
-// the I/O queue's) and submission after Close fails cleanly instead of
-// racing the shutdown.
-type Async struct {
-	st    Store
-	retry *retrier
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	reads    []func() // demand loads jump ahead of eviction writes
-	writes   []func()
-	closed   bool
-	wg       sync.WaitGroup
-	inFlight atomic.Int64
-}
-
-// NewAsync returns an asynchronous facade over st with the given number of
-// I/O workers (<= 0 means 2, a typical per-node disk queue depth) and no
-// retry (a single attempt per operation).
-func NewAsync(st Store, workers int) *Async {
-	return NewAsyncRetry(st, workers, RetryPolicy{})
-}
-
-// NewAsyncRetry is NewAsync with a retry policy: transient operation
-// failures are retried with exponential backoff + jitter inside the worker,
-// so they never surface to the runtime's swap path. Permanent errors
-// (IsPermanent) fail immediately.
-func NewAsyncRetry(st Store, workers int, policy RetryPolicy) *Async {
-	if workers <= 0 {
-		workers = 2
-	}
-	a := &Async{st: st, retry: newRetrier(policy)}
-	a.cond = sync.NewCond(&a.mu)
-	a.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go a.worker()
-	}
-	return a
-}
-
-func (a *Async) worker() {
-	defer a.wg.Done()
-	for {
-		a.mu.Lock()
-		for len(a.reads) == 0 && len(a.writes) == 0 && !a.closed {
-			a.cond.Wait()
-		}
-		var f func()
-		switch {
-		case len(a.reads) > 0: // reads first: a blocked load stalls a handler
-			f = a.reads[0]
-			a.reads = a.reads[1:]
-		case len(a.writes) > 0:
-			f = a.writes[0]
-			a.writes = a.writes[1:]
-		default:
-			a.mu.Unlock()
-			return
-		}
-		a.mu.Unlock()
-		f()
-	}
-}
-
-// submit enqueues f unless the store is closed.
-func (a *Async) submit(f func(), read bool) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return false
-	}
-	if read {
-		a.reads = append(a.reads, f)
-	} else {
-		a.writes = append(a.writes, f)
-	}
-	a.cond.Signal()
-	return true
-}
-
-// Store returns the underlying synchronous store.
-func (a *Async) Store() Store { return a.st }
-
-// InFlight returns the number of operations submitted but not yet complete.
-func (a *Async) InFlight() int { return int(a.inFlight.Load()) }
-
-// Retries returns the cumulative count of retried operations.
-func (a *Async) Retries() uint64 { return a.retry.retries.Load() }
-
-// PutAsync schedules a background write.
-func (a *Async) PutAsync(key Key, data []byte) *AsyncResult {
-	r := &AsyncResult{done: make(chan struct{})}
-	a.inFlight.Add(1)
-	ok := a.submit(func() {
-		r.err = a.retry.do(key, func() error { return a.st.Put(key, data) })
-		a.inFlight.Add(-1)
-		close(r.done)
-	}, false)
-	if !ok {
-		r.err = ErrClosed
-		a.inFlight.Add(-1)
-		close(r.done)
-	}
-	return r
-}
-
-// GetAsync schedules a background read.
-func (a *Async) GetAsync(key Key) *AsyncResult {
-	r := &AsyncResult{done: make(chan struct{})}
-	a.inFlight.Add(1)
-	ok := a.submit(func() {
-		r.err = a.retry.do(key, func() error {
-			r.data, r.err = a.st.Get(key)
-			return r.err
-		})
-		a.inFlight.Add(-1)
-		close(r.done)
-	}, true)
-	if !ok {
-		r.err = ErrClosed
-		a.inFlight.Add(-1)
-		close(r.done)
-	}
-	return r
-}
-
-// Close drains queued operations and closes the underlying store. Operations
-// submitted after Close complete immediately with ErrClosed.
-func (a *Async) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil
-	}
-	a.closed = true
-	a.cond.Broadcast()
-	a.mu.Unlock()
-	a.wg.Wait()
-	return a.st.Close()
-}
 
 // MemStore is an in-memory Store, used in tests and as the "remote memory as
 // out-of-core media" configuration sketched in the paper's conclusion. Built

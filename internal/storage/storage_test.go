@@ -137,72 +137,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-func TestAsyncPutGet(t *testing.T) {
-	a := NewAsync(NewMem(), 2)
-	defer a.Close()
-	var results []*AsyncResult
-	for i := 0; i < 50; i++ {
-		results = append(results, a.PutAsync(Key(fmt.Sprintf("k%d", i)), []byte{byte(i)}))
-	}
-	for _, r := range results {
-		if _, err := r.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		d, err := a.GetAsync(Key(fmt.Sprintf("k%d", i))).Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(d) != 1 || d[0] != byte(i) {
-			t.Fatalf("k%d = %v", i, d)
-		}
-	}
-	if a.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after all waits", a.InFlight())
-	}
-}
-
-func TestAsyncGetMissing(t *testing.T) {
-	a := NewAsync(NewMem(), 1)
-	defer a.Close()
-	if _, err := a.GetAsync("nope").Wait(); err != ErrNotFound {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestAsyncCloseIdempotent(t *testing.T) {
-	a := NewAsync(NewMem(), 1)
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAsyncOverlap(t *testing.T) {
-	// With a slow store and 4 workers, 4 operations should take about one
-	// service time, not four.
-	slow := NewLatency(NewMem(), DiskModel{Seek: 20 * time.Millisecond})
-	// LatencyStore serializes on one spindle; use 4 independent spindles to
-	// measure the async fan-out itself.
-	a := NewAsync(NewMem(), 4)
-	defer a.Close()
-	_ = slow
-	start := time.Now()
-	var rs []*AsyncResult
-	for i := 0; i < 4; i++ {
-		rs = append(rs, a.PutAsync(Key(fmt.Sprintf("x%d", i)), make([]byte, 1<<20)))
-	}
-	for _, r := range rs {
-		r.Wait()
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("async puts took unreasonably long")
-	}
-}
-
 func TestDiskModelServiceTime(t *testing.T) {
 	m := DiskModel{Seek: 5 * time.Millisecond, BytesPerSec: 1000}
 	if d := m.ServiceTime(0); d != 5*time.Millisecond {

@@ -1,11 +1,10 @@
 // Package swapio implements the MRTS disk pipeline: a priority-classed,
 // coalescing, bounded I/O scheduler through which every byte of the swap
-// path flows. It replaces the one-goroutine-per-operation swap code in the
-// control layer and subsumes the FIFO queue of storage.Async for runtime
-// use: requests carry an explicit class, a bounded worker pool serves them
-// strictly in class order, and serialization (encode on eviction, the read
-// itself on load) happens on the I/O workers so compute workers never stall
-// inside drain.
+// path flows. It is the storage layer's only asynchronous face (stores
+// themselves block): requests carry an explicit class, a bounded worker pool
+// serves them strictly in class order, and serialization (encode on
+// eviction, the read itself on load) happens on the I/O workers so compute
+// workers never stall inside drain.
 //
 // The three classes, in service order:
 //
