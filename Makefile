@@ -13,12 +13,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The kernel, residency-manager and block-digest micro-benchmarks run once
-# each so that they cannot rot, and the benchmark module (its own go.mod,
-# invisible to ./...) runs its unit and smoke tests.
+# The kernel, residency-manager, block-digest and frame-codec
+# micro-benchmarks run once each so that they cannot rot, and the benchmark
+# module (its own go.mod, invisible to ./...) runs its unit and smoke tests.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen ./internal/planes
 	cd benchmark && $(GO) test ./...
 
 race:
@@ -96,7 +96,7 @@ sim-soak:
 # package for "now"/sleeping.
 CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool
 
-# gofmt and vet, then four layering rules. This target is their only
+# gofmt and vet, then five layering rules. This target is their only
 # statement: CI's lint job calls it, then runs staticcheck (which needs an
 # install, so it stays there).
 # - Clock injection: no package below cmd/ that the simulator drives may
@@ -110,6 +110,9 @@ CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio inte
 # - Mesh-format encapsulation: the chunk file format belongs to
 #   internal/meshstore; a chunk filename anywhere else means a second,
 #   unversioned implementation of the format is growing.
+# - Codec at the bottom: internal/planes is the payload codec of both the
+#   swap tier and the mesh store, so it imports nothing from the repo but
+#   bufpool; anything more and one of the two would drag in the other.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -121,6 +124,8 @@ lint:
 	if [ -n "$$out" ]; then echo "routing decision on ptr.Home outside internal/core (go through the Locator seam):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn '\.mshc' --include='*.go' --exclude='*_test.go' internal cmd examples | grep -v '^internal/meshstore/' || true)"; \
 	if [ -n "$$out" ]; then echo "mesh chunk files touched outside internal/meshstore (go through Writer/Store/IsChunkName):"; echo "$$out"; exit 1; fi
+	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/planes | grep '^mrts/' | grep -v '^mrts/internal/bufpool$$' || true)"; \
+	if [ -n "$$out" ]; then echo "internal/planes imports more of the repo than bufpool:"; echo "$$out"; exit 1; fi
 
 # The multi-process e2e lane CI runs: a 3-process loopback OUPDR cluster
 # that loses one worker after the first phase barrier and relaunches it

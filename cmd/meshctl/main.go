@@ -222,7 +222,7 @@ func exportMain(args []string) {
 	var (
 		store      = fs.String("store", "", "mesh store directory (required)")
 		killExport = fs.Int("kill-export", -1, "worker to SIGKILL right after it starts exporting, then relaunch and re-export (-1: none)")
-		compress   = fs.Bool("compress", true, "flate-compress chunk frames")
+		compress   = fs.Bool("compress", true, "compress chunk frames (byte-plane coding, raw when it does not shrink them)")
 		out        = fs.String("out", "", "write the manifest-derived block report to this file")
 		baseline   = fs.String("baseline", "", "compare the block report against this file; exit 1 on any difference")
 	)

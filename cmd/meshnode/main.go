@@ -50,7 +50,7 @@ func main() {
 		ckpt     = flag.String("ckpt", "", "checkpoint directory (empty: checkpoints kept in memory)")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file on quit")
 		restore  = flag.Bool("restore", false, "restore from the checkpoint in -ckpt instead of creating blocks")
-		compress = flag.Bool("compress", true, "flate-compress exported chunk frames")
+		compress = flag.Bool("compress", true, "compress exported chunk frames (byte-plane coding, raw when it does not shrink them)")
 		workers  = flag.Int("workers", 2, "task pool workers")
 		routing  = flag.String("routing", "placed", "routing locator: placed, lazy, eager or home")
 		hb       = flag.Duration("heartbeat", 0, "heartbeat interval (0 = default)")

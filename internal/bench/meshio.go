@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -16,12 +15,13 @@ import (
 	"mrts/internal/ooc"
 	"mrts/internal/sched"
 	"mrts/internal/storage"
+	"mrts/internal/workload"
 )
 
 // MeshIO measures the mesh checkpoint/serve format's data path. The
-// synthetic stage streams a fixed grid of seeded payloads through one chunk
-// writer and reads every block back through the store index: write and read
-// MB/s, plus the exact framed byte count on disk — the payloads and their
+// synthetic stage streams a fixed grid of refined-block payloads through one
+// chunk writer and reads every block back through the store index: write and
+// read MB/s, plus the exact framed byte count on disk — the payloads and their
 // order are fixed, so bytes_moved is deterministic and the CI gate bounds it
 // tightly (a lost compression win or a double-write trips it regardless of
 // machine speed). The integration stage runs OUPDR with streaming export on
@@ -46,12 +46,12 @@ func MeshIO(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// meshIOSynthetic streams a fixed 12x12 grid of 48 KiB payloads through the
-// chunk writer and reads them all back.
+// meshIOSynthetic streams a fixed 12x12 grid of one refined block's encoding
+// (about 48 KiB) through the chunk writer and reads them all back.
 func meshIOSynthetic(t *Table) error {
 	const (
-		grid        = 12
-		payloadSize = 48 << 10
+		grid     = 12
+		elements = 2400
 	)
 	dir, err := os.MkdirTemp("", "mrts-meshio-")
 	if err != nil {
@@ -59,19 +59,16 @@ func meshIOSynthetic(t *Table) error {
 	}
 	defer os.RemoveAll(dir)
 
-	// Mid-entropy payloads (6 bits per byte): flate shrinks them, but not to
-	// nothing, so both the compressed and the raw framing paths are realistic.
-	// The seed is fixed — the byte stream, and with it every frame length,
-	// must not drift between baseline and gated run.
-	rng := rand.New(rand.NewSource(42))
-	payloads := make([][]byte, grid*grid)
-	for i := range payloads {
-		p := make([]byte, payloadSize)
-		for j := range p {
-			p[j] = byte(rng.Intn(64))
-		}
-		payloads[i] = p
+	// A real block, because the frame codec is built for one: it stores
+	// noise raw, so noise would time a memcpy. Refinement is deterministic —
+	// the byte stream, and with it every frame length, does not drift
+	// between baseline and gated run.
+	block, err := workload.RefinedBlock(elements)
+	if err != nil {
+		return err
 	}
+	payloadSize := len(block)
+	hash := sha256.Sum256(block)
 	rawMB := float64(grid*grid*payloadSize) / (1 << 20)
 
 	w, err := meshstore.NewWriter(meshstore.WriterConfig{
@@ -86,9 +83,7 @@ func meshIOSynthetic(t *Table) error {
 	start := time.Now()
 	for j := 0; j < grid; j++ {
 		for i := 0; i < grid; i++ {
-			p := payloads[j*grid+i]
-			sum := sha256.Sum256(p)
-			err := w.Append(meshstore.BlockKey(i, j), i, j, 1, hex.EncodeToString(sum[:]), p)
+			err := w.Append(meshstore.BlockKey(i, j), i, j, elements, hex.EncodeToString(hash[:]), block)
 			if err != nil {
 				return err
 			}

@@ -139,7 +139,7 @@ type TierSpec struct {
 	// (default 2).
 	Workers int
 	// Compress, when non-nil, enables the transparent compression layer
-	// (tier 0.5) on every node: disk-bound blobs are flate-compressed and a
+	// (tier 0.5) on every node: disk-bound blobs are plane-coded and a
 	// byte-capped RAM cache of compressed frames fronts the disk. See
 	// tier.CompressConfig.
 	Compress *CompressSpec
@@ -157,8 +157,6 @@ type CompressSpec struct {
 	CacheBytes int64
 	// MinSize is the blob size below which compression is skipped.
 	MinSize int
-	// Level is the DEFLATE level (default flate.BestSpeed).
-	Level int
 	// AdmitHeat is the touch count before a frame earns cache space.
 	AdmitHeat int
 }
@@ -289,7 +287,6 @@ func New(cfg Config) (*Cluster, error) {
 					compress = &tier.CompressConfig{
 						CacheBytes: cfg.Tier.Compress.CacheBytes,
 						MinSize:    cfg.Tier.Compress.MinSize,
-						Level:      cfg.Tier.Compress.Level,
 						AdmitHeat:  cfg.Tier.Compress.AdmitHeat,
 					}
 				}

@@ -1,6 +1,14 @@
 package e2e
 
 import (
+	"bytes"
+	"compress/flate"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -245,4 +253,101 @@ func TestRestoreNtoMUnderTransientFaults(t *testing.T) {
 	}
 	restoreInProc(t, 2, faultDir,
 		&storage.FaultConfig{Seed: 13, FailFirstGets: 2, FailFirstPuts: 2})
+}
+
+// recodeFlate rewrites every chunk of the store in dir with codec-1 (DEFLATE)
+// frames and re-indexes it: the store a writer from before the plane codec
+// would have left. It is that writer's only surviving copy, kept here, and
+// follows the frame layout documented in meshstore/format.go.
+func recodeFlate(t *testing.T, dir string) {
+	t.Helper()
+	st, err := meshstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	man := st.Manifest()
+	if err := os.Remove(filepath.Join(dir, meshstore.MergedManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range man.Chunks {
+		c.Records = append([]meshstore.Record(nil), c.Records...) // the store's own index stays as it is
+		var chunk bytes.Buffer
+		for r := range c.Records {
+			rec := &c.Records[r]
+			payload, _, err := st.Payload(rec.Key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload)
+			var deflated bytes.Buffer
+			fw, err := flate.NewWriter(&deflated, flate.BestSpeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fw.Write(payload)
+			if err := fw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			hdr := make([]byte, 60)
+			copy(hdr, "MSC1")
+			hdr[4] = 1
+			hdr[5], hdr[6] = byte(len(rec.Key)), byte(len(rec.Hash))
+			binary.LittleEndian.PutUint32(hdr[8:], uint32(rec.I))
+			binary.LittleEndian.PutUint32(hdr[12:], uint32(rec.J))
+			binary.LittleEndian.PutUint32(hdr[16:], uint32(rec.Elements))
+			binary.LittleEndian.PutUint32(hdr[20:], uint32(len(payload)))
+			binary.LittleEndian.PutUint32(hdr[24:], uint32(deflated.Len()))
+			copy(hdr[28:], sum[:])
+			rec.Offset = int64(chunk.Len())
+			chunk.Write(hdr)
+			chunk.WriteString(rec.Key)
+			chunk.WriteString(rec.Hash)
+			chunk.Write(deflated.Bytes())
+			rec.Length = int64(chunk.Len()) - rec.Offset
+		}
+		c.Bytes = int64(chunk.Len())
+		if err := os.WriteFile(filepath.Join(dir, c.Name), chunk.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		index, err := json.Marshal(meshstore.Manifest{Format: man.Format, Meta: man.Meta, Chunks: []meshstore.Chunk{c}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("manifest-%03d.json", c.Writer)
+		if err := os.WriteFile(filepath.Join(dir, name), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := meshstore.MergeManifests(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreFlateStore: a store whose frames are all codec 1, as every
+// store written before the plane codec is, still verifies deeply and
+// restores N→M with the digest it was exported under.
+func TestRestoreFlateStore(t *testing.T) {
+	dir := t.TempDir()
+	man := exportInProc(t, 3, dir, nil)
+	recodeFlate(t, dir)
+	for _, c := range man.Chunks {
+		data, err := os.ReadFile(filepath.Join(dir, c.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 5 || data[4] != 1 {
+			t.Fatalf("%s does not start with a codec-1 frame", c.Name)
+		}
+	}
+	rep, err := meshstore.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Partial || rep.MeshHash != man.MeshHash {
+		t.Fatalf("flate store verify: problems=%v partial=%v hash %s, exported %s", rep.Problems, rep.Partial, rep.MeshHash, man.MeshHash)
+	}
+	if got := restoreInProc(t, 2, dir, nil); got != man.MeshHash {
+		t.Fatalf("flate store restored to %s, exported %s", got, man.MeshHash)
+	}
 }

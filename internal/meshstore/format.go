@@ -32,6 +32,8 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"mrts/internal/planes"
 )
 
 // FormatVersion is bumped on any incompatible change to the frame or
@@ -45,13 +47,16 @@ const (
 	// key, hash, and payload sections.
 	frameFixedLen = 60
 
-	codecRaw   = 0
-	codecFlate = 1
+	// Frame codecs. Writers emit raw and planes frames only; flate frames
+	// are what stores written before the plane codec hold, and stay readable.
+	codecRaw    = 0
+	codecFlate  = 1
+	codecPlanes = 2
 
 	// maxPayloadBytes bounds both rawLen and encLen on decode so a corrupt
 	// or hostile frame header cannot drive an unbounded allocation.
 	maxPayloadBytes = 1 << 28
-	// compressMin is the smallest payload worth running through flate.
+	// compressMin is the smallest payload worth running through the coder.
 	compressMin = 512
 	// maxManifestBytes bounds the manifest JSON decode (the merge path's
 	// one variable-size external input).
@@ -64,7 +69,7 @@ const (
 //
 //	off  len
 //	  0    4  magic "MSC1"
-//	  4    1  codec (0 raw, 1 flate)
+//	  4    1  codec (0 raw, 1 flate, 2 planes)
 //	  5    1  key length K
 //	  6    1  canonical-hash length H
 //	  7    1  reserved (0)
@@ -106,7 +111,7 @@ func parseFixed(b []byte) (frameHeader, int, int, error) {
 		return h, 0, 0, fmt.Errorf("meshstore: bad frame magic %q", b[0:4])
 	}
 	h.Codec = b[4]
-	if h.Codec != codecRaw && h.Codec != codecFlate {
+	if h.Codec > codecPlanes {
 		return h, 0, 0, fmt.Errorf("meshstore: unknown codec %d", h.Codec)
 	}
 	keyLen, hashLen := int(b[5]), int(b[6])
@@ -125,25 +130,8 @@ func parseFixed(b []byte) (frameHeader, int, int, error) {
 	return h, keyLen, hashLen, nil
 }
 
-// flate pools: compression state is large (~600 KiB per writer), so both
-// directions are pooled exactly like the tier-0.5 swap codec.
-var flateWriterPool sync.Pool
-
-func getFlateWriter(w io.Writer) *flate.Writer {
-	if fw, ok := flateWriterPool.Get().(*flate.Writer); ok {
-		fw.Reset(w)
-		return fw
-	}
-	fw, err := flate.NewWriter(w, flate.BestSpeed)
-	if err != nil {
-		// Only reachable for an invalid level constant.
-		panic(err)
-	}
-	return fw
-}
-
-func putFlateWriter(fw *flate.Writer) { flateWriterPool.Put(fw) }
-
+// flateReaderPool recycles inflate state for the codec-1 frames of stores
+// written before the plane codec.
 var flateReaderPool sync.Pool
 
 type byteSliceReader struct {
@@ -168,7 +156,7 @@ func (r *byteSliceReader) ReadByte() (byte, error) {
 	return c, nil
 }
 
-// decodePayload inflates (or copies) one frame's payload section into a
+// decodePayload decodes (or copies) one frame's payload section into a
 // freshly owned slice and verifies it against the frame's SHA-256.
 func decodePayload(h frameHeader, enc []byte) ([]byte, error) {
 	if len(enc) != h.EncLen {
@@ -179,16 +167,14 @@ func decodePayload(h frameHeader, enc []byte) ([]byte, error) {
 	case codecRaw:
 		copy(out, enc)
 	case codecFlate:
-		src := &byteSliceReader{b: enc}
 		fr, ok := flateReaderPool.Get().(io.ReadCloser)
-		if ok {
-			if err := fr.(flate.Resetter).Reset(src, nil); err != nil {
-				return nil, fmt.Errorf("meshstore: flate reset: %w", err)
-			}
-		} else {
-			fr = flate.NewReader(src)
+		if !ok {
+			fr = flate.NewReader(nil)
 		}
 		defer flateReaderPool.Put(fr)
+		if err := fr.(flate.Resetter).Reset(&byteSliceReader{b: enc}, nil); err != nil {
+			return nil, fmt.Errorf("meshstore: flate reset: %w", err)
+		}
 		if _, err := io.ReadFull(fr, out); err != nil {
 			return nil, fmt.Errorf("meshstore: frame %q inflate: %w", h.Key, err)
 		}
@@ -197,6 +183,11 @@ func decodePayload(h frameHeader, enc []byte) ([]byte, error) {
 		var extra [1]byte
 		if n, _ := fr.Read(extra[:]); n != 0 {
 			return nil, fmt.Errorf("meshstore: frame %q inflates past rawLen %d", h.Key, h.RawLen)
+		}
+	case codecPlanes:
+		// The tokens must fill exactly the rawLen bytes the header claims.
+		if err := planes.Decode(out, enc); err != nil {
+			return nil, fmt.Errorf("meshstore: frame %q: %w", h.Key, err)
 		}
 	}
 	if sha256.Sum256(out) != h.Sum {

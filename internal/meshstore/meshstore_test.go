@@ -2,30 +2,35 @@ package meshstore
 
 import (
 	"bytes"
+	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mrts/internal/planes"
+	"mrts/internal/workload"
 )
 
-// testPayload builds a deterministic, semi-compressible payload: runs of
-// seeded bytes so flate shrinks it, but not trivially.
+// testPayload builds a deterministic payload shaped like an encoded block —
+// seeded float64 coordinates, then uint32 indices below 2^16 — so the plane
+// coder shrinks it, but not trivially.
 func testPayload(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
-	b := make([]byte, n)
-	for i := 0; i < n; {
-		run := 4 + rng.Intn(12)
-		c := byte(rng.Intn(40))
-		for j := 0; j < run && i < n; j++ {
-			b[i] = c
-			i++
-		}
+	b := make([]byte, 0, n+16)
+	for len(b) < n/2 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rng.Float64()))
 	}
-	return b
+	for len(b) < n {
+		b = binary.LittleEndian.AppendUint32(b, uint32(rng.Intn(1<<16)))
+	}
+	return b[:n]
 }
 
 func blockHash(payload []byte) string {
@@ -337,5 +342,81 @@ func TestWriterRejectsAfterFinalize(t *testing.T) {
 	}
 	if err := w.Append(BlockKey(0, 0), 0, 0, 1, blockHash(p), p); err == nil {
 		t.Fatal("append after Finalize succeeded")
+	}
+}
+
+// A real refined block — not the synthetic records of testPayload — must
+// take at most two thirds of its raw size in a compressed chunk.
+func TestRefinedBlockShrinks(t *testing.T) {
+	block, err := workload.RefinedBlock(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := NewWriter(WriterConfig{Dir: dir, Meta: Meta{Blocks: 1, TargetElements: 8000}, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(BlockKey(0, 0), 0, 0, 8000, blockHash(block), block); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(len(block)) / float64(w.Bytes()); ratio < 1.5 {
+		t.Fatalf("a %d-byte refined block took %d chunk bytes: ratio %.2f, want 1.5", len(block), w.Bytes(), ratio)
+	}
+	if _, err := MergeManifests(dir); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	got, _, err := st.Payload(BlockKey(0, 0))
+	if err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("refined block round trip: err=%v match=%v", err, bytes.Equal(got, block))
+	}
+}
+
+// Both compressed codecs decode a well-formed payload section — codec 1 is
+// what stores written before the plane codec hold — and reject one whose
+// decoded length disagrees with the raw length its header claims, before the
+// digest is even consulted.
+func TestDecodePayloadChecksRawLen(t *testing.T) {
+	raw := testPayload(7, 4<<10)
+	var deflated bytes.Buffer
+	fw, err := flate.NewWriter(&deflated, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(raw)
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	coded, ok := planes.Encode(nil, raw)
+	if !ok {
+		t.Fatal("test payload stored raw")
+	}
+	for name, c := range map[string]struct {
+		codec byte
+		enc   []byte
+	}{
+		"flate":  {codecFlate, deflated.Bytes()},
+		"planes": {codecPlanes, coded},
+	} {
+		h := frameHeader{Codec: c.codec, Key: name, RawLen: len(raw), EncLen: len(c.enc), Sum: sha256.Sum256(raw)}
+		got, err := decodePayload(h, c.enc)
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("%s: well-formed frame: err=%v match=%v", name, err, bytes.Equal(got, raw))
+		}
+		for _, claimed := range []int{len(raw) - 1, len(raw) + 1} {
+			h.RawLen = claimed
+			_, err := decodePayload(h, c.enc)
+			if err == nil || strings.Contains(err.Error(), "digest") {
+				t.Fatalf("%s: frame claiming %d raw bytes for %d: err=%v, want a length error", name, claimed, len(raw), err)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"mrts/internal/bufpool"
 	"mrts/internal/obs"
+	"mrts/internal/planes"
 )
 
 // WriterConfig configures one node's chunk writer.
@@ -23,8 +24,8 @@ type WriterConfig struct {
 	// Meta is recorded in the per-writer manifest at Finalize. Every
 	// writer of a run must pass the same value.
 	Meta Meta
-	// Compress runs payloads through the flate framing when it shrinks
-	// them (the tier-0.5 rule: raw fallback when it doesn't).
+	// Compress plane-codes payloads when that shrinks them (the tier-0.5
+	// rule and codec: raw fallback when it doesn't).
 	Compress bool
 	// Tracer, when non-nil, receives a mesh.export event per appended
 	// frame (ID: the packed block coordinates, Arg: the frame bytes).
@@ -92,45 +93,33 @@ func (w *Writer) Append(key string, i, j int, elements int32, hash string, paylo
 	}
 	sum := sha256.Sum256(payload)
 
-	bw := bufpool.GetWriter(frameFixedLen + len(key) + len(hash) + len(payload))
-	defer bufpool.PutWriter(bw)
-	var hdr [frameFixedLen]byte
-	copy(hdr[0:4], frameMagic)
-	hdr[4] = codecRaw
-	hdr[5] = byte(len(key))
-	hdr[6] = byte(len(hash))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(i))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(j))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(elements))
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(payload)))
-	copy(hdr[28:60], sum[:])
-	bw.Write(hdr[:])
-	bw.Write([]byte(key))
-	bw.Write([]byte(hash))
+	// Room for the raw fallback; the coder appends less than that.
+	frame := bufpool.Get(frameFixedLen + len(key) + len(hash) + len(payload))[:frameFixedLen]
+	defer bufpool.Put(frame)
+	clear(frame)
+	copy(frame[0:4], frameMagic)
+	frame[5] = byte(len(key))
+	frame[6] = byte(len(hash))
+	binary.LittleEndian.PutUint32(frame[8:], uint32(i))
+	binary.LittleEndian.PutUint32(frame[12:], uint32(j))
+	binary.LittleEndian.PutUint32(frame[16:], uint32(elements))
+	binary.LittleEndian.PutUint32(frame[20:], uint32(len(payload)))
+	copy(frame[28:60], sum[:])
+	frame = append(frame, key...)
+	frame = append(frame, hash...)
 
-	payloadOff := bw.Len()
-	codec := byte(codecRaw)
+	payloadOff := len(frame)
+	frame[4] = codecRaw
 	if w.cfg.Compress && len(payload) >= compressMin {
-		fw := getFlateWriter(bw)
-		_, werr := fw.Write(payload)
-		if cerr := fw.Close(); werr == nil {
-			werr = cerr
-		}
-		putFlateWriter(fw)
-		if werr == nil && bw.Len()-payloadOff < len(payload) {
-			codec = codecFlate
-		} else {
-			// Flate failed or didn't shrink it: keep the header and
-			// sections, drop the compressed attempt, store raw.
-			bw.Truncate(payloadOff)
+		if coded, ok := planes.Encode(frame, payload); ok {
+			frame = coded
+			frame[4] = codecPlanes
 		}
 	}
-	if codec == codecRaw {
-		bw.Write(payload)
+	if frame[4] == codecRaw {
+		frame = append(frame, payload...)
 	}
-	frame := bw.Bytes()
-	frame[4] = codec
-	binary.LittleEndian.PutUint32(frame[24:], uint32(bw.Len()-payloadOff))
+	binary.LittleEndian.PutUint32(frame[24:], uint32(len(frame)-payloadOff))
 
 	if _, err := w.f.Write(frame); err != nil {
 		return w.fail(fmt.Errorf("meshstore: append block %q: %w", key, err))

@@ -1,39 +1,40 @@
 package tier
 
 // Tier 0.5: transparent compression between the fast tier and the disk
-// backstop. Every blob headed for tier 1 is framed and (when worthwhile)
-// flate-compressed on the way down, and a byte-capped RAM cache of the
+// backstop. Every blob headed for tier 1 is framed and (when it shrinks)
+// plane-coded on the way down, and a byte-capped RAM cache of the
 // *compressed* frames sits in front of the disk — compressed residency buys
 // roughly Ratio× more cache coverage per byte than caching raw blobs would.
 //
 // The layer is a storage.Store wrapper installed around Config.Slow, so the
 // whole tier-1 traffic (spills, demotions, demand reads, promotion reads)
 // flows through it without the placement policy knowing. It implements the
-// pooled BufGetter/BufPutter paths: frames are built in pooled writers,
+// pooled BufGetter/BufPutter paths: frames are built in pooled buffers,
 // decompression lands in pooled buffers, and ownership transfers follow the
 // rules in internal/storage/bufio.go.
 //
 // Frame format: [magic 0xC7][codec id][u32 rawLen][payload]. Codec 0 stores
 // the payload raw (too small, or incompressible — the frame then costs 6
-// bytes over raw storage); codec 1 is DEFLATE. rawLen is bounded on decode so
-// one corrupt frame cannot demand a multi-gigabyte allocation.
+// bytes over raw storage); codec 2 is the byte-plane coding of
+// internal/planes, the codec the mesh store writes too. (Codec 1 was DEFLATE;
+// swap frames do not outlive a run, so nothing reads it any more.) rawLen is
+// bounded on decode so one corrupt frame cannot demand a multi-gigabyte
+// allocation.
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	"sync"
 
 	"mrts/internal/bufpool"
 	"mrts/internal/clock"
+	"mrts/internal/planes"
 	"mrts/internal/storage"
 )
 
 const (
 	frameMagic     = 0xC7
 	codecRaw       = 0
-	codecFlate     = 1
+	codecPlanes    = 2
 	frameHdrLen    = 6
 	maxFrameRaw    = 1 << 30 // decode bound on the claimed raw length
 	defaultMinSize = 512
@@ -47,10 +48,6 @@ type CompressConfig struct {
 	// MinSize is the blob size below which compression is not attempted
 	// (small blobs are framed raw). Default 512.
 	MinSize int
-	// Level is the DEFLATE level (flate.BestSpeed..flate.BestCompression).
-	// 0 means flate.BestSpeed — the swap path wants cheap cycles, not
-	// maximal ratio.
-	Level int
 	// AdmitHeat is how many touches a key needs before its frame is worth
 	// cache space (the same warmth idea as the tier-0 admission policy).
 	// Default 2: first-timers stream through, repeat visitors are cached.
@@ -60,9 +57,6 @@ type CompressConfig struct {
 func (c CompressConfig) withDefaults() CompressConfig {
 	if c.MinSize <= 0 {
 		c.MinSize = defaultMinSize
-	}
-	if c.Level < flate.BestSpeed || c.Level > flate.BestCompression {
-		c.Level = flate.BestSpeed
 	}
 	if c.AdmitHeat <= 0 {
 		c.AdmitHeat = 2
@@ -75,7 +69,7 @@ type CompressStats struct {
 	// RawBytes / StoredBytes total the pre- and post-framing sizes of every
 	// write through the layer; their quotient is the achieved ratio.
 	RawBytes, StoredBytes uint64
-	// Incompressible counts writes stored raw because DEFLATE did not shrink
+	// Incompressible counts writes stored raw because coding did not shrink
 	// them (MinSize skips count here too).
 	Incompressible uint64
 	// CacheHits / CacheMisses count reads served from / past the frame cache.
@@ -84,7 +78,8 @@ type CompressStats struct {
 	CacheBytes int64
 	CacheBlobs int
 	// EncodeNanos / DecodeNanos total the codec time, measured on the
-	// injected clock (zero under a virtual clock).
+	// injected clock (zero under a virtual clock). Both count raw outcomes
+	// too: an encode attempt that was declined, the copy out of a raw frame.
 	EncodeNanos, DecodeNanos int64
 }
 
@@ -117,25 +112,6 @@ func (s *CompressStats) Add(other CompressStats) {
 	s.EncodeNanos += other.EncodeNanos
 	s.DecodeNanos += other.DecodeNanos
 }
-
-// flate writer/reader pools: Reset-able codec state is expensive to build
-// (the flate writer allocates ~700KB of window state), so it is shared
-// process-wide like bufpool's writer pool.
-var (
-	flateWriterPools [flate.BestCompression + 1]sync.Pool // index = level (1..9)
-	flateReaderPool  = sync.Pool{New: func() any { return flate.NewReader(nil) }}
-)
-
-func getFlateWriter(level int, dst io.Writer) *flate.Writer {
-	if w, _ := flateWriterPools[level].Get().(*flate.Writer); w != nil {
-		w.Reset(dst)
-		return w
-	}
-	w, _ := flate.NewWriter(dst, level)
-	return w
-}
-
-func putFlateWriter(level int, w *flate.Writer) { flateWriterPools[level].Put(w) }
 
 // centry is one key's cache record: the compressed frame (nil for a pure
 // heat ghost) plus the recency/warmth fields the admission policy reads.
@@ -172,41 +148,23 @@ func newCompressedStore(inner storage.Store, cfg CompressConfig, clk clock.Clock
 // encodeFrame builds the framed (maybe compressed) representation of data in
 // a pooled buffer. The caller owns the result.
 func (s *compressedStore) encodeFrame(data []byte) []byte {
-	w := bufpool.GetWriter(frameHdrLen + len(data))
-	w.WriteByte(frameMagic)
-	w.WriteByte(codecRaw) // patched below when flate wins
-	w.WriteByte(byte(len(data)))
-	w.WriteByte(byte(len(data) >> 8))
-	w.WriteByte(byte(len(data) >> 16))
-	w.WriteByte(byte(len(data) >> 24))
-
-	compressed := false
+	// Room for the raw fallback; the coder appends less than that.
+	frame := append(bufpool.Get(frameHdrLen + len(data))[:0],
+		frameMagic, codecRaw,
+		byte(len(data)), byte(len(data)>>8), byte(len(data)>>16), byte(len(data)>>24))
 	if len(data) >= s.cfg.MinSize {
 		start := s.clk.Now()
-		fw := getFlateWriter(s.cfg.Level, w)
-		_, werr := fw.Write(data)
-		cerr := fw.Close()
-		putFlateWriter(s.cfg.Level, fw)
+		coded, ok := planes.Encode(frame, data)
 		s.mu.Lock()
 		s.stats.EncodeNanos += s.clk.Since(start).Nanoseconds()
 		s.mu.Unlock()
-		if werr == nil && cerr == nil && w.Len() < frameHdrLen+len(data) {
-			compressed = true
+		if ok {
+			coded[1] = codecPlanes
+			return coded
 		}
 	}
-	if !compressed {
-		// Too small, incompressible, or a codec error: store raw. The
-		// writer may hold a failed flate attempt; rewind to the header.
-		w.Truncate(frameHdrLen)
-		w.Write(data)
-		frame := w.Detach()
-		bufpool.PutWriter(w)
-		return frame
-	}
-	frame := w.Detach()
-	bufpool.PutWriter(w)
-	frame[1] = codecFlate
-	return frame
+	// Too small or incompressible: store raw.
+	return append(frame, data...)
 }
 
 // decodeFrame expands a frame into a pooled buffer the caller owns.
@@ -219,38 +177,29 @@ func (s *compressedStore) decodeFrame(frame []byte) ([]byte, error) {
 		return nil, fmt.Errorf("tier: frame claims %d raw bytes, limit %d (corrupt?)", rawLen, maxFrameRaw)
 	}
 	payload := frame[frameHdrLen:]
+	var out []byte
+	var err error
+	start := s.clk.Now()
 	switch frame[1] {
 	case codecRaw:
 		if len(payload) != rawLen {
 			return nil, fmt.Errorf("tier: raw frame length %d, header says %d", len(payload), rawLen)
 		}
-		return bufpool.Clone(payload), nil
-	case codecFlate:
-		out := bufpool.Get(rawLen)
-		start := s.clk.Now()
-		fr := flateReaderPool.Get().(io.ReadCloser)
-		fr.(flate.Resetter).Reset(bytes.NewReader(payload), nil)
-		_, err := io.ReadFull(fr, out)
-		if err == nil {
-			// The stream must end exactly at rawLen.
-			var one [1]byte
-			if n, _ := fr.Read(one[:]); n != 0 {
-				err = fmt.Errorf("tier: frame decompresses past its %d-byte header length", rawLen)
-			}
-		}
-		fr.Close()
-		flateReaderPool.Put(fr)
-		s.mu.Lock()
-		s.stats.DecodeNanos += s.clk.Since(start).Nanoseconds()
-		s.mu.Unlock()
-		if err != nil {
+		out = bufpool.Clone(payload)
+	case codecPlanes:
+		out = bufpool.Get(rawLen)
+		// The tokens must fill exactly the rawLen bytes the header claims.
+		if err = planes.Decode(out, payload); err != nil {
 			bufpool.Put(out)
-			return nil, fmt.Errorf("tier: frame decompression: %w", err)
+			out, err = nil, fmt.Errorf("tier: frame decompression: %w", err)
 		}
-		return out, nil
 	default:
 		return nil, fmt.Errorf("tier: unknown frame codec %d", frame[1])
 	}
+	s.mu.Lock()
+	s.stats.DecodeNanos += s.clk.Since(start).Nanoseconds()
+	s.mu.Unlock()
+	return out, err
 }
 
 // touchLocked records an access and returns whether the key is warm enough

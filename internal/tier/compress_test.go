@@ -2,6 +2,7 @@ package tier
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -10,16 +11,17 @@ import (
 
 	"mrts/internal/bufpool"
 	"mrts/internal/storage"
+	"mrts/internal/workload"
 )
 
-// compressible returns n bytes that DEFLATE shrinks well (repeating text).
+// compressible returns n bytes that the plane coder shrinks well: numeric
+// records, little-endian uint32 values that rise once every 64 records.
 func compressible(n int) []byte {
-	pat := []byte("the quick brown fox jumps over the lazy dog; ")
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = pat[i%len(pat)]
+	out := make([]byte, 0, n+4)
+	for i := uint32(0); len(out) < n; i++ {
+		out = binary.LittleEndian.AppendUint32(out, i/64)
 	}
-	return out
+	return out[:n]
 }
 
 // incompressible returns n bytes of seeded noise.
@@ -36,10 +38,10 @@ func TestCompressedStoreRoundTrip(t *testing.T) {
 	defer cs.Close()
 
 	cases := map[string][]byte{
-		"text":  compressible(8 << 10),
-		"noise": incompressible(8<<10, 1),
-		"small": []byte("tiny"),
-		"empty": {},
+		"records": compressible(8 << 10),
+		"noise":   incompressible(8<<10, 1),
+		"small":   []byte("tiny"),
+		"empty":   {},
 	}
 	for name, want := range cases {
 		if err := cs.Put(storage.Key(name), want); err != nil {
@@ -81,6 +83,29 @@ func TestCompressedStoreShrinksMediaBytes(t *testing.T) {
 	onMedia := inner.Stats().BytesWritten
 	if onMedia >= uint64(len(raw))/2 {
 		t.Fatalf("media wrote %d bytes for a %d-byte compressible blob", onMedia, len(raw))
+	}
+}
+
+// A real refined block — float64 coordinates and small uint32 indices, not
+// the synthetic counters above — must shrink by half again on the media.
+func TestCompressedStoreShrinksRefinedBlock(t *testing.T) {
+	block, err := workload.RefinedBlock(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := storage.NewMem()
+	cs := newCompressedStore(inner, CompressConfig{}, nil)
+	defer cs.Close()
+	if err := cs.Put("block", block); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := cs.Stats().Ratio(); ratio < 1.5 {
+		t.Fatalf("a %d-byte refined block went down as %d bytes: ratio %.2f, want 1.5",
+			len(block), inner.Stats().BytesWritten, ratio)
+	}
+	got, err := cs.Get("block")
+	if err != nil || !bytes.Equal(got, block) {
+		t.Fatalf("refined block round trip: err=%v match=%v", err, bytes.Equal(got, block))
 	}
 }
 
@@ -169,10 +194,14 @@ func TestCompressedStoreCorruptFrames(t *testing.T) {
 	cases := map[string][]byte{
 		"short":     {frameMagic, codecRaw},
 		"bad-magic": {0x00, codecRaw, 0, 0, 0, 0},
-		"huge-raw":  {frameMagic, codecFlate, 0xFF, 0xFF, 0xFF, 0xFF},
+		"huge-raw":  {frameMagic, codecPlanes, 0xFF, 0xFF, 0xFF, 0xFF},
 		"bad-codec": {frameMagic, 9, 0, 0, 0, 0},
 		"raw-len":   {frameMagic, codecRaw, 9, 0, 0, 0, 'x'},
-		"flate-cut": {frameMagic, codecFlate, 16, 0, 0, 0, 0x01},
+		"coded-cut": {frameMagic, codecPlanes, 16, 0, 0, 0, 0x01},
+		// Eight zero bytes, well formed, under a header that claims 16 and 4.
+		"coded-short": {frameMagic, codecPlanes, 16, 0, 0, 0, 0, 8, 0},
+		"coded-long":  {frameMagic, codecPlanes, 4, 0, 0, 0, 0, 8, 0},
+		"old-flate":   {frameMagic, 1, 0, 0, 0, 0},
 	}
 	for name, frame := range cases {
 		if err := inner.Put(storage.Key(name), frame); err != nil {

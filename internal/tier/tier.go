@@ -68,7 +68,7 @@ type Config struct {
 	Workers int
 	// Compress, when non-nil, inserts the transparent compression layer
 	// (tier 0.5) between the placement policy and Slow: tier-1 writes are
-	// framed and flate-compressed on the way down, and a byte-capped RAM
+	// framed and plane-coded on the way down, and a byte-capped RAM
 	// cache of compressed frames absorbs repeat reads before they reach the
 	// disk. See CompressConfig.
 	Compress *CompressConfig

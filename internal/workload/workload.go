@@ -1,10 +1,12 @@
 // Package workload generates the input domains (PSLGs) and sizing functions
 // used by the evaluation: the unit square of the UPDR experiments, the pipe
 // cross-section of the NUPDR/Table VII experiments, squares with holes, and
-// gear-like shapes for additional stress tests.
+// gear-like shapes for additional stress tests — and, for whatever carries
+// mesh payloads, one refined block in its encoded form.
 package workload
 
 import (
+	"bytes"
 	"math"
 
 	"mrts/internal/delaunay"
@@ -151,4 +153,22 @@ func UniformSizeFor(target int, domainArea float64) float64 {
 	aTri := domainArea / float64(target)
 	h := math.Sqrt(aTri * 4 / math.Sqrt(3))
 	return h / 0.82
+}
+
+// RefinedBlock returns the encoding of the unit square refined to roughly
+// target elements: the payload the swap tier and the mesh store carry, for
+// tests and experiments that need a real block without running a cluster.
+func RefinedBlock(target int) ([]byte, error) {
+	m, _, err := delaunay.BuildCDT(UnitSquare())
+	if err != nil {
+		return nil, err
+	}
+	if _, err := delaunay.Refine(m, delaunay.Options{MaxArea: UniformAreaFor(target, 1)}); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := m.EncodeTo(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
