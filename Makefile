@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-specul bench-meshio trace bench-json bench-baseline lint sim-soak e2e-multiproc export examples clean
+.PHONY: all build vet test race bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak e2e-multiproc export examples clean
 
 all: build vet test
 
@@ -54,11 +54,6 @@ DIR ?=
 bench-routing:
 	$(GO) run ./cmd/mrtsbench -exp routing -scale $(SCALE) -dir "$(DIR)"
 
-# Speculative refinement vs bulk-sync: conflict-probability sweep
-# (override: make bench-specul SCALE=1 for the full-size mesh).
-bench-specul:
-	$(GO) run ./cmd/mrtsbench -exp specul -scale $(SCALE) -pes 2
-
 # The meshstore data path: synthetic chunk write/read MB/s plus the OUPDR
 # streaming-export and 2-node-restore round trip
 # (override: make bench-meshio SCALE=1 for the full-size mesh).
@@ -80,7 +75,7 @@ bench-json:
 # Regenerate the CI benchmark-regression baseline (same config as the
 # bench-smoke job in .github/workflows/ci.yml; commit the result).
 bench-baseline:
-	$(GO) run ./cmd/mrtsbench -exp tab1,tab4,fig8,faults,pipeline,tiers,alloc,compress,routing,specul,meshio -scale 0.05 -pes 2 -json ci/bench-baseline.json
+	$(GO) run ./cmd/mrtsbench -exp tab1,tab4,fig8,faults,pipeline,tiers,alloc,compress,routing,meshio -scale 0.05 -pes 2 -json ci/bench-baseline.json
 
 # 100-seed deterministic-simulation soak (the nightly CI job runs the same
 # sweep under -race). Failing seeds are listed in the test output and in

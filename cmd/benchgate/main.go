@@ -34,7 +34,6 @@ func main() {
 		bytesTol     = flag.Float64("bytes-tol", 0, "relative bytes-moved ceiling (0 = default 1.5)")
 		forwardTol   = flag.Float64("forward-tol", 0, "relative forwarded-per-message ceiling (0 = default 2)")
 		hopsTol      = flag.Float64("hops-tol", 0, "relative mean-hop-count ceiling (0 = default 1.5)")
-		conflictTol  = flag.Float64("conflict-tol", 0, "relative speculation conflict-rate ceiling (0 = default 2)")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -53,7 +52,7 @@ func main() {
 	cfg := bench.GateConfig{
 		SpeedTol: *speedTol, OverlapTol: *overlapTol, TimeTol: *timeTol,
 		WaitTol: *waitTol, HitTol: *hitTol, AllocTol: *allocTol, BytesTol: *bytesTol,
-		ForwardTol: *forwardTol, HopsTol: *hopsTol, ConflictTol: *conflictTol,
+		ForwardTol: *forwardTol, HopsTol: *hopsTol,
 	}
 	violations := bench.Compare(baseline, current, cfg)
 	if len(violations) > 0 {

@@ -56,8 +56,8 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 25 {
-		t.Fatalf("expected 25 experiments, got %d", len(ids))
+	if len(ids) != 24 {
+		t.Fatalf("expected 24 experiments, got %d", len(ids))
 	}
 	seen := map[string]bool{}
 	for _, id := range ids {

@@ -68,7 +68,7 @@ func Experiments() []string {
 		"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7",
 		"policies", "dirpolicies", "routing", "remotemem", "tiers", "faults",
-		"pipeline", "alloc", "compress", "specul", "meshio",
+		"pipeline", "alloc", "compress", "meshio",
 	}
 }
 
@@ -122,8 +122,6 @@ func Run(id string, opts Options) (*Table, error) {
 		return Alloc(opts)
 	case "compress":
 		return Compress(opts)
-	case "specul":
-		return Specul(opts)
 	case "meshio":
 		return MeshIO(opts)
 	default:

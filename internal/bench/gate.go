@@ -43,12 +43,6 @@ import (
 //   - */hops_mean: the delivered-message mean hop count may not exceed
 //     baseline×HopsTol + hopsSlack; 1.0 means every remote message took the
 //     direct hop.
-//   - */conflict_rate: speculative-refinement conflicts per interior
-//     interface (the specul experiment) may not exceed
-//     baseline×ConflictTol + conflictSlack. The absolute slack carries the
-//     zero-probability cell, whose healthy baseline is exactly zero — a
-//     conflict there means the draw guard broke — while the relative term
-//     bounds the stochastic cells.
 //
 // Everything else in the documents (evictions, element counts, breakdown
 // percentages) is informational and not gated.
@@ -80,10 +74,6 @@ type GateConfig struct {
 	// HopsTol is the relative upper bound for hops_mean metrics
 	// (current <= baseline*HopsTol + hopsSlack). 0 means the default 1.5.
 	HopsTol float64
-	// ConflictTol is the relative upper bound for conflict_rate metrics
-	// (current <= baseline*ConflictTol + conflictSlack). 0 means the
-	// default 2.
-	ConflictTol float64
 }
 
 // waitSlackMs is the absolute headroom added on top of the relative wait
@@ -103,13 +93,6 @@ const forwardSlack = 0.05
 // hopsSlack is the absolute headroom on the mean hop count, for the same
 // reason: the healthy placed baseline sits at exactly 1.0.
 const hopsSlack = 0.25
-
-// conflictSlack is the absolute headroom on the speculation conflict rate:
-// the conflict draw itself is deterministic, but whether an announcement
-// finds its receiver still mid-speculation depends on scheduling, so a few
-// detections' worth of spread is noise — and the zero-probability cell's
-// healthy baseline is exactly zero, where a relative bound is vacuous.
-const conflictSlack = 0.25
 
 func (g GateConfig) withDefaults() GateConfig {
 	if g.SpeedTol <= 0 {
@@ -138,9 +121,6 @@ func (g GateConfig) withDefaults() GateConfig {
 	}
 	if g.HopsTol <= 0 {
 		g.HopsTol = 1.5
-	}
-	if g.ConflictTol <= 0 {
-		g.ConflictTol = 2
 	}
 	return g
 }
@@ -237,12 +217,6 @@ func Compare(baseline, current *Doc, cfg GateConfig) []string {
 						"%s: %s regressed: %.2f > %.2f hops (baseline %.2f × tol %.2f + %.2f slack)",
 						id, k, got, ceil, want, cfg.HopsTol, hopsSlack))
 				}
-			case gateConflict:
-				if ceil := want*cfg.ConflictTol + conflictSlack; got > ceil {
-					out = append(out, fmt.Sprintf(
-						"%s: %s regressed: %.2f > %.2f conflicts/interface (baseline %.2f × tol %.2f + %.2f slack)",
-						id, k, got, ceil, want, cfg.ConflictTol, conflictSlack))
-				}
 			}
 		}
 	}
@@ -262,7 +236,6 @@ const (
 	gateBytes
 	gateForward
 	gateHops
-	gateConflict
 )
 
 // metricKind classifies a metric name ("sz40000/speed_ooc" etc.) into the
@@ -291,8 +264,6 @@ func metricKind(name string) gateKind {
 		return gateForward
 	case leaf == "hops_mean":
 		return gateHops
-	case leaf == "conflict_rate":
-		return gateConflict
 	default:
 		return gateSkip
 	}

@@ -18,7 +18,7 @@ import (
 // behind the scheduler's design claims: more I/O workers pipeline
 // serialization against disk service time, and deeper prefetch raises
 // comp/disk overlap, while the priority classes keep demand-load latency
-// flat no matter how much speculation is queued behind it. The gated
+// flat no matter how many prefetches are queued behind it. The gated
 // metrics are wall time, overlap%% and mean demand-load wait.
 func Pipeline(opts Options) (*Table, error) {
 	t := &Table{

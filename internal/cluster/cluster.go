@@ -87,8 +87,8 @@ type Config struct {
 	// flight (<= 0 means 2).
 	PrefetchDepth int
 	// Retry is each node's storage retry policy: transient I/O faults are
-	// absorbed with backoff inside the async facade before they can reach
-	// the swap path. Zero value = single attempt.
+	// absorbed with backoff inside the swap I/O scheduler before they can
+	// reach the swap path. Zero value = single attempt.
 	Retry storage.RetryPolicy
 	// Fault, when non-nil, wraps every node's store in a deterministic
 	// fault-injecting layer (the node index is folded into the seed so the

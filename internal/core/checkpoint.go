@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"mrts/internal/bufpool"
 	"mrts/internal/storage"
 	"mrts/internal/swapio"
 )
@@ -138,198 +137,6 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 		rec.Write(q.arg)
 	}
 	return rec.Bytes(), nil
-}
-
-// --- Object-granular speculation snapshots --------------------------------
-//
-// Checkpoint/Restore above serialize a whole quiescent node; speculative
-// execution (meshgen's S-UPDR) needs something finer-grained and live: one
-// object saves its pre-speculation state, refines optimistically, and either
-// commits (the snapshot is discarded) or loses a conflict and rolls back in
-// place. The snapshot reuses the exact serialization path the swap machinery
-// exercises constantly, so anything that can swap can speculate — and the
-// snapshot survives eviction and travels with migration (see migrate.go),
-// because a speculating object is as mobile as any other.
-
-// SnapshotObject captures ptr's current serialized state as its speculation
-// snapshot, replacing any previous one. The object must be local and in
-// core; the intended caller is the object's own message handler (which has
-// exclusive access), or a driver holding the object idle.
-func (rt *Runtime) SnapshotObject(ptr MobilePtr) error {
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
-	if lo == nil {
-		return ErrNotLocal
-	}
-	lo.mu.Lock()
-	if lo.state == stLost {
-		lo.mu.Unlock()
-		return ErrObjectLost
-	}
-	if lo.state != stInCore || lo.obj == nil {
-		lo.mu.Unlock()
-		return ErrBusy
-	}
-	blob, err := rt.encodeObject(lo.obj)
-	lo.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	rt.snapMu.Lock()
-	if old, ok := rt.snaps[ptr]; ok {
-		bufpool.Put(old)
-	}
-	rt.snaps[ptr] = blob
-	rt.snapMu.Unlock()
-	rt.snapTaken.Add(1)
-	return nil
-}
-
-// RollbackObject restores ptr to its speculation snapshot, decoding the
-// saved state into the live object in place (the running handler's Object()
-// reference stays valid), and consumes the snapshot. The object must be
-// local and in core; on ErrBusy the snapshot is kept so the caller can retry
-// once the object is resident again.
-func (rt *Runtime) RollbackObject(ptr MobilePtr) error {
-	rt.snapMu.Lock()
-	blob, ok := rt.snaps[ptr]
-	delete(rt.snaps, ptr)
-	rt.snapMu.Unlock()
-	if !ok {
-		return ErrNoSnapshot
-	}
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
-	if lo == nil {
-		bufpool.Put(blob)
-		rt.snapDiscards.Add(1)
-		return ErrNotLocal
-	}
-	lo.mu.Lock()
-	switch {
-	case lo.state == stLost:
-		lo.mu.Unlock()
-		bufpool.Put(blob)
-		rt.snapDiscards.Add(1)
-		return ErrObjectLost
-	case lo.state != stInCore || lo.obj == nil:
-		lo.mu.Unlock()
-		rt.snapMu.Lock()
-		rt.snaps[ptr] = blob
-		rt.snapMu.Unlock()
-		return ErrBusy
-	}
-	r := readerPool.Get().(*bytes.Reader)
-	r.Reset(blob)
-	err := lo.obj.DecodeFrom(r)
-	r.Reset(nil)
-	readerPool.Put(r)
-	size := 0
-	if err == nil {
-		size = lo.obj.SizeHint()
-	}
-	lo.mu.Unlock()
-	bufpool.Put(blob)
-	if err != nil {
-		return fmt.Errorf("core: rollback %v: %w", ptr, err)
-	}
-	rt.mem.SetSize(oid(ptr), int64(size))
-	rt.snapRollbacks.Add(1)
-	return nil
-}
-
-// CommitObject discards ptr's speculation snapshot: the optimistic update
-// won and the pre-speculation state is no longer needed. It reports whether
-// a snapshot existed.
-func (rt *Runtime) CommitObject(ptr MobilePtr) bool {
-	rt.snapMu.Lock()
-	blob, ok := rt.snaps[ptr]
-	delete(rt.snaps, ptr)
-	rt.snapMu.Unlock()
-	if !ok {
-		return false
-	}
-	bufpool.Put(blob)
-	rt.snapCommits.Add(1)
-	return true
-}
-
-// Snapshotted reports whether ptr currently holds a speculation snapshot.
-func (rt *Runtime) Snapshotted(ptr MobilePtr) bool {
-	rt.snapMu.Lock()
-	_, ok := rt.snaps[ptr]
-	rt.snapMu.Unlock()
-	return ok
-}
-
-// SnapshotCount returns the number of objects currently snapshotted. At
-// quiescence it must be zero (CheckInvariants enforces this): every
-// speculation either committed or rolled back.
-func (rt *Runtime) SnapshotCount() int {
-	rt.snapMu.Lock()
-	defer rt.snapMu.Unlock()
-	return len(rt.snaps)
-}
-
-// discardSnapshot drops ptr's snapshot, if any, counting the discard. It is
-// the exit path for objects that stop existing mid-speculation: lost to a
-// storage failure or destroyed.
-func (rt *Runtime) discardSnapshot(ptr MobilePtr) {
-	rt.snapMu.Lock()
-	blob, ok := rt.snaps[ptr]
-	delete(rt.snaps, ptr)
-	rt.snapMu.Unlock()
-	if ok {
-		bufpool.Put(blob)
-		rt.snapDiscards.Add(1)
-	}
-}
-
-// takeSnapshotBlob removes and returns ptr's snapshot blob (nil if none);
-// ownership passes to the caller. Migration uses it to carry the snapshot
-// with the object.
-func (rt *Runtime) takeSnapshotBlob(ptr MobilePtr) []byte {
-	rt.snapMu.Lock()
-	blob := rt.snaps[ptr]
-	delete(rt.snaps, ptr)
-	rt.snapMu.Unlock()
-	return blob
-}
-
-// adoptSnapshotBlob installs blob as ptr's snapshot, taking ownership; any
-// previous snapshot is returned to the arena.
-func (rt *Runtime) adoptSnapshotBlob(ptr MobilePtr, blob []byte) {
-	rt.snapMu.Lock()
-	if old, ok := rt.snaps[ptr]; ok {
-		bufpool.Put(old)
-	}
-	rt.snaps[ptr] = blob
-	rt.snapMu.Unlock()
-}
-
-// SpeculStats counts the speculation-snapshot lifecycle on one runtime.
-type SpeculStats struct {
-	// Snapshots is how many SnapshotObject calls captured state.
-	Snapshots uint64
-	// Rollbacks is how many snapshots were restored by RollbackObject.
-	Rollbacks uint64
-	// Commits is how many snapshots were discarded by CommitObject.
-	Commits uint64
-	// Discards is how many snapshots were dropped because their object was
-	// lost or destroyed mid-speculation.
-	Discards uint64
-}
-
-// SpeculStats returns the speculation-snapshot counters.
-func (rt *Runtime) SpeculStats() SpeculStats {
-	return SpeculStats{
-		Snapshots: rt.snapTaken.Load(),
-		Rollbacks: rt.snapRollbacks.Load(),
-		Commits:   rt.snapCommits.Load(),
-		Discards:  rt.snapDiscards.Load(),
-	}
 }
 
 // Restore rebuilds this node from a checkpoint written by Checkpoint. The

@@ -90,5 +90,4 @@ var (
 	ErrBusy           = errors.New("core: object is busy")
 	ErrShutdown       = errors.New("core: runtime is shut down")
 	ErrObjectLost     = errors.New("core: mobile object lost to a storage failure")
-	ErrNoSnapshot     = errors.New("core: object has no speculation snapshot")
 )

@@ -314,6 +314,29 @@ func TestMigrationCarriesQueue(t *testing.T) {
 	}
 }
 
+// TestMigrationCarriesPriority: the swapping priority hint travels in the
+// install frame. The hinted object arrives first, so by age alone it would
+// be the first victim; the hint must put the unhinted one ahead of it.
+func TestMigrationCarriesPriority(t *testing.T) {
+	c := newCluster(t, 2, 1<<20)
+	rt0, rt1 := c.rts[0], c.rts[1]
+	hot := rt0.CreateObject(&testObj{})
+	cold := rt0.CreateObject(&testObj{})
+	rt0.SetPriority(hot, 7)
+	for _, p := range []MobilePtr{hot, cold} {
+		if err := rt0.Migrate(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		WaitQuiescence(rt0, rt1) // the install is in sent/recv: it has landed
+	}
+	if got := rt1.Mem().Priority(oid(hot)); got != 7 {
+		t.Fatalf("priority at the destination = %d, want 7", got)
+	}
+	if v := rt1.Mem().PickVictims(1); len(v) != 1 || v[0] != oid(cold) {
+		t.Fatalf("PickVictims = %v, want the priority-0 object %v", v, oid(cold))
+	}
+}
+
 func TestRequestMigrationPull(t *testing.T) {
 	c := newCluster(t, 2, 1<<20)
 	registerInc(c)
@@ -423,6 +446,58 @@ func TestMulticastDeliverAll(t *testing.T) {
 		if v := <-got; v != 1 {
 			t.Fatalf("%v count = %d, want 1", p, v)
 		}
+	}
+}
+
+// TestMcastObjectLostCancelsPendingCollection: a collection waiting on a
+// member that can never arrive is cancelled by the loss notification, not
+// left holding a work unit.
+func TestMcastObjectLostCancelsPendingCollection(t *testing.T) {
+	c := newCluster(t, 1, 1<<20)
+	registerInc(c)
+	rt := c.rts[0]
+	a := rt.CreateObject(&testObj{})
+	// A pointer that was never created: the collection can never complete,
+	// exactly like a member lost in flight.
+	ghost := MobilePtr{Home: 0, Seq: 1 << 30}
+	rt.startMcast([]MobilePtr{a, ghost}, 1, hInc, nil)
+	if rt.PendingMulticasts() != 1 {
+		t.Fatalf("PendingMulticasts = %d, want 1", rt.PendingMulticasts())
+	}
+	// The loss notification must cancel the collection: unpin the members
+	// already gathered and release the work unit, or termination wedges.
+	rt.mcasts.objectLost(rt, ghost)
+	if rt.PendingMulticasts() != 0 {
+		t.Fatalf("PendingMulticasts = %d after loss, want 0", rt.PendingMulticasts())
+	}
+	WaitQuiescence(rt) // hangs here if the cancel leaked the work unit
+	report := make(chan int64, 1)
+	rt.Register(98, func(ctx *Ctx, arg []byte) { report <- ctx.Object().(*testObj).Count })
+	rt.Post(a, 98, nil)
+	WaitQuiescence(rt)
+	if got := <-report; got != 0 {
+		t.Fatalf("cancelled multicast still delivered: Count = %d, want 0", got)
+	}
+}
+
+// TestDestroyCancelsMcast: destroying a member of a collecting multicast
+// cancels the collection instead of leaving it pinned to a tombstone.
+func TestDestroyCancelsMcast(t *testing.T) {
+	c := newCluster(t, 1, 1<<20)
+	registerInc(c)
+	rt := c.rts[0]
+	b := rt.CreateObject(&testObj{Count: 9})
+	ghost := MobilePtr{Home: 0, Seq: 1 << 30}
+	rt.startMcast([]MobilePtr{b, ghost}, 1, hInc, nil) // b pinned, waiting on ghost
+	if err := rt.DestroyObject(b); err != nil {
+		t.Fatal(err)
+	}
+	if rt.PendingMulticasts() != 0 {
+		t.Fatal("destroy left the multicast collecting a tombstone")
+	}
+	WaitQuiescence(rt)
+	if msgs := rt.CheckInvariants(true); len(msgs) != 0 {
+		t.Fatalf("invariants violated after destroy: %v", msgs)
 	}
 }
 
@@ -576,8 +651,19 @@ func TestWirreRoundtrips(t *testing.T) {
 	if _, err := decodeApp([]byte{1, 2}); err == nil {
 		t.Error("short app message should fail")
 	}
-	if _, err := decodeInstall([]byte{1}); err == nil {
-		t.Error("short install should fail")
+	frame := encodeInstall(in)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"short", []byte{1}},
+		{"truncated queue arg", frame[:len(frame)-1]},
+		{"trailing byte", append(append([]byte(nil), frame...), 0)},
+		{"trailing section", append(append([]byte(nil), frame...), 1, 2, 0, 0, 0, 7, 7)},
+	} {
+		if _, err := decodeInstall(tc.frame); err == nil {
+			t.Errorf("install frame %q should fail to decode", tc.name)
+		}
 	}
 	_ = fmt.Sprint(m.dst)
 }

@@ -26,9 +26,6 @@ func (rt *Runtime) DestroyObject(ptr MobilePtr) error {
 		lo.mu.Unlock()
 		return ErrBusy
 	}
-	// Drop any speculation snapshot first (same ordering as the lost-load
-	// path: the invariant sweep must never see a snapshot on a tombstone).
-	rt.discardSnapshot(ptr)
 	n := len(lo.queue)
 	lo.queue = nil
 	lo.obj = nil

@@ -13,8 +13,6 @@ import "fmt"
 //     holds its in-memory representation iff that state is stInCore
 //   - a lost object has an empty message queue (its messages were dropped
 //     loudly, not parked forever)
-//   - every speculation snapshot belongs to a live local object (a snapshot
-//     on a missing or lost object can never be rolled back or committed)
 //   - the ooc manager's resident and wanted indexes agree with its object
 //     table (ooc.Manager.CheckInvariants)
 //
@@ -26,8 +24,6 @@ import "fmt"
 //   - the ooc layer's residency accounting agrees with the object states
 //   - in-core bytes fit the memory budget (unless eviction stalled loudly:
 //     an over-budget stall is reported through EvictStalls, not silence)
-//   - no speculation snapshot remains: every optimistic update either
-//     committed or rolled back before termination fired
 func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	var out []string
 	fail := func(format string, args ...any) {
@@ -81,32 +77,6 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 		}
 	}
 
-	// Speculation sweep: a snapshot must always refer to a live local
-	// object. Snapshots are extracted before an object record is dropped
-	// (migration) and discarded before a state flips to stLost (failed load,
-	// destroy), so any violation here is a bookkeeping leak, not a race.
-	rt.snapMu.Lock()
-	snapPtrs := make([]MobilePtr, 0, len(rt.snaps))
-	for p := range rt.snaps {
-		snapPtrs = append(snapPtrs, p)
-	}
-	rt.snapMu.Unlock()
-	for _, p := range snapPtrs {
-		rt.mu.Lock()
-		slo := rt.objects[p]
-		rt.mu.Unlock()
-		if slo == nil {
-			fail("speculation snapshot held for %v, which is not a local object", p)
-			continue
-		}
-		slo.mu.Lock()
-		st := slo.state
-		slo.mu.Unlock()
-		if st == stLost {
-			fail("speculation snapshot held for lost object %v", p)
-		}
-	}
-
 	for _, msg := range rt.mem.CheckInvariants() {
 		fail("%s", msg)
 	}
@@ -129,9 +99,6 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	}
 	if p := rt.PendingMulticasts(); p != 0 {
 		fail("quiescent but %d multicast collections pending", p)
-	}
-	if n := rt.SnapshotCount(); n != 0 {
-		fail("quiescent but %d objects still hold speculation snapshots (neither committed nor rolled back)", n)
 	}
 	// Routing cycles and lost installs drop messages at the forward-hop
 	// bound; the drop is loud (counted + traced) and any occurrence is a

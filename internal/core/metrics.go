@@ -40,11 +40,6 @@ func (rt *Runtime) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+"swap.store_failures", func() float64 { return float64(rt.SwapStats().StoreFailures) })
 	reg.Gauge(prefix+"swap.objects_lost", func() float64 { return float64(rt.SwapStats().ObjectsLost) })
 	reg.Gauge(prefix+"swap.evict_stalls", func() float64 { return float64(rt.EvictStalls()) })
-	// Speculation-snapshot lifecycle (S-UPDR's optimistic execution).
-	reg.Gauge(prefix+"specul.snapshots", func() float64 { return float64(rt.SpeculStats().Snapshots) })
-	reg.Gauge(prefix+"specul.rollbacks", func() float64 { return float64(rt.SpeculStats().Rollbacks) })
-	reg.Gauge(prefix+"specul.commits", func() float64 { return float64(rt.SpeculStats().Commits) })
-	reg.Gauge(prefix+"specul.discards", func() float64 { return float64(rt.SpeculStats().Discards) })
 	// The swap I/O scheduler: queue shape and pipeline behaviour.
 	reg.Gauge(prefix+"swapio.queue_depth", func() float64 { return float64(rt.IOStats().QueueDepth) })
 	reg.Gauge(prefix+"swapio.coalesced", func() float64 { return float64(rt.IOStats().Coalesced) })

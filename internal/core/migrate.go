@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 
-	"mrts/internal/bufpool"
 	"mrts/internal/comm"
 	"mrts/internal/sched"
 )
@@ -83,20 +82,13 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 
 	id := oid(ptr)
 	in := &install{
-		ptr:    ptr,
-		typeID: typeID,
-		locked: rt.mem.Locked(id),
-		blob:   blob,
+		ptr:      ptr,
+		typeID:   typeID,
+		priority: int32(rt.mem.Priority(id)),
+		locked:   rt.mem.Locked(id),
+		blob:     blob,
+		queue:    q,
 	}
-	in.queue = q
-	// The speculation snapshot leaves with the object: the conflict-
-	// resolution multicast pulls losers — snapshotted by definition — so a
-	// migration that stranded the snapshot would leak the pre-speculation
-	// state, and one that refused snapshotted objects would wedge the
-	// collection's retry loop. Extracted before the object record drops so
-	// the invariant sweep never sees a snapshot without its object.
-	snap := rt.takeSnapshotBlob(ptr)
-	in.snap = snap
 
 	rt.mu.Lock()
 	delete(rt.objects, ptr)
@@ -113,19 +105,11 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	rt.work.Add(int64(-len(q)))
 	rt.sent.Add(1)
 	if err := rt.ep.Send(dest, wireInstall, encodeInstall(in)); err != nil {
-		// Transport failure: reinstall locally (installLocal re-adopts a
-		// copy of the snapshot, so the extracted blob is released below
-		// either way).
+		// Transport failure: reinstall locally.
 		rt.sent.Add(-1)
 		rt.work.Add(int64(len(q)))
 		rt.installLocal(in)
-		if snap != nil {
-			bufpool.Put(snap)
-		}
 		return err
-	}
-	if snap != nil {
-		bufpool.Put(snap)
 	}
 	// Proactively tell whichever nodes the locator anchors routing on (the
 	// home node for the policy locators — plus the whole cluster under
@@ -181,11 +165,6 @@ func (rt *Runtime) installLocal(in *install) {
 	}
 	if in.priority != 0 {
 		rt.mem.SetPriority(id, int(in.priority))
-	}
-	if in.snap != nil {
-		// Adopt a pooled copy: in.snap aliases the wire frame (or, on the
-		// reinstall path, a blob the caller still owns).
-		rt.adoptSnapshotBlob(in.ptr, bufpool.Clone(in.snap))
 	}
 	rt.mcasts.objectArrived(rt, in.ptr)
 

@@ -167,18 +167,6 @@ type Runtime struct {
 
 	dstats dirStats
 
-	// Speculation snapshots (SnapshotObject / RollbackObject): the encoded
-	// pre-speculation state of local objects, keyed by pointer. The table
-	// owns the pooled blobs; every exit path (rollback, commit, loss,
-	// destroy, migration hand-off) returns them to the arena.
-	snapMu sync.Mutex
-	snaps  map[MobilePtr][]byte
-
-	snapTaken     atomic.Uint64
-	snapRollbacks atomic.Uint64
-	snapCommits   atomic.Uint64
-	snapDiscards  atomic.Uint64
-
 	closed atomic.Bool
 
 	mcasts *mcastTable
@@ -237,7 +225,6 @@ func NewRuntime(cfg Config) *Runtime {
 		pfDepth:   cfg.PrefetchDepth,
 		objects:   make(map[MobilePtr]*localObject),
 		parked:    make(map[MobilePtr][]*appMsg),
-		snaps:     make(map[MobilePtr][]byte),
 		handlers:  make(map[HandlerID]Handler),
 		mcasts:    newMcastTable(),
 		term:      newTermState(),

@@ -86,11 +86,6 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	}
 	sp.End(int64(len(blob)))
 	if err != nil {
-		// The object is gone for good; a speculation snapshot held for it
-		// can never be rolled back or committed. Discard it (counted) before
-		// the state flips to stLost so the continuous invariant sweep never
-		// sees a snapshot pinned to a lost object.
-		rt.discardSnapshot(lo.ptr)
 		lo.mu.Lock()
 		n := len(lo.queue)
 		lo.queue = nil

@@ -100,9 +100,7 @@ func decodeDirUpdate(b []byte) (MobilePtr, NodeID, error) {
 }
 
 // install carries a migrating object: its identity, serialized state, OOC
-// hints, pending message queue, and — when the object was mid-speculation —
-// its speculation snapshot (a snapshotted object is as mobile as any other;
-// the conflict-resolution multicast depends on pulling losers).
+// hints (priority, lock) and pending message queue.
 type install struct {
 	ptr      MobilePtr
 	typeID   uint16
@@ -110,7 +108,6 @@ type install struct {
 	locked   bool
 	blob     []byte
 	queue    []queued
-	snap     []byte // speculation snapshot; nil = none
 }
 
 type queued struct {
@@ -123,10 +120,6 @@ func encodeInstall(in *install) []byte {
 	n := 8 + 2 + 4 + 1 + 4 + len(in.blob) + 4
 	for _, q := range in.queue {
 		n += 4 + 8 + 4 + len(q.arg)
-	}
-	n++ // snapshot flag
-	if in.snap != nil {
-		n += 4 + len(in.snap)
 	}
 	b := make([]byte, n)
 	putPtr(b[0:8], in.ptr)
@@ -148,12 +141,6 @@ func encodeInstall(in *install) []byte {
 		off += 16
 		copy(b[off:], q.arg)
 		off += len(q.arg)
-	}
-	if in.snap != nil {
-		b[off] = 1
-		binary.LittleEndian.PutUint32(b[off+1:off+5], uint32(len(in.snap)))
-		off += 5
-		copy(b[off:], in.snap)
 	}
 	return b
 }
@@ -194,18 +181,9 @@ func decodeInstall(b []byte) (*install, error) {
 		off += na
 		in.queue = append(in.queue, q)
 	}
-	// Trailing speculation snapshot: flag byte, then len+bytes when set.
-	// Absence of the section (an old-format frame) decodes as no snapshot.
-	if off < len(b) && b[off] == 1 {
-		if len(b) < off+5 {
-			return nil, fmt.Errorf("core: truncated install snapshot header")
-		}
-		ns := int(binary.LittleEndian.Uint32(b[off+1 : off+5]))
-		off += 5
-		if len(b) < off+ns {
-			return nil, fmt.Errorf("core: truncated install snapshot")
-		}
-		in.snap = b[off : off+ns]
+	// Every process of a run is one binary, so the frame ends here.
+	if off != len(b) {
+		return nil, fmt.Errorf("core: %d trailing bytes after install queue", len(b)-off)
 	}
 	return in, nil
 }

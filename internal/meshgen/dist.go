@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"mrts/internal/bufpool"
@@ -27,14 +25,6 @@ import (
 // recomputes the full pointer table from the block grid, the consistent-hash
 // directory, and the runtime's sequential Seq assignment, and CreateBlocks
 // verifies the prediction against what CreateObject actually returned.
-
-// hBlockDump asks a block to report (i, j, elements, mesh hash) for the
-// cross-run equality check.
-const hBlockDump core.HandlerID = 103
-
-// hBlockExport asks a block to frame its full encoded state into the
-// node's meshstore chunk writer.
-const hBlockExport core.HandlerID = 104
 
 // DistConfig parameterizes one node's share of a distributed OUPDR run. All
 // processes of a run must use identical Blocks/TargetElements/QualityBound/
@@ -161,16 +151,11 @@ func NewPlacement(cfg DistConfig) (*Placement, error) {
 type Dist struct {
 	rt  *core.Runtime
 	cfg DistConfig
-	sh  *oupdrShared
+	sh  *blockShared
 
 	ptrs   []core.MobilePtr // global pointer table, indexed j*Blocks+i
 	owners []core.NodeID    // owner per block, same indexing
 	order  []int            // canonical creation order (indexes into ptrs)
-
-	mu     sync.Mutex
-	dump   []BlockDump
-	expW   *meshstore.Writer
-	expErr error
 }
 
 // NewDist computes the placement table and registers the OUPDR handlers on
@@ -195,44 +180,9 @@ func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error)
 	if len(pl.Ptrs) != nb*nb {
 		return nil, fmt.Errorf("meshgen: placement is for %d blocks, config wants %d", len(pl.Ptrs), nb*nb)
 	}
-	d := &Dist{rt: rt, cfg: cfg, sh: &oupdrShared{},
+	d := &Dist{rt: rt, cfg: cfg, sh: &blockShared{nb: nb},
 		ptrs: pl.Ptrs, owners: pl.Owners, order: pl.Order}
-
-	rt.Register(hBlockMesh, func(c *core.Ctx, arg []byte) {
-		oupdrMeshHandler(c, c.Object().(*blockObj), d.sh)
-	})
-	rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
-		oupdrIfaceHandler(c, c.Object().(*blockObj), arg, d.sh)
-	})
-	rt.Register(hBlockDump, func(c *core.Ctx, arg []byte) {
-		o := c.Object().(*blockObj)
-		// Recover (i, j) from the block rectangle: Min = (i, j)/Blocks.
-		i := int(math.Round(o.Rect.Min.X * float64(nb)))
-		j := int(math.Round(o.Rect.Min.Y * float64(nb)))
-		rec := BlockDump{I: i, J: j, Elements: o.Elements,
-			Hash: hex.EncodeToString(hashMesh(o.MeshData))}
-		d.mu.Lock()
-		d.dump = append(d.dump, rec)
-		d.mu.Unlock()
-	})
-	rt.Register(hBlockExport, func(c *core.Ctx, arg []byte) {
-		o := c.Object().(*blockObj)
-		i := int(math.Round(o.Rect.Min.X * float64(nb)))
-		j := int(math.Round(o.Rect.Min.Y * float64(nb)))
-		d.mu.Lock()
-		w := d.expW
-		d.mu.Unlock()
-		if w == nil {
-			return
-		}
-		if err := exportBlock(w, i, j, o, hex.EncodeToString(hashMesh(o.MeshData))); err != nil {
-			d.mu.Lock()
-			if d.expErr == nil {
-				d.expErr = err
-			}
-			d.mu.Unlock()
-		}
-	})
+	registerBlockHandlers(rt, d.sh)
 	return d, nil
 }
 
@@ -274,28 +224,7 @@ func (d *Dist) CreateBlocks() error {
 			continue
 		}
 		i, j := idx%nb, idx/nb
-		right, top := core.Nil, core.Nil
-		if i+1 < nb {
-			right = d.ptrs[j*nb+i+1]
-		}
-		if j+1 < nb {
-			top = d.ptrs[(j+1)*nb+i]
-		}
-		expect := int32(0)
-		if i > 0 {
-			expect++
-		}
-		if j > 0 {
-			expect++
-		}
-		got := d.rt.CreateObject(&blockObj{
-			Rect:        blockRect(nb, i, j),
-			H:           h,
-			Beta:        beta,
-			Right:       right,
-			Top:         top,
-			IfaceNeeded: expect,
-		})
+		got := d.rt.CreateObject(newBlock(nb, i, j, h, beta, d.ptrs))
 		if got != d.ptrs[idx] {
 			return fmt.Errorf("meshgen: block (%d,%d) minted %v, placement predicted %v",
 				i, j, got, d.ptrs[idx])
@@ -334,16 +263,7 @@ func (d *Dist) WaitPhase() { d.rt.WaitTermination(d.cfg.Nodes) }
 // termination (every process must call Dump together), and returns this
 // node's block reports sorted by (j, i).
 func (d *Dist) Dump() []BlockDump {
-	d.mu.Lock()
-	d.dump = nil
-	d.mu.Unlock()
-	for _, ptr := range d.rt.LocalObjects() {
-		d.rt.Post(ptr, hBlockDump, nil)
-	}
-	d.rt.WaitTermination(d.cfg.Nodes)
-	d.mu.Lock()
-	out := append([]BlockDump(nil), d.dump...)
-	d.mu.Unlock()
+	out, _ := d.dumpPass(nil)
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].J != out[b].J {
 			return out[a].J < out[b].J
@@ -351,6 +271,17 @@ func (d *Dist) Dump() []BlockDump {
 		return out[a].I < out[b].I
 	})
 	return out
+}
+
+// dumpPass posts the dump request to every local block — framing each into
+// w when it is non-nil — and waits for global termination.
+func (d *Dist) dumpPass(w *meshstore.Writer) ([]BlockDump, error) {
+	d.sh.begin(w)
+	for _, ptr := range d.rt.LocalObjects() {
+		d.rt.Post(ptr, hBlockDump, nil)
+	}
+	d.rt.WaitTermination(d.cfg.Nodes)
+	return d.sh.end()
 }
 
 // Elements returns the elements meshed on this node so far.
@@ -393,20 +324,7 @@ func (d *Dist) StoreMeta() meshstore.Meta {
 // (every process of the run must call Export together, like Dump). The
 // writer is left open; callers Finalize and merge manifests afterwards.
 func (d *Dist) Export(w *meshstore.Writer) error {
-	d.mu.Lock()
-	d.expW, d.expErr = w, nil
-	d.mu.Unlock()
-	for _, ptr := range d.rt.LocalObjects() {
-		d.rt.Post(ptr, hBlockExport, nil)
-	}
-	d.rt.WaitTermination(d.cfg.Nodes)
-	d.mu.Lock()
-	err := d.expErr
-	d.expW = nil
-	d.mu.Unlock()
-	if err == nil {
-		err = w.Err()
-	}
+	_, err := d.dumpPass(w)
 	return err
 }
 
@@ -436,13 +354,7 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 			return fmt.Errorf("meshgen: restore block (%d,%d): payload has %d elements, index says %d",
 				i, j, o.Elements, rec.Elements)
 		}
-		o.Right, o.Top = core.Nil, core.Nil
-		if i+1 < nb {
-			o.Right = d.ptrs[j*nb+i+1]
-		}
-		if j+1 < nb {
-			o.Top = d.ptrs[(j+1)*nb+i]
-		}
+		o.Right, o.Top = blockNeighbors(nb, i, j, d.ptrs)
 		got := d.rt.CreateObject(o)
 		if got != d.ptrs[idx] {
 			return fmt.Errorf("meshgen: restored block (%d,%d) minted %v, placement predicted %v",
@@ -461,12 +373,19 @@ func DecodeExportedBlock(payload []byte, blocks int) (BlockDump, error) {
 	if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
 		return BlockDump{}, err
 	}
-	i := int(math.Round(o.Rect.Min.X * float64(blocks)))
-	j := int(math.Round(o.Rect.Min.Y * float64(blocks)))
+	i, j := blockIJ(o, blocks)
 	return BlockDump{I: i, J: j, Elements: o.Elements,
 		Hash: hex.EncodeToString(hashMesh(o.MeshData))}, nil
 }
 
-// MeshHashOf folds block dumps into the run-wide canonical MeshHash using
-// the meshstore combined-digest rule.
-func MeshHashOf(dump []BlockDump) string { return combineMeshHash(dump) }
+// MeshHashOf folds per-block canonical hashes into the run-wide mesh digest
+// by the meshstore combined-digest rule: dumps sorted by (J, I), rendered in
+// BlockDump's canonical line format, hashed once more. Two runs produce the
+// same digest iff every block's refined mesh is byte-identical.
+func MeshHashOf(dump []BlockDump) string {
+	recs := make([]meshstore.HashRecord, len(dump))
+	for i, d := range dump {
+		recs[i] = meshstore.HashRecord{I: d.I, J: d.J, Elements: d.Elements, Hash: d.Hash}
+	}
+	return meshstore.CombineHash(recs)
+}

@@ -4,8 +4,27 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mrts/internal/cluster"
 	"mrts/internal/meshstore"
 )
+
+// specTestConfig keeps the export runs small: a 3x3 grid gives 12 interior
+// interfaces at a few thousand elements per run.
+var specTestConfig = UPDRConfig{Blocks: 3, TargetElements: 5000}
+
+func specTestCluster(t *testing.T, nodes int) *cluster.Cluster {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{
+		Nodes:     nodes,
+		MemBudget: 1 << 30,
+		Factory:   Factory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
+}
 
 // exportWriter opens a store writer for one run into a fresh temp dir and
 // returns both. The meta mirrors what the run's driver would publish.
@@ -94,49 +113,14 @@ func TestOUPDRStreamingExport(t *testing.T) {
 	}
 }
 
-// TestSUPDRStreamingExport: the speculative run exports at commit points —
-// including blocks that rolled back and retried, and blocks whose retry was
-// throttled to bulk pacing. Whatever the path to commitment, each block is
-// framed exactly once (the manifest's duplicate-key check would reject the
-// store otherwise) and the store hash equals the run hash.
-func TestSUPDRStreamingExport(t *testing.T) {
-	cfg := SUPDRConfig{
-		UPDRConfig:     specTestConfig,
-		ConflictProb:   0.8,
-		Seed:           7,
-		ThrottleRate:   0.5,
-		ThrottleWindow: 8,
-	}
-	dir, w := exportWriter(t, cfg.UPDRConfig, true)
-	cfg.Export = w
-	res, err := RunSUPDR(specTestCluster(t, 2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rollbacks == 0 {
-		t.Fatal("prob 0.8 run produced no rollbacks; commit-after-retry path not exercised")
-	}
-	nb := cfg.Blocks
-	if got := w.Blocks(); got != nb*nb {
-		t.Fatalf("writer saw %d blocks, want %d (each commit must frame exactly once)", got, nb*nb)
-	}
-	man := finishExport(t, dir, w)
-	if man.MeshHash != res.MeshHash {
-		t.Fatalf("manifest MeshHash %s != run %s", man.MeshHash, res.MeshHash)
-	}
-	if want := specBulkSyncReference(t); man.MeshHash != want.MeshHash {
-		t.Fatalf("exported speculative mesh differs from bulk-sync reference")
-	}
-}
-
-// TestSUPDRExportPartialMidRunSemantics: frames appended before a crash are
+// TestOUPDRExportPartialMidRunSemantics: frames appended before a crash are
 // a readable prefix. Simulated by abandoning the writer (Close without
 // Finalize — the SIGKILL path) and opening the directory manifest-less.
-func TestSUPDRExportPartialMidRunSemantics(t *testing.T) {
-	cfg := SUPDRConfig{UPDRConfig: specTestConfig, ConflictProb: 0, Seed: 1}
-	dir, w := exportWriter(t, cfg.UPDRConfig, true)
+func TestOUPDRExportPartialMidRunSemantics(t *testing.T) {
+	cfg := specTestConfig
+	dir, w := exportWriter(t, cfg, true)
 	cfg.Export = w
-	if _, err := RunSUPDR(specTestCluster(t, 2), cfg); err != nil {
+	if _, err := RunOUPDR(specTestCluster(t, 2), cfg); err != nil {
 		t.Fatal(err)
 	}
 	w.Close() // crash: no manifest written
@@ -158,90 +142,5 @@ func TestSUPDRExportPartialMidRunSemantics(t *testing.T) {
 	}
 	if _, _, err := st.Payload(meshstore.BlockKey(1, 1)); err != nil {
 		t.Fatalf("partial store payload: %v", err)
-	}
-}
-
-// TestSpeculThrottleFallsBack is the satellite regression test for adaptive
-// speculation throttling: under a sustained conflict storm with throttling
-// enabled, some retries must be demoted to bulk-sync pacing (Throttled > 0),
-// and the demotion must change nothing about the mesh — same canonical hash
-// as the bulk-sync reference, conforming interfaces, no leaked snapshots.
-func TestSpeculThrottleFallsBack(t *testing.T) {
-	want := specBulkSyncReference(t)
-	cl := specTestCluster(t, 2)
-	res, err := RunSUPDR(cl, SUPDRConfig{
-		UPDRConfig:     specTestConfig,
-		ConflictProb:   1.0, // every announced pair conflicts: window saturates
-		Seed:           3,
-		ThrottleRate:   0.5,
-		ThrottleWindow: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Throttled == 0 {
-		t.Fatal("conflict storm with ThrottleRate 0.5 never throttled")
-	}
-	if res.Rollbacks == 0 {
-		t.Fatal("conflict storm produced no rollbacks")
-	}
-	if res.MeshHash != want.MeshHash {
-		t.Fatalf("throttled mesh hash %s != bulk-sync %s", res.MeshHash, want.MeshHash)
-	}
-	if res.Elements != want.Elements {
-		t.Fatalf("throttled run meshed %d elements, bulk-sync %d", res.Elements, want.Elements)
-	}
-	if !res.Conforming {
-		t.Fatal("interfaces no longer conform under throttling")
-	}
-	for _, rt := range cl.Runtimes() {
-		if n := rt.SnapshotCount(); n != 0 {
-			t.Errorf("node holds %d unresolved speculation snapshots", n)
-		}
-		for _, msg := range rt.CheckInvariants(true) {
-			t.Errorf("invariant violated: %s", msg)
-		}
-	}
-}
-
-// TestSpeculThrottleDisabledByDefault pins back-compat: ThrottleRate zero
-// (the default) must never demote a retry, whatever the conflict rate.
-func TestSpeculThrottleDisabledByDefault(t *testing.T) {
-	res, err := RunSUPDR(specTestCluster(t, 2), SUPDRConfig{
-		UPDRConfig:   specTestConfig,
-		ConflictProb: 1.0,
-		Seed:         3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Throttled != 0 {
-		t.Fatalf("ThrottleRate 0 demoted %d retries, want none", res.Throttled)
-	}
-}
-
-// TestSpeculThrottleDeterministic: same seed and throttle config, same mesh —
-// the throttle decision rides on the deterministic conflict draw, so a replay
-// must reproduce the identical outcome.
-func TestSpeculThrottleDeterministic(t *testing.T) {
-	run := func() Result {
-		res, err := RunSUPDR(specTestCluster(t, 2), SUPDRConfig{
-			UPDRConfig:     specTestConfig,
-			ConflictProb:   0.9,
-			Seed:           11,
-			ThrottleRate:   0.4,
-			ThrottleWindow: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.MeshHash != b.MeshHash {
-		t.Fatal("same seed under throttling produced different meshes")
-	}
-	if a.Elements != b.Elements {
-		t.Fatalf("same seed produced %d vs %d elements", a.Elements, b.Elements)
 	}
 }

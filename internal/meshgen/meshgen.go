@@ -43,14 +43,9 @@ type Result struct {
 	Conforming bool         // interface conformity verified
 
 	// MeshHash is the canonical digest of the whole refined mesh (per-block
-	// sorted-triangle hashes combined in (J,I) order); set by the runs that
-	// execute a dump phase (RunOUPDR, RunSUPDR). Equal hashes mean
-	// byte-identical meshes.
+	// sorted-triangle hashes combined in (J,I) order); set by RunOUPDR,
+	// whose dump phase collects it. Equal hashes mean byte-identical meshes.
 	MeshHash string
-	// Speculation accounting (S-UPDR only; zero elsewhere).
-	Conflicts int64 // conflict detections (one per conflicting announce)
-	Rollbacks int64 // speculative refinements rolled back and retried
-	Throttled int64 // retries demoted to bulk-sync pacing by throttling
 }
 
 // Speed returns the paper's per-PE performance metric S/(T·N).

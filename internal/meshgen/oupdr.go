@@ -2,7 +2,6 @@ package meshgen
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -18,10 +17,14 @@ import (
 	"mrts/internal/workload"
 )
 
-// OUPDR handler IDs.
+// OUPDR handler IDs, shared by RunOUPDR and the multi-process Dist driver.
 const (
 	hBlockMesh  core.HandlerID = 101
 	hBlockIface core.HandlerID = 102
+	// hBlockDump asks a block to report (i, j, elements, mesh hash) for the
+	// cross-run equality check and, while an export is attached, to frame
+	// its full encoded state into the store.
+	hBlockDump core.HandlerID = 103
 )
 
 // blockObj is the OUPDR mobile object: one block of the uniform
@@ -148,65 +151,110 @@ func (o *blockObj) DecodeFrom(r io.Reader) error {
 	return nil
 }
 
-// oupdrShared carries the run-wide accumulators the handlers report into.
-type oupdrShared struct {
+// blockShared carries what the block handlers of one driver report into:
+// run totals, the dump pass's block reports, and — while an export is
+// attached — the store writer and the first error it returned. RunOUPDR
+// shares one across the nodes of its cluster; a Dist owns one per process.
+type blockShared struct {
+	nb int // grid dimension, to recover (i, j) from a block's rectangle
+
 	elements atomic.Int64
 	verts    atomic.Int64
 	mismatch atomic.Int64
 
-	dumpMu sync.Mutex
-	dump   []BlockDump // per-block canonical hashes (dump phase)
-
-	// Streaming export (optional): blocks are framed into the store as the
-	// dump pass visits them — the bulk-sync method's irrevocable point.
-	export *meshstore.Writer
-	expMu  sync.Mutex
-	expErr error
+	mu     sync.Mutex
+	dump   []BlockDump       // per-block canonical hashes (dump pass)
+	export *meshstore.Writer // non-nil: the dump pass also frames each block
+	expErr error             // first export error
 }
 
-func (sh *oupdrShared) exportFail(err error) {
-	sh.expMu.Lock()
-	if sh.expErr == nil {
-		sh.expErr = err
-	}
-	sh.expMu.Unlock()
+// begin starts a dump pass: no reports, no error, exporting into w if it is
+// non-nil.
+func (sh *blockShared) begin(w *meshstore.Writer) {
+	sh.mu.Lock()
+	sh.dump, sh.export, sh.expErr = nil, w, nil
+	sh.mu.Unlock()
 }
 
-// registerOUPDR installs the OUPDR handlers on every node of the cluster.
-func registerOUPDR(cl *cluster.Cluster, sh *oupdrShared) {
-	for _, rt := range cl.Runtimes() {
-		rt.Register(hBlockMesh, func(c *core.Ctx, arg []byte) {
-			o := c.Object().(*blockObj)
-			oupdrMeshHandler(c, o, sh)
-		})
-		rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
-			o := c.Object().(*blockObj)
-			oupdrIfaceHandler(c, o, arg, sh)
-		})
-		rt.Register(hBlockDump, func(c *core.Ctx, arg []byte) {
-			if len(arg) < 4 {
-				return
-			}
-			o := c.Object().(*blockObj)
-			nb := int(binary.LittleEndian.Uint32(arg))
-			i := int(math.Round(o.Rect.Min.X * float64(nb)))
-			j := int(math.Round(o.Rect.Min.Y * float64(nb)))
-			digest := hex.EncodeToString(hashMesh(o.MeshData))
-			sh.dumpMu.Lock()
-			sh.dump = append(sh.dump, BlockDump{I: i, J: j, Elements: o.Elements, Hash: digest})
-			sh.dumpMu.Unlock()
-			if sh.export != nil {
-				if err := exportBlock(sh.export, i, j, o, digest); err != nil {
-					sh.exportFail(err)
-				}
-			}
-		})
+// end finishes a dump pass and returns its reports and the first export
+// error, the writer's own sticky error included.
+func (sh *blockShared) end() ([]BlockDump, error) {
+	sh.mu.Lock()
+	dump, w, err := sh.dump, sh.export, sh.expErr
+	sh.dump, sh.export = nil, nil
+	sh.mu.Unlock()
+	if err == nil && w != nil {
+		err = w.Err()
 	}
+	return dump, err
+}
+
+// blockIJ recovers a block's grid position from its rectangle:
+// Min = (i, j)/nb.
+func blockIJ(o *blockObj, nb int) (i, j int) {
+	return int(math.Round(o.Rect.Min.X * float64(nb))), int(math.Round(o.Rect.Min.Y * float64(nb)))
+}
+
+// blockNeighbors returns the right and top neighbors of block (i, j) from
+// the pointer table (indexed j*nb+i), Nil on the grid's edge.
+func blockNeighbors(nb, i, j int, ptrs []core.MobilePtr) (right, top core.MobilePtr) {
+	if i+1 < nb {
+		right = ptrs[j*nb+i+1]
+	}
+	if j+1 < nb {
+		top = ptrs[(j+1)*nb+i]
+	}
+	return right, top
+}
+
+// newBlock builds the unmeshed block (i, j), wired to its right and top
+// neighbors and expecting one interface message from each of its left and
+// bottom ones.
+func newBlock(nb, i, j int, h, beta float64, ptrs []core.MobilePtr) *blockObj {
+	o := &blockObj{Rect: blockRect(nb, i, j), H: h, Beta: beta}
+	o.Right, o.Top = blockNeighbors(nb, i, j, ptrs)
+	if i > 0 {
+		o.IfaceNeeded++
+	}
+	if j > 0 {
+		o.IfaceNeeded++
+	}
+	return o
+}
+
+// registerBlockHandlers installs the block handlers on one runtime: mesh,
+// interface check, and the dump pass both drivers end with.
+func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
+	rt.Register(hBlockMesh, func(c *core.Ctx, arg []byte) {
+		oupdrMeshHandler(c, c.Object().(*blockObj), sh)
+	})
+	rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
+		oupdrIfaceHandler(c, c.Object().(*blockObj), arg, sh)
+	})
+	rt.Register(hBlockDump, func(c *core.Ctx, arg []byte) {
+		o := c.Object().(*blockObj)
+		i, j := blockIJ(o, sh.nb)
+		digest := hex.EncodeToString(hashMesh(o.MeshData))
+		sh.mu.Lock()
+		sh.dump = append(sh.dump, BlockDump{I: i, J: j, Elements: o.Elements, Hash: digest})
+		w := sh.export
+		sh.mu.Unlock()
+		if w == nil {
+			return
+		}
+		if err := exportBlock(w, i, j, o, digest); err != nil {
+			sh.mu.Lock()
+			if sh.expErr == nil {
+				sh.expErr = err
+			}
+			sh.mu.Unlock()
+		}
+	})
 }
 
 // oupdrMeshHandler refines the block and ships interface point sets to the
 // right and top neighbors (structured communication).
-func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *oupdrShared) {
+func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) {
 	bm, err := meshBlock(o.Rect, o.H, o.Beta)
 	if err != nil {
 		return
@@ -256,7 +304,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *oupdrShared) {
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this
 // block's own edge points.
-func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *oupdrShared) {
+func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) {
 	if len(arg) < 1 {
 		return
 	}
@@ -295,40 +343,21 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	sh := &oupdrShared{export: cfg.Export}
-	registerOUPDR(cl, sh)
+	nb := cfg.Blocks
+	sh := &blockShared{nb: nb}
+	for _, rt := range cl.Runtimes() {
+		registerBlockHandlers(rt, sh)
+	}
 
 	h := workload.UniformSizeFor(cfg.TargetElements, 1.0)
-	nb := cfg.Blocks
 	ptrs := make([]core.MobilePtr, nb*nb)
-	// Create top-right first so each block's right/top neighbors exist.
-	idx := 0
+	// Create top-right first so each block's right/top neighbors exist,
+	// dealing blocks to the nodes round-robin.
+	node := 0
 	for j := nb - 1; j >= 0; j-- {
 		for i := nb - 1; i >= 0; i-- {
-			right, top := core.Nil, core.Nil
-			if i+1 < nb {
-				right = ptrs[j*nb+i+1]
-			}
-			if j+1 < nb {
-				top = ptrs[(j+1)*nb+i]
-			}
-			node := idx % cl.Nodes()
-			idx++
-			expect := int32(0)
-			if i > 0 {
-				expect++
-			}
-			if j > 0 {
-				expect++
-			}
-			ptrs[j*nb+i] = cl.RT(node).CreateObject(&blockObj{
-				Rect:        blockRect(nb, i, j),
-				H:           h,
-				Beta:        cfg.QualityBound,
-				Right:       right,
-				Top:         top,
-				IfaceNeeded: expect,
-			})
+			ptrs[j*nb+i] = cl.RT(node).CreateObject(newBlock(nb, i, j, h, cfg.QualityBound, ptrs))
+			node = (node + 1) % cl.Nodes()
 		}
 	}
 	// Kick off: post the mesh message to every block (the initial messages
@@ -341,31 +370,22 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if n := sh.elements.Load(); n == 0 {
 		return Result{}, fmt.Errorf("meshgen: OUPDR produced no elements")
 	}
-	// Dump phase: collect every block's canonical mesh hash and combine
-	// them into the run-wide digest the mesh-equality properties compare.
-	nbArg := make([]byte, 4)
-	binary.LittleEndian.PutUint32(nbArg, uint32(nb))
+	// Dump phase: collect every block's canonical mesh hash — framing each
+	// block into cfg.Export on the way, the bulk-sync method's irrevocable
+	// point — and combine the hashes into the run-wide digest the
+	// mesh-equality properties compare.
+	sh.begin(cfg.Export)
 	for _, p := range ptrs {
-		cl.RT(int(p.Home)).Post(p, hBlockDump, nbArg)
+		cl.RT(int(p.Home)).Post(p, hBlockDump, nil)
 	}
 	cl.Wait()
-	sh.dumpMu.Lock()
-	meshHash := combineMeshHash(sh.dump)
-	sh.dumpMu.Unlock()
-	if cfg.Export != nil {
-		sh.expMu.Lock()
-		expErr := sh.expErr
-		sh.expMu.Unlock()
-		if expErr == nil {
-			expErr = cfg.Export.Err()
-		}
-		if expErr != nil {
-			return Result{}, fmt.Errorf("meshgen: export: %w", expErr)
-		}
+	dump, err := sh.end()
+	if err != nil {
+		return Result{}, fmt.Errorf("meshgen: export: %w", err)
 	}
 	return Result{
 		Method:     "OUPDR",
-		MeshHash:   meshHash,
+		MeshHash:   MeshHashOf(dump),
 		Elements:   int(sh.elements.Load()),
 		Vertices:   int(sh.verts.Load()),
 		Subdomains: nb * nb,

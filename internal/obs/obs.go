@@ -103,21 +103,6 @@ const (
 	// always a routing defect, surfaced by CheckInvariants too (ID: the
 	// object's packed mobile pointer, Arg: the hop count at the drop).
 	KindRouteDrop
-	// KindSpeculConflict marks a detected speculation conflict: a
-	// neighbor's concurrent cavity update intersected this object's
-	// speculative cavity (ID: the loser's packed mobile pointer, Arg: the
-	// speculation epoch).
-	KindSpeculConflict
-	// KindSpeculRollback marks a speculative refinement rolled back to its
-	// pre-speculation snapshot after losing a conflict (ID: the object's
-	// packed mobile pointer, Arg: the speculation epoch rolled back).
-	KindSpeculRollback
-	// KindSpeculThrottle marks adaptive speculation throttling engaging: a
-	// conflict loser whose retry was demoted to bulk-sync pacing because
-	// the observed conflict rate over the sliding announce window exceeded
-	// the configured threshold (ID: the object's packed mobile pointer,
-	// Arg: the retry epoch that ran in bulk mode).
-	KindSpeculThrottle
 	// KindMeshExport marks one block frame appended to a meshstore chunk
 	// at an irrevocable commit point (ID: the packed block grid
 	// coordinates, Arg: the frame bytes written).
@@ -180,12 +165,6 @@ func (k Kind) String() string {
 		return "route.stale"
 	case KindRouteDrop:
 		return "route.drop"
-	case KindSpeculConflict:
-		return "specul.conflict"
-	case KindSpeculRollback:
-		return "specul.rollback"
-	case KindSpeculThrottle:
-		return "specul.throttle"
 	case KindMeshExport:
 		return "mesh.export"
 	case KindMeshRestore:
@@ -212,8 +191,6 @@ func (k Kind) Track() string {
 		return "cluster"
 	case KindHandler:
 		return "app"
-	case KindSpeculConflict, KindSpeculRollback, KindSpeculThrottle:
-		return "specul"
 	case KindMeshExport, KindMeshRestore:
 		return "mesh"
 	default:

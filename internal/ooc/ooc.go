@@ -319,6 +319,16 @@ func (m *Manager) SetPriority(id ObjectID, pri int) {
 	}
 }
 
+// Priority returns id's swapping priority hint (0 for an unknown object).
+func (m *Manager) Priority(id ObjectID) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[id]; ok {
+		return e.priority
+	}
+	return 0
+}
+
 // SetQueueLen informs the layer how many messages are pending for id — the
 // control layer input that biases swapping decisions (objects with queued
 // work are kept, idle ones go first).

@@ -197,88 +197,3 @@ func TestMeshFaultEqualityPropertyTiered(t *testing.T) {
 		}
 	}
 }
-
-// TestSpeculMeshFaultEquality extends the equality property to speculative
-// refinement: for every seed, an S-UPDR run under the full adverse schedule
-// — tiny budget, modeled latency, a slow node, transient storage faults,
-// plus injected speculation conflicts forcing snapshot rollbacks and
-// epoch-bumped retries — produces a mesh byte-identical (canonical
-// sorted-triangle digest) to the in-core bulk-synchronous run.
-func TestSpeculMeshFaultEquality(t *testing.T) {
-	want := inCoreReference(t)
-	if want.MeshHash == "" {
-		t.Fatal("in-core reference carries no mesh hash")
-	}
-
-	for seed := int64(1); seed <= meshPropSeeds; seed++ {
-		vclk := clock.NewVirtual()
-		cl, err := cluster.New(cluster.Config{
-			Nodes:     2,
-			MemBudget: 200_000, // tiny: blocks must swap mid-speculation
-			Factory:   meshgen.Factory,
-			Clock:     vclk,
-			Seed:      seed,
-			Network:   comm.LatencyModel{Latency: time.Duration(50*(seed%5)) * time.Microsecond, BytesPerSec: 100e6},
-			NodeDisk: func(node int) storage.DiskModel {
-				d := storage.DiskModel{Seek: time.Duration(100+50*seed) * time.Microsecond, BytesPerSec: 50e6}
-				if node == int(seed)%2 {
-					d.Seek *= 4 // one slow node per schedule
-				}
-				return d
-			},
-			Fault: &storage.FaultConfig{
-				Seed:          seed,
-				FailFirstGets: int(1 + seed%2),
-				FailFirstPuts: int(1 + seed%2),
-			},
-			Retry: storage.RetryPolicy{
-				MaxAttempts: 5,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-				Clock:       vclk,
-			},
-		})
-		if err != nil {
-			vclk.Stop()
-			t.Fatal(err)
-		}
-		got, err := meshgen.RunSUPDR(cl, meshgen.SUPDRConfig{
-			UPDRConfig:   meshPropConfig,
-			ConflictProb: 0.3 + 0.2*float64(seed%3), // 0.3..0.7: rollbacks guaranteed at this grid size
-			Seed:         seed,
-		})
-		var snaps int
-		for _, rt := range cl.Runtimes() {
-			snaps += rt.SnapshotCount()
-		}
-		stats := cl.SwapStats()
-		cl.Close()
-		vclk.Stop()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if got.MeshHash != want.MeshHash {
-			t.Errorf("seed %d: speculative mesh hash %s != bulk-sync in-core %s",
-				seed, got.MeshHash, want.MeshHash)
-		}
-		if got.Mem.Evictions == 0 {
-			t.Errorf("seed %d: run never swapped; the property was not exercised", seed)
-		}
-		if got.Rollbacks == 0 {
-			t.Errorf("seed %d: no speculation was ever rolled back; the conflict injection did not engage", seed)
-		}
-		if !got.Conforming {
-			t.Errorf("seed %d: committed interfaces no longer conform", seed)
-		}
-		if snaps != 0 {
-			t.Errorf("seed %d: %d speculation snapshots survived termination", seed, snaps)
-		}
-		if stats.ObjectsLost != 0 || stats.LoadFailures != 0 || stats.StoreFailures != 0 {
-			t.Errorf("seed %d: transient faults leaked into SwapStats: %+v", seed, stats)
-		}
-		if stats.Retries == 0 {
-			t.Errorf("seed %d: no retries recorded; the fault injection did not engage", seed)
-		}
-	}
-}

@@ -63,7 +63,7 @@ func simFactory(typeID uint16) (core.Object, error) {
 	if typeID == simTypeID {
 		return &simObj{}, nil
 	}
-	// The speculation storm runs meshgen's S-UPDR workload on the simulated
+	// The mesh restore storm runs meshgen's OUPDR workload on the simulated
 	// cluster; its blocks must decode after eviction and migration too.
 	return meshgen.Factory(typeID)
 }

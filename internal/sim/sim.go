@@ -58,15 +58,12 @@ const (
 	// scenario races stale-epoch re-resolution and override repair against
 	// migration drift and membership churn.
 	FaultRoutedChurn
-	// FaultSpecul races speculative refinement (S-UPDR snapshots, conflict
-	// multicasts, rollback/retry) against transient storage faults and a
-	// mid-run graceful churn of one node. The budget is sized for mesh
-	// blocks rather than ballast counters, and a churn victim is drawn.
-	FaultSpecul
 	// FaultMeshRestore streams a mesh into a meshstore chunk while the
 	// generating cluster takes transient swap faults, then restores the
 	// store onto a differently-sized cluster whose swap stores fault too.
-	// Mesh-sized budget like FaultSpecul, so blocks swap during both halves.
+	// The budget is sized for mesh blocks rather than ballast counters:
+	// tight enough that blocks swap during both halves, large enough to
+	// hold a couple of refined blocks per node.
 	FaultMeshRestore
 )
 
@@ -85,8 +82,6 @@ func (k FaultKind) String() string {
 		return "node-crash"
 	case FaultRoutedChurn:
 		return "routed-churn"
-	case FaultSpecul:
-		return "specul"
 	case FaultMeshRestore:
 		return "mesh-restore"
 	default:
@@ -157,16 +152,9 @@ func expandPlan(seed int64, kind FaultKind) Plan {
 		}
 	case FaultNodeCrash, FaultRoutedChurn:
 		p.ChurnNode = rng.Intn(p.Nodes)
-	case FaultSpecul:
-		p.FailFirst = 1 + rng.Intn(2)
-		p.ChurnNode = rng.Intn(p.Nodes)
-		// Mesh blocks dwarf the counter objects' ballast: keep the budget
-		// tight enough that speculative blocks still swap mid-protocol,
-		// but large enough to hold a couple of refined blocks per node.
-		p.MemBudget = int64(60_000 + rng.Intn(60_000))
 	case FaultMeshRestore:
 		p.FailFirst = 1 + rng.Intn(2)
-		p.MemBudget = int64(60_000 + rng.Intn(60_000)) // mesh-sized, as above
+		p.MemBudget = int64(60_000 + rng.Intn(60_000))
 	}
 	return p
 }
@@ -204,7 +192,7 @@ func (p Plan) clusterConfig(clk Clock, factory core.Factory) cluster.Config {
 	switch p.Fault {
 	case FaultRoutedChurn:
 		cfg.Routing = cluster.RoutePlaced
-	case FaultTransient, FaultSpecul, FaultMeshRestore:
+	case FaultTransient, FaultMeshRestore:
 		cfg.Fault = &storage.FaultConfig{
 			Seed:          p.Seed,
 			FailFirstGets: p.FailFirst,

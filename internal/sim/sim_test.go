@@ -37,7 +37,7 @@ func scenarioForSeed(seed int64) Scenario {
 	case 7:
 		return RoutedChurnStorm{}
 	case 8:
-		return SpeculStorm{}
+		return McastStorm{}
 	default:
 		return MeshRestoreStorm{}
 	}
