@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"mrts/internal/storage"
-	"mrts/internal/swapio"
 )
 
 // This file implements the check/restore functionality the paper's
@@ -241,9 +240,7 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 			lo.queue = append(lo.queue, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
 		}
 		rt.mem.SetQueueLen(id, len(lo.queue))
-		if len(lo.queue) > 0 {
-			rt.startLoadLocked(lo, swapio.Demand)
-		}
+		rt.admitLoadLocked(lo)
 		lo.mu.Unlock()
 	}
 

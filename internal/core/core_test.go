@@ -314,6 +314,47 @@ func TestMigrationCarriesQueue(t *testing.T) {
 	}
 }
 
+// TestMessageRacingMigrationFollowsTheObject: a sender looks the object's
+// record up, the object migrates away, and only then does the sender get to
+// queue its message. The record it holds is stale; the message must follow
+// the object instead of running on the copy left behind (a lost update), in
+// core or out of it.
+func TestMessageRacingMigrationFollowsTheObject(t *testing.T) {
+	for _, outOfCore := range []bool{false, true} {
+		c := newCluster(t, 2, 1<<20)
+		registerInc(c)
+		rt0, rt1 := c.rts[0], c.rts[1]
+		ptr := rt0.CreateObject(&testObj{Count: 3})
+		if outOfCore {
+			if got := evictAndSettle(t, rt0, ptr); got != stOut {
+				t.Fatalf("eviction settled in state %d, want stOut", got)
+			}
+		}
+		rt0.mu.Lock()
+		lo := rt0.objects[ptr] // the sender's lookup
+		rt0.mu.Unlock()
+		if err := rt0.Migrate(ptr, 1); err != nil {
+			t.Fatal(err)
+		}
+		rt0.work.Add(1) // as Post and onWireApp account a message before placing it
+		rt0.enqueueLocal(lo, queued{handler: hInc})
+		WaitQuiescence(rt0, rt1)
+
+		got := make(chan int64, 1)
+		rt1.Register(98, func(ctx *Ctx, arg []byte) { got <- ctx.Object().(*testObj).Count })
+		rt1.Post(ptr, 98, nil)
+		if v := <-got; v != 4 {
+			t.Fatalf("out-of-core=%v: count = %d at the destination, want 4", outOfCore, v)
+		}
+		WaitQuiescence(rt0, rt1)
+		for _, rt := range c.rts {
+			if msgs := rt.CheckInvariants(true); len(msgs) > 0 {
+				t.Fatalf("out-of-core=%v: invariants: %v", outOfCore, msgs)
+			}
+		}
+	}
+}
+
 // TestMigrationCarriesPriority: the swapping priority hint travels in the
 // install frame. The hinted object arrives first, so by age alone it would
 // be the first victim; the hint must put the unhinted one ahead of it.

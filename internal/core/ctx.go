@@ -68,10 +68,13 @@ func (c *Ctx) CallInline(dst MobilePtr, h HandlerID, arg []byte) bool {
 	obj := lo.obj
 	lo.mu.Unlock()
 
-	rt.runHandler(dst, obj, queued{handler: h, sentAt: rt.clk.Now().UnixNano(), arg: arg}, c.sc)
+	dirtied := rt.runHandler(dst, obj, queued{handler: h, sentAt: rt.clk.Now().UnixNano(), arg: arg}, c.sc)
 
 	lo.mu.Lock()
 	lo.running = false
+	if dirtied {
+		lo.clean = false
+	}
 	// The inline call bypassed the queue; if messages arrived meanwhile,
 	// make sure they get drained.
 	if len(lo.queue) > 0 && !lo.scheduled && lo.state == stInCore {

@@ -22,6 +22,9 @@ func (rt *Runtime) DestroyObject(ptr MobilePtr) error {
 	case lo.state == stLost:
 		lo.mu.Unlock()
 		return ErrObjectLost
+	case lo.state == stMoved:
+		lo.mu.Unlock()
+		return ErrNotLocal
 	case lo.running || lo.scheduled || lo.migrating || lo.state == stStoring || lo.state == stLoading:
 		lo.mu.Unlock()
 		return ErrBusy
@@ -30,6 +33,7 @@ func (rt *Runtime) DestroyObject(ptr MobilePtr) error {
 	lo.queue = nil
 	lo.obj = nil
 	lo.state = stLost
+	rt.adm.remove(lo)
 	lo.mu.Unlock()
 
 	rt.work.Add(int64(-n))

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // CheckInvariants audits the runtime's internal bookkeeping and returns one
 // human-readable message per violation (empty slice = healthy). It is the
@@ -24,6 +27,11 @@ import "fmt"
 //   - the ooc layer's residency accounting agrees with the object states
 //   - in-core bytes fit the memory budget (unless eviction stalled loudly:
 //     an over-budget stall is reported through EvictStalls, not silence)
+//   - no object is left waiting for admission, and no reservation is held
+//   - the ooc layer counts no message queued on any object: one it still
+//     counts stays pinned in core, or is reloaded at demand class, for nothing
+//   - a clean resident object encodes to exactly its stored blob — the check
+//     that catches a mutating handler registered read-only
 func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	var out []string
 	fail := func(format string, args ...any) {
@@ -40,8 +48,9 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	parked := len(rt.parked)
 	rt.mu.Unlock()
 
-	var inCore, lost int
+	var inCore, lost, waiting int
 	var queuedMsgs, running int
+	var clean []*localObject
 	for _, lo := range los {
 		lo.mu.Lock()
 		st := lo.state
@@ -49,10 +58,23 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 		qlen := len(lo.queue)
 		isRunning := lo.running
 		ptr := lo.ptr
+		if lo.admitWait {
+			waiting++
+		}
+		// Both exits of drain settle the count under lo.mu as they clear
+		// scheduled, so a drain still on its way out is not mistaken for one
+		// that forgot.
+		counted := 0
+		if quiescent && qlen == 0 && !lo.scheduled && st != stMoved {
+			counted = rt.mem.QueueLen(oid(ptr))
+		}
+		if st == stInCore && lo.clean {
+			clean = append(clean, lo)
+		}
 		lo.mu.Unlock()
 
 		switch st {
-		case stInCore, stStoring, stOut, stLoading, stLost:
+		case stInCore, stStoring, stOut, stLoading, stLost, stMoved:
 		default:
 			fail("object %v in invalid state %d", ptr, st)
 		}
@@ -74,6 +96,9 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 		queuedMsgs += qlen
 		if isRunning {
 			running++
+		}
+		if counted > 0 {
+			fail("object %v has no message queued but the ooc layer counts %d", ptr, counted)
 		}
 	}
 
@@ -99,6 +124,12 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	}
 	if p := rt.PendingMulticasts(); p != 0 {
 		fail("quiescent but %d multicast collections pending", p)
+	}
+	rt.adm.mu.Lock()
+	listed, reserved := len(rt.adm.fifo), rt.adm.reserved
+	rt.adm.mu.Unlock()
+	if waiting > 0 || listed > 0 {
+		fail("quiescent but %d objects wait for admission (%d listed)", waiting, listed)
 	}
 	// Routing cycles and lost installs drop messages at the forward-hop
 	// bound; the drop is loud (counted + traced) and any occurrence is a
@@ -126,6 +157,39 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 			fail("in-core bytes %d exceed budget %d with no eviction stall reported",
 				ms.MemUsed, ms.MemBudget)
 		}
+		if reserved != 0 {
+			fail("no load in flight but admission holds %d bytes reserved", reserved)
+		}
+		for _, lo := range clean {
+			if msg := rt.checkClean(lo); msg != "" {
+				fail("%s", msg)
+			}
+		}
 	}
 	return out
+}
+
+// checkClean compares a clean resident object with its stored blob. An
+// object that got busy or evicted since the sweep listed it, or whose blob
+// cannot be read right now (an injected fault), is skipped: only a blob that
+// was read and differs is a violation.
+func (rt *Runtime) checkClean(lo *localObject) string {
+	lo.mu.Lock()
+	defer lo.mu.Unlock()
+	if lo.state != stInCore || !lo.clean || lo.running {
+		return ""
+	}
+	var enc bytes.Buffer
+	if err := lo.obj.EncodeTo(&enc); err != nil {
+		return fmt.Sprintf("clean object %v does not encode: %v", lo.ptr, err)
+	}
+	stored, err := rt.io.Backing().Get(storeKey(lo.ptr))
+	if err != nil {
+		return ""
+	}
+	if !bytes.Equal(enc.Bytes(), stored) {
+		return fmt.Sprintf("clean object %v encodes to %d bytes that differ from its %d stored bytes: a handler registered read-only changed it, or a write was skipped",
+			lo.ptr, enc.Len(), len(stored))
+	}
+	return ""
 }

@@ -200,7 +200,7 @@ func (t *mcastTable) objectArrived(rt *Runtime, ptr MobilePtr) {
 			rt.Post(e.ptrs[i], e.h, e.arg)
 		}
 		for _, p := range e.pinned {
-			rt.mem.Unlock(oid(p))
+			rt.Unlock(p)
 		}
 		rt.work.Add(-1)
 	}
@@ -239,7 +239,7 @@ func (t *mcastTable) objectLost(rt *Runtime, ptr MobilePtr) {
 	for _, e := range cancelled {
 		rt.tracer.Emit(obs.KindMcastCancel, e.id, int64(len(e.ptrs)))
 		for _, p := range e.pinned {
-			rt.mem.Unlock(oid(p))
+			rt.Unlock(p)
 		}
 		rt.work.Add(-1)
 	}

@@ -40,6 +40,13 @@ func (rt *Runtime) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+"swap.store_failures", func() float64 { return float64(rt.SwapStats().StoreFailures) })
 	reg.Gauge(prefix+"swap.objects_lost", func() float64 { return float64(rt.SwapStats().ObjectsLost) })
 	reg.Gauge(prefix+"swap.evict_stalls", func() float64 { return float64(rt.EvictStalls()) })
+	// What the pipeline saved and what it still holds: evictions that wrote
+	// nothing, demand loads that waited for admission, and the bytes
+	// committed to eviction but not yet on the medium (now, and at most).
+	reg.Gauge(prefix+"swap.clean_drops", func() float64 { return float64(rt.cleanDrops.Load()) })
+	reg.Gauge(prefix+"swap.deferred_loads", func() float64 { return float64(rt.adm.deferred.Load()) })
+	reg.Gauge(prefix+"swap.writeback_bytes", func() float64 { return float64(rt.writeback.Load()) })
+	reg.Gauge(prefix+"swap.writeback_peak_bytes", func() float64 { return float64(rt.writebackPeak.Load()) })
 	// The swap I/O scheduler: queue shape and pipeline behaviour.
 	reg.Gauge(prefix+"swapio.queue_depth", func() float64 { return float64(rt.IOStats().QueueDepth) })
 	reg.Gauge(prefix+"swapio.coalesced", func() float64 { return float64(rt.IOStats().Coalesced) })

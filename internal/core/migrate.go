@@ -68,16 +68,31 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 		// retry loop spin forever on an object that can never move.
 		lo.mu.Unlock()
 		return ErrObjectLost
+	case stMoved:
+		// Another Migrate took the object after this one's table lookup.
+		lo.mu.Unlock()
+		return ErrNotLocal
 	default: // stStoring, stLoading
 		lo.mu.Unlock()
 		return ErrBusy
 	}
 
-	// Point of no return: capture the queue, drop the local record.
+	// Point of no return: capture the queue, drop the local record. The
+	// record leaves the table, the locator learns the destination and the
+	// record is marked stMoved all under lo.mu: a sender that looked the
+	// record up a moment ago and is waiting on this lock must find it moved
+	// and route again (enqueueLocal) — queued here, its message would run on
+	// a copy of the object that has already been serialized and is gone.
 	q := lo.queue
 	lo.queue = nil
-	lo.migrating = true
+	lo.obj = nil
+	lo.state = stMoved
+	rt.adm.remove(lo)
 	typeID := lo.typeID
+	rt.mu.Lock()
+	delete(rt.objects, ptr)
+	rt.mu.Unlock()
+	rt.loc.Note(ptr, dest)
 	lo.mu.Unlock()
 
 	id := oid(ptr)
@@ -89,11 +104,6 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 		blob:     blob,
 		queue:    q,
 	}
-
-	rt.mu.Lock()
-	delete(rt.objects, ptr)
-	rt.mu.Unlock()
-	rt.loc.Note(ptr, dest)
 	rt.mem.Unregister(id)
 	// The blob leaves with the object — unconditionally, not just for
 	// stOut: an in-core object that was ever evicted here still has a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,6 +103,10 @@ const (
 	// decoded) after the retry budget, so the object is unreachable.
 	// Messages to a lost object are dropped so termination still fires.
 	stLost
+	// stMoved is terminal for the record, not the object: it migrated away
+	// and the record is out of the object table. Whoever still holds the
+	// record routes again.
+	stMoved
 )
 
 type localObject struct {
@@ -120,7 +125,23 @@ type localObject struct {
 	// At prefetch class memory pressure could cancel it, and with no message
 	// queued on the object nothing would ever ask for it again.
 	wantDemand bool
-	migrating  bool
+	// migrating: a Migrate is reading this out-of-core object's blob with
+	// lo.mu released; nothing may evict, destroy or inline-call it meanwhile.
+	migrating bool
+	// clean says the node's store holds this object's current encoding, so an
+	// eviction has nothing to write. A committed eviction write sets it; any
+	// handler not registered read-only clears it. Objects that arrive by
+	// create, migration or restore start dirty.
+	clean bool
+	// admitWait: a queued message wants the object loaded and the load is
+	// waiting in rt.adm for room (see admit.go).
+	admitWait bool
+}
+
+// handlerEntry is a registered handler and what it promised.
+type handlerEntry struct {
+	fn       Handler
+	readOnly bool
 }
 
 // Runtime is one node's MRTS instance.
@@ -147,7 +168,7 @@ type Runtime struct {
 	loc Locator
 
 	hmu      sync.RWMutex
-	handlers map[HandlerID]Handler
+	handlers map[HandlerID]handlerEntry
 
 	work    atomic.Int64 // messages materialized on this node, not yet done
 	sent    atomic.Int64 // app/install messages sent to other nodes
@@ -158,6 +179,13 @@ type Runtime struct {
 	storeFailures atomic.Uint64
 	objectsLost   atomic.Uint64
 	evictStalls   atomic.Uint64
+	cleanDrops    atomic.Uint64 // evictions that wrote nothing
+	// writeback is the size of the objects committed to eviction whose write
+	// has not landed: memory the accounting has let go of and the process has
+	// not. writebackPeak is its high-water mark.
+	writeback     atomic.Int64
+	writebackPeak atomic.Int64
+	adm           admission
 	onSwapError   func(SwapError)
 	semu          sync.Mutex
 	swapErrs      []SwapError
@@ -225,7 +253,7 @@ func NewRuntime(cfg Config) *Runtime {
 		pfDepth:   cfg.PrefetchDepth,
 		objects:   make(map[MobilePtr]*localObject),
 		parked:    make(map[MobilePtr][]*appMsg),
-		handlers:  make(map[HandlerID]Handler),
+		handlers:  make(map[HandlerID]handlerEntry),
 		mcasts:    newMcastTable(),
 		term:      newTermState(),
 		commDelay: cfg.CommDelay,
@@ -262,11 +290,25 @@ func (rt *Runtime) Clock() clock.Clock { return rt.clk }
 // same IDs before posting any messages (SPMD model).
 func (rt *Runtime) Register(id HandlerID, h Handler) {
 	rt.hmu.Lock()
-	rt.handlers[id] = h
+	rt.handlers[id] = handlerEntry{fn: h}
 	rt.hmu.Unlock()
 }
 
-func (rt *Runtime) handler(id HandlerID) Handler {
+// RegisterReadOnly is Register for a handler that leaves the object it runs
+// on exactly as it found it: nothing EncodeTo writes may change. The runtime
+// then knows that an object loaded from the store and touched only by such
+// handlers still matches its stored copy, and evicts it without encoding or
+// writing. It is a statement about the handler, not a setting: a handler
+// that mutates under this registration loses the mutation at the next
+// eviction (the simulator's quiescent sweep compares clean objects with
+// their stored bytes to catch exactly that).
+func (rt *Runtime) RegisterReadOnly(id HandlerID, h Handler) {
+	rt.hmu.Lock()
+	rt.handlers[id] = handlerEntry{fn: h, readOnly: true}
+	rt.hmu.Unlock()
+}
+
+func (rt *Runtime) handler(id HandlerID) handlerEntry {
 	rt.hmu.RLock()
 	h := rt.handlers[id]
 	rt.hmu.RUnlock()
@@ -460,12 +502,20 @@ func (rt *Runtime) ReRouteParked() int {
 // a drain task if in-core, a load if on disk.
 func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 	lo.mu.Lock()
-	if lo.state == stLost {
+	switch lo.state {
+	case stLost:
 		// The object is unreachable (load failed after retries). Drop the
 		// message so termination is still detectable; the loss itself was
 		// already surfaced via the counters and OnSwapError.
 		lo.mu.Unlock()
 		rt.work.Add(-1)
+		return
+	case stMoved:
+		// The object left between the caller's table lookup and here. The
+		// table no longer has this record and the locator knows where the
+		// object went, so routing again makes progress.
+		lo.mu.Unlock()
+		rt.route(&appMsg{dst: lo.ptr, handler: q.handler, sentAt: q.sentAt, arg: q.arg})
 		return
 	}
 	lo.queue = append(lo.queue, q)
@@ -477,7 +527,7 @@ func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 			rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
 		}
 	case stOut:
-		rt.startLoadLocked(lo, swapio.Demand)
+		rt.admitLoadLocked(lo)
 	case stStoring:
 		lo.wantLoad = true
 	case stLoading:
@@ -498,53 +548,84 @@ func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
 			// Evicted or migrating between messages, and the load/install
 			// path will reschedule; or another worker is running a handler
 			// on the object through CallInline, whose epilogue resubmits the
-			// drain if messages are still queued.
+			// drain if messages are still queued. If none are, nobody comes
+			// back: this exit too must leave the manager the true queue
+			// length, or the object would stay pinned with nothing to run.
 			lo.scheduled = false
+			n := len(lo.queue)
+			rt.mem.SetQueueLen(oid(lo.ptr), n)
 			lo.mu.Unlock()
+			if n == 0 {
+				rt.admitWaiting()
+			}
 			return
 		}
 		if len(lo.queue) == 0 {
 			lo.scheduled = false
 			obj := lo.obj
+			// Under lo.mu, like every other update of the queue length: an
+			// enqueue racing with this exit must not be overwritten with 0.
+			rt.mem.SetQueueLen(oid(lo.ptr), 0)
 			lo.mu.Unlock()
 			if obj != nil {
 				rt.mem.SetSize(oid(lo.ptr), int64(obj.SizeHint()))
 			}
-			rt.mem.SetQueueLen(oid(lo.ptr), 0)
 			rt.maybeEvictForSoft()
+			rt.admitWaiting()
 			rt.prefetchTick()
 			return
 		}
+		// The manager's queue length is left as it is: until the handler
+		// returns, the message being run counts as queued, so the object
+		// stays pinned for admission and last among the victims.
 		q := lo.queue[0]
 		lo.queue = lo.queue[1:]
-		rt.mem.SetQueueLen(oid(lo.ptr), len(lo.queue))
 		lo.running = true
 		obj := lo.obj
 		lo.mu.Unlock()
 
-		rt.runHandler(lo.ptr, obj, q, sc)
+		dirtied := rt.runHandler(lo.ptr, obj, q, sc)
 
 		lo.mu.Lock()
 		lo.running = false
+		if dirtied {
+			lo.clean = false
+		}
 		lo.mu.Unlock()
 		rt.work.Add(-1)
+		rt.serviceIO()
 	}
 }
 
-func (rt *Runtime) runHandler(ptr MobilePtr, obj Object, q queued, sc *sched.Ctx) {
+// serviceIO is the handler boundary of the paper's non-preemptive runtime,
+// where it polls for I/O completions: while a swap operation is in flight the
+// worker offers the processor, so an I/O goroutine whose disk wait is over
+// runs now instead of at the Go scheduler's next preemption tick, 10 ms into
+// a run of back-to-back handlers. With nothing in flight it is one atomic
+// load.
+func (rt *Runtime) serviceIO() {
+	if rt.swapOps.Load() > 0 {
+		runtime.Gosched()
+	}
+}
+
+// runHandler executes q's handler on obj and reports whether the object may
+// have changed: false only for a handler registered read-only.
+func (rt *Runtime) runHandler(ptr MobilePtr, obj Object, q queued, sc *sched.Ctx) (dirtied bool) {
 	h := rt.handler(q.handler)
-	if h == nil {
-		return
+	if h.fn == nil {
+		return false
 	}
 	ctx := &Ctx{rt: rt, Self: ptr, obj: obj, sc: sc}
 	sp := rt.tracer.Start(obs.KindHandler, uint64(oid(ptr)))
 	t0 := rt.clk.Now()
-	h(ctx, q.arg)
+	h.fn(ctx, q.arg)
 	if rt.col != nil {
 		rt.col.Add(trace.Comp, rt.clk.Since(t0))
 	}
 	sp.End(int64(q.handler))
 	rt.mem.Touch(oid(ptr))
+	return !h.readOnly
 }
 
 // chargeComm accounts the modeled wire time of a received message.

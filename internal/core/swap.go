@@ -17,11 +17,16 @@ import (
 // never encode or decode inside drain.
 
 // startLoadLocked transitions lo from stOut to stLoading and submits the
-// read to the I/O scheduler at the given class. Caller holds lo.mu.
-func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class) {
+// read to the I/O scheduler at the given class. reserved is what admission
+// set aside for this load (0 for the loads that bypass it: locks, multicast
+// collections, prefetches); it is handed back when the load settles, however
+// it settles. Caller holds lo.mu.
+func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class, reserved int64) {
 	if lo.state != stOut {
+		rt.adm.release(reserved)
 		return
 	}
+	rt.adm.remove(lo) // whoever starts the load, the object no longer waits for one
 	lo.state = stLoading
 	rt.swapOps.Add(1)
 	sp := rt.tracer.Start(obs.KindSwapLoad, uint64(oid(lo.ptr)))
@@ -32,6 +37,10 @@ func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class) {
 			rt.chargeDisk(len(blob), rt.clk.Since(t0))
 		}
 		rt.finishLoad(lo, sp, blob, err)
+		if reserved > 0 {
+			rt.adm.release(reserved)
+			rt.admitWaiting()
+		}
 	})
 	if !ok {
 		// Refused: the scheduler is closed, or the prefetch backlog hit
@@ -39,6 +48,7 @@ func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class) {
 		// resubmit when a message actually arrives.
 		lo.state = stOut
 		rt.swapOps.Add(-1)
+		rt.adm.release(reserved)
 		sp.End(0)
 	}
 }
@@ -60,8 +70,7 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 		if lo.state == stLoading {
 			lo.state = stOut
 			if !rt.closed.Load() && (len(lo.queue) > 0 || lo.wantLoad) {
-				lo.wantLoad, lo.wantDemand = false, false
-				rt.startLoadLocked(lo, swapio.Demand)
+				rt.reloadLocked(lo)
 			}
 		}
 		lo.mu.Unlock()
@@ -114,9 +123,10 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 }
 
 // tryEvict unloads lo to the storage layer if it is idle, unlocked and
-// in-core. It reports whether the eviction was initiated. Serialization is
-// pipelined: the object is committed to stStoring here, but the encode and
-// the write both happen on an I/O worker.
+// in-core. It reports whether the eviction was initiated. A clean object —
+// the store already holds its current encoding — is simply dropped. For a
+// dirty one serialization is pipelined: the object is committed to stStoring
+// here, but the encode and the write both happen on an I/O worker.
 func (rt *Runtime) tryEvict(lo *localObject) bool {
 	id := oid(lo.ptr)
 	rt.swapOps.Add(1)
@@ -132,14 +142,26 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 	}
 	obj := lo.obj
 	lo.obj = nil
+	if lo.clean {
+		lo.state = stOut
+		lo.mu.Unlock()
+		rt.mem.MarkOut(id)
+		rt.cleanDrops.Add(1)
+		rt.tracer.Start(obs.KindSwapEvict, uint64(id)).End(0)
+		rt.swapOps.Add(-1)
+		return true
+	}
 	lo.state = stStoring
 	lo.mu.Unlock()
 
 	// The bytes leave the accounting at the commit point, not when the
 	// write lands: victim selection must see the effect immediately, or a
 	// burst of evictions against a slow disk would over-evict (the residual
-	// need would not drop until the queued writes drained).
+	// need would not drop until the queued writes drained). Until it lands
+	// they are writeback: let go of by the budget, still held by the process.
+	held := rt.mem.Size(id)
 	rt.mem.MarkOut(id)
+	rt.noteWriteback(held)
 
 	sp := rt.tracer.Start(obs.KindSwapEvict, uint64(id))
 	t0 := rt.clk.Now()
@@ -154,6 +176,7 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 		},
 		func(n int, err error) {
 			defer rt.swapOps.Add(-1)
+			rt.writeback.Add(-held)
 			rt.chargeDisk(n, rt.clk.Since(t0))
 			sp.End(int64(n))
 			rt.finishEvict(lo, obj, encoded, n, err)
@@ -165,11 +188,23 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 		lo.state = stInCore
 		rt.mem.MarkIn(id)
 		lo.mu.Unlock()
+		rt.writeback.Add(-held)
 		sp.End(0)
 		rt.swapOps.Add(-1)
 		return false
 	}
 	return true
+}
+
+// noteWriteback adds n bytes to the writeback gauge and keeps its peak.
+func (rt *Runtime) noteWriteback(n int64) {
+	now := rt.writeback.Add(n)
+	for {
+		peak := rt.writebackPeak.Load()
+		if now <= peak || rt.writebackPeak.CompareAndSwap(peak, now) {
+			return
+		}
+	}
 }
 
 // finishEvict completes an eviction on an I/O worker after the encode+write
@@ -202,16 +237,28 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 	}
 	lo.mu.Lock()
 	lo.state = stOut
-	want := lo.wantLoad || len(lo.queue) > 0
-	class := swapio.Prefetch
-	if len(lo.queue) > 0 || lo.wantDemand {
-		class = swapio.Demand
-	}
-	lo.wantLoad, lo.wantDemand = false, false
-	if want {
-		rt.startLoadLocked(lo, class)
+	lo.clean = true
+	if lo.wantLoad || len(lo.queue) > 0 {
+		rt.reloadLocked(lo)
 	}
 	lo.mu.Unlock()
+}
+
+// reloadLocked loads an stOut object that was asked for while it could not
+// be loaded (mid-write, or under a prefetch that was cancelled): through
+// admission if a message is queued on it, at demand class if something else
+// blocks on it, as a prefetch otherwise. Caller holds lo.mu.
+func (rt *Runtime) reloadLocked(lo *localObject) {
+	demand := lo.wantDemand
+	lo.wantLoad, lo.wantDemand = false, false
+	switch {
+	case len(lo.queue) > 0:
+		rt.admitLoadLocked(lo)
+	case demand:
+		rt.startLoadLocked(lo, swapio.Demand, 0)
+	default:
+		rt.startLoadLocked(lo, swapio.Prefetch, 0)
+	}
 }
 
 // evictVictims evicts objects until residual reports no remaining need,
@@ -292,13 +339,11 @@ func (rt *Runtime) prefetchTick() {
 		if lo == nil {
 			continue
 		}
-		class := swapio.Prefetch
-		if cand.Urgent {
-			class = swapio.Demand
-		}
 		lo.mu.Lock()
-		if lo.state == stOut {
-			rt.startLoadLocked(lo, class)
+		if cand.Urgent {
+			rt.admitLoadLocked(lo)
+		} else {
+			rt.startLoadLocked(lo, swapio.Prefetch, 0)
 		}
 		lo.mu.Unlock()
 	}
@@ -326,8 +371,12 @@ func (rt *Runtime) Lock(ptr MobilePtr) bool {
 	return true
 }
 
-// Unlock releases a Lock.
-func (rt *Runtime) Unlock(ptr MobilePtr) { rt.mem.Unlock(oid(ptr)) }
+// Unlock releases a Lock. An unpinned object can be evicted again, which may
+// be what a load waiting for admission needs.
+func (rt *Runtime) Unlock(ptr MobilePtr) {
+	rt.mem.Unlock(oid(ptr))
+	rt.admitWaiting()
+}
 
 // SetPriority sets the object's swapping priority hint: higher values keep
 // the object in core longer.
@@ -346,7 +395,9 @@ func (rt *Runtime) Prefetch(ptr MobilePtr) bool {
 	lo.mu.Lock()
 	switch lo.state {
 	case stOut:
-		rt.startLoadLocked(lo, swapio.Prefetch)
+		if !lo.admitWait { // else a message already wants it, at a higher class
+			rt.startLoadLocked(lo, swapio.Prefetch, 0)
+		}
 	case stStoring:
 		lo.wantLoad = true
 	}
@@ -368,7 +419,7 @@ func (rt *Runtime) forceLoad(ptr MobilePtr) bool {
 	lo.mu.Lock()
 	switch lo.state {
 	case stOut:
-		rt.startLoadLocked(lo, swapio.Demand)
+		rt.startLoadLocked(lo, swapio.Demand, 0)
 	case stStoring:
 		lo.wantLoad, lo.wantDemand = true, true
 	case stLoading:

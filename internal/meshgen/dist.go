@@ -277,7 +277,13 @@ func (d *Dist) Dump() []BlockDump {
 // w when it is non-nil — and waits for global termination.
 func (d *Dist) dumpPass(w *meshstore.Writer) ([]BlockDump, error) {
 	d.sh.begin(w)
-	for _, ptr := range d.rt.LocalObjects() {
+	var local []core.MobilePtr
+	for _, ptr := range d.ptrs { // grid order
+		if d.rt.IsLocal(ptr) {
+			local = append(local, ptr)
+		}
+	}
+	for _, ptr := range residentFirst(local, d.rt.InCore) {
 		d.rt.Post(ptr, hBlockDump, nil)
 	}
 	d.rt.WaitTermination(d.cfg.Nodes)

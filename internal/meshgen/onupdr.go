@@ -385,7 +385,9 @@ func registerONUPDR(cl *cluster.Cluster, sh *onupdrShared) {
 		rt.Register(hLRelease, func(c *core.Ctx, arg []byte) {
 			c.Unlock(c.Self)
 		})
-		rt.Register(hLReport, func(c *core.Ctx, arg []byte) {
+		// The audit pass only reads the leaf: a leaf reloaded for it is
+		// dropped again without a write.
+		rt.RegisterReadOnly(hLReport, func(c *core.Ctx, arg []byte) {
 			o := c.Object().(*leafObj)
 			sh.mu.Lock()
 			sh.reports = append(sh.reports, struct {

@@ -120,7 +120,8 @@ func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 			}
 			copy(o.Nbs[:], ptrs)
 		})
-		rt.Register(hSDReport, func(c *core.Ctx, arg []byte) {
+		// Read-only: the report copies counts and hull out of the subdomain.
+		rt.RegisterReadOnly(hSDReport, func(c *core.Ctx, arg []byte) {
 			o := c.Object().(*subdomainObj)
 			rep := opcdmReport{rect: o.Rect}
 			if o.M != nil {

@@ -231,7 +231,9 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
 		oupdrIfaceHandler(c, c.Object().(*blockObj), arg, sh)
 	})
-	rt.Register(hBlockDump, func(c *core.Ctx, arg []byte) {
+	// The dump pass reads the block and reports; registered read-only, a
+	// block reloaded for it is dropped afterwards instead of written again.
+	rt.RegisterReadOnly(hBlockDump, func(c *core.Ctx, arg []byte) {
 		o := c.Object().(*blockObj)
 		i, j := blockIJ(o, sh.nb)
 		digest := hex.EncodeToString(hashMesh(o.MeshData))
@@ -335,6 +337,24 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) {
 	}
 }
 
+// residentFirst orders a sweep over every block: the blocks in core now, then
+// the rest, each group in the order given (grid order). LRU on a cyclic sweep
+// evicts exactly what the sweep needs next, so a sweep that starts over from
+// the first block reloads every block, the resident ones included; visiting
+// those first reloads only the ones that were out.
+func residentFirst(ptrs []core.MobilePtr, inCore func(core.MobilePtr) bool) []core.MobilePtr {
+	out := make([]core.MobilePtr, 0, len(ptrs))
+	var rest []core.MobilePtr
+	for _, p := range ptrs {
+		if inCore(p) {
+			out = append(out, p)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	return append(out, rest...)
+}
+
 // RunOUPDR executes the out-of-core uniform method on an MRTS cluster: one
 // mobile object per block, meshing driven by messages, interfaces verified
 // by one-sided exchanges, blocks swapped to disk under memory pressure.
@@ -375,7 +395,8 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	// point — and combine the hashes into the run-wide digest the
 	// mesh-equality properties compare.
 	sh.begin(cfg.Export)
-	for _, p := range ptrs {
+	inCore := func(p core.MobilePtr) bool { return cl.RT(int(p.Home)).InCore(p) }
+	for _, p := range residentFirst(ptrs, inCore) {
 		cl.RT(int(p.Home)).Post(p, hBlockDump, nil)
 	}
 	cl.Wait()

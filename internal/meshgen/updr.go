@@ -90,6 +90,7 @@ type blockMesh struct {
 	rect     geom.Rect
 	mesh     *mesh.Mesh
 	boundary []geom.Point
+	hull     []geom.Point // hullPoints' result, computed on first use
 }
 
 // interfacePoints returns the block's boundary points on the given side
@@ -109,7 +110,13 @@ func (b *blockMesh) interfacePoints(side int) []geom.Point {
 	return edgePointsOn(b.hullPoints(), a, c)
 }
 
+// hullPoints returns the mesh's boundary vertices in first-seen order. The
+// scan covers every triangle and the mesh is final once refined, so it runs
+// once per block; callers only read the result.
 func (b *blockMesh) hullPoints() []geom.Point {
+	if b.hull != nil {
+		return b.hull
+	}
 	seen := make(map[geom.Point]bool)
 	var out []geom.Point
 	m := b.mesh
@@ -126,6 +133,7 @@ func (b *blockMesh) hullPoints() []geom.Point {
 			}
 		}
 	})
+	b.hull = out
 	return out
 }
 

@@ -1,9 +1,13 @@
 package meshgen
 
 import (
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"mrts/internal/cluster"
+	"mrts/internal/core"
 	"mrts/internal/geom"
 )
 
@@ -193,5 +197,107 @@ func TestRunOUPDR3BadConfig(t *testing.T) {
 	cl := newTestCluster(t, 1, 1<<30)
 	if _, err := RunOUPDR3(cl, OUPDR3Config{}); err == nil {
 		t.Fatal("zero target should fail")
+	}
+}
+
+// TestMeshHashOfIgnoresReportOrder: the dump sweep visits resident blocks
+// first, so reports arrive in an order that depends on what was in core; the
+// run-wide digest must not.
+func TestMeshHashOfIgnoresReportOrder(t *testing.T) {
+	dump := []BlockDump{
+		{I: 0, J: 0, Elements: 10, Hash: "aa"}, {I: 1, J: 0, Elements: 11, Hash: "bb"},
+		{I: 0, J: 1, Elements: 12, Hash: "cc"}, {I: 1, J: 1, Elements: 13, Hash: "dd"},
+	}
+	want := MeshHashOf(dump)
+	for _, perm := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {1, 3, 0, 2}} {
+		shuffled := make([]BlockDump, len(dump))
+		for i, k := range perm {
+			shuffled[i] = dump[k]
+		}
+		if got := MeshHashOf(shuffled); got != want {
+			t.Fatalf("MeshHashOf depends on report order: %v gives %s, want %s", perm, got, want)
+		}
+	}
+	dump[2].Hash = "ce"
+	if MeshHashOf(dump) == want {
+		t.Fatal("MeshHashOf ignores a block's hash")
+	}
+}
+
+func TestResidentFirstKeepsGridOrderWithinGroups(t *testing.T) {
+	ptrs := make([]core.MobilePtr, 6)
+	for i := range ptrs {
+		ptrs[i] = core.MobilePtr{Home: 0, Seq: uint32(i + 1)}
+	}
+	in := map[core.MobilePtr]bool{ptrs[1]: true, ptrs[4]: true}
+	got := residentFirst(ptrs, func(p core.MobilePtr) bool { return in[p] })
+	want := []core.MobilePtr{ptrs[1], ptrs[4], ptrs[0], ptrs[2], ptrs[3], ptrs[5]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("residentFirst = %v, want %v", got, want)
+	}
+}
+
+// TestHullPointsComputedOnce: the cached hull is the scan's own result — same
+// points, same order — and the interface sets read from it are what a fresh
+// scan gives.
+func TestHullPointsComputedOnce(t *testing.T) {
+	bm, err := meshBlock(blockRect(2, 1, 0), 0.05, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &blockMesh{rect: bm.rect, mesh: bm.mesh, boundary: bm.boundary}
+	first := bm.hullPoints()
+	if len(first) == 0 || !slices.Equal(first, fresh.hullPoints()) {
+		t.Fatalf("cached hull differs from a fresh scan")
+	}
+	if again := bm.hullPoints(); &again[0] != &first[0] {
+		t.Fatalf("second call rescanned the mesh")
+	}
+	for side := 0; side < 2; side++ {
+		fresh := &blockMesh{rect: bm.rect, mesh: bm.mesh, boundary: bm.boundary}
+		if !slices.Equal(bm.interfacePoints(side), fresh.interfacePoints(side)) {
+			t.Fatalf("side %d: interface points differ from a fresh scan", side)
+		}
+	}
+}
+
+// TestRunOUPDRDumpPassWritesNothing: out of core, the dump pass reloads
+// blocks, reads them and lets them go again without a write — and the mesh
+// digest is the in-core run's.
+func TestRunOUPDRDumpPassWritesNothing(t *testing.T) {
+	ref, err := RunOUPDR(newTestCluster(t, 2, 1<<30), UPDRConfig{Blocks: 4, TargetElements: 12000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.Config{Nodes: 2, MemBudget: 200_000, Factory: Factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := RunOUPDR(cl, UPDRConfig{Blocks: 4, TargetElements: 12000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MeshHash != ref.MeshHash {
+		t.Fatalf("out-of-core MeshHash %s, in-core %s", res.MeshHash, ref.MeshHash)
+	}
+	// Quiescence does not wait for the last eviction writes to land.
+	for i := 0; cl.IOStats().CompletedWrites < cl.IOStats().Writes; i++ {
+		if i > 5000 {
+			t.Fatal("eviction writes never drained")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var drops float64
+	for k, v := range cl.Metrics() {
+		if strings.HasSuffix(k, "swap.clean_drops") {
+			drops += v
+		}
+	}
+	if drops == 0 {
+		t.Fatalf("no clean drops in %d evictions: the dump pass rewrote what it only read", res.Mem.Evictions)
+	}
+	if puts := cl.DiskStats().Puts; puts+uint64(drops) != res.Mem.Evictions {
+		t.Errorf("%d evictions = %d writes + %v clean drops does not add up", res.Mem.Evictions, puts, drops)
 	}
 }

@@ -251,6 +251,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		"stale lock-free count":  func(m *Manager) { m.wantedN.Store(0) },
 		"unindexed wanted entry": func(m *Manager) { m.entries[4].priority = 2 },
 		"byte accounting":        func(m *Manager) { m.used += 7 },
+		"pinned accounting":      func(m *Manager) { m.entries[1].queueLen = 1 },
 	} {
 		m := build()
 		corrupt(m)

@@ -101,6 +101,35 @@ type entry struct {
 // message or a priority hint. Out of core, that makes it a prefetch candidate.
 func (e *entry) hinted() bool { return e.queueLen > 0 || e.priority > 0 }
 
+// pinned totals the in-core entries that cannot be evicted right now: bytes
+// of those locked or with messages queued, and how many of them have messages
+// queued — the ones a drain will unpin without anybody's help.
+type pinned struct {
+	bytes  int64
+	queued int
+}
+
+// pin is e's share of Manager.pinned.
+func (e *entry) pin() (p pinned) {
+	if !e.inCore {
+		return p
+	}
+	if e.queueLen > 0 {
+		p.queued = 1
+	}
+	if e.locked > 0 || e.queueLen > 0 {
+		p.bytes = e.size
+	}
+	return p
+}
+
+// repin replaces was, e's share before a change, with its share now.
+func (m *Manager) repin(e *entry, was pinned) {
+	now := e.pin()
+	m.pinned.bytes += now.bytes - was.bytes
+	m.pinned.queued += now.queued - was.queued
+}
+
 // Stats summarizes manager activity.
 type Stats struct {
 	Evictions   uint64
@@ -127,6 +156,10 @@ type Manager struct {
 	cfg  Config
 	used int64
 	peak int64
+	// pinned is the part of used that no eviction can free right now. Every
+	// method that changes an entry's residency, size, lock count or queue
+	// length re-reads the entry's share around the change (entry.pin, repin).
+	pinned pinned
 
 	clock   uint64
 	entries map[ObjectID]*entry
@@ -232,6 +265,9 @@ func (m *Manager) Unregister(id ObjectID) {
 	if !ok {
 		return
 	}
+	gone := e.pin()
+	m.pinned.bytes -= gone.bytes
+	m.pinned.queued -= gone.queued
 	if e.inCore {
 		m.used -= e.size
 		remove(&m.resident, e)
@@ -260,13 +296,12 @@ func (m *Manager) SetSize(id ObjectID, size int64) {
 	if !ok {
 		return
 	}
+	was := e.pin()
 	if e.inCore {
-		m.used += size - e.size
-		if m.used > m.peak {
-			m.peak = m.used
-		}
+		m.addUsed(size - e.size)
 	}
 	e.size = size
+	m.repin(e, was)
 }
 
 // Size returns the accounted size of id (0 if unknown).
@@ -285,7 +320,9 @@ func (m *Manager) Lock(id ObjectID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[id]; ok {
+		was := e.pin()
 		e.locked++
+		m.repin(e, was)
 	}
 }
 
@@ -294,7 +331,9 @@ func (m *Manager) Unlock(id ObjectID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[id]; ok && e.locked > 0 {
+		was := e.pin()
 		e.locked--
+		m.repin(e, was)
 	}
 }
 
@@ -336,11 +375,24 @@ func (m *Manager) SetQueueLen(id ObjectID, n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.entries[id]; ok {
+		was := e.pin()
 		e.queueLen = n
+		m.repin(e, was)
 		if !e.inCore {
 			m.setWanted(e, e.hinted())
 		}
 	}
+}
+
+// QueueLen returns the queue length last set for id (0 for an unknown
+// object).
+func (m *Manager) QueueLen(id ObjectID) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[id]; ok {
+		return e.queueLen
+	}
+	return 0
 }
 
 // InCore reports whether id is resident.
@@ -359,8 +411,10 @@ func (m *Manager) MarkOut(id ObjectID) {
 	if !ok || !e.inCore {
 		return
 	}
+	was := e.pin()
 	remove(&m.resident, e)
 	e.inCore = false
+	m.repin(e, was)
 	m.setWanted(e, e.hinted())
 	m.used -= e.size
 	m.evictions++
@@ -385,6 +439,7 @@ func (m *Manager) MarkIn(id ObjectID) {
 	e.firstSeen = m.clock
 	m.loads++
 	m.addUsed(e.size)
+	m.repin(e, pinned{})
 }
 
 func (m *Manager) addUsed(n int64) {
@@ -444,6 +499,21 @@ func (m *Manager) NeedForAlloc(extra int64) int64 {
 		return 0
 	}
 	return over
+}
+
+// Admits is the admission test for demand loads. fits: extra more bytes fit
+// in core once every idle resident is evicted — what is pinned, plus extra,
+// stays inside the limit NeedForAlloc enforces, so a load admitted under it
+// can always make its own room. wait: they do not fit now, but some resident
+// has messages queued, and the drain that empties it will unpin it; when
+// neither holds, nothing the manager knows of will ever make room.
+func (m *Manager) Admits(extra int64) (fits, wait bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.pinned.bytes+extra <= m.cfg.Budget-m.hardThresholdLocked() {
+		return true, false
+	}
+	return false, m.pinned.queued > 0
 }
 
 // victimKey is the policy's eviction key for e: lower goes first. LFU's key
@@ -608,13 +678,12 @@ func (m *Manager) SetStoredSize(id ObjectID, size int64) {
 	if !ok {
 		return
 	}
+	was := e.pin()
 	if e.inCore {
-		m.used += size - e.size
-		if m.used > m.peak {
-			m.peak = m.used
-		}
+		m.addUsed(size - e.size)
 	}
 	e.size = size
+	m.repin(e, was)
 	if size > m.largestStored {
 		m.largestStored = size
 	}
@@ -671,7 +740,7 @@ func (m *Manager) Snapshot() Stats {
 // one message per violation (empty = healthy): every entry sits in exactly
 // the index its state calls for, at the position it records; the indexes
 // hold nothing else; the lock-free wanted count matches; and the in-core
-// byte count is the sum of the resident sizes.
+// and pinned byte counts are the sums they stand for.
 func (m *Manager) CheckInvariants() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -684,7 +753,11 @@ func (m *Manager) CheckInvariants() []string {
 	}
 	var resident, wanted int
 	var used int64
+	var pins pinned
 	for id, e := range m.entries {
+		p := e.pin()
+		pins.bytes += p.bytes
+		pins.queued += p.queued
 		switch {
 		case e.id != id:
 			fail("object %d filed under id %d", e.id, id)
@@ -714,6 +787,9 @@ func (m *Manager) CheckInvariants() []string {
 	}
 	if used != m.used {
 		fail("%d bytes accounted in core, resident sizes sum to %d", m.used, used)
+	}
+	if pins != m.pinned {
+		fail("pinned accounting reads %+v, locked and queued residents sum to %+v", m.pinned, pins)
 	}
 	return out
 }

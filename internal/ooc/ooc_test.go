@@ -493,3 +493,34 @@ func TestSetStoredSize(t *testing.T) {
 		t.Fatalf("MemUsed = %d after in-core resize, want 300", used)
 	}
 }
+
+// TestAdmitsCountsOnlyWhatCannotBeEvicted: idle residents do not stand in the
+// way of an admission, locked and queued ones do, the hard threshold's
+// headroom is kept free, and waiting is only advised while a queued resident
+// is there to drain.
+func TestAdmitsCountsOnlyWhatCannotBeEvicted(t *testing.T) {
+	m := NewManager(Config{Budget: 1000})
+	for id := ObjectID(1); id <= 8; id++ {
+		if err := m.Register(id, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admits := func(extra int64, fits, wait bool) {
+		t.Helper()
+		if f, w := m.Admits(extra); f != fits || w != wait {
+			t.Fatalf("Admits(%d) = fits %v wait %v, want %v %v", extra, f, w, fits, wait)
+		}
+	}
+	admits(1000, true, false) // eight idle residents block nothing
+	m.SetQueueLen(1, 2)
+	m.Lock(2)
+	admits(800, true, false)
+	admits(801, false, true) // 200 pinned; object 1 will drain
+	m.MarkOut(3)             // largest stored = 100: the hard threshold reserves 200
+	admits(600, true, false)
+	admits(601, false, true)
+	m.SetQueueLen(1, 0)
+	admits(701, false, false) // only the lock pins now: nothing will drain
+	m.Unlock(2)
+	admits(800, true, false)
+}

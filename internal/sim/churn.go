@@ -12,7 +12,10 @@ func registerHandlersOn(rt *core.Runtime, board *counterBoard) {
 	rt.Register(hInc, func(c *core.Ctx, arg []byte) {
 		c.Object().(*simObj).Count++
 	})
-	rt.Register(hReport, func(c *core.Ctx, arg []byte) {
+	// The report only reads the counter. Registered read-only, an object that
+	// was loaded for it alone is dropped at its next eviction without a write,
+	// and the quiescent sweep checks that its stored copy still matches.
+	rt.RegisterReadOnly(hReport, func(c *core.Ctx, arg []byte) {
 		n := c.Object().(*simObj).Count
 		board.mu.Lock()
 		board.counts[c.Self] = n

@@ -103,7 +103,11 @@ func buildObjects(env *Env) []core.MobilePtr {
 }
 
 // postStorm posts the plan's increments from seed-drawn sender nodes to
-// seed-drawn targets and returns the expected per-object final counts.
+// seed-drawn targets and returns the expected per-object final counts. Every
+// fourth increment is followed by a report to the same object — no draw, so
+// the seed's targets and senders are what they were — which puts read-only
+// work, and with it clean evictions, in the middle of whatever the scenario
+// is storming through: faults, migrations, churn.
 func postStorm(env *Env, ptrs []core.MobilePtr, posts int) map[core.MobilePtr]int64 {
 	expected := make(map[core.MobilePtr]int64, len(ptrs))
 	for _, p := range ptrs {
@@ -114,6 +118,9 @@ func postStorm(env *Env, ptrs []core.MobilePtr, posts int) map[core.MobilePtr]in
 		sender := env.Cluster.RT(env.Rng.Intn(env.Plan.Nodes))
 		sender.Post(target, hInc, nil)
 		expected[target]++
+		if i%4 == 3 {
+			sender.Post(target, hReport, nil)
+		}
 	}
 	return expected
 }

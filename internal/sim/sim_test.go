@@ -118,3 +118,39 @@ func TestPlanIsPureFunctionOfSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestCleanDropsUnderFaultsMigrationAndChurn: the scenarios' read-only report
+// handler makes evictions that write nothing happen in the middle of
+// transient faults, migration, graceful churn, a node crash and a faulty
+// tier — and every one of those runs ends with each clean resident object
+// equal to its stored copy (the quiescent sweep, so a failure shows up as a
+// violation). The count depends on the schedule; that there are any does not.
+func TestCleanDropsUnderFaultsMigrationAndChurn(t *testing.T) {
+	for _, seed := range []int64{11, 12, 14, 15, 26} {
+		probe := &cleanDropProbe{Scenario: scenarioForSeed(seed)}
+		res := Run(seed, probe)
+		if res.Failed() {
+			t.Errorf("seed %d (%s) failed:\n%s", seed, res.Scenario, res.TraceBytes())
+		}
+		if probe.drops == 0 {
+			t.Errorf("seed %d (%s): no eviction was a clean drop", seed, res.Scenario)
+		}
+	}
+}
+
+// cleanDropProbe runs a scenario and then reads swap.clean_drops, summed over
+// the nodes, from the cluster's metrics while Run still has the cluster open.
+type cleanDropProbe struct {
+	Scenario
+	drops float64
+}
+
+func (p *cleanDropProbe) Run(env *Env) error {
+	err := p.Scenario.Run(env)
+	for k, v := range env.Cluster.Metrics() {
+		if strings.HasSuffix(k, "swap.clean_drops") {
+			p.drops += v
+		}
+	}
+	return err
+}

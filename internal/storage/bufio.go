@@ -120,10 +120,10 @@ func (s *MemStore) PutBuf(key Key, data []byte) error {
 func (s *LatencyStore) GetBuf(key Key) ([]byte, error) {
 	d, err := GetBuf(s.inner, key)
 	if err != nil {
-		s.delay(0)
+		s.occupy(0)
 		return nil, err
 	}
-	s.delay(len(d))
+	s.occupy(len(d))
 	return d, nil
 }
 
@@ -132,6 +132,6 @@ func (s *LatencyStore) ReleaseBuf(data []byte) { ReleaseBuf(s.inner, data) }
 
 // PutBuf implements BufPutter.
 func (s *LatencyStore) PutBuf(key Key, data []byte) error {
-	s.delay(len(data))
+	s.occupy(len(data))
 	return PutBuf(s.inner, key, data)
 }

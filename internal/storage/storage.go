@@ -216,7 +216,11 @@ type LatencyStore struct {
 	inner Store
 	model DiskModel
 	clk   clock.Clock
-	mu    sync.Mutex // one spindle: operations do not proceed in parallel
+
+	// The spindle's timeline: one operation at a time, each starting when the
+	// one before it ends.
+	mu        sync.Mutex
+	busyUntil time.Time
 }
 
 // NewLatency wraps inner with the given model on the wall clock.
@@ -231,19 +235,31 @@ func NewLatencyClock(inner Store, model DiskModel, clk clock.Clock) *LatencyStor
 	return &LatencyStore{inner: inner, model: model, clk: clock.Or(clk)}
 }
 
-func (s *LatencyStore) delay(size int) {
+// occupy books the spindle for one operation on size bytes and sleeps until
+// that operation's modeled end. The booking is an absolute time, like the
+// network model's delivery time, and the sleep is outside the mutex: a
+// caller that wakes late is late alone, where a lock held across the sleep
+// would bill its lateness to every operation behind it as seek time.
+func (s *LatencyStore) occupy(size int) {
 	d := s.model.ServiceTime(size)
 	if d <= 0 {
 		return
 	}
 	s.mu.Lock()
-	s.clk.Sleep(d)
+	now := s.clk.Now()
+	start := now
+	if s.busyUntil.After(start) {
+		start = s.busyUntil
+	}
+	s.busyUntil = start.Add(d)
+	wait := s.busyUntil.Sub(now)
 	s.mu.Unlock()
+	s.clk.Sleep(wait)
 }
 
 // Put implements Store.
 func (s *LatencyStore) Put(key Key, data []byte) error {
-	s.delay(len(data))
+	s.occupy(len(data))
 	return s.inner.Put(key, data)
 }
 
@@ -252,22 +268,22 @@ func (s *LatencyStore) Put(key Key, data []byte) error {
 func (s *LatencyStore) Get(key Key) ([]byte, error) {
 	d, err := s.inner.Get(key)
 	if err != nil {
-		s.delay(0)
+		s.occupy(0)
 		return nil, err
 	}
-	s.delay(len(d))
+	s.occupy(len(d))
 	return d, nil
 }
 
 // Delete implements Store. Directory updates cost one seek.
 func (s *LatencyStore) Delete(key Key) error {
-	s.delay(0)
+	s.occupy(0)
 	return s.inner.Delete(key)
 }
 
 // Has implements Store. Probing the directory costs one seek.
 func (s *LatencyStore) Has(key Key) bool {
-	s.delay(0)
+	s.occupy(0)
 	return s.inner.Has(key)
 }
 
