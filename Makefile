@@ -89,7 +89,7 @@ sim-soak:
 # heartbeat and sharded-directory code in internal/comm and internal/cluster
 # included). Only the clock implementations themselves may call the time
 # package for "now"/sleeping.
-CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool
+CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool internal/obs
 
 # gofmt and vet, then five layering rules. This target is their only
 # statement: CI's lint job calls it, then runs staticcheck (which needs an

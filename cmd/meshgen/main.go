@@ -23,7 +23,6 @@ import (
 	"mrts/internal/obs"
 	"mrts/internal/ooc"
 	"mrts/internal/render"
-	"mrts/internal/trace"
 	"mrts/internal/workload"
 )
 
@@ -126,9 +125,7 @@ func main() {
 		fmt.Printf("wrote %s\n", *svgPath)
 	}
 	if ooM {
-		r := res.Report
-		fmt.Printf("comp %.1f%%  comm %.1f%%  disk %.1f%%  overlap %.1f%%\n",
-			r.Percent(trace.Comp), r.Percent(trace.Comm), r.Percent(trace.Disk), r.Overlap())
+		fmt.Println(res.Report)
 		fmt.Printf("evictions %d  loads %d  peak mem %d KB\n",
 			res.Mem.Evictions, res.Mem.Loads, res.Mem.PeakMemUsed/1024)
 	}

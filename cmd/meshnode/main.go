@@ -84,13 +84,14 @@ func main() {
 	}
 	defer tn.Close()
 
+	// The tracer is the node's time account whether or not -trace asks for
+	// the events as well (a nil sink hands out a tracer that keeps totals).
 	var sink *obs.TraceSink
-	var tracer *obs.Tracer
 	if *traceOut != "" {
 		sink = obs.NewTraceSink(obs.DefaultCapacity)
-		tracer = sink.NewTracer(fmt.Sprintf("node%d", tn.Node()))
-		tn.SetTracer(tracer)
 	}
+	tracer := sink.NewTracer(fmt.Sprintf("node%d", tn.Node()), nil)
+	tn.SetTracer(tracer)
 
 	store, err := openStore(*spool, "spool")
 	if err != nil {
@@ -106,9 +107,7 @@ func main() {
 		b = int64(*elements) * 30
 	}
 	pool := sched.NewWorkStealing(*workers)
-	if tracer != nil {
-		pool.SetTracer(tracer)
-	}
+	pool.SetTracer(tracer)
 	rkind, err := cluster.ParseRouting(*routing)
 	if err != nil {
 		fatalf("routing: %v", err)
@@ -188,6 +187,7 @@ func main() {
 			if m := d.Mismatches(); m != 0 {
 				fatalf("%d interface mismatches", m)
 			}
+			logf(tn, "%v", rt.Report())
 			writeTrace(*traceOut, sink)
 			return
 		case line == "dump":

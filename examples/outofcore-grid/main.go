@@ -15,7 +15,6 @@ import (
 	"mrts/internal/cluster"
 	"mrts/internal/meshgen"
 	"mrts/internal/ooc"
-	"mrts/internal/trace"
 )
 
 func main() {
@@ -53,9 +52,7 @@ func main() {
 	fmt.Printf("memory: budget %d KB/node, peak %d KB, %d evictions, %d reloads\n",
 		cl.RT(0).Mem().Budget()/1024, res.Mem.PeakMemUsed/1024,
 		res.Mem.Evictions, res.Mem.Loads)
-	r := res.Report
-	fmt.Printf("breakdown: comp %.1f%%  comm %.1f%%  disk %.1f%%  overlap %.1f%%\n",
-		r.Percent(trace.Comp), r.Percent(trace.Comm), r.Percent(trace.Disk), r.Overlap())
+	fmt.Println("breakdown:", res.Report)
 
 	if res.Mem.Evictions == 0 {
 		log.Fatal("expected the problem to run out-of-core")

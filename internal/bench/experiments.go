@@ -15,7 +15,6 @@ import (
 	"mrts/internal/ooc"
 	"mrts/internal/sched"
 	"mrts/internal/storage"
-	"mrts/internal/trace"
 )
 
 // Options tune the harness for the machine it runs on.
@@ -318,9 +317,9 @@ func oocScaling(id, title, method string, sizes []int, inCoreElems int, opts Opt
 			perElem = res.Elapsed / time.Duration(res.Elements)
 		}
 		t.AddRow(fmtK(res.Elements), fmtDur(res.Elapsed), perElem.String(),
-			fmtInt(int(res.Mem.Evictions)), fmtPct(res.Report.Percent(trace.Disk)))
+			fmtInt(int(res.Mem.Evictions)), fmtPct(res.Report.Percent(res.Report.Disk)))
 		t.SetMetric(fmt.Sprintf("sz%d/time_sec", s), res.Elapsed.Seconds())
-		t.SetMetric(fmt.Sprintf("sz%d/disk_pct", s), res.Report.Percent(trace.Disk))
+		t.SetMetric(fmt.Sprintf("sz%d/disk_pct", s), res.Report.Percent(res.Report.Disk))
 		t.SetMetric(fmt.Sprintf("sz%d/evictions", s), float64(res.Mem.Evictions))
 	}
 	return t, nil
@@ -424,11 +423,11 @@ func overlapTable(id, title, method string, sizes []int, opts Options) (*Table, 
 			return nil, err
 		}
 		r := res.Report
-		t.AddRow(fmtK(res.Elements), fmtPct(r.Percent(trace.Comp)), fmtPct(r.Percent(trace.Comm)),
-			fmtPct(r.Percent(trace.Disk)), fmtPct(r.Overlap()))
-		t.SetMetric(fmt.Sprintf("sz%d/comp_pct", s), r.Percent(trace.Comp))
-		t.SetMetric(fmt.Sprintf("sz%d/comm_pct", s), r.Percent(trace.Comm))
-		t.SetMetric(fmt.Sprintf("sz%d/disk_pct", s), r.Percent(trace.Disk))
+		t.AddRow(fmtK(res.Elements), fmtPct(r.Percent(r.Comp)), fmtPct(r.Percent(r.Comm)),
+			fmtPct(r.Percent(r.Disk)), fmtPct(r.Overlap()))
+		t.SetMetric(fmt.Sprintf("sz%d/comp_pct", s), r.Percent(r.Comp))
+		t.SetMetric(fmt.Sprintf("sz%d/comm_pct", s), r.Percent(r.Comm))
+		t.SetMetric(fmt.Sprintf("sz%d/disk_pct", s), r.Percent(r.Disk))
 		t.SetMetric(fmt.Sprintf("sz%d/overlap_pct", s), r.Overlap())
 	}
 	return t, nil

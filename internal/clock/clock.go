@@ -10,7 +10,7 @@
 // virtual time reproducibly.
 //
 // The injection rule (enforced by `make lint` and the CI lint job): no
-// source file in internal/{core,comm,storage,swapio,sched,cluster} may call
+// source file in the packages Makefile lists as CLOCKED_PKGS may call
 // time.Now, time.Sleep, time.After, time.NewTimer or time.Tick — this
 // package is the only place those calls are allowed to reach the runtime
 // from.

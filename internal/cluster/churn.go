@@ -21,10 +21,8 @@ import (
 	"fmt"
 	"time"
 
-	"mrts/internal/comm"
 	"mrts/internal/core"
 	"mrts/internal/obs"
-	"mrts/internal/ooc"
 	"mrts/internal/storage"
 )
 
@@ -298,52 +296,11 @@ func (c *Cluster) RestartNode(i int) (*core.Runtime, error) {
 		return nil, fmt.Errorf("cluster: node %d has no crash checkpoint", i)
 	}
 
-	disk := c.cfg.Disk
-	if c.cfg.NodeDisk != nil {
-		disk = c.cfg.NodeDisk(i)
-	}
-	st, raw, err := c.nodeBaseStore(i, disk)
+	st, raw, err := c.nodeBaseStore(i)
 	if err != nil {
 		return nil, err
 	}
-	retry := c.cfg.Retry
-	if retry.Clock == nil {
-		retry.Clock = c.cfg.Clock
-	}
-	retry.Seed += c.cfg.Seed + int64(i)*7919
-	var commDelay func(int) time.Duration
-	if c.cfg.Network.Latency > 0 || c.cfg.Network.BytesPerSec > 0 {
-		commDelay = c.cfg.Network.Delay
-	}
-	var diskDelay func(int) time.Duration
-	if disk.Seek > 0 || disk.BytesPerSec > 0 {
-		diskDelay = disk.ServiceTime
-	}
-	var onSwapError func(core.SwapError)
-	if c.cfg.OnSwapError != nil {
-		node := i
-		hook := c.cfg.OnSwapError
-		onSwapError = func(e core.SwapError) { hook(node, e) }
-	}
-	cc := core.Config{
-		Endpoint:      c.tr.Endpoint(comm.NodeID(i)),
-		Pool:          c.pools[i],
-		Factory:       c.cfg.Factory,
-		Mem:           ooc.Config{Budget: c.cfg.MemBudget, Policy: c.cfg.Policy},
-		Store:         st,
-		IOWorkers:     c.cfg.IOWorkers,
-		QueueDepth:    c.cfg.QueueDepth,
-		PrefetchDepth: c.cfg.PrefetchDepth,
-		Retry:         retry,
-		OnSwapError:   onSwapError,
-		Collector:     c.cols[i],
-		Tracer:        c.tracers[i],
-		CommDelay:     commDelay,
-		DiskDelay:     diskDelay,
-		Clock:         c.cfg.Clock,
-	}
-	c.applyRouting(&cc, i)
-	rt := core.NewRuntime(cc)
+	rt := core.NewRuntime(c.nodeConfig(i, st))
 	if err := rt.Restore(ck, "crash"); err != nil {
 		rt.Close()
 		return nil, fmt.Errorf("cluster: restore node %d: %w", i, err)

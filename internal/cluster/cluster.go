@@ -1,6 +1,6 @@
 // Package cluster assembles simulated clusters: N MRTS nodes inside one
 // process, each with its own memory budget, task pool (PEs), spool store and
-// trace collector, wired by an in-process one-sided transport with a
+// tracer, wired by an in-process one-sided transport with a
 // configurable network model. It also hosts the batch-queue simulator used
 // to reproduce Figure 1 of the paper.
 package cluster
@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mrts/internal/clock"
 	"mrts/internal/comm"
@@ -23,7 +22,6 @@ import (
 	"mrts/internal/storage"
 	"mrts/internal/swapio"
 	"mrts/internal/tier"
-	"mrts/internal/trace"
 )
 
 // SchedulerKind selects the computing layer implementation (Table VII).
@@ -97,10 +95,11 @@ type Config struct {
 	// OnSwapError, when non-nil, is installed on every node and receives
 	// swap-path failures that survived the retry budget.
 	OnSwapError func(node int, e core.SwapError)
-	// Trace, when non-nil, enables structured event tracing: every node
-	// draws a tracer from this sink (so timelines across nodes — and
-	// across clusters sharing the sink — align), installed on the node's
-	// endpoint, task pool and runtime. Export with obs.WriteChromeTrace.
+	// Trace, when non-nil, enables structured event tracing: every node's
+	// tracer — installed on its endpoint, task pool and runtime, and always
+	// there for the time account — is drawn from this sink (so timelines
+	// across nodes, and across clusters sharing the sink, align) and records
+	// events. Export with obs.WriteChromeTrace.
 	Trace *obs.TraceSink
 	// TraceLabel prefixes the per-node tracer labels (e.g. "fig8/" makes
 	// "fig8/node0"), distinguishing clusters that share one sink.
@@ -166,12 +165,10 @@ type Cluster struct {
 	cfg     Config
 	tr      *comm.InProcTransport
 	pools   []sched.Pool
-	cols    []*trace.Collector
 	tracers []*obs.Tracer
 	tiers   []*tier.Store
 	memsrv  *remotemem.Server
 	clk     clock.Clock
-	start   time.Time
 
 	// nmu guards the per-node slots that churn operations replace or flag
 	// (a restarted node gets a fresh runtime and store in the same slot)
@@ -204,7 +201,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	tiered := cfg.RemoteMemory && cfg.Tier != nil
 	clk := clock.Or(cfg.Clock)
-	c := &Cluster{cfg: cfg, tr: comm.NewInProcClock(endpoints, cfg.Network, clk), clk: clk, start: clk.Now()}
+	c := &Cluster{cfg: cfg, tr: comm.NewInProcClock(endpoints, cfg.Network, clk), clk: clk}
 	// The placement ring exists before any node: RoutePlaced nodes wrap it as
 	// their locator, and churn mutates this same instance, so every node's
 	// routing view moves with the membership by construction.
@@ -231,23 +228,14 @@ func New(cfg Config) (*Cluster, error) {
 		default:
 			pool = sched.NewWorkStealingSeeded(cfg.WorkersPerNode, cfg.Seed+int64(i)*65537)
 		}
-		var tracer *obs.Tracer
-		if cfg.Trace != nil {
-			tracer = cfg.Trace.NewTracer(fmt.Sprintf("%snode%d", cfg.TraceLabel, i))
-			pool.SetTracer(tracer)
-			c.tr.Endpoint(comm.NodeID(i)).SetTracer(tracer)
-		}
-		retry := cfg.Retry
-		if retry.Clock == nil {
-			retry.Clock = cfg.Clock
-		}
-		// Fold the node index into the jitter seed so concurrent retriers
-		// decorrelate while staying reproducible from Config.Seed.
-		retry.Seed += cfg.Seed + int64(i)*7919
-		disk := cfg.Disk
-		if cfg.NodeDisk != nil {
-			disk = cfg.NodeDisk(i)
-		}
+		// One tracer per node, on the cluster's clock, wired into all three
+		// layers: it is the node's time account, and with a sink also its
+		// event ring.
+		tracer := cfg.Trace.NewTracer(fmt.Sprintf("%snode%d", cfg.TraceLabel, i), clk)
+		pool.SetTracer(tracer)
+		c.tr.Endpoint(comm.NodeID(i)).SetTracer(tracer)
+		c.pools = append(c.pools, pool)
+		c.tracers = append(c.tracers, tracer)
 		var st storage.Store
 		if cfg.RemoteMemory && !tiered {
 			// Legacy exclusive mode: remote memory replaces disk outright.
@@ -261,7 +249,7 @@ func New(cfg Config) (*Cluster, error) {
 			// The disk (or backstop) store keeps its full latency + fault
 			// stack even when remote memory fronts it — the service-time
 			// model is part of the tier, not an alternative to it.
-			base, raw, err := c.nodeBaseStore(i, disk)
+			base, raw, err := c.nodeBaseStore(i)
 			if err != nil {
 				c.Close()
 				return nil, err
@@ -300,7 +288,7 @@ func New(cfg Config) (*Cluster, error) {
 					PromoteAfter: cfg.Tier.PromoteAfter,
 					Workers:      cfg.Tier.Workers,
 					Compress:     compress,
-					Retry:        retry,
+					Retry:        c.nodeRetry(i),
 					Tracer:       tracer,
 					Clock:        cfg.Clock,
 				})
@@ -314,57 +302,54 @@ func New(cfg Config) (*Cluster, error) {
 				st = base
 			}
 		}
-		col := trace.NewCollector()
-		var commDelay func(int) time.Duration
-		if cfg.Network.Latency > 0 || cfg.Network.BytesPerSec > 0 {
-			commDelay = cfg.Network.Delay
-		}
-		var diskDelay func(int) time.Duration
-		if (disk.Seek > 0 || disk.BytesPerSec > 0) && !tiered {
-			// Tiered nodes charge measured durations instead: a tier-0 hit
-			// must not be billed the modeled disk service time, while a
-			// tier-1 access pays the LatencyClock on the slow store.
-			diskDelay = disk.ServiceTime
-		}
-		var onSwapError func(core.SwapError)
-		if cfg.OnSwapError != nil {
-			node := i
-			hook := cfg.OnSwapError
-			onSwapError = func(e core.SwapError) { hook(node, e) }
-		}
-		cc := core.Config{
-			Endpoint:      c.tr.Endpoint(comm.NodeID(i)),
-			Pool:          pool,
-			Factory:       cfg.Factory,
-			Mem:           ooc.Config{Budget: cfg.MemBudget, Policy: cfg.Policy},
-			Store:         st,
-			IOWorkers:     cfg.IOWorkers,
-			QueueDepth:    cfg.QueueDepth,
-			PrefetchDepth: cfg.PrefetchDepth,
-			Retry:         retry,
-			OnSwapError:   onSwapError,
-			Collector:     col,
-			Tracer:        tracer,
-			CommDelay:     commDelay,
-			DiskDelay:     diskDelay,
-			Clock:         cfg.Clock,
-		}
-		c.applyRouting(&cc, i)
-		rt := core.NewRuntime(cc)
-		c.pools = append(c.pools, pool)
-		c.rts = append(c.rts, rt)
-		c.cols = append(c.cols, col)
-		c.tracers = append(c.tracers, tracer)
+		c.rts = append(c.rts, core.NewRuntime(c.nodeConfig(i, st)))
 	}
 	c.inactive = make([]bool, cfg.Nodes)
 	c.ckpts = make([]storage.Store, cfg.Nodes)
 	return c, nil
 }
 
+// nodeRetry is node i's storage retry policy: the cluster's, on the
+// cluster's clock, with the node index folded into the jitter seed so
+// concurrent retriers decorrelate while staying reproducible from
+// Config.Seed.
+func (c *Cluster) nodeRetry(i int) storage.RetryPolicy {
+	retry := c.cfg.Retry
+	if retry.Clock == nil {
+		retry.Clock = c.cfg.Clock
+	}
+	retry.Seed += c.cfg.Seed + int64(i)*7919
+	return retry
+}
+
+// nodeConfig assembles the runtime configuration of node i over store st,
+// on the node's endpoint, pool and tracer. New and RestartNode both build
+// from it, so a relaunched node is configured exactly like its old
+// incarnation.
+func (c *Cluster) nodeConfig(i int, st storage.Store) core.Config {
+	cc := core.Config{
+		Endpoint:      c.tr.Endpoint(comm.NodeID(i)),
+		Pool:          c.pools[i],
+		Factory:       c.cfg.Factory,
+		Mem:           ooc.Config{Budget: c.cfg.MemBudget, Policy: c.cfg.Policy},
+		Store:         st,
+		IOWorkers:     c.cfg.IOWorkers,
+		QueueDepth:    c.cfg.QueueDepth,
+		PrefetchDepth: c.cfg.PrefetchDepth,
+		Retry:         c.nodeRetry(i),
+		Tracer:        c.tracers[i],
+		Clock:         c.cfg.Clock,
+	}
+	if hook := c.cfg.OnSwapError; hook != nil {
+		cc.OnSwapError = func(e core.SwapError) { hook(i, e) }
+	}
+	c.applyRouting(&cc, i)
+	return cc
+}
+
 // applyRouting fills node i's routing configuration per cfg.Routing: the
 // placement-aware locator over the shared ring, or one of the home-anchored
-// policy locators. RestartNode reuses it so a relaunched node routes exactly
-// like its old incarnation.
+// policy locators.
 func (c *Cluster) applyRouting(cc *core.Config, i int) {
 	switch c.cfg.Routing {
 	case RoutePlaced:
@@ -389,7 +374,11 @@ func (c *Cluster) applyRouting(cc *core.Config, i int) {
 // modeled disk latency and the deterministic fault layer. It returns the
 // wrapped store plus the raw media store (kept for DiskStats), and is also
 // how RestartNode gives a restarted node a fresh stack in the same slot.
-func (c *Cluster) nodeBaseStore(i int, disk storage.DiskModel) (wrapped, raw storage.Store, err error) {
+func (c *Cluster) nodeBaseStore(i int) (wrapped, raw storage.Store, err error) {
+	disk := c.cfg.Disk
+	if c.cfg.NodeDisk != nil {
+		disk = c.cfg.NodeDisk(i)
+	}
 	var base storage.Store
 	if c.cfg.SpoolDir != "" {
 		fs, err := storage.NewFile(filepath.Join(c.cfg.SpoolDir, fmt.Sprintf("node%d", i)))
@@ -493,14 +482,15 @@ func (c *Cluster) DiskStats() storage.Stats {
 // traveling").
 func (c *Cluster) Wait() { core.WaitQuiescence(c.Runtimes()...) }
 
-// Report merges the per-node trace reports for the elapsed wall time.
-func (c *Cluster) Report() trace.Report {
-	wall := c.clk.Since(c.start)
-	reports := make([]trace.Report, len(c.cols))
-	for i, col := range c.cols {
-		reports[i] = col.Report()
+// Report merges the nodes' time accounts: categories sum across nodes and
+// Total is wall × PEs, on the cluster's clock. A node's account belongs to
+// its tracer, so it carries on across a RestartNode.
+func (c *Cluster) Report() obs.Report {
+	reports := make([]obs.Report, len(c.tracers))
+	for i, tr := range c.tracers {
+		reports[i] = tr.Report(c.cfg.WorkersPerNode)
 	}
-	return trace.Merge(wall, reports...)
+	return obs.Merge(reports...)
 }
 
 // MemStats aggregates the OOC statistics across nodes.
@@ -523,14 +513,14 @@ func (c *Cluster) MemStats() ooc.Stats {
 	return out
 }
 
-// Tracers returns the per-node event tracers (nil entries when the
-// cluster was built without a TraceSink).
+// Tracers returns the per-node tracers (they record events only when the
+// cluster was built with a TraceSink).
 func (c *Cluster) Tracers() []*obs.Tracer { return c.tracers }
 
 // PublishMetrics registers every node's runtime metrics into reg under
 // "node<i>." prefixes, plus cluster-level aggregates under "cluster.".
-// This is the unified registry view: one snapshot covers the trace
-// collectors, the ooc layer and the swap-failure counters of all nodes.
+// This is the unified registry view: one snapshot covers the time
+// accounts, the ooc layer and the swap-failure counters of all nodes.
 func (c *Cluster) PublishMetrics(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -545,7 +535,7 @@ func (c *Cluster) PublishMetrics(reg *obs.Registry) {
 	reg.Gauge("cluster.retries", func() float64 { return float64(c.SwapStats().Retries) })
 	reg.Gauge("cluster.objects_lost", func() float64 { return float64(c.SwapStats().ObjectsLost) })
 	reg.Gauge("cluster.overlap_pct", func() float64 { return c.Report().Overlap() })
-	reg.Gauge("cluster.disk_pct", func() float64 { return c.Report().Percent(trace.Disk) })
+	reg.Gauge("cluster.disk_pct", func() float64 { r := c.Report(); return r.Percent(r.Disk) })
 	reg.Gauge("cluster.coalesced", func() float64 { return float64(c.IOStats().Coalesced) })
 	reg.Gauge("cluster.cancelled", func() float64 { return float64(c.IOStats().Cancelled) })
 	reg.Gauge("cluster.demand_wait_ms", func() float64 {

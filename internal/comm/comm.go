@@ -64,8 +64,10 @@ type Endpoint interface {
 	// Stats returns a snapshot of this endpoint's counters.
 	Stats() Stats
 	// SetTracer installs a structured event tracer: sends are recorded as
-	// comm.send instants, handler dispatches as comm.deliver spans. A nil
-	// tracer (the default) disables recording. Safe to call at any time.
+	// comm.send instants, handler dispatches as comm.deliver spans, and an
+	// endpoint with a network model adds each send's modeled wire time to the
+	// comm.send total. A nil tracer (the default) disables all three. Safe to
+	// call at any time.
 	SetTracer(tr *obs.Tracer)
 }
 

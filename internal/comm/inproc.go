@@ -128,9 +128,10 @@ func (e *inprocEndpoint) send(to NodeID, handler uint32, payload []byte, pooled 
 		return fmt.Errorf("comm: send to unknown node %d", to)
 	}
 	dst := e.tr.eps[to]
+	wire := e.tr.model.Delay(len(payload))
 	it := item{
 		msg:       Message{From: e.id, Handler: handler, Payload: payload},
-		deliverAt: e.tr.clk.Now().Add(e.tr.model.Delay(len(payload))),
+		deliverAt: e.tr.clk.Now().Add(wire),
 		pooled:    pooled,
 	}
 	dst.mu.Lock()
@@ -143,7 +144,11 @@ func (e *inprocEndpoint) send(to NodeID, handler uint32, payload []byte, pooled 
 	dst.mu.Unlock()
 	e.stats.msgsSent.Add(1)
 	e.stats.bytesSent.Add(uint64(len(payload)))
-	e.tracer.Load().Emit(obs.KindCommSend, uint64(handler), int64(len(payload)))
+	// The network model is applied here, so its wire time is reported here:
+	// the sender's Comm account.
+	tracer := e.tracer.Load()
+	tracer.Emit(obs.KindCommSend, uint64(handler), int64(len(payload)))
+	tracer.Add(obs.KindCommSend, wire)
 	return nil
 }
 

@@ -95,7 +95,7 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 	var err error
 	switch lo.state {
 	case stInCore:
-		blob, err = rt.encodeObject(lo.obj)
+		blob, err = encodeObject(lo.obj)
 	case stOut:
 		blob, err = rt.io.Backing().Get(storeKey(p))
 	case stLost:
@@ -237,7 +237,7 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 		rt.work.Add(int64(len(queue)))
 		lo.mu.Lock()
 		for _, m := range parked {
-			lo.queue = append(lo.queue, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+			lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 		}
 		rt.mem.SetQueueLen(id, len(lo.queue))
 		rt.admitLoadLocked(lo)

@@ -10,10 +10,10 @@ import (
 
 	"mrts/internal/clock"
 	"mrts/internal/comm"
+	"mrts/internal/obs"
 	"mrts/internal/ooc"
 	"mrts/internal/sched"
 	"mrts/internal/storage"
-	"mrts/internal/trace"
 )
 
 // testObj is a simple mobile object: a counter plus ballast bytes that give
@@ -78,20 +78,27 @@ func newVirtualCluster(t testing.TB, n int, budget int64) (*cluster, *clock.Virt
 
 func newClusterClock(t testing.TB, n int, budget int64, clk clock.Clock) *cluster {
 	t.Helper()
-	tr := comm.NewInProcClock(n, comm.LatencyModel{}, clk)
+	return newClusterNet(t, n, budget, clk, comm.LatencyModel{})
+}
+
+// newClusterNet is newClusterClock over a transport with a network model;
+// each node's tracer is installed on its endpoint too, as cluster.New does,
+// so the modeled wire time reaches the node's time account.
+func newClusterNet(t testing.TB, n int, budget int64, clk clock.Clock, net comm.LatencyModel) *cluster {
+	t.Helper()
+	tr := comm.NewInProcClock(n, net, clk)
 	c := &cluster{tr: tr}
 	for i := 0; i < n; i++ {
+		tracer := obs.NewTracer(fmt.Sprintf("node%d", i), clk)
+		tr.Endpoint(comm.NodeID(i)).SetTracer(tracer)
 		rt := NewRuntime(Config{
-			Endpoint:  tr.Endpoint(comm.NodeID(i)),
-			Pool:      sched.NewWorkStealing(2),
-			Factory:   testFactory,
-			Mem:       ooc.Config{Budget: budget},
-			Store:     storage.NewMem(),
-			Collector: trace.NewCollector(),
-			Clock:     clk,
-			CommDelay: func(size int) time.Duration {
-				return 10*time.Microsecond + time.Duration(size)*time.Nanosecond
-			},
+			Endpoint: tr.Endpoint(comm.NodeID(i)),
+			Pool:     sched.NewWorkStealing(2),
+			Factory:  testFactory,
+			Mem:      ooc.Config{Budget: budget},
+			Store:    storage.NewMem(),
+			Tracer:   tracer,
+			Clock:    clk,
 		})
 		c.rts = append(c.rts, rt)
 	}
@@ -543,7 +550,7 @@ func TestDestroyCancelsMcast(t *testing.T) {
 }
 
 func TestTraceAccounting(t *testing.T) {
-	c := newCluster(t, 2, 2000)
+	c := newClusterNet(t, 2, 2000, nil, comm.LatencyModel{Latency: 10 * time.Microsecond, BytesPerSec: 1e9})
 	rt := c.rts[0]
 	rt.Register(70, func(ctx *Ctx, arg []byte) {
 		time.Sleep(2 * time.Millisecond) // computation
@@ -559,7 +566,7 @@ func TestTraceAccounting(t *testing.T) {
 		}
 		WaitQuiescence(c.rts...)
 	}
-	r := rt.Collector().Report()
+	r := rt.Report()
 	if r.Comp <= 0 {
 		t.Error("no computation time recorded")
 	}
@@ -570,7 +577,9 @@ func TestTraceAccounting(t *testing.T) {
 	remote := c.rts[1].CreateObject(&testObj{})
 	rt.Post(remote, 70, nil)
 	WaitQuiescence(c.rts...)
-	if c.rts[1].Collector().Report().Comm <= 0 {
+	// The wire time is the sender's: the endpoint that applies the network
+	// model reports it.
+	if rt.Report().Comm <= 0 {
 		t.Error("no communication time recorded for remote message")
 	}
 }
@@ -662,7 +671,6 @@ func TestWirreRoundtrips(t *testing.T) {
 	m := &appMsg{
 		dst:     MobilePtr{Home: 2, Seq: 77},
 		handler: 9,
-		sentAt:  123456789,
 		route:   []NodeID{0, 3},
 		arg:     []byte("payload"),
 	}
@@ -670,7 +678,7 @@ func TestWirreRoundtrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.dst != m.dst || got.handler != m.handler || got.sentAt != m.sentAt ||
+	if got.dst != m.dst || got.handler != m.handler ||
 		len(got.route) != 2 || got.route[0] != 0 || got.route[1] != 3 ||
 		string(got.arg) != "payload" {
 		t.Fatalf("roundtrip mismatch: %+v", got)
@@ -678,7 +686,7 @@ func TestWirreRoundtrips(t *testing.T) {
 	in := &install{
 		ptr: MobilePtr{Home: 1, Seq: 5}, typeID: 1, priority: -3, locked: true,
 		blob:  []byte{1, 2, 3},
-		queue: []queued{{handler: 4, sentAt: 99, arg: []byte("a")}},
+		queue: []queued{{handler: 4, arg: []byte("a")}},
 	}
 	gin, err := decodeInstall(encodeInstall(in))
 	if err != nil {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"mrts/internal/sched"
-	"mrts/internal/trace"
-)
+import "mrts/internal/sched"
 
 // Ctx is the execution context of a message handler: it identifies the
 // object the message was delivered to and provides the operations a handler
@@ -68,7 +63,7 @@ func (c *Ctx) CallInline(dst MobilePtr, h HandlerID, arg []byte) bool {
 	obj := lo.obj
 	lo.mu.Unlock()
 
-	dirtied := rt.runHandler(dst, obj, queued{handler: h, sentAt: rt.clk.Now().UnixNano(), arg: arg}, c.sc)
+	dirtied := rt.runHandler(dst, obj, queued{handler: h, arg: arg}, c.sc, true)
 
 	lo.mu.Lock()
 	lo.running = false
@@ -87,44 +82,5 @@ func (c *Ctx) CallInline(dst MobilePtr, h HandlerID, arg []byte) bool {
 
 // ForEach runs f(0) … f(n-1) as parallel tasks on the computing layer and
 // returns when all complete — the paper's fine-grain parallelism within a
-// message handler. The time spent in tasks is accounted as computation.
-func (c *Ctx) ForEach(n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || c.sc == nil {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	col := c.rt.col
-	clk := c.rt.clk
-	sched.ForEachN(c.rt.pool, n, func(i int) {
-		if col == nil {
-			f(i)
-			return
-		}
-		t0 := clk.Now()
-		f(i)
-		col.Add(trace.Comp, clk.Since(t0))
-	})
-}
-
-// Parallel runs the given functions as parallel tasks and waits for all.
-func (c *Ctx) Parallel(fs ...func()) {
-	if len(fs) == 1 {
-		fs[0]()
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(fs))
-	for _, f := range fs {
-		f := f
-		c.rt.pool.Submit(func(*sched.Ctx) {
-			defer wg.Done()
-			f()
-		})
-	}
-	wg.Wait()
-}
+// message handler.
+func (c *Ctx) ForEach(n int, f func(i int)) { sched.ForEachN(c.rt.pool, n, f) }

@@ -7,24 +7,21 @@ import (
 )
 
 // PublishMetrics registers this runtime's observable state into reg under
-// the given prefix (e.g. "node0."). It subsumes the three accounting
-// surfaces that grew separately — trace.Collector (comp/comm/disk time),
+// the given prefix (e.g. "node0."). It puts the time account (Report),
 // ooc.Stats (residency and swap counts) and SwapStats (failure/retry
-// counters) — plus the transport and directory counters, behind the
+// counters), plus the transport and directory counters, behind the
 // registry's uniform snapshot/delta semantics. Gauges read live state, so
 // one registration covers the whole run.
 func (rt *Runtime) PublishMetrics(reg *obs.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	// trace.Collector: category times in seconds plus the derived overlap.
-	if col := rt.col; col != nil {
-		reg.Gauge(prefix+"time.comp_sec", func() float64 { return col.Report().Comp.Seconds() })
-		reg.Gauge(prefix+"time.comm_sec", func() float64 { return col.Report().Comm.Seconds() })
-		reg.Gauge(prefix+"time.disk_sec", func() float64 { return col.Report().Disk.Seconds() })
-		reg.Gauge(prefix+"time.total_sec", func() float64 { return col.Report().Total.Seconds() })
-		reg.Gauge(prefix+"time.overlap_pct", func() float64 { return col.Report().Overlap() })
-	}
+	// The time account: category times in seconds plus the derived overlap.
+	reg.Gauge(prefix+"time.comp_sec", func() float64 { return rt.Report().Comp.Seconds() })
+	reg.Gauge(prefix+"time.comm_sec", func() float64 { return rt.Report().Comm.Seconds() })
+	reg.Gauge(prefix+"time.disk_sec", func() float64 { return rt.Report().Disk.Seconds() })
+	reg.Gauge(prefix+"time.total_sec", func() float64 { return rt.Report().Total.Seconds() })
+	reg.Gauge(prefix+"time.overlap_pct", func() float64 { return rt.Report().Overlap() })
 	// ooc.Stats via the residency manager.
 	mem := rt.mem
 	reg.Gauge(prefix+"ooc.evictions", func() float64 { return float64(mem.Snapshot().Evictions) })

@@ -41,7 +41,7 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	var err error
 	switch lo.state {
 	case stInCore:
-		blob, err = rt.encodeObject(lo.obj)
+		blob, err = encodeObject(lo.obj)
 		if err != nil {
 			lo.mu.Unlock()
 			return err
@@ -142,7 +142,6 @@ func (rt *Runtime) onWireInstall(msg comm.Message) {
 	}
 	rt.recv.Add(1)
 	rt.work.Add(int64(len(in.queue)))
-	rt.chargeComm(len(msg.Payload))
 	rt.installLocal(in)
 }
 
@@ -180,7 +179,7 @@ func (rt *Runtime) installLocal(in *install) {
 
 	lo.mu.Lock()
 	for _, m := range parked {
-		lo.queue = append(lo.queue, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+		lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 	}
 	rt.mem.SetQueueLen(id, len(lo.queue))
 	if len(lo.queue) > 0 && !lo.scheduled {

@@ -16,7 +16,6 @@ import (
 	"mrts/internal/sched"
 	"mrts/internal/storage"
 	"mrts/internal/swapio"
-	"mrts/internal/trace"
 )
 
 // Config configures one node's runtime.
@@ -48,27 +47,16 @@ type Config struct {
 	// in core) and failed loads (the object is lost and its queue dropped).
 	// It runs on a runtime goroutine and must not block.
 	OnSwapError func(SwapError)
-	// Collector, when non-nil, receives comp/comm/disk time accounting.
-	Collector *trace.Collector
-	// Tracer, when non-nil, receives structured trace events for the swap
-	// lifecycle (evict/load/retry/storefail/lost), application handler
-	// execution, and multicast progress. Events from the transport and the
-	// task pool are recorded by installing the same tracer there (see
-	// comm.Endpoint.SetTracer and sched.Pool.SetTracer); cluster.New wires
-	// all three from one TraceSink.
+	// Tracer is the node's instrumentation point: it times handler execution
+	// and (through the I/O scheduler) the swap path, which is what Report
+	// reads, and a tracer drawn from a TraceSink also records structured
+	// events for the swap lifecycle (evict/load/retry/storefail/lost),
+	// handlers and multicast progress. The transport's wire time and the
+	// events of the transport and the task pool join the same account by
+	// installing the tracer there too (comm.Endpoint.SetTracer and
+	// sched.Pool.SetTracer); cluster.New wires all three. Nil means a private
+	// tracer on Clock that keeps the totals only.
 	Tracer *obs.Tracer
-	// CommDelay, when non-nil, gives the modeled wire time of a received
-	// message of the given payload size; it is charged to the Comm
-	// account. The in-process transport serializes these delays on its
-	// dispatcher, so per-node Comm time never exceeds wall time. Nil means
-	// communication is free (no accounting).
-	CommDelay func(payloadSize int) time.Duration
-	// DiskDelay, when non-nil, gives the modeled service time of one disk
-	// operation on a blob of the given size; it is charged to the Disk
-	// account per store/load instead of the measured wait (which would
-	// multiply queueing time across concurrent waiters). Nil falls back to
-	// measuring the operations.
-	DiskDelay func(blobSize int) time.Duration
 	// PrefetchDepth bounds how many out-of-core objects the runtime loads
 	// ahead of need when memory is available (<= 0 means 2).
 	PrefetchDepth int
@@ -152,7 +140,6 @@ type Runtime struct {
 	factory Factory
 	mem     *ooc.Manager
 	io      *swapio.Scheduler
-	col     *trace.Collector
 	tracer  *obs.Tracer
 	clk     clock.Clock
 	pfDepth int
@@ -190,9 +177,6 @@ type Runtime struct {
 	semu          sync.Mutex
 	swapErrs      []SwapError
 
-	commDelay func(int) time.Duration
-	diskDelay func(int) time.Duration
-
 	dstats dirStats
 
 	closed atomic.Bool
@@ -222,6 +206,9 @@ func NewRuntime(cfg Config) *Runtime {
 	retry := cfg.Retry
 	userRetryHook := retry.OnRetry
 	tracer := cfg.Tracer
+	if tracer == nil {
+		tracer = obs.NewTracer("", clk)
+	}
 	retry.OnRetry = func(key storage.Key, attempt int, err error) {
 		mem.NoteRetries(1)
 		tracer.Emit(obs.KindSwapRetry, 0, int64(attempt))
@@ -244,20 +231,17 @@ func NewRuntime(cfg Config) *Runtime {
 			Workers:    cfg.IOWorkers,
 			QueueBound: cfg.QueueDepth,
 			Retry:      retry,
-			Tracer:     cfg.Tracer,
+			Tracer:     tracer,
 			Clock:      cfg.Clock,
 		}),
-		col:       cfg.Collector,
-		tracer:    cfg.Tracer,
-		clk:       clk,
-		pfDepth:   cfg.PrefetchDepth,
-		objects:   make(map[MobilePtr]*localObject),
-		parked:    make(map[MobilePtr][]*appMsg),
-		handlers:  make(map[HandlerID]handlerEntry),
-		mcasts:    newMcastTable(),
-		term:      newTermState(),
-		commDelay: cfg.CommDelay,
-		diskDelay: cfg.DiskDelay,
+		tracer:   tracer,
+		clk:      clk,
+		pfDepth:  cfg.PrefetchDepth,
+		objects:  make(map[MobilePtr]*localObject),
+		parked:   make(map[MobilePtr][]*appMsg),
+		handlers: make(map[HandlerID]handlerEntry),
+		mcasts:   newMcastTable(),
+		term:     newTermState(),
 	}
 	rt.onSwapError = cfg.OnSwapError
 	rt.ep.Register(wireApp, rt.onWireApp)
@@ -277,11 +261,12 @@ func (rt *Runtime) Node() NodeID { return rt.node }
 // Mem returns the out-of-core residency manager (for stats and tests).
 func (rt *Runtime) Mem() *ooc.Manager { return rt.mem }
 
-// Collector returns the trace collector (may be nil).
-func (rt *Runtime) Collector() *trace.Collector { return rt.col }
-
-// Tracer returns the structured event tracer (may be nil).
+// Tracer returns the node's tracer (never nil).
 func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
+
+// Report returns the node's comp/comm/disk time account since the tracer
+// was created, over the pool's workers as its PEs.
+func (rt *Runtime) Report() obs.Report { return rt.tracer.Report(rt.pool.Workers()) }
 
 // Clock returns the runtime's injected time source (never nil).
 func (rt *Runtime) Clock() clock.Clock { return rt.clk }
@@ -345,7 +330,7 @@ func (rt *Runtime) CreateObject(obj Object) MobilePtr {
 	if len(parked) > 0 {
 		lo.mu.Lock()
 		for _, m := range parked {
-			lo.queue = append(lo.queue, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+			lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 		}
 		rt.mem.SetQueueLen(oid(ptr), len(lo.queue))
 		if !lo.scheduled {
@@ -366,7 +351,7 @@ func (rt *Runtime) Post(dst MobilePtr, h HandlerID, arg []byte) {
 		return
 	}
 	rt.work.Add(1)
-	rt.route(&appMsg{dst: dst, handler: h, sentAt: rt.clk.Now().UnixNano(), arg: arg})
+	rt.route(&appMsg{dst: dst, handler: h, arg: arg})
 }
 
 // route places m: into a local queue, a parked set, or onto the wire. The
@@ -375,7 +360,7 @@ func (rt *Runtime) route(m *appMsg) {
 	rt.mu.Lock()
 	if lo, ok := rt.objects[m.dst]; ok {
 		rt.mu.Unlock()
-		rt.enqueueLocal(lo, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+		rt.enqueueLocal(lo, queued{handler: m.handler, arg: m.arg})
 		return
 	}
 	rt.mu.Unlock()
@@ -391,7 +376,7 @@ func (rt *Runtime) route(m *appMsg) {
 		rt.mu.Lock()
 		if lo, ok := rt.objects[m.dst]; ok {
 			rt.mu.Unlock()
-			rt.enqueueLocal(lo, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+			rt.enqueueLocal(lo, queued{handler: m.handler, arg: m.arg})
 			return
 		}
 		rt.parked[m.dst] = append(rt.parked[m.dst], m)
@@ -427,7 +412,6 @@ func (rt *Runtime) onWireApp(msg comm.Message) {
 	}
 	rt.recv.Add(1)
 	rt.work.Add(1)
-	rt.chargeComm(len(msg.Payload))
 	rt.mu.Lock()
 	lo, ok := rt.objects[m.dst]
 	rt.mu.Unlock()
@@ -442,7 +426,7 @@ func (rt *Runtime) onWireApp(msg comm.Message) {
 			}
 		}
 		rt.dstats.observeHops(len(m.route))
-		rt.enqueueLocal(lo, queued{handler: m.handler, sentAt: m.sentAt, arg: m.arg})
+		rt.enqueueLocal(lo, queued{handler: m.handler, arg: m.arg})
 		return
 	}
 	rt.dstats.forwarded.Add(1)
@@ -515,7 +499,7 @@ func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 		// table no longer has this record and the locator knows where the
 		// object went, so routing again makes progress.
 		lo.mu.Unlock()
-		rt.route(&appMsg{dst: lo.ptr, handler: q.handler, sentAt: q.sentAt, arg: q.arg})
+		rt.route(&appMsg{dst: lo.ptr, handler: q.handler, arg: q.arg})
 		return
 	}
 	lo.queue = append(lo.queue, q)
@@ -584,7 +568,7 @@ func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
 		obj := lo.obj
 		lo.mu.Unlock()
 
-		dirtied := rt.runHandler(lo.ptr, obj, q, sc)
+		dirtied := rt.runHandler(lo.ptr, obj, q, sc, false)
 
 		lo.mu.Lock()
 		lo.running = false
@@ -610,42 +594,26 @@ func (rt *Runtime) serviceIO() {
 }
 
 // runHandler executes q's handler on obj and reports whether the object may
-// have changed: false only for a handler registered read-only.
-func (rt *Runtime) runHandler(ptr MobilePtr, obj Object, q queued, sc *sched.Ctx) (dirtied bool) {
+// have changed: false only for a handler registered read-only. The span of a
+// handler run from the object's queue is the PE's compute time; one called
+// inline is already inside its caller's span, so it is recorded but not
+// added again.
+func (rt *Runtime) runHandler(ptr MobilePtr, obj Object, q queued, sc *sched.Ctx, inline bool) (dirtied bool) {
 	h := rt.handler(q.handler)
 	if h.fn == nil {
 		return false
 	}
 	ctx := &Ctx{rt: rt, Self: ptr, obj: obj, sc: sc}
-	sp := rt.tracer.Start(obs.KindHandler, uint64(oid(ptr)))
-	t0 := rt.clk.Now()
-	h.fn(ctx, q.arg)
-	if rt.col != nil {
-		rt.col.Add(trace.Comp, rt.clk.Since(t0))
+	var sp obs.Span
+	if inline {
+		sp = rt.tracer.Start(obs.KindHandler, uint64(oid(ptr)))
+	} else {
+		sp = rt.tracer.Timed(obs.KindHandler, uint64(oid(ptr)))
 	}
+	h.fn(ctx, q.arg)
 	sp.End(int64(q.handler))
 	rt.mem.Touch(oid(ptr))
 	return !h.readOnly
-}
-
-// chargeComm accounts the modeled wire time of a received message.
-func (rt *Runtime) chargeComm(payloadSize int) {
-	if rt.col != nil && rt.commDelay != nil {
-		rt.col.Add(trace.Comm, rt.commDelay(payloadSize))
-	}
-}
-
-// chargeDisk accounts one disk operation: the modeled service time when a
-// disk model is configured, otherwise the measured duration.
-func (rt *Runtime) chargeDisk(blobSize int, measured time.Duration) {
-	if rt.col == nil {
-		return
-	}
-	if rt.diskDelay != nil {
-		rt.col.Add(trace.Disk, rt.diskDelay(blobSize))
-		return
-	}
-	rt.col.Add(trace.Disk, measured)
 }
 
 // Counters for quiescence detection (see WaitQuiescence).
@@ -716,12 +684,11 @@ func WaitQuiescence(rts ...*Runtime) {
 	}
 }
 
-// encodeObject serializes obj into a pooled buffer, charging the disk-time
-// account. The caller owns the returned blob; on the eviction path ownership
-// passes straight to the I/O scheduler (which hands it to the store or back
-// to the arena), so the steady-state swap cycle allocates nothing here.
-func (rt *Runtime) encodeObject(obj Object) ([]byte, error) {
-	t0 := rt.clk.Now()
+// encodeObject serializes obj into a pooled buffer. The caller owns the
+// returned blob; on the eviction path ownership passes straight to the I/O
+// scheduler (which hands it to the store or back to the arena), so the
+// steady-state swap cycle allocates nothing here.
+func encodeObject(obj Object) ([]byte, error) {
 	w := bufpool.GetWriter(obj.SizeHint())
 	err := obj.EncodeTo(w)
 	blob := w.Detach()
@@ -729,9 +696,6 @@ func (rt *Runtime) encodeObject(obj Object) ([]byte, error) {
 	if err != nil {
 		bufpool.Put(blob)
 		blob = nil
-	}
-	if rt.col != nil {
-		rt.col.Add(trace.Disk, rt.clk.Since(t0))
 	}
 	return blob, err
 }
@@ -741,7 +705,6 @@ func (rt *Runtime) encodeObject(obj Object) ([]byte, error) {
 var readerPool = sync.Pool{New: func() any { return bytes.NewReader(nil) }}
 
 func (rt *Runtime) decodeObject(typeID uint16, blob []byte) (Object, error) {
-	t0 := rt.clk.Now()
 	obj, err := rt.factory(typeID)
 	if err != nil {
 		return nil, err
@@ -751,8 +714,5 @@ func (rt *Runtime) decodeObject(typeID uint16, blob []byte) (Object, error) {
 	err = obj.DecodeFrom(r)
 	r.Reset(nil) // drop the blob reference before pooling
 	readerPool.Put(r)
-	if rt.col != nil {
-		rt.col.Add(trace.Disk, rt.clk.Since(t0))
-	}
 	return obj, err
 }

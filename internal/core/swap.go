@@ -30,12 +30,8 @@ func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class, reserved
 	lo.state = stLoading
 	rt.swapOps.Add(1)
 	sp := rt.tracer.Start(obs.KindSwapLoad, uint64(oid(lo.ptr)))
-	t0 := rt.clk.Now()
 	ok := rt.io.Load(storeKey(lo.ptr), uint64(oid(lo.ptr)), class, func(blob []byte, err error) {
 		defer rt.swapOps.Add(-1)
-		if !errors.Is(err, swapio.ErrCanceled) {
-			rt.chargeDisk(len(blob), rt.clk.Since(t0))
-		}
 		rt.finishLoad(lo, sp, blob, err)
 		if reserved > 0 {
 			rt.adm.release(reserved)
@@ -164,10 +160,9 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 	rt.noteWriteback(held)
 
 	sp := rt.tracer.Start(obs.KindSwapEvict, uint64(id))
-	t0 := rt.clk.Now()
 	encoded := false
 	ok := rt.io.Store(storeKey(lo.ptr), uint64(id),
-		func() ([]byte, error) { return rt.encodeObject(obj) },
+		func() ([]byte, error) { return encodeObject(obj) },
 		func(n int) {
 			// Runs on the I/O worker between encode and write; both
 			// closures run sequentially there, so the flag needs no lock.
@@ -177,7 +172,6 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 		func(n int, err error) {
 			defer rt.swapOps.Add(-1)
 			rt.writeback.Add(-held)
-			rt.chargeDisk(n, rt.clk.Since(t0))
 			sp.End(int64(n))
 			rt.finishEvict(lo, obj, encoded, n, err)
 		})

@@ -17,7 +17,7 @@ func newTracedFaultRuntime(t *testing.T, st storage.Store, retry storage.RetryPo
 	t.Helper()
 	tr := comm.NewInProc(1, comm.LatencyModel{})
 	pool := sched.NewWorkStealing(2)
-	tracer := obs.NewTracer("test", 1<<12)
+	tracer := obs.NewTraceSink(1<<12).NewTracer("test", nil)
 	pool.SetTracer(tracer)
 	rt := NewRuntime(Config{
 		Endpoint: tr.Endpoint(0),

@@ -16,7 +16,6 @@ const (
 type appMsg struct {
 	dst     MobilePtr
 	handler HandlerID
-	sentAt  int64  // unix nanos at original send, for comm-time accounting
 	epoch   uint64 // locator epoch at last resolution (0 = unversioned)
 	route   []NodeID
 	arg     []byte
@@ -35,17 +34,15 @@ func getPtr(b []byte) MobilePtr {
 }
 
 // encodeApp encodes an application message.
-// Layout: ptr(8) handler(4) sentAt(8) epoch(8) routeLen(2) route(4 each)
-// argLen(4) arg.
+// Layout: ptr(8) handler(4) epoch(8) routeLen(2) route(4 each) argLen(4) arg.
 func encodeApp(m *appMsg) []byte {
-	n := 8 + 4 + 8 + 8 + 2 + 4*len(m.route) + 4 + len(m.arg)
+	n := 8 + 4 + 8 + 2 + 4*len(m.route) + 4 + len(m.arg)
 	b := make([]byte, n)
 	putPtr(b[0:8], m.dst)
 	binary.LittleEndian.PutUint32(b[8:12], uint32(m.handler))
-	binary.LittleEndian.PutUint64(b[12:20], uint64(m.sentAt))
-	binary.LittleEndian.PutUint64(b[20:28], m.epoch)
-	binary.LittleEndian.PutUint16(b[28:30], uint16(len(m.route)))
-	off := 30
+	binary.LittleEndian.PutUint64(b[12:20], m.epoch)
+	binary.LittleEndian.PutUint16(b[20:22], uint16(len(m.route)))
+	off := 22
 	for _, r := range m.route {
 		binary.LittleEndian.PutUint32(b[off:off+4], uint32(r))
 		off += 4
@@ -57,17 +54,16 @@ func encodeApp(m *appMsg) []byte {
 }
 
 func decodeApp(b []byte) (*appMsg, error) {
-	if len(b) < 34 {
+	if len(b) < 26 {
 		return nil, fmt.Errorf("core: short app message (%d bytes)", len(b))
 	}
 	m := &appMsg{
 		dst:     getPtr(b[0:8]),
 		handler: HandlerID(binary.LittleEndian.Uint32(b[8:12])),
-		sentAt:  int64(binary.LittleEndian.Uint64(b[12:20])),
-		epoch:   binary.LittleEndian.Uint64(b[20:28]),
+		epoch:   binary.LittleEndian.Uint64(b[12:20]),
 	}
-	nr := int(binary.LittleEndian.Uint16(b[28:30]))
-	off := 30
+	nr := int(binary.LittleEndian.Uint16(b[20:22]))
+	off := 22
 	if len(b) < off+4*nr+4 {
 		return nil, fmt.Errorf("core: truncated app message route")
 	}
@@ -112,14 +108,13 @@ type install struct {
 
 type queued struct {
 	handler HandlerID
-	sentAt  int64
 	arg     []byte
 }
 
 func encodeInstall(in *install) []byte {
 	n := 8 + 2 + 4 + 1 + 4 + len(in.blob) + 4
 	for _, q := range in.queue {
-		n += 4 + 8 + 4 + len(q.arg)
+		n += 4 + 4 + len(q.arg)
 	}
 	b := make([]byte, n)
 	putPtr(b[0:8], in.ptr)
@@ -136,9 +131,8 @@ func encodeInstall(in *install) []byte {
 	off += 4
 	for _, q := range in.queue {
 		binary.LittleEndian.PutUint32(b[off:off+4], uint32(q.handler))
-		binary.LittleEndian.PutUint64(b[off+4:off+12], uint64(q.sentAt))
-		binary.LittleEndian.PutUint32(b[off+12:off+16], uint32(len(q.arg)))
-		off += 16
+		binary.LittleEndian.PutUint32(b[off+4:off+8], uint32(len(q.arg)))
+		off += 8
 		copy(b[off:], q.arg)
 		off += len(q.arg)
 	}
@@ -165,15 +159,12 @@ func decodeInstall(b []byte) (*install, error) {
 	nq := int(binary.LittleEndian.Uint32(b[off : off+4]))
 	off += 4
 	for i := 0; i < nq; i++ {
-		if len(b) < off+16 {
+		if len(b) < off+8 {
 			return nil, fmt.Errorf("core: truncated install queue")
 		}
-		q := queued{
-			handler: HandlerID(binary.LittleEndian.Uint32(b[off : off+4])),
-			sentAt:  int64(binary.LittleEndian.Uint64(b[off+4 : off+12])),
-		}
-		na := int(binary.LittleEndian.Uint32(b[off+12 : off+16]))
-		off += 16
+		q := queued{handler: HandlerID(binary.LittleEndian.Uint32(b[off : off+4]))}
+		na := int(binary.LittleEndian.Uint32(b[off+4 : off+8]))
+		off += 8
 		if len(b) < off+na {
 			return nil, fmt.Errorf("core: truncated install queue arg")
 		}

@@ -26,8 +26,8 @@ import (
 	"time"
 
 	"mrts/internal/geom"
+	"mrts/internal/obs"
 	"mrts/internal/ooc"
-	"mrts/internal/trace"
 )
 
 // Result summarizes one mesh generation run.
@@ -38,9 +38,9 @@ type Result struct {
 	Subdomains int
 	PEs        int
 	Elapsed    time.Duration
-	Report     trace.Report // comp/comm/disk breakdown (OOC builds)
-	Mem        ooc.Stats    // OOC layer statistics (OOC builds)
-	Conforming bool         // interface conformity verified
+	Report     obs.Report // comp/comm/disk breakdown (OOC builds)
+	Mem        ooc.Stats  // OOC layer statistics (OOC builds)
+	Conforming bool       // interface conformity verified
 
 	// MeshHash is the canonical digest of the whole refined mesh (per-block
 	// sorted-triangle hashes combined in (J,I) order); set by RunOUPDR,
@@ -49,7 +49,7 @@ type Result struct {
 }
 
 // Speed returns the paper's per-PE performance metric S/(T·N).
-func (r Result) Speed() float64 { return trace.Speed(r.Elements, r.Elapsed, r.PEs) }
+func (r Result) Speed() float64 { return obs.Speed(r.Elements, r.Elapsed, r.PEs) }
 
 // String implements fmt.Stringer.
 func (r Result) String() string {

@@ -22,8 +22,8 @@ type chromeDoc struct {
 
 func TestWriteChromeTraceIsValidAndComplete(t *testing.T) {
 	sink := NewTraceSink(64)
-	n0 := sink.NewTracer("node0")
-	n1 := sink.NewTracer("node1")
+	n0 := sink.NewTracer("node0", nil)
+	n1 := sink.NewTracer("node1", nil)
 	n0.Start(KindSwapLoad, 11).End(2048)
 	n0.Emit(KindSwapRetry, 11, 1)
 	n1.Emit(KindCommSend, 0, 64)
@@ -83,7 +83,7 @@ func TestWriteChromeTraceIsValidAndComplete(t *testing.T) {
 
 func TestWriteChromeTraceSkipsNilTracers(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, NewTracer("solo", 4)); err != nil {
+	if err := WriteChromeTrace(&buf, nil, NewTraceSink(4).NewTracer("solo", nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -1,14 +1,18 @@
 // Package obs is the unified observability layer of the MRTS: a
-// low-overhead structured event tracer plus a metrics registry.
+// low-overhead structured event tracer, the time account derived from it,
+// and a metrics registry.
 //
-// The per-category timers in internal/trace answer "how much time went
-// where" in aggregate; they cannot answer "what was this node doing at
-// t=1.2s, and did the load overlap the refinement". That question — the one
-// behind Tables IV-VI of the paper — needs per-event timelines. The Tracer
-// records the swap lifecycle (evict/load/retry/lost), communication
-// send/deliver, scheduler run/steal and multicast progress as fixed-size
-// events in a per-node ring buffer; the exporter in chrome.go turns a set
-// of tracers into Chrome trace-event JSON that Perfetto renders directly.
+// A Tracer answers two questions from one set of Start/End calls. "How much
+// time went where" — the comp/comm/disk breakdown and the Overlap of Tables
+// IV-VI of the paper — is a Report: a pure function of per-kind duration
+// totals the tracer always keeps (account.go). "What was this node doing at
+// t=1.2s, and did the load overlap the refinement" needs per-event
+// timelines: a tracer drawn from a TraceSink also records the swap lifecycle
+// (evict/load/retry/lost), communication send/deliver, scheduler run/steal
+// and multicast progress as fixed-size events in a per-node ring buffer, and
+// the exporter in chrome.go turns a set of tracers into Chrome trace-event
+// JSON that Perfetto renders directly. Every timestamp comes from the
+// tracer's injected clock, so a simulated run reports virtual time.
 //
 // Everything here is nil-safe: a nil *Tracer accepts Emit/Start calls and
 // does nothing, so instrumented code paths never need to branch on whether
@@ -19,7 +23,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"mrts/internal/clock"
 )
 
 // Kind classifies a trace event.
@@ -43,7 +50,8 @@ const (
 	// (Arg: queued messages dropped with it).
 	KindSwapLost
 	// KindCommSend marks a message handed to the transport (Arg: payload
-	// bytes).
+	// bytes). Its total is the modeled wire time of the sends, added by the
+	// endpoint that applies the network model.
 	KindCommSend
 	// KindCommDeliver spans the dispatch of a received message on the
 	// endpoint's dispatcher goroutine (Arg: payload bytes).
@@ -54,7 +62,8 @@ const (
 	// KindSchedSteal marks a successful steal (Arg: victim worker index).
 	KindSchedSteal
 	// KindHandler spans one application message handler (ID: the object's
-	// packed mobile pointer, Arg: handler ID).
+	// packed mobile pointer, Arg: handler ID). Its total counts the handlers
+	// a pool worker ran from a queue; one called inline is inside its caller.
 	KindHandler
 	// KindMcastStart marks a multicast beginning collection (Arg: vector
 	// length).
@@ -111,6 +120,11 @@ const (
 	// meshstore chunk during a rank-independent restore (ID: the packed
 	// block grid coordinates, Arg: the raw payload bytes).
 	KindMeshRestore
+	// KindSwapBusy spans a stretch in which at least one swap I/O worker was
+	// serving a request — encode and write, or read and decode — cut wherever
+	// a request completes, so its total is the time the node's disk layer was
+	// busy, queue waits excluded.
+	KindSwapBusy
 	numKinds
 )
 
@@ -169,6 +183,8 @@ func (k Kind) String() string {
 		return "mesh.export"
 	case KindMeshRestore:
 		return "mesh.restore"
+	case KindSwapBusy:
+		return "swap.busy"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -179,7 +195,7 @@ func (k Kind) String() string {
 func (k Kind) Track() string {
 	switch k {
 	case KindSwapEvict, KindSwapLoad, KindSwapRetry, KindSwapStoreFail, KindSwapLost,
-		KindSwapWait, KindSwapCancel, KindSwapStall:
+		KindSwapWait, KindSwapCancel, KindSwapStall, KindSwapBusy:
 		return "swap"
 	case KindCommSend, KindCommDeliver, KindRouteStale, KindRouteDrop:
 		return "comm"
@@ -218,13 +234,20 @@ type Event struct {
 // DefaultCapacity is the per-tracer ring size used when none is given.
 const DefaultCapacity = 1 << 15
 
-// Tracer records events for one node into a bounded ring. When the ring
-// wraps, the oldest events are overwritten and counted in Dropped. All
-// methods are safe for concurrent use and safe on a nil receiver.
+// Tracer is one node's instrumentation point. It always keeps a duration
+// total per kind, fed by timed spans and by Add; a tracer drawn from a
+// TraceSink also records events into a bounded ring. When the ring wraps,
+// the oldest events are overwritten and counted in Dropped. All methods are
+// safe for concurrent use and safe on a nil receiver.
 type Tracer struct {
 	pid   int
 	label string
-	epoch time.Time
+	clk   clock.Clock
+	epoch time.Time // TS 0 on clk
+	born  int64     // TS at creation: where the time account's wall starts
+	ring  bool      // events are recorded, not only totalled
+
+	totals [numKinds]atomic.Int64 // nanoseconds
 
 	mu      sync.Mutex
 	buf     []Event
@@ -232,17 +255,13 @@ type Tracer struct {
 	dropped uint64
 }
 
-// NewTracer returns a standalone tracer (pid 0). Tracers that should share
-// a timeline must come from one TraceSink instead.
-func NewTracer(label string, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Tracer{label: label, epoch: time.Now(), buf: make([]Event, 0, capacity)}
+// NewTracer returns a tracer on clk (nil means the wall clock) that keeps
+// the per-kind totals only: timed spans and Add work, events are not
+// recorded. Tracers that record events come from a TraceSink.
+func NewTracer(label string, clk clock.Clock) *Tracer {
+	clk = clock.Or(clk)
+	return &Tracer{label: label, clk: clk, epoch: clk.Now()}
 }
-
-// Enabled reports whether events are being recorded (false on nil).
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Label returns the tracer's display label.
 func (t *Tracer) Label() string {
@@ -253,23 +272,49 @@ func (t *Tracer) Label() string {
 }
 
 // now returns nanoseconds since the epoch.
-func (t *Tracer) now() int64 { return int64(time.Since(t.epoch)) }
+func (t *Tracer) now() int64 { return int64(t.clk.Since(t.epoch)) }
 
 // Emit records an instant event.
 func (t *Tracer) Emit(k Kind, id uint64, arg int64) {
-	if t == nil {
+	if t == nil || !t.ring {
 		return
 	}
 	t.record(Event{TS: t.now(), Kind: k, ID: id, Arg: arg})
 }
 
 // Start opens a duration event; call End on the returned span to record
-// it. The zero Span (from a nil tracer) is inert.
+// it. Without a ring (or on a nil tracer) the span is the inert zero Span
+// and the clock is not read.
 func (t *Tracer) Start(k Kind, id uint64) Span {
-	if t == nil {
+	if t == nil || !t.ring {
 		return Span{}
 	}
 	return Span{t: t, kind: k, id: id, start: t.now()}
+}
+
+// Timed opens a span that is measured whether or not events are recorded:
+// End adds its duration to the kind's total. It is the one instrumentation
+// point of the activities the time account is built from.
+func (t *Tracer) Timed(k Kind, id uint64) Span {
+	if t == nil {
+		return Span{}
+	}
+	return Span{t: t, kind: k, id: id, start: t.now(), timed: true}
+}
+
+// Add adds d to the kind's total: time that is modeled, not measured.
+func (t *Tracer) Add(k Kind, d time.Duration) {
+	if t != nil && d > 0 {
+		t.totals[k].Add(int64(d))
+	}
+}
+
+// Total returns the summed duration of the kind's timed spans and Adds.
+func (t *Tracer) Total(k Kind) time.Duration {
+	if t == nil {
+		return 0
+	}
+	return time.Duration(t.totals[k].Load())
 }
 
 // Span is an open duration event.
@@ -278,14 +323,40 @@ type Span struct {
 	kind  Kind
 	id    uint64
 	start int64
+	timed bool
 }
 
-// End closes the span with the kind-specific argument.
-func (s Span) End(arg int64) {
+// End closes the span with the kind-specific argument and returns its
+// duration (0 for the inert span).
+func (s Span) End(arg int64) time.Duration {
+	if s.t == nil {
+		return 0
+	}
+	return s.endAt(s.t.now(), arg)
+}
+
+// Lap closes the span as End does and reopens it at the same clock reading.
+// Laps are contiguous, so their durations sum to the whole stretch, and the
+// kind's total is never more than one lap behind an activity that is still
+// going on.
+func (s *Span) Lap(arg int64) {
 	if s.t == nil {
 		return
 	}
-	s.t.record(Event{TS: s.start, Dur: s.t.now() - s.start, Kind: s.kind, ID: s.id, Arg: arg})
+	now := s.t.now()
+	s.endAt(now, arg)
+	s.start = now
+}
+
+func (s Span) endAt(now, arg int64) time.Duration {
+	dur := now - s.start
+	if s.timed {
+		s.t.totals[s.kind].Add(dur)
+	}
+	if s.t.ring {
+		s.t.record(Event{TS: s.start, Dur: dur, Kind: s.kind, ID: s.id, Arg: arg})
+	}
+	return time.Duration(dur)
 }
 
 func (t *Tracer) record(ev Event) {
@@ -347,13 +418,15 @@ func (t *Tracer) CountByKind() map[Kind]int {
 }
 
 // TraceSink groups the tracers of one capture: every tracer created from a
-// sink shares its epoch (so timelines align) and gets a distinct pid (so
-// Perfetto renders each node — across clusters — as its own process).
+// sink on one clock shares an epoch (so timelines align) and gets a distinct
+// pid (so Perfetto renders each node — across clusters — as its own
+// process). On the wall clock the epoch is the sink's creation; on any other
+// clock it is that clock's reading when the sink first saw it.
 type TraceSink struct {
-	epoch    time.Time
 	capacity int
 
 	mu      sync.Mutex
+	epochs  map[clock.Clock]time.Time
 	tracers []*Tracer
 }
 
@@ -363,20 +436,29 @@ func NewTraceSink(capacity int) *TraceSink {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &TraceSink{epoch: time.Now(), capacity: capacity}
+	wall := clock.Real()
+	return &TraceSink{capacity: capacity, epochs: map[clock.Clock]time.Time{wall: wall.Now()}}
 }
 
-// NewTracer creates a tracer labeled label sharing the sink's epoch. Safe
-// on a nil sink, which returns a nil (disabled) tracer.
-func (s *TraceSink) NewTracer(label string) *Tracer {
+// NewTracer creates a tracer labeled label on clk (nil means the wall
+// clock) that records events. Safe on a nil sink, which returns a tracer
+// that keeps totals only.
+func (s *TraceSink) NewTracer(label string, clk clock.Clock) *Tracer {
 	if s == nil {
-		return nil
+		return NewTracer(label, clk)
 	}
+	clk = clock.Or(clk)
 	s.mu.Lock()
-	t := &Tracer{pid: len(s.tracers), label: label, epoch: s.epoch,
+	defer s.mu.Unlock()
+	epoch, ok := s.epochs[clk]
+	if !ok {
+		epoch = clk.Now()
+		s.epochs[clk] = epoch
+	}
+	t := &Tracer{pid: len(s.tracers), label: label, clk: clk, epoch: epoch, ring: true,
 		buf: make([]Event, 0, s.capacity)}
+	t.born = t.now()
 	s.tracers = append(s.tracers, t)
-	s.mu.Unlock()
 	return t
 }
 

@@ -10,15 +10,22 @@ func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(KindSwapRetry, 1, 2)
 	tr.Start(KindSwapLoad, 3).End(4)
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
+	tr.Timed(KindHandler, 3).End(4)
+	tr.Add(KindCommSend, time.Second)
+	if tr.Total(KindHandler) != 0 || tr.Report(2) != (Report{}) {
+		t.Fatal("nil tracer keeps an account")
 	}
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer holds state")
 	}
+	// A nil sink hands out a tracer that keeps the totals and no events.
 	var sink *TraceSink
-	if got := sink.NewTracer("x"); got != nil {
-		t.Fatalf("nil sink produced tracer %v", got)
+	got := sink.NewTracer("x", nil)
+	got.Emit(KindSwapRetry, 1, 2)
+	got.Start(KindSwapLoad, 3).End(4)
+	got.Timed(KindHandler, 3).End(4)
+	if got.Len() != 0 {
+		t.Fatalf("tracer of a nil sink recorded %d events", got.Len())
 	}
 	if sink.Tracers() != nil {
 		t.Fatal("nil sink lists tracers")
@@ -26,7 +33,7 @@ func TestNilTracerIsInert(t *testing.T) {
 }
 
 func TestTracerRecordsAndSorts(t *testing.T) {
-	tr := NewTracer("node0", 16)
+	tr := NewTraceSink(16).NewTracer("node0", nil)
 	sp := tr.Start(KindSwapLoad, 7)
 	tr.Emit(KindSwapRetry, 7, 1)
 	time.Sleep(time.Millisecond)
@@ -52,7 +59,7 @@ func TestTracerRecordsAndSorts(t *testing.T) {
 }
 
 func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer("node0", 8)
+	tr := NewTraceSink(8).NewTracer("node0", nil)
 	for i := 0; i < 20; i++ {
 		tr.Emit(KindCommSend, uint64(i), 0)
 	}
@@ -71,7 +78,7 @@ func TestTracerRingWraps(t *testing.T) {
 }
 
 func TestTracerConcurrentEmit(t *testing.T) {
-	tr := NewTracer("node0", 1024)
+	tr := NewTraceSink(1024).NewTracer("node0", nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -91,8 +98,8 @@ func TestTracerConcurrentEmit(t *testing.T) {
 
 func TestSinkAssignsDistinctPids(t *testing.T) {
 	s := NewTraceSink(0)
-	a := s.NewTracer("node0")
-	b := s.NewTracer("node1")
+	a := s.NewTracer("node0", nil)
+	b := s.NewTracer("node1", nil)
 	if a.pid == b.pid {
 		t.Fatalf("sink reused pid %d", a.pid)
 	}

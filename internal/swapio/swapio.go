@@ -79,11 +79,13 @@ type Config struct {
 	// Retry is the retry policy applied to every Get/Put (see
 	// storage.RetryPolicy). The zero value means a single attempt.
 	Retry storage.RetryPolicy
-	// Tracer, when non-nil, receives swap.wait spans (queue time of demand
-	// loads) and swap.cancel events.
+	// Tracer times the scheduler's two spans — swap.wait (queue time of a
+	// demand load) and swap.busy (a stretch with a worker serving a request)
+	// — and receives swap.cancel events. Nil means a private tracer on Clock
+	// that keeps the totals only.
 	Tracer *obs.Tracer
-	// Clock timestamps queue waits and times retry backoff. Nil means the
-	// wall clock. The Retry policy's own Clock, when set, wins for backoff.
+	// Clock times retry backoff and the private tracer. Nil means the wall
+	// clock. The Retry policy's own Clock, when set, wins for backoff.
 	Clock clock.Clock
 }
 
@@ -101,8 +103,7 @@ type request struct {
 	key     storage.Key
 	id      uint64
 	class   Class
-	enq     time.Time
-	span    obs.Span // open swap.wait span for demand loads
+	wait    obs.Span // open swap.wait span of a demand load
 	running bool
 
 	// Loads accumulate callbacks as duplicates coalesce onto the first.
@@ -198,7 +199,6 @@ type Scheduler struct {
 	st     storage.Store
 	retry  *storage.Retrier
 	tracer *obs.Tracer
-	clk    clock.Clock
 	bound  int
 
 	mu     sync.Mutex
@@ -208,6 +208,9 @@ type Scheduler struct {
 	queued int
 	closed bool
 	wg     sync.WaitGroup
+	// The open swap.busy span, and how many workers are inside it.
+	serving int
+	busy    obs.Span
 
 	// Counters, under mu.
 	submitted [numClasses]uint64
@@ -242,11 +245,14 @@ func New(st storage.Store, cfg Config) *Scheduler {
 	if retry.Clock == nil {
 		retry.Clock = cfg.Clock
 	}
+	tracer := cfg.Tracer
+	if tracer == nil {
+		tracer = obs.NewTracer("", cfg.Clock)
+	}
 	s := &Scheduler{
 		st:     st,
 		retry:  storage.NewRetrier(retry),
-		tracer: cfg.Tracer,
-		clk:    clock.Or(cfg.Clock),
+		tracer: tracer,
 		bound:  bound,
 		loads:  make(map[storage.Key]*request),
 	}
@@ -318,10 +324,10 @@ func (s *Scheduler) Load(key storage.Key, id uint64, class Class, done func([]by
 		s.mu.Unlock()
 		return false
 	}
-	r := &request{op: opLoad, key: key, id: id, class: class, enq: s.clk.Now(),
+	r := &request{op: opLoad, key: key, id: id, class: class,
 		dones: []func([]byte, error){done}}
 	if class == Demand {
-		r.span = s.tracer.Start(obs.KindSwapWait, id)
+		r.wait = s.tracer.Timed(obs.KindSwapWait, id)
 	}
 	s.loads[key] = r
 	s.pushLocked(r)
@@ -372,7 +378,7 @@ func (s *Scheduler) Store(key storage.Key, id uint64, encode func() ([]byte, err
 		s.mu.Unlock()
 		return false
 	}
-	r := &request{op: opStore, key: key, id: id, class: Write, enq: s.clk.Now(),
+	r := &request{op: opStore, key: key, id: id, class: Write,
 		encode: encode, encoded: encoded, done: done}
 	s.pushLocked(r)
 	s.mu.Unlock()
@@ -388,7 +394,7 @@ func (s *Scheduler) Delete(key storage.Key) bool {
 		s.mu.Unlock()
 		return false
 	}
-	r := &request{op: opDelete, key: key, class: Write, enq: s.clk.Now()}
+	r := &request{op: opDelete, key: key, class: Write}
 	s.pushLocked(r)
 	s.mu.Unlock()
 	return true
@@ -421,8 +427,7 @@ func (s *Scheduler) promoteLocked(r *request) {
 		}
 	}
 	r.class = Demand
-	r.enq = s.clk.Now()
-	r.span = s.tracer.Start(obs.KindSwapWait, r.id)
+	r.wait = s.tracer.Timed(obs.KindSwapWait, r.id)
 	s.queues[Demand] = append(s.queues[Demand], r)
 	s.cond.Signal()
 }
@@ -532,10 +537,16 @@ func (s *Scheduler) popLocked() *request {
 	return nil
 }
 
+// worker serves requests until the scheduler is closed and drained. The
+// swap.busy span opens when the first worker takes a request and closes when
+// the last one is done, so its total is the union of the workers' service
+// intervals: what the disk layer was busy for, however many served at once.
+// It laps at every completion in between, so a disk that never goes idle is
+// still accounted as the run goes, at most one request behind.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
+	s.mu.Lock()
 	for {
-		s.mu.Lock()
 		for s.queued == 0 && !s.closed {
 			s.cond.Wait()
 		}
@@ -550,16 +561,25 @@ func (s *Scheduler) worker() {
 			s.inversions++
 		}
 		if r.op == opLoad && r.class == Demand {
-			w := s.clk.Since(r.enq)
+			w := r.wait.End(0)
 			s.demandWaits++
 			s.demandWaitTotal += w
 			if w > s.demandWaitMax {
 				s.demandWaitMax = w
 			}
-			r.span.End(0)
 		}
+		if s.serving == 0 {
+			s.busy = s.tracer.Timed(obs.KindSwapBusy, 0)
+		}
+		s.serving++
 		s.mu.Unlock()
 		s.execute(r)
+		s.mu.Lock()
+		if s.serving--; s.serving == 0 {
+			s.busy.End(0)
+		} else {
+			s.busy.Lap(0)
+		}
 	}
 }
 
