@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"mrts/internal/bufpool"
 	"mrts/internal/comm"
 	"mrts/internal/core"
 	"mrts/internal/meshgen"
@@ -354,12 +355,13 @@ func deepVerify(dir string) []string {
 	}
 	var problems []string
 	for _, rec := range st.Manifest().Records() {
-		payload, _, err := st.Payload(rec.Key)
+		payload, _, err := st.PayloadBuf(rec.Key)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("block %s: %v", rec.Key, err))
 			continue
 		}
 		dump, err := meshgen.DecodeExportedBlock(payload, nb)
+		bufpool.Put(payload)
 		if err != nil {
 			problems = append(problems, fmt.Sprintf("block %s: decode: %v", rec.Key, err))
 			continue

@@ -127,24 +127,49 @@ type decodeScratch struct {
 
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// readRecords reads n records of size bytes each from r through s.buf and
-// calls parse for every record with its index.
-func (s *decodeScratch) readRecords(r io.Reader, n, size int, parse func(i int, rec []byte) error) error {
-	per := len(s.buf) / size
-	for i := 0; i < n; {
-		c := min(per, n-i)
-		chunk := s.buf[:c*size]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return err
-		}
-		for ; c > 0; c, i = c-1, i+1 {
-			if err := parse(i, chunk[:size]); err != nil {
-				return err
-			}
-			chunk = chunk[size:]
-		}
+// source is where readSections takes an encoding from: a reader, copied a
+// chunk at a time through the scratch buffer, or — when the caller holds the
+// bytes — the slice itself, read in place.
+type source struct {
+	r    io.Reader // nil: data is the encoding
+	data []byte    // what of the slice is still unread
+	buf  []byte    // the scratch buffer a reader is read through
+}
+
+// take returns the next n bytes, n no more than len(src.buf), and fails as
+// io.ReadFull does when fewer remain.
+func (src *source) take(n int) ([]byte, error) {
+	if src.r != nil {
+		_, err := io.ReadFull(src.r, src.buf[:n])
+		return src.buf[:n], err
 	}
-	return nil
+	if len(src.data) < n {
+		if len(src.data) == 0 {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := src.data[:n:n]
+	src.data = src.data[n:]
+	return b, nil
+}
+
+// short reports whether fewer than n bytes are known to remain — of a slice,
+// or of an in-memory reader that says how long it is — so that a corrupt
+// count is refused before memory is sized by it, not after.
+func (src *source) short(n int) bool {
+	if src.r == nil {
+		return len(src.data) < n
+	}
+	l, ok := src.r.(interface{ Len() int })
+	return ok && l.Len() < n
+}
+
+// records returns the next whole records of size bytes each, as many of the
+// n outstanding as fit the scratch buffer — from a slice too, so that a blob
+// both cut short and malformed fails alike whichever way it is read.
+func (src *source) records(n, size int) ([]byte, error) {
+	return src.take(min(len(src.buf)/size, n) * size)
 }
 
 // sections is the content of one encoding, as read by readSections.
@@ -155,86 +180,101 @@ type sections struct {
 	constrained map[edgeKey]bool
 }
 
-// readSections reads one encoding from r into sec — header, vertices, super
+// readSections reads one encoding from src into sec — header, vertices, super
 // vertices, triangles, constraints — applying every check the format has:
 // magic and version, the count bounds, triangle vertex references in range,
 // and no section cut short. It is the only parser of the format: DecodeFrom
 // and CanonicalDigest both read through it, so a blob is accepted by both or
 // by neither. sec's slices are reused when large enough; the constraint set
 // is built only when keepConstraints is set, but its section is read and
-// checked either way. It reads exactly the encoding's bytes from r.
-func (s *decodeScratch) readSections(r io.Reader, sec *sections, keepConstraints bool) error {
-	u32 := binary.LittleEndian.Uint32
+// checked either way. It reads exactly the encoding's bytes from src.
+func readSections(src *source, sec *sections, keepConstraints bool) error {
+	u32, u64 := binary.LittleEndian.Uint32, binary.LittleEndian.Uint64
 
-	if _, err := io.ReadFull(r, s.buf[:8]); err != nil {
+	b, err := src.take(8)
+	if err != nil {
 		return err
 	}
-	if magic := u32(s.buf[:]); magic != encodeMagic {
+	if magic := u32(b); magic != encodeMagic {
 		return fmt.Errorf("mesh: bad magic %#x", magic)
 	}
-	if version := u32(s.buf[4:]); version != encodeVersion {
+	if version := u32(b[4:]); version != encodeVersion {
 		return fmt.Errorf("mesh: unsupported version %d", version)
 	}
-	if _, err := io.ReadFull(r, s.buf[:4]); err != nil {
+	if b, err = src.take(4); err != nil {
 		return err
 	}
-	nv := u32(s.buf[:])
+	nv := u32(b)
 	if nv > maxDecodeElems {
 		return fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
 	}
-	verts := slices.Grow(sec.verts[:0], int(nv))[:nv]
-	err := s.readRecords(r, len(verts), 16, func(i int, rec []byte) error {
-		verts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(rec))
-		verts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
-		return nil
-	})
-	if err != nil {
-		return err
+	if src.short(int(nv) * 16) {
+		return io.ErrUnexpectedEOF
 	}
-	if _, err := io.ReadFull(r, s.buf[:16]); err != nil {
+	verts := slices.Grow(sec.verts[:0], int(nv))[:nv]
+	for i := 0; i < len(verts); {
+		if b, err = src.records(len(verts)-i, 16); err != nil {
+			return err
+		}
+		for ; len(b) >= 16; b, i = b[16:], i+1 {
+			verts[i] = geom.Point{X: math.Float64frombits(u64(b)), Y: math.Float64frombits(u64(b[8:]))}
+		}
+	}
+	if b, err = src.take(16); err != nil {
 		return err
 	}
 	for i := range sec.super {
-		sec.super[i] = VertexID(int32(u32(s.buf[4*i:])))
+		sec.super[i] = VertexID(int32(u32(b[4*i:])))
 	}
-	nt := u32(s.buf[12:])
+	nt := u32(b[12:])
 	if nt > maxDecodeElems {
 		return fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
 	}
+	if src.short(int(nt) * 12) {
+		return io.ErrUnexpectedEOF
+	}
 	tris := slices.Grow(sec.tris[:0], int(nt))[:nt]
-	err = s.readRecords(r, len(tris), 12, func(i int, rec []byte) error {
-		for k := 0; k < 3; k++ {
-			id := VertexID(int32(u32(rec[4*k:])))
-			if id < 0 || int(id) >= len(verts) {
-				return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, id)
-			}
-			tris[i].V[k] = id
+	for i := 0; i < len(tris); {
+		if b, err = src.records(len(tris)-i, 12); err != nil {
+			return err
 		}
-		tris[i].N = [3]TriID{NoTri, NoTri, NoTri}
-		return nil
-	})
-	if err != nil {
+		for ; len(b) >= 12; b, i = b[12:], i+1 {
+			// One unsigned comparison a reference: a negative id is a
+			// large one, and nv is at most maxDecodeElems.
+			v := [3]uint32{u32(b), u32(b[4:]), u32(b[8:])}
+			for _, id := range v {
+				if id >= nv {
+					return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, int32(id))
+				}
+			}
+			t := &tris[i]
+			t.V[0], t.V[1], t.V[2] = VertexID(v[0]), VertexID(v[1]), VertexID(v[2])
+			t.N[0], t.N[1], t.N[2] = NoTri, NoTri, NoTri
+		}
+	}
+	if b, err = src.take(4); err != nil {
 		return err
 	}
-	if _, err := io.ReadFull(r, s.buf[:4]); err != nil {
-		return err
-	}
-	nc := u32(s.buf[:])
+	nc := u32(b)
 	if nc > maxDecodeElems {
 		return fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
+	}
+	if src.short(int(nc) * 8) {
+		return io.ErrUnexpectedEOF
 	}
 	sec.constrained = nil
 	if keepConstraints {
 		sec.constrained = make(map[edgeKey]bool, nc)
 	}
-	err = s.readRecords(r, int(nc), 8, func(_ int, rec []byte) error {
-		if keepConstraints {
-			sec.constrained[mkEdge(VertexID(int32(u32(rec))), VertexID(int32(u32(rec[4:]))))] = true
+	for i := 0; i < int(nc); {
+		if b, err = src.records(int(nc)-i, 8); err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		for ; len(b) >= 8; b, i = b[8:], i+1 {
+			if keepConstraints {
+				sec.constrained[mkEdge(VertexID(int32(u32(b))), VertexID(int32(u32(b[4:]))))] = true
+			}
+		}
 	}
 	sec.verts, sec.tris = verts, tris
 	return nil
@@ -247,7 +287,7 @@ func (m *Mesh) DecodeFrom(r io.Reader) error {
 	s := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(s)
 	var sec sections
-	if err := s.readSections(r, &sec, true); err != nil {
+	if err := readSections(&source{r: r, buf: s.buf[:]}, &sec, true); err != nil {
 		return err
 	}
 	verts, super, tris, constrained := sec.verts, sec.super, sec.tris, sec.constrained

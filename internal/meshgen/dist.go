@@ -348,12 +348,15 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 			continue
 		}
 		i, j := idx%nb, idx/nb
-		payload, rec, err := st.Payload(meshstore.BlockKey(i, j))
+		payload, rec, err := st.PayloadBuf(meshstore.BlockKey(i, j))
 		if err != nil {
 			return fmt.Errorf("meshgen: restore block (%d,%d): %w", i, j, err)
 		}
 		o := &blockObj{}
-		if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
+		err = o.DecodeFrom(bytes.NewReader(payload))
+		size := len(payload)
+		bufpool.Put(payload) // DecodeFrom copied what it keeps
+		if err != nil {
 			return fmt.Errorf("meshgen: restore block (%d,%d): decode: %w", i, j, err)
 		}
 		if o.Elements != rec.Elements {
@@ -366,7 +369,7 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 			return fmt.Errorf("meshgen: restored block (%d,%d) minted %v, placement predicted %v",
 				i, j, got, d.ptrs[idx])
 		}
-		meshstore.EmitRestore(d.rt.Tracer(), i, j, len(payload))
+		meshstore.EmitRestore(d.rt.Tracer(), i, j, size)
 	}
 	return nil
 }

@@ -2,12 +2,14 @@ package meshgen
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
@@ -85,72 +87,243 @@ func rawEncoding(verts []geom.Point, super [3]int32, tris [][3]int32, cons [][2]
 	return b
 }
 
-func sameDigest(t *testing.T, what string, data []byte) {
-	t.Helper()
-	if got, want := hashMesh(data), oracleHashMesh(data); !bytes.Equal(got, want) {
-		t.Fatalf("%s: hashMesh = %x, oracle %x", what, got, want)
-	}
+// comparePointsTotal is the digest's documented point order: x and then y as
+// cmp.Compare orders floats, then the bits of x and of y.
+func comparePointsTotal(p, q geom.Point) int {
+	return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y),
+		cmp.Compare(math.Float64bits(p.X), math.Float64bits(q.X)),
+		cmp.Compare(math.Float64bits(p.Y), math.Float64bits(q.Y)))
 }
 
-// TestHashMeshMatchesOracle requires the digest to equal the full-decode
-// reference on refined blocks, on adversarial encodings — coordinates drawn
+// hashedTriangles decodes data in full and returns the corner points of its
+// triangles that touch no super vertex, or false if it does not decode.
+func hashedTriangles(data []byte) ([][3]geom.Point, bool) {
+	m := mesh.New()
+	if err := m.DecodeFrom(bytes.NewReader(data)); err != nil {
+		return nil, false
+	}
+	tris := make([][3]geom.Point, 0, m.NumTriangles())
+	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
+		if !m.HasSuperVertex(t) {
+			g := m.Triangle(t)
+			tris = append(tris, [3]geom.Point{g.A, g.B, g.C})
+		}
+	})
+	return tris, true
+}
+
+// totalOrderOracle is the digest as its doc comment defines it, computed the
+// slow way: every triangle's corners sorted by comparePointsTotal, the list
+// sorted by the same order corner by corner, and the coordinates' bits hashed.
+// Unlike oracleHashMesh it is defined on every input, tied points included.
+func totalOrderOracle(data []byte) []byte {
+	tris, ok := hashedTriangles(data)
+	if !ok {
+		return undecodable(data)
+	}
+	for i := range tris {
+		slices.SortFunc(tris[i][:], comparePointsTotal)
+	}
+	slices.SortFunc(tris, func(a, b [3]geom.Point) int {
+		return slices.CompareFunc(a[:], b[:], comparePointsTotal)
+	})
+	var buf []byte
+	for _, tr := range tris {
+		for _, p := range tr {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
+		}
+	}
+	h := sha256.Sum256(buf)
+	return h[:]
+}
+
+// undecodable is what hashMesh makes of a blob DecodeFrom rejects.
+func undecodable(data []byte) []byte {
+	h := sha256.Sum256(append([]byte("undecodable:"), data...))
+	return h[:]
+}
+
+// tieFree reports whether oracleHashMesh is defined on data: none of the
+// points it hashes has a NaN coordinate, which its plain float comparisons
+// leave wherever the encoding put it, and no two of them compare equal yet
+// differ in bits (-0 against +0), which its sort orders as it finds them.
+func tieFree(data []byte) bool {
+	tris, _ := hashedTriangles(data)
+	seen := map[geom.Point]geom.Point{} // by value, -0 folded into +0
+	for _, tr := range tris {
+		for _, p := range tr {
+			if p.X != p.X || p.Y != p.Y {
+				return false
+			}
+			key := geom.Pt(p.X+0, p.Y+0)
+			if q, ok := seen[key]; ok && comparePointsTotal(p, q) != 0 {
+				return false
+			}
+			seen[key] = p
+		}
+	}
+	return true
+}
+
+// sameDigest requires hashMesh to equal the total-order oracle, and the old
+// oracle too wherever that one is defined; it reports whether it was.
+func sameDigest(t testing.TB, what string, data []byte) (tieFreeInput bool) {
+	t.Helper()
+	got := hashMesh(data)
+	if want := totalOrderOracle(data); !bytes.Equal(got, want) {
+		t.Fatalf("%s: hashMesh = %x, total-order oracle %x", what, got, want)
+	}
+	if !tieFree(data) {
+		return false
+	}
+	if want := oracleHashMesh(data); !bytes.Equal(got, want) {
+		t.Fatalf("%s: hashMesh = %x, oracle %x", what, got, want)
+	}
+	return true
+}
+
+// rawMesh is a mesh as rawEncoding takes it.
+type rawMesh struct {
+	verts []geom.Point
+	super [3]int32
+	tris  [][3]int32
+	cons  [][2]int32
+}
+
+func (r rawMesh) encoding() []byte { return rawEncoding(r.verts, r.super, r.tris, r.cons) }
+
+// rawOf takes an encoded mesh apart again.
+func rawOf(t testing.TB, data []byte) rawMesh {
+	t.Helper()
+	m := mesh.New()
+	if err := m.DecodeFrom(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var r rawMesh
+	for v := 0; v < m.NumVertices(); v++ {
+		r.verts = append(r.verts, m.Vertex(mesh.VertexID(v)))
+	}
+	for i, s := range m.SuperVertices() {
+		r.super[i] = int32(s)
+	}
+	m.ForEachTri(func(_ mesh.TriID, tr mesh.Tri) {
+		r.tris = append(r.tris, [3]int32{int32(tr.V[0]), int32(tr.V[1]), int32(tr.V[2])})
+	})
+	m.ForEachConstrained(func(a, b mesh.VertexID) { r.cons = append(r.cons, [2]int32{int32(a), int32(b)}) })
+	return r
+}
+
+// permuted is r renumbered: its vertices in a random order (ids outside the
+// vertex list, which super vertices and constraints may carry, stay), its
+// triangles shuffled and each rotated.
+func (r rawMesh) permuted(rng *rand.Rand) rawMesh {
+	perm := rng.Perm(len(r.verts))
+	id := func(v int32) int32 {
+		if v < 0 || int(v) >= len(perm) {
+			return v
+		}
+		return int32(perm[v])
+	}
+	out := rawMesh{verts: make([]geom.Point, len(r.verts))}
+	for v, p := range r.verts {
+		out.verts[perm[v]] = p
+	}
+	for i, s := range r.super {
+		out.super[i] = id(s)
+	}
+	for _, i := range rng.Perm(len(r.tris)) {
+		tr, k := r.tris[i], rng.Intn(3)
+		out.tris = append(out.tris, [3]int32{id(tr[k]), id(tr[(k+1)%3]), id(tr[(k+2)%3])})
+	}
+	for _, c := range r.cons {
+		out.cons = append(out.cons, [2]int32{id(c[0]), id(c[1])})
+	}
+	return out
+}
+
+// adversarialMesh draws a small encoding no Mesh would produce: coordinates
 // from a handful of values so that equal points, -0 against +0 and NaN all
-// meet in one triangle list — and on blobs both must reject.
+// meet in one triangle list, super vertex ids absent, real and out of range.
+func adversarialMesh(rng *rand.Rand) rawMesh {
+	coords := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001)} // a second NaN payload
+	nv := 1 + rng.Intn(12)
+	r := rawMesh{verts: make([]geom.Point, nv)}
+	for i := range r.verts {
+		r.verts[i] = geom.Pt(coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))])
+	}
+	for i := range r.super {
+		r.super[i] = int32(rng.Intn(nv+3)) - 2 // -2 … nv
+	}
+	r.tris = make([][3]int32, rng.Intn(40))
+	for i := range r.tris {
+		for k := range r.tris[i] {
+			r.tris[i][k] = int32(rng.Intn(nv))
+		}
+	}
+	r.cons = make([][2]int32, rng.Intn(4))
+	for i := range r.cons {
+		r.cons[i] = [2]int32{int32(rng.Intn(nv+2)) - 1, int32(rng.Intn(nv+2)) - 1}
+	}
+	return r
+}
+
+// refinedBlock is the encoding of one refined block of spacing h.
+func refinedBlock(t testing.TB, r geom.Rect, h float64) []byte {
+	t.Helper()
+	bm, err := meshBlock(r, h, math.Sqrt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := bm.mesh.EncodeTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
+}
+
+// wellFormed is a two-triangle encoding with one constraint, the stock the
+// rejected blobs are cut from.
+func wellFormed() []byte {
+	return rawEncoding(
+		[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 1)},
+		[3]int32{-1, -1, -1}, [][3]int32{{0, 1, 2}, {1, 3, 2}}, [][2]int32{{0, 1}})
+}
+
+// TestHashMeshMatchesOracle requires the digest to equal the total-order
+// oracle everywhere and the full-decode reference it replaced wherever that
+// is defined: on refined blocks, on adversarial encodings and on blobs all
+// three must reject.
 func TestHashMeshMatchesOracle(t *testing.T) {
 	t.Run("refined blocks", func(t *testing.T) {
 		for _, h := range []float64{0.2, 0.07, 0.03} {
-			bm, err := meshBlock(geom.NewRect(geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.75)), h, math.Sqrt2)
-			if err != nil {
-				t.Fatal(err)
+			enc := refinedBlock(t, geom.NewRect(geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.75)), h)
+			if !sameDigest(t, "refined block", enc) {
+				t.Fatal("a refined block has tied points")
 			}
-			var enc bytes.Buffer
-			if err := bm.mesh.EncodeTo(&enc); err != nil {
-				t.Fatal(err)
-			}
-			sameDigest(t, "refined block", enc.Bytes())
 			// The encoding may be followed by other data; both read only
 			// their own bytes.
-			sameDigest(t, "trailing bytes", append(enc.Bytes(), "tail"...))
+			sameDigest(t, "trailing bytes", append(enc, "tail"...))
 		}
 	})
 
 	t.Run("adversarial encodings", func(t *testing.T) {
-		coords := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1),
-			math.Float64frombits(0x7ff8000000000001)} // a second NaN payload
 		rng := rand.New(rand.NewSource(17))
+		free := 0
 		for trial := 0; trial < 300; trial++ {
-			nv := 1 + rng.Intn(12)
-			verts := make([]geom.Point, nv)
-			for i := range verts {
-				verts[i] = geom.Pt(coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))])
+			if sameDigest(t, "adversarial encoding", adversarialMesh(rng).encoding()) {
+				free++
 			}
-			var super [3]int32
-			for i := range super {
-				super[i] = int32(rng.Intn(nv+3)) - 2 // -2 … nv: absent, real, and out of range
-			}
-			tris := make([][3]int32, rng.Intn(40))
-			for i := range tris {
-				for k := range tris[i] {
-					tris[i][k] = int32(rng.Intn(nv))
-				}
-			}
-			cons := make([][2]int32, rng.Intn(4))
-			for i := range cons {
-				cons[i] = [2]int32{int32(rng.Intn(nv+2)) - 1, int32(rng.Intn(nv+2)) - 1}
-			}
-			sameDigest(t, "adversarial encoding", rawEncoding(verts, super, tris, cons))
+		}
+		if free < 50 {
+			t.Fatalf("only %d of 300 encodings are tie-free: the old oracle checks too little", free)
 		}
 	})
 
 	t.Run("rejected blobs", func(t *testing.T) {
-		good := rawEncoding(
-			[]geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1), geom.Pt(1, 1)},
-			[3]int32{-1, -1, -1}, [][3]int32{{0, 1, 2}, {1, 3, 2}}, [][2]int32{{0, 1}})
+		good := wellFormed()
 		sameDigest(t, "well-formed", good)
-		undecodable := func(data []byte) []byte {
-			h := sha256.Sum256(append([]byte("undecodable:"), data...))
-			return h[:]
-		}
 		// Every truncation loses part of a section DecodeFrom reads — the
 		// constraint section, which the digest ignores, included.
 		for n := 0; n < len(good); n++ {
@@ -160,11 +333,149 @@ func TestHashMeshMatchesOracle(t *testing.T) {
 			}
 		}
 		// Every u32 in turn blown up: bad magic, bad version, counts over
-		// the bound or past the data, vertex references out of range.
+		// the bound or past the data, vertex references out of range, a
+		// coordinate turned NaN.
 		for off := 0; off+4 <= len(good); off += 4 {
 			mut := bytes.Clone(good)
 			binary.LittleEndian.PutUint32(mut[off:], 0xFFFFFFF0)
 			sameDigest(t, "corrupted", mut)
+		}
+	})
+}
+
+// TestHashMeshPermutationInvariant renumbers vertices, shuffles triangles and
+// rotates each: the digest must not move. On tied points — the adversarial
+// encodings are full of them — it did before the order on points was total.
+func TestHashMeshPermutationInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	check := func(what string, r rawMesh) {
+		t.Helper()
+		want := hashMesh(r.encoding())
+		for i := 0; i < 4; i++ {
+			if got := hashMesh(r.permuted(rng).encoding()); !bytes.Equal(got, want) {
+				t.Fatalf("%s: digest %x, renumbered %x", what, want, got)
+			}
+		}
+	}
+	check("refined block", rawOf(t, refinedBlock(t, geom.NewRect(geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.75)), 0.03)))
+	// The case of the issue: two triangles apart only in the sign of a zero.
+	check("signed zeros", rawMesh{
+		verts: []geom.Point{geom.Pt(0, 0), geom.Pt(math.Copysign(0, -1), 0), geom.Pt(1, 0), geom.Pt(0, 1)},
+		super: [3]int32{-1, -1, -1}, tris: [][3]int32{{0, 2, 3}, {1, 2, 3}}})
+	for trial := 0; trial < 300; trial++ {
+		check("adversarial encoding", adversarialMesh(rng))
+	}
+}
+
+// TestHashMeshWorstCaseShapes digests inputs built to defeat each bucketing
+// — every point in one bucket, every triangle in one bucket, a range that
+// outliers stretch or that is not finite — and the empty ones. Each must
+// match the oracles and cost, a triangle, no more than a generous multiple
+// of what a refined block costs: a fallback that went quadratic would
+// overshoot it by orders of magnitude.
+func TestHashMeshWorstCaseShapes(t *testing.T) {
+	noSuper := [3]int32{-1, -1, -1}
+	block := refinedBlock(t, geom.NewRect(geom.Pt(0, 0), geom.Pt(1.0/16, 1.0/16)), 0.0015)
+	perTriangle := func(data []byte, ntris int) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			hashSink = hashMesh(data)
+			best = min(best, time.Since(t0))
+		}
+		return best / time.Duration(ntris)
+	}
+	base := max(perTriangle(block, len(rawOf(t, block).tris)), 50*time.Nanosecond)
+
+	size := 1 << 18
+	if testing.Short() {
+		size = 1 << 12
+	}
+	strip := func(n int) [][3]int32 { // triangles (i, i+1, i+2)
+		tris := make([][3]int32, n-2)
+		for i := range tris {
+			tris[i] = [3]int32{int32(i), int32(i + 1), int32(i + 2)}
+		}
+		return tris
+	}
+	column := rawMesh{super: noSuper, verts: make([]geom.Point, size), tris: strip(size)}
+	for i := range column.verts {
+		column.verts[i] = geom.Pt(0.5, float64((i*7919)%size))
+	}
+	star := rawMesh{super: noSuper, verts: make([]geom.Point, size+2), tris: make([][3]int32, size)}
+	for i := range star.verts {
+		star.verts[i] = geom.Pt(float64(i), float64(i%3))
+	}
+	for i := range star.tris { // all on vertex 0, the lowest, and in descending order
+		star.tris[i] = [3]int32{int32(size - i), 0, int32(size - i + 1)}
+	}
+	equal := rawMesh{super: noSuper, verts: make([]geom.Point, size), tris: strip(size)}
+	for i := range equal.verts {
+		equal.verts[i] = geom.Pt(1, 1)
+	}
+	withOutliers := func(outliers ...float64) rawMesh {
+		r := rawOf(t, block)
+		for i, x := range outliers {
+			r.verts = append(r.verts, geom.Pt(x, 0.01))
+			r.tris = append(r.tris, [3]int32{int32(len(r.verts) - 1), int32(3 + i), int32(4 + i)})
+		}
+		return r
+	}
+	allSuper := rawMesh{super: [3]int32{0, 1, 2}, verts: column.verts[:64], tris: strip(64)}
+	for i := range allSuper.tris {
+		allSuper.tris[i][i%3] = int32(i % 3)
+	}
+
+	for _, c := range []struct {
+		name      string
+		mesh      rawMesh
+		oldOracle bool // defined on it: no tied points
+	}{
+		{"one column", column, true},
+		{"star", star, true},
+		{"all points equal", equal, true},
+		{"outliers 1e300", withOutliers(1e300, -1e300), true},
+		{"outliers Inf", withOutliers(1e300, math.Inf(1), math.Inf(-1)), true},
+		{"outliers NaN", withOutliers(math.NaN(), -1e300, math.Inf(1)), false},
+		{"no triangles", rawMesh{super: noSuper, verts: column.verts[:64]}, true},
+		{"no vertices", rawMesh{super: noSuper}, true},
+		{"every triangle on a super vertex", allSuper, true},
+	} {
+		data := c.mesh.encoding()
+		if got := sameDigest(t, c.name, data); got != c.oldOracle {
+			t.Errorf("%s: tie-free = %v, want %v", c.name, got, c.oldOracle)
+		}
+		if n := len(c.mesh.tris); n > 0 {
+			if per := perTriangle(data, n); per > 100*base {
+				t.Errorf("%s: %v a triangle, over 100 times the refined block's %v", c.name, per, base)
+			}
+		}
+	}
+}
+
+// FuzzHashMeshMatchesOracle feeds the digest whatever bytes the fuzzer finds,
+// starting from the adversarial encodings and the rejected blobs: it must
+// agree with the total-order oracle, and with the old one where that is
+// defined, and a renumbering of anything that decodes must digest alike.
+func FuzzHashMeshMatchesOracle(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 24; i++ {
+		f.Add(adversarialMesh(rng).encoding())
+	}
+	good := wellFormed()
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(good[:20])
+	f.Add(append(bytes.Clone(good), "tail"...))
+	f.Add([]byte("not a mesh"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sameDigest(t, "fuzzed", data)
+		if _, ok := hashedTriangles(data); ok {
+			r := rawOf(t, data)
+			want := hashMesh(r.encoding())
+			if got := hashMesh(r.permuted(rand.New(rand.NewSource(int64(len(data))))).encoding()); !bytes.Equal(got, want) {
+				t.Fatalf("digest %x, renumbered %x", want, got)
+			}
 		}
 	})
 }

@@ -156,13 +156,13 @@ func (r *byteSliceReader) ReadByte() (byte, error) {
 	return c, nil
 }
 
-// decodePayload decodes (or copies) one frame's payload section into a
-// freshly owned slice and verifies it against the frame's SHA-256.
-func decodePayload(h frameHeader, enc []byte) ([]byte, error) {
+// decodePayload decodes (or copies) one frame's payload section into out,
+// which the caller has sized to the frame's RawLen, and verifies it against
+// the frame's SHA-256. Every byte of out is written.
+func decodePayload(out []byte, h frameHeader, enc []byte) error {
 	if len(enc) != h.EncLen {
-		return nil, fmt.Errorf("meshstore: frame %q payload section %d bytes, want %d", h.Key, len(enc), h.EncLen)
+		return fmt.Errorf("meshstore: frame %q payload section %d bytes, want %d", h.Key, len(enc), h.EncLen)
 	}
-	out := make([]byte, h.RawLen)
 	switch h.Codec {
 	case codecRaw:
 		copy(out, enc)
@@ -173,27 +173,27 @@ func decodePayload(h frameHeader, enc []byte) ([]byte, error) {
 		}
 		defer flateReaderPool.Put(fr)
 		if err := fr.(flate.Resetter).Reset(&byteSliceReader{b: enc}, nil); err != nil {
-			return nil, fmt.Errorf("meshstore: flate reset: %w", err)
+			return fmt.Errorf("meshstore: flate reset: %w", err)
 		}
 		if _, err := io.ReadFull(fr, out); err != nil {
-			return nil, fmt.Errorf("meshstore: frame %q inflate: %w", h.Key, err)
+			return fmt.Errorf("meshstore: frame %q inflate: %w", h.Key, err)
 		}
 		// The stream must end exactly at rawLen: trailing compressed data
 		// means the header lied about the raw size.
 		var extra [1]byte
 		if n, _ := fr.Read(extra[:]); n != 0 {
-			return nil, fmt.Errorf("meshstore: frame %q inflates past rawLen %d", h.Key, h.RawLen)
+			return fmt.Errorf("meshstore: frame %q inflates past rawLen %d", h.Key, h.RawLen)
 		}
 	case codecPlanes:
 		// The tokens must fill exactly the rawLen bytes the header claims.
 		if err := planes.Decode(out, enc); err != nil {
-			return nil, fmt.Errorf("meshstore: frame %q: %w", h.Key, err)
+			return fmt.Errorf("meshstore: frame %q: %w", h.Key, err)
 		}
 	}
 	if sha256.Sum256(out) != h.Sum {
-		return nil, fmt.Errorf("meshstore: frame %q payload digest mismatch", h.Key)
+		return fmt.Errorf("meshstore: frame %q payload digest mismatch", h.Key)
 	}
-	return out, nil
+	return nil
 }
 
 // HashRecord is the per-block input to the run-wide combined mesh digest:

@@ -407,13 +407,13 @@ func TestDecodePayloadChecksRawLen(t *testing.T) {
 		"planes": {codecPlanes, coded},
 	} {
 		h := frameHeader{Codec: c.codec, Key: name, RawLen: len(raw), EncLen: len(c.enc), Sum: sha256.Sum256(raw)}
-		got, err := decodePayload(h, c.enc)
-		if err != nil || !bytes.Equal(got, raw) {
+		got := make([]byte, h.RawLen)
+		if err := decodePayload(got, h, c.enc); err != nil || !bytes.Equal(got, raw) {
 			t.Fatalf("%s: well-formed frame: err=%v match=%v", name, err, bytes.Equal(got, raw))
 		}
 		for _, claimed := range []int{len(raw) - 1, len(raw) + 1} {
 			h.RawLen = claimed
-			_, err := decodePayload(h, c.enc)
+			err := decodePayload(make([]byte, claimed), h, c.enc)
 			if err == nil || strings.Contains(err.Error(), "digest") {
 				t.Fatalf("%s: frame claiming %d raw bytes for %d: err=%v, want a length error", name, claimed, len(raw), err)
 			}

@@ -80,9 +80,11 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 				bufpool.Put(enc)
 				break
 			}
-			if _, derr := decodePayload(h, enc); derr != nil {
+			raw := bufpool.Get(h.RawLen)
+			if derr := decodePayload(raw, h, enc); derr != nil {
 				res.Problems = append(res.Problems, derr.Error())
 			}
+			bufpool.Put(raw)
 			bufpool.Put(enc)
 		} else {
 			if _, err := br.Discard(h.EncLen); err != nil {
@@ -193,8 +195,20 @@ func (s *Store) Record(key string) (Record, bool) {
 	return loc.rec, ok
 }
 
-// Payload reads, decodes, and digest-verifies one block's payload.
+// Payload reads, decodes, and digest-verifies one block's payload into a
+// slice of the caller's own.
 func (s *Store) Payload(key string) ([]byte, Record, error) {
+	return s.payload(key, func(n int) []byte { return make([]byte, n) })
+}
+
+// PayloadBuf is Payload into a bufpool buffer, for a caller that decodes the
+// payload and is done with it: the caller owns the buffer and releases it
+// with bufpool.Put.
+func (s *Store) PayloadBuf(key string) ([]byte, Record, error) {
+	return s.payload(key, bufpool.Get)
+}
+
+func (s *Store) payload(key string, alloc func(int) []byte) ([]byte, Record, error) {
 	loc, ok := s.index[key]
 	if !ok {
 		return nil, Record{}, fmt.Errorf("meshstore: no block %q in store %s", key, s.dir)
@@ -223,8 +237,9 @@ func (s *Store) Payload(key string) ([]byte, Record, error) {
 	if h.Key != key {
 		return nil, Record{}, fmt.Errorf("meshstore: frame at %d holds %q, index says %q", loc.rec.Offset, h.Key, key)
 	}
-	payload, err := decodePayload(h, frame[frameFixedLen+keyLen+hashLen:])
-	if err != nil {
+	payload := alloc(h.RawLen)
+	if err := decodePayload(payload, h, frame[frameFixedLen+keyLen+hashLen:]); err != nil {
+		bufpool.Put(payload)
 		return nil, Record{}, err
 	}
 	statBlocksRead.Add(1)
