@@ -5,10 +5,11 @@
 // The rebalance drain rule: a membership change never copies the whole
 // keyspace. On leave, only the departing node's objects move — each to the
 // node now owning its placement key; on join, only the objects whose
-// placement key the new member took over move. Both ride the existing
-// migrate path, whose eviction writes go through the swapio write class, so
-// a rebalance competes with (and yields to) demand loads like any other
-// write-back traffic.
+// placement key the new member took over move. Both are migration requests
+// (core.Runtime.RequestMigration): one that finds its object still held by
+// an eviction at the phase boundary waits on the object, an out-of-core
+// object comes in through the swapio demand class first, and the Wait that
+// ends the operation waits for every move.
 //
 // All churn operations require a quiescent cluster (call Wait first): they
 // reshape placement between computation phases, mirroring how the
@@ -17,9 +18,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"mrts/internal/core"
 	"mrts/internal/obs"
@@ -102,9 +101,7 @@ func (c *Cluster) JoinNode(i int) (int, error) {
 			if owner != core.NodeID(i) {
 				continue
 			}
-			if err := c.migrateSettled(rt, ptr, core.NodeID(i)); err != nil {
-				return moved, err
-			}
+			c.rebalance(rt, ptr, core.NodeID(i))
 			moved++
 		}
 	}
@@ -161,9 +158,7 @@ func (c *Cluster) SettleAtOwners() (int, error) {
 			if dest < 0 || dest == core.NodeID(j) {
 				continue
 			}
-			if err := c.migrateSettled(rt, ptr, dest); err != nil {
-				return moved, err
-			}
+			c.rebalance(rt, ptr, dest)
 			moved++
 		}
 	}
@@ -199,36 +194,19 @@ func (c *Cluster) drainNode(i int) (int, error) {
 		if dest < 0 || dest == core.NodeID(i) {
 			return moved, fmt.Errorf("cluster: no ring owner for %v while draining node %d", ptr, i)
 		}
-		if err := c.migrateSettled(rt, ptr, dest); err != nil {
-			return moved, err
-		}
+		c.rebalance(rt, ptr, dest)
 		moved++
 	}
 	return moved, nil
 }
 
-// migrateSettled migrates one object, absorbing transient ErrBusy (a
-// handler or swap operation still holding the object right at the phase
-// boundary) with a bounded retry.
-func (c *Cluster) migrateSettled(rt *core.Runtime, ptr core.MobilePtr, dest core.NodeID) error {
-	var err error
-	for attempt := 0; attempt < 1000; attempt++ {
-		err = rt.Migrate(ptr, dest)
-		switch err {
-		case nil:
-			c.rebalanced.Add(1)
-			rt.Tracer().Emit(obs.KindDirRebalance, packPtr(ptr), int64(dest))
-			return nil
-		case core.ErrNotLocal, core.ErrObjectLost:
-			// Already moved (or gone): nothing left to drain here.
-			return nil
-		case core.ErrBusy:
-			c.clk.Sleep(200 * time.Microsecond)
-		default:
-			return fmt.Errorf("cluster: rebalance %v -> node %d: %w", ptr, dest, err)
-		}
-	}
-	return fmt.Errorf("cluster: rebalance %v -> node %d: still busy after retries: %w", ptr, dest, err)
+// rebalance asks rt, which hosts ptr, to move it to dest. The request waits
+// on the object if an eviction still holds it right at the phase boundary;
+// the Wait that ends every churn operation waits for the move.
+func (c *Cluster) rebalance(rt *core.Runtime, ptr core.MobilePtr, dest core.NodeID) {
+	rt.RequestMigration(ptr, dest)
+	c.rebalanced.Add(1)
+	rt.Tracer().Emit(obs.KindDirRebalance, packPtr(ptr), int64(dest))
 }
 
 func packPtr(p core.MobilePtr) uint64 {
@@ -256,20 +234,8 @@ func (c *Cluster) CrashNode(i int) error {
 	if bad {
 		return fmt.Errorf("cluster: node %d absent or already inactive", i)
 	}
-	// Termination stops handlers and messages, but background evictions can
-	// still hold objects for a few more virtual microseconds; absorb that
-	// window like any other phase-boundary ErrBusy.
-	var ck storage.Store
-	var err error
-	for attempt := 0; attempt < 1000; attempt++ {
-		ck = storage.NewMem() // fresh store per attempt: no partial manifests
-		err = rt.Checkpoint(ck, "crash")
-		if !errors.Is(err, core.ErrBusy) {
-			break
-		}
-		c.clk.Sleep(200 * time.Microsecond)
-	}
-	if err != nil {
+	ck := storage.NewMem()
+	if err := rt.Checkpoint(ck, "crash"); err != nil {
 		return fmt.Errorf("cluster: checkpoint node %d: %w", i, err)
 	}
 	c.nmu.Lock()

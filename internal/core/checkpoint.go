@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 
 	"mrts/internal/storage"
 )
@@ -26,8 +27,14 @@ const checkpointMagic = 0x4D435054 // "MCPT"
 
 // Checkpoint writes this node's full state into st under the given prefix.
 // Objects currently swapped out are copied from the runtime's own store
-// without deserializing them. The runtime must be quiescent.
+// without deserializing them. The runtime must be quiescent. That stops
+// handlers and messages, not the evictions the last handlers started:
+// Checkpoint waits those out (200 ms of the runtime's clock at most), and an
+// object something still holds after that fails it with ErrBusy.
 func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
+	for i := 0; i < 1000 && rt.swapOps.Load() > 0; i++ {
+		rt.clk.Sleep(200 * time.Microsecond)
+	}
 	rt.mu.Lock()
 	ptrs := make([]MobilePtr, 0, len(rt.objects))
 	for p := range rt.objects {
@@ -80,28 +87,21 @@ func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
 // checkpointObject snapshots one object: blob + queue + hints. Returns the
 // manifest record.
 func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string) ([]byte, error) {
-	rt.mu.Lock()
-	lo := rt.objects[p]
-	rt.mu.Unlock()
+	lo := rt.lookup(p)
 	if lo == nil {
 		return nil, ErrUnknownObject
 	}
 	lo.mu.Lock()
-	if lo.running || lo.scheduled {
+	if err := rt.tryAcquire(lo, toRead); err != nil {
 		lo.mu.Unlock()
-		return nil, ErrBusy
+		return nil, err
 	}
 	var blob []byte
 	var err error
-	switch lo.state {
-	case stInCore:
+	if lo.state == stInCore {
 		blob, err = encodeObject(lo.obj)
-	case stOut:
+	} else {
 		blob, err = rt.io.Backing().Get(storeKey(p))
-	case stLost:
-		err = ErrObjectLost
-	default:
-		err = ErrBusy
 	}
 	queue := append([]queued(nil), lo.queue...)
 	typeID := lo.typeID
@@ -240,8 +240,7 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 			lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 		}
 		rt.mem.SetQueueLen(id, len(lo.queue))
-		rt.admitLoadLocked(lo)
-		lo.mu.Unlock()
+		rt.resume(lo)
 	}
 
 	// Directory: replay the checkpointed location cache into the locator.

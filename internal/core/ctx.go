@@ -48,35 +48,27 @@ func (c *Ctx) InCore(ptr MobilePtr) bool { return c.rt.InCore(ptr) }
 // returns false), so mutually inline-calling objects cannot deadlock.
 func (c *Ctx) CallInline(dst MobilePtr, h HandlerID, arg []byte) bool {
 	rt := c.rt
-	rt.mu.Lock()
-	lo := rt.objects[dst]
-	rt.mu.Unlock()
+	lo := rt.lookup(dst)
 	if lo == nil {
 		return false
 	}
 	lo.mu.Lock()
-	if lo.state != stInCore || lo.running || lo.migrating {
+	if rt.tryAcquire(lo, toRun) != nil {
 		lo.mu.Unlock()
 		return false
 	}
-	lo.running = true
 	obj := lo.obj
 	lo.mu.Unlock()
 
-	dirtied := rt.runHandler(dst, obj, queued{handler: h, arg: arg}, c.sc, true)
+	dirtied := rt.runHandler(lo, obj, queued{handler: h, arg: arg}, c.sc, true)
 
 	lo.mu.Lock()
-	lo.running = false
 	if dirtied {
 		lo.clean = false
 	}
-	// The inline call bypassed the queue; if messages arrived meanwhile,
-	// make sure they get drained.
-	if len(lo.queue) > 0 && !lo.scheduled && lo.state == stInCore {
-		lo.scheduled = true
-		rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-	}
-	lo.mu.Unlock()
+	// The inline call bypassed the queue; release drains whatever arrived
+	// meanwhile.
+	rt.release(lo)
 	return true
 }
 

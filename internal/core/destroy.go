@@ -7,27 +7,18 @@ package core
 // tombstone so late messages are dropped with correct termination
 // accounting instead of parking forever.
 //
-// It returns ErrNotLocal if the object is not here, ErrBusy if a handler is
-// running, scheduled, or the object is mid-swap or mid-migration (retry
-// after quiescence), and ErrObjectLost if it was already lost.
+// It returns ErrNotLocal if the object is not here, ErrBusy if anything holds
+// it or it has work pending (tryAcquire toTake in own.go; retry after
+// quiescence), and ErrObjectLost if it was already lost.
 func (rt *Runtime) DestroyObject(ptr MobilePtr) error {
-	rt.mu.Lock()
-	lo, ok := rt.objects[ptr]
-	rt.mu.Unlock()
-	if !ok {
+	lo := rt.lookup(ptr)
+	if lo == nil {
 		return ErrNotLocal
 	}
 	lo.mu.Lock()
-	switch {
-	case lo.state == stLost:
+	if err := rt.tryAcquire(lo, toTake); err != nil {
 		lo.mu.Unlock()
-		return ErrObjectLost
-	case lo.state == stMoved:
-		lo.mu.Unlock()
-		return ErrNotLocal
-	case lo.running || lo.scheduled || lo.migrating || lo.state == stStoring || lo.state == stLoading:
-		lo.mu.Unlock()
-		return ErrBusy
+		return err
 	}
 	n := len(lo.queue)
 	lo.queue = nil

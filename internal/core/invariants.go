@@ -21,7 +21,8 @@ import (
 //
 // Checked only at quiescence (quiescent=true) — these are stable properties
 // of a terminated system, racy while work is in flight:
-//   - no queued, running or parked work remains anywhere
+//   - no queued, running or parked work remains anywhere, a migration
+//     request parked on an object included
 //   - every multicast collection completed (reference counts back to zero)
 //   - the count of lost objects matches the loud-loss counter
 //   - the ooc layer's residency accounting agrees with the object states
@@ -49,13 +50,14 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	rt.mu.Unlock()
 
 	var inCore, lost, waiting int
-	var queuedMsgs, running int
+	var queuedMsgs, running, parkedMoves int
 	var clean []*localObject
 	for _, lo := range los {
 		lo.mu.Lock()
 		st := lo.state
 		hasObj := lo.obj != nil
 		qlen := len(lo.queue)
+		parkedMoves += len(lo.moves)
 		isRunning := lo.running
 		ptr := lo.ptr
 		if lo.admitWait {
@@ -121,6 +123,9 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	}
 	if parked > 0 {
 		fail("quiescent but %d destinations hold parked messages", parked)
+	}
+	if parkedMoves > 0 {
+		fail("quiescent but %d migration requests still parked on objects", parkedMoves)
 	}
 	if p := rt.PendingMulticasts(); p != 0 {
 		fail("quiescent but %d multicast collections pending", p)

@@ -143,19 +143,14 @@ func (rt *Runtime) startMcast(ptrs []MobilePtr, deliver int, h HandlerID, arg []
 	t.mu.Unlock()
 	rt.tracer.Emit(obs.KindMcastStart, e.id, int64(len(ptrs)))
 
-	// Kick every pointer: local ones may already satisfy the condition;
-	// remote ones are pulled here.
+	// Kick every pointer: a local one may already satisfy the condition or is
+	// loaded at demand class (the collection blocks on it, so not as
+	// speculation); one that is elsewhere, or migrated away between the
+	// checks, is pulled here.
 	for _, p := range ptrs {
-		if rt.IsLocal(p) {
-			if rt.InCore(p) {
-				t.objectArrived(rt, p)
-			} else if !rt.forceLoad(p) {
-				// Migrated away between the checks: pull it here instead.
-				// The collection blocks on this object, so the load goes
-				// in at demand class, not as speculation.
-				rt.RequestMigration(p, rt.node)
-			}
-		} else {
+		if rt.InCore(p) {
+			t.objectArrived(rt, p)
+		} else if !rt.forceLoad(p) {
 			rt.RequestMigration(p, rt.node)
 		}
 	}

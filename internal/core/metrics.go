@@ -56,6 +56,7 @@ func (rt *Runtime) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+"msg.work", func() float64 { return float64(rt.Work()) })
 	reg.Gauge(prefix+"msg.sent", func() float64 { return float64(rt.SentCount()) })
 	reg.Gauge(prefix+"msg.recv", func() float64 { return float64(rt.RecvCount()) })
+	reg.Gauge(prefix+"core.migrate_parked", func() float64 { return float64(rt.movesParked.Load()) })
 	reg.Gauge(prefix+"dir.forwarded", func() float64 { return float64(rt.ForwardedCount()) })
 	reg.Gauge(prefix+"dir.updates_sent", func() float64 { return float64(rt.DirUpdatesSent()) })
 	// Routing surface: drops at the hop bound, epoch-staleness retries and

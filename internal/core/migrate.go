@@ -1,16 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"mrts/internal/comm"
-	"mrts/internal/sched"
-)
-
-// Additional wire kinds for object mobility.
-const (
-	wireMigrateReq uint32 = 4 // "send object X to node Y"
-)
+import "mrts/internal/comm"
 
 // Migrate moves a local, idle mobile object to another node, together with
 // its pending message queue and out-of-core hints. The object's mobile
@@ -18,63 +8,57 @@ const (
 // home node is informed, and messages routed through stale directory entries
 // are forwarded and trigger lazy updates.
 //
-// Migrate returns ErrNotLocal if the object is not here, and ErrBusy if a
-// handler is running, scheduled or the object is being swapped; callers
-// retry or give up (the paper's load balancing migrates idle objects only).
+// Migrate returns ErrNotLocal if the object is not here, ErrObjectLost if it
+// was lost, and ErrBusy if something holds it or it has work pending
+// (tryAcquire toTake in own.go); callers retry or give up (the paper's load
+// balancing migrates idle objects only). RequestMigration is the form that
+// waits for the object instead.
 func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	if dest == rt.node {
 		return nil
 	}
-	rt.mu.Lock()
-	lo, ok := rt.objects[ptr]
-	rt.mu.Unlock()
-	if !ok {
+	lo := rt.lookup(ptr)
+	if lo == nil {
 		return ErrNotLocal
 	}
 
 	lo.mu.Lock()
-	if lo.running || lo.scheduled || lo.migrating {
+	if err := rt.tryAcquire(lo, toTake); err != nil {
 		lo.mu.Unlock()
-		return ErrBusy
+		return err
 	}
+	return rt.moveHeld(lo, dest)
+}
+
+// moveHeld moves lo to dest. The caller has lo.mu locked and holds lo for the
+// move (toTake); moveHeld returns with it unlocked.
+func (rt *Runtime) moveHeld(lo *localObject, dest NodeID) error {
+	ptr := lo.ptr
 	var blob []byte
 	var err error
-	switch lo.state {
-	case stInCore:
-		blob, err = encodeObject(lo.obj)
-		if err != nil {
-			lo.mu.Unlock()
-			return err
+	if lo.state == stInCore {
+		if blob, err = encodeObject(lo.obj); err != nil {
+			// It cannot move anywhere: the requests parked on it are dropped.
+			rt.work.Add(int64(-len(lo.moves)))
+			lo.moves = nil
 		}
-	case stOut:
+	} else {
 		// Load the serialized form straight from the store; no need to
 		// deserialize just to move bytes. The read goes through the I/O
-		// scheduler at demand class, coalescing with any in-flight load.
-		lo.migrating = true
+		// scheduler at demand class, coalescing with any in-flight load. The
+		// hold keeps handlers, destruction and other moves off meanwhile, but
+		// not a load somebody asks for: if one started, the blob is no longer
+		// the object, and the move gives way.
 		lo.mu.Unlock()
 		blob, err = rt.io.LoadSync(storeKey(ptr), uint64(oid(ptr)))
 		lo.mu.Lock()
-		lo.migrating = false
-		if err != nil {
-			lo.mu.Unlock()
-			return err
+		if err == nil && lo.state != stOut {
+			err = ErrBusy
 		}
-		if lo.running || lo.scheduled || lo.state != stOut {
-			lo.mu.Unlock()
-			return ErrBusy
-		}
-	case stLost:
-		// Terminal: returning ErrBusy here would make RequestMigration's
-		// retry loop spin forever on an object that can never move.
-		lo.mu.Unlock()
-		return ErrObjectLost
-	case stMoved:
-		// Another Migrate took the object after this one's table lookup.
-		lo.mu.Unlock()
-		return ErrNotLocal
-	default: // stStoring, stLoading
-		lo.mu.Unlock()
-		return ErrBusy
+	}
+	if err != nil {
+		rt.release(lo)
+		return err
 	}
 
 	// Point of no return: capture the queue, drop the local record. The
@@ -82,13 +66,13 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	// record is marked stMoved all under lo.mu: a sender that looked the
 	// record up a moment ago and is waiting on this lock must find it moved
 	// and route again (enqueueLocal) — queued here, its message would run on
-	// a copy of the object that has already been serialized and is gone.
-	q := lo.queue
-	lo.queue = nil
-	lo.obj = nil
+	// a copy of the object that has already been serialized and is gone. The
+	// migration requests parked on the record follow the object.
+	in := &install{ptr: ptr, typeID: lo.typeID, blob: blob, queue: lo.queue}
+	parked := lo.moves
+	lo.queue, lo.moves, lo.obj = nil, nil, nil
 	lo.state = stMoved
 	rt.adm.remove(lo)
-	typeID := lo.typeID
 	rt.mu.Lock()
 	delete(rt.objects, ptr)
 	rt.mu.Unlock()
@@ -96,14 +80,8 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	lo.mu.Unlock()
 
 	id := oid(ptr)
-	in := &install{
-		ptr:      ptr,
-		typeID:   typeID,
-		priority: int32(rt.mem.Priority(id)),
-		locked:   rt.mem.Locked(id),
-		blob:     blob,
-		queue:    q,
-	}
+	in.priority = int32(rt.mem.Priority(id))
+	in.locked = rt.mem.Locked(id)
 	rt.mem.Unregister(id)
 	// The blob leaves with the object — unconditionally, not just for
 	// stOut: an in-core object that was ever evicted here still has a
@@ -111,13 +89,14 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 	// migrated-away object's footprint forever.
 	rt.io.Delete(storeKey(ptr))
 
-	// The queued messages leave this node inside the install message.
-	rt.work.Add(int64(-len(q)))
+	// The queued messages and the parked requests leave this node's work
+	// count only once they are in its sent count, so termination cannot fire
+	// in between.
 	rt.sent.Add(1)
 	if err := rt.ep.Send(dest, wireInstall, encodeInstall(in)); err != nil {
-		// Transport failure: reinstall locally.
+		// Transport failure: reinstall locally; the requests are dropped.
 		rt.sent.Add(-1)
-		rt.work.Add(int64(len(q)))
+		rt.work.Add(int64(-len(parked)))
 		rt.installLocal(in)
 		return err
 	}
@@ -131,6 +110,12 @@ func (rt *Runtime) Migrate(ptr MobilePtr, dest NodeID) error {
 			_ = rt.ep.Send(n, wireDirUpdate, upd)
 		}
 	}
+	for _, to := range parked {
+		if to != dest { // else the object is where the request wanted it
+			rt.requestMove(ptr, to)
+		}
+	}
+	rt.work.Add(int64(-len(in.queue) - len(parked)))
 	return nil
 }
 
@@ -182,49 +167,65 @@ func (rt *Runtime) installLocal(in *install) {
 		lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 	}
 	rt.mem.SetQueueLen(id, len(lo.queue))
-	if len(lo.queue) > 0 && !lo.scheduled {
-		lo.scheduled = true
-		rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-	}
-	lo.mu.Unlock()
+	rt.resume(lo)
 	rt.maybeEvictForSoft()
 }
 
 // RequestMigration asks the node currently holding ptr to migrate it to
 // dest. It is one-sided: the request is routed like an application message
-// (forwarded along stale directory chains).
+// (forwarded along stale directory chains), and where it finds the object
+// held — by a handler, by the out-of-core layer, by another move — it waits
+// on the object's record until resume serves it. Termination counts it like
+// a message: in a node's work while it is there, in sent/recv on the wire.
 func (rt *Runtime) RequestMigration(ptr MobilePtr, dest NodeID) {
-	if rt.IsLocal(ptr) {
-		_ = rt.Migrate(ptr, dest)
-		return
+	if !rt.closed.Load() {
+		rt.requestMove(ptr, dest)
 	}
-	b := make([]byte, 12)
-	putPtr(b[0:8], ptr)
-	binary.LittleEndian.PutUint32(b[8:12], uint32(dest))
-	target, _ := rt.loc.Locate(ptr)
-	if target == rt.node {
-		return // in flight to us; nothing sensible to do
-	}
-	_ = rt.ep.Send(target, wireMigrateReq, b)
 }
 
 func (rt *Runtime) onWireMigrateReq(msg comm.Message) {
-	if len(msg.Payload) != 12 {
+	ptr, dest, err := decodeDirUpdate(msg.Payload) // same frame: a pointer and a node
+	if err != nil {
 		return
 	}
-	ptr := getPtr(msg.Payload[0:8])
-	dest := NodeID(int32(binary.LittleEndian.Uint32(msg.Payload[8:12])))
-	if rt.IsLocal(ptr) {
-		if err := rt.Migrate(ptr, dest); err == ErrBusy {
-			// Busy: retry once the current work drains by re-posting the
-			// request to ourselves through the transport (keeps the
-			// request one-sided and non-blocking).
-			_ = rt.ep.Send(rt.node, wireMigrateReq, msg.Payload)
+	rt.recv.Add(1)
+	rt.requestMove(ptr, dest)
+}
+
+// requestMove places one migration request: parked on the object's record if
+// the object is here (resume serves it at once when nothing holds the object),
+// sent on toward the object otherwise. The request is one unit of this node's
+// work until it is served, on the wire again, or dropped.
+func (rt *Runtime) requestMove(ptr MobilePtr, dest NodeID) {
+	rt.work.Add(1)
+	if lo := rt.lookup(ptr); lo != nil {
+		lo.mu.Lock()
+		switch {
+		case lo.state == stMoved:
+			// Left between the lookup and here; the locator knows where to.
+			lo.mu.Unlock()
+		case lo.state == stLost || dest == rt.node:
+			lo.mu.Unlock()
+			rt.work.Add(-1)
+			return
+		default:
+			lo.moves = append(lo.moves, dest)
+			if lo.state == stLoading {
+				rt.io.Promote(storeKey(ptr)) // a prefetch somebody now waits for
+			}
+			if !rt.resume(lo) {
+				rt.movesParked.Add(1)
+			}
+			return
 		}
-		return
 	}
-	// Forward toward the current location.
+	// Not here. A locator that answers "here" means the object is in flight
+	// to this node (or gone for good): there is nowhere to send the request.
 	if target, _ := rt.loc.Locate(ptr); target != rt.node {
-		_ = rt.ep.Send(target, wireMigrateReq, msg.Payload)
+		rt.sent.Add(1)
+		if err := rt.ep.Send(target, wireMigrateReq, encodeDirUpdate(ptr, dest)); err != nil {
+			rt.sent.Add(-1)
+		}
 	}
+	rt.work.Add(-1)
 }

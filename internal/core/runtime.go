@@ -105,17 +105,19 @@ type localObject struct {
 	state  objState
 	queue  []queued
 
+	// The ownership flags; only own.go touches them.
 	scheduled bool // a drain task is queued or running
 	running   bool // a handler is executing right now
+	migrating bool // a move holds the object, lo.mu released while it reads the blob
 	wantLoad  bool // load requested while storing
 	// wantDemand qualifies wantLoad: something is blocked on the object (a
 	// lock, a multicast collection), so the reload goes in at demand class.
 	// At prefetch class memory pressure could cancel it, and with no message
 	// queued on the object nothing would ever ask for it again.
 	wantDemand bool
-	// migrating: a Migrate is reading this out-of-core object's blob with
-	// lo.mu released; nothing may evict, destroy or inline-call it meanwhile.
-	migrating bool
+	// moves: where the migration requests that found the object held want
+	// it, in arrival order; each holds one unit of rt.work until resume serves it.
+	moves []NodeID
 	// clean says the node's store holds this object's current encoding, so an
 	// eviction has nothing to write. A committed eviction write sets it; any
 	// handler not registered read-only clears it. Objects that arrive by
@@ -167,6 +169,7 @@ type Runtime struct {
 	objectsLost   atomic.Uint64
 	evictStalls   atomic.Uint64
 	cleanDrops    atomic.Uint64 // evictions that wrote nothing
+	movesParked   atomic.Uint64 // migration requests that had to wait for their object
 	// writeback is the size of the objects committed to eviction whose write
 	// has not landed: memory the accounting has let go of and the process has
 	// not. writebackPeak is its high-water mark.
@@ -333,11 +336,7 @@ func (rt *Runtime) CreateObject(obj Object) MobilePtr {
 			lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})
 		}
 		rt.mem.SetQueueLen(oid(ptr), len(lo.queue))
-		if !lo.scheduled {
-			lo.scheduled = true
-			rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-		}
-		lo.mu.Unlock()
+		rt.resume(lo)
 	}
 	rt.maybeEvictForSoft()
 	return ptr
@@ -357,13 +356,10 @@ func (rt *Runtime) Post(dst MobilePtr, h HandlerID, arg []byte) {
 // route places m: into a local queue, a parked set, or onto the wire. The
 // caller must have accounted m in rt.work.
 func (rt *Runtime) route(m *appMsg) {
-	rt.mu.Lock()
-	if lo, ok := rt.objects[m.dst]; ok {
-		rt.mu.Unlock()
+	if lo := rt.lookup(m.dst); lo != nil {
 		rt.enqueueLocal(lo, queued{handler: m.handler, arg: m.arg})
 		return
 	}
-	rt.mu.Unlock()
 	target, epoch := rt.loc.Locate(m.dst)
 	if target == rt.node {
 		// The locator says the object should be here but it is not: it is
@@ -412,10 +408,7 @@ func (rt *Runtime) onWireApp(msg comm.Message) {
 	}
 	rt.recv.Add(1)
 	rt.work.Add(1)
-	rt.mu.Lock()
-	lo, ok := rt.objects[m.dst]
-	rt.mu.Unlock()
-	if ok {
+	if lo := rt.lookup(m.dst); lo != nil {
 		// Delivered: repair whatever stale nodes the locator wants told
 		// (the lazy chain, the placed locator's overridden senders).
 		if targets := rt.loc.FeedbackTargets(m.route); len(targets) > 0 {
@@ -445,10 +438,7 @@ func (rt *Runtime) onWireDirUpdate(msg comm.Message) {
 	if err != nil {
 		return
 	}
-	rt.mu.Lock()
-	_, local := rt.objects[ptr]
-	rt.mu.Unlock()
-	if !local {
+	if rt.lookup(ptr) == nil {
 		rt.loc.Note(ptr, at)
 	}
 	rt.mu.Lock()
@@ -482,8 +472,9 @@ func (rt *Runtime) ReRouteParked() int {
 	return len(ms)
 }
 
-// enqueueLocal queues q for local object lo and makes sure progress happens:
-// a drain task if in-core, a load if on disk.
+// enqueueLocal queues q for local object lo and makes sure progress happens
+// (resume): a drain task if in-core, a load if on disk, and if something holds
+// the object, whatever lets it go looks at the queue.
 func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 	lo.mu.Lock()
 	switch lo.state {
@@ -504,55 +495,44 @@ func (rt *Runtime) enqueueLocal(lo *localObject, q queued) {
 	}
 	lo.queue = append(lo.queue, q)
 	rt.mem.SetQueueLen(oid(lo.ptr), len(lo.queue))
-	switch lo.state {
-	case stInCore:
-		if !lo.scheduled {
-			lo.scheduled = true
-			rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-		}
-	case stOut:
-		rt.admitLoadLocked(lo)
-	case stStoring:
-		lo.wantLoad = true
-	case stLoading:
+	if lo.state == stLoading {
 		// Already on its way in — but if it went in as a prefetch, a
 		// handler is now blocked on it: promote it past the backlog. A
 		// false return (the request just completed or was cancelled) is
 		// benign; the load's own completion path sees the queued message.
 		rt.io.Promote(storeKey(lo.ptr))
 	}
-	lo.mu.Unlock()
+	rt.resume(lo)
 }
 
-// drain executes lo's queued handlers until the queue empties.
+// drain executes lo's queued handlers until the queue empties or the object
+// is no longer its to run: moved away between two handlers by a parked
+// migration request, or held by another worker's CallInline, whose release
+// resubmits the drain if messages are still queued. If none are, nobody comes
+// back, so either way the exit leaves the manager the true queue length —
+// under lo.mu, or an enqueue racing with the exit would be overwritten — and
+// an object with nothing queued is no longer pinned, which is what a load
+// waiting for admission waits for.
 func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
+	id := oid(lo.ptr)
 	for {
 		lo.mu.Lock()
-		if lo.state != stInCore || lo.running {
-			// Evicted or migrating between messages, and the load/install
-			// path will reschedule; or another worker is running a handler
-			// on the object through CallInline, whose epilogue resubmits the
-			// drain if messages are still queued. If none are, nobody comes
-			// back: this exit too must leave the manager the true queue
-			// length, or the object would stay pinned with nothing to run.
+		if len(lo.queue) == 0 || rt.tryAcquire(lo, toRun) != nil {
 			lo.scheduled = false
 			n := len(lo.queue)
-			rt.mem.SetQueueLen(oid(lo.ptr), n)
-			lo.mu.Unlock()
-			if n == 0 {
-				rt.admitWaiting()
+			if lo.state != stMoved { // else the count is the new record's, if the object is back
+				rt.mem.SetQueueLen(id, n)
 			}
-			return
-		}
-		if len(lo.queue) == 0 {
-			lo.scheduled = false
-			obj := lo.obj
-			// Under lo.mu, like every other update of the queue length: an
-			// enqueue racing with this exit must not be overwritten with 0.
-			rt.mem.SetQueueLen(oid(lo.ptr), 0)
+			var obj Object
+			if n == 0 && rt.tryAcquire(lo, toRead) == nil {
+				obj = lo.obj
+			}
 			lo.mu.Unlock()
+			if n > 0 {
+				return
+			}
 			if obj != nil {
-				rt.mem.SetSize(oid(lo.ptr), int64(obj.SizeHint()))
+				rt.mem.SetSize(id, int64(obj.SizeHint()))
 			}
 			rt.maybeEvictForSoft()
 			rt.admitWaiting()
@@ -564,18 +544,16 @@ func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
 		// stays pinned for admission and last among the victims.
 		q := lo.queue[0]
 		lo.queue = lo.queue[1:]
-		lo.running = true
 		obj := lo.obj
 		lo.mu.Unlock()
 
-		dirtied := rt.runHandler(lo.ptr, obj, q, sc, false)
+		dirtied := rt.runHandler(lo, obj, q, sc, false)
 
 		lo.mu.Lock()
-		lo.running = false
 		if dirtied {
 			lo.clean = false
 		}
-		lo.mu.Unlock()
+		rt.release(lo)
 		rt.work.Add(-1)
 		rt.serviceIO()
 	}
@@ -593,12 +571,14 @@ func (rt *Runtime) serviceIO() {
 	}
 }
 
-// runHandler executes q's handler on obj and reports whether the object may
-// have changed: false only for a handler registered read-only. The span of a
-// handler run from the object's queue is the PE's compute time; one called
-// inline is already inside its caller's span, so it is recorded but not
-// added again.
-func (rt *Runtime) runHandler(ptr MobilePtr, obj Object, q queued, sc *sched.Ctx, inline bool) (dirtied bool) {
+// runHandler executes q's handler on obj, which the caller holds for it
+// (toRun), and reports whether the object may have changed: false only for a
+// handler registered read-only. The span of a handler run from the object's
+// queue is the PE's compute time; one called inline is already inside its
+// caller's span, so it is recorded but not added again.
+func (rt *Runtime) runHandler(lo *localObject, obj Object, q queued, sc *sched.Ctx, inline bool) (dirtied bool) {
+	lo.assertRunning()
+	ptr := lo.ptr
 	h := rt.handler(q.handler)
 	if h.fn == nil {
 		return false

@@ -5,7 +5,6 @@ import (
 
 	"mrts/internal/obs"
 	"mrts/internal/ooc"
-	"mrts/internal/sched"
 	"mrts/internal/swapio"
 )
 
@@ -60,16 +59,13 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	if errors.Is(err, swapio.ErrCanceled) {
 		// A superseded prefetch: the object simply stays out of core. A
 		// message may have raced in between the cancellation decision and
-		// this callback; re-issue at demand class if so.
+		// this callback; resume re-issues the load if so.
 		sp.End(0)
 		lo.mu.Lock()
 		if lo.state == stLoading {
 			lo.state = stOut
-			if !rt.closed.Load() && (len(lo.queue) > 0 || lo.wantLoad) {
-				rt.reloadLocked(lo)
-			}
 		}
-		lo.mu.Unlock()
+		rt.resume(lo)
 		return
 	}
 	op := SwapLoad
@@ -93,12 +89,13 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	if err != nil {
 		lo.mu.Lock()
 		n := len(lo.queue)
-		lo.queue = nil
+		parked := len(lo.moves)
+		lo.queue, lo.moves = nil, nil
 		lo.state = stLost
 		lo.wantLoad, lo.wantDemand = false, false
 		lo.mu.Unlock()
 		rt.mem.SetQueueLen(id, 0)
-		rt.work.Add(int64(-n))
+		rt.work.Add(int64(-n - parked))
 		rt.tracer.Emit(obs.KindSwapLost, uint64(id), int64(n))
 		rt.mcasts.objectLost(rt, lo.ptr)
 		rt.noteSwapError(SwapError{Ptr: lo.ptr, Op: op, Err: err, Dropped: n, Lost: true})
@@ -110,19 +107,16 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	// Satisfied; left set it would reload the next eviction at once.
 	lo.wantLoad, lo.wantDemand = false, false
 	rt.mem.MarkIn(id)
-	if len(lo.queue) > 0 && !lo.scheduled {
-		lo.scheduled = true
-		rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-	}
-	lo.mu.Unlock()
+	rt.resume(lo)
 	rt.mcasts.objectArrived(rt, lo.ptr)
 }
 
-// tryEvict unloads lo to the storage layer if it is idle, unlocked and
-// in-core. It reports whether the eviction was initiated. A clean object —
-// the store already holds its current encoding — is simply dropped. For a
-// dirty one serialization is pipelined: the object is committed to stStoring
-// here, but the encode and the write both happen on an I/O worker.
+// tryEvict unloads lo to the storage layer if it can have it for that
+// (tryAcquire toEvict). It reports whether the eviction was initiated. A
+// clean object — the store already holds its current encoding — is simply
+// dropped. For a dirty one serialization is pipelined: the object is committed
+// to stStoring here, but the encode and the write both happen on an I/O
+// worker.
 func (rt *Runtime) tryEvict(lo *localObject) bool {
 	id := oid(lo.ptr)
 	rt.swapOps.Add(1)
@@ -131,7 +125,7 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 		return false
 	}
 	lo.mu.Lock()
-	if lo.state != stInCore || lo.running || lo.scheduled || lo.migrating || rt.mem.Locked(id) {
+	if rt.tryAcquire(lo, toEvict) != nil {
 		lo.mu.Unlock()
 		rt.swapOps.Add(-1)
 		return false
@@ -181,7 +175,7 @@ func (rt *Runtime) tryEvict(lo *localObject) bool {
 		lo.obj = obj
 		lo.state = stInCore
 		rt.mem.MarkIn(id)
-		lo.mu.Unlock()
+		rt.resume(lo)
 		rt.writeback.Add(-held)
 		sp.End(0)
 		rt.swapOps.Add(-1)
@@ -217,11 +211,7 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 		lo.state = stInCore
 		lo.wantLoad, lo.wantDemand = false, false
 		rt.mem.MarkIn(id)
-		if len(lo.queue) > 0 && !lo.scheduled {
-			lo.scheduled = true
-			rt.pool.Submit(func(sc *sched.Ctx) { rt.drain(lo, sc) })
-		}
-		lo.mu.Unlock()
+		rt.resume(lo)
 		if encoded {
 			// The write failed after the retry budget: loud rollback.
 			rt.tracer.Emit(obs.KindSwapStoreFail, uint64(id), int64(n))
@@ -232,27 +222,7 @@ func (rt *Runtime) finishEvict(lo *localObject, obj Object, encoded bool, n int,
 	lo.mu.Lock()
 	lo.state = stOut
 	lo.clean = true
-	if lo.wantLoad || len(lo.queue) > 0 {
-		rt.reloadLocked(lo)
-	}
-	lo.mu.Unlock()
-}
-
-// reloadLocked loads an stOut object that was asked for while it could not
-// be loaded (mid-write, or under a prefetch that was cancelled): through
-// admission if a message is queued on it, at demand class if something else
-// blocks on it, as a prefetch otherwise. Caller holds lo.mu.
-func (rt *Runtime) reloadLocked(lo *localObject) {
-	demand := lo.wantDemand
-	lo.wantLoad, lo.wantDemand = false, false
-	switch {
-	case len(lo.queue) > 0:
-		rt.admitLoadLocked(lo)
-	case demand:
-		rt.startLoadLocked(lo, swapio.Demand, 0)
-	default:
-		rt.startLoadLocked(lo, swapio.Prefetch, 0)
-	}
+	rt.resume(lo)
 }
 
 // evictVictims evicts objects until residual reports no remaining need,
@@ -261,9 +231,9 @@ func (rt *Runtime) reloadLocked(lo *localObject) {
 // the pre-selected sizes — evictions commit their accounting at submission,
 // and a failed write returns its bytes in-core, so sizes captured before
 // eviction go stale immediately. A second scan re-picks victims in case
-// candidates that were busy (running/scheduled/locked) in the first pass
-// have gone idle. It reports whether the need was met; callers on the hard
-// path must treat false as a loud stall, not silently proceed over budget.
+// candidates that tryAcquire refused in the first pass have gone idle. It
+// reports whether the need was met; callers on the hard path must treat false
+// as a loud stall, not silently proceed over budget.
 func (rt *Runtime) evictVictims(need int64, exclude MobilePtr, residual func() int64) bool {
 	if need <= 0 {
 		return true
@@ -344,11 +314,7 @@ func (rt *Runtime) prefetchTick() {
 }
 
 func (rt *Runtime) findByOID(id ooc.ObjectID) *localObject {
-	ptr := MobilePtr{Home: NodeID(int32(uint64(id) >> 32)), Seq: uint32(uint64(id))}
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
-	return lo
+	return rt.lookup(MobilePtr{Home: NodeID(int32(uint64(id) >> 32)), Seq: uint32(uint64(id))})
 }
 
 // Lock pins the object in core: it will not be selected for eviction until
@@ -379,61 +345,41 @@ func (rt *Runtime) SetPriority(ptr MobilePtr, pri int) { rt.mem.SetPriority(oid(
 // Prefetch schedules a speculative load of a local out-of-core object. It
 // reports whether the object is local; a false return means the pointer
 // lives on another node (or was destroyed) and no load was scheduled.
-func (rt *Runtime) Prefetch(ptr MobilePtr) bool {
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
-	if lo == nil {
-		return false
-	}
-	lo.mu.Lock()
-	switch lo.state {
-	case stOut:
-		if !lo.admitWait { // else a message already wants it, at a higher class
-			rt.startLoadLocked(lo, swapio.Prefetch, 0)
-		}
-	case stStoring:
-		lo.wantLoad = true
-	}
-	lo.mu.Unlock()
-	return true
-}
+func (rt *Runtime) Prefetch(ptr MobilePtr) bool { return rt.wantIn(ptr, false) }
 
 // forceLoad is Prefetch at demand class — the paper's "force loading",
 // used when something is blocked on the object (a lock acquisition, a
-// multicast collection). A queued prefetch of the same key is promoted
-// rather than duplicated. It reports whether the object is local.
-func (rt *Runtime) forceLoad(ptr MobilePtr) bool {
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
+// multicast collection). It reports whether the object is local.
+func (rt *Runtime) forceLoad(ptr MobilePtr) bool { return rt.wantIn(ptr, true) }
+
+// wantIn records that a local object is wanted in core and lets resume start
+// the load, now or when whatever holds the object lets go. A load already on
+// its way is enough, except for a demand: a queued prefetch of the key is
+// promoted rather than duplicated, and if the load is no longer the
+// scheduler's — read and about to install, or a prefetch that memory
+// pressure just cancelled, with nothing queued on the object to make the
+// cancellation path load it again — it is asked for once more.
+func (rt *Runtime) wantIn(ptr MobilePtr, demand bool) bool {
+	lo := rt.lookup(ptr)
 	if lo == nil {
 		return false
 	}
 	lo.mu.Lock()
 	switch lo.state {
-	case stOut:
-		rt.startLoadLocked(lo, swapio.Demand, 0)
-	case stStoring:
-		lo.wantLoad, lo.wantDemand = true, true
+	case stOut, stStoring:
+		lo.wantLoad, lo.wantDemand = true, lo.wantDemand || demand
 	case stLoading:
-		if !rt.io.Promote(storeKey(lo.ptr)) {
-			// The load is no longer the scheduler's: it has been read and
-			// is about to install, or it was a prefetch that memory pressure
-			// just cancelled. Nothing is queued on the object to make the
-			// cancellation path load it again, so ask for that here.
-			lo.wantLoad = true
+		if demand && !rt.io.Promote(storeKey(ptr)) {
+			lo.wantLoad, lo.wantDemand = true, true
 		}
 	}
-	lo.mu.Unlock()
+	rt.resume(lo)
 	return true
 }
 
 // InCore reports whether the object is local and resident in memory.
 func (rt *Runtime) InCore(ptr MobilePtr) bool {
-	rt.mu.Lock()
-	lo := rt.objects[ptr]
-	rt.mu.Unlock()
+	lo := rt.lookup(ptr)
 	if lo == nil {
 		return false
 	}
@@ -444,10 +390,7 @@ func (rt *Runtime) InCore(ptr MobilePtr) bool {
 
 // IsLocal reports whether the object currently lives on this node.
 func (rt *Runtime) IsLocal(ptr MobilePtr) bool {
-	rt.mu.Lock()
-	_, ok := rt.objects[ptr]
-	rt.mu.Unlock()
-	return ok
+	return rt.lookup(ptr) != nil
 }
 
 // NumLocalObjects returns the number of mobile objects on this node.

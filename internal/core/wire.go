@@ -7,9 +7,10 @@ import (
 
 // Transport-level message kinds (comm handler IDs).
 const (
-	wireApp       uint32 = 1 // application message to a mobile pointer
-	wireDirUpdate uint32 = 2 // lazy directory update
-	wireInstall   uint32 = 3 // object migration payload
+	wireApp        uint32 = 1 // application message to a mobile pointer
+	wireDirUpdate  uint32 = 2 // lazy directory update
+	wireInstall    uint32 = 3 // object migration payload
+	wireMigrateReq uint32 = 4 // "send object X to node Y"
 )
 
 // appMsg is an application message on the wire or in an object queue.

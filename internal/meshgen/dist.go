@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"mrts/internal/bufpool"
 	"mrts/internal/cluster"
@@ -296,18 +294,9 @@ func (d *Dist) Elements() int64 { return d.sh.elements.Load() }
 // Mismatches returns the interface conformity violations observed locally.
 func (d *Dist) Mismatches() int64 { return d.sh.mismatch.Load() }
 
-// Checkpoint writes the node's state into st at a phase barrier, absorbing
-// the short window where background evictions still hold objects.
+// Checkpoint writes the node's state into st at a phase barrier.
 func (d *Dist) Checkpoint(st storage.Store, prefix string) error {
-	var err error
-	for attempt := 0; attempt < 1000; attempt++ {
-		err = d.rt.Checkpoint(st, prefix)
-		if !errors.Is(err, core.ErrBusy) {
-			return err
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return err
+	return d.rt.Checkpoint(st, prefix)
 }
 
 // Restore rebuilds the node from a checkpoint written by Checkpoint; the

@@ -21,6 +21,16 @@ func registerHandlersOn(rt *core.Runtime, board *counterBoard) {
 		board.counts[c.Self] = n
 		board.mu.Unlock()
 	})
+	// The poke increments the object its node created next and leaves its own
+	// as it was (see MigrationShuffle): inline if it can have it, else by
+	// message, pulling the object over so that a later poke can.
+	rt.RegisterReadOnly(hPoke, func(c *core.Ctx, arg []byte) {
+		next := core.MobilePtr{Home: c.Self.Home, Seq: c.Self.Seq + 1}
+		if !c.CallInline(next, hInc, nil) {
+			c.Runtime().RequestMigration(next, c.Node())
+			c.Post(next, hInc, nil)
+		}
+	})
 }
 
 // verifyCounts compares the reported counters to the expectation and records

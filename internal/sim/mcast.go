@@ -1,6 +1,10 @@
 package sim
 
-import "mrts/internal/core"
+import (
+	"fmt"
+
+	"mrts/internal/core"
+)
 
 // McastStorm posts a seeded storm of multicast mobile messages at swapping
 // counter objects over transiently faulty stores. Every multicast collects
@@ -10,9 +14,12 @@ import "mrts/internal/core"
 // of them. Overlapping collections, members that migrate away while another
 // collection has them pinned, and the tight budget must lose no increment
 // and leave no collection pending (the quiescent invariant sweep checks the
-// latter). The storm is one multicast per object: a migration request that
-// finds its object busy re-posts itself until the object is idle, which on
-// the virtual clock costs one time step per attempt.
+// latter). The storm is one multicast per object. A migration request that
+// finds its object held waits on the object's record and is served when the
+// holder lets go (core's own.go), and termination counts it wherever it is —
+// so a seed-drawn node leaves the ring the moment the storm has terminated,
+// and no request may still be on its way to pull an object back onto the
+// drained node.
 type McastStorm struct{}
 
 // Name implements Scenario.
@@ -45,6 +52,14 @@ func (McastStorm) Run(env *Env) error {
 		}
 	}
 	env.WaitTermination()
+
+	leaver := env.Rng.Intn(env.Plan.Nodes)
+	if _, err := env.Cluster.LeaveNode(leaver); err != nil {
+		return fmt.Errorf("leave node %d: %w", leaver, err)
+	}
+	if err := auditPlacement(env, "after leave"); err != nil {
+		return err
+	}
 
 	got := reportPhase(env, board, ptrs)
 	return verifyCounts(env, ptrs, got, expected)

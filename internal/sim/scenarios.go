@@ -72,6 +72,7 @@ func simFactory(typeID uint16) (core.Object, error) {
 const (
 	hInc    core.HandlerID = 100
 	hReport core.HandlerID = 101
+	hPoke   core.HandlerID = 102
 )
 
 // counterBoard collects reported final counts across nodes.
@@ -177,23 +178,17 @@ func (s CounterStorm) Run(env *Env) error {
 	expected := postStorm(env, ptrs, posts)
 	env.WaitTermination()
 	got := reportPhase(env, board, ptrs)
-
-	var sum int64
-	for _, p := range ptrs {
-		if got[p] != expected[p] {
-			return fmt.Errorf("object %v: count %d, expected %d", p, got[p], expected[p])
-		}
-		env.Record(fmt.Sprintf("count.%v", p), got[p])
-		sum += got[p]
-	}
-	env.Record("objects", int64(len(ptrs)))
-	env.Record("sum", sum)
-	return nil
+	return verifyCounts(env, ptrs, got, expected)
 }
 
 // MigrationShuffle interleaves the increment storm with seed-drawn
 // migrations, verifying that objects in motion — directory forwards, parked
-// messages, install races — still deliver every increment exactly once.
+// messages, install races — still deliver every increment exactly once. Half
+// as many pokes go to a pair of objects per node, small enough for the
+// plan's tight budget to hold both at once: the first one's handler
+// increments the second inline if it can (hPoke). Spread over virtual time,
+// they make an inline call, a drain, an eviction and a migration request want
+// the same records while the storm and the shuffle are in flight.
 type MigrationShuffle struct{}
 
 // Name implements Scenario.
@@ -207,19 +202,34 @@ func (MigrationShuffle) Run(env *Env) error {
 	board := &counterBoard{counts: make(map[core.MobilePtr]int64)}
 	registerHandlers(env, board)
 	ptrs := buildObjects(env)
+	pairs := len(ptrs) // node n's pair is ptrs[pairs+2n], ptrs[pairs+2n+1]
+	for n := 0; n < env.Plan.Nodes; n++ {
+		for k := 0; k < 2; k++ {
+			ptrs = append(ptrs, env.Cluster.RT(n).CreateObject(&simObj{Ballast: make([]byte, 64)}))
+		}
+	}
 	posts := env.Plan.Nodes * env.Plan.Objects * env.Plan.Messages
 	half := posts / 2
 	moves := len(ptrs) * 2
-	env.Note("shuffle of %d posts, %d migration requests", posts, moves)
+	pokes := posts / 2
+	env.Note("shuffle of %d posts, %d pokes, %d migration requests", posts, pokes, moves)
 
 	expected := postStorm(env, ptrs, half)
 	for i := 0; i < moves; i++ {
 		p := ptrs[env.Rng.Intn(len(ptrs))]
 		dest := core.NodeID(env.Rng.Intn(env.Plan.Nodes))
-		// Fire-and-forget: the request routes to wherever the object is; a
-		// busy or mid-swap object simply stays put. Counts are unaffected
+		// Fire-and-forget: the request routes to wherever the object is and
+		// waits there for a busy or mid-swap object. Counts are unaffected
 		// either way.
 		env.Cluster.RT(int(p.Home)).RequestMigration(p, dest)
+	}
+	for i := 0; i < pokes; i++ {
+		at := pairs + 2*env.Rng.Intn(env.Plan.Nodes)
+		env.Cluster.RT(env.Rng.Intn(env.Plan.Nodes)).Post(ptrs[at], hPoke, nil)
+		expected[ptrs[at+1]]++
+		if i%4 == 3 {
+			env.clk.Sleep(env.Plan.DiskSeek) // let loads and moves land between rounds
+		}
 	}
 	more := postStorm(env, ptrs, posts-half)
 	for p, n := range more {
@@ -227,18 +237,7 @@ func (MigrationShuffle) Run(env *Env) error {
 	}
 	env.WaitTermination()
 	got := reportPhase(env, board, ptrs)
-
-	var sum int64
-	for _, p := range ptrs {
-		if got[p] != expected[p] {
-			return fmt.Errorf("object %v: count %d, expected %d", p, got[p], expected[p])
-		}
-		env.Record(fmt.Sprintf("count.%v", p), got[p])
-		sum += got[p]
-	}
-	env.Record("objects", int64(len(ptrs)))
-	env.Record("sum", sum)
-	return nil
+	return verifyCounts(env, ptrs, got, expected)
 }
 
 // PermanentFaultStorm runs the increment storm over stores whose reads fail
