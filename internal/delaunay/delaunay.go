@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
@@ -80,6 +82,12 @@ type Stats struct {
 	SegmentSplits int  // constrained segment midpoint insertions
 	Skipped       int  // bad triangles left alone under NoSegmentSplit
 	Capped        bool // true if MaxVertices stopped refinement early
+
+	// Clean reports that the run left no live bad triangle, which is what
+	// RefineFrom asks of the run before it. It is false when the run was
+	// capped, and when a triangle it found bad is still alive and bad
+	// because it was skipped or its circumcenter could not be inserted.
+	Clean bool
 }
 
 // ErrBadOptions is returned for option values that would not terminate.
@@ -158,26 +166,59 @@ type refiner struct {
 	bad   []mesh.TriID // stack of candidate bad triangles (rechecked at pop)
 	stats Stats
 
+	// kept lists the triangles that were popped as bad and outlived their
+	// refineTriangle; the run is clean if none of them is alive and bad at
+	// its end.
+	kept []mesh.TriID
+
 	// segBuf is the storage of refineTriangle's list of encroached
 	// segments, kept between calls.
 	segBuf [][2]mesh.VertexID
 
-	// audit, which only tests set, sees every triangle isBad judges and the
-	// verdict it reached.
-	audit func(tr geom.Triangle, bad bool)
+	hooks
 }
+
+// hooks are the refiner's observers, which only tests set.
+type hooks struct {
+	// audit sees every triangle isBad judges and the verdict it reached.
+	audit func(tr geom.Triangle, bad bool)
+	// seeded sees the list phase 2 pushed, before phase 3 pops any of it.
+	seeded func(r *refiner, seeds []mesh.TriID)
+}
+
+// refinerPool keeps the refiners' lists between runs: a PCDM subdomain is
+// refined again for every batch of interface splits it receives, and a run
+// would otherwise grow its stack from nothing each time.
+var refinerPool = sync.Pool{New: func() any { return new(refiner) }}
 
 // Refine runs Ruppert refinement on m in place. m must be a carved CDT: its
 // hull edges must all be constrained (BuildCDT guarantees this).
 func Refine(m *mesh.Mesh, opts Options) (Stats, error) {
-	return refine(m, opts, nil)
+	return refine(m, opts, 0, hooks{})
 }
 
-func refine(m *mesh.Mesh, opts Options, audit func(geom.Triangle, bool)) (Stats, error) {
+// RefineFrom is Refine for a mesh that a Refine or RefineFrom with the same
+// opts left Clean at since vertices and into which points have only been
+// inserted since. It refines m exactly as Refine would, and returns the same
+// Stats, but judges only the triangles around vertices since and later to
+// seed its queue: every other live triangle has only vertices the clean run
+// left, and every triangle an insertion makes has the inserted vertex as a
+// corner, so it was live, and good, when that run ended. since 0 is Refine.
+func RefineFrom(m *mesh.Mesh, opts Options, since int) (Stats, error) {
+	return refine(m, opts, since, hooks{})
+}
+
+func refine(m *mesh.Mesh, opts Options, since int, h hooks) (Stats, error) {
 	if opts.QualityBound != 0 && opts.QualityBound < 1 {
 		return Stats{}, ErrBadOptions
 	}
-	r := &refiner{m: m, opts: opts, beta: opts.qualityBound(), audit: audit}
+	r := refinerPool.Get().(*refiner)
+	*r = refiner{m: m, opts: opts, beta: opts.qualityBound(), hooks: h,
+		bad: r.bad[:0], kept: r.kept[:0], segBuf: r.segBuf[:0]}
+	defer func() {
+		*r = refiner{bad: r.bad[:0], kept: r.kept[:0], segBuf: r.segBuf[:0]}
+		refinerPool.Put(r)
+	}()
 	defer m.ReleaseScratch()
 	if opts.OnSegmentSplit != nil {
 		// Hook at the mesh level so that every constrained split is seen,
@@ -195,11 +236,11 @@ func refine(m *mesh.Mesh, opts Options, audit func(geom.Triangle, bool)) (Stats,
 	}
 
 	// Phase 2: seed the bad-triangle queue.
-	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
-		if bad, _, _ := r.isBad(t); bad {
-			r.bad = append(r.bad, t)
-		}
-	})
+	n := len(r.bad)
+	r.seed(since)
+	if r.seeded != nil {
+		r.seeded(r, r.bad[n:])
+	}
 
 	// Phase 3: main loop.
 	for len(r.bad) > 0 {
@@ -216,11 +257,62 @@ func refine(m *mesh.Mesh, opts Options, audit func(geom.Triangle, bool)) (Stats,
 		if !bad {
 			continue
 		}
+		corners := r.m.Tri(t).V
 		if err := r.refineTriangle(t, cc, ok); err != nil {
 			return r.stats, err
 		}
+		// An insertion hands t's slot to a triangle of the new vertex; the
+		// same corners mean t itself is still there.
+		if r.m.Alive(t) && r.m.Tri(t).V == corners {
+			r.kept = append(r.kept, t)
+		}
 	}
+	r.stats.Clean = !r.stats.Capped && r.noneKeptBad()
 	return r.stats, nil
+}
+
+// seed pushes every live bad triangle in ascending ID order. From since > 0
+// the candidates are the triangles around vertices since and later (see
+// RefineFrom); they are gathered on the stack itself, then sorted,
+// deduplicated and judged in place.
+func (r *refiner) seed(since int) {
+	if since <= 0 {
+		r.m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) {
+			if bad, _, _ := r.isBad(t); bad {
+				r.bad = append(r.bad, t)
+			}
+		})
+		return
+	}
+	n := len(r.bad)
+	for v := since; v < r.m.NumVertices(); v++ {
+		r.bad = r.m.AppendIncidentTriangles(r.bad, mesh.VertexID(v))
+	}
+	cand := r.bad[n:]
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
+	r.bad = r.bad[:n]
+	for _, t := range cand { // r.bad never overtakes cand: it writes at or behind the read
+		if bad, _, _ := r.isBad(t); bad {
+			r.bad = append(r.bad, t)
+		}
+	}
+}
+
+// noneKeptBad reports whether every triangle of r.kept is dead or good by
+// now. With the stack run dry, that means no live triangle is bad: a
+// triangle alive at the end was either good when phase 2 passed it over or
+// judged when it was popped, and if it was bad then it is in r.kept.
+func (r *refiner) noneKeptBad() bool {
+	for _, t := range r.kept {
+		if !r.m.Alive(t) {
+			continue
+		}
+		if bad, _, _ := r.isBad(t); bad {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *refiner) capped() bool {

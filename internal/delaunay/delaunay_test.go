@@ -214,8 +214,8 @@ func TestRefineMaxVerticesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Capped {
-		t.Error("expected capped refinement")
+	if !stats.Capped || stats.Clean {
+		t.Errorf("stats %+v: expected capped refinement, not clean", stats)
 	}
 	if m.NumVertices() > 510 {
 		t.Errorf("cap overshoot: %d vertices", m.NumVertices())

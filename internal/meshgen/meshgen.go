@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"mrts/internal/geom"
@@ -55,6 +56,30 @@ func (r Result) Speed() float64 { return obs.Speed(r.Elements, r.Elapsed, r.PEs)
 func (r Result) String() string {
 	return fmt.Sprintf("%s: %d elements, %d subdomains, %d PEs, %v (speed %.0f elem/s/PE)",
 		r.Method, r.Elements, r.Subdomains, r.PEs, r.Elapsed.Round(time.Millisecond), r.Speed())
+}
+
+// firstErr keeps the first error the handlers of a run report, until the
+// driver takes it.
+type firstErr struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstErr) set(err error) {
+	f.mu.Lock()
+	if f.err == nil {
+		f.err = err
+	}
+	f.mu.Unlock()
+}
+
+// take returns the error kept, if any, and forgets it.
+func (f *firstErr) take() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	err := f.err
+	f.err = nil
+	return err
 }
 
 // encodePoints serializes a point slice for message payloads.

@@ -30,6 +30,10 @@ type subdomainObj struct {
 	Nbs     [4]core.MobilePtr // left, right, bottom, top (Nil at domain edge)
 
 	M *mesh.Mesh // nil until the first refine message
+
+	// since is refineSubdomain's since for M. It is not serialized: a
+	// subdomain that was evicted or moved judges every triangle once.
+	since int
 }
 
 func (o *subdomainObj) TypeID() uint16 { return typeSubdomain }
@@ -66,6 +70,7 @@ func (o *subdomainObj) EncodeTo(w io.Writer) error {
 }
 
 func (o *subdomainObj) DecodeFrom(r io.Reader) error {
+	o.since = 0
 	var err error
 	if o.Rect, err = readRect(r); err != nil {
 		return err
@@ -93,10 +98,12 @@ func (o *subdomainObj) DecodeFrom(r io.Reader) error {
 	return o.M.DecodeFrom(r)
 }
 
-// opcdmShared collects the post-run reports.
+// opcdmShared collects the post-run reports and the first error a refine
+// handler met.
 type opcdmShared struct {
 	mu      sync.Mutex
 	reports []opcdmReport
+	err     firstErr
 }
 
 type opcdmReport struct {
@@ -110,7 +117,9 @@ type opcdmReport struct {
 func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 	for _, rt := range cl.Runtimes() {
 		rt.Register(hSDRefine, func(c *core.Ctx, arg []byte) {
-			opcdmRefineHandler(c, c.Object().(*subdomainObj), arg)
+			if err := opcdmRefineHandler(c, c.Object().(*subdomainObj), arg); err != nil {
+				sh.err.set(err)
+			}
 		})
 		rt.Register(hSDWire, func(c *core.Ctx, arg []byte) {
 			o := c.Object().(*subdomainObj)
@@ -138,20 +147,21 @@ func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 
 // opcdmRefineHandler applies incoming split points, refines the subdomain
 // and ships aggregated split messages to the neighbors — the fully
-// asynchronous, unstructured communication pattern of PCDM.
-func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) {
+// asynchronous, unstructured communication pattern of PCDM. RunOPCDM
+// returns the first error a call returns.
+func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) error {
 	var splits []geom.Point
 	if len(arg) > 0 {
 		var err error
 		splits, err = decodePoints(arg)
 		if err != nil {
-			return
+			return err
 		}
 	}
 	if o.M == nil {
 		m, err := newSubdomainMesh(o.Rect)
 		if err != nil {
-			return
+			return err
 		}
 		o.M = m
 	}
@@ -159,9 +169,10 @@ func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) {
 	for i, p := range o.Nbs {
 		hasNb[i] = !p.IsNil()
 	}
-	out, err := refineSubdomain(o.M, o.Rect, splits, o.MaxArea, o.Beta, hasNb)
+	out, since, err := refine(o.M, o.Rect, splits, o.since, o.MaxArea, o.Beta, hasNb)
+	o.since = since
 	if err != nil {
-		return
+		return err
 	}
 	for side := 0; side < 4; side++ {
 		if len(out[side]) == 0 || o.Nbs[side].IsNil() {
@@ -171,6 +182,7 @@ func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) {
 		// overhead optimization).
 		c.Post(o.Nbs[side], hSDRefine, encodePoints(out[side]))
 	}
+	return nil
 }
 
 // RunOPCDM executes the out-of-core constrained Delaunay method on an MRTS
@@ -223,6 +235,9 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 		cl.RT(int(p.Home)).Post(p, hSDRefine, nil)
 	}
 	cl.Wait()
+	if err := sh.err.take(); err != nil {
+		return Result{}, err
+	}
 
 	// Gather counts and hulls.
 	for _, p := range ptrs {

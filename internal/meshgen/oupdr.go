@@ -152,27 +152,28 @@ func (o *blockObj) DecodeFrom(r io.Reader) error {
 }
 
 // blockShared carries what the block handlers of one driver report into:
-// run totals, the dump pass's block reports, and — while an export is
-// attached — the store writer and the first error it returned. RunOUPDR
-// shares one across the nodes of its cluster; a Dist owns one per process.
+// run totals, the first meshing error, the dump pass's block reports, and —
+// while an export is attached — the store writer and the first error it
+// returned. RunOUPDR shares one across the nodes of its cluster; a Dist owns
+// one per process.
 type blockShared struct {
 	nb int // grid dimension, to recover (i, j) from a block's rectangle
 
 	elements atomic.Int64
 	verts    atomic.Int64
 	mismatch atomic.Int64
+	meshErr  firstErr
 
 	mu     sync.Mutex
 	dump   []BlockDump       // per-block canonical hashes (dump pass)
 	export *meshstore.Writer // non-nil: the dump pass also frames each block
-	expErr error             // first export error
+	expErr firstErr          // first export error of the dump pass
 }
 
-// begin starts a dump pass: no reports, no error, exporting into w if it is
-// non-nil.
+// begin starts a dump pass: no reports, exporting into w if it is non-nil.
 func (sh *blockShared) begin(w *meshstore.Writer) {
 	sh.mu.Lock()
-	sh.dump, sh.export, sh.expErr = nil, w, nil
+	sh.dump, sh.export = nil, w
 	sh.mu.Unlock()
 }
 
@@ -180,9 +181,10 @@ func (sh *blockShared) begin(w *meshstore.Writer) {
 // error, the writer's own sticky error included.
 func (sh *blockShared) end() ([]BlockDump, error) {
 	sh.mu.Lock()
-	dump, w, err := sh.dump, sh.export, sh.expErr
+	dump, w := sh.dump, sh.export
 	sh.dump, sh.export = nil, nil
 	sh.mu.Unlock()
+	err := sh.expErr.take()
 	if err == nil && w != nil {
 		err = w.Err()
 	}
@@ -226,7 +228,9 @@ func newBlock(nb, i, j int, h, beta float64, ptrs []core.MobilePtr) *blockObj {
 // interface check, and the dump pass both drivers end with.
 func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	rt.Register(hBlockMesh, func(c *core.Ctx, arg []byte) {
-		oupdrMeshHandler(c, c.Object().(*blockObj), sh)
+		if err := oupdrMeshHandler(c, c.Object().(*blockObj), sh); err != nil {
+			sh.meshErr.set(err)
+		}
 	})
 	rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
 		oupdrIfaceHandler(c, c.Object().(*blockObj), arg, sh)
@@ -245,25 +249,21 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 			return
 		}
 		if err := exportBlock(w, i, j, o, digest); err != nil {
-			sh.mu.Lock()
-			if sh.expErr == nil {
-				sh.expErr = err
-			}
-			sh.mu.Unlock()
+			sh.expErr.set(err)
 		}
 	})
 }
 
 // oupdrMeshHandler refines the block and ships interface point sets to the
 // right and top neighbors (structured communication).
-func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) {
+func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	bm, err := meshBlock(o.Rect, o.H, o.Beta)
 	if err != nil {
-		return
+		return err
 	}
 	var buf bytes.Buffer
 	if err := bm.mesh.EncodeTo(&buf); err != nil {
-		return
+		return err
 	}
 	o.MeshData = buf.Bytes()
 	o.Elements = int32(bm.mesh.NumTriangles())
@@ -302,6 +302,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) {
 	if o.IfaceNeeded > 0 {
 		c.SetPriority(c.Self, 5)
 	}
+	return nil
 }
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this
@@ -387,6 +388,9 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	}
 	cl.Wait()
 
+	if err := sh.meshErr.take(); err != nil {
+		return Result{}, err
+	}
 	if n := sh.elements.Load(); n == 0 {
 		return Result{}, fmt.Errorf("meshgen: OUPDR produced no elements")
 	}

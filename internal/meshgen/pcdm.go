@@ -81,17 +81,26 @@ func newSubdomainMesh(r geom.Rect) (*mesh.Mesh, error) {
 }
 
 // refineSubdomain applies incoming interface split points to the mesh and
-// runs quality/size refinement, returning the outgoing split points grouped
-// by side.
-func refineSubdomain(m *mesh.Mesh, r geom.Rect, splits []geom.Point,
-	maxArea, beta float64, hasNb [4]bool) (out [4][]geom.Point, err error) {
+// runs quality/size refinement from since (delaunay.RefineFrom), returning
+// the outgoing split points grouped by side and the since of the next call:
+// the mesh's vertex count after a clean refinement, 0 after any other.
+func refineSubdomain(m *mesh.Mesh, r geom.Rect, splits []geom.Point, since int,
+	maxArea, beta float64, hasNb [4]bool) (out [4][]geom.Point, next int, err error) {
+	// Each split is located by a walk from the one before it. Every split
+	// lies on the hull, so where the walk starts cannot change where it
+	// lands: on the vertex the split coincides with, or in the one triangle
+	// of the hull edge it splits.
+	hint := mesh.NoTri
 	for _, p := range splits {
-		if _, err := m.InsertPoint(p, mesh.NoTri); err != nil &&
-			err != mesh.ErrDuplicate && err != mesh.ErrOutside {
-			return out, fmt.Errorf("meshgen: applying split %v: %w", p, err)
+		v, err := m.InsertPoint(p, hint)
+		if err != nil && err != mesh.ErrDuplicate && err != mesh.ErrOutside {
+			return out, 0, fmt.Errorf("meshgen: applying split %v: %w", p, err)
+		}
+		if v != mesh.NoVertex {
+			hint = m.IncidentTri(v)
 		}
 	}
-	_, err = delaunay.Refine(m, delaunay.Options{
+	st, err := delaunay.RefineFrom(m, delaunay.Options{
 		QualityBound: beta,
 		MaxArea:      maxArea,
 		OnSegmentSplit: func(a, b, mid geom.Point) {
@@ -99,18 +108,25 @@ func refineSubdomain(m *mesh.Mesh, r geom.Rect, splits []geom.Point,
 				out[s] = append(out[s], mid)
 			}
 		},
-	})
-	return out, err
+	}, since)
+	if err != nil || !st.Clean {
+		return out, 0, err
+	}
+	return out, m.NumVertices(), nil
 }
+
+// refine is the subdomain refinement both PCDM drivers run; tests wrap it to
+// check every call against a full scan.
+var refine = refineSubdomain
 
 // subdomainState is the in-core PCDM bookkeeping for one subdomain.
 type subdomainState struct {
 	mu        sync.Mutex
 	rect      geom.Rect
 	m         *mesh.Mesh
+	since     int // refineSubdomain's since for m; 0: judge every triangle
 	pending   []geom.Point
 	scheduled bool
-	refined   bool // initial refinement done
 }
 
 // RunPCDM executes the in-core constrained Delaunay method: subdomains
@@ -239,21 +255,20 @@ func runPCDMTask(subs []*subdomainState, idx int, maxArea, beta float64, g int,
 		}
 		s.m = m
 	}
-	m := s.m
-	rect := s.rect
+	m, rect, since := s.m, s.rect, s.since
 	s.mu.Unlock()
 
 	var hasNb [4]bool
 	for side := 0; side < 4; side++ {
 		hasNb[side] = nbIndex(idx, side) >= 0
 	}
-	out, err := refineSubdomain(m, rect, splits, maxArea, beta, hasNb)
+	out, since, err := refine(m, rect, splits, since, maxArea, beta, hasNb)
 	if err != nil {
 		fail(err)
 	}
 
 	s.mu.Lock()
-	s.refined = true
+	s.since = since
 	s.scheduled = false
 	more := len(s.pending) > 0
 	s.mu.Unlock()

@@ -1,0 +1,338 @@
+package meshgen
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"mrts/internal/cluster"
+	"mrts/internal/delaunay"
+	"mrts/internal/geom"
+	"mrts/internal/mesh"
+	"mrts/internal/workload"
+)
+
+// shadowCheck stands in for the PCDM drivers' refine. Every subdomain gets a
+// shadow mesh that takes the same splits the old way — each located by a
+// walk from the first live slot, then every triangle judged — and every call
+// must leave the subdomain encoding exactly as its shadow and ship the same
+// splits. Before a split goes into the shadow it is located from the hint
+// refineSubdomain walks from and from nowhere, which must agree.
+type shadowCheck struct {
+	t *testing.T
+
+	mu      sync.Mutex
+	shadows map[geom.Rect]*mesh.Mesh
+	last    map[geom.Rect][]byte // the subdomain's encoding after its last call
+	calls   int
+	from    int // calls that did not judge every triangle
+	resets  int // calls after the first of their subdomain that did
+	located int
+}
+
+// checkRefines installs a shadowCheck for the rest of the test. Call it
+// before the cluster the test runs on is built, so that the drivers' refine
+// is restored after the cluster is closed.
+func checkRefines(t *testing.T) *shadowCheck {
+	sc := &shadowCheck{t: t, shadows: map[geom.Rect]*mesh.Mesh{}, last: map[geom.Rect][]byte{}}
+	refine = sc.refine
+	t.Cleanup(func() { refine = refineSubdomain })
+	return sc
+}
+
+func encodeMesh(m *mesh.Mesh) []byte {
+	var buf bytes.Buffer
+	if err := m.EncodeTo(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// sameLocation compares what insertion takes from a location: the vertex a
+// point coincides with, or where its cavity is seeded.
+func sameLocation(a, b mesh.Location) bool {
+	if a.Kind == mesh.LocateOnVert || b.Kind == mesh.LocateOnVert {
+		return a.Kind == b.Kind && a.Vert == b.Vert
+	}
+	return a == b
+}
+
+func (sc *shadowCheck) refine(m *mesh.Mesh, r geom.Rect, splits []geom.Point, since int,
+	maxArea, beta float64, hasNb [4]bool) ([4][]geom.Point, int, error) {
+	sc.mu.Lock()
+	shadow := sc.shadows[r]
+	first := shadow == nil
+	if first {
+		var err error
+		if shadow, err = newSubdomainMesh(r); err != nil {
+			sc.mu.Unlock()
+			return [4][]geom.Point{}, 0, err
+		}
+		sc.shadows[r] = shadow
+	}
+	sc.calls++
+	if since > 0 {
+		sc.from++
+	} else if !first {
+		sc.resets++
+	}
+	sc.located += len(splits)
+	sc.mu.Unlock()
+
+	// A subdomain is refined by one call at a time, so its shadow needs no
+	// lock of its own.
+	hint := mesh.NoTri
+	for _, p := range splits {
+		if got, want := shadow.Locate(p, hint), shadow.Locate(p, mesh.NoTri); !sameLocation(got, want) {
+			sc.t.Errorf("%v: split %v located at %+v from the previous split, at %+v from slot 0", r, p, got, want)
+		}
+		v, err := shadow.InsertPoint(p, mesh.NoTri)
+		if err != nil && err != mesh.ErrDuplicate && err != mesh.ErrOutside {
+			sc.t.Errorf("%v: shadow split %v: %v", r, p, err)
+		}
+		if v != mesh.NoVertex {
+			hint = shadow.IncidentTri(v)
+		}
+	}
+	wantOut, _, wantErr := refineSubdomain(shadow, r, nil, 0, maxArea, beta, hasNb)
+
+	out, next, err := refineSubdomain(m, r, splits, since, maxArea, beta, hasNb)
+	enc := encodeMesh(m)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		sc.t.Errorf("%v: error %v, full scan %v", r, err, wantErr)
+	case !sameSplits(out, wantOut):
+		sc.t.Errorf("%v (since %d): shipped %v, full scan %v", r, since, out, wantOut)
+	case !bytes.Equal(enc, encodeMesh(shadow)):
+		sc.t.Errorf("%v (since %d): mesh differs from the full scan's", r, since)
+	}
+	sc.mu.Lock()
+	sc.last[r] = enc
+	sc.mu.Unlock()
+	return out, next, err
+}
+
+func sameSplits(a, b [4][]geom.Point) bool {
+	for s := range a {
+		if !slices.Equal(a[s], b[s]) {
+			return false
+		}
+	}
+	return true
+}
+
+// finish checks that every one of n subdomains ended with the full scan's
+// canonical digest, and reports the calls.
+func (sc *shadowCheck) finish(n int) {
+	t := sc.t
+	t.Helper()
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	if len(sc.shadows) != n {
+		t.Fatalf("%d subdomains refined, want %d", len(sc.shadows), n)
+	}
+	for r, shadow := range sc.shadows {
+		got, err := mesh.CanonicalDigest(sc.last[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mesh.CanonicalDigest(encodeMesh(shadow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: digest %x, full scan %x", r, got, want)
+		}
+	}
+	if sc.from == 0 {
+		t.Errorf("none of %d calls refined from a clean run", sc.calls)
+	}
+	t.Logf("%d calls, %d from a clean run, %d reset, %d splits located", sc.calls, sc.from, sc.resets, sc.located)
+}
+
+// TestPCDMRefineFromMatchesFullScan runs both PCDM drivers with every
+// subdomain refinement checked against the full-scan path (shadowCheck): on
+// RunPCDM with one and two PEs, RunOPCDM in core, and RunOPCDM out of core,
+// where a subdomain that comes back from the store must judge every triangle
+// once.
+func TestPCDMRefineFromMatchesFullScan(t *testing.T) {
+	cfg := PCDMConfig{Grid: 4, TargetElements: 12000}
+	for _, pes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("PCDM-%dPE", pes), func(t *testing.T) {
+			sc := checkRefines(t)
+			c := cfg
+			c.PEs = pes
+			res, err := RunPCDM(c)
+			if err != nil || !res.Conforming {
+				t.Fatalf("%v, conforming %v", err, res.Conforming)
+			}
+			sc.finish(16)
+			if sc.resets != 0 {
+				t.Errorf("%d in-core refinements judged every triangle again", sc.resets)
+			}
+		})
+	}
+	t.Run("OPCDM-in-core", func(t *testing.T) {
+		sc := checkRefines(t)
+		res, err := RunOPCDM(newTestCluster(t, 2, 1<<30), cfg)
+		if err != nil || !res.Conforming {
+			t.Fatalf("%v, conforming %v", err, res.Conforming)
+		}
+		sc.finish(16)
+		if sc.resets != 0 {
+			t.Errorf("%d in-core refinements judged every triangle again", sc.resets)
+		}
+	})
+	t.Run("OPCDM-out-of-core", func(t *testing.T) {
+		sc := checkRefines(t)
+		cl, err := cluster.New(cluster.Config{
+			Nodes:     2,
+			MemBudget: 100_000,
+			SpoolDir:  t.TempDir(),
+			Factory:   Factory,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cl.Close)
+		res, err := RunOPCDM(cl, cfg)
+		if err != nil || !res.Conforming {
+			t.Fatalf("%v, conforming %v", err, res.Conforming)
+		}
+		sc.finish(16)
+		if res.Mem.Loads == 0 || sc.resets == 0 {
+			t.Errorf("%d loads, %d refinements after a reload: the budget did not bite", res.Mem.Loads, sc.resets)
+		}
+	})
+}
+
+// TestRunOPCDMReportsRefineError: a quality bound refinement refuses must
+// fail the run, as it fails RunPCDM, not yield a coarse mesh.
+func TestRunOPCDMReportsRefineError(t *testing.T) {
+	cfg := PCDMConfig{Grid: 2, TargetElements: 2000, QualityBound: 0.5}
+	if _, err := RunPCDM(cfg); !errors.Is(err, delaunay.ErrBadOptions) {
+		t.Fatalf("RunPCDM: err = %v, want %v", err, delaunay.ErrBadOptions)
+	}
+	res, err := RunOPCDM(newTestCluster(t, 2, 1<<30), cfg)
+	if !errors.Is(err, delaunay.ErrBadOptions) {
+		t.Fatalf("RunOPCDM: err = %v (%d elements), want %v", err, res.Elements, delaunay.ErrBadOptions)
+	}
+}
+
+// TestRunOUPDRReportsMeshError: the error a block's meshing returns is the
+// run's error, not a bare "produced no elements".
+func TestRunOUPDRReportsMeshError(t *testing.T) {
+	_, err := RunOUPDR(newTestCluster(t, 2, 1<<30), UPDRConfig{Blocks: 2, TargetElements: 2000, QualityBound: 0.5})
+	if !errors.Is(err, delaunay.ErrBadOptions) {
+		t.Fatalf("err = %v, want %v", err, delaunay.ErrBadOptions)
+	}
+}
+
+// TestOPCDM16x16Warm runs OPCDM on a 16×16 grid over remote memory, a tier
+// and compression, several times in one process after an in-core RunPCDM
+// warm-up — the recipe that made the 16×16 grid wrong in 15–40 % of warm
+// runs before the kick-off race was fixed. Every run must conform. The
+// element count is only held within 1 % of the first run's: the order in
+// which a subdomain meets its neighbours' splits decides its mesh, so on a
+// busy host, or under the race detector, runs differ by a few hundred
+// elements (RunPCDM on two PEs does the same).
+func TestOPCDM16x16Warm(t *testing.T) {
+	const target, runs = 60_000, 8
+	cfg := PCDMConfig{Grid: 16, TargetElements: target}
+	if _, err := RunPCDM(PCDMConfig{Grid: 16, TargetElements: target, PEs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	first := 0
+	counts := map[int]int{}
+	for k := 0; k < runs; k++ {
+		const nodes, bytesPerElement = 2, 22
+		lease := int64(target) * bytesPerElement / 6 / nodes
+		cl, err := cluster.New(cluster.Config{
+			Nodes: nodes, WorkersPerNode: 1,
+			MemBudget:    int64(target) * bytesPerElement / 3 / nodes,
+			RemoteMemory: true,
+			Tier: &cluster.TierSpec{
+				Capacity: lease,
+				Compress: &cluster.CompressSpec{CacheBytes: lease / 2},
+			},
+			SpoolDir: t.TempDir(),
+			Factory:  Factory,
+			Seed:     int64(k + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunOPCDM(cl, cfg)
+		cl.Close()
+		if err != nil {
+			t.Fatalf("run %d: %v", k, err)
+		}
+		if !res.Conforming {
+			t.Errorf("run %d: not conforming (%d elements)", k, res.Elements)
+		}
+		if k == 0 {
+			first = res.Elements
+			if res.Mem.Evictions == 0 {
+				t.Errorf("run %d: no evictions, the budget did not bite", k)
+			}
+		}
+		if d := float64(res.Elements-first) / float64(first); d < -0.01 || d > 0.01 {
+			t.Errorf("run %d: %d elements, run 0 %d", k, res.Elements, first)
+		}
+		counts[res.Elements]++
+	}
+	t.Logf("%d runs in %v, elements: %v", runs, time.Since(start).Round(time.Millisecond), counts)
+}
+
+// BenchmarkRefineSplits is one PCDM re-refinement: a refined subdomain of
+// about 13 000 triangles takes a batch of 30–40 interface splits on one side
+// and refines again, judging every triangle to seed (full-scan) or only the
+// ones around the new vertices (from-clean).
+func BenchmarkRefineSplits(b *testing.B) {
+	r := blockRect(8, 3, 3)
+	maxArea := workload.UniformAreaFor(900_000, 1)
+	beta := 0.0
+	hasNb := [4]bool{true, true, true, true}
+	m, err := newSubdomainMesh(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, since, err := refineSubdomain(m, r, nil, 0, maxArea, beta, hasNb)
+	if err != nil || since == 0 {
+		b.Fatalf("initial refinement: since %d, %v", since, err)
+	}
+	// A neighbour's splits of the shared left side: every other segment of
+	// it cut at its midpoint.
+	left := edgePointsOn(hullPointsOf(m), r.Min, geom.Pt(r.Min.X, r.Max.Y))
+	var splits []geom.Point
+	for k := 0; k+1 < len(left); k += 2 {
+		splits = append(splits, left[k].Mid(left[k+1]))
+	}
+	refined := encodeMesh(m)
+	for _, c := range []struct {
+		name  string
+		since int
+	}{{"full-scan", 0}, {"from-clean", since}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := mesh.New()
+				if err := m.DecodeFrom(bytes.NewReader(refined)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := refineSubdomain(m, r, splits, c.since, maxArea, beta, hasNb); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.NumTriangles()), "tris")
+			b.ReportMetric(float64(len(splits)), "splits")
+		})
+	}
+}
