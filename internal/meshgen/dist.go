@@ -178,7 +178,7 @@ func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error)
 	if len(pl.Ptrs) != nb*nb {
 		return nil, fmt.Errorf("meshgen: placement is for %d blocks, config wants %d", len(pl.Ptrs), nb*nb)
 	}
-	d := &Dist{rt: rt, cfg: cfg, sh: &blockShared{nb: nb},
+	d := &Dist{rt: rt, cfg: cfg, sh: newBlockShared(nb),
 		ptrs: pl.Ptrs, owners: pl.Owners, order: pl.Order}
 	registerBlockHandlers(rt, d.sh)
 	return d, nil
@@ -257,9 +257,11 @@ func (d *Dist) PostPhase(k int) {
 // WaitPhase runs the distributed termination protocol for one phase barrier.
 func (d *Dist) WaitPhase() { d.rt.WaitTermination(d.cfg.Nodes) }
 
-// Dump posts the dump request to every local block, waits for global
-// termination (every process must call Dump together), and returns this
-// node's block reports sorted by (j, i).
+// Dump reports every local block, waits for global termination (every
+// process must call Dump together), and returns this node's block reports
+// sorted by (j, i). A block this process holds a digest for — it meshed the
+// block, or an earlier pass read it — is reported from that digest without
+// being read; only the rest are visited.
 func (d *Dist) Dump() []BlockDump {
 	out, _ := d.dumpPass(nil)
 	sort.Slice(out, func(a, b int) bool {
@@ -271,21 +273,30 @@ func (d *Dist) Dump() []BlockDump {
 	return out
 }
 
-// dumpPass posts the dump request to every local block — framing each into
-// w when it is non-nil — and waits for global termination.
+// dumpPass reports every local block and waits for global termination. With
+// w nil, blocks with a digest are reported directly and the dump request goes
+// to the rest; with w non-nil it goes to every local block, since framing a
+// block into w needs its bytes.
 func (d *Dist) dumpPass(w *meshstore.Writer) ([]BlockDump, error) {
 	d.sh.begin(w)
-	var local []core.MobilePtr
-	for _, ptr := range d.ptrs { // grid order
-		if d.rt.IsLocal(ptr) {
-			local = append(local, ptr)
+	var known []BlockDump
+	var visit []core.MobilePtr
+	for idx, ptr := range d.ptrs { // grid order
+		if !d.rt.IsLocal(ptr) {
+			continue
+		}
+		if b, ok := d.sh.digest(idx); ok && w == nil {
+			known = append(known, b)
+		} else {
+			visit = append(visit, ptr)
 		}
 	}
-	for _, ptr := range residentFirst(local, d.rt.InCore) {
+	for _, ptr := range residentFirst(visit, d.rt.InCore) {
 		d.rt.Post(ptr, hBlockDump, nil)
 	}
 	d.rt.WaitTermination(d.cfg.Nodes)
-	return d.sh.end()
+	dump, err := d.sh.end()
+	return append(known, dump...), err
 }
 
 // Elements returns the elements meshed on this node so far.

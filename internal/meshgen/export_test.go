@@ -2,7 +2,9 @@ package meshgen
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"mrts/internal/cluster"
 	"mrts/internal/meshstore"
@@ -46,6 +48,20 @@ func exportWriter(t *testing.T, cfg UPDRConfig, compress bool) (string, *meshsto
 	}
 	t.Cleanup(func() { w.Close() })
 	return dir, w
+}
+
+// checkReread reads every block of the run that finished on cl back through
+// the swap path and checks that the meshes as read digest to want, the
+// MeshHash the run took as it meshed them.
+func checkReread(t *testing.T, cl *cluster.Cluster, blocks int, want string) {
+	t.Helper()
+	dump, err := RereadDigests(cl, blocks)
+	if err != nil {
+		t.Fatalf("re-read: %v", err)
+	}
+	if got := MeshHashOf(dump); got != want {
+		t.Fatalf("the blocks read back digest to %s; the run took %s as it meshed them", got, want)
+	}
 }
 
 // finishExport finalizes the writer, merges manifests and deep-verifies the
@@ -110,6 +126,55 @@ func TestOUPDRStreamingExport(t *testing.T) {
 	}
 	if dump.Hash != rec.Hash || dump.Elements != rec.Elements || dump.I != 0 || dump.J != 0 {
 		t.Fatalf("offline decode %+v disagrees with manifest record %+v", dump, rec)
+	}
+}
+
+// TestRunOUPDRExportFramesEachBlockOnce: out of core, an export reads every
+// block once to frame it, and lets the reloaded ones go again without a
+// write; the store carries the run's MeshHash.
+func TestRunOUPDRExportFramesEachBlockOnce(t *testing.T) {
+	cfg := UPDRConfig{Blocks: 4, TargetElements: 12000}
+	dir, w := exportWriter(t, cfg, true)
+	cfg.Export = w
+	cl, err := cluster.New(cluster.Config{Nodes: 2, MemBudget: 200_000, Factory: Factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := RunOUPDR(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem.Loads == 0 {
+		t.Fatalf("the export reloaded nothing in %d evictions: the budget must force swapping", res.Mem.Evictions)
+	}
+	// Merging checks that every key is there exactly once; the writer's own
+	// count rules out a second frame of any of them.
+	nb := cfg.Blocks
+	if got := w.Blocks(); got != nb*nb {
+		t.Fatalf("writer framed %d blocks, want %d", got, nb*nb)
+	}
+	if man := finishExport(t, dir, w); man.MeshHash != res.MeshHash {
+		t.Fatalf("manifest MeshHash %s != run %s", man.MeshHash, res.MeshHash)
+	}
+	// Quiescence does not wait for the last eviction writes to land.
+	for i := 0; cl.IOStats().CompletedWrites < cl.IOStats().Writes; i++ {
+		if i > 5000 {
+			t.Fatal("eviction writes never drained")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var drops float64
+	for k, v := range cl.Metrics() {
+		if strings.HasSuffix(k, "swap.clean_drops") {
+			drops += v
+		}
+	}
+	if drops == 0 {
+		t.Fatalf("no clean drops in %d evictions: the export rewrote what it only read", res.Mem.Evictions)
+	}
+	if puts := cl.DiskStats().Puts; puts+uint64(drops) != res.Mem.Evictions {
+		t.Errorf("%d evictions = %d writes + %v clean drops does not add up", res.Mem.Evictions, puts, drops)
 	}
 }
 

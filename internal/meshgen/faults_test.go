@@ -1,6 +1,7 @@
 package meshgen
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -30,10 +31,15 @@ func faultTestCluster(t *testing.T, fault *storage.FaultConfig, retry storage.Re
 
 // TestOUPDRTransientFaultsProduceIdenticalMesh is the tentpole acceptance
 // test: an out-of-core OUPDR run whose every store key fails twice before
-// succeeding must complete with exactly the fault-free element count — the
-// retry layer absorbs the faults and nothing is lost.
+// succeeding must complete with exactly the fault-free mesh — the retry
+// layer absorbs the faults and nothing is lost, the blocks read back
+// included.
 func TestOUPDRTransientFaultsProduceIdenticalMesh(t *testing.T) {
 	cfg := UPDRConfig{Blocks: 4, TargetElements: 12000}
+	ref, err := RunOUPDR(newTestCluster(t, 2, 1<<30), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clean := faultTestCluster(t, nil, storage.RetryPolicy{}, nil)
 	want, err := RunOUPDR(clean, cfg)
 	if err != nil {
@@ -54,9 +60,16 @@ func TestOUPDRTransientFaultsProduceIdenticalMesh(t *testing.T) {
 	if got.Elements != want.Elements {
 		t.Errorf("transient faults changed the mesh: %d vs %d elements", got.Elements, want.Elements)
 	}
+	for _, r := range []Result{want, got} {
+		if r.MeshHash != ref.MeshHash {
+			t.Errorf("out-of-core MeshHash %s, in-core %s", r.MeshHash, ref.MeshHash)
+		}
+	}
 	if !got.Conforming {
 		t.Error("interfaces no longer conform under transient faults")
 	}
+	// The re-read loads every evicted block through the faulty store too.
+	checkReread(t, cl, cfg.Blocks, ref.MeshHash)
 	s := cl.SwapStats()
 	if s.ObjectsLost != 0 || s.LoadFailures != 0 || s.StoreFailures != 0 {
 		t.Errorf("transient faults leaked into SwapStats: %+v", s)
@@ -71,7 +84,8 @@ func TestOUPDRTransientFaultsProduceIdenticalMesh(t *testing.T) {
 
 // TestOUPDRPermanentFaultsFailLoudly: with every reload failing permanently,
 // swapped-out blocks are lost — the run must surface non-zero ObjectsLost
-// and SwapError callbacks, and the cluster must still terminate.
+// and SwapError callbacks, fail if it lost a block itself, and the cluster
+// must still terminate.
 func TestOUPDRPermanentFaultsFailLoudly(t *testing.T) {
 	done := make(chan struct{}, 1)
 	cl := faultTestCluster(t,
@@ -86,6 +100,9 @@ func TestOUPDRPermanentFaultsFailLoudly(t *testing.T) {
 
 	res, err := RunOUPDR(cl, UPDRConfig{Blocks: 4, TargetElements: 12000})
 	s := cl.SwapStats()
+	if s.ObjectsLost > 0 && err == nil {
+		t.Fatalf("the run lost %d blocks and returned no error: %v, MeshHash %s", s.ObjectsLost, res, res.MeshHash)
+	}
 	if s.ObjectsLost == 0 {
 		// Whether the run itself revisits an evicted block depends on
 		// scheduling (under -race the interface messages often land before
@@ -115,12 +132,6 @@ func TestOUPDRPermanentFaultsFailLoudly(t *testing.T) {
 	default:
 		t.Error("OnSwapError never fired for a permanent fault")
 	}
-	// The run either reports fewer elements than a clean run would, or an
-	// explicit error — never a silent full result. (All blocks that meshed
-	// before eviction still count; the lost ones are the gap.)
-	if err == nil && res.Elements <= 0 {
-		t.Errorf("run returned no error and no elements: %+v", res)
-	}
 	var errs []core.SwapError
 	for _, rt := range cl.Runtimes() {
 		errs = append(errs, rt.SwapErrors()...)
@@ -133,4 +144,38 @@ func TestOUPDRPermanentFaultsFailLoudly(t *testing.T) {
 			t.Errorf("unexpected swap error shape: %+v", e)
 		}
 	}
+}
+
+// TestOUPDRLostBlockFailsTheRun: a block lost on a failed load fails the run;
+// it does not drop out of the MeshHash. On one node with room for one meshed
+// block, block (0,0) — meshed first, never sent a message — is out of core
+// when meshing ends, and the export must read it back from a store that
+// refuses exactly its key.
+func TestOUPDRLostBlockFailsTheRun(t *testing.T) {
+	cfg := UPDRConfig{Blocks: 2, TargetElements: 4000}
+	// Blocks are created top-right first, so (0,0) is the node's last object.
+	lost := storage.Key(fmt.Sprintf("obj-0-%d", cfg.Blocks*cfg.Blocks))
+	cl, err := cluster.New(cluster.Config{
+		Nodes:          1,
+		WorkersPerNode: 1,
+		MemBudget:      30_000, // one ~20 KB meshed block
+		Factory:        Factory,
+		Fault:          &storage.FaultConfig{GetFailProb: 1, Permanent: true, Keys: []storage.Key{lost}},
+		Retry:          storage.RetryPolicy{MaxAttempts: 2, BaseDelay: 50 * time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, w := exportWriter(t, cfg, false)
+	cfg.Export = w
+	res, err := RunOUPDR(cl, cfg)
+	if err == nil {
+		t.Fatalf("block (0,0) was lost and the run returned no error: %v, MeshHash %s, %d blocks framed",
+			res, res.MeshHash, w.Blocks())
+	}
+	if s := cl.SwapStats(); s.ObjectsLost != 1 {
+		t.Fatalf("%d objects lost, want block (0,0) alone: %+v", s.ObjectsLost, s)
+	}
+	t.Logf("run error: %v", err)
 }

@@ -44,8 +44,10 @@ type Result struct {
 	Conforming bool       // interface conformity verified
 
 	// MeshHash is the canonical digest of the whole refined mesh (per-block
-	// sorted-triangle hashes combined in (J,I) order); set by RunOUPDR,
-	// whose dump phase collects it. Equal hashes mean byte-identical meshes.
+	// sorted-triangle hashes combined in (J,I) order); set by RunOUPDR from
+	// the digests each block took when its mesh was written, so it covers
+	// the meshes as refined, not copies read back from disk. Equal hashes
+	// mean geometrically identical meshes.
 	MeshHash string
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +22,14 @@ import (
 const (
 	hBlockMesh  core.HandlerID = 101
 	hBlockIface core.HandlerID = 102
-	// hBlockDump asks a block to report (i, j, elements, mesh hash) for the
-	// cross-run equality check and, while an export is attached, to frame
-	// its full encoded state into the store.
+	// hBlockDump asks a block to report (i, j, elements, mesh digest) and,
+	// while an export is attached, to frame its full encoded state into the
+	// store. It reads the block, so it is posted only where the bytes are
+	// needed: to every block by an export and by RereadDigests, and by
+	// Dist.Dump to the local blocks this process has no digest for. The
+	// digest it reports is the one taken when the block was meshed; it
+	// hashes only a block that has none (one restored from a store or a
+	// checkpoint, or every block under RereadDigests).
 	hBlockDump core.HandlerID = 103
 )
 
@@ -152,10 +158,16 @@ func (o *blockObj) DecodeFrom(r io.Reader) error {
 }
 
 // blockShared carries what the block handlers of one driver report into:
-// run totals, the first meshing error, the dump pass's block reports, and —
-// while an export is attached — the store writer and the first error it
-// returned. RunOUPDR shares one across the nodes of its cluster; a Dist owns
-// one per process.
+// run totals, the first handler error, every block's canonical digest, and —
+// during a dump pass — the pass's reports, the store writer if an export is
+// attached, and the first error it returned. RunOUPDR shares one across the
+// nodes of its cluster; a Dist owns one per process.
+//
+// A block's digest is taken by the handler that writes its mesh, from the
+// encoding it has just made, so a MeshHash built from the digests certifies
+// the meshes as refined, not copies read back from the swap path. Bytes at
+// rest are covered where they are read: by each export frame's SHA-256, and
+// by RereadDigests in the tests.
 type blockShared struct {
 	nb int // grid dimension, to recover (i, j) from a block's rectangle
 
@@ -164,16 +176,97 @@ type blockShared struct {
 	mismatch atomic.Int64
 	meshErr  firstErr
 
-	mu     sync.Mutex
-	dump   []BlockDump       // per-block canonical hashes (dump pass)
-	export *meshstore.Writer // non-nil: the dump pass also frames each block
-	expErr firstErr          // first export error of the dump pass
+	mu      sync.Mutex
+	digests []BlockDump       // indexed j*nb+i; Hash "" until the block is digested
+	pass    []BlockDump       // reports of the dump pass in progress
+	export  *meshstore.Writer // non-nil: the dump pass also frames each block
+	expErr  firstErr          // first export error of the dump pass
+}
+
+func newBlockShared(nb int) *blockShared {
+	return &blockShared{nb: nb, digests: make([]BlockDump, nb*nb)}
+}
+
+// slot returns block (i, j)'s digest slot, nil off the grid. The caller
+// holds sh.mu.
+func (sh *blockShared) slot(i, j int) *BlockDump {
+	if i < 0 || j < 0 || i >= sh.nb || j >= sh.nb {
+		return nil
+	}
+	return &sh.digests[j*sh.nb+i]
+}
+
+// record keeps b as its block's digest. A block digested twice must digest
+// alike; a different second digest is an error.
+func (sh *blockShared) record(b BlockDump) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	s := sh.slot(b.I, b.J)
+	switch {
+	case s == nil:
+		return fmt.Errorf("meshgen: block (%d,%d) is off the %d×%d grid", b.I, b.J, sh.nb, sh.nb)
+	case s.Hash != "" && *s != b:
+		return fmt.Errorf("meshgen: block (%d,%d) digested twice, differently: %v, then %v", b.I, b.J, *s, b)
+	}
+	*s = b
+	return nil
+}
+
+// digest returns block idx's digest (idx = j*nb+i) and whether it was taken.
+func (sh *blockShared) digest(idx int) (BlockDump, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b := sh.digests[idx]
+	return b, b.Hash != ""
+}
+
+// all returns every block's digest, or an error naming the blocks without one.
+func (sh *blockShared) all() ([]BlockDump, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var missing []string
+	for idx, b := range sh.digests {
+		if b.Hash == "" {
+			missing = append(missing, fmt.Sprintf("(%d,%d)", idx%sh.nb, idx/sh.nb))
+		}
+	}
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("meshgen: %d of %d blocks have no digest: %s",
+			len(missing), len(sh.digests), strings.Join(missing, " "))
+	}
+	return append([]BlockDump(nil), sh.digests...), nil
+}
+
+// report adds block o to the dump pass in progress and returns its report and
+// the pass's export writer. The report carries the digest taken when o was
+// meshed; a block without one is hashed from the bytes just read, and that
+// digest is kept.
+func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer) {
+	i, j := blockIJ(o, sh.nb)
+	var b BlockDump
+	sh.mu.Lock()
+	s := sh.slot(i, j)
+	if s != nil {
+		b = *s
+	}
+	sh.mu.Unlock()
+	if b.Hash == "" {
+		b = BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))}
+	}
+	sh.mu.Lock()
+	if s != nil && s.Hash == "" {
+		*s = b
+	}
+	sh.pass = append(sh.pass, b)
+	w := sh.export
+	sh.mu.Unlock()
+	return b, w
 }
 
 // begin starts a dump pass: no reports, exporting into w if it is non-nil.
 func (sh *blockShared) begin(w *meshstore.Writer) {
 	sh.mu.Lock()
-	sh.dump, sh.export = nil, w
+	sh.pass, sh.export = nil, w
 	sh.mu.Unlock()
 }
 
@@ -181,8 +274,8 @@ func (sh *blockShared) begin(w *meshstore.Writer) {
 // error, the writer's own sticky error included.
 func (sh *blockShared) end() ([]BlockDump, error) {
 	sh.mu.Lock()
-	dump, w := sh.dump, sh.export
-	sh.dump, sh.export = nil, nil
+	dump, w := sh.pass, sh.export
+	sh.pass, sh.export = nil, nil
 	sh.mu.Unlock()
 	err := sh.expErr.take()
 	if err == nil && w != nil {
@@ -225,7 +318,7 @@ func newBlock(nb, i, j int, h, beta float64, ptrs []core.MobilePtr) *blockObj {
 }
 
 // registerBlockHandlers installs the block handlers on one runtime: mesh,
-// interface check, and the dump pass both drivers end with.
+// interface check, and the dump pass.
 func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	rt.Register(hBlockMesh, func(c *core.Ctx, arg []byte) {
 		if err := oupdrMeshHandler(c, c.Object().(*blockObj), sh); err != nil {
@@ -239,23 +332,19 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	// block reloaded for it is dropped afterwards instead of written again.
 	rt.RegisterReadOnly(hBlockDump, func(c *core.Ctx, arg []byte) {
 		o := c.Object().(*blockObj)
-		i, j := blockIJ(o, sh.nb)
-		digest := hex.EncodeToString(hashMesh(o.MeshData))
-		sh.mu.Lock()
-		sh.dump = append(sh.dump, BlockDump{I: i, J: j, Elements: o.Elements, Hash: digest})
-		w := sh.export
-		sh.mu.Unlock()
+		b, w := sh.report(o)
 		if w == nil {
 			return
 		}
-		if err := exportBlock(w, i, j, o, digest); err != nil {
+		if err := exportBlock(w, b.I, b.J, o, b.Hash); err != nil {
 			sh.expErr.set(err)
 		}
 	})
 }
 
-// oupdrMeshHandler refines the block and ships interface point sets to the
-// right and top neighbors (structured communication).
+// oupdrMeshHandler refines the block, ships interface point sets to the
+// right and top neighbors (structured communication) and records the
+// block's canonical digest from the encoding it stores.
 func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	bm, err := meshBlock(o.Rect, o.H, o.Beta)
 	if err != nil {
@@ -302,7 +391,9 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	if o.IfaceNeeded > 0 {
 		c.SetPriority(c.Self, 5)
 	}
-	return nil
+	// The digest last, with the interface messages already on their way.
+	i, j := blockIJ(o, sh.nb)
+	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))})
 }
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this
@@ -365,7 +456,7 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	}
 	start := time.Now()
 	nb := cfg.Blocks
-	sh := &blockShared{nb: nb}
+	sh := newBlockShared(nb)
 	for _, rt := range cl.Runtimes() {
 		registerBlockHandlers(rt, sh)
 	}
@@ -394,19 +485,30 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if n := sh.elements.Load(); n == 0 {
 		return Result{}, fmt.Errorf("meshgen: OUPDR produced no elements")
 	}
-	// Dump phase: collect every block's canonical mesh hash — framing each
-	// block into cfg.Export on the way, the bulk-sync method's irrevocable
-	// point — and combine the hashes into the run-wide digest the
-	// mesh-equality properties compare.
-	sh.begin(cfg.Export)
-	inCore := func(p core.MobilePtr) bool { return cl.RT(int(p.Home)).InCore(p) }
-	for _, p := range residentFirst(ptrs, inCore) {
-		cl.RT(int(p.Home)).Post(p, hBlockDump, nil)
+	// An export frames every block into cfg.Export — the bulk-sync method's
+	// irrevocable point. Framing needs the bytes, so that pass reloads the
+	// blocks out of core; without an export nothing is read back.
+	if cfg.Export != nil {
+		sh.begin(cfg.Export)
+		inCore := func(p core.MobilePtr) bool { return cl.RT(int(p.Home)).InCore(p) }
+		for _, p := range residentFirst(ptrs, inCore) {
+			cl.RT(int(p.Home)).Post(p, hBlockDump, nil)
+		}
+		cl.Wait()
+		if _, err := sh.end(); err != nil {
+			return Result{}, fmt.Errorf("meshgen: export: %w", err)
+		}
 	}
-	cl.Wait()
-	dump, err := sh.end()
+	// A block whose load failed is gone with every message it was sent, so
+	// the counts and digests above may look complete without being so.
+	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
+		return Result{}, fmt.Errorf("meshgen: OUPDR lost %d objects to failed loads", lost)
+	}
+	// The run-wide digest the mesh-equality properties compare, combined
+	// from the digests the blocks took when they were meshed.
+	dump, err := sh.all()
 	if err != nil {
-		return Result{}, fmt.Errorf("meshgen: export: %w", err)
+		return Result{}, err
 	}
 	return Result{
 		Method:     "OUPDR",
@@ -420,4 +522,27 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 		Mem:        cl.MemStats(),
 		Conforming: sh.mismatch.Load() == 0,
 	}, nil
+}
+
+// RereadDigests reads every block of the RunOUPDR run that finished on cl
+// back — loading those out of core — and digests each mesh as read. The run's
+// MeshHash certifies the meshes as refined; MeshHashOf of these reports equals
+// it only if every block also came back from the swap path unchanged, which
+// is what the mesh-equality tests check. cl must be quiescent and hold that
+// run's blocks only; the block handlers are registered on it afresh.
+func RereadDigests(cl *cluster.Cluster, blocks int) ([]BlockDump, error) {
+	sh := newBlockShared(blocks) // no digests: each is taken from the bytes read
+	for _, rt := range cl.Runtimes() {
+		registerBlockHandlers(rt, sh)
+	}
+	for _, rt := range cl.Runtimes() {
+		for _, p := range rt.LocalObjects() {
+			rt.Post(p, hBlockDump, nil)
+		}
+	}
+	cl.Wait()
+	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
+		return nil, fmt.Errorf("meshgen: %d objects lost to failed loads", lost)
+	}
+	return sh.all()
 }

@@ -30,9 +30,11 @@ type UPDRConfig struct {
 	// (the in-core behavior whose footprint the out-of-core build shrinks).
 	// Element counts are collected either way.
 	KeepMeshes bool
-	// Export, when non-nil, frames every block into the meshstore chunk as
-	// the dump pass visits it (RunOUPDR only). The writer is left open for
-	// the caller to Finalize.
+	// Export, when non-nil, frames every block into the meshstore chunk once
+	// meshing is done (RunOUPDR only): a pass that reads every block, and so
+	// reloads the ones out of core. Without it a run reads nothing back; its
+	// MeshHash comes from digests taken as the blocks were meshed. The
+	// writer is left open for the caller to Finalize.
 	Export *meshstore.Writer
 }
 

@@ -4,11 +4,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/geom"
+	"mrts/internal/obs"
 )
 
 func TestBoundaryPointsDeterministic(t *testing.T) {
@@ -125,6 +125,10 @@ func TestRunOUPDROutOfCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := RunOUPDR(newTestCluster(t, 2, 1<<30), UPDRConfig{Blocks: 4, TargetElements: 12000})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     2,
 		MemBudget: 200_000, // bytes; each block mesh is several 10s of KB
@@ -142,12 +146,16 @@ func TestRunOUPDROutOfCore(t *testing.T) {
 	if res.Elements != seq.Elements {
 		t.Errorf("OOC run changed the mesh: %d vs %d elements", res.Elements, seq.Elements)
 	}
+	if res.MeshHash != ref.MeshHash {
+		t.Errorf("OOC MeshHash %s, in-core %s", res.MeshHash, ref.MeshHash)
+	}
 	if !res.Conforming {
 		t.Error("OOC interfaces do not conform")
 	}
 	if res.Mem.Evictions == 0 {
 		t.Error("expected evictions under a 200KB budget")
 	}
+	checkReread(t, cl, 4, ref.MeshHash)
 	t.Logf("OOC OUPDR: %v; evictions=%d loads=%d peak=%dKB",
 		res, res.Mem.Evictions, res.Mem.Loads, res.Mem.PeakMemUsed/1024)
 }
@@ -261,43 +269,79 @@ func TestHullPointsComputedOnce(t *testing.T) {
 	}
 }
 
-// TestRunOUPDRDumpPassWritesNothing: out of core, the dump pass reloads
-// blocks, reads them and lets them go again without a write — and the mesh
-// digest is the in-core run's.
-func TestRunOUPDRDumpPassWritesNothing(t *testing.T) {
-	ref, err := RunOUPDR(newTestCluster(t, 2, 1<<30), UPDRConfig{Blocks: 4, TargetElements: 12000})
+// TestRunOUPDRReadsNothingBack: out of core and without an export, no block
+// is loaded once the last mesh or interface handler is done — a load is for
+// a message of the meshing itself — and the MeshHash is the in-core run's.
+func TestRunOUPDRReadsNothingBack(t *testing.T) {
+	cfg := UPDRConfig{Blocks: 4, TargetElements: 12000}
+	ref, err := RunOUPDR(newTestCluster(t, 2, 1<<30), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.Config{Nodes: 2, MemBudget: 200_000, Factory: Factory})
+	sink := obs.NewTraceSink(0)
+	cl, err := cluster.New(cluster.Config{Nodes: 2, MemBudget: 200_000, Factory: Factory, Trace: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := RunOUPDR(cl, UPDRConfig{Blocks: 4, TargetElements: 12000})
+	res, err := RunOUPDR(cl, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Mem.Evictions == 0 {
+		t.Fatal("no evictions: the budget must force swapping")
 	}
 	if res.MeshHash != ref.MeshHash {
 		t.Fatalf("out-of-core MeshHash %s, in-core %s", res.MeshHash, ref.MeshHash)
 	}
-	// Quiescence does not wait for the last eviction writes to land.
-	for i := 0; cl.IOStats().CompletedWrites < cl.IOStats().Writes; i++ {
-		if i > 5000 {
-			t.Fatal("eviction writes never drained")
+	// The node tracers share one epoch, so their timelines compare.
+	var meshEnd int64
+	var loads []int64
+	for _, tr := range sink.Tracers() {
+		if n := tr.Dropped(); n > 0 {
+			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	var drops float64
-	for k, v := range cl.Metrics() {
-		if strings.HasSuffix(k, "swap.clean_drops") {
-			drops += v
+		for _, ev := range tr.Events() {
+			switch {
+			case ev.Kind == obs.KindHandler && (ev.Arg == int64(hBlockMesh) || ev.Arg == int64(hBlockIface)):
+				meshEnd = max(meshEnd, ev.TS+ev.Dur)
+			case ev.Kind == obs.KindSwapLoad:
+				loads = append(loads, ev.TS)
+			}
 		}
 	}
-	if drops == 0 {
-		t.Fatalf("no clean drops in %d evictions: the dump pass rewrote what it only read", res.Mem.Evictions)
+	if uint64(len(loads)) != res.Mem.Loads {
+		t.Fatalf("the trace holds %d loads, the run counted %d", len(loads), res.Mem.Loads)
 	}
-	if puts := cl.DiskStats().Puts; puts+uint64(drops) != res.Mem.Evictions {
-		t.Errorf("%d evictions = %d writes + %v clean drops does not add up", res.Mem.Evictions, puts, drops)
+	late := 0
+	for _, ts := range loads {
+		if ts >= meshEnd {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Fatalf("%d of %d loads started after meshing ended", late, len(loads))
+	}
+}
+
+// TestBlockDigestsNameWhatIsWrong: a block digested twice must digest alike,
+// and a missing digest is an error that names the blocks without one.
+func TestBlockDigestsNameWhatIsWrong(t *testing.T) {
+	sh := newBlockShared(2)
+	b := BlockDump{I: 1, J: 0, Elements: 5, Hash: "aa"}
+	for k := 0; k < 2; k++ {
+		if err := sh.record(b); err != nil {
+			t.Fatalf("digest %d of the same block: %v", k+1, err)
+		}
+	}
+	if err := sh.record(BlockDump{I: 1, J: 0, Elements: 5, Hash: "ab"}); err == nil {
+		t.Fatal("a second, different digest of block (1,0) was accepted")
+	}
+	if err := sh.record(BlockDump{I: 2, J: 0, Hash: "aa"}); err == nil {
+		t.Fatal("a digest off the grid was accepted")
+	}
+	_, err := sh.all()
+	if err == nil || !strings.Contains(err.Error(), "(0,0) (0,1) (1,1)") {
+		t.Fatalf("all() = %v, want the three blocks without a digest named", err)
 	}
 }

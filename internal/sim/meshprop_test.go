@@ -44,11 +44,27 @@ func inCoreReference(t *testing.T) meshgen.Result {
 	return res
 }
 
+// checkMeshProp checks a finished out-of-core run against the in-core one:
+// the same MeshHash, and the blocks read back through the faulty swap path
+// digest to it too (the run's MeshHash is taken as the blocks are meshed).
+func checkMeshProp(t *testing.T, seed int64, cl *cluster.Cluster, got, want meshgen.Result) {
+	t.Helper()
+	if got.MeshHash != want.MeshHash {
+		t.Errorf("seed %d: out-of-core MeshHash %s, in-core %s", seed, got.MeshHash, want.MeshHash)
+	}
+	dump, err := meshgen.RereadDigests(cl, meshPropConfig.Blocks)
+	if err != nil {
+		t.Errorf("seed %d: re-read: %v", seed, err)
+	} else if h := meshgen.MeshHashOf(dump); h != want.MeshHash {
+		t.Errorf("seed %d: the blocks read back digest to %s, in-core %s", seed, h, want.MeshHash)
+	}
+}
+
 // TestMeshFaultEqualityProperty is the paper's central claim as a property
 // test: for every seed, an out-of-core run — tiny budget, modeled network
 // and disk latency, a slow node, transient storage faults absorbed by
 // seeded-backoff retry, all on virtual time — produces a mesh identical to
-// the in-core run.
+// the in-core run, and every block reads back from the swap path unchanged.
 func TestMeshFaultEqualityProperty(t *testing.T) {
 	want := inCoreReference(t)
 
@@ -86,6 +102,9 @@ func TestMeshFaultEqualityProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := meshgen.RunOUPDR(cl, meshPropConfig)
+		if err == nil {
+			checkMeshProp(t, seed, cl, got, want)
+		}
 		stats := cl.SwapStats()
 		cl.Close()
 		vclk.Stop()
@@ -114,8 +133,8 @@ func TestMeshFaultEqualityProperty(t *testing.T) {
 // tiered hierarchy: remote memory with a bounded lease fronting the faulty,
 // latency-modeled disk, while the remote tier takes its own transient fault
 // schedule. Placement decisions (admit, spill, demote, promote) and tier-0
-// faults must be invisible to the mesh: same elements, conforming
-// interfaces, nothing lost.
+// faults must be invisible to the mesh: same elements and MeshHash, blocks
+// that read back unchanged, conforming interfaces, nothing lost.
 func TestMeshFaultEqualityPropertyTiered(t *testing.T) {
 	want := inCoreReference(t)
 
@@ -162,6 +181,9 @@ func TestMeshFaultEqualityPropertyTiered(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := meshgen.RunOUPDR(cl, meshPropConfig)
+		if err == nil {
+			checkMeshProp(t, seed, cl, got, want)
+		}
 		stats := cl.SwapStats()
 		ts := cl.TierStats()
 		var violations []string
