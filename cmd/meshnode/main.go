@@ -226,6 +226,9 @@ func main() {
 			}
 			d.PostPhase(k)
 			d.WaitPhase()
+			if err := d.Err(); err != nil {
+				fatalf("phase %d: %v", k, err)
+			}
 			// Checkpoint at every barrier so a later incarnation can resume
 			// from whichever phase the process died after.
 			if err := d.Checkpoint(ckStore, "ck"); err != nil {

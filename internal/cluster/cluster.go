@@ -54,16 +54,14 @@ type Config struct {
 	SpoolDir string
 	// RemoteMemory, when true, implements the paper's "memory of remote
 	// nodes as out-of-core media" configuration: one extra node joins the
-	// transport as a dedicated memory server and every compute node's
-	// storage layer reaches it over one-sided messages instead of using
-	// local disk. Without Tier, SpoolDir and Disk are ignored (the legacy
-	// exclusive mode); with Tier set, remote memory becomes tier 0 *in
-	// front of* the SpoolDir/Disk backstop.
+	// transport as a dedicated memory server, and every compute node's
+	// storage layer reaches it over one-sided messages as tier 0 in front
+	// of its ordinary SpoolDir/Disk store.
 	RemoteMemory bool
-	// Tier, when non-nil alongside RemoteMemory, composes the two backends
-	// into a capacity-aware hierarchy (internal/tier): remote memory is a
-	// leased fast tier over the local disk store, which keeps its full
-	// LatencyClock/FaultStore stack.
+	// Tier shapes the hierarchy RemoteMemory builds (internal/tier): remote
+	// memory is a leased fast tier over the local disk store, which keeps
+	// its full LatencyClock/FaultStore stack. Nil means an unbounded lease,
+	// so nothing reaches the disk. Ignored without RemoteMemory.
 	Tier *TierSpec
 	// Scheduler selects the task scheduler flavor (default WorkStealing).
 	Scheduler SchedulerKind
@@ -198,8 +196,10 @@ func New(cfg Config) (*Cluster, error) {
 	endpoints := cfg.Nodes
 	if cfg.RemoteMemory {
 		endpoints++ // the memory server node
+		if cfg.Tier == nil {
+			cfg.Tier = &TierSpec{Capacity: -1}
+		}
 	}
-	tiered := cfg.RemoteMemory && cfg.Tier != nil
 	clk := clock.Or(cfg.Clock)
 	c := &Cluster{cfg: cfg, tr: comm.NewInProcClock(endpoints, cfg.Network, clk), clk: clk}
 	// The placement ring exists before any node: RoutePlaced nodes wrap it as
@@ -212,7 +212,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.dir = NewDirectory(ids, 0)
 	if cfg.RemoteMemory {
 		ep := c.tr.Endpoint(comm.NodeID(cfg.Nodes))
-		if tiered && cfg.Tier.Capacity > 0 {
+		if cfg.Tier.Capacity > 0 {
 			// The donor enforces the sum of the node leases: even a buggy
 			// tier client cannot overrun the donated budget.
 			c.memsrv = remotemem.NewServerCap(ep, cfg.Tier.Capacity*int64(cfg.Nodes))
@@ -236,71 +236,58 @@ func New(cfg Config) (*Cluster, error) {
 		c.tr.Endpoint(comm.NodeID(i)).SetTracer(tracer)
 		c.pools = append(c.pools, pool)
 		c.tracers = append(c.tracers, tracer)
-		var st storage.Store
-		if cfg.RemoteMemory && !tiered {
-			// Legacy exclusive mode: remote memory replaces disk outright.
-			st = remotemem.NewClient(c.tr.Endpoint(comm.NodeID(i)), comm.NodeID(cfg.Nodes))
-			if cfg.Fault != nil {
-				fc := *cfg.Fault
-				fc.Seed += int64(i) * 7919
-				st = storage.NewFault(st, fc)
+		// The disk (or backstop) store keeps its full latency + fault stack
+		// even when remote memory fronts it — the service-time model is part
+		// of the tier, not an alternative to it.
+		st, raw, err := c.nodeBaseStore(i)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		// Keep the raw bottom store before any wrappers: DiskStats reads
+		// bytes at the media level, where the compression layer's savings
+		// are visible.
+		c.bases = append(c.bases, raw)
+		if cfg.RemoteMemory {
+			var fast storage.Store
+			if cfg.Tier.Capacity != 0 {
+				fast = remotemem.NewClient(c.tr.Endpoint(comm.NodeID(i)), comm.NodeID(cfg.Nodes))
+				if cfg.Tier.Fault != nil {
+					fc := *cfg.Tier.Fault
+					// A different fold than the disk tier's so the two
+					// fault sequences decorrelate.
+					fc.Seed += int64(i)*7919 + 3571
+					fast = storage.NewFault(fast, fc)
+				}
 			}
-		} else {
-			// The disk (or backstop) store keeps its full latency + fault
-			// stack even when remote memory fronts it — the service-time
-			// model is part of the tier, not an alternative to it.
-			base, raw, err := c.nodeBaseStore(i)
+			var compress *tier.CompressConfig
+			if cfg.Tier.Compress != nil {
+				compress = &tier.CompressConfig{
+					CacheBytes: cfg.Tier.Compress.CacheBytes,
+					MinSize:    cfg.Tier.Compress.MinSize,
+					AdmitHeat:  cfg.Tier.Compress.AdmitHeat,
+				}
+			}
+			ts, err := tier.New(tier.Config{
+				Fast:         fast,
+				Slow:         st,
+				Capacity:     cfg.Tier.Capacity,
+				HighWater:    cfg.Tier.HighWater,
+				LowWater:     cfg.Tier.LowWater,
+				AdmitMax:     cfg.Tier.AdmitMax,
+				PromoteAfter: cfg.Tier.PromoteAfter,
+				Workers:      cfg.Tier.Workers,
+				Compress:     compress,
+				Retry:        c.nodeRetry(i),
+				Tracer:       tracer,
+				Clock:        cfg.Clock,
+			})
 			if err != nil {
 				c.Close()
 				return nil, err
 			}
-			// Keep the raw bottom store before any wrappers: DiskStats reads
-			// bytes at the media level, where the compression layer's savings
-			// are visible.
-			c.bases = append(c.bases, raw)
-			if tiered {
-				var fast storage.Store
-				if cfg.Tier.Capacity != 0 {
-					fast = remotemem.NewClient(c.tr.Endpoint(comm.NodeID(i)), comm.NodeID(cfg.Nodes))
-					if cfg.Tier.Fault != nil {
-						fc := *cfg.Tier.Fault
-						// A different fold than the disk tier's so the two
-						// fault sequences decorrelate.
-						fc.Seed += int64(i)*7919 + 3571
-						fast = storage.NewFault(fast, fc)
-					}
-				}
-				var compress *tier.CompressConfig
-				if cfg.Tier.Compress != nil {
-					compress = &tier.CompressConfig{
-						CacheBytes: cfg.Tier.Compress.CacheBytes,
-						MinSize:    cfg.Tier.Compress.MinSize,
-						AdmitHeat:  cfg.Tier.Compress.AdmitHeat,
-					}
-				}
-				ts, err := tier.New(tier.Config{
-					Fast:         fast,
-					Slow:         base,
-					Capacity:     cfg.Tier.Capacity,
-					HighWater:    cfg.Tier.HighWater,
-					LowWater:     cfg.Tier.LowWater,
-					AdmitMax:     cfg.Tier.AdmitMax,
-					PromoteAfter: cfg.Tier.PromoteAfter,
-					Workers:      cfg.Tier.Workers,
-					Compress:     compress,
-					Retry:        c.nodeRetry(i),
-					Tracer:       tracer,
-					Clock:        cfg.Clock,
-				})
-				if err != nil {
-					c.Close()
-					return nil, err
-				}
-				c.tiers = append(c.tiers, ts)
-				st = ts
-			} else {
-				st = base
-			}
+			c.tiers = append(c.tiers, ts)
+			st = ts
 		}
 		c.rts = append(c.rts, core.NewRuntime(c.nodeConfig(i, st)))
 	}
@@ -369,9 +356,10 @@ func (c *Cluster) applyRouting(cc *core.Config, i int) {
 	cc.NumNodes = c.cfg.Nodes
 }
 
-// nodeBaseStore builds node i's bottom-level store stack for a non-remote
-// node: the raw media store (file under SpoolDir or memory), wrapped by the
-// modeled disk latency and the deterministic fault layer. It returns the
+// nodeBaseStore builds node i's bottom-level store stack, the one under the
+// tier when RemoteMemory is set: the raw media store (file under SpoolDir or
+// memory), wrapped by the modeled disk latency and the deterministic fault
+// layer. It returns the
 // wrapped store plus the raw media store (kept for DiskStats), and is also
 // how RestartNode gives a restarted node a fresh stack in the same slot.
 func (c *Cluster) nodeBaseStore(i int) (wrapped, raw storage.Store, err error) {
@@ -429,7 +417,7 @@ func (c *Cluster) Runtimes() []*core.Runtime {
 func (c *Cluster) MemoryServer() *remotemem.Server { return c.memsrv }
 
 // Tiers returns the per-node tiered stores when the cluster was built with
-// RemoteMemory + Tier, else an empty slice.
+// RemoteMemory, else an empty slice.
 func (c *Cluster) Tiers() []*tier.Store { return c.tiers }
 
 // TierStats aggregates the tier counters across nodes (counters and gauges

@@ -277,6 +277,8 @@ func TestWaitByBucketAssignment(t *testing.T) {
 func TestClusterRemoteMemory(t *testing.T) {
 	// The "remote memory as out-of-core media" configuration: evicted
 	// objects travel to a dedicated memory-server node instead of disk.
+	// Without a TierSpec the lease is unbounded, so the disk under the tier
+	// is never written.
 	c, err := New(Config{
 		Nodes:        2,
 		MemBudget:    3000,
@@ -289,6 +291,9 @@ func TestClusterRemoteMemory(t *testing.T) {
 	defer c.Close()
 	if c.MemoryServer() == nil {
 		t.Fatal("memory server missing")
+	}
+	if len(c.Tiers()) != 2 {
+		t.Fatalf("want one tiered store per node, got %d", len(c.Tiers()))
 	}
 	for _, rt := range c.Runtimes() {
 		rt.Register(1, func(ctx *core.Ctx, arg []byte) {
@@ -308,9 +313,12 @@ func TestClusterRemoteMemory(t *testing.T) {
 	if s := c.MemStats(); s.Evictions == 0 {
 		t.Error("expected evictions under the tiny budget")
 	}
-	// Evicted blobs must have reached the remote server.
+	// Evicted blobs must have reached the remote server, and only it.
 	if st := c.MemoryServer().Stats(); st.Puts == 0 {
 		t.Errorf("memory server saw no puts: %+v", st)
+	}
+	if d := c.DiskStats(); d.Puts != 0 {
+		t.Errorf("unbounded lease spilled to disk: %+v", d)
 	}
 	// State integrity across remote swapping.
 	got := make(chan int64, 1)

@@ -3,8 +3,12 @@ package meshgen
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
+
+	"mrts/internal/core"
+	"mrts/internal/geom"
 )
 
 // u32le builds a little-endian u32 prefix.
@@ -71,6 +75,61 @@ func TestBlockObjDecodeCorruptPointCount(t *testing.T) {
 			// only the length prefixes must trip. Re-decoding valid data is
 			// fine — the invariant is "no panic, no huge alloc".
 			continue
+		}
+	}
+}
+
+// Type IDs of retired drivers stay reserved: a blob from an old checkpoint
+// must fail to construct, not decode as whatever took the ID over.
+func TestFactoryRejectsRetiredTypes(t *testing.T) {
+	for _, id := range []uint16{5, 6} {
+		if o, err := Factory(id); !errors.Is(err, core.ErrUnknownType) {
+			t.Errorf("Factory(%d) = %T, %v; want ErrUnknownType", id, o, err)
+		}
+	}
+}
+
+// A neighbor's interface payload that cannot be read must fail the run: a
+// silent return would leave the interface unchecked and the run conforming.
+func TestOUPDRIfaceRejectsMalformedPayload(t *testing.T) {
+	edge := []geom.Point{geom.Pt(0.5, 0), geom.Pt(0.5, 0.25), geom.Pt(0.5, 0.5)}
+	good := append([]byte{0}, encodePoints(edge)...)
+	newMeshed := func() *blockObj {
+		return &blockObj{Rect: blockRect(2, 1, 0), MeshData: []byte{1}, Left: edge}
+	}
+	sh := newBlockShared(2)
+	if err := oupdrIfaceHandler(nil, newMeshed(), good, sh); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
+	for _, arg := range [][]byte{nil, {0}, {0, 1, 2}, good[:len(good)-1]} {
+		if err := oupdrIfaceHandler(nil, newMeshed(), arg, sh); err == nil {
+			t.Errorf("payload %x accepted, want an error", arg)
+		}
+	}
+	if n := sh.mismatch.Load(); n != 0 {
+		t.Errorf("mismatches = %d, want 0", n)
+	}
+}
+
+// A wiring payload that does not carry four neighbor pointers must fail the
+// run instead of leaving the subdomain to refine unwired.
+func TestOPCDMWireRejectsMalformedPayload(t *testing.T) {
+	nbs := []core.MobilePtr{{Home: 0, Seq: 1}, core.Nil, {Home: 1, Seq: 2}, core.Nil}
+	o := &subdomainObj{}
+	if err := opcdmWireHandler(o, encodePtrList(nbs)); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
+	if o.Nbs[0] != nbs[0] || o.Nbs[2] != nbs[2] {
+		t.Fatalf("neighbors = %v, want %v", o.Nbs, nbs)
+	}
+	full := encodePtrList(nbs)
+	for _, arg := range [][]byte{nil, encodePtrList(nbs[:3]), full[:len(full)-1]} {
+		o := &subdomainObj{}
+		if err := opcdmWireHandler(o, arg); err == nil {
+			t.Errorf("payload %x accepted, want an error", arg)
+		}
+		if o.Nbs != [4]core.MobilePtr{} {
+			t.Errorf("payload %x wired %v", arg, o.Nbs)
 		}
 	}
 }

@@ -305,6 +305,10 @@ func (d *Dist) Elements() int64 { return d.sh.elements.Load() }
 // Mismatches returns the interface conformity violations observed locally.
 func (d *Dist) Mismatches() int64 { return d.sh.mismatch.Load() }
 
+// Err returns, and forgets, the first error a block handler on this node met:
+// a block that failed to mesh or an interface payload it could not read.
+func (d *Dist) Err() error { return d.sh.meshErr.take() }
+
 // Checkpoint writes the node's state into st at a phase barrier.
 func (d *Dist) Checkpoint(st storage.Store, prefix string) error {
 	return d.rt.Checkpoint(st, prefix)

@@ -13,15 +13,15 @@ import (
 )
 
 // Mobile object type IDs (shared by all O-methods; the Factory below builds
-// them on reload or migration). ID 6 and handler IDs 110–114 belonged to a
-// retired driver and stay unused, so a checkpoint or trace from an old run
-// fails with ErrUnknownType or "no handler" instead of being misread.
+// them on reload or migration). IDs 5 and 6 and handler IDs 110–114 and 401
+// belonged to retired drivers (the tetrahedral block method among them) and
+// stay unused, so a checkpoint or trace from an old run fails with
+// ErrUnknownType or "no handler" instead of being misread.
 const (
 	typeBlock     uint16 = 1 // OUPDR block
 	typeLeaf      uint16 = 2 // ONUPDR quad-tree leaf
 	typeQueue     uint16 = 3 // ONUPDR refinement queue
 	typeSubdomain uint16 = 4 // OPCDM subdomain
-	typeBlock3    uint16 = 5 // OUPDR-3D cube block
 )
 
 // Factory constructs meshgen mobile objects by type, for the MRTS runtime.
@@ -35,8 +35,6 @@ func Factory(typeID uint16) (core.Object, error) {
 		return &queueObj{}, nil
 	case typeSubdomain:
 		return &subdomainObj{}, nil
-	case typeBlock3:
-		return &block3Obj{}, nil
 	default:
 		return nil, core.ErrUnknownType
 	}

@@ -122,12 +122,9 @@ func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 			}
 		})
 		rt.Register(hSDWire, func(c *core.Ctx, arg []byte) {
-			o := c.Object().(*subdomainObj)
-			ptrs, err := readPtrs(bytesReader(arg))
-			if err != nil || len(ptrs) != 4 {
-				return
+			if err := opcdmWireHandler(c.Object().(*subdomainObj), arg); err != nil {
+				sh.err.set(err)
 			}
-			copy(o.Nbs[:], ptrs)
 		})
 		// Read-only: the report copies counts and hull out of the subdomain.
 		rt.RegisterReadOnly(hSDReport, func(c *core.Ctx, arg []byte) {
@@ -143,6 +140,21 @@ func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 			sh.mu.Unlock()
 		})
 	}
+}
+
+// opcdmWireHandler installs the subdomain's four neighbor pointers. A payload
+// it cannot read is an error: the subdomain would refine unwired, never
+// sending its boundary splits.
+func opcdmWireHandler(o *subdomainObj, arg []byte) error {
+	ptrs, err := readPtrs(bytesReader(arg))
+	if err != nil {
+		return fmt.Errorf("meshgen: subdomain %v: wire payload: %w", o.Rect, err)
+	}
+	if len(ptrs) != len(o.Nbs) {
+		return fmt.Errorf("meshgen: subdomain %v: wire payload has %d neighbors, want %d", o.Rect, len(ptrs), len(o.Nbs))
+	}
+	copy(o.Nbs[:], ptrs)
+	return nil
 }
 
 // opcdmRefineHandler applies incoming split points, refines the subdomain

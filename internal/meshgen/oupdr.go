@@ -326,7 +326,9 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 		}
 	})
 	rt.Register(hBlockIface, func(c *core.Ctx, arg []byte) {
-		oupdrIfaceHandler(c, c.Object().(*blockObj), arg, sh)
+		if err := oupdrIfaceHandler(c, c.Object().(*blockObj), arg, sh); err != nil {
+			sh.meshErr.set(err)
+		}
 	})
 	// The dump pass reads the block and reports; registered read-only, a
 	// block reloaded for it is dropped afterwards instead of written again.
@@ -384,7 +386,9 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	pend := o.Pending
 	o.Pending = nil
 	for _, p := range pend {
-		oupdrIfaceHandler(c, o, p, sh)
+		if err := oupdrIfaceHandler(c, o, p, sh); err != nil {
+			sh.meshErr.set(err)
+		}
 	}
 	// Until the remaining interface messages arrive, keep this block
 	// in-core preferentially (the paper's priority hint).
@@ -397,10 +401,12 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 }
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this
-// block's own edge points.
-func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) {
+// block's own edge points. A payload it cannot read is an error, not a pass:
+// the interface it carried was never checked.
+func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) error {
 	if len(arg) < 1 {
-		return
+		i, j := blockIJ(o, sh.nb)
+		return fmt.Errorf("meshgen: block (%d,%d): empty interface payload", i, j)
 	}
 	if o.IfaceNeeded > 0 {
 		o.IfaceNeeded--
@@ -411,12 +417,13 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) {
 	if o.MeshData == nil {
 		// Not meshed yet: keep the payload for later.
 		o.Pending = append(o.Pending, arg)
-		return
+		return nil
 	}
 	side := arg[0]
 	pts, err := decodePoints(arg[1:])
 	if err != nil {
-		return
+		i, j := blockIJ(o, sh.nb)
+		return fmt.Errorf("meshgen: block (%d,%d): interface payload: %w", i, j, err)
 	}
 	var mine []geom.Point
 	if side == 0 {
@@ -427,6 +434,7 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) {
 	if !samePoints(mine, pts) {
 		sh.mismatch.Add(1)
 	}
+	return nil
 }
 
 // residentFirst orders a sweep over every block: the blocks in core now, then

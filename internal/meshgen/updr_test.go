@@ -160,54 +160,6 @@ func TestRunOUPDROutOfCore(t *testing.T) {
 		res, res.Mem.Evictions, res.Mem.Loads, res.Mem.PeakMemUsed/1024)
 }
 
-func TestRunOUPDR3InCore(t *testing.T) {
-	cl := newTestCluster(t, 2, 1<<30)
-	res, err := RunOUPDR3(cl, OUPDR3Config{Blocks: 2, TargetElements: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elements < 2500 || res.Elements > 30000 {
-		t.Errorf("elements = %d, want ≈8000 within 3x", res.Elements)
-	}
-	if res.Subdomains != 8 {
-		t.Errorf("subdomains = %d", res.Subdomains)
-	}
-	t.Log(res)
-}
-
-func TestRunOUPDR3OutOfCore(t *testing.T) {
-	cl, err := cluster.New(cluster.Config{
-		Nodes:     2,
-		MemBudget: 100_000,
-		SpoolDir:  t.TempDir(),
-		Factory:   Factory,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	res, err := RunOUPDR3(cl, OUPDR3Config{Blocks: 3, TargetElements: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mem.Evictions == 0 {
-		t.Error("expected evictions under the tight budget")
-	}
-	// Re-run a second pass over the same (possibly evicted) blocks: the
-	// serialized tetrahedral meshes must survive the round-trip.
-	if res.Elements < 6000 {
-		t.Errorf("elements = %d", res.Elements)
-	}
-	t.Logf("OOC OUPDR3: %v evictions=%d loads=%d", res, res.Mem.Evictions, res.Mem.Loads)
-}
-
-func TestRunOUPDR3BadConfig(t *testing.T) {
-	cl := newTestCluster(t, 1, 1<<30)
-	if _, err := RunOUPDR3(cl, OUPDR3Config{}); err == nil {
-		t.Fatal("zero target should fail")
-	}
-}
-
 // TestMeshHashOfIgnoresReportOrder: the dump sweep visits resident blocks
 // first, so reports arrive in an order that depends on what was in core; the
 // run-wide digest must not.
