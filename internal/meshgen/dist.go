@@ -386,7 +386,7 @@ func DecodeExportedBlock(payload []byte, blocks int) (BlockDump, error) {
 	if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
 		return BlockDump{}, err
 	}
-	i, j := blockIJ(o, blocks)
+	i, j := gridIJ(o.Rect, blocks)
 	return BlockDump{I: i, J: j, Elements: o.Elements,
 		Hash: hex.EncodeToString(hashMesh(o.MeshData))}, nil
 }

@@ -179,3 +179,45 @@ func TestOUPDRLostBlockFailsTheRun(t *testing.T) {
 	}
 	t.Logf("run error: %v", err)
 }
+
+// TestOPCDMLostSubdomainFailsTheRun: a subdomain lost on a failed load fails
+// the run, although the report its refinement before the loss recorded is
+// still there and the audit may pass. On one node with room for about one
+// refined subdomain, subdomain (1,0) — the node's second object — is
+// usually out of core when splits come back to it, and the store refuses
+// exactly its key. Whether its eviction lands before those splits do is up
+// to the schedule (under -race, about one run in thirty keeps it resident),
+// so a run that lost nothing is repeated on a fresh cluster.
+func TestOPCDMLostSubdomainFailsTheRun(t *testing.T) {
+	cfg := PCDMConfig{Grid: 2, TargetElements: 4000}
+	lost := storage.Key("obj-0-2")
+	for attempt := 1; attempt <= 5; attempt++ {
+		cl, err := cluster.New(cluster.Config{
+			Nodes:          1,
+			WorkersPerNode: 1,
+			MemBudget:      30_000,
+			Factory:        Factory,
+			Fault:          &storage.FaultConfig{GetFailProb: 1, Permanent: true, Keys: []storage.Key{lost}},
+			Retry:          storage.RetryPolicy{MaxAttempts: 2, BaseDelay: 50 * time.Microsecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunOPCDM(cl, cfg)
+		s := cl.SwapStats()
+		cl.Close()
+		switch {
+		case s.ObjectsLost == 0 && err != nil:
+			t.Fatalf("attempt %d lost nothing and failed: %v", attempt, err)
+		case s.ObjectsLost == 0:
+			continue
+		case s.ObjectsLost != 1:
+			t.Fatalf("%d objects lost, want subdomain (1,0) alone: %+v (run: %v, %v)", s.ObjectsLost, s, res, err)
+		case err == nil:
+			t.Fatalf("subdomain (1,0) was lost and the run returned no error: %v", res)
+		}
+		t.Logf("attempt %d: run error: %v", attempt, err)
+		return
+	}
+	t.Fatal("subdomain (1,0) was never reloaded in 5 runs: the budget did not bite")
+}

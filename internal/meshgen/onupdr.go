@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"mrts/internal/cluster"
@@ -20,7 +19,6 @@ const (
 	hLSendBuffer  core.HandlerID = 203 // to buffer leaf: ship data to target
 	hLAddToBuffer core.HandlerID = 204 // to leaf: one buffer member's data
 	hLRelease     core.HandlerID = 205 // to buffer leaf: recreate/unlock
-	hLReport      core.HandlerID = 206 // to leaf: report boundary for audit
 )
 
 // sizeParams is the serializable description of the radial sizing field, so
@@ -358,43 +356,25 @@ func (o *queueObj) DecodeFrom(r io.Reader) error {
 	return nil
 }
 
-// onupdrShared collects the audit data the driver reads after termination.
-type onupdrShared struct {
-	mu      sync.Mutex
-	reports []struct {
-		rect geom.Rect
-		pts  []geom.Point
-	}
-}
-
-// registerONUPDR installs the ONUPDR handlers on every node.
-func registerONUPDR(cl *cluster.Cluster, sh *onupdrShared) {
+// registerONUPDR installs the ONUPDR handlers on every node. sh holds one
+// report per leaf, indexed as the queue numbers them, which the leaf's
+// refinement records.
+func registerONUPDR(cl *cluster.Cluster, sh *reportSlots) {
 	for _, rt := range cl.Runtimes() {
 		rt.Register(hQUpdate, func(c *core.Ctx, arg []byte) {
 			onupdrQUpdate(c, c.Object().(*queueObj), arg)
 		})
 		rt.Register(hLConstruct, func(c *core.Ctx, arg []byte) {
-			onupdrLConstruct(c, c.Object().(*leafObj), arg)
+			onupdrLConstruct(c, c.Object().(*leafObj), arg, sh)
 		})
 		rt.Register(hLSendBuffer, func(c *core.Ctx, arg []byte) {
 			onupdrLSendBuffer(c, c.Object().(*leafObj), arg)
 		})
 		rt.Register(hLAddToBuffer, func(c *core.Ctx, arg []byte) {
-			onupdrLAddToBuffer(c, c.Object().(*leafObj), arg)
+			onupdrLAddToBuffer(c, c.Object().(*leafObj), arg, sh)
 		})
 		rt.Register(hLRelease, func(c *core.Ctx, arg []byte) {
 			c.Unlock(c.Self)
-		})
-		// The audit pass only reads the leaf: a leaf reloaded for it is
-		// dropped again without a write.
-		rt.RegisterReadOnly(hLReport, func(c *core.Ctx, arg []byte) {
-			o := c.Object().(*leafObj)
-			sh.mu.Lock()
-			sh.reports = append(sh.reports, struct {
-				rect geom.Rect
-				pts  []geom.Point
-			}{o.Rect, o.Boundary})
-			sh.mu.Unlock()
 		})
 	}
 }
@@ -521,7 +501,7 @@ func onupdrQUpdate(c *core.Ctx, q *queueObj, arg []byte) {
 
 // onupdrLConstruct starts a leaf's buffer collection: it asks every buffer
 // member to ship its data.
-func onupdrLConstruct(c *core.Ctx, o *leafObj, arg []byte) {
+func onupdrLConstruct(c *core.Ctx, o *leafObj, arg []byte, sh *reportSlots) {
 	r := bytes.NewReader(arg)
 	queue, err := readPtr(r)
 	if err != nil {
@@ -541,7 +521,7 @@ func onupdrLConstruct(c *core.Ctx, o *leafObj, arg []byte) {
 	o.Expect = int32(len(ptrs))
 	o.Fixed = nil
 	if o.Expect == 0 {
-		onupdrRefine(c, o)
+		onupdrRefine(c, o, sh)
 		return
 	}
 	sb := encodeLSendBuffer(c.Self)
@@ -575,7 +555,7 @@ func onupdrLSendBuffer(c *core.Ctx, o *leafObj, arg []byte) {
 // onupdrLAddToBuffer integrates one buffer member's data; when the last one
 // arrives the leaf refines immediately (the paper calls the refine handler
 // directly rather than posting a message).
-func onupdrLAddToBuffer(c *core.Ctx, o *leafObj, arg []byte) {
+func onupdrLAddToBuffer(c *core.Ctx, o *leafObj, arg []byte, sh *reportSlots) {
 	r := bytes.NewReader(arg)
 	rect, err := readRect(r)
 	if err != nil {
@@ -592,14 +572,14 @@ func onupdrLAddToBuffer(c *core.Ctx, o *leafObj, arg []byte) {
 	o.Fixed = append(o.Fixed, nbData{Rect: rect, Done: d == 1, Pts: pts})
 	o.Expect--
 	if o.Expect == 0 {
-		onupdrRefine(c, o)
+		onupdrRefine(c, o, sh)
 	}
 }
 
 // onupdrRefine does the actual work: meshes the leaf with neighbor-fixed
-// boundary portions, stores the mesh, reports to the queue and releases the
-// buffer members.
-func onupdrRefine(c *core.Ctx, o *leafObj) {
+// boundary portions, stores the mesh, records the leaf's boundary for the
+// audit, reports to the queue and releases the buffer members.
+func onupdrRefine(c *core.Ctx, o *leafObj, sh *reportSlots) {
 	var fixed []fixedPortion
 	for _, f := range o.Fixed {
 		if !f.Done {
@@ -621,6 +601,7 @@ func onupdrRefine(c *core.Ctx, o *leafObj) {
 		o.Elements = int32(m.NumTriangles())
 		o.Verts = int32(m.NumVertices())
 		o.Done = true
+		sh.set(int(o.MyIdx), subdomainReport{rect: o.Rect, hull: o.Boundary})
 	}
 	o.Fixed = nil
 	for _, p := range o.BufPtrs {
@@ -639,14 +620,13 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	sh := &onupdrShared{}
-	registerONUPDR(cl, sh)
-
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	sp := paramsFor(domain, cfg.Grading, cfg.TargetElements)
 	tree := buildLeafTree(domain, sp.fn(), cfg.MaxLeafElems)
 	leaves := tree.Leaves()
 	n := len(leaves)
+	sh := &reportSlots{reports: make([]subdomainReport, n)}
+	registerONUPDR(cl, sh)
 	idxOf := make(map[int32]int32, n)
 	for i, l := range leaves {
 		idxOf[int32(l)] = int32(i)
@@ -684,13 +664,15 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 		return Result{}, fmt.Errorf("meshgen: ONUPDR incomplete: %d of %d leaves", q.DoneCount, n)
 	}
 
-	// Audit conformity: ask every leaf to report its boundary, then check
-	// all shared edges.
-	for _, l := range q.Leaves {
-		cl.RT(int(l.Ptr.Home)).Post(l.Ptr, hLReport, nil)
+	// A leaf whose load failed is gone with every message it was sent, while
+	// the boundary its refinement recorded stays.
+	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
+		return Result{}, fmt.Errorf("meshgen: ONUPDR lost %d objects to failed loads", lost)
 	}
-	cl.Wait()
-	conforming := auditConformity(sh)
+	reports, err := sh.all(func(idx int) string { return fmt.Sprintf("leaf %d", idx) })
+	if err != nil {
+		return Result{}, err
+	}
 
 	return Result{
 		Method:     "ONUPDR",
@@ -701,26 +683,6 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 		Elapsed:    time.Since(start),
 		Report:     cl.Report(),
 		Mem:        cl.MemStats(),
-		Conforming: conforming,
+		Conforming: auditInterfaces(reports),
 	}, nil
-}
-
-func auditConformity(sh *onupdrShared) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	rs := sh.reports
-	for i := range rs {
-		for j := i + 1; j < len(rs); j++ {
-			a, b, ok := sharedEdge(rs[i].rect, rs[j].rect)
-			if !ok {
-				continue
-			}
-			pi := edgePointsOn(rs[i].pts, a, b)
-			pj := edgePointsOn(rs[j].pts, a, b)
-			if !samePoints(pi, pj) {
-				return false
-			}
-		}
-	}
-	return true
 }

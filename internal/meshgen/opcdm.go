@@ -3,7 +3,6 @@ package meshgen
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"mrts/internal/cluster"
@@ -16,7 +15,6 @@ import (
 // OPCDM handler IDs.
 const (
 	hSDRefine core.HandlerID = 301 // apply interface splits + refine
-	hSDReport core.HandlerID = 302 // report counts and hull for the audit
 	hSDWire   core.HandlerID = 303 // install neighbor pointers
 )
 
@@ -31,8 +29,9 @@ type subdomainObj struct {
 
 	M *mesh.Mesh // nil until the first refine message
 
-	// since is refineSubdomain's since for M. It is not serialized: a
-	// subdomain that was evicted or moved judges every triangle once.
+	// since is refineSubdomain's since for M. It travels with M: EncodeTo
+	// keeps vertex IDs, so a subdomain that was evicted or moved refines
+	// from it as one that stayed would.
 	since int
 }
 
@@ -60,6 +59,9 @@ func (o *subdomainObj) EncodeTo(w io.Writer) error {
 			return err
 		}
 	}
+	if err := writeU32(w, uint32(o.since)); err != nil {
+		return err
+	}
 	if o.M == nil {
 		return writeU32(w, 0)
 	}
@@ -70,7 +72,6 @@ func (o *subdomainObj) EncodeTo(w io.Writer) error {
 }
 
 func (o *subdomainObj) DecodeFrom(r io.Reader) error {
-	o.since = 0
 	var err error
 	if o.Rect, err = readRect(r); err != nil {
 		return err
@@ -86,38 +87,66 @@ func (o *subdomainObj) DecodeFrom(r io.Reader) error {
 			return err
 		}
 	}
+	since, err := readU32(r)
+	if err != nil {
+		return err
+	}
 	has, err := readU32(r)
 	if err != nil {
 		return err
 	}
-	if has == 0 {
-		o.M = nil
-		return nil
+	o.M, o.since = nil, int(since)
+	nv := 0
+	if has != 0 {
+		o.M = mesh.New()
+		if err := o.M.DecodeFrom(r); err != nil {
+			return err
+		}
+		nv = o.M.NumVertices()
 	}
-	o.M = mesh.New()
-	return o.M.DecodeFrom(r)
+	// A since past the mesh's vertices would seed refinement from nothing.
+	if o.since > nv {
+		return fmt.Errorf("meshgen: decode subdomain: since %d, %d vertices (corrupt blob?)", o.since, nv)
+	}
+	return nil
 }
 
-// opcdmShared collects the post-run reports and the first error a refine
-// handler met.
+// opcdmShared collects what the refine handlers report: every subdomain's
+// report, taken by the call that last refined it, and the first error a call
+// returned.
 type opcdmShared struct {
-	mu      sync.Mutex
-	reports []opcdmReport
+	g       int         // grid dimension, to recover (i, j) from a subdomain's rectangle
+	reports reportSlots // indexed j*g+i
 	err     firstErr
 }
 
-type opcdmReport struct {
-	rect     geom.Rect
-	elements int
-	vertices int
-	hull     []geom.Point
+func newOPCDMShared(g int) *opcdmShared {
+	return &opcdmShared{g: g, reports: reportSlots{reports: make([]subdomainReport, g*g)}}
+}
+
+// record keeps rep as its subdomain's report, replacing an earlier call's.
+func (sh *opcdmShared) record(rep subdomainReport) error {
+	i, j := gridIJ(rep.rect, sh.g)
+	if i < 0 || j < 0 || i >= sh.g || j >= sh.g {
+		return fmt.Errorf("meshgen: subdomain %v is off the %d×%d grid", rep.rect, sh.g, sh.g)
+	}
+	sh.reports.set(j*sh.g+i, rep)
+	return nil
+}
+
+// all returns every subdomain's report, or an error naming the subdomains
+// that never reported.
+func (sh *opcdmShared) all() ([]subdomainReport, error) {
+	return sh.reports.all(func(idx int) string {
+		return fmt.Sprintf("subdomain (%d,%d)", idx%sh.g, idx/sh.g)
+	})
 }
 
 // registerOPCDM installs the OPCDM handlers on every node.
 func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 	for _, rt := range cl.Runtimes() {
 		rt.Register(hSDRefine, func(c *core.Ctx, arg []byte) {
-			if err := opcdmRefineHandler(c, c.Object().(*subdomainObj), arg); err != nil {
+			if err := opcdmRefineHandler(c, c.Object().(*subdomainObj), arg, sh); err != nil {
 				sh.err.set(err)
 			}
 		})
@@ -125,19 +154,6 @@ func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
 			if err := opcdmWireHandler(c.Object().(*subdomainObj), arg); err != nil {
 				sh.err.set(err)
 			}
-		})
-		// Read-only: the report copies counts and hull out of the subdomain.
-		rt.RegisterReadOnly(hSDReport, func(c *core.Ctx, arg []byte) {
-			o := c.Object().(*subdomainObj)
-			rep := opcdmReport{rect: o.Rect}
-			if o.M != nil {
-				rep.elements = o.M.NumTriangles()
-				rep.vertices = o.M.NumVertices()
-				rep.hull = hullPointsOf(o.M)
-			}
-			sh.mu.Lock()
-			sh.reports = append(sh.reports, rep)
-			sh.mu.Unlock()
 		})
 	}
 }
@@ -157,11 +173,11 @@ func opcdmWireHandler(o *subdomainObj, arg []byte) error {
 	return nil
 }
 
-// opcdmRefineHandler applies incoming split points, refines the subdomain
-// and ships aggregated split messages to the neighbors — the fully
-// asynchronous, unstructured communication pattern of PCDM. RunOPCDM
-// returns the first error a call returns.
-func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) error {
+// opcdmRefineHandler applies incoming split points, refines the subdomain,
+// ships aggregated split messages to the neighbors — the fully
+// asynchronous, unstructured communication pattern of PCDM — and records
+// the subdomain's report. RunOPCDM returns the first error a call returns.
+func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte, sh *opcdmShared) error {
 	var splits []geom.Point
 	if len(arg) > 0 {
 		var err error
@@ -194,7 +210,12 @@ func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte) error {
 		// overhead optimization).
 		c.Post(o.Nbs[side], hSDRefine, encodePoints(out[side]))
 	}
-	return nil
+	// The report last, with the splits already on their way.
+	rep, err := reportOf(o.Rect, o.M)
+	if err != nil {
+		return err
+	}
+	return sh.record(rep)
 }
 
 // RunOPCDM executes the out-of-core constrained Delaunay method on an MRTS
@@ -204,10 +225,10 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	sh := &opcdmShared{}
+	g := cfg.Grid
+	sh := newOPCDMShared(g)
 	registerOPCDM(cl, sh)
 
-	g := cfg.Grid
 	maxArea := workload.UniformAreaFor(cfg.TargetElements, 1.0)
 	ptrs := make([]core.MobilePtr, g*g)
 	for j := 0; j < g; j++ {
@@ -250,25 +271,21 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 	if err := sh.err.take(); err != nil {
 		return Result{}, err
 	}
-
-	// Gather counts and hulls.
-	for _, p := range ptrs {
-		cl.RT(int(p.Home)).Post(p, hSDReport, nil)
+	// A subdomain whose load failed is gone with every split it was sent,
+	// while its report from before the loss stays: the reports may look
+	// complete without being final.
+	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
+		return Result{}, fmt.Errorf("meshgen: OPCDM lost %d objects to failed loads", lost)
 	}
-	cl.Wait()
-
-	sh.mu.Lock()
-	reports := sh.reports
-	sh.mu.Unlock()
-	if len(reports) != g*g {
-		return Result{}, fmt.Errorf("meshgen: OPCDM reported %d of %d subdomains", len(reports), g*g)
+	reports, err := sh.all()
+	if err != nil {
+		return Result{}, err
 	}
 	elements, vertices := 0, 0
 	for _, r := range reports {
 		elements += r.elements
 		vertices += r.vertices
 	}
-	conforming := opcdmAudit(reports)
 	return Result{
 		Method:     "OPCDM",
 		Elements:   elements,
@@ -278,23 +295,6 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 		Elapsed:    time.Since(start),
 		Report:     cl.Report(),
 		Mem:        cl.MemStats(),
-		Conforming: conforming,
+		Conforming: auditInterfaces(reports),
 	}, nil
-}
-
-func opcdmAudit(reports []opcdmReport) bool {
-	for i := range reports {
-		for j := i + 1; j < len(reports); j++ {
-			a, b, ok := sharedEdge(reports[i].rect, reports[j].rect)
-			if !ok {
-				continue
-			}
-			pa := edgePointsOn(reports[i].hull, a, b)
-			pb := edgePointsOn(reports[j].hull, a, b)
-			if !samePoints(pa, pb) {
-				return false
-			}
-		}
-	}
-	return true
 }

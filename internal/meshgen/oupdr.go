@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -242,7 +241,7 @@ func (sh *blockShared) all() ([]BlockDump, error) {
 // meshed; a block without one is hashed from the bytes just read, and that
 // digest is kept.
 func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer) {
-	i, j := blockIJ(o, sh.nb)
+	i, j := gridIJ(o.Rect, sh.nb)
 	var b BlockDump
 	sh.mu.Lock()
 	s := sh.slot(i, j)
@@ -282,12 +281,6 @@ func (sh *blockShared) end() ([]BlockDump, error) {
 		err = w.Err()
 	}
 	return dump, err
-}
-
-// blockIJ recovers a block's grid position from its rectangle:
-// Min = (i, j)/nb.
-func blockIJ(o *blockObj, nb int) (i, j int) {
-	return int(math.Round(o.Rect.Min.X * float64(nb))), int(math.Round(o.Rect.Min.Y * float64(nb)))
 }
 
 // blockNeighbors returns the right and top neighbors of block (i, j) from
@@ -396,7 +389,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 		c.SetPriority(c.Self, 5)
 	}
 	// The digest last, with the interface messages already on their way.
-	i, j := blockIJ(o, sh.nb)
+	i, j := gridIJ(o.Rect, sh.nb)
 	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))})
 }
 
@@ -405,7 +398,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 // the interface it carried was never checked.
 func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) error {
 	if len(arg) < 1 {
-		i, j := blockIJ(o, sh.nb)
+		i, j := gridIJ(o.Rect, sh.nb)
 		return fmt.Errorf("meshgen: block (%d,%d): empty interface payload", i, j)
 	}
 	if o.IfaceNeeded > 0 {
@@ -422,7 +415,7 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) er
 	side := arg[0]
 	pts, err := decodePoints(arg[1:])
 	if err != nil {
-		i, j := blockIJ(o, sh.nb)
+		i, j := gridIJ(o.Rect, sh.nb)
 		return fmt.Errorf("meshgen: block (%d,%d): interface payload: %w", i, j, err)
 	}
 	var mine []geom.Point

@@ -220,12 +220,17 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 		return Result{}, firstErr
 	}
 
+	reports := make([]subdomainReport, len(subs))
 	elements, vertices := 0, 0
-	for _, s := range subs {
-		elements += s.m.NumTriangles()
-		vertices += s.m.NumVertices()
+	for idx, s := range subs {
+		rep, err := reportOf(s.rect, s.m)
+		if err != nil {
+			return Result{}, err
+		}
+		reports[idx] = rep
+		elements += rep.elements
+		vertices += rep.vertices
 	}
-	conforming := pcdmAudit(subs, g, nbIndex)
 	return Result{
 		Method:     "PCDM",
 		Elements:   elements,
@@ -233,7 +238,7 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 		Subdomains: g * g,
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),
-		Conforming: conforming,
+		Conforming: auditInterfaces(reports),
 	}, nil
 }
 
@@ -293,49 +298,19 @@ func runPCDMTask(subs []*subdomainState, idx int, maxArea, beta float64, g int,
 	}
 }
 
-// pcdmAudit verifies interface conformity: both sides of every interface
-// must hold identical point sets on the shared segment.
-func pcdmAudit(subs []*subdomainState, g int, nbIndex func(int, int) int) bool {
-	pts := make([][]geom.Point, len(subs))
-	for i, s := range subs {
-		pts[i] = hullPointsOf(s.m)
-	}
-	for idx, s := range subs {
-		for _, side := range []int{sideRight, sideTop} {
-			nb := nbIndex(idx, side)
-			if nb < 0 {
-				continue
-			}
-			a, b, ok := sharedEdge(s.rect, subs[nb].rect)
-			if !ok {
-				continue
-			}
-			pa := edgePointsOn(pts[idx], a, b)
-			pb := edgePointsOn(pts[nb], a, b)
-			if !samePoints(pa, pb) {
-				return false
-			}
-		}
-	}
-	return true
-}
+// subdomainCorner is the vertex of a subdomain mesh at its rectangle's Min
+// corner: newSubdomainMesh inserts that corner first, after the three super
+// vertices, and vertex IDs are never reused or renumbered.
+const subdomainCorner mesh.VertexID = 3
 
-// hullPointsOf returns the boundary (hull) vertices of a mesh.
-func hullPointsOf(m *mesh.Mesh) []geom.Point {
-	seen := make(map[geom.Point]bool)
-	var out []geom.Point
-	m.ForEachTri(func(id mesh.TriID, tr mesh.Tri) {
-		for k := 0; k < 3; k++ {
-			if tr.N[k] == mesh.NoTri {
-				for _, v := range []mesh.VertexID{tr.V[(k+1)%3], tr.V[(k+2)%3]} {
-					p := m.Vertex(v)
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
-				}
-			}
-		}
-	})
-	return out
+// reportOf reports subdomain r's mesh, its hull walked from the corner.
+func reportOf(r geom.Rect, m *mesh.Mesh) (subdomainReport, error) {
+	if m.NumVertices() <= int(subdomainCorner) || m.Vertex(subdomainCorner) != r.Min {
+		return subdomainReport{}, fmt.Errorf("meshgen: subdomain %v: vertex %d is not its corner", r, subdomainCorner)
+	}
+	hull, err := m.HullPoints(subdomainCorner)
+	if err != nil {
+		return subdomainReport{}, fmt.Errorf("meshgen: subdomain %v: %w", r, err)
+	}
+	return subdomainReport{rect: r, elements: m.NumTriangles(), vertices: m.NumVertices(), hull: hull}, nil
 }

@@ -110,6 +110,9 @@ func (sc *shadowCheck) refine(m *mesh.Mesh, r geom.Rect, splits []geom.Point, si
 	case !bytes.Equal(enc, encodeMesh(shadow)):
 		sc.t.Errorf("%v (since %d): mesh differs from the full scan's", r, since)
 	}
+	if err == nil {
+		checkHullWalk(sc.t, r, m)
+	}
 	sc.mu.Lock()
 	sc.last[r] = enc
 	sc.mu.Unlock()
@@ -155,10 +158,10 @@ func (sc *shadowCheck) finish(n int) {
 }
 
 // TestPCDMRefineFromMatchesFullScan runs both PCDM drivers with every
-// subdomain refinement checked against the full-scan path (shadowCheck): on
-// RunPCDM with one and two PEs, RunOPCDM in core, and RunOPCDM out of core,
-// where a subdomain that comes back from the store must judge every triangle
-// once.
+// subdomain refinement checked against the full-scan path (shadowCheck), and
+// every hull walk against the scan: on RunPCDM with one and two PEs, RunOPCDM
+// in core, and RunOPCDM out of core, where a subdomain that comes back from
+// the store refines from the since it was stored with.
 func TestPCDMRefineFromMatchesFullScan(t *testing.T) {
 	cfg := PCDMConfig{Grid: 4, TargetElements: 12000}
 	for _, pes := range []int{1, 2} {
@@ -204,8 +207,11 @@ func TestPCDMRefineFromMatchesFullScan(t *testing.T) {
 			t.Fatalf("%v, conforming %v", err, res.Conforming)
 		}
 		sc.finish(16)
-		if res.Mem.Loads == 0 || sc.resets == 0 {
-			t.Errorf("%d loads, %d refinements after a reload: the budget did not bite", res.Mem.Loads, sc.resets)
+		if res.Mem.Loads == 0 {
+			t.Errorf("no loads: the budget did not bite")
+		}
+		if sc.resets != 0 {
+			t.Errorf("%d refinements after a reload judged every triangle again", sc.resets)
 		}
 	})
 }
@@ -289,23 +295,31 @@ func TestOPCDM16x16Warm(t *testing.T) {
 	t.Logf("%d runs in %v, elements: %v", runs, time.Since(start).Round(time.Millisecond), counts)
 }
 
+// benchSubdomain is the refined subdomain the benchmarks below work on:
+// about 13 000 triangles with about 300 points on its hull.
+func benchSubdomain(b *testing.B) (r geom.Rect, m *mesh.Mesh, since int) {
+	r = blockRect(8, 3, 3)
+	m, err := newSubdomainMesh(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, since, err = refineSubdomain(m, r, nil, 0, benchMaxArea, 0, [4]bool{true, true, true, true})
+	if err != nil || since == 0 {
+		b.Fatalf("initial refinement: since %d, %v", since, err)
+	}
+	return r, m, since
+}
+
+var benchMaxArea = workload.UniformAreaFor(900_000, 1)
+
 // BenchmarkRefineSplits is one PCDM re-refinement: a refined subdomain of
 // about 13 000 triangles takes a batch of 30–40 interface splits on one side
 // and refines again, judging every triangle to seed (full-scan) or only the
 // ones around the new vertices (from-clean).
 func BenchmarkRefineSplits(b *testing.B) {
-	r := blockRect(8, 3, 3)
-	maxArea := workload.UniformAreaFor(900_000, 1)
-	beta := 0.0
+	r, m, since := benchSubdomain(b)
+	maxArea, beta := benchMaxArea, 0.0
 	hasNb := [4]bool{true, true, true, true}
-	m, err := newSubdomainMesh(r)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, since, err := refineSubdomain(m, r, nil, 0, maxArea, beta, hasNb)
-	if err != nil || since == 0 {
-		b.Fatalf("initial refinement: since %d, %v", since, err)
-	}
 	// A neighbour's splits of the shared left side: every other segment of
 	// it cut at its midpoint.
 	left := edgePointsOn(hullPointsOf(m), r.Min, geom.Pt(r.Min.X, r.Max.Y))
@@ -335,4 +349,26 @@ func BenchmarkRefineSplits(b *testing.B) {
 			b.ReportMetric(float64(len(splits)), "splits")
 		})
 	}
+}
+
+// BenchmarkHullPoints is the report every PCDM refinement ends with, on
+// BenchmarkRefineSplits' subdomain: the hull walked from the corner, against
+// the scan of every triangle it replaced.
+func BenchmarkHullPoints(b *testing.B) {
+	r, m, _ := benchSubdomain(b)
+	b.Run("walk", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := reportOf(r, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(hullPointsOf(m))), "hull")
+	})
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			hullPointsOf(m)
+		}
+	})
 }

@@ -2,12 +2,62 @@ package meshgen
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/geom"
+	"mrts/internal/mesh"
+	"mrts/internal/obs"
 )
+
+// hullPointsOf is the oracle for reportOf's hull walk: the endpoints of every
+// edge without a neighbour, found by a scan of every triangle.
+func hullPointsOf(m *mesh.Mesh) []geom.Point {
+	seen := make(map[geom.Point]bool)
+	var out []geom.Point
+	m.ForEachTri(func(id mesh.TriID, tr mesh.Tri) {
+		for k := 0; k < 3; k++ {
+			if tr.N[k] == mesh.NoTri {
+				for _, v := range []mesh.VertexID{tr.V[(k+1)%3], tr.V[(k+2)%3]} {
+					p := m.Vertex(v)
+					if !seen[p] {
+						seen[p] = true
+						out = append(out, p)
+					}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// checkHullWalk requires reportOf's hull of subdomain r to be the scan's
+// point set, each point once.
+func checkHullWalk(t *testing.T, r geom.Rect, m *mesh.Mesh) {
+	t.Helper()
+	rep, err := reportOf(r, m)
+	if err != nil {
+		t.Errorf("%v: %v", r, err)
+		return
+	}
+	want := hullPointsOf(m)
+	got := map[geom.Point]bool{}
+	for _, p := range rep.hull {
+		got[p] = true
+	}
+	if len(got) != len(rep.hull) || len(got) != len(want) {
+		t.Errorf("%v: walk gives %d points (%d distinct), scan %d", r, len(rep.hull), len(got), len(want))
+		return
+	}
+	for _, p := range want {
+		if !got[p] {
+			t.Errorf("%v: walk misses hull point %v", r, p)
+			return
+		}
+	}
+}
 
 func TestInterfaceSide(t *testing.T) {
 	r := geom.NewRect(geom.Pt(0.25, 0.25), geom.Pt(0.5, 0.5))
@@ -114,8 +164,9 @@ func TestSubdomainObjRoundtrip(t *testing.T) {
 	o := &subdomainObj{
 		Rect:    geom.NewRect(geom.Pt(0, 0), geom.Pt(0.5, 0.5)),
 		MaxArea: 0.01, Beta: 1.5,
-		Nbs: [4]core.MobilePtr{core.MobilePtr{Home: 1, Seq: 2}, core.MobilePtr{}, core.MobilePtr{Home: 0, Seq: 9}, core.MobilePtr{}},
-		M:   m,
+		Nbs:   [4]core.MobilePtr{core.MobilePtr{Home: 1, Seq: 2}, core.MobilePtr{}, core.MobilePtr{Home: 0, Seq: 9}, core.MobilePtr{}},
+		M:     m,
+		since: m.NumVertices(),
 	}
 	var buf bytes.Buffer
 	if err := o.EncodeTo(&buf); err != nil {
@@ -125,7 +176,7 @@ func TestSubdomainObjRoundtrip(t *testing.T) {
 	if err := o2.DecodeFrom(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if o2.Rect != o.Rect || o2.MaxArea != o.MaxArea || o2.Beta != o.Beta || o2.Nbs != o.Nbs {
+	if o2.Rect != o.Rect || o2.MaxArea != o.MaxArea || o2.Beta != o.Beta || o2.Nbs != o.Nbs || o2.since != o.since {
 		t.Fatalf("metadata mismatch: %+v", o2)
 	}
 	if o2.M == nil || o2.M.NumTriangles() != m.NumTriangles() {
@@ -147,4 +198,118 @@ func TestSubdomainObjRoundtrip(t *testing.T) {
 	if o4.M != nil {
 		t.Fatal("nil mesh should stay nil")
 	}
+	// A since past the mesh's vertices is corruption, not a place to
+	// refine from.
+	for _, bad := range []*subdomainObj{{Rect: o.Rect, since: 1}, {Rect: o.Rect, M: m, since: m.NumVertices() + 1}} {
+		var buf bytes.Buffer
+		if err := bad.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(subdomainObj).DecodeFrom(&buf); err == nil {
+			t.Errorf("since %d decoded without an error", bad.since)
+		}
+	}
+}
+
+// TestPCDMAuditSeesOnePointOff: the audit compares the two sides of every
+// interface, so one point more on one side of one shared edge fails it.
+func TestPCDMAuditSeesOnePointOff(t *testing.T) {
+	left, right := blockRect(2, 0, 0), blockRect(2, 1, 0)
+	edge := []geom.Point{geom.Pt(0.5, 0), geom.Pt(0.5, 0.125), geom.Pt(0.5, 0.25), geom.Pt(0.5, 0.5)}
+	reports := []subdomainReport{
+		{rect: left, hull: append([]geom.Point{geom.Pt(0, 0), geom.Pt(0, 0.5)}, edge...)},
+		{rect: right, hull: append([]geom.Point{geom.Pt(1, 0), geom.Pt(1, 0.5)}, edge...)},
+	}
+	if !auditInterfaces(reports) {
+		t.Fatal("two matching interfaces fail the audit")
+	}
+	reports[1].hull = append(reports[1].hull, geom.Pt(0.5, 0.375))
+	if auditInterfaces(reports) {
+		t.Fatal("an interface point on one side only passes the audit")
+	}
+}
+
+// TestOPCDMReportsNameWhatIsMissing: a subdomain that never reported is an
+// error that names it, a report off the grid is refused, and a later report
+// replaces an earlier one.
+func TestOPCDMReportsNameWhatIsMissing(t *testing.T) {
+	sh := newOPCDMShared(2)
+	hull := []geom.Point{geom.Pt(0.5, 0)}
+	for _, r := range []geom.Rect{blockRect(2, 1, 0), blockRect(2, 0, 1)} {
+		if err := sh.record(subdomainReport{rect: r, elements: 1, hull: hull}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.record(subdomainReport{rect: blockRect(2, 2, 0), hull: hull}); err == nil {
+		t.Error("a report off the grid was accepted")
+	}
+	_, err := sh.all()
+	if err == nil || !strings.Contains(err.Error(), "subdomain (0,0) subdomain (1,1)") {
+		t.Fatalf("all() = %v, want the two subdomains without a report named", err)
+	}
+	for _, r := range []geom.Rect{blockRect(2, 0, 0), blockRect(2, 1, 1), blockRect(2, 1, 0)} {
+		if err := sh.record(subdomainReport{rect: r, elements: 2, hull: hull}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reports, err := sh.all()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, want := range []int{2, 2, 1, 2} {
+		if reports[idx].elements != want {
+			t.Errorf("slot %d holds %d elements, want the last report's %d", idx, reports[idx].elements, want)
+		}
+	}
+}
+
+// TestRunOPCDMReadsNothingBack: out of core, no subdomain is loaded once the
+// last refine handler is done — the audit reads the reports the handlers
+// recorded — and the mesh conforms.
+func TestRunOPCDMReadsNothingBack(t *testing.T) {
+	sink := obs.NewTraceSink(0)
+	cl, err := cluster.New(cluster.Config{Nodes: 2, MemBudget: 100_000, Factory: Factory, Trace: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	res, err := RunOPCDM(cl, PCDMConfig{Grid: 4, TargetElements: 12000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Conforming {
+		t.Fatal("out-of-core OPCDM does not conform")
+	}
+	if res.Mem.Evictions == 0 {
+		t.Fatal("no evictions: the budget must force swapping")
+	}
+	// The node tracers share one epoch, so their timelines compare.
+	var refineEnd int64
+	var loads []int64
+	for _, tr := range sink.Tracers() {
+		if n := tr.Dropped(); n > 0 {
+			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
+		}
+		for _, ev := range tr.Events() {
+			switch {
+			case ev.Kind == obs.KindHandler && ev.Arg == int64(hSDRefine):
+				refineEnd = max(refineEnd, ev.TS+ev.Dur)
+			case ev.Kind == obs.KindSwapLoad:
+				loads = append(loads, ev.TS)
+			}
+		}
+	}
+	if uint64(len(loads)) != res.Mem.Loads {
+		t.Fatalf("the trace holds %d loads, the run counted %d", len(loads), res.Mem.Loads)
+	}
+	late := 0
+	for _, ts := range loads {
+		if ts >= refineEnd {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Fatalf("%d of %d loads started after refinement ended", late, len(loads))
+	}
+	t.Logf("%v; %d evictions, %d loads", res, res.Mem.Evictions, len(loads))
 }

@@ -60,6 +60,12 @@ func blockRect(blocks, i, j int) geom.Rect {
 	}
 }
 
+// gridIJ inverts blockRect: it recovers a block's or subdomain's grid
+// position from its rectangle, Min = (i, j)/blocks.
+func gridIJ(r geom.Rect, blocks int) (i, j int) {
+	return int(math.Round(r.Min.X * float64(blocks))), int(math.Round(r.Min.Y * float64(blocks)))
+}
+
 // meshBlock builds and refines one block's mesh: a CDT of the block
 // rectangle whose boundary carries deterministically placed points at
 // spacing h (the buffer-zone contract with the neighbors), refined to the
