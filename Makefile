@@ -14,11 +14,14 @@ vet:
 	$(GO) vet ./...
 
 # The kernel, residency-manager, block-digest and frame-codec
-# micro-benchmarks run once each so that they cannot rot, and the benchmark
-# module (its own go.mod, invisible to ./...) runs its unit and smoke tests.
+# micro-benchmarks run once each so that they cannot rot, ONUPDR runs across
+# two nodes in and out of core through the paper harness (an experiment fails
+# on a non-conforming mesh), and the benchmark module (its own go.mod,
+# invisible to ./...) runs its unit and smoke tests.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen ./internal/planes
+	$(GO) run ./cmd/mrtsbench -exp fig6,tab5 -scale 0.05 -pes 2
 	cd benchmark && $(GO) test ./...
 
 # The race lane, as CI's race job runs it step by step: the concurrency-heavy

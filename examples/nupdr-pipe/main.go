@@ -4,8 +4,8 @@
 // sequentially with the refinement engine, grading element sizes around the
 // inner wall. Part two runs the full out-of-core ONUPDR method — quad-tree
 // leaves as mobile objects, a locked refinement-queue object dispatching
-// leaves whose buffer zones are free, buffer data flowing through
-// construct-buffer/add-to-buffer messages — on a simulated 2-node cluster.
+// leaves whose buffer zones are free, each with the boundary points its
+// finished neighbours fixed — on a simulated 2-node cluster.
 package main
 
 import (

@@ -259,7 +259,22 @@ func runPair(method string, cl *cluster.Cluster, size, pes int) (in, oc meshgen.
 	default:
 		err = fmt.Errorf("bench: unknown method %q", method)
 	}
+	if err == nil {
+		err = conforming(in, oc)
+	}
 	return
+}
+
+// conforming fails an experiment whose mesh does not conform across its
+// subdomain interfaces: a broken mesh must not print as a paper number.
+func conforming(results ...meshgen.Result) error {
+	for _, r := range results {
+		if !r.Conforming {
+			return fmt.Errorf("bench: %s produced a non-conforming mesh (%d elements, %d subdomains)",
+				r.Method, r.Elements, r.Subdomains)
+		}
+	}
+	return nil
 }
 
 // Figure5 compares UPDR and OUPDR execution times over problem sizes.
@@ -309,6 +324,9 @@ func oocScaling(id, title, method string, sizes []int, inCoreElems int, opts Opt
 			res, err = meshgen.RunOPCDM(cl, meshgen.PCDMConfig{Grid: 8, TargetElements: s})
 		}
 		cleanup()
+		if err == nil {
+			err = conforming(res)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -335,9 +353,10 @@ func Figure8(opts Options) (*Table, error) {
 // Figure9 scales ONUPDR past the memory budget.
 func Figure9(opts Options) (*Table, error) {
 	base := opts.size(20000)
-	// ONUPDR keeps a leaf plus its whole buffer zone in flight per PE, so
-	// its working set is larger; a budget of 3× the base size keeps the
-	// large runs out-of-core without thrashing the buffer collections.
+	// ONUPDR keeps up to two leaves in flight per PE, and the refinement
+	// queue, locked in core, grows by every finished leaf's boundary; a
+	// budget of 3× the base size leaves room for both, so the large runs go
+	// out of core without evicting leaves that are about to refine.
 	return oocScaling("fig9", "ONUPDR on very large problems", "NUPDR",
 		[]int{base, base * 2, base * 4, base * 8}, base*3, opts)
 }
@@ -419,6 +438,9 @@ func overlapTable(id, title, method string, sizes []int, opts Options) (*Table, 
 			res, err = meshgen.RunOPCDM(cl, meshgen.PCDMConfig{Grid: 8, TargetElements: s})
 		}
 		cleanup()
+		if err == nil {
+			err = conforming(res)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -498,6 +520,9 @@ func onupdrTime(size int, kind cluster.SchedulerKind, workers int, sink *obs.Tra
 		TargetElements: size,
 		MaxLeafElems:   maxLeaf,
 	})
+	if err == nil {
+		err = conforming(res)
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -522,6 +547,9 @@ func Policies(opts Options) (*Table, error) {
 		}
 		res, err := meshgen.RunOPCDM(cl, meshgen.PCDMConfig{Grid: 8, TargetElements: size})
 		cleanup()
+		if err == nil {
+			err = conforming(res)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -744,6 +772,9 @@ func RemoteMem(opts Options) (*Table, error) {
 		}
 		res, err := meshgen.RunOPCDM(cl, meshgen.PCDMConfig{Grid: 8, TargetElements: size})
 		cleanup()
+		if err == nil {
+			err = conforming(res)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -428,21 +428,6 @@ func TestCallInline(t *testing.T) {
 	WaitQuiescence(rt)
 }
 
-func TestForEachInHandler(t *testing.T) {
-	c := newCluster(t, 1, 1<<20)
-	rt := c.rts[0]
-	var sum atomic.Int64
-	rt.Register(60, func(ctx *Ctx, arg []byte) {
-		ctx.ForEach(100, func(i int) { sum.Add(int64(i)) })
-	})
-	ptr := rt.CreateObject(&testObj{})
-	rt.Post(ptr, 60, nil)
-	WaitQuiescence(rt)
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
-	}
-}
-
 func TestMulticastCollectsAndDelivers(t *testing.T) {
 	c := newCluster(t, 3, 1<<20)
 	registerInc(c)

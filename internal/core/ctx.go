@@ -28,11 +28,7 @@ func (c *Ctx) Post(dst MobilePtr, h HandlerID, arg []byte) { c.rt.Post(dst, h, a
 // Create registers a new mobile object homed on this node.
 func (c *Ctx) Create(obj Object) MobilePtr { return c.rt.CreateObject(obj) }
 
-// Lock pins an object in core, reporting whether it was found locally (see
-// Runtime.Lock); Unlock releases it; SetPriority hints the out-of-core
-// layer.
-func (c *Ctx) Lock(ptr MobilePtr) bool            { return c.rt.Lock(ptr) }
-func (c *Ctx) Unlock(ptr MobilePtr)               { c.rt.Unlock(ptr) }
+// SetPriority hints the out-of-core layer (see Runtime.SetPriority).
 func (c *Ctx) SetPriority(ptr MobilePtr, pri int) { c.rt.SetPriority(ptr, pri) }
 
 // InCore reports whether ptr is local and in-core right now.
@@ -71,8 +67,3 @@ func (c *Ctx) CallInline(dst MobilePtr, h HandlerID, arg []byte) bool {
 	rt.release(lo)
 	return true
 }
-
-// ForEach runs f(0) … f(n-1) as parallel tasks on the computing layer and
-// returns when all complete — the paper's fine-grain parallelism within a
-// message handler.
-func (c *Ctx) ForEach(n int, f func(i int)) { sched.ForEachN(c.rt.pool, n, f) }

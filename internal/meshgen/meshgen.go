@@ -6,8 +6,9 @@
 //     decomposition with buffer-zone interfaces — structured communication
 //     with global synchronization;
 //   - NUPDR / ONUPDR: non-uniform (graded) refinement over an adaptive
-//     quad-tree with a master refinement queue and buffer collection —
-//     multi-threaded, locally synchronized;
+//     quad-tree with a master refinement queue that hands each leaf its
+//     neighbours' fixed boundary points — multi-threaded, locally
+//     synchronized;
 //   - PCDM / OPCDM: constrained Delaunay meshing over a domain
 //     decomposition with asynchronous small "split" messages — fully
 //     unstructured communication.

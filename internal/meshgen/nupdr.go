@@ -30,12 +30,6 @@ type NUPDRConfig struct {
 	// MaxLeafElems bounds the estimated elements per quad-tree leaf
 	// (default 2000); it controls the over-decomposition.
 	MaxLeafElems int
-	// UseMulticast makes the out-of-core build dispatch leaves with the
-	// paper's experimental multicast mobile message: the runtime first
-	// collects the leaf and its whole buffer zone onto one node, in core,
-	// and only then delivers the construct-buffer message (deliverCount 1).
-	// Ignored by the in-core build.
-	UseMulticast bool
 }
 
 func (c *NUPDRConfig) defaults() error {
@@ -97,8 +91,8 @@ func buildLeafTree(domain geom.Rect, size workload.SizeFunc, maxLeafElems int) *
 }
 
 // fixedPortion is a stretch of a leaf's boundary whose point set was already
-// fixed by a refined neighbor: the buffer-zone data flowing through the
-// add-to-buffer messages.
+// fixed by a refined neighbor: the buffer-zone data the refinement queue
+// hands a leaf at dispatch.
 type fixedPortion struct {
 	A, B geom.Point
 	Pts  []geom.Point
@@ -262,11 +256,156 @@ func meshLeaf(rect geom.Rect, size workload.SizeFunc, beta float64, fixed []fixe
 	return m, cycle, nil
 }
 
+// qleaf is the refinement queue's record of one leaf.
+type qleaf struct {
+	Rect     geom.Rect
+	Nbs      []int32 // the leaf's buffer zone, as queue indices
+	Done     bool
+	InFlight bool
+	Boundary []geom.Point // the boundary cycle the leaf was meshed with, once done
+}
+
+// leafQueue is the refinement queue of both NUPDR builds. It dispatches the
+// first leaf in pending order whose region (the leaf and its buffer zone)
+// meets no in-flight leaf's region, and none while MaxInflight leaves are in
+// flight. So no two in-flight leaves are neighbours or share one, and a
+// dispatched leaf's finished neighbours cannot change until it finishes.
+type leafQueue struct {
+	Leaves      []qleaf
+	Pending     []int32
+	Inflight    int32
+	MaxInflight int32
+
+	// busy[i] counts the in-flight regions holding leaf i. Like Inflight it
+	// follows from the in-flight flags (recount), so it is not serialized.
+	busy []int32
+}
+
+// newLeafQueue numbers tree's leaves in tree order, all pending.
+func newLeafQueue(tree *quadtree.Tree, maxInflight int) leafQueue {
+	leaves := tree.Leaves()
+	idxOf := make(map[quadtree.NodeID]int32, len(leaves))
+	for i, l := range leaves {
+		idxOf[l] = int32(i)
+	}
+	q := leafQueue{MaxInflight: int32(maxInflight)}
+	for i, l := range leaves {
+		var nbs []int32
+		for _, nb := range tree.Neighbors(l) {
+			nbs = append(nbs, idxOf[nb])
+		}
+		q.Leaves = append(q.Leaves, qleaf{Rect: tree.Bounds(l), Nbs: nbs})
+		q.Pending = append(q.Pending, int32(i))
+	}
+	q.recount()
+	return q
+}
+
+// recount derives Inflight and the busy counts from the in-flight flags.
+func (q *leafQueue) recount() {
+	q.Inflight = 0
+	q.busy = make([]int32, len(q.Leaves))
+	for i := range q.Leaves {
+		if q.Leaves[i].InFlight {
+			q.Inflight++
+			q.mark(int32(i), 1)
+		}
+	}
+}
+
+// mark adds d to the busy count of leaf i's region.
+func (q *leafQueue) mark(i, d int32) {
+	q.busy[i] += d
+	for _, nb := range q.Leaves[i].Nbs {
+		q.busy[nb] += d
+	}
+}
+
+// blocked reports whether leaf i's region meets an in-flight region.
+func (q *leafQueue) blocked(i int32) bool {
+	if q.busy[i] > 0 {
+		return true
+	}
+	for _, nb := range q.Leaves[i].Nbs {
+		if q.busy[nb] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// next dispatches the next startable leaf, if any, and returns the boundary
+// portions its finished neighbours fixed.
+func (q *leafQueue) next() (idx int32, fixed []fixedPortion, ok bool) {
+	if q.Inflight >= q.MaxInflight {
+		return 0, nil, false
+	}
+	for pi, li := range q.Pending {
+		if q.blocked(li) {
+			continue
+		}
+		q.Pending = append(q.Pending[:pi], q.Pending[pi+1:]...)
+		q.Leaves[li].InFlight = true
+		q.Inflight++
+		q.mark(li, 1)
+		return li, q.fixedFor(li), true
+	}
+	return 0, nil, false
+}
+
+// fixedFor returns, for each finished neighbour of leaf i that shares an edge
+// with it, that neighbour's boundary points on the edge.
+func (q *leafQueue) fixedFor(i int32) []fixedPortion {
+	var fixed []fixedPortion
+	l := &q.Leaves[i]
+	for _, nb := range l.Nbs {
+		n := &q.Leaves[nb]
+		if !n.Done {
+			continue
+		}
+		a, b, ok := sharedEdge(l.Rect, n.Rect)
+		if !ok {
+			continue
+		}
+		fixed = append(fixed, fixedPortion{A: a, B: b, Pts: edgePointsOn(n.Boundary, a, b)})
+	}
+	return fixed
+}
+
+// finish records that in-flight leaf idx was meshed with boundary and
+// releases its region.
+func (q *leafQueue) finish(idx int32, boundary []geom.Point) error {
+	if idx < 0 || int(idx) >= len(q.Leaves) || !q.Leaves[idx].InFlight {
+		return fmt.Errorf("meshgen: leaf %d finished but is not in flight", idx)
+	}
+	l := &q.Leaves[idx]
+	l.Done, l.InFlight, l.Boundary = true, false, boundary
+	q.Inflight--
+	q.mark(idx, -1)
+	return nil
+}
+
+// conforming reports whether every pair of edge-sharing leaves holds the
+// same points on the shared edge.
+func (q *leafQueue) conforming() bool {
+	for i, l := range q.Leaves {
+		for _, nb := range l.Nbs {
+			if int(nb) <= i {
+				continue
+			}
+			a, b, ok := sharedEdge(l.Rect, q.Leaves[nb].Rect)
+			if ok && !samePoints(edgePointsOn(l.Boundary, a, b), edgePointsOn(q.Leaves[nb].Boundary, a, b)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // RunNUPDR executes the in-core non-uniform method with the paper's
-// master–worker structure: a refinement queue dispatches leaves to workers,
-// never running two leaves with overlapping buffer zones concurrently; each
-// worker meshes its leaf reusing the boundary points its refined neighbors
-// fixed (the buffer-zone data).
+// master–worker structure: the refinement queue dispatches leaves to
+// workers, each worker meshes its leaf reusing the boundary points its
+// refined neighbors fixed (the buffer-zone data).
 func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -274,37 +413,16 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	start := time.Now()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	size := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
-	tree := buildLeafTree(domain, size, cfg.MaxLeafElems)
-	leaves := tree.Leaves()
-	n := len(leaves)
-	idxOf := make(map[quadtree.NodeID]int, n)
-	for i, l := range leaves {
-		idxOf[l] = i
-	}
-	nbs := make([][]int, n)
-	for i, l := range leaves {
-		for _, nb := range tree.Neighbors(l) {
-			nbs[i] = append(nbs[i], idxOf[nb])
-		}
-	}
-
-	type state struct {
-		done     bool
-		boundary []geom.Point
-	}
-	st := make([]state, n)
-	busy := make(map[int]bool) // leaves inside any in-flight region
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
+	q := newLeafQueue(buildLeafTree(domain, size, cfg.MaxLeafElems), cfg.PEs)
+	n := len(q.Leaves)
 
 	type job struct {
-		idx   int
+		idx   int32
+		rect  geom.Rect
 		fixed []fixedPortion
 	}
 	type resultMsg struct {
-		idx      int
+		idx      int32
 		boundary []geom.Point
 		elems    int
 		verts    int
@@ -318,8 +436,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
-				rect := tree.Bounds(leaves[jb.idx])
-				m, cycle, err := meshLeaf(rect, size, cfg.QualityBound, jb.fixed)
+				m, cycle, err := meshLeaf(jb.rect, size, cfg.QualityBound, jb.fixed)
 				if err != nil {
 					results <- resultMsg{idx: jb.idx, err: err}
 					continue
@@ -335,99 +452,29 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	}
 
 	var elements, vertices int
-	inflight := 0
-	doneCount := 0
 	var firstErr error
-	for doneCount < n {
-		// Dispatch every startable leaf (region-disjoint rule).
-		dispatched := true
-		for dispatched && inflight < cfg.PEs {
-			dispatched = false
-			for pi, li := range pending {
-				if li < 0 {
-					continue
-				}
-				conflict := busy[li]
-				for _, nb := range nbs[li] {
-					if busy[nb] {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
-					continue
-				}
-				// Build the fixed portions from refined neighbors.
-				var fixed []fixedPortion
-				rect := tree.Bounds(leaves[li])
-				for _, nb := range nbs[li] {
-					if !st[nb].done {
-						continue
-					}
-					a, b, ok := sharedEdge(rect, tree.Bounds(leaves[nb]))
-					if !ok {
-						continue
-					}
-					pts := edgePointsOn(st[nb].boundary, a, b)
-					fixed = append(fixed, fixedPortion{A: a, B: b, Pts: pts})
-				}
-				busy[li] = true
-				for _, nb := range nbs[li] {
-					busy[nb] = true
-				}
-				pending[pi] = -1
-				inflight++
-				jobs <- job{idx: li, fixed: fixed}
-				dispatched = true
+	for done := 0; done < n; done++ {
+		for {
+			li, fixed, ok := q.next()
+			if !ok {
 				break
 			}
+			jobs <- job{idx: li, rect: q.Leaves[li].Rect, fixed: fixed}
 		}
-		// Collect one result.
 		res := <-results
-		inflight--
-		doneCount++
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
 		}
-		st[res.idx] = state{done: true, boundary: res.boundary}
+		if err := q.finish(res.idx, res.boundary); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		elements += res.elems
 		vertices += res.verts
-		// Rebuild the busy set from the remaining in-flight leaves: a leaf
-		// may buffer several concurrent regions, so blunt removal would
-		// unmark too much.
-		busy = make(map[int]bool)
-		for i := range st {
-			if !st[i].done && !contains(pending, i) { // i is in flight
-				busy[i] = true
-				for _, nb := range nbs[i] {
-					busy[nb] = true
-				}
-			}
-		}
 	}
 	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
 		return Result{}, firstErr
-	}
-
-	// Conformity audit across all shared edges.
-	conforming := true
-	for i := range leaves {
-		for _, nb := range nbs[i] {
-			if nb <= i {
-				continue
-			}
-			a, b, ok := sharedEdge(tree.Bounds(leaves[i]), tree.Bounds(leaves[nb]))
-			if !ok {
-				continue
-			}
-			pi := edgePointsOn(st[i].boundary, a, b)
-			pj := edgePointsOn(st[nb].boundary, a, b)
-			if !samePoints(pi, pj) {
-				conforming = false
-			}
-		}
 	}
 
 	return Result{
@@ -437,17 +484,8 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		Subdomains: n,
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),
-		Conforming: conforming,
+		Conforming: q.conforming(),
 	}, nil
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // sharedEdge returns the positive-length shared boundary segment of two

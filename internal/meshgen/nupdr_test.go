@@ -181,7 +181,9 @@ func TestSharedEdge(t *testing.T) {
 	}
 }
 
-func TestRunONUPDRMulticast(t *testing.T) {
+// Leaves spread over three nodes: the queue's dispatch reaches every one,
+// and no object moves or is duplicated on the way.
+func TestRunONUPDRThreeNodes(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     3,
 		MemBudget: 1 << 20,
@@ -191,22 +193,16 @@ func TestRunONUPDRMulticast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := RunONUPDR(cl, NUPDRConfig{
-		TargetElements: 8000,
-		MaxLeafElems:   900,
-		UseMulticast:   true,
-	})
+	res, err := RunONUPDR(cl, NUPDRConfig{TargetElements: 8000, MaxLeafElems: 900})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Conforming {
-		t.Error("multicast ONUPDR leaves do not conform")
+		t.Error("three-node ONUPDR leaves do not conform")
 	}
 	if res.Elements < 4000 {
 		t.Errorf("elements = %d", res.Elements)
 	}
-	// Collection migrates objects around; every leaf must still be owned
-	// by exactly one node.
 	total := 0
 	for _, rt := range cl.Runtimes() {
 		total += rt.NumLocalObjects()
@@ -217,10 +213,13 @@ func TestRunONUPDRMulticast(t *testing.T) {
 	t.Log(res)
 }
 
-func TestRunONUPDRMulticastOutOfCore(t *testing.T) {
+// A leaf gets exactly one message, the queue's, so out of core no leaf is
+// loaded more than once: a neighbour's boundary comes from the queue, not
+// from the neighbour.
+func TestONUPDRLoadsOnlyItsLeaves(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     2,
-		MemBudget: 250_000,
+		MemBudget: 100_000,
 		SpoolDir:  t.TempDir(),
 		Factory:   Factory,
 	})
@@ -228,16 +227,18 @@ func TestRunONUPDRMulticastOutOfCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := RunONUPDR(cl, NUPDRConfig{
-		TargetElements: 12000,
-		MaxLeafElems:   900,
-		UseMulticast:   true,
-	})
+	res, err := RunONUPDR(cl, NUPDRConfig{TargetElements: 15000, MaxLeafElems: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Conforming {
-		t.Error("OOC multicast ONUPDR not conforming")
+		t.Error("OOC ONUPDR leaves do not conform")
 	}
-	t.Logf("%v evictions=%d", res, res.Mem.Evictions)
+	if res.Mem.Evictions == 0 {
+		t.Error("expected evictions under a 100KB budget")
+	}
+	if res.Mem.Loads > uint64(res.Subdomains) {
+		t.Errorf("%d loads for %d leaves, want at most one each", res.Mem.Loads, res.Subdomains)
+	}
+	t.Logf("%v evictions=%d loads=%d", res, res.Mem.Evictions, res.Mem.Loads)
 }

@@ -14,12 +14,14 @@ import (
 
 // Mobile object type IDs (shared by all O-methods; the Factory below builds
 // them on reload or migration). IDs 5 and 6 and handler IDs 110–114 and 401
-// belonged to retired drivers (the tetrahedral block method among them), and
+// belonged to retired drivers (the tetrahedral block method among them),
 // handler IDs 206 (hLReport) and 302 (hSDReport) to the ONUPDR and OPCDM
-// audit passes that read every leaf and subdomain back; the refine handlers
-// record what those passes read. All of them stay unused, so a checkpoint or
-// trace from an old run fails with ErrUnknownType or "no handler" instead of
-// being misread.
+// audit passes that read every leaf and subdomain back (the refine handlers
+// record what those passes read), and handler IDs 203 (hLSendBuffer), 204
+// (hLAddToBuffer) and 205 (hLRelease) to ONUPDR's buffer collection, which
+// the refinement queue's fixed portions replaced. All of them stay unused,
+// so a checkpoint or trace from an old run fails with ErrUnknownType or "no
+// handler" instead of being misread.
 const (
 	typeBlock     uint16 = 1 // OUPDR block
 	typeLeaf      uint16 = 2 // ONUPDR quad-tree leaf

@@ -12,14 +12,16 @@ import (
 	"mrts/internal/workload"
 )
 
-// ONUPDR handler IDs (the message vocabulary of §III of the paper).
+// ONUPDR handler IDs (the message vocabulary of §III of the paper). A leaf
+// gets one message and sends one: the queue hands it the boundary portions
+// its finished neighbours fixed, and it answers with its own boundary.
 const (
-	hQUpdate      core.HandlerID = 201 // to queue: leaf finished / kick-off
-	hLConstruct   core.HandlerID = 202 // to leaf: begin collecting its buffer
-	hLSendBuffer  core.HandlerID = 203 // to buffer leaf: ship data to target
-	hLAddToBuffer core.HandlerID = 204 // to leaf: one buffer member's data
-	hLRelease     core.HandlerID = 205 // to buffer leaf: recreate/unlock
+	hQUpdate    core.HandlerID = 201 // to queue: a leaf's counts and boundary / kick-off
+	hLConstruct core.HandlerID = 202 // to leaf: refine against these fixed portions
 )
+
+// kickOff is the leaf index of the hQUpdate that starts a run.
+const kickOff = -1
 
 // sizeParams is the serializable description of the radial sizing field, so
 // a reloaded leaf can reconstruct its SizeFunc.
@@ -47,14 +49,6 @@ func paramsFor(domain geom.Rect, grading float64, target int) sizeParams {
 	}
 }
 
-// nbData is one buffer member's contribution: its rectangle and, when
-// already refined, its fixed boundary points.
-type nbData struct {
-	Rect geom.Rect
-	Done bool
-	Pts  []geom.Point
-}
-
 // leafObj is the ONUPDR mobile object: one quad-tree leaf holding its
 // portion of the mesh.
 type leafObj struct {
@@ -67,24 +61,11 @@ type leafObj struct {
 	MeshData []byte
 	Elements int32
 	Verts    int32
-
-	// Collection state for an in-progress refinement cycle.
-	QueuePtr core.MobilePtr
-	MyIdx    int32
-	Expect   int32
-	BufPtrs  []core.MobilePtr
-	Fixed    []nbData
 }
 
 func (o *leafObj) TypeID() uint16 { return typeLeaf }
 
-func (o *leafObj) SizeHint() int {
-	n := 200 + len(o.MeshData) + 16*len(o.Boundary) + 8*len(o.BufPtrs)
-	for _, f := range o.Fixed {
-		n += 48 + 16*len(f.Pts)
-	}
-	return n
-}
+func (o *leafObj) SizeHint() int { return 120 + len(o.MeshData) + 16*len(o.Boundary) }
 
 func (o *leafObj) EncodeTo(w io.Writer) error {
 	if err := writeRect(w, o.Rect); err != nil {
@@ -108,36 +89,10 @@ func (o *leafObj) EncodeTo(w io.Writer) error {
 	if err := writeBytes(w, o.MeshData); err != nil {
 		return err
 	}
-	for _, v := range []uint32{uint32(o.Elements), uint32(o.Verts), uint32(o.MyIdx), uint32(o.Expect)} {
-		if err := writeU32(w, v); err != nil {
-			return err
-		}
-	}
-	if err := writePtr(w, o.QueuePtr); err != nil {
+	if err := writeU32(w, uint32(o.Elements)); err != nil {
 		return err
 	}
-	if err := writePtrs(w, o.BufPtrs); err != nil {
-		return err
-	}
-	if err := writeU32(w, uint32(len(o.Fixed))); err != nil {
-		return err
-	}
-	for _, f := range o.Fixed {
-		if err := writeRect(w, f.Rect); err != nil {
-			return err
-		}
-		d := uint32(0)
-		if f.Done {
-			d = 1
-		}
-		if err := writeU32(w, d); err != nil {
-			return err
-		}
-		if err := writePoints(w, f.Pts); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeU32(w, uint32(o.Verts))
 }
 
 func (o *leafObj) DecodeFrom(r io.Reader) error {
@@ -167,73 +122,34 @@ func (o *leafObj) DecodeFrom(r io.Reader) error {
 	if len(o.MeshData) == 0 {
 		o.MeshData = nil
 	}
-	var vs [4]uint32
+	var vs [2]uint32
 	for i := range vs {
 		if vs[i], err = readU32(r); err != nil {
 			return err
 		}
 	}
 	o.Elements, o.Verts = int32(vs[0]), int32(vs[1])
-	o.MyIdx, o.Expect = int32(vs[2]), int32(vs[3])
-	if o.QueuePtr, err = readPtr(r); err != nil {
-		return err
-	}
-	if o.BufPtrs, err = readPtrs(r); err != nil {
-		return err
-	}
-	nf, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	o.Fixed = nil
-	for i := uint32(0); i < nf; i++ {
-		var f nbData
-		if f.Rect, err = readRect(r); err != nil {
-			return err
-		}
-		d, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		f.Done = d == 1
-		if f.Pts, err = readPoints(r); err != nil {
-			return err
-		}
-		o.Fixed = append(o.Fixed, f)
-	}
 	return nil
 }
 
-// qleaf is the refinement queue's record of one leaf.
-type qleaf struct {
-	Rect     geom.Rect
-	Ptr      core.MobilePtr
-	Nbs      []int32
-	Done     bool
-	InFlight bool
-}
-
-// queueObj is the ONUPDR refinement queue mobile object: it owns the
-// quad-tree structure and dispatches leaves whose buffer zones are free.
-// The paper locks it in memory ("it is relatively small and receives and
-// sends many messages").
+// queueObj is the ONUPDR refinement queue mobile object: the dispatcher both
+// NUPDR builds share, the leaves' objects and the run's totals. It holds
+// every finished leaf's boundary, so it can hand a dispatched leaf its fixed
+// portions without asking the neighbours. The paper locks it in memory ("it
+// is relatively small and receives and sends many messages").
 type queueObj struct {
-	Leaves      []qleaf
-	Pending     []int32
-	Inflight    int32
-	MaxInflight int32
-	DoneCount   int32
-	Elements    int64
-	Verts       int64
-	UseMcast    bool
+	leafQueue
+	Ptrs     []core.MobilePtr // leaf i's object
+	Elements int64
+	Verts    int64
 }
 
 func (o *queueObj) TypeID() uint16 { return typeQueue }
 
 func (o *queueObj) SizeHint() int {
-	n := 64 + 4*len(o.Pending)
+	n := 64 + 8*len(o.Ptrs) + 4*len(o.Pending)
 	for _, l := range o.Leaves {
-		n += 56 + 4*len(l.Nbs)
+		n += 48 + 4*len(l.Nbs) + 16*len(l.Boundary)
 	}
 	return n
 }
@@ -246,16 +162,8 @@ func (o *queueObj) EncodeTo(w io.Writer) error {
 		if err := writeRect(w, l.Rect); err != nil {
 			return err
 		}
-		if err := writePtr(w, l.Ptr); err != nil {
+		if err := writeIdxs(w, l.Nbs); err != nil {
 			return err
-		}
-		if err := writeU32(w, uint32(len(l.Nbs))); err != nil {
-			return err
-		}
-		for _, nb := range l.Nbs {
-			if err := writeU32(w, uint32(nb)); err != nil {
-				return err
-			}
 		}
 		flags := uint32(0)
 		if l.Done {
@@ -267,23 +175,18 @@ func (o *queueObj) EncodeTo(w io.Writer) error {
 		if err := writeU32(w, flags); err != nil {
 			return err
 		}
+		if err := writePoints(w, l.Boundary); err != nil {
+			return err
+		}
 	}
-	if err := writeU32(w, uint32(len(o.Pending))); err != nil {
+	if err := writeIdxs(w, o.Pending); err != nil {
 		return err
 	}
-	for _, p := range o.Pending {
-		if err := writeU32(w, uint32(p)); err != nil {
-			return err
-		}
+	if err := writeU32(w, uint32(o.MaxInflight)); err != nil {
+		return err
 	}
-	mc := uint32(0)
-	if o.UseMcast {
-		mc = 1
-	}
-	for _, v := range []uint32{uint32(o.Inflight), uint32(o.MaxInflight), uint32(o.DoneCount), mc} {
-		if err := writeU32(w, v); err != nil {
-			return err
-		}
+	if err := writePtrs(w, o.Ptrs); err != nil {
+		return err
 	}
 	if err := writeF64(w, float64(o.Elements)); err != nil {
 		return err
@@ -291,10 +194,15 @@ func (o *queueObj) EncodeTo(w io.Writer) error {
 	return writeF64(w, float64(o.Verts))
 }
 
+// DecodeFrom reads what EncodeTo wrote and recounts the in-flight leaves
+// and busy counts from the in-flight flags.
 func (o *queueObj) DecodeFrom(r io.Reader) error {
 	n, err := readU32(r)
 	if err != nil {
 		return err
+	}
+	if n > maxDecodeElems {
+		return errDecodeBound("leaves", n, maxDecodeElems)
 	}
 	o.Leaves = make([]qleaf, n)
 	for i := range o.Leaves {
@@ -302,20 +210,8 @@ func (o *queueObj) DecodeFrom(r io.Reader) error {
 		if l.Rect, err = readRect(r); err != nil {
 			return err
 		}
-		if l.Ptr, err = readPtr(r); err != nil {
+		if l.Nbs, err = readIdxs(r, n); err != nil {
 			return err
-		}
-		nn, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		l.Nbs = make([]int32, nn)
-		for k := range l.Nbs {
-			v, err := readU32(r)
-			if err != nil {
-				return err
-			}
-			l.Nbs[k] = int32(v)
 		}
 		flags, err := readU32(r)
 		if err != nil {
@@ -323,27 +219,24 @@ func (o *queueObj) DecodeFrom(r io.Reader) error {
 		}
 		l.Done = flags&1 != 0
 		l.InFlight = flags&2 != 0
+		if l.Boundary, err = readPoints(r); err != nil {
+			return err
+		}
 	}
-	np, err := readU32(r)
+	if o.Pending, err = readIdxs(r, n); err != nil {
+		return err
+	}
+	maxInflight, err := readU32(r)
 	if err != nil {
 		return err
 	}
-	o.Pending = make([]int32, np)
-	for i := range o.Pending {
-		v, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		o.Pending[i] = int32(v)
+	o.MaxInflight = int32(maxInflight)
+	if o.Ptrs, err = readPtrs(r); err != nil {
+		return err
 	}
-	var vs [4]uint32
-	for i := range vs {
-		if vs[i], err = readU32(r); err != nil {
-			return err
-		}
+	if len(o.Ptrs) != int(n) {
+		return fmt.Errorf("meshgen: decode queue: %d leaf pointers for %d leaves (corrupt blob?)", len(o.Ptrs), n)
 	}
-	o.Inflight, o.MaxInflight, o.DoneCount = int32(vs[0]), int32(vs[1]), int32(vs[2])
-	o.UseMcast = vs[3] == 1
 	e, err := readF64(r)
 	if err != nil {
 		return err
@@ -353,43 +246,79 @@ func (o *queueObj) DecodeFrom(r io.Reader) error {
 		return err
 	}
 	o.Elements, o.Verts = int64(e), int64(v)
+	o.recount()
 	return nil
 }
 
-// registerONUPDR installs the ONUPDR handlers on every node. sh holds one
-// report per leaf, indexed as the queue numbers them, which the leaf's
-// refinement records.
-func registerONUPDR(cl *cluster.Cluster, sh *reportSlots) {
+// writeIdxs and readIdxs serialize a list of leaf indices; readIdxs rejects
+// an index that is not below n.
+func writeIdxs(w io.Writer, xs []int32) error {
+	if err := writeU32(w, uint32(len(xs))); err != nil {
+		return err
+	}
+	for _, x := range xs {
+		if err := writeU32(w, uint32(x)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func readIdxs(r io.Reader, n uint32) ([]int32, error) {
+	c, err := readU32(r)
+	if err != nil {
+		return nil, err
+	}
+	if c > maxDecodeElems {
+		return nil, errDecodeBound("indices", c, maxDecodeElems)
+	}
+	xs := make([]int32, c)
+	for i := range xs {
+		v, err := readU32(r)
+		if err != nil {
+			return nil, err
+		}
+		if v >= n {
+			return nil, fmt.Errorf("meshgen: decode indices: leaf %d of %d (corrupt blob?)", v, n)
+		}
+		xs[i] = int32(v)
+	}
+	return xs, nil
+}
+
+// registerONUPDR installs the ONUPDR handlers on every node; errs keeps the
+// first error a handler meets.
+func registerONUPDR(cl *cluster.Cluster, errs *firstErr) {
 	for _, rt := range cl.Runtimes() {
 		rt.Register(hQUpdate, func(c *core.Ctx, arg []byte) {
-			onupdrQUpdate(c, c.Object().(*queueObj), arg)
+			if err := onupdrQUpdate(c, c.Object().(*queueObj), arg); err != nil {
+				errs.set(err)
+			}
 		})
 		rt.Register(hLConstruct, func(c *core.Ctx, arg []byte) {
-			onupdrLConstruct(c, c.Object().(*leafObj), arg, sh)
-		})
-		rt.Register(hLSendBuffer, func(c *core.Ctx, arg []byte) {
-			onupdrLSendBuffer(c, c.Object().(*leafObj), arg)
-		})
-		rt.Register(hLAddToBuffer, func(c *core.Ctx, arg []byte) {
-			onupdrLAddToBuffer(c, c.Object().(*leafObj), arg, sh)
-		})
-		rt.Register(hLRelease, func(c *core.Ctx, arg []byte) {
-			c.Unlock(c.Self)
+			queue, update, err := onupdrRefine(c.Object().(*leafObj), arg)
+			if err != nil {
+				errs.set(err)
+				return
+			}
+			c.SetPriority(c.Self, 0)
+			c.Post(queue, hQUpdate, update)
 		})
 	}
 }
 
 // Argument encodings for the ONUPDR messages.
 
-func encodeQUpdate(leafIdx int32, elems, verts int32) []byte {
+func encodeQUpdate(leafIdx, elems, verts int32, boundary []geom.Point) []byte {
 	var buf bytes.Buffer
 	writeU32(&buf, uint32(leafIdx))
 	writeU32(&buf, uint32(elems))
 	writeU32(&buf, uint32(verts))
+	writePoints(&buf, boundary)
 	return buf.Bytes()
 }
 
-func decodeQUpdate(b []byte) (leafIdx, elems, verts int32, err error) {
+func decodeQUpdate(b []byte) (leafIdx, elems, verts int32, boundary []geom.Point, err error) {
 	r := bytes.NewReader(b)
 	var vs [3]uint32
 	for i := range vs {
@@ -397,221 +326,100 @@ func decodeQUpdate(b []byte) (leafIdx, elems, verts int32, err error) {
 			return
 		}
 	}
-	return int32(vs[0]), int32(vs[1]), int32(vs[2]), nil
-}
-
-func encodeLConstruct(queue core.MobilePtr, myIdx int32, bufPtrs []core.MobilePtr) []byte {
-	var buf bytes.Buffer
-	writePtr(&buf, queue)
-	writeU32(&buf, uint32(myIdx))
-	writePtrs(&buf, bufPtrs)
-	return buf.Bytes()
-}
-
-func encodeLSendBuffer(target core.MobilePtr) []byte {
-	var buf bytes.Buffer
-	writePtr(&buf, target)
-	return buf.Bytes()
-}
-
-func encodeLAddToBuffer(rect geom.Rect, done bool, pts []geom.Point) []byte {
-	var buf bytes.Buffer
-	writeRect(&buf, rect)
-	d := uint32(0)
-	if done {
-		d = 1
-	}
-	writeU32(&buf, d)
-	writePoints(&buf, pts)
-	return buf.Bytes()
-}
-
-// onupdrQUpdate is the refinement queue's handler: record a finished leaf,
-// then dispatch every startable leaf whose buffer region is free.
-func onupdrQUpdate(c *core.Ctx, q *queueObj, arg []byte) {
-	leafIdx, elems, verts, err := decodeQUpdate(arg)
-	if err != nil {
+	if boundary, err = readPoints(r); err != nil {
 		return
 	}
-	if leafIdx >= 0 {
-		q.Leaves[leafIdx].Done = true
-		q.Leaves[leafIdx].InFlight = false
-		q.DoneCount++
-		q.Inflight--
-		q.Elements += int64(elems)
-		q.Verts += int64(verts)
-	}
-	// Busy set: every in-flight leaf and its buffer zone.
-	busy := make(map[int32]bool)
-	for i := range q.Leaves {
-		if q.Leaves[i].InFlight {
-			busy[int32(i)] = true
-			for _, nb := range q.Leaves[i].Nbs {
-				busy[nb] = true
-			}
-		}
-	}
-	for pi := 0; pi < len(q.Pending); pi++ {
-		if q.Inflight >= q.MaxInflight {
-			break
-		}
-		li := q.Pending[pi]
-		if busy[li] {
-			continue
-		}
-		conflict := false
-		for _, nb := range q.Leaves[li].Nbs {
-			if busy[nb] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		// Dispatch leaf li.
-		q.Pending = append(q.Pending[:pi], q.Pending[pi+1:]...)
-		pi--
-		q.Leaves[li].InFlight = true
-		q.Inflight++
-		busy[li] = true
-		for _, nb := range q.Leaves[li].Nbs {
-			busy[nb] = true
-		}
-		var bufPtrs []core.MobilePtr
-		for _, nb := range q.Leaves[li].Nbs {
-			bufPtrs = append(bufPtrs, q.Leaves[nb].Ptr)
-		}
-		leafPtr := q.Leaves[li].Ptr
-		// Raise the priority of an in-core leaf about to be refined, as
-		// the paper's optimization does, to keep it resident.
-		c.SetPriority(leafPtr, 10)
-		arg := encodeLConstruct(c.Self, li, bufPtrs)
-		if q.UseMcast {
-			// The experimental multicast mobile message: collect the leaf
-			// and its buffer zone on one node, in core, then deliver the
-			// construct message to the leaf only (deliverCount 1).
-			vec := append([]core.MobilePtr{leafPtr}, bufPtrs...)
-			c.Runtime().PostMulticast(vec, 1, hLConstruct, arg)
-		} else {
-			c.Post(leafPtr, hLConstruct, arg)
-		}
-	}
+	return int32(vs[0]), int32(vs[1]), int32(vs[2]), boundary, nil
 }
 
-// onupdrLConstruct starts a leaf's buffer collection: it asks every buffer
-// member to ship its data.
-func onupdrLConstruct(c *core.Ctx, o *leafObj, arg []byte, sh *reportSlots) {
-	r := bytes.NewReader(arg)
-	queue, err := readPtr(r)
-	if err != nil {
+// encodeLConstruct writes the queue's pointer, the leaf's index and the fixed
+// portions, each as one point list: its ends A and B, then its points.
+func encodeLConstruct(queue core.MobilePtr, leafIdx int32, fixed []fixedPortion) []byte {
+	var buf bytes.Buffer
+	writePtr(&buf, queue)
+	writeU32(&buf, uint32(leafIdx))
+	writeU32(&buf, uint32(len(fixed)))
+	for _, f := range fixed {
+		writePoints(&buf, append([]geom.Point{f.A, f.B}, f.Pts...))
+	}
+	return buf.Bytes()
+}
+
+func decodeLConstruct(b []byte) (queue core.MobilePtr, leafIdx int32, fixed []fixedPortion, err error) {
+	r := bytes.NewReader(b)
+	if queue, err = readPtr(r); err != nil {
 		return
 	}
 	idx, err := readU32(r)
 	if err != nil {
 		return
 	}
-	ptrs, err := readPtrs(r)
+	n, err := readU32(r)
 	if err != nil {
 		return
 	}
-	o.QueuePtr = queue
-	o.MyIdx = int32(idx)
-	o.BufPtrs = ptrs
-	o.Expect = int32(len(ptrs))
-	o.Fixed = nil
-	if o.Expect == 0 {
-		onupdrRefine(c, o, sh)
-		return
-	}
-	sb := encodeLSendBuffer(c.Self)
-	for _, p := range ptrs {
-		if !c.CallInline(p, hLSendBuffer, sb) {
-			c.Post(p, hLSendBuffer, sb)
+	for i := uint32(0); i < n; i++ {
+		pts, err := readPoints(r)
+		if err != nil {
+			return core.Nil, 0, nil, err
 		}
-	}
-}
-
-// onupdrLSendBuffer runs on a buffer member: it locks itself in core (the
-// paper's optimization) and ships its rectangle plus fixed boundary to the
-// refining leaf.
-func onupdrLSendBuffer(c *core.Ctx, o *leafObj, arg []byte) {
-	r := bytes.NewReader(arg)
-	target, err := readPtr(r)
-	if err != nil {
-		return
-	}
-	if !c.Lock(c.Self) {
-		// Self is local while its handler runs; a failed pin means the
-		// object is already gone — do not ship data on its behalf.
-		return
-	}
-	payload := encodeLAddToBuffer(o.Rect, o.Done, o.Boundary)
-	if !c.CallInline(target, hLAddToBuffer, payload) {
-		c.Post(target, hLAddToBuffer, payload)
-	}
-}
-
-// onupdrLAddToBuffer integrates one buffer member's data; when the last one
-// arrives the leaf refines immediately (the paper calls the refine handler
-// directly rather than posting a message).
-func onupdrLAddToBuffer(c *core.Ctx, o *leafObj, arg []byte, sh *reportSlots) {
-	r := bytes.NewReader(arg)
-	rect, err := readRect(r)
-	if err != nil {
-		return
-	}
-	d, err := readU32(r)
-	if err != nil {
-		return
-	}
-	pts, err := readPoints(r)
-	if err != nil {
-		return
-	}
-	o.Fixed = append(o.Fixed, nbData{Rect: rect, Done: d == 1, Pts: pts})
-	o.Expect--
-	if o.Expect == 0 {
-		onupdrRefine(c, o, sh)
-	}
-}
-
-// onupdrRefine does the actual work: meshes the leaf with neighbor-fixed
-// boundary portions, stores the mesh, records the leaf's boundary for the
-// audit, reports to the queue and releases the buffer members.
-func onupdrRefine(c *core.Ctx, o *leafObj, sh *reportSlots) {
-	var fixed []fixedPortion
-	for _, f := range o.Fixed {
-		if !f.Done {
-			continue
+		if len(pts) < 2 {
+			return core.Nil, 0, nil, fmt.Errorf("meshgen: fixed portion of %d points has no ends", len(pts))
 		}
-		a, b, ok := sharedEdge(o.Rect, f.Rect)
+		fixed = append(fixed, fixedPortion{A: pts[0], B: pts[1], Pts: pts[2:]})
+	}
+	return queue, int32(idx), fixed, nil
+}
+
+// onupdrQUpdate is the refinement queue's handler: record a finished leaf's
+// counts and boundary, then dispatch every leaf the queue may, each with the
+// boundary portions its finished neighbours fixed.
+func onupdrQUpdate(c *core.Ctx, q *queueObj, arg []byte) error {
+	idx, elems, verts, boundary, err := decodeQUpdate(arg)
+	if err != nil {
+		return fmt.Errorf("meshgen: ONUPDR queue: update payload: %w", err)
+	}
+	if idx != kickOff {
+		if err := q.finish(idx, boundary); err != nil {
+			return err
+		}
+		q.Elements += int64(elems)
+		q.Verts += int64(verts)
+	}
+	for {
+		li, fixed, ok := q.next()
 		if !ok {
-			continue
+			return nil
 		}
-		fixed = append(fixed, fixedPortion{A: a, B: b, Pts: edgePointsOn(f.Pts, a, b)})
+		// Raise the priority of a leaf about to be refined, as the paper's
+		// optimization does, to keep it resident.
+		c.SetPriority(q.Ptrs[li], 10)
+		c.Post(q.Ptrs[li], hLConstruct, encodeLConstruct(c.Self, li, fixed))
+	}
+}
+
+// onupdrRefine is a leaf's handler: it meshes the leaf against the fixed
+// portions the queue sent, keeps the mesh, and returns the queue's pointer
+// and the update that reports the leaf's counts and boundary.
+func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
+	queue, idx, fixed, err := decodeLConstruct(arg)
+	if err != nil {
+		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: construct payload: %w", o.Rect, err)
 	}
 	m, cycle, err := meshLeaf(o.Rect, o.Size.fn(), o.Beta, fixed)
-	if err == nil {
-		var buf bytes.Buffer
-		if m.EncodeTo(&buf) == nil {
-			o.MeshData = buf.Bytes()
-		}
-		o.Boundary = cycle
-		o.Elements = int32(m.NumTriangles())
-		o.Verts = int32(m.NumVertices())
-		o.Done = true
-		sh.set(int(o.MyIdx), subdomainReport{rect: o.Rect, hull: o.Boundary})
+	if err != nil {
+		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: %w", o.Rect, err)
 	}
-	o.Fixed = nil
-	for _, p := range o.BufPtrs {
-		if !c.CallInline(p, hLRelease, nil) {
-			c.Post(p, hLRelease, nil)
-		}
+	var buf bytes.Buffer
+	if err := m.EncodeTo(&buf); err != nil {
+		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: encode mesh: %w", o.Rect, err)
 	}
-	o.BufPtrs = nil
-	c.SetPriority(c.Self, 0)
-	c.Post(o.QueuePtr, hQUpdate, encodeQUpdate(o.MyIdx, o.Elements, o.Verts))
+	o.MeshData = buf.Bytes()
+	o.Boundary = cycle
+	o.Elements = int32(m.NumTriangles())
+	o.Verts = int32(m.NumVertices())
+	o.Done = true
+	return queue, encodeQUpdate(idx, o.Elements, o.Verts, cycle), nil
 }
 
 // RunONUPDR executes the out-of-core non-uniform method on an MRTS cluster.
@@ -622,34 +430,20 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	start := time.Now()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	sp := paramsFor(domain, cfg.Grading, cfg.TargetElements)
-	tree := buildLeafTree(domain, sp.fn(), cfg.MaxLeafElems)
-	leaves := tree.Leaves()
-	n := len(leaves)
-	sh := &reportSlots{reports: make([]subdomainReport, n)}
-	registerONUPDR(cl, sh)
-	idxOf := make(map[int32]int32, n)
-	for i, l := range leaves {
-		idxOf[int32(l)] = int32(i)
-	}
+	errs := &firstErr{}
+	registerONUPDR(cl, errs)
 
-	// Create leaf objects round-robin across nodes; the queue lives on
-	// node 0 and is locked in memory. More leaves than PEs stay in flight
-	// so a leaf waiting on buffer loads never idles a PE (the flexibility
+	// Create leaf objects round-robin across nodes; the queue lives on node 0
+	// and is locked in memory. More leaves than PEs stay in flight so a leaf
+	// waiting on its message or its load never idles a PE (the flexibility
 	// the paper's over-decomposition buys).
-	q := &queueObj{MaxInflight: int32(2 * cl.PEs()), UseMcast: cfg.UseMulticast}
-	for i, l := range leaves {
-		node := i % cl.Nodes()
-		ptr := cl.RT(node).CreateObject(&leafObj{
-			Rect: tree.Bounds(l),
+	q := &queueObj{leafQueue: newLeafQueue(buildLeafTree(domain, sp.fn(), cfg.MaxLeafElems), 2*cl.PEs())}
+	for i, l := range q.Leaves {
+		q.Ptrs = append(q.Ptrs, cl.RT(i%cl.Nodes()).CreateObject(&leafObj{
+			Rect: l.Rect,
 			Size: sp,
 			Beta: cfg.QualityBound,
-		})
-		var nbs []int32
-		for _, nb := range tree.Neighbors(l) {
-			nbs = append(nbs, idxOf[int32(nb)])
-		}
-		q.Leaves = append(q.Leaves, qleaf{Rect: tree.Bounds(l), Ptr: ptr, Nbs: nbs})
-		q.Pending = append(q.Pending, int32(i))
+		}))
 	}
 	qptr := cl.RT(0).CreateObject(q)
 	if !cl.RT(0).Lock(qptr) {
@@ -657,32 +451,30 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	}
 
 	// Kick off and hand control to the runtime.
-	cl.RT(0).Post(qptr, hQUpdate, encodeQUpdate(-1, 0, 0))
+	cl.RT(0).Post(qptr, hQUpdate, encodeQUpdate(kickOff, 0, 0, nil))
 	cl.Wait()
-
-	if q.DoneCount != int32(n) {
-		return Result{}, fmt.Errorf("meshgen: ONUPDR incomplete: %d of %d leaves", q.DoneCount, n)
+	if err := errs.take(); err != nil {
+		return Result{}, err
 	}
-
-	// A leaf whose load failed is gone with every message it was sent, while
-	// the boundary its refinement recorded stays.
+	// A leaf whose load failed is gone with the message it was sent.
 	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
 		return Result{}, fmt.Errorf("meshgen: ONUPDR lost %d objects to failed loads", lost)
 	}
-	reports, err := sh.all(func(idx int) string { return fmt.Sprintf("leaf %d", idx) })
-	if err != nil {
-		return Result{}, err
+	for i, l := range q.Leaves {
+		if !l.Done {
+			return Result{}, fmt.Errorf("meshgen: ONUPDR incomplete: leaf %d of %d never finished", i, len(q.Leaves))
+		}
 	}
 
 	return Result{
 		Method:     "ONUPDR",
 		Elements:   int(q.Elements),
 		Vertices:   int(q.Verts),
-		Subdomains: n,
+		Subdomains: len(q.Leaves),
 		PEs:        cl.PEs(),
 		Elapsed:    time.Since(start),
 		Report:     cl.Report(),
 		Mem:        cl.MemStats(),
-		Conforming: auditInterfaces(reports),
+		Conforming: q.conforming(),
 	}, nil
 }
