@@ -25,8 +25,9 @@ test:
 	cd benchmark && $(GO) test ./...
 
 # The race lane, as CI's race job runs it step by step: the concurrency-heavy
-# packages once, the swap path and meshgen's runs over it three times
-# (schedule-dependent failures hide at -count=1), the control layer on one
+# packages once, the swap path, meshgen's runs over it and the mesh store
+# three times (schedule-dependent failures hide at -count=1), the mesh
+# store's readers on one processor, the control layer on one
 # processor (nothing runs unless somebody yields) and three times on two
 # (object ownership is about pairs of workers), the cluster and the simulator
 # on one.
@@ -37,7 +38,8 @@ RACE_PKGS = ./internal/core/... ./internal/ooc/... ./internal/storage/... \
 	./internal/meshstore/... ./internal/e2e/... ./internal/planes/...
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -count=3 ./internal/tier/... ./internal/ooc/... ./internal/core/... ./internal/storage/... ./internal/planes/... ./internal/meshgen/...
+	$(GO) test -race -count=3 ./internal/tier/... ./internal/ooc/... ./internal/core/... ./internal/storage/... ./internal/planes/... ./internal/meshgen/... ./internal/meshstore/...
+	GOMAXPROCS=1 $(GO) test -race ./internal/meshstore/... ./internal/meshgen/ -run 'Scan|Verify|Restore|Export|Dump'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/...
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/core/...
 	GOMAXPROCS=1 $(GO) test -race ./internal/cluster/... ./internal/sim/...

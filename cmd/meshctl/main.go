@@ -342,7 +342,8 @@ func verifyMain(args []string) {
 }
 
 // deepVerify re-derives every block's canonical digest from its decoded
-// payload and compares it against the manifest index.
+// payload and compares it against the manifest index. Blocks decode on
+// meshstore.Ordered's workers; problems come back in record order.
 func deepVerify(dir string) []string {
 	st, err := meshstore.Open(dir)
 	if err != nil {
@@ -353,24 +354,31 @@ func deepVerify(dir string) []string {
 	if nb <= 0 {
 		return []string{"deep verify needs a merged manifest (meta unknown)"}
 	}
+	recs := st.Manifest().Records()
 	var problems []string
-	for _, rec := range st.Manifest().Records() {
+	// A block's problem is a value, not an error: every block is checked.
+	_ = meshstore.Ordered(len(recs), func(k int) (string, error) {
+		rec := recs[k]
 		payload, _, err := st.PayloadBuf(rec.Key)
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("block %s: %v", rec.Key, err))
-			continue
+			return fmt.Sprintf("block %s: %v", rec.Key, err), nil
 		}
 		dump, err := meshgen.DecodeExportedBlock(payload, nb)
 		bufpool.Put(payload)
 		if err != nil {
-			problems = append(problems, fmt.Sprintf("block %s: decode: %v", rec.Key, err))
-			continue
+			return fmt.Sprintf("block %s: decode: %v", rec.Key, err), nil
 		}
 		if dump.I != rec.I || dump.J != rec.J || dump.Elements != rec.Elements || dump.Hash != rec.Hash {
-			problems = append(problems, fmt.Sprintf("block %s: payload decodes to %v, index says %v",
-				rec.Key, dump, meshgen.BlockDump{I: rec.I, J: rec.J, Elements: rec.Elements, Hash: rec.Hash}))
+			return fmt.Sprintf("block %s: payload decodes to %v, index says %v",
+				rec.Key, dump, meshgen.BlockDump{I: rec.I, J: rec.J, Elements: rec.Elements, Hash: rec.Hash}), nil
 		}
-	}
+		return "", nil
+	}, func(_ int, problem string) error {
+		if problem != "" {
+			problems = append(problems, problem)
+		}
+		return nil
+	})
 	return problems
 }
 

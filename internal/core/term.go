@@ -16,6 +16,17 @@ import (
 // consecutive polls return identical, balanced totals, no message can have
 // been in flight between them, and the coordinator announces termination.
 //
+// It is also a barrier: the coordinator announces only after two identical
+// balanced counts in which every node reported itself inside
+// WaitTermination. A node that has not entered yet may still post work, so
+// a count without it proves nothing; an announcement it has no waiter for
+// would be recorded as its next entry point and strand it. Each reply also
+// carries the node's latest announced generation, and the coordinator
+// announces one past the newest it saw, so a node restarted with a fresh
+// runtime (generation 0) and a cluster that has run many phases meet again:
+// a waiter is released by any announcement newer than the generation it
+// entered at.
+//
 // WaitQuiescence (runtime.go) is the driver-level shortcut usable because
 // all simulated nodes share one process; WaitTermination is the faithful
 // message-based protocol, used the same way from every node (SPMD).
@@ -23,7 +34,7 @@ import (
 // Wire kinds for termination detection.
 const (
 	wireTermProbe    uint32 = 6 // coordinator -> node: report your counters
-	wireTermReply    uint32 = 7 // node -> coordinator: (epoch, work, sent, recv)
+	wireTermReply    uint32 = 7 // node -> coordinator: (epoch, work, sent, recv, waiting, gen)
 	wireTermAnnounce uint32 = 8 // coordinator -> node: generation terminated
 )
 
@@ -38,26 +49,38 @@ type termState struct {
 }
 
 type termReply struct {
-	epoch uint64
-	work  int64
-	sent  int64
-	recv  int64
+	epoch   uint64
+	work    int64
+	sent    int64
+	recv    int64
+	waiting bool
+	gen     uint64
+}
+
+// termCount is one probe round's tally: the summed counters, whether every
+// node was waiting, and the newest generation any node had seen.
+type termCount struct {
+	work, sent, recv int64
+	allWaiting       bool
+	gen              uint64
 }
 
 func newTermState() *termState {
 	return &termState{replyCh: make(chan termReply, 64)}
 }
 
-func (ts *termState) generation() uint64 {
+// status is this node's part of a probe reply.
+func (ts *termState) status() (waiting bool, gen uint64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return ts.announced
+	return len(ts.waiters) > 0, ts.announced
 }
 
 // WaitTermination blocks until the coordinator (node 0) announces a
 // termination generation newer than the one observed at entry. Every node of
 // the cluster must call it (SPMD); node 0 additionally runs the coordinator
-// until its own wait is satisfied. numNodes is the cluster size.
+// until its own wait is satisfied. numNodes is the cluster size. No node
+// returns before every node has entered and all their work is done.
 //
 // The protocol works for repeated phases: post more work after it returns
 // and call it again.
@@ -75,16 +98,17 @@ func (rt *Runtime) WaitTermination(numNodes int) {
 	<-ch
 }
 
-// coordinate polls all nodes until a stable balanced double count, then
-// announces generation entryGen+1 to everyone (including itself).
+// coordinate polls all nodes until two identical balanced counts with every
+// node waiting, then announces one generation past the newest any node
+// reported to everyone (including itself).
 func (rt *Runtime) coordinate(numNodes int, entryGen uint64) {
 	ts := rt.term
 	epoch := entryGen << 20 // epochs namespaced per generation
-	var prev *[3]int64
+	var prev *termCount
 	for {
 		// Already announced by a concurrent phase? (Defensive; single
 		// coordinator in practice.)
-		if ts.generation() > entryGen {
+		if _, gen := ts.status(); gen > entryGen {
 			return
 		}
 		epoch++
@@ -94,27 +118,34 @@ func (rt *Runtime) coordinate(numNodes int, entryGen uint64) {
 			_ = rt.ep.Send(NodeID(n), wireTermProbe, probe[:])
 		}
 		// The coordinator's own counters join the tally directly.
-		totals := [3]int64{rt.Work(), rt.sent.Load(), rt.recv.Load()}
+		_, gen := ts.status()
+		count := termCount{work: rt.Work(), sent: rt.sent.Load(), recv: rt.recv.Load(),
+			allWaiting: true, gen: gen}
 		needed := numNodes - 1
-		timeout := rt.clk.After(time.Second)
+		// Stopped once the round is over: a pending virtual-clock deadline
+		// left behind is one the simulation may jump to when it idles.
+		timeout := rt.clk.NewTimer(time.Second)
 		for needed > 0 {
 			select {
 			case r := <-ts.replyCh:
 				if r.epoch != epoch {
 					continue // stale reply from an earlier probe round
 				}
-				totals[0] += r.work
-				totals[1] += r.sent
-				totals[2] += r.recv
+				count.work += r.work
+				count.sent += r.sent
+				count.recv += r.recv
+				count.allWaiting = count.allWaiting && r.waiting
+				count.gen = max(count.gen, r.gen)
 				needed--
-			case <-timeout:
+			case <-timeout.C:
 				needed = -1 // lost probe/reply; retry the round
 			}
 		}
-		if needed == 0 && totals[0] == 0 && totals[1] == totals[2] {
-			if prev != nil && *prev == totals {
+		timeout.Stop()
+		if needed == 0 && count.allWaiting && count.work == 0 && count.sent == count.recv {
+			if prev != nil && *prev == count {
 				// Two identical balanced counts: terminated.
-				gen := entryGen + 1
+				gen := count.gen + 1
 				var ann [8]byte
 				binary.LittleEndian.PutUint64(ann[:], gen)
 				for n := 1; n < numNodes; n++ {
@@ -123,7 +154,7 @@ func (rt *Runtime) coordinate(numNodes int, entryGen uint64) {
 				rt.onTerminated(gen)
 				return
 			}
-			prev = &totals
+			prev = &count
 		} else {
 			prev = nil
 		}
@@ -135,23 +166,30 @@ func (rt *Runtime) onWireTermProbe(msg comm.Message) {
 	if len(msg.Payload) != 8 {
 		return
 	}
-	var reply [32]byte
+	waiting, gen := rt.term.status()
+	var reply [41]byte
 	copy(reply[0:8], msg.Payload)
 	binary.LittleEndian.PutUint64(reply[8:16], uint64(rt.Work()))
 	binary.LittleEndian.PutUint64(reply[16:24], uint64(rt.sent.Load()))
 	binary.LittleEndian.PutUint64(reply[24:32], uint64(rt.recv.Load()))
+	binary.LittleEndian.PutUint64(reply[32:40], gen)
+	if waiting {
+		reply[40] = 1
+	}
 	_ = rt.ep.Send(msg.From, wireTermReply, reply[:])
 }
 
 func (rt *Runtime) onWireTermReply(msg comm.Message) {
-	if len(msg.Payload) != 32 {
+	if len(msg.Payload) != 41 {
 		return
 	}
 	r := termReply{
-		epoch: binary.LittleEndian.Uint64(msg.Payload[0:8]),
-		work:  int64(binary.LittleEndian.Uint64(msg.Payload[8:16])),
-		sent:  int64(binary.LittleEndian.Uint64(msg.Payload[16:24])),
-		recv:  int64(binary.LittleEndian.Uint64(msg.Payload[24:32])),
+		epoch:   binary.LittleEndian.Uint64(msg.Payload[0:8]),
+		work:    int64(binary.LittleEndian.Uint64(msg.Payload[8:16])),
+		sent:    int64(binary.LittleEndian.Uint64(msg.Payload[16:24])),
+		recv:    int64(binary.LittleEndian.Uint64(msg.Payload[24:32])),
+		gen:     binary.LittleEndian.Uint64(msg.Payload[32:40]),
+		waiting: msg.Payload[40] == 1,
 	}
 	select {
 	case rt.term.replyCh <- r:
@@ -166,13 +204,18 @@ func (rt *Runtime) onWireTermAnnounce(msg comm.Message) {
 	rt.onTerminated(binary.LittleEndian.Uint64(msg.Payload))
 }
 
-// onTerminated releases all waiters once a new generation is announced.
+// onTerminated releases every waiter once a generation newer than the one
+// it entered at is announced. Waiters all entered at ts.announced (an
+// announcement releases everyone who entered before it), so one comparison
+// decides for all of them.
 func (rt *Runtime) onTerminated(gen uint64) {
 	ts := rt.term
 	ts.mu.Lock()
-	if gen > ts.announced {
-		ts.announced = gen
+	if gen <= ts.announced {
+		ts.mu.Unlock()
+		return
 	}
+	ts.announced = gen
 	waiters := ts.waiters
 	ts.waiters = nil
 	ts.mu.Unlock()

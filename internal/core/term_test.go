@@ -142,3 +142,76 @@ func TestWaitTerminationAgreesWithQuiescence(t *testing.T) {
 		t.Errorf("quiescence check after distributed termination took %v of virtual time", d)
 	}
 }
+
+func TestWaitTerminationWaitsForLateNode(t *testing.T) {
+	// Node 0 enters the barrier alone while node 1 is still busy elsewhere:
+	// it must not return, however long it probes, and node 1's work posted
+	// after that must be done when both return. An announcement made while
+	// node 1 was outside used to release node 0 alone and leave node 1
+	// waiting for a generation that never came.
+	c, vclk := newVirtualCluster(t, 2, 1<<20)
+	registerInc(c)
+	obj := &testObj{}
+	ptr := c.rts[0].CreateObject(obj)
+	returned := make([]chan struct{}, 2)
+	for i := range returned {
+		returned[i] = make(chan struct{})
+	}
+	wait := func(i int) {
+		c.rts[i].WaitTermination(2)
+		close(returned[i])
+	}
+	go wait(0)
+	vclk.Sleep(50 * time.Millisecond) // many probe rounds of virtual time
+	select {
+	case <-returned[0]:
+		t.Fatal("node 0 left the barrier before node 1 entered it")
+	default:
+	}
+	for i := 0; i < 10; i++ {
+		c.rts[1].Post(ptr, hInc, nil)
+	}
+	go wait(1)
+	for i, ch := range returned {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("node %d was never released", i)
+		}
+	}
+	if obj.Count != 10 {
+		t.Fatalf("count = %d when the barrier released, want 10", obj.Count)
+	}
+}
+
+func TestWaitTerminationAfterRestartedNode(t *testing.T) {
+	// A node that rejoins with a fresh runtime enters at generation 0
+	// while the others have run several phases; the next barrier must
+	// release everyone.
+	c, _ := newVirtualCluster(t, 3, 1<<20)
+	all := func(nodes []int) {
+		var wg sync.WaitGroup
+		for _, i := range nodes {
+			wg.Add(1)
+			go func(rt *Runtime) {
+				defer wg.Done()
+				rt.WaitTermination(3)
+			}(c.rts[i])
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("barrier of nodes %v never released", nodes)
+		}
+	}
+	for phase := 0; phase < 3; phase++ {
+		all([]int{0, 1, 2})
+	}
+	for _, fresh := range []int{2, 0} {
+		c.rts[fresh].term = newTermState()
+		all([]int{0, 1, 2})
+		all([]int{0, 1, 2})
+	}
+}

@@ -345,37 +345,53 @@ func (d *Dist) Export(w *meshstore.Writer) error {
 // run's placement prediction. The stored neighbor pointers belonged to the
 // writing run's placement and are rewritten to the new table; that rewrite
 // is the entire rank-independence rule. The runtime must be fresh.
+//
+// Reading, decoding and checking a block run on meshstore.Ordered's
+// workers; creating it runs here, in placement order, so the pointers and
+// the trace are those of a sequential restore. The first bad block in
+// placement order stops the restore and names the error; the blocks before
+// it stay created.
 func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 	nb := d.cfg.Blocks
+	var local []int
 	for _, idx := range d.order {
-		if d.owners[idx] != core.NodeID(d.cfg.Node) {
-			continue
+		if d.owners[idx] == core.NodeID(d.cfg.Node) {
+			local = append(local, idx)
 		}
-		i, j := idx%nb, idx/nb
+	}
+	type restored struct {
+		o    *blockObj
+		size int
+	}
+	return meshstore.Ordered(len(local), func(k int) (restored, error) {
+		i, j := local[k]%nb, local[k]/nb
 		payload, rec, err := st.PayloadBuf(meshstore.BlockKey(i, j))
 		if err != nil {
-			return fmt.Errorf("meshgen: restore block (%d,%d): %w", i, j, err)
+			return restored{}, fmt.Errorf("meshgen: restore block (%d,%d): %w", i, j, err)
 		}
 		o := &blockObj{}
 		err = o.DecodeFrom(bytes.NewReader(payload))
 		size := len(payload)
 		bufpool.Put(payload) // DecodeFrom copied what it keeps
 		if err != nil {
-			return fmt.Errorf("meshgen: restore block (%d,%d): decode: %w", i, j, err)
+			return restored{}, fmt.Errorf("meshgen: restore block (%d,%d): decode: %w", i, j, err)
 		}
 		if o.Elements != rec.Elements {
-			return fmt.Errorf("meshgen: restore block (%d,%d): payload has %d elements, index says %d",
+			return restored{}, fmt.Errorf("meshgen: restore block (%d,%d): payload has %d elements, index says %d",
 				i, j, o.Elements, rec.Elements)
 		}
-		o.Right, o.Top = blockNeighbors(nb, i, j, d.ptrs)
-		got := d.rt.CreateObject(o)
-		if got != d.ptrs[idx] {
+		return restored{o, size}, nil
+	}, func(k int, r restored) error {
+		idx := local[k]
+		i, j := idx%nb, idx/nb
+		r.o.Right, r.o.Top = blockNeighbors(nb, i, j, d.ptrs)
+		if got := d.rt.CreateObject(r.o); got != d.ptrs[idx] {
 			return fmt.Errorf("meshgen: restored block (%d,%d) minted %v, placement predicted %v",
 				i, j, got, d.ptrs[idx])
 		}
-		meshstore.EmitRestore(d.rt.Tracer(), i, j, size)
-	}
-	return nil
+		meshstore.EmitRestore(d.rt.Tracer(), i, j, r.size)
+		return nil
+	})
 }
 
 // DecodeExportedBlock decodes a stored block payload offline and

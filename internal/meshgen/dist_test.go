@@ -1,0 +1,306 @@
+package meshgen
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mrts/internal/cluster"
+	"mrts/internal/core"
+	"mrts/internal/meshstore"
+)
+
+// distStore meshes specTestConfig on one node with an export attached and
+// returns the sealed store's directory and manifest.
+func distStore(t *testing.T) (string, *meshstore.Manifest) {
+	t.Helper()
+	cfg := specTestConfig
+	dir, w := exportWriter(t, cfg, true)
+	cfg.Export = w
+	if _, err := RunOUPDR(specTestCluster(t, 1), cfg); err != nil {
+		t.Fatal(err)
+	}
+	return dir, finishExport(t, dir, w)
+}
+
+func distCluster(t *testing.T, nodes int, budget int64) *cluster.Cluster {
+	t.Helper()
+	cl, err := cluster.New(cluster.Config{Nodes: nodes, MemBudget: budget, Factory: Factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	return cl
+}
+
+// distOn builds a Dist for every node of cl against the store's meta.
+func distOn(t *testing.T, cl *cluster.Cluster, meta meshstore.Meta) []*Dist {
+	t.Helper()
+	ds := make([]*Dist, cl.Nodes())
+	for i := range ds {
+		d, err := NewDist(cl.RT(i), DistConfig{
+			Blocks: meta.Blocks, TargetElements: meta.TargetElements, QualityBound: meta.QualityBound,
+			Nodes: cl.Nodes(), Node: i,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds[i] = d
+	}
+	return ds
+}
+
+func openStore(t *testing.T, dir string) *meshstore.Store {
+	t.Helper()
+	st, err := meshstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// collective runs f on every node at once, the first node delay(node) late,
+// and fails the test unless every node returns within the watchdog.
+func collective(t *testing.T, ds []*Dist, delay func(node int) time.Duration, f func(node int, d *Dist) error) {
+	t.Helper()
+	errs := make([]error, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func(i int, d *Dist) {
+			defer wg.Done()
+			time.Sleep(delay(i))
+			errs[i] = f(i, d)
+		}(i, d)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a node never left the collective call")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+}
+
+func noDelay(int) time.Duration { return 0 }
+
+// TestRestoreFromStoreOntoOneTwoThreeNodes: however many nodes restore the
+// store, each mints the pointers the placement predicts (RestoreFromStore
+// checks every one) and the restored mesh carries the store's MeshHash.
+func TestRestoreFromStoreOntoOneTwoThreeNodes(t *testing.T) {
+	dir, man := distStore(t)
+	st := openStore(t, dir)
+	for nodes := 1; nodes <= 3; nodes++ {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			ds := distOn(t, distCluster(t, nodes, 1<<30), man.Meta)
+			blocks := 0
+			for i, d := range ds {
+				if err := d.RestoreFromStore(st); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := d.rt.NumLocalObjects(), d.NumLocalBlocks(); got != want {
+					t.Fatalf("node %d holds %d objects, placement gives it %d", i, got, want)
+				}
+				for idx, owner := range d.owners {
+					if owner == core.NodeID(i) && !d.rt.IsLocal(d.ptrs[idx]) {
+						t.Fatalf("node %d: predicted pointer %v of block %d is not local", i, d.ptrs[idx], idx)
+					}
+				}
+				blocks += d.NumLocalBlocks()
+			}
+			if blocks != man.Blocks() {
+				t.Fatalf("restored %d blocks, store has %d", blocks, man.Blocks())
+			}
+			var all []BlockDump
+			var mu sync.Mutex
+			collective(t, ds, noDelay, func(node int, d *Dist) error {
+				dump := d.Dump()
+				mu.Lock()
+				all = append(all, dump...)
+				mu.Unlock()
+				return nil
+			})
+			if got := MeshHashOf(all); got != man.MeshHash {
+				t.Fatalf("restored MeshHash %s, store %s", got, man.MeshHash)
+			}
+		})
+	}
+}
+
+// damageFrame flips a payload byte of the store's frame for key.
+func damageFrame(t *testing.T, dir string, man *meshstore.Manifest, key string) {
+	t.Helper()
+	for _, c := range man.Chunks {
+		for _, r := range c.Records {
+			if r.Key != key {
+				continue
+			}
+			path := filepath.Join(dir, c.Name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[r.Offset+r.Length-3] ^= 0xA5
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+	}
+	t.Fatalf("no frame %s", key)
+}
+
+// TestRestoreFromStoreNamesFirstBadBlock: with two damaged frames, the
+// restore fails on the one that comes first in placement order, whichever
+// worker finishes first, and creates no block from that one on.
+func TestRestoreFromStoreNamesFirstBadBlock(t *testing.T) {
+	dir, man := distStore(t)
+	ds := distOn(t, distCluster(t, 1, 1<<30), man.Meta)
+	d := ds[0]
+	nb := man.Meta.Blocks
+	// Placement positions 4 and 5: the middle of the 3×3 grid's order.
+	first, second := d.order[4], d.order[5]
+	for _, idx := range []int{second, first} {
+		damageFrame(t, dir, man, meshstore.BlockKey(idx%nb, idx/nb))
+	}
+	err := d.RestoreFromStore(openStore(t, dir))
+	if err == nil {
+		t.Fatal("restore of a damaged store succeeded")
+	}
+	want := fmt.Sprintf("restore block (%d,%d)", first%nb, first/nb)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want the failure of %s", err, want)
+	}
+	if got := d.rt.NumLocalObjects(); got != 4 {
+		t.Fatalf("restore created %d blocks, want the 4 before the bad one", got)
+	}
+}
+
+// TestRestoreFromStorePeakWithinWindow: onto a node that swaps, the
+// parallel restore's resident peak exceeds the sequential restore's by at
+// most the ordered map's window of blocks.
+func TestRestoreFromStorePeakWithinWindow(t *testing.T) {
+	dir, man := distStore(t)
+	st := openStore(t, dir)
+	var total, largest int64
+	for _, r := range man.Records() {
+		total += int64(r.RawLen)
+		largest = max(largest, int64(r.RawLen))
+	}
+	budget := total / 4
+	peak := func(restore func(d *Dist) error) int64 {
+		d := distOn(t, distCluster(t, 1, budget), man.Meta)[0]
+		if err := restore(d); err != nil {
+			t.Fatal(err)
+		}
+		s := d.rt.Mem().Snapshot()
+		if s.Evictions == 0 {
+			t.Fatalf("budget %d of %d bytes evicted nothing", budget, total)
+		}
+		return s.PeakMemUsed
+	}
+	seq := peak(func(d *Dist) error { return restoreSequential(d, st) })
+	par := peak(func(d *Dist) error { return d.RestoreFromStore(st) })
+	window := int64(2 * runtime.GOMAXPROCS(0))
+	if par > seq+window*largest {
+		t.Fatalf("parallel restore peak %d B, sequential %d B: more than %d blocks of %d B apart",
+			par, seq, window, largest)
+	}
+}
+
+// restoreSequential is RestoreFromStore as it was before the ordered map:
+// read, decode, check and create one block at a time.
+func restoreSequential(d *Dist, st *meshstore.Store) error {
+	nb := d.cfg.Blocks
+	for _, idx := range d.order {
+		if d.owners[idx] != core.NodeID(d.cfg.Node) {
+			continue
+		}
+		i, j := idx%nb, idx/nb
+		payload, rec, err := st.Payload(meshstore.BlockKey(i, j))
+		if err != nil {
+			return err
+		}
+		o := &blockObj{}
+		if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
+			return err
+		}
+		if o.Elements != rec.Elements {
+			return fmt.Errorf("block (%d,%d): %d elements, index says %d", i, j, o.Elements, rec.Elements)
+		}
+		o.Right, o.Top = blockNeighbors(nb, i, j, d.ptrs)
+		if got := d.rt.CreateObject(o); got != d.ptrs[idx] {
+			return fmt.Errorf("block (%d,%d) minted %v, predicted %v", i, j, got, d.ptrs[idx])
+		}
+	}
+	return nil
+}
+
+// TestDistExportWithLateNode: one of three nodes enters Export well after
+// the others have framed their blocks and entered the barrier. No node may
+// leave before it has entered, and every block is framed: the merged
+// manifest is complete.
+func TestDistExportWithLateNode(t *testing.T) {
+	dir, man := distStore(t)
+	st := openStore(t, dir)
+	ds := distOn(t, distCluster(t, 3, 1<<30), man.Meta)
+	for _, d := range ds {
+		if err := d.RestoreFromStore(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := t.TempDir()
+	ws := make([]*meshstore.Writer, len(ds))
+	for i, d := range ds {
+		w, err := meshstore.NewWriter(meshstore.WriterConfig{Dir: out, Writer: i, Meta: d.StoreMeta(), Compress: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		ws[i] = w
+	}
+	var lateEntered, firstLeft time.Time
+	late := func(node int) time.Duration {
+		if node == 2 {
+			return 200 * time.Millisecond
+		}
+		return 0
+	}
+	collective(t, ds, late, func(node int, d *Dist) error {
+		if node == 2 {
+			lateEntered = time.Now()
+		}
+		err := d.Export(ws[node])
+		if node == 0 {
+			firstLeft = time.Now()
+		}
+		return err
+	})
+	if firstLeft.Before(lateEntered) {
+		t.Fatalf("node 0 left Export %v before node 2 entered it", lateEntered.Sub(firstLeft))
+	}
+	for _, w := range ws {
+		if _, err := w.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := meshstore.MergeManifests(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Partial || got.MeshHash != man.MeshHash {
+		t.Fatalf("export with a late node: partial=%v, MeshHash %s, want %s", got.Partial, got.MeshHash, man.MeshHash)
+	}
+}

@@ -1,9 +1,7 @@
 package meshstore
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,8 +27,10 @@ type ScanResult struct {
 // ScanChunk walks a chunk file frame by frame and rebuilds its index. A
 // truncated or corrupt tail — a writer crash mid-append, or a scan racing
 // a live writer — terminates the walk cleanly with Partial set rather than
-// erroring: the intact prefix is the usable mesh. With deep set, every
-// payload is read and checked against its frame digest.
+// erroring: the intact prefix is the usable mesh. The walk reads headers
+// only. With deep set, every payload of the intact prefix is then read,
+// decoded and checked against its frame digest on Ordered's workers, and
+// the failures come back in frame order.
 func ScanChunk(path string, deep bool) (ScanResult, error) {
 	var res ScanResult
 	f, err := os.Open(path)
@@ -38,59 +38,37 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 		return res, err
 	}
 	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
+	fi, err := f.Stat()
 	if err != nil {
 		return res, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return res, err
-	}
+	size := fi.Size()
 	res.Chunk.Name = filepath.Base(path)
 	var w int
 	if _, err := fmt.Sscanf(res.Chunk.Name, "chunk-%d.mshc", &w); err == nil {
 		res.Chunk.Writer = w
 	}
 
-	br := bufio.NewReaderSize(f, 1<<16)
+	// The header, key and hash of a frame fit in one read.
+	var hdr [frameFixedLen + 2*255]byte
+	var frames []frameHeader
 	var off int64
-	var hdr [frameFixedLen]byte
 	for off < size {
 		if size-off < frameFixedLen {
 			break // truncated header
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break
-		}
-		h, keyLen, hashLen, err := parseFixed(hdr[:])
+		// A failed or short read leaves n short, which the checks below
+		// treat as a truncated tail.
+		n, _ := f.ReadAt(hdr[:min(int64(len(hdr)), size-off)], off)
+		h, keyLen, hashLen, err := parseFixed(hdr[:n])
 		if err != nil {
 			break // corrupt tail
 		}
-		varAndPayload := int64(keyLen + hashLen + h.EncLen)
-		if size-off-frameFixedLen < varAndPayload {
+		if size-off-frameFixedLen < int64(keyLen+hashLen+h.EncLen) || n < frameFixedLen+keyLen+hashLen {
 			break // truncated body
 		}
-		kh := make([]byte, keyLen+hashLen)
-		if _, err := io.ReadFull(br, kh); err != nil {
-			break
-		}
-		h.Key, h.Hash = string(kh[:keyLen]), string(kh[keyLen:])
-		if deep {
-			enc := bufpool.Get(h.EncLen)
-			if _, err := io.ReadFull(br, enc); err != nil {
-				bufpool.Put(enc)
-				break
-			}
-			raw := bufpool.Get(h.RawLen)
-			if derr := decodePayload(raw, h, enc); derr != nil {
-				res.Problems = append(res.Problems, derr.Error())
-			}
-			bufpool.Put(raw)
-			bufpool.Put(enc)
-		} else {
-			if _, err := br.Discard(h.EncLen); err != nil {
-				break
-			}
-		}
+		h.Key = string(hdr[frameFixedLen : frameFixedLen+keyLen])
+		h.Hash = string(hdr[frameFixedLen+keyLen : frameFixedLen+keyLen+hashLen])
 		res.Chunk.Records = append(res.Chunk.Records, Record{
 			Key:        h.Key,
 			I:          h.I,
@@ -102,12 +80,35 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 			Length:     h.frameLen(),
 			RawLen:     h.RawLen,
 		})
+		frames = append(frames, h)
 		off += h.frameLen()
 	}
 	res.Chunk.Bytes = off
 	res.TailBytes = size - off
 	res.Partial = res.TailBytes > 0
-	return res, nil
+	if !deep {
+		return res, nil
+	}
+	err = Ordered(len(frames), func(k int) (string, error) {
+		h, rec := frames[k], res.Chunk.Records[k]
+		enc := bufpool.Get(h.EncLen)
+		defer bufpool.Put(enc)
+		if _, err := f.ReadAt(enc, rec.Offset+rec.Length-int64(h.EncLen)); err != nil {
+			return fmt.Sprintf("meshstore: frame %q: read: %v", h.Key, err), nil
+		}
+		raw := bufpool.Get(h.RawLen)
+		defer bufpool.Put(raw)
+		if err := decodePayload(raw, h, enc); err != nil {
+			return err.Error(), nil
+		}
+		return "", nil
+	}, func(_ int, problem string) error {
+		if problem != "" {
+			res.Problems = append(res.Problems, problem)
+		}
+		return nil
+	})
+	return res, err
 }
 
 // Store is a read handle on a store directory: the manifest (merged, or

@@ -72,8 +72,29 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 
 // Append frames one block and writes it to the chunk. hash is the block's
 // canonical mesh digest (as reported in dump lines); payload is the
-// block's encoded state, opaque to the store.
+// block's encoded state, opaque to the store. The frame is hashed and
+// compressed before the writer's lock is taken, so appends from several
+// handler workers code their frames at once and queue only for the write.
 func (w *Writer) Append(key string, i, j int, elements int32, hash string, payload []byte) error {
+	var bad error
+	switch {
+	case len(key) > 255 || len(hash) > 255:
+		bad = fmt.Errorf("meshstore: key/hash too long for block %q", key)
+	case len(payload) > maxPayloadBytes:
+		bad = fmt.Errorf("meshstore: block %q payload %d exceeds bound %d", key, len(payload), maxPayloadBytes)
+	case i < 0 || j < 0:
+		bad = fmt.Errorf("meshstore: negative block coordinates (%d,%d)", i, j)
+	}
+	var frame []byte
+	var sum [32]byte
+	if bad == nil {
+		// Room for the raw fallback; the coder appends less than that.
+		frame = bufpool.Get(frameFixedLen + len(key) + len(hash) + len(payload))
+		defer bufpool.Put(frame)
+		sum = sha256.Sum256(payload)
+		frame = encodeFrame(frame[:frameFixedLen], key, i, j, elements, hash, payload, sum, w.cfg.Compress)
+	}
+
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -82,45 +103,9 @@ func (w *Writer) Append(key string, i, j int, elements int32, hash string, paylo
 	if w.done {
 		return w.fail(fmt.Errorf("meshstore: append to finalized writer %d", w.cfg.Writer))
 	}
-	if len(key) > 255 || len(hash) > 255 {
-		return w.fail(fmt.Errorf("meshstore: key/hash too long for block %q", key))
+	if bad != nil {
+		return w.fail(bad)
 	}
-	if len(payload) > maxPayloadBytes {
-		return w.fail(fmt.Errorf("meshstore: block %q payload %d exceeds bound %d", key, len(payload), maxPayloadBytes))
-	}
-	if i < 0 || j < 0 {
-		return w.fail(fmt.Errorf("meshstore: negative block coordinates (%d,%d)", i, j))
-	}
-	sum := sha256.Sum256(payload)
-
-	// Room for the raw fallback; the coder appends less than that.
-	frame := bufpool.Get(frameFixedLen + len(key) + len(hash) + len(payload))[:frameFixedLen]
-	defer bufpool.Put(frame)
-	clear(frame)
-	copy(frame[0:4], frameMagic)
-	frame[5] = byte(len(key))
-	frame[6] = byte(len(hash))
-	binary.LittleEndian.PutUint32(frame[8:], uint32(i))
-	binary.LittleEndian.PutUint32(frame[12:], uint32(j))
-	binary.LittleEndian.PutUint32(frame[16:], uint32(elements))
-	binary.LittleEndian.PutUint32(frame[20:], uint32(len(payload)))
-	copy(frame[28:60], sum[:])
-	frame = append(frame, key...)
-	frame = append(frame, hash...)
-
-	payloadOff := len(frame)
-	frame[4] = codecRaw
-	if w.cfg.Compress && len(payload) >= compressMin {
-		if coded, ok := planes.Encode(frame, payload); ok {
-			frame = coded
-			frame[4] = codecPlanes
-		}
-	}
-	if frame[4] == codecRaw {
-		frame = append(frame, payload...)
-	}
-	binary.LittleEndian.PutUint32(frame[24:], uint32(len(frame)-payloadOff))
-
 	if _, err := w.f.Write(frame); err != nil {
 		return w.fail(fmt.Errorf("meshstore: append block %q: %w", key, err))
 	}
@@ -142,6 +127,37 @@ func (w *Writer) Append(key string, i, j int, elements int32, hash string, paylo
 	statRawBytes.Add(int64(len(payload)))
 	w.cfg.Tracer.Emit(obs.KindMeshExport, packBlockID(i, j), int64(len(frame)))
 	return nil
+}
+
+// encodeFrame appends one block's frame to frame, a header-sized slice
+// with room for the raw payload behind it: plane-coded when compress is
+// set and that shrinks the payload, raw otherwise.
+func encodeFrame(frame []byte, key string, i, j int, elements int32, hash string, payload []byte, sum [32]byte, compress bool) []byte {
+	clear(frame)
+	copy(frame[0:4], frameMagic)
+	frame[5] = byte(len(key))
+	frame[6] = byte(len(hash))
+	binary.LittleEndian.PutUint32(frame[8:], uint32(i))
+	binary.LittleEndian.PutUint32(frame[12:], uint32(j))
+	binary.LittleEndian.PutUint32(frame[16:], uint32(elements))
+	binary.LittleEndian.PutUint32(frame[20:], uint32(len(payload)))
+	copy(frame[28:60], sum[:])
+	frame = append(frame, key...)
+	frame = append(frame, hash...)
+
+	payloadOff := len(frame)
+	frame[4] = codecRaw
+	if compress && len(payload) >= compressMin {
+		if coded, ok := planes.Encode(frame, payload); ok {
+			frame = coded
+			frame[4] = codecPlanes
+		}
+	}
+	if frame[4] == codecRaw {
+		frame = append(frame, payload...)
+	}
+	binary.LittleEndian.PutUint32(frame[24:], uint32(len(frame)-payloadOff))
+	return frame
 }
 
 func (w *Writer) fail(err error) error {
