@@ -111,9 +111,10 @@ sim-soak:
 # package for "now"/sleeping.
 CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool internal/obs
 
-# gofmt and vet, then five layering rules. This target is their only
-# statement: CI's lint job calls it, then runs staticcheck (which needs an
-# install, so it stays there).
+# gofmt and vet (of the root module and of the benchmark module, the one
+# consumer of internal/ that ./... cannot see), then five layering rules.
+# This target is their only statement: CI's lint job calls it, then runs
+# staticcheck (which needs an install, so it stays there).
 # - Clock injection: no package below cmd/ that the simulator drives may
 #   read real time directly.
 # - Transport encapsulation: all raw TCP lives behind internal/comm;
@@ -131,6 +132,7 @@ CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio inte
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	@out="$$(grep -rnE 'time\.(Now|Sleep|After|NewTimer|NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' $(CLOCKED_PKGS) || true)"; \
 	if [ -n "$$out" ]; then echo "direct time calls in clocked packages (inject clock.Clock instead):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'net\.(Dial|Listen)\(' --include='*.go' internal cmd examples | grep -v '^internal/comm/' || true)"; \

@@ -102,7 +102,12 @@ func TestVirtualAfterAndTimer(t *testing.T) {
 // because the quiesce-driven advancer may legitimately fire a sleep before
 // this observer ever sees it pending.
 func waitPending(v *Virtual, done <-chan struct{}) {
-	for v.Sleepers() == 0 {
+	pending := func() bool {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return len(v.waiters) > 0
+	}
+	for !pending() {
 		select {
 		case <-done:
 			return

@@ -151,13 +151,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// Sleepers returns the number of goroutines currently blocked on the clock.
-func (v *Virtual) Sleepers() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.waiters)
-}
-
 // Stop shuts the clock down: the advancer goroutine exits, every pending
 // waiter is released at the current virtual time, and subsequent sleeps
 // return immediately. Stop is idempotent. A stopped clock still serves Now.

@@ -41,9 +41,6 @@ func (c *Cluster) ActiveNodes() int {
 	return n
 }
 
-// Rebalanced returns the number of objects moved by churn rebalancing.
-func (c *Cluster) Rebalanced() int64 { return c.rebalanced.Load() }
-
 // LeaveNode gracefully removes node i from the placement ring and drains
 // every object it holds to the object's new ring owner. The node's runtime
 // stays up as a forwarding shell — in-flight references through it still

@@ -6,6 +6,20 @@ import (
 	"mrts/internal/core"
 )
 
+func newChurnCluster(t *testing.T, nodes int) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		Nodes:     nodes,
+		MemBudget: 1 << 20,
+		Factory:   ballastFactory,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
+
 func registerInc(rts []*core.Runtime) {
 	for _, rt := range rts {
 		rt.Register(1, func(ctx *core.Ctx, arg []byte) {
@@ -49,7 +63,7 @@ func readCounts(t *testing.T, c *Cluster, ptrs []core.MobilePtr) map[core.Mobile
 // rejoin pulls back exactly the keys the ring assigns it. No object is
 // lost, every post lands, and the directory invariants hold throughout.
 func TestLeaveJoinRebalance(t *testing.T) {
-	c := newBalanceCluster(t, 4)
+	c := newChurnCluster(t, 4)
 	registerInc(c.Runtimes())
 
 	var ptrs []core.MobilePtr
@@ -92,8 +106,8 @@ func TestLeaveJoinRebalance(t *testing.T) {
 	postAll(c, ptrs)
 
 	total := 0
-	for _, n := range c.ObjectCounts() {
-		total += n
+	for _, rt := range c.Runtimes() {
+		total += rt.NumLocalObjects()
 	}
 	if total != 32 {
 		t.Fatalf("object count %d after churn, want 32", total)
@@ -103,15 +117,15 @@ func TestLeaveJoinRebalance(t *testing.T) {
 			t.Errorf("object %v counted %d increments, want 3", p, n)
 		}
 	}
-	if c.Rebalanced() != int64(moved)+int64(back) {
-		t.Errorf("Rebalanced() = %d, want %d", c.Rebalanced(), moved+back)
+	if got := c.Metrics()["cluster.rebalanced_objects"]; got != float64(moved+back) {
+		t.Errorf("cluster.rebalanced_objects = %v, want %d", got, moved+back)
 	}
 }
 
 // Crash + restart: the node's state survives through the checkpoint, its
 // slot gets a fresh runtime, and computation resumes with nothing lost.
 func TestCrashRestartNode(t *testing.T) {
-	c := newBalanceCluster(t, 3)
+	c := newChurnCluster(t, 3)
 	registerInc(c.Runtimes())
 
 	var ptrs []core.MobilePtr
@@ -162,7 +176,7 @@ func TestCrashRestartNode(t *testing.T) {
 }
 
 func TestChurnValidation(t *testing.T) {
-	c := newBalanceCluster(t, 2)
+	c := newChurnCluster(t, 2)
 	if _, err := c.LeaveNode(5); err == nil {
 		t.Error("LeaveNode out of range must fail")
 	}

@@ -75,10 +75,6 @@ type Config struct {
 	Factory core.Factory
 	// IOWorkers per node (<= 0 means 2).
 	IOWorkers int
-	// QueueDepth bounds each node's swap I/O queue: prefetch submissions
-	// beyond the bound are rejected (demand loads and eviction writes are
-	// never bounded). <= 0 means the swapio default (64).
-	QueueDepth int
 	// PrefetchDepth bounds how many speculative loads each node keeps in
 	// flight (<= 0 means 2).
 	PrefetchDepth int
@@ -321,7 +317,6 @@ func (c *Cluster) nodeConfig(i int, st storage.Store) core.Config {
 		Mem:           ooc.Config{Budget: c.cfg.MemBudget, Policy: c.cfg.Policy},
 		Store:         st,
 		IOWorkers:     c.cfg.IOWorkers,
-		QueueDepth:    c.cfg.QueueDepth,
 		PrefetchDepth: c.cfg.PrefetchDepth,
 		Retry:         c.nodeRetry(i),
 		Tracer:        c.tracers[i],
@@ -493,17 +488,9 @@ func (c *Cluster) MemStats() ooc.Stats {
 		out.MemUsed += s.MemUsed
 		out.MemBudget += s.MemBudget
 		out.PeakMemUsed += s.PeakMemUsed
-		out.LoadFailures += s.LoadFailures
-		out.StoreFailures += s.StoreFailures
-		out.Retries += s.Retries
-		out.ObjectsLost += s.ObjectsLost
 	}
 	return out
 }
-
-// Tracers returns the per-node tracers (they record events only when the
-// cluster was built with a TraceSink).
-func (c *Cluster) Tracers() []*obs.Tracer { return c.tracers }
 
 // PublishMetrics registers every node's runtime metrics into reg under
 // "node<i>." prefixes, plus cluster-level aggregates under "cluster.".

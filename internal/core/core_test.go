@@ -513,27 +513,6 @@ func TestMcastObjectLostCancelsPendingCollection(t *testing.T) {
 	}
 }
 
-// TestDestroyCancelsMcast: destroying a member of a collecting multicast
-// cancels the collection instead of leaving it pinned to a tombstone.
-func TestDestroyCancelsMcast(t *testing.T) {
-	c := newCluster(t, 1, 1<<20)
-	registerInc(c)
-	rt := c.rts[0]
-	b := rt.CreateObject(&testObj{Count: 9})
-	ghost := MobilePtr{Home: 0, Seq: 1 << 30}
-	rt.startMcast([]MobilePtr{b, ghost}, 1, hInc, nil) // b pinned, waiting on ghost
-	if err := rt.DestroyObject(b); err != nil {
-		t.Fatal(err)
-	}
-	if rt.PendingMulticasts() != 0 {
-		t.Fatal("destroy left the multicast collecting a tombstone")
-	}
-	WaitQuiescence(rt)
-	if msgs := rt.CheckInvariants(true); len(msgs) != 0 {
-		t.Fatalf("invariants violated after destroy: %v", msgs)
-	}
-}
-
 func TestTraceAccounting(t *testing.T) {
 	c := newClusterNet(t, 2, 2000, nil, comm.LatencyModel{Latency: 10 * time.Microsecond, BytesPerSec: 1e9})
 	rt := c.rts[0]

@@ -143,9 +143,8 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 		fail("%d messages dropped at the %d-hop forward bound (routing cycle or lost install)",
 			d, maxForwardHops)
 	}
-	// Every loudly-lost object leaves a terminal tombstone. Destroyed
-	// objects are tombstones too, so the tombstone count is a lower bound,
-	// never less than the loss counter.
+	// Every loudly-lost object leaves a terminal tombstone, so the
+	// tombstone count is never less than the loss counter.
 	if l := rt.SwapStats().ObjectsLost; uint64(lost) < l {
 		fail("only %d objects in stLost but ObjectsLost counter = %d", lost, l)
 	}

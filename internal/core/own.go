@@ -21,7 +21,7 @@ type need uint8
 const (
 	toRun   need = iota // run a handler on it: in core, no handler or move on it
 	toEvict             // unload it: idle, in core, not pinned by a lock
-	toTake              // take it off this node for good (migrate, destroy): idle
+	toTake              // take it off this node for good (migrate): idle
 	toRead              // read it where it is (checkpoint, size refresh): idle
 )
 

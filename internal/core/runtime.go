@@ -33,11 +33,6 @@ type Config struct {
 	Store storage.Store
 	// IOWorkers is the swap I/O scheduler's worker count (<= 0 means 2).
 	IOWorkers int
-	// QueueDepth bounds the I/O scheduler's backlog: when this many
-	// requests are queued, speculative prefetch submissions are refused
-	// until the backlog drains (<= 0 means 64). Demand loads and eviction
-	// writes are never bounded.
-	QueueDepth int
 	// Retry configures transparent retry with exponential backoff for
 	// transient storage faults inside the I/O scheduler. The zero value
 	// means a single attempt per operation.
@@ -204,8 +199,8 @@ func NewRuntime(cfg Config) *Runtime {
 	}
 	clk := clock.Or(cfg.Clock)
 	mem := ooc.NewManager(cfg.Mem)
-	// Mirror every absorbed retry into the ooc layer's accounting and the
-	// event tracer, chaining any observer the caller installed.
+	// Mirror every absorbed retry into the event tracer, chaining any
+	// observer the caller installed.
 	retry := cfg.Retry
 	userRetryHook := retry.OnRetry
 	tracer := cfg.Tracer
@@ -213,7 +208,6 @@ func NewRuntime(cfg Config) *Runtime {
 		tracer = obs.NewTracer("", clk)
 	}
 	retry.OnRetry = func(key storage.Key, attempt int, err error) {
-		mem.NoteRetries(1)
 		tracer.Emit(obs.KindSwapRetry, 0, int64(attempt))
 		if userRetryHook != nil {
 			userRetryHook(key, attempt, err)
@@ -231,11 +225,10 @@ func NewRuntime(cfg Config) *Runtime {
 		mem:     mem,
 		loc:     loc,
 		io: swapio.New(cfg.Store, swapio.Config{
-			Workers:    cfg.IOWorkers,
-			QueueBound: cfg.QueueDepth,
-			Retry:      retry,
-			Tracer:     tracer,
-			Clock:      cfg.Clock,
+			Workers: cfg.IOWorkers,
+			Retry:   retry,
+			Tracer:  tracer,
+			Clock:   cfg.Clock,
 		}),
 		tracer:   tracer,
 		clk:      clk,

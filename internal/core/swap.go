@@ -320,7 +320,7 @@ func (rt *Runtime) findByOID(id ooc.ObjectID) *localObject {
 // Lock pins the object in core: it will not be selected for eviction until
 // Unlock. Locking an out-of-core object also schedules its load at demand
 // class. It reports whether the object is local — a false return means the
-// pointer lives elsewhere (or was destroyed) and nothing was pinned;
+// pointer lives elsewhere and nothing was pinned;
 // callers that require residency must check it.
 func (rt *Runtime) Lock(ptr MobilePtr) bool {
 	if !rt.IsLocal(ptr) {
@@ -344,7 +344,7 @@ func (rt *Runtime) SetPriority(ptr MobilePtr, pri int) { rt.mem.SetPriority(oid(
 
 // Prefetch schedules a speculative load of a local out-of-core object. It
 // reports whether the object is local; a false return means the pointer
-// lives on another node (or was destroyed) and no load was scheduled.
+// lives on another node and no load was scheduled.
 func (rt *Runtime) Prefetch(ptr MobilePtr) bool { return rt.wantIn(ptr, false) }
 
 // forceLoad is Prefetch at demand class — the paper's "force loading",

@@ -81,20 +81,17 @@ func (rt *Runtime) SwapErrors() []SwapError {
 	return append([]SwapError(nil), rt.swapErrs...)
 }
 
-// noteSwapError updates the counters on both the runtime and the ooc layer,
-// records the error, and invokes the application callback. Callers must not
-// hold any object lock (the callback is application code).
+// noteSwapError updates the runtime's counters, records the error, and
+// invokes the application callback. Callers must not hold any object lock
+// (the callback is application code).
 func (rt *Runtime) noteSwapError(e SwapError) {
 	if e.Op == SwapStore {
 		rt.storeFailures.Add(1)
-		rt.mem.NoteStoreFailure()
 	} else {
 		rt.loadFailures.Add(1)
-		rt.mem.NoteLoadFailure()
 	}
 	if e.Lost {
 		rt.objectsLost.Add(1)
-		rt.mem.NoteObjectLost()
 	}
 	rt.semu.Lock()
 	if len(rt.swapErrs) < maxRecordedSwapErrors {

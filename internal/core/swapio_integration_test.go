@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -17,42 +16,6 @@ func waitStoreCond(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestDestroyObjectDeletesBlob: destroying a swapped-out object must remove
-// its on-disk blob (satellite: blobs must not outlive their objects) and
-// leave a tombstone that refuses further operations.
-func TestDestroyObjectDeletesBlob(t *testing.T) {
-	rt, _ := newSwapFaultRuntime(t, storage.NewMem(), 1<<20, storage.RetryPolicy{})
-	ptr := rt.CreateObject(&testObj{Count: 3, Ballast: make([]byte, 512)})
-	if got := evictAndSettle(t, rt, ptr); got != stOut {
-		t.Fatalf("eviction settled in state %d, want stOut", got)
-	}
-	key := storeKey(ptr)
-	if !rt.io.Backing().Has(key) {
-		t.Fatal("no blob on disk after eviction")
-	}
-	if err := rt.DestroyObject(ptr); err != nil {
-		t.Fatal(err)
-	}
-	waitStoreCond(t, "blob deletion", func() bool { return !rt.io.Backing().Has(key) })
-	if err := rt.DestroyObject(ptr); !errors.Is(err, ErrObjectLost) {
-		t.Fatalf("second destroy: want ErrObjectLost, got %v", err)
-	}
-	if rt.InCore(ptr) {
-		t.Fatal("destroyed object reports in-core")
-	}
-	// Late posts to the tombstone must not wedge termination.
-	rt.Post(ptr, hInc, nil)
-	waitQuiesceOrFail(t, rt)
-}
-
-// TestDestroyObjectNotLocal: destroying an unknown pointer fails cleanly.
-func TestDestroyObjectNotLocal(t *testing.T) {
-	rt, _ := newSwapFaultRuntime(t, storage.NewMem(), 1<<20, storage.RetryPolicy{})
-	if err := rt.DestroyObject(MobilePtr{Home: 9, Seq: 42}); !errors.Is(err, ErrNotLocal) {
-		t.Fatalf("want ErrNotLocal, got %v", err)
 	}
 }
 

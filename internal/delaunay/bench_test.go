@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mrts/internal/geom"
+	"mrts/internal/mesh"
 )
 
 // BenchmarkRefineBlock builds and refines one block of about 10 000
@@ -75,7 +76,8 @@ func BenchmarkIsBad(b *testing.B) {
 		b.Fatal(err)
 	}
 	r := &refiner{m: m, opts: opts, beta: opts.qualityBound()}
-	ids := m.TriIDs()
+	var ids []mesh.TriID
+	m.ForEachTri(func(t mesh.TriID, _ mesh.Tri) { ids = append(ids, t) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if bad, _, _ := r.isBad(ids[i%len(ids)]); bad {

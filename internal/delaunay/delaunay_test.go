@@ -359,7 +359,7 @@ func TestRefineInputEncroachment(t *testing.T) {
 	// No boundary segment may remain encroached by any mesh vertex.
 	m.ForEachConstrained(func(a, b mesh.VertexID) {
 		seg := geom.Segment{A: m.Vertex(a), B: m.Vertex(b)}
-		for _, tid := range m.EdgeTriangles(a, b) {
+		for _, tid := range m.AppendEdgeTriangles(nil, a, b) {
 			tr := m.Tri(tid)
 			for k := 0; k < 3; k++ {
 				v := tr.V[k]

@@ -214,7 +214,17 @@ func killRejoin(t *testing.T, routing cluster.RoutingKind) {
 	if err := w2b.d.Restore(ck, "ck"); err != nil {
 		t.Fatalf("restore node 2: %v", err)
 	}
-	if n, want := w2b.rt.NumLocalObjects(), w2b.d.NumLocalBlocks(); n != want {
+	pl, err := meshgen.NewPlacement(distCfg(e2eNodes, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, owner := range pl.Owners {
+		if owner == 2 {
+			want++
+		}
+	}
+	if n := w2b.rt.NumLocalObjects(); n != want {
 		t.Fatalf("restored node hosts %d blocks, placement assigns %d", n, want)
 	}
 	ws[2] = w2b

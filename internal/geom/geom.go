@@ -89,22 +89,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// Expand returns r grown by d on every side.
-func (r Rect) Expand(d float64) Rect {
-	return Rect{
-		Min: Point{r.Min.X - d, r.Min.Y - d},
-		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
-}
-
 // BoundingRect returns the bounding rectangle of the given points. It panics
 // if pts is empty.
 func BoundingRect(pts []Point) Rect {
@@ -140,22 +124,4 @@ func (s Segment) DiametralContains(p Point) bool {
 	// p is inside the diametral circle iff angle(A, p, B) > 90°, i.e. the
 	// dot product (A-p)·(B-p) < 0.
 	return s.A.Sub(p).Dot(s.B.Sub(p)) < 0
-}
-
-// PointSegmentDist2 returns the squared distance from p to segment s.
-func PointSegmentDist2(p Point, s Segment) float64 {
-	ab := s.B.Sub(s.A)
-	ap := p.Sub(s.A)
-	den := ab.Dot(ab)
-	if den == 0 {
-		return p.Dist2(s.A)
-	}
-	t := ap.Dot(ab) / den
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	proj := s.A.Add(ab.Scale(t))
-	return p.Dist2(proj)
 }

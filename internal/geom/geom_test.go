@@ -58,14 +58,6 @@ func TestRect(t *testing.T) {
 	if r.Intersects(far) {
 		t.Error("Intersects should be false for disjoint rects")
 	}
-	u := r.Union(far)
-	if !u.Min.Eq(Pt(1, 2)) || !u.Max.Eq(Pt(101, 101)) {
-		t.Errorf("Union = %+v", u)
-	}
-	e := r.Expand(1)
-	if !e.Min.Eq(Pt(0, 1)) || !e.Max.Eq(Pt(4, 5)) {
-		t.Errorf("Expand = %+v", e)
-	}
 }
 
 func TestBoundingRect(t *testing.T) {
@@ -98,29 +90,6 @@ func TestSegment(t *testing.T) {
 	}
 	if s.DiametralContains(Pt(5, 5)) {
 		t.Error("far point should be outside diametral circle")
-	}
-}
-
-func TestPointSegmentDist2(t *testing.T) {
-	s := Segment{Pt(0, 0), Pt(10, 0)}
-	cases := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 3), 9},
-		{Pt(-3, 4), 25},
-		{Pt(13, 4), 25},
-		{Pt(5, 0), 0},
-	}
-	for _, c := range cases {
-		if got := PointSegmentDist2(c.p, s); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("PointSegmentDist2(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Degenerate segment behaves as a point.
-	d := Segment{Pt(1, 1), Pt(1, 1)}
-	if got := PointSegmentDist2(Pt(4, 5), d); got != 25 {
-		t.Errorf("degenerate segment dist2 = %v", got)
 	}
 }
 

@@ -173,14 +173,6 @@ func (t Triangle) MinAngle() float64 {
 	return m
 }
 
-// ContainsPoint reports whether p lies inside or on the boundary of t.
-// t must be counter-clockwise oriented.
-func (t Triangle) ContainsPoint(p Point) bool {
-	return Orient2D(t.A, t.B, p) >= 0 &&
-		Orient2D(t.B, t.C, p) >= 0 &&
-		Orient2D(t.C, t.A, p) >= 0
-}
-
 // CircumcircleContains reports whether p lies strictly inside the
 // circumcircle of t. t must be counter-clockwise oriented.
 func (t Triangle) CircumcircleContains(p Point) bool {

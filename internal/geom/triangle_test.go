@@ -104,22 +104,6 @@ func TestMinAngle(t *testing.T) {
 	}
 }
 
-func TestContainsPoint(t *testing.T) {
-	tr := Triangle{Pt(0, 0), Pt(4, 0), Pt(0, 4)}
-	if !tr.ContainsPoint(Pt(1, 1)) {
-		t.Error("interior point")
-	}
-	if !tr.ContainsPoint(Pt(2, 0)) {
-		t.Error("boundary point")
-	}
-	if !tr.ContainsPoint(Pt(0, 0)) {
-		t.Error("vertex")
-	}
-	if tr.ContainsPoint(Pt(3, 3)) {
-		t.Error("outside point")
-	}
-}
-
 func TestCircumcircleContains(t *testing.T) {
 	tr := Triangle{Pt(0, 0), Pt(2, 0), Pt(0, 2)}
 	if !tr.CircumcircleContains(Pt(1, 1)) {

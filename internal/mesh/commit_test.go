@@ -56,7 +56,7 @@ func TestCommitCavityWiringMatchesScan(t *testing.T) {
 		var p geom.Point
 		var loc Location
 		if step%5 == 4 {
-			ids := m.TriIDs()
+			ids := liveTris(m)
 			id := ids[rng.Intn(len(ids))]
 			e := rng.Intn(3)
 			tr := m.tris[id]

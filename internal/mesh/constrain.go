@@ -292,6 +292,3 @@ func (m *Mesh) findEdge(a, b VertexID) TriID {
 	}
 	return NoTri
 }
-
-// HasEdge reports whether (a, b) is an edge of the triangulation.
-func (m *Mesh) HasEdge(a, b VertexID) bool { return m.findEdge(a, b) != NoTri }

@@ -183,7 +183,3 @@ func (m *Mesh) CommitCavity() VertexID {
 	}
 	return v
 }
-
-// InsertVertexAt adds p as a vertex without touching the triangulation.
-// It is used when assembling meshes from serialized parts.
-func (m *Mesh) InsertVertexAt(p geom.Point) VertexID { return m.addVertex(p) }

@@ -106,17 +106,6 @@ func New() *Mesh {
 	}
 }
 
-// NewWithCapacity returns an empty mesh with storage preallocated for nv
-// vertices and nt triangles.
-func NewWithCapacity(nv, nt int) *Mesh {
-	m := New()
-	m.verts = make([]geom.Point, 0, nv)
-	m.vertTri = make([]TriID, 0, nv)
-	m.tris = make([]Tri, 0, nt)
-	m.flags = make([]triFlags, 0, nt)
-	return m
-}
-
 // NumVertices returns the number of vertices, including super vertices.
 func (m *Mesh) NumVertices() int { return len(m.verts) }
 
@@ -162,17 +151,6 @@ func (m *Mesh) ForEachTri(f func(TriID, Tri)) {
 			f(TriID(i), m.tris[i])
 		}
 	}
-}
-
-// TriIDs returns the IDs of all live triangles.
-func (m *Mesh) TriIDs() []TriID {
-	out := make([]TriID, 0, m.nAlive)
-	for i := range m.tris {
-		if m.live(TriID(i)) {
-			out = append(out, TriID(i))
-		}
-	}
-	return out
 }
 
 // room returns s with space for one more element, doubling a full slice.
@@ -285,10 +263,6 @@ func (m *Mesh) InitSuper(r geom.Rect) {
 	m.newTri(s0, s1, s2)
 }
 
-// SuperVertices returns the three super-vertex IDs (NoVertex if InitSuper was
-// never called).
-func (m *Mesh) SuperVertices() [3]VertexID { return m.super }
-
 // SetConstrained marks or unmarks the edge (a, b) as constrained. The edge is
 // not required to be present in the triangulation (PCDM marks subdomain
 // boundary segments before recovery).
@@ -346,16 +320,6 @@ func (m *Mesh) ForEachConstrained(f func(a, b VertexID)) {
 	for k := range m.constrained {
 		f(k.a, k.b)
 	}
-}
-
-// Neighbor returns the triangle adjacent to t across the edge (a, b), or
-// NoTri.
-func (m *Mesh) Neighbor(t TriID, a, b VertexID) TriID {
-	i := m.edgeIndex(t, a, b)
-	if i < 0 {
-		return NoTri
-	}
-	return m.tris[t].N[i]
 }
 
 // IncidentTri returns some live triangle incident to v, or NoTri.

@@ -164,7 +164,7 @@ func TestPropertyRandomOpsKeepInvariants(t *testing.T) {
 				}
 			case "split":
 				// Any edge between real vertices, constrained or not.
-				ids := m.TriIDs()
+				ids := liveTris(m)
 				tr := m.Tri(ids[rng.Intn(len(ids))])
 				e := rng.Intn(3)
 				a, b := tr.V[e], tr.V[(e+1)%3]
@@ -258,7 +258,11 @@ func TestInsertPointSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	m := NewWithCapacity(4096, 8192)
+	m := New()
+	m.verts = make([]geom.Point, 0, 4096)
+	m.vertTri = make([]TriID, 0, 4096)
+	m.tris = make([]Tri, 0, 8192)
+	m.flags = make([]triFlags, 0, 8192)
 	m.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
 	rng := rand.New(rand.NewSource(7))
 	hint := NoTri
@@ -275,6 +279,13 @@ func TestInsertPointSteadyStateAllocatesNothing(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, insert); avg != 0 {
 		t.Errorf("InsertPoint allocates %v times per call on a warmed mesh, want 0", avg)
 	}
+}
+
+// liveTris returns the IDs of all live triangles.
+func liveTris(m *Mesh) []TriID {
+	var out []TriID
+	m.ForEachTri(func(t TriID, _ Tri) { out = append(out, t) })
+	return out
 }
 
 // bytesBuffer is a minimal io.ReadWriter for the round-trip test.

@@ -48,14 +48,9 @@ func (m *Mesh) HullPoints(start VertexID) ([]geom.Point, error) {
 	}
 }
 
-// IncidentTriangles returns all live triangles incident to v, in ring order
-// (open fans at the hull are still fully covered). Returns nil if v has no
-// incident triangle.
-func (m *Mesh) IncidentTriangles(v VertexID) []TriID {
-	return m.AppendIncidentTriangles(nil, v)
-}
-
-// AppendIncidentTriangles appends to dst what IncidentTriangles(v) returns.
+// AppendIncidentTriangles appends to dst all live triangles incident to v,
+// in ring order (open fans at the hull are still fully covered). It appends
+// nothing if v has no incident triangle.
 func (m *Mesh) AppendIncidentTriangles(dst []TriID, v VertexID) []TriID {
 	start := m.IncidentTri(v)
 	if start == NoTri {
@@ -68,13 +63,9 @@ func (m *Mesh) AppendIncidentTriangles(dst []TriID, v VertexID) []TriID {
 	return ring
 }
 
-// EdgeTriangles returns the one or two live triangles having edge (a, b).
-// Returns nil if (a, b) is not an edge of the triangulation.
-func (m *Mesh) EdgeTriangles(a, b VertexID) []TriID {
-	return m.AppendEdgeTriangles(nil, a, b)
-}
-
-// AppendEdgeTriangles appends to dst what EdgeTriangles(a, b) returns.
+// AppendEdgeTriangles appends to dst the one or two live triangles having
+// edge (a, b). It appends nothing if (a, b) is not an edge of the
+// triangulation.
 func (m *Mesh) AppendEdgeTriangles(dst []TriID, a, b VertexID) []TriID {
 	t := m.findEdge(a, b)
 	if t == NoTri {
@@ -87,10 +78,4 @@ func (m *Mesh) AppendEdgeTriangles(dst []TriID, a, b VertexID) []TriID {
 		}
 	}
 	return dst
-}
-
-// VertexDegree returns the number of triangles incident to v.
-func (m *Mesh) VertexDegree(v VertexID) int {
-	var buf [ringBuf]TriID
-	return len(m.AppendIncidentTriangles(buf[:0], v))
 }

@@ -111,6 +111,26 @@ func TestOUPDRIfaceRejectsMalformedPayload(t *testing.T) {
 	}
 }
 
+// The first byte of an interface payload names the edge it carries: 0 for the
+// left, 1 for the bottom. Any other side byte must fail the run, even when
+// the points equal the block's bottom edge: the payload reaches Dist nodes
+// over TCP, so the handler is what checks it.
+func TestOUPDRIfaceRejectsUnknownSide(t *testing.T) {
+	rt := distCluster(t, 1, 1<<30).RT(0)
+	sh := newBlockShared(2)
+	registerBlockHandlers(rt, sh)
+	bottom := []geom.Point{geom.Pt(0, 0.5), geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.5)}
+	ptr := rt.CreateObject(&blockObj{Rect: blockRect(2, 0, 1), MeshData: []byte{1}, Bottom: bottom})
+	rt.Post(ptr, hBlockIface, append([]byte{2}, encodePoints(bottom)...))
+	core.WaitQuiescence(rt)
+	if err := sh.meshErr.take(); err == nil {
+		t.Fatal("side byte 2 passed as the bottom edge, want an error")
+	}
+	if n := sh.mismatch.Load(); n != 0 {
+		t.Errorf("mismatches = %d, want 0", n)
+	}
+}
+
 // A wiring payload that does not carry four neighbor pointers must fail the
 // run instead of leaving the subdomain to refine unwired.
 func TestOPCDMWireRejectsMalformedPayload(t *testing.T) {

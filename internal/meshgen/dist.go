@@ -231,17 +231,6 @@ func (d *Dist) CreateBlocks() error {
 	return nil
 }
 
-// NumLocalBlocks returns how many blocks the placement assigns this node.
-func (d *Dist) NumLocalBlocks() int {
-	n := 0
-	for _, o := range d.owners {
-		if o == core.NodeID(d.cfg.Node) {
-			n++
-		}
-	}
-	return n
-}
-
 // PostPhase posts the mesh kick-off to this node's blocks of phase k (block
 // order index k mod Phases). Every process must post the same phase, then
 // call WaitPhase — the phases are global barriers.
@@ -379,6 +368,9 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 		if o.Elements != rec.Elements {
 			return restored{}, fmt.Errorf("meshgen: restore block (%d,%d): payload has %d elements, index says %d",
 				i, j, o.Elements, rec.Elements)
+		}
+		if pi, pj := gridIJ(o.Rect, nb); pi != i || pj != j {
+			return restored{}, fmt.Errorf("meshgen: restore block (%d,%d): payload is block (%d,%d)", i, j, pi, pj)
 		}
 		return restored{o, size}, nil
 	}, func(k int, r restored) error {

@@ -110,15 +110,21 @@ func TestRestoreFromStoreOntoOneTwoThreeNodes(t *testing.T) {
 				if err := d.RestoreFromStore(st); err != nil {
 					t.Fatal(err)
 				}
-				if got, want := d.rt.NumLocalObjects(), d.NumLocalBlocks(); got != want {
-					t.Fatalf("node %d holds %d objects, placement gives it %d", i, got, want)
+				mine := 0
+				for _, owner := range d.owners {
+					if owner == core.NodeID(i) {
+						mine++
+					}
+				}
+				if got := d.rt.NumLocalObjects(); got != mine {
+					t.Fatalf("node %d holds %d objects, placement gives it %d", i, got, mine)
 				}
 				for idx, owner := range d.owners {
 					if owner == core.NodeID(i) && !d.rt.IsLocal(d.ptrs[idx]) {
 						t.Fatalf("node %d: predicted pointer %v of block %d is not local", i, d.ptrs[idx], idx)
 					}
 				}
-				blocks += d.NumLocalBlocks()
+				blocks += mine
 			}
 			if blocks != man.Blocks() {
 				t.Fatalf("restored %d blocks, store has %d", blocks, man.Blocks())
@@ -185,6 +191,47 @@ func TestRestoreFromStoreNamesFirstBadBlock(t *testing.T) {
 	}
 	if got := d.rt.NumLocalObjects(); got != 4 {
 		t.Fatalf("restore created %d blocks, want the 4 before the bad one", got)
+	}
+}
+
+// TestRestoreFromStoreRejectsMisplacedPayload: a store whose key for block
+// (1,0) holds block (0,0)'s payload must not restore. The element count
+// matches the index, but the payload's rectangle names another block, and
+// creating it at (1,0)'s pointer would wire it to (1,0)'s neighbours.
+func TestRestoreFromStoreRejectsMisplacedPayload(t *testing.T) {
+	dir, man := distStore(t)
+	src := openStore(t, dir)
+	bad := t.TempDir()
+	w, err := meshstore.NewWriter(meshstore.WriterConfig{Dir: bad, Meta: man.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := man.Meta.Blocks
+	for j := 0; j < nb; j++ {
+		for i := 0; i < nb; i++ {
+			from := meshstore.BlockKey(i, j)
+			if i == 1 && j == 0 {
+				from = meshstore.BlockKey(0, 0)
+			}
+			payload, rec, err := src.Payload(from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(meshstore.BlockKey(i, j), i, j, rec.Elements, rec.Hash, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	ds := distOn(t, distCluster(t, 1, 1<<30), man.Meta)
+	err = ds[0].RestoreFromStore(openStore(t, bad))
+	if err == nil {
+		t.Fatal("restored block (0,0)'s payload as block (1,0)")
+	}
+	if !strings.Contains(err.Error(), "restore block (1,0)") {
+		t.Fatalf("err = %v, want it to name block (1,0)", err)
 	}
 }
 

@@ -204,8 +204,11 @@ func rawOf(t testing.TB, data []byte) rawMesh {
 	for v := 0; v < m.NumVertices(); v++ {
 		r.verts = append(r.verts, m.Vertex(mesh.VertexID(v)))
 	}
-	for i, s := range m.SuperVertices() {
-		r.super[i] = int32(s)
+	// Decoding keeps no public record of the super vertex ids; they follow
+	// the points on the wire.
+	off := 12 + 16*m.NumVertices()
+	for i := range r.super {
+		r.super[i] = int32(binary.LittleEndian.Uint32(data[off+4*i:]))
 	}
 	m.ForEachTri(func(_ mesh.TriID, tr mesh.Tri) {
 		r.tris = append(r.tris, [3]int32{int32(tr.V[0]), int32(tr.V[1]), int32(tr.V[2])})

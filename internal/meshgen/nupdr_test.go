@@ -33,8 +33,9 @@ func TestBuildLeafTreeBalanced(t *testing.T) {
 	}
 	for _, leaf := range tree.Leaves() {
 		for _, nb := range tree.Neighbors(leaf) {
-			d := tree.Depth(nb) - tree.Depth(leaf)
-			if d > 1 || d < -1 {
+			// Leaf widths halve per level, so 2:1 balance caps their ratio.
+			r := tree.Bounds(nb).W() / tree.Bounds(leaf).W()
+			if r > 2 || r < 0.5 {
 				t.Fatal("leaf tree not 2:1 balanced")
 			}
 		}

@@ -394,12 +394,18 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 }
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this
-// block's own edge points. A payload it cannot read is an error, not a pass:
-// the interface it carried was never checked.
+// block's own edge points. The payload's first byte names the edge: 0 for
+// the left, 1 for the bottom. A payload it cannot read, or one naming any
+// other edge, is an error, not a pass: the interface it carried was never
+// checked.
 func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) error {
 	if len(arg) < 1 {
 		i, j := gridIJ(o.Rect, sh.nb)
 		return fmt.Errorf("meshgen: block (%d,%d): empty interface payload", i, j)
+	}
+	if arg[0] > 1 {
+		i, j := gridIJ(o.Rect, sh.nb)
+		return fmt.Errorf("meshgen: block (%d,%d): interface payload names side %d", i, j, arg[0])
 	}
 	if o.IfaceNeeded > 0 {
 		o.IfaceNeeded--
@@ -412,16 +418,13 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) er
 		o.Pending = append(o.Pending, arg)
 		return nil
 	}
-	side := arg[0]
 	pts, err := decodePoints(arg[1:])
 	if err != nil {
 		i, j := gridIJ(o.Rect, sh.nb)
 		return fmt.Errorf("meshgen: block (%d,%d): interface payload: %w", i, j, err)
 	}
-	var mine []geom.Point
-	if side == 0 {
-		mine = o.Left
-	} else {
+	mine := o.Left
+	if arg[0] == 1 {
 		mine = o.Bottom
 	}
 	if !samePoints(mine, pts) {

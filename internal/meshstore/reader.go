@@ -190,12 +190,6 @@ func (s *Store) Partial() bool { return s.man.Partial }
 // MeshHash returns the run-wide combined hash ("" when partial).
 func (s *Store) MeshHash() string { return s.man.MeshHash }
 
-// Record returns the index entry for a block key.
-func (s *Store) Record(key string) (Record, bool) {
-	loc, ok := s.index[key]
-	return loc.rec, ok
-}
-
 // Payload reads, decodes, and digest-verifies one block's payload into a
 // slice of the caller's own.
 func (s *Store) Payload(key string) ([]byte, Record, error) {

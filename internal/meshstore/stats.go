@@ -1,10 +1,6 @@
 package meshstore
 
-import (
-	"sync/atomic"
-
-	"mrts/internal/obs"
-)
+import "sync/atomic"
 
 // Package-wide counters for the export/restore data path. They are
 // process-global (like the bufpool counters): every writer and store in
@@ -41,30 +37,4 @@ func Snapshot() Stats {
 		BlocksRestored: statBlocksRestored.Load(),
 		VerifyErrors:   statVerifyErrors.Load(),
 	}
-}
-
-// ResetStats zeroes the package counters (bench cells measure deltas).
-func ResetStats() {
-	statBlocksWritten.Store(0)
-	statBytesWritten.Store(0)
-	statRawBytes.Store(0)
-	statBlocksRead.Store(0)
-	statBytesRead.Store(0)
-	statBlocksRestored.Store(0)
-	statVerifyErrors.Store(0)
-}
-
-// RegisterMetrics exposes the package counters as meshstore.* gauges on a
-// metrics registry.
-func RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("meshstore.blocks_written", func() float64 { return float64(statBlocksWritten.Load()) })
-	reg.Gauge("meshstore.bytes_written", func() float64 { return float64(statBytesWritten.Load()) })
-	reg.Gauge("meshstore.raw_bytes", func() float64 { return float64(statRawBytes.Load()) })
-	reg.Gauge("meshstore.blocks_read", func() float64 { return float64(statBlocksRead.Load()) })
-	reg.Gauge("meshstore.bytes_read", func() float64 { return float64(statBytesRead.Load()) })
-	reg.Gauge("meshstore.blocks_restored", func() float64 { return float64(statBlocksRestored.Load()) })
-	reg.Gauge("meshstore.verify_errors", func() float64 { return float64(statVerifyErrors.Load()) })
 }

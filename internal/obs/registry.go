@@ -1,51 +1,21 @@
 package obs
 
-import (
-	"encoding/json"
-	"io"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Registry is the unified metrics surface: named counters (monotonic,
-// incremented by the instrumented code), gauges (read-through functions,
-// how trace.Collector / ooc.Stats / SwapStats are subsumed without copying
-// their state) and settable values (for harness-level results). A Snapshot
-// flattens all three into one map with delta semantics and JSON output.
+// Registry is the unified metrics surface: named read-through gauges (how
+// ooc.Stats, SwapStats and the swap I/O counters are published without
+// copying their state), flattened by Snapshot into one map.
 //
 // All methods are safe for concurrent use and safe on a nil receiver, so
 // instrumented layers can accept an optional registry without branching.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]func() float64
-	values   map[string]float64
+	mu     sync.Mutex
+	gauges map[string]func() float64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() float64),
-		values:   make(map[string]float64),
-	}
-}
-
-// Counter returns the counter registered under name, creating it on first
-// use. Returns nil (a usable no-op) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return &Registry{gauges: make(map[string]func() float64)}
 }
 
 // Gauge registers a read-through gauge. The function is called at every
@@ -60,96 +30,28 @@ func (r *Registry) Gauge(name string, f func() float64) {
 	r.mu.Unlock()
 }
 
-// Set stores a value under name (harness-level results: speeds, overlaps,
-// elapsed times).
-func (r *Registry) Set(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.values[name] = v
-	r.mu.Unlock()
-}
-
-// Snapshot flattens every counter, gauge and value into one map. Gauges
-// are evaluated outside the registry lock order guarantees of their own
-// state; a gauge must not call back into this registry.
+// Snapshot evaluates every gauge into one map. Gauges are called outside
+// the registry lock; a gauge must not call back into this registry.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	out := make(Snapshot, len(r.counters)+len(r.gauges)+len(r.values))
 	type namedGauge struct {
 		name string
 		f    func() float64
 	}
 	gauges := make([]namedGauge, 0, len(r.gauges))
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
-	}
-	for name, v := range r.values {
-		out[name] = v
-	}
 	for name, f := range r.gauges {
 		gauges = append(gauges, namedGauge{name, f})
 	}
 	r.mu.Unlock()
+	out := make(Snapshot, len(gauges))
 	for _, g := range gauges {
 		out[g.name] = g.f()
 	}
 	return out
 }
 
-// Counter is a monotonic counter handle. The nil counter is a no-op.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Snapshot is a point-in-time flattening of a registry.
 type Snapshot map[string]float64
-
-// Delta returns s minus prev, key by key; keys absent from prev are taken
-// as zero, and keys absent from s are omitted. This gives per-interval
-// readings from cumulative counters.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := make(Snapshot, len(s))
-	for k, v := range s {
-		out[k] = v - prev[k]
-	}
-	return out
-}
-
-// Keys returns the snapshot's keys sorted.
-func (s Snapshot) Keys() []string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// WriteJSON writes the snapshot as an indented JSON object. encoding/json
-// sorts map keys, so the output is deterministic and diffable.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}

@@ -1,48 +1,29 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
 
 func TestNilRegistryIsInert(t *testing.T) {
 	var r *Registry
-	r.Counter("x").Inc() // no panic
-	r.Gauge("g", func() float64 { return 1 })
-	r.Set("v", 2)
+	r.Gauge("g", func() float64 { return 1 }) // no panic
 	if len(r.Snapshot()) != 0 {
 		t.Fatal("nil registry produced a snapshot")
 	}
 }
 
-func TestRegistrySnapshotAndDelta(t *testing.T) {
+func TestRegistrySnapshotReadsGauges(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("swap.evictions")
-	c.Add(3)
-	gauge := 7.0
-	r.Gauge("mem.used", func() float64 { return gauge })
-	r.Set("bench.speed", 1200)
-
-	s1 := r.Snapshot()
-	if s1["swap.evictions"] != 3 || s1["mem.used"] != 7 || s1["bench.speed"] != 1200 {
-		t.Fatalf("snapshot wrong: %v", s1)
+	used := 7.0
+	r.Gauge("mem.used", func() float64 { return used })
+	if s := r.Snapshot(); s["mem.used"] != 7 {
+		t.Fatalf("snapshot = %v, want mem.used 7", s)
 	}
-
-	c.Inc()
-	gauge = 11
-	s2 := r.Snapshot()
-	d := s2.Delta(s1)
-	if d["swap.evictions"] != 1 || d["mem.used"] != 4 || d["bench.speed"] != 0 {
-		t.Fatalf("delta wrong: %v", d)
-	}
-}
-
-func TestRegistryCounterIdempotent(t *testing.T) {
-	r := NewRegistry()
-	if r.Counter("a") != r.Counter("a") {
-		t.Fatal("Counter returned distinct handles for one name")
+	used = 11
+	if s := r.Snapshot(); s["mem.used"] != 11 {
+		t.Fatalf("snapshot = %v, want the gauge read again (11)", s)
 	}
 }
 
@@ -54,32 +35,20 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Counter("hits").Inc()
-				r.Set("last", float64(i))
+				v := float64(i)
+				r.Gauge(fmt.Sprintf("g%d", g), func() float64 { return v })
 				_ = r.Snapshot()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := r.Snapshot()["hits"]; got != 8*200 {
-		t.Fatalf("hits = %v, want %d", got, 8*200)
+	s := r.Snapshot()
+	if len(s) != 8 {
+		t.Fatalf("snapshot has %d gauges, want 8", len(s))
 	}
-}
-
-func TestSnapshotWriteJSON(t *testing.T) {
-	s := Snapshot{"b": 2, "a": 1.5}
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]float64
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back["a"] != 1.5 || back["b"] != 2 {
-		t.Fatalf("round trip wrong: %v", back)
-	}
-	if got := s.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Keys = %v", got)
+	for g := 0; g < 8; g++ {
+		if got := s[fmt.Sprintf("g%d", g)]; got != 199 {
+			t.Fatalf("g%d = %v, want the last registration's 199", g, got)
+		}
 	}
 }

@@ -44,15 +44,6 @@ const (
 // Policies lists all supported eviction policies.
 func Policies() []Policy { return []Policy{LRU, LFU, MRU, MU, LU} }
 
-// Valid reports whether p is a known policy.
-func (p Policy) Valid() bool {
-	switch p {
-	case LRU, LFU, MRU, MU, LU:
-		return true
-	}
-	return false
-}
-
 // Config configures a Manager.
 type Config struct {
 	// Budget is the node's memory budget in bytes for mobile objects.
@@ -139,14 +130,6 @@ type Stats struct {
 	MemUsed     int64
 	MemBudget   int64
 	PeakMemUsed int64
-
-	// Swap-path failure accounting, reported into the manager by the
-	// runtime (the ooc layer decides residency; the control layer observes
-	// the I/O outcomes).
-	LoadFailures  uint64 // loads that failed after retry (incl. decode)
-	StoreFailures uint64 // eviction writes that failed after retry
-	Retries       uint64 // transient I/O faults absorbed by the retry layer
-	ObjectsLost   uint64 // objects made unreachable by a failed load
 }
 
 // Manager is the residency manager for one node. It is safe for concurrent
@@ -178,11 +161,6 @@ type Manager struct {
 	largestStored int64 // largest object ever written to disk
 	evictions     uint64
 	loads         uint64
-
-	loadFailures  uint64
-	storeFailures uint64
-	retries       uint64
-	objectsLost   uint64
 }
 
 // NewManager returns a manager with the given configuration.
@@ -449,26 +427,11 @@ func (m *Manager) addUsed(n int64) {
 	}
 }
 
-// HardThreshold returns the current hard swapping threshold in bytes:
+// hardThresholdLocked returns the hard swapping threshold in bytes:
 // HardMultiple × the largest object stored so far. Allocations that would
 // leave less than this amount free force eviction.
-func (m *Manager) HardThreshold() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hardThresholdLocked()
-}
-
 func (m *Manager) hardThresholdLocked() int64 {
 	return int64(m.cfg.HardMultiple * float64(m.largestStored))
-}
-
-// SoftBreached reports whether free memory has dropped below the soft
-// threshold (SoftFraction × Budget): the advisory signal to start swapping.
-func (m *Manager) SoftBreached() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	free := m.cfg.Budget - m.used
-	return float64(free) < m.cfg.SoftFraction*float64(m.cfg.Budget)
 }
 
 // NeedForSoft returns how many bytes must be evicted to bring free memory
@@ -655,16 +618,6 @@ func (m *Manager) SuggestPrefetchRanked(limit int) []Candidate {
 	return out
 }
 
-// SuggestPrefetch returns just the object IDs of SuggestPrefetchRanked.
-func (m *Manager) SuggestPrefetch(limit int) []ObjectID {
-	ranked := m.SuggestPrefetchRanked(limit)
-	out := make([]ObjectID, len(ranked))
-	for i, c := range ranked {
-		out[i] = c.ID
-	}
-	return out
-}
-
 // SetStoredSize records the serialized size of an object whose bytes just
 // hit (or are about to hit) the store: the size its reload will re-admit,
 // and the input to the largest-stored-object tracking behind the hard
@@ -689,50 +642,18 @@ func (m *Manager) SetStoredSize(id ObjectID, size int64) {
 	}
 }
 
-// NoteLoadFailure records a load (or decode) that failed after retry.
-func (m *Manager) NoteLoadFailure() {
-	m.mu.Lock()
-	m.loadFailures++
-	m.mu.Unlock()
-}
-
-// NoteStoreFailure records an eviction write that failed after retry.
-func (m *Manager) NoteStoreFailure() {
-	m.mu.Lock()
-	m.storeFailures++
-	m.mu.Unlock()
-}
-
-// NoteObjectLost records an object made unreachable by a failed load.
-func (m *Manager) NoteObjectLost() {
-	m.mu.Lock()
-	m.objectsLost++
-	m.mu.Unlock()
-}
-
-// NoteRetries records n transient I/O faults absorbed by the retry layer.
-func (m *Manager) NoteRetries(n uint64) {
-	m.mu.Lock()
-	m.retries += n
-	m.mu.Unlock()
-}
-
 // Snapshot returns current statistics.
 func (m *Manager) Snapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return Stats{
-		Evictions:     m.evictions,
-		Loads:         m.loads,
-		InCore:        len(m.resident),
-		OutOfCore:     len(m.entries) - len(m.resident),
-		MemUsed:       m.used,
-		MemBudget:     m.cfg.Budget,
-		PeakMemUsed:   m.peak,
-		LoadFailures:  m.loadFailures,
-		StoreFailures: m.storeFailures,
-		Retries:       m.retries,
-		ObjectsLost:   m.objectsLost,
+		Evictions:   m.evictions,
+		Loads:       m.loads,
+		InCore:      len(m.resident),
+		OutOfCore:   len(m.entries) - len(m.resident),
+		MemUsed:     m.used,
+		MemBudget:   m.cfg.Budget,
+		PeakMemUsed: m.peak,
 	}
 }
 
@@ -797,7 +718,6 @@ func (m *Manager) CheckInvariants() []string {
 // String implements fmt.Stringer for the report printers.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"evictions %d loads %d in-core %d out-of-core %d mem %d/%d (peak %d) retries %d load-fail %d store-fail %d lost %d",
-		s.Evictions, s.Loads, s.InCore, s.OutOfCore, s.MemUsed, s.MemBudget, s.PeakMemUsed,
-		s.Retries, s.LoadFailures, s.StoreFailures, s.ObjectsLost)
+		"evictions %d loads %d in-core %d out-of-core %d mem %d/%d (peak %d)",
+		s.Evictions, s.Loads, s.InCore, s.OutOfCore, s.MemUsed, s.MemBudget, s.PeakMemUsed)
 }

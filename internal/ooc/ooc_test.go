@@ -11,17 +11,6 @@ func newMgr(policy Policy, budget int64) *Manager {
 	return NewManager(Config{Budget: budget, Policy: policy})
 }
 
-func TestPoliciesValid(t *testing.T) {
-	for _, p := range Policies() {
-		if !p.Valid() {
-			t.Errorf("policy %q should be valid", p)
-		}
-	}
-	if Policy("bogus").Valid() {
-		t.Error("bogus policy should be invalid")
-	}
-}
-
 func TestRegisterAccounting(t *testing.T) {
 	m := newMgr(LRU, 1000)
 	if err := m.Register(1, 300); err != nil {
@@ -215,13 +204,13 @@ func TestQueueLenBias(t *testing.T) {
 
 func TestHardThreshold(t *testing.T) {
 	m := NewManager(Config{Budget: 1000, HardMultiple: 2})
-	if m.HardThreshold() != 0 {
+	if m.hardThresholdLocked() != 0 {
 		t.Fatal("no stored objects: threshold 0")
 	}
 	m.Register(1, 300)
 	m.MarkOut(1) // largest stored = 300 → hard threshold 600
-	if got := m.HardThreshold(); got != 600 {
-		t.Fatalf("HardThreshold = %d, want 600", got)
+	if got := m.hardThresholdLocked(); got != 600 {
+		t.Fatalf("hard threshold = %d, want 600", got)
 	}
 	// Allocation limit = budget - threshold = 400.
 	if need := m.NeedForAlloc(400); need != 0 {
@@ -234,15 +223,15 @@ func TestHardThreshold(t *testing.T) {
 
 func TestSoftThreshold(t *testing.T) {
 	m := NewManager(Config{Budget: 1000, SoftFraction: 0.5})
-	if m.SoftBreached() {
+	if m.NeedForSoft() != 0 {
 		t.Fatal("empty manager should not breach soft threshold")
 	}
 	m.Register(1, 400)
-	if m.SoftBreached() {
+	if m.NeedForSoft() != 0 {
 		t.Fatal("400/1000 used: free 600 >= 500")
 	}
 	m.Register(2, 200)
-	if !m.SoftBreached() {
+	if m.NeedForSoft() == 0 {
 		t.Fatal("600/1000 used: free 400 < 500 should breach")
 	}
 }
@@ -256,19 +245,19 @@ func TestSuggestPrefetch(t *testing.T) {
 	m.SetQueueLen(2, 3)
 	m.SetQueueLen(3, 7)
 	m.SetPriority(4, 1)
-	got := m.SuggestPrefetch(2)
-	if len(got) != 2 || got[0] != 3 || got[1] != 2 {
-		t.Fatalf("SuggestPrefetch = %v, want [3 2]", got)
+	got := m.SuggestPrefetchRanked(2)
+	if len(got) != 2 || got[0].ID != 3 || got[1].ID != 2 {
+		t.Fatalf("SuggestPrefetchRanked(2) = %v, want IDs [3 2]", got)
 	}
-	all := m.SuggestPrefetch(0)
+	all := m.SuggestPrefetchRanked(0)
 	if len(all) != 3 {
-		t.Fatalf("SuggestPrefetch(0) = %v, want 3 entries", all)
+		t.Fatalf("SuggestPrefetchRanked(0) = %v, want 3 entries", all)
 	}
 	// In-core objects are never suggested.
 	m.MarkIn(3)
-	got = m.SuggestPrefetch(10)
-	for _, id := range got {
-		if id == 3 {
+	got = m.SuggestPrefetchRanked(10)
+	for _, c := range got {
+		if c.ID == 3 {
 			t.Fatal("in-core object suggested for prefetch")
 		}
 	}
@@ -334,7 +323,7 @@ func TestConcurrentSafety(t *testing.T) {
 					m.MarkIn(id)
 				}
 				m.PickVictims(50)
-				m.SuggestPrefetch(4)
+				m.SuggestPrefetchRanked(4)
 			}
 		}(g)
 	}

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestSuggestPrefetchRacesEviction hammers SuggestPrefetch while other
+// TestSuggestPrefetchRacesEviction hammers SuggestPrefetchRanked while other
 // goroutines flip residency, queue pressure, and registration underneath it —
 // the shape of a prefetch scan running concurrently with the eviction path.
 // Run under -race; the assertions check the suggestions stay well-formed
@@ -44,7 +44,7 @@ func TestSuggestPrefetchRacesEviction(t *testing.T) {
 	}()
 
 	// Message pressure: queue lengths and touches churn the ranking keys
-	// SuggestPrefetch sorts by.
+	// SuggestPrefetchRanked sorts by.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -84,16 +84,16 @@ func TestSuggestPrefetchRacesEviction(t *testing.T) {
 
 	const limit = 8
 	for i := 0; i < 3000; i++ {
-		got := m.SuggestPrefetch(limit)
+		got := m.SuggestPrefetchRanked(limit)
 		if len(got) > limit {
-			t.Fatalf("SuggestPrefetch returned %d ids, limit %d", len(got), limit)
+			t.Fatalf("SuggestPrefetchRanked returned %d ids, limit %d", len(got), limit)
 		}
 		seen := make(map[ObjectID]bool, len(got))
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("duplicate suggestion %d in %v", id, got)
+		for _, c := range got {
+			if seen[c.ID] {
+				t.Fatalf("duplicate suggestion %d in %v", c.ID, got)
 			}
-			seen[id] = true
+			seen[c.ID] = true
 		}
 		if i%500 == 0 {
 			m.PickVictims(512) // the eviction scan itself joins the race
@@ -113,8 +113,8 @@ func TestSuggestPrefetchRacesEviction(t *testing.T) {
 	m.SetQueueLen(1, 3)
 	m.MarkOut(2)
 	m.SetPriority(2, 1)
-	got := m.SuggestPrefetch(2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("SuggestPrefetch ranking = %v, want [1 2]", got)
+	got := m.SuggestPrefetchRanked(2)
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
+		t.Fatalf("SuggestPrefetchRanked ranking = %v, want IDs [1 2]", got)
 	}
 }

@@ -6,10 +6,7 @@
 package quadtree
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"mrts/internal/geom"
@@ -57,29 +54,11 @@ func New(bounds geom.Rect) *Tree {
 	return t
 }
 
-// Root returns the root node ID.
-func (t *Tree) Root() NodeID { return 0 }
-
-// NumNodes returns the total number of nodes (leaves and internal).
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // NumLeaves returns the number of leaves.
 func (t *Tree) NumLeaves() int { return t.nLeaves }
 
-// IsLeaf reports whether n is a leaf.
-func (t *Tree) IsLeaf(n NodeID) bool { return t.nodes[n].isLeaf() }
-
 // Bounds returns the rectangle covered by n.
 func (t *Tree) Bounds(n NodeID) geom.Rect { return t.nodes[n].bounds }
-
-// Depth returns the depth of n (root is 0).
-func (t *Tree) Depth(n NodeID) int { return int(t.nodes[n].depth) }
-
-// Parent returns the parent of n, or NoNode for the root.
-func (t *Tree) Parent(n NodeID) NodeID { return t.nodes[n].parent }
-
-// Children returns the four children of n (all NoNode for a leaf).
-func (t *Tree) Children(n NodeID) [4]NodeID { return t.nodes[n].child }
 
 // Split subdivides leaf n into four quadrant children and returns them in
 // SW, SE, NW, NE order. Split panics if n is not a leaf.
@@ -123,34 +102,6 @@ func (t *Tree) Leaves() []NodeID {
 	return out
 }
 
-// LeafAt descends from the root to the leaf containing p. Returns NoNode if
-// p is outside the root bounds.
-func (t *Tree) LeafAt(p geom.Point) NodeID {
-	if !t.nodes[0].bounds.Contains(p) {
-		return NoNode
-	}
-	n := NodeID(0)
-	for !t.nodes[n].isLeaf() {
-		c := t.nodes[n].bounds.Center()
-		var q int
-		if p.X < c.X {
-			if p.Y < c.Y {
-				q = SW
-			} else {
-				q = NW
-			}
-		} else {
-			if p.Y < c.Y {
-				q = SE
-			} else {
-				q = NE
-			}
-		}
-		n = t.nodes[n].child[q]
-	}
-	return n
-}
-
 // Neighbors returns the leaves adjacent to leaf n: every other leaf whose
 // rectangle touches n's rectangle (sharing an edge or a corner). This is the
 // buffer zone BUF of the NUPDR method.
@@ -166,26 +117,6 @@ func (t *Tree) Neighbors(n NodeID) []NodeID {
 			if m != n {
 				out = append(out, m)
 			}
-			return
-		}
-		for _, c := range t.nodes[m].child {
-			walk(c)
-		}
-	}
-	walk(0)
-	return out
-}
-
-// LeavesIn returns all leaves intersecting r.
-func (t *Tree) LeavesIn(r geom.Rect) []NodeID {
-	var out []NodeID
-	var walk func(NodeID)
-	walk = func(m NodeID) {
-		if !t.nodes[m].bounds.Intersects(r) {
-			return
-		}
-		if t.nodes[m].isLeaf() {
-			out = append(out, m)
 			return
 		}
 		for _, c := range t.nodes[m].child {
@@ -247,93 +178,4 @@ func (t *Tree) Balance() int {
 			}
 		}
 	}
-}
-
-// EncodedSize returns the number of bytes EncodeTo writes.
-func (t *Tree) EncodedSize() int { return 8 + len(t.nodes)*(32+4+16+4) }
-
-// EncodeTo writes a binary encoding of the tree.
-func (t *Tree) EncodeTo(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], 0x51544545) // "QTEE"
-	binary.LittleEndian.PutUint32(b[4:8], uint32(len(t.nodes)))
-	if _, err := bw.Write(b[:8]); err != nil {
-		return err
-	}
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		for _, f := range []float64{n.bounds.Min.X, n.bounds.Min.Y, n.bounds.Max.X, n.bounds.Max.Y} {
-			binary.LittleEndian.PutUint64(b[:8], math.Float64bits(f))
-			if _, err := bw.Write(b[:8]); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint32(b[:4], uint32(n.parent))
-		if _, err := bw.Write(b[:4]); err != nil {
-			return err
-		}
-		for _, c := range n.child {
-			binary.LittleEndian.PutUint32(b[:4], uint32(c))
-			if _, err := bw.Write(b[:4]); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint32(b[:4], uint32(n.depth))
-		if _, err := bw.Write(b[:4]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// DecodeFrom replaces the tree with one read from r.
-func (t *Tree) DecodeFrom(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var b [8]byte
-	if _, err := io.ReadFull(br, b[:8]); err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint32(b[:4]) != 0x51544545 {
-		return fmt.Errorf("quadtree: bad magic")
-	}
-	n := int(binary.LittleEndian.Uint32(b[4:8]))
-	// Bound the untrusted node count: a corrupted prefix could otherwise
-	// demand a multi-gigabyte allocation before the short read is noticed.
-	const maxDecodeNodes = 1 << 24
-	if n > maxDecodeNodes {
-		return fmt.Errorf("quadtree: node count %d exceeds limit %d (corrupt blob?)", n, maxDecodeNodes)
-	}
-	nodes := make([]node, n)
-	leaves := 0
-	for i := range nodes {
-		var f [4]float64
-		for k := 0; k < 4; k++ {
-			if _, err := io.ReadFull(br, b[:8]); err != nil {
-				return err
-			}
-			f[k] = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
-		}
-		nodes[i].bounds = geom.Rect{Min: geom.Pt(f[0], f[1]), Max: geom.Pt(f[2], f[3])}
-		if _, err := io.ReadFull(br, b[:4]); err != nil {
-			return err
-		}
-		nodes[i].parent = NodeID(int32(binary.LittleEndian.Uint32(b[:4])))
-		for k := 0; k < 4; k++ {
-			if _, err := io.ReadFull(br, b[:4]); err != nil {
-				return err
-			}
-			nodes[i].child[k] = NodeID(int32(binary.LittleEndian.Uint32(b[:4])))
-		}
-		if _, err := io.ReadFull(br, b[:4]); err != nil {
-			return err
-		}
-		nodes[i].depth = int32(binary.LittleEndian.Uint32(b[:4]))
-		if nodes[i].isLeaf() {
-			leaves++
-		}
-	}
-	t.nodes = nodes
-	t.nLeaves = leaves
-	return nil
 }

@@ -1,7 +1,6 @@
 package quadtree
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -13,29 +12,39 @@ func unitTree() *Tree {
 	return New(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
 }
 
+// leafAt returns a leaf whose rectangle contains p, or NoNode.
+func leafAt(tr *Tree, p geom.Point) NodeID {
+	for _, leaf := range tr.Leaves() {
+		if tr.Bounds(leaf).Contains(p) {
+			return leaf
+		}
+	}
+	return NoNode
+}
+
 func TestNewAndRoot(t *testing.T) {
 	tr := unitTree()
-	if tr.NumNodes() != 1 || tr.NumLeaves() != 1 {
-		t.Fatalf("nodes=%d leaves=%d", tr.NumNodes(), tr.NumLeaves())
+	if len(tr.nodes) != 1 || tr.NumLeaves() != 1 {
+		t.Fatalf("nodes=%d leaves=%d", len(tr.nodes), tr.NumLeaves())
 	}
-	if !tr.IsLeaf(tr.Root()) {
+	if !tr.nodes[0].isLeaf() {
 		t.Fatal("root should start as a leaf")
 	}
-	if tr.Depth(tr.Root()) != 0 {
+	if tr.nodes[0].depth != 0 {
 		t.Fatal("root depth should be 0")
 	}
-	if tr.Parent(tr.Root()) != NoNode {
+	if tr.nodes[0].parent != NoNode {
 		t.Fatal("root has no parent")
 	}
 }
 
 func TestSplitGeometry(t *testing.T) {
 	tr := unitTree()
-	kids := tr.Split(tr.Root())
-	if tr.NumLeaves() != 4 || tr.NumNodes() != 5 {
-		t.Fatalf("after split: leaves=%d nodes=%d", tr.NumLeaves(), tr.NumNodes())
+	kids := tr.Split(0)
+	if tr.NumLeaves() != 4 || len(tr.nodes) != 5 {
+		t.Fatalf("after split: leaves=%d nodes=%d", tr.NumLeaves(), len(tr.nodes))
 	}
-	if tr.IsLeaf(tr.Root()) {
+	if tr.nodes[0].isLeaf() {
 		t.Fatal("root should no longer be a leaf")
 	}
 	wants := [4]geom.Rect{
@@ -48,10 +57,10 @@ func TestSplitGeometry(t *testing.T) {
 		if got := tr.Bounds(k); got != wants[i] {
 			t.Errorf("quadrant %d bounds = %+v, want %+v", i, got, wants[i])
 		}
-		if tr.Depth(k) != 1 {
-			t.Errorf("child depth = %d", tr.Depth(k))
+		if tr.nodes[k].depth != 1 {
+			t.Errorf("child depth = %d", tr.nodes[k].depth)
 		}
-		if tr.Parent(k) != tr.Root() {
+		if tr.nodes[k].parent != 0 {
 			t.Errorf("child parent wrong")
 		}
 	}
@@ -60,39 +69,12 @@ func TestSplitGeometry(t *testing.T) {
 			t.Error("splitting a non-leaf should panic")
 		}
 	}()
-	tr.Split(tr.Root())
-}
-
-func TestLeafAt(t *testing.T) {
-	tr := unitTree()
-	kids := tr.Split(tr.Root())
-	tr.Split(kids[NE])
-	cases := []struct {
-		p    geom.Point
-		want func(n NodeID) bool
-	}{
-		{geom.Pt(0.1, 0.1), func(n NodeID) bool { return n == kids[SW] }},
-		{geom.Pt(0.9, 0.1), func(n NodeID) bool { return n == kids[SE] }},
-		{geom.Pt(0.1, 0.9), func(n NodeID) bool { return n == kids[NW] }},
-		{geom.Pt(0.9, 0.9), func(n NodeID) bool { return tr.Depth(n) == 2 }},
-	}
-	for _, c := range cases {
-		n := tr.LeafAt(c.p)
-		if n == NoNode || !c.want(n) {
-			t.Errorf("LeafAt(%v) = %d", c.p, n)
-		}
-		if !tr.Bounds(n).Contains(c.p) {
-			t.Errorf("LeafAt(%v): bounds do not contain point", c.p)
-		}
-	}
-	if tr.LeafAt(geom.Pt(2, 2)) != NoNode {
-		t.Error("outside point should return NoNode")
-	}
+	tr.Split(0)
 }
 
 func TestNeighbors(t *testing.T) {
 	tr := unitTree()
-	kids := tr.Split(tr.Root())
+	kids := tr.Split(0)
 	// All four quadrants touch each other (corner at the center).
 	for _, k := range kids {
 		nbs := tr.Neighbors(k)
@@ -113,20 +95,6 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
-func TestLeavesIn(t *testing.T) {
-	tr := unitTree()
-	kids := tr.Split(tr.Root())
-	_ = kids
-	got := tr.LeavesIn(geom.NewRect(geom.Pt(0.6, 0.6), geom.Pt(0.9, 0.9)))
-	if len(got) != 1 {
-		t.Fatalf("LeavesIn(NE interior) = %d leaves", len(got))
-	}
-	all := tr.LeavesIn(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
-	if len(all) != 4 {
-		t.Fatalf("LeavesIn(all) = %d leaves", len(all))
-	}
-}
-
 func TestRefineToSize(t *testing.T) {
 	tr := unitTree()
 	splits := tr.RefineToSize(func(p geom.Point) float64 {
@@ -144,8 +112,8 @@ func TestRefineToSize(t *testing.T) {
 		}
 	}
 	// Leaves near origin must be deeper than leaves far away.
-	dNear := tr.Depth(tr.LeafAt(geom.Pt(0.01, 0.01)))
-	dFar := tr.Depth(tr.LeafAt(geom.Pt(0.99, 0.99)))
+	dNear := tr.nodes[leafAt(tr, geom.Pt(0.01, 0.01))].depth
+	dFar := tr.nodes[leafAt(tr, geom.Pt(0.99, 0.99))].depth
 	if dNear <= dFar {
 		t.Errorf("expected gradation: near depth %d, far depth %d", dNear, dFar)
 	}
@@ -154,7 +122,7 @@ func TestRefineToSize(t *testing.T) {
 func TestBalance(t *testing.T) {
 	tr := unitTree()
 	// Split SW corner repeatedly to create a sharp depth gradient.
-	n := tr.Root()
+	n := NodeID(0)
 	for i := 0; i < 6; i++ {
 		kids := tr.Split(n)
 		n = kids[SW]
@@ -162,17 +130,17 @@ func TestBalance(t *testing.T) {
 	tr.Balance()
 	for _, leaf := range tr.Leaves() {
 		for _, nb := range tr.Neighbors(leaf) {
-			if d := tr.Depth(nb) - tr.Depth(leaf); d > 1 || d < -1 {
+			if d := tr.nodes[nb].depth - tr.nodes[leaf].depth; d > 1 || d < -1 {
 				t.Fatalf("2:1 balance violated: leaf depth %d vs neighbor depth %d",
-					tr.Depth(leaf), tr.Depth(nb))
+					tr.nodes[leaf].depth, tr.nodes[nb].depth)
 			}
 		}
 	}
 }
 
 func TestLeavesPartition(t *testing.T) {
-	// Leaves always tile the root: areas sum to the root area and LeafAt
-	// finds exactly one leaf for interior points.
+	// Leaves always tile the root: areas sum to the root area and every
+	// interior point lies in a leaf.
 	tr := unitTree()
 	tr.RefineToSize(func(p geom.Point) float64 { return 0.07 + 0.3*p.X }, 0)
 	var area float64
@@ -185,38 +153,9 @@ func TestLeavesPartition(t *testing.T) {
 	}
 	f := func(x, y float64) bool {
 		p := geom.Pt(math.Abs(math.Mod(x, 1)), math.Abs(math.Mod(y, 1)))
-		n := tr.LeafAt(p)
-		return n != NoNode && tr.Bounds(n).Contains(p)
+		return leafAt(tr, p) != NoNode
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEncodeDecode(t *testing.T) {
-	tr := unitTree()
-	tr.RefineToSize(func(p geom.Point) float64 { return 0.15 }, 0)
-	var buf bytes.Buffer
-	if err := tr.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != tr.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", tr.EncodedSize(), buf.Len())
-	}
-	var tr2 Tree
-	if err := tr2.DecodeFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if tr2.NumNodes() != tr.NumNodes() || tr2.NumLeaves() != tr.NumLeaves() {
-		t.Fatalf("decode mismatch: nodes %d/%d leaves %d/%d",
-			tr2.NumNodes(), tr.NumNodes(), tr2.NumLeaves(), tr.NumLeaves())
-	}
-	for _, leaf := range tr.Leaves() {
-		if tr2.Bounds(leaf) != tr.Bounds(leaf) {
-			t.Fatalf("leaf %d bounds differ", leaf)
-		}
-	}
-	if err := (&Tree{}).DecodeFrom(bytes.NewReader([]byte{0, 1, 2, 3, 4, 5, 6, 7})); err == nil {
-		t.Error("bad magic should fail")
 	}
 }

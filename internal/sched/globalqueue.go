@@ -45,7 +45,7 @@ func (p *gqPool) SetTracer(tr *obs.Tracer) { p.tracer.Store(tr) }
 
 // runTask executes t inside a sched.run span.
 func (p *gqPool) runTask(ctx *Ctx, t Task) {
-	sp := p.tracer.Load().Start(obs.KindSchedRun, uint64(max(ctx.worker, 0)))
+	sp := p.tracer.Load().Start(obs.KindSchedRun, uint64(ctx.worker))
 	t(ctx)
 	sp.End(int64(ctx.worker))
 	p.q.dec()
@@ -110,16 +110,4 @@ func (p *gqPool) run(w int) {
 			p.cond.Wait()
 		}
 	}
-}
-
-func (p *gqPool) tryRunOne(helperWorker int) bool {
-	p.mu.Lock()
-	t, ok := p.popLocked()
-	p.mu.Unlock()
-	if !ok {
-		return false
-	}
-	ctx := &Ctx{pool: p, worker: helperWorker}
-	p.runTask(ctx, t)
-	return true
 }

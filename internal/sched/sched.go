@@ -8,8 +8,7 @@
 //   - GlobalQueue: a single shared FIFO feeding a thread pool, the GCD model.
 //
 // Both support nested parallelism: a task may spawn subtasks through its
-// *Ctx, and joining helpers (ForEachN) execute pending work while waiting so
-// that blocked joins cannot deadlock the pool.
+// *Ctx.
 package sched
 
 import (
@@ -62,51 +61,11 @@ type Pool interface {
 
 	// spawnFrom schedules a task from worker w.
 	spawnFrom(w int, t Task)
-	// tryRunOne executes one pending task in the caller's goroutine, if any
-	// is immediately available. It reports whether a task ran. Used by
-	// joining helpers to help instead of blocking.
-	tryRunOne(helperWorker int) bool
 }
 
 // DefaultWorkers returns the worker count used when a non-positive count is
 // requested.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ForEachN runs f(0) … f(n-1) on the pool and returns when all have
-// completed. It may be called from inside a task (nested join): while
-// waiting, the caller helps execute pending tasks, so the join cannot
-// deadlock even on a single-worker pool.
-func ForEachN(p Pool, n int, f func(i int)) {
-	if n <= 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.Submit(func(*Ctx) {
-			defer wg.Done()
-			f(i)
-		})
-	}
-	// Help while waiting.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if !p.tryRunOne(-1) {
-			// Nothing immediately runnable; yield and re-check.
-			runtime.Gosched()
-		}
-	}
-}
 
 // quiescence tracks outstanding-task counts shared by both pool flavors.
 type quiescence struct {

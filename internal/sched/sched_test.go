@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func pools(workers int) map[string]func() Pool {
@@ -73,55 +72,6 @@ func TestWaitReusable(t *testing.T) {
 					t.Fatalf("phase %d: %d tasks, want %d", phase, got, want)
 				}
 			}
-		})
-	}
-}
-
-func TestForEachN(t *testing.T) {
-	for name, mk := range pools(4) {
-		t.Run(name, func(t *testing.T) {
-			p := mk()
-			defer p.Close()
-			var mu sync.Mutex
-			seen := make(map[int]int)
-			ForEachN(p, 500, func(i int) {
-				mu.Lock()
-				seen[i]++
-				mu.Unlock()
-			})
-			if len(seen) != 500 {
-				t.Fatalf("saw %d distinct indices, want 500", len(seen))
-			}
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("index %d ran %d times", i, c)
-				}
-			}
-		})
-	}
-}
-
-func TestForEachNFromInsideTaskSingleWorker(t *testing.T) {
-	// Nested join on a 1-worker pool must not deadlock (the joiner helps).
-	for name, mk := range pools(1) {
-		t.Run(name, func(t *testing.T) {
-			p := mk()
-			defer p.Close()
-			done := make(chan struct{})
-			p.Submit(func(c *Ctx) {
-				var n atomic.Int64
-				ForEachN(p, 50, func(i int) { n.Add(1) })
-				if n.Load() != 50 {
-					t.Errorf("nested ForEachN ran %d", n.Load())
-				}
-				close(done)
-			})
-			select {
-			case <-done:
-			case <-time.After(10 * time.Second):
-				t.Fatal("nested join deadlocked")
-			}
-			p.Wait()
 		})
 	}
 }
@@ -210,12 +160,6 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestForEachNZero(t *testing.T) {
-	p := NewGlobalQueue(2)
-	defer p.Close()
-	ForEachN(p, 0, func(int) { t.Fatal("should not run") })
 }
 
 func BenchmarkSpawnWorkStealing(b *testing.B) {

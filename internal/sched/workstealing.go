@@ -14,7 +14,7 @@ import (
 // when idle.
 type wsPool struct {
 	deques  []*deque
-	rngs    []*wsRand // per-worker seeded victim selectors
+	rngs    []*rand.Rand // per-worker seeded victim selectors
 	seed    int64
 	tracer  atomic.Pointer[obs.Tracer]
 	q       *quiescence
@@ -25,21 +25,6 @@ type wsPool struct {
 	wg      sync.WaitGroup
 	nextSub int // round-robin cursor for external submissions
 	subMu   sync.Mutex
-}
-
-// wsRand is a mutex-guarded rand.Rand: each worker owns one, but the
-// tryRunOne helpers (w < 0 callers) share worker 0's, so it must tolerate
-// concurrent use.
-type wsRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func (r *wsRand) intn(n int) int {
-	r.mu.Lock()
-	v := r.rng.Intn(n)
-	r.mu.Unlock()
-	return v
 }
 
 type deque struct {
@@ -96,14 +81,14 @@ func NewWorkStealingSeeded(workers int, seed int64) Pool {
 	}
 	p := &wsPool{
 		deques: make([]*deque, workers),
-		rngs:   make([]*wsRand, workers),
+		rngs:   make([]*rand.Rand, workers),
 		seed:   seed,
 		q:      newQuiescence(),
 	}
 	p.wake = sync.NewCond(&p.wakeMu)
 	for i := range p.deques {
 		p.deques[i] = &deque{}
-		p.rngs[i] = &wsRand{rng: rand.New(rand.NewSource(seed + int64(i)))}
+		p.rngs[i] = rand.New(rand.NewSource(seed + int64(i)))
 	}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -119,7 +104,7 @@ func (p *wsPool) SetTracer(tr *obs.Tracer) { p.tracer.Store(tr) }
 
 // runTask executes t on worker w inside a sched.run span.
 func (p *wsPool) runTask(ctx *Ctx, t Task) {
-	sp := p.tracer.Load().Start(obs.KindSchedRun, uint64(max(ctx.worker, 0)))
+	sp := p.tracer.Load().Start(obs.KindSchedRun, uint64(ctx.worker))
 	t(ctx)
 	sp.End(int64(ctx.worker))
 	p.q.dec()
@@ -135,13 +120,7 @@ func (p *wsPool) Submit(t Task) {
 	p.enqueue(w, t)
 }
 
-func (p *wsPool) spawnFrom(w int, t Task) {
-	if w < 0 || w >= len(p.deques) {
-		p.Submit(t)
-		return
-	}
-	p.enqueue(w, t)
-}
+func (p *wsPool) spawnFrom(w int, t Task) { p.enqueue(w, t) }
 
 func (p *wsPool) enqueue(w int, t Task) {
 	p.q.inc()
@@ -165,26 +144,19 @@ func (p *wsPool) Close() {
 
 // grab finds a task for worker w: own deque first, then steal.
 func (p *wsPool) grab(w int) (Task, bool) {
-	if w >= 0 {
-		if t, ok := p.deques[w].popBottom(); ok {
-			return t, true
-		}
+	if t, ok := p.deques[w].popBottom(); ok {
+		return t, true
 	}
-	// Steal: seeded-random start, sweep all victims. Helpers (w < 0) share
-	// worker 0's selector.
+	// Steal: seeded-random start, sweep all victims.
 	n := len(p.deques)
-	rng := p.rngs[0]
-	if w >= 0 {
-		rng = p.rngs[w]
-	}
-	start := rng.intn(n)
+	start := p.rngs[w].Intn(n)
 	for k := 0; k < n; k++ {
 		v := (start + k) % n
 		if v == w {
 			continue
 		}
 		if t, ok := p.deques[v].stealTop(); ok {
-			p.tracer.Load().Emit(obs.KindSchedSteal, uint64(max(w, 0)), int64(v))
+			p.tracer.Load().Emit(obs.KindSchedSteal, uint64(w), int64(v))
 			return t, true
 		}
 	}
@@ -222,14 +194,4 @@ func (p *wsPool) run(w int) {
 			return
 		}
 	}
-}
-
-func (p *wsPool) tryRunOne(helperWorker int) bool {
-	t, ok := p.grab(helperWorker)
-	if !ok {
-		return false
-	}
-	ctx := &Ctx{pool: p, worker: helperWorker}
-	p.runTask(ctx, t)
-	return true
 }

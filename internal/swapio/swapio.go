@@ -271,13 +271,6 @@ func (s *Scheduler) Backing() storage.Store { return s.st }
 // Retries returns the cumulative count of absorbed transient faults.
 func (s *Scheduler) Retries() uint64 { return s.retry.Retries() }
 
-// QueueDepth returns the number of queued (not yet dispatched) requests.
-func (s *Scheduler) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queued
-}
-
 // QueuedPrefetches returns the number of queued prefetch-class requests —
 // the feedback signal the prefetch policy throttles on.
 func (s *Scheduler) QueuedPrefetches() int {

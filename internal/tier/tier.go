@@ -829,10 +829,6 @@ func (s *Store) Snapshot() Stats {
 	return out
 }
 
-// IOStats exposes the inner scheduler's counters (demotion writes, promotion
-// prefetches, demand reads against tier 1).
-func (s *Store) IOStats() swapio.Stats { return s.inner.Snapshot() }
-
 // CompressStats returns the tier-0.5 counters; ok is false when the store
 // was built without a compression layer.
 func (s *Store) CompressStats() (stats CompressStats, ok bool) {

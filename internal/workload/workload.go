@@ -26,19 +26,6 @@ func Rectangle(w, h float64) *delaunay.PSLG {
 	}
 }
 
-// Polygon returns a regular n-gon of the given radius centered at c.
-func Polygon(n int, radius float64, c geom.Point) *delaunay.PSLG {
-	p := &delaunay.PSLG{}
-	for i := 0; i < n; i++ {
-		a := 2 * math.Pi * float64(i) / float64(n)
-		p.Points = append(p.Points, geom.Pt(c.X+radius*math.Cos(a), c.Y+radius*math.Sin(a)))
-	}
-	for i := 0; i < n; i++ {
-		p.Segments = append(p.Segments, [2]int{i, (i + 1) % n})
-	}
-	return p
-}
-
 // Pipe returns a pipe cross-section: an outer circle with a concentric
 // circular hole, both approximated by n-gons. This is the geometry used for
 // all NUPDR/ONUPDR experiments in the paper (Table VII: "a pipe
@@ -109,11 +96,6 @@ func Gear(teeth int, rOuter, rInner float64, c geom.Point) *delaunay.PSLG {
 
 // SizeFunc is a target-edge-length field over the domain.
 type SizeFunc func(geom.Point) float64
-
-// Uniform returns a constant sizing function.
-func Uniform(h float64) SizeFunc {
-	return func(geom.Point) float64 { return h }
-}
 
 // GradedRadial returns a sizing function that is h0 at center and grows
 // linearly with distance (slope per unit distance) — the graded sizing of

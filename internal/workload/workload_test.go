@@ -44,15 +44,6 @@ func TestRectangle(t *testing.T) {
 	}
 }
 
-func TestPolygonArea(t *testing.T) {
-	n := 64
-	m := meshAll(t, Polygon(n, 1, geom.Pt(0, 0)), delaunay.Options{MaxArea: 0.01})
-	want := float64(n) / 2 * math.Sin(2*math.Pi/float64(n)) // n-gon area
-	if got := area(m); math.Abs(got-want) > 1e-6 {
-		t.Errorf("area = %v, want %v", got, want)
-	}
-}
-
 func TestPipeHasHole(t *testing.T) {
 	p := Pipe(48, 1.0, 0.4, geom.Pt(0, 0))
 	m := meshAll(t, p, delaunay.Options{MaxArea: 0.01})
@@ -100,10 +91,6 @@ func TestGear(t *testing.T) {
 }
 
 func TestSizeFuncs(t *testing.T) {
-	u := Uniform(0.5)
-	if u(geom.Pt(3, 4)) != 0.5 {
-		t.Error("Uniform should be constant")
-	}
 	g := GradedRadial(geom.Pt(0, 0), 0.1, 0.2)
 	if got := g(geom.Pt(0, 0)); got != 0.1 {
 		t.Errorf("at center: %v", got)
