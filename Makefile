@@ -13,29 +13,31 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The kernel, residency-manager, block-digest and frame-codec
+# The kernel, predicate, residency-manager, block-digest and frame-codec
 # micro-benchmarks run once each so that they cannot rot, ONUPDR runs across
 # two nodes in and out of core through the paper harness (an experiment fails
 # on a non-conforming mesh), and the benchmark module (its own go.mod,
 # invisible to ./...) runs its unit and smoke tests.
 test:
 	$(GO) test ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen ./internal/planes
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen ./internal/planes ./internal/geom
 	$(GO) run ./cmd/mrtsbench -exp fig6,tab5 -scale 0.05 -pes 2
 	cd benchmark && $(GO) test ./...
 
 # The race lane, as CI's race job runs it step by step: the concurrency-heavy
-# packages once, the swap path, meshgen's runs over it and the mesh store
-# three times (schedule-dependent failures hide at -count=1), the mesh
-# store's readers on one processor, the control layer on one
-# processor (nothing runs unless somebody yields) and three times on two
+# packages and the mesh kernel (whose storage pool every worker shares)
+# once, the swap path, meshgen's runs over it and the mesh store three
+# times (schedule-dependent failures hide at -count=1), the mesh store's
+# readers on one processor, the control layer on one processor (nothing
+# runs unless somebody yields) and three times on two
 # (object ownership is about pairs of workers), the cluster and the simulator
 # on one.
 RACE_PKGS = ./internal/core/... ./internal/ooc/... ./internal/storage/... \
 	./internal/swapio/... ./internal/comm/... ./internal/cluster/... \
 	./internal/sched/... ./internal/meshgen/... ./internal/obs/... \
 	./internal/tier/... ./internal/remotemem/... ./internal/bufpool/... \
-	./internal/meshstore/... ./internal/e2e/... ./internal/planes/...
+	./internal/meshstore/... ./internal/e2e/... ./internal/planes/... \
+	./internal/mesh/... ./internal/geom/...
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=3 ./internal/tier/... ./internal/ooc/... ./internal/core/... ./internal/storage/... ./internal/planes/... ./internal/meshgen/... ./internal/meshstore/...

@@ -119,7 +119,7 @@ func (p *PSLG) Validate() error {
 // BuildCDT builds the constrained Delaunay triangulation of the PSLG and
 // carves away the exterior (and any holes). It returns the mesh and the
 // vertex IDs corresponding to p.Points (duplicated points map to the same
-// vertex).
+// vertex). On an error it recycles the mesh it started.
 func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -133,6 +133,7 @@ func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	for i, pt := range p.Points {
 		v, err := m.InsertPoint(pt, hint)
 		if err != nil && err != mesh.ErrDuplicate {
+			m.Recycle()
 			return nil, nil, fmt.Errorf("delaunay: inserting point %d %v: %w", i, pt, err)
 		}
 		ids[i] = v
@@ -140,6 +141,7 @@ func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	}
 	for i, s := range p.Segments {
 		if err := m.InsertSegment(ids[s[0]], ids[s[1]]); err != nil {
+			m.Recycle()
 			return nil, nil, fmt.Errorf("delaunay: recovering segment %d: %w", i, err)
 		}
 	}

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"math"
-	"math/big"
-)
+import "math"
 
 // Sign is the sign of a geometric determinant.
 type Sign int
@@ -15,21 +12,31 @@ const (
 	Positive Sign = 1
 )
 
-// Orientation of the machine epsilon-based filter constants. These are the
-// standard forward error bounds for the 2x2 and 3x3 determinants computed in
-// double precision (cf. Shewchuk, "Adaptive Precision Floating-Point
-// Arithmetic and Fast Robust Geometric Predicates").
+// Error bounds of the adaptive predicates' stages, from Shewchuk, "Adaptive
+// Precision Floating-Point Arithmetic and Fast Robust Geometric Predicates"
+// (1997): stage A is the double-precision filter, B the exact determinant of
+// the rounded coordinate differences, C that plus a first-order correction
+// for the differences' rounding errors.
 const (
-	epsilon      = 2.220446049250313e-16 / 2 // half-ulp of 1.0
-	ccwErrBound  = (3.0 + 16.0*epsilon) * epsilon
-	iccErrBound  = (10.0 + 96.0*epsilon) * epsilon
-	absErrExpand = 1.0
+	epsilon        = 2.220446049250313e-16 / 2 // half-ulp of 1.0
+	resultErrBound = (3.0 + 8.0*epsilon) * epsilon
+	ccwErrBound    = (3.0 + 16.0*epsilon) * epsilon
+	ccwErrBoundB   = (2.0 + 12.0*epsilon) * epsilon
+	ccwErrBoundC   = (9.0 + 64.0*epsilon) * epsilon * epsilon
+	iccErrBound    = (10.0 + 96.0*epsilon) * epsilon
+	iccErrBoundB   = (4.0 + 48.0*epsilon) * epsilon
+	iccErrBoundC   = (44.0 + 576.0*epsilon) * epsilon * epsilon
 )
 
 // Orient2D returns Positive if points a, b, c make a counter-clockwise turn,
-// Negative for clockwise, and Zero if they are collinear. The result is exact:
-// a floating-point filter handles the common case and exact big.Float
-// arithmetic resolves near-degenerate inputs.
+// Negative for clockwise, and Zero if they are collinear. The result is
+// exact: a double-precision filter decides the common case, and Shewchuk's
+// adaptive stages on floating-point expansions resolve what it cannot,
+// without allocating. Like Shewchuk's, the filter assumes that its products
+// of coordinate differences do not underflow, which holds when every nonzero
+// difference of two x or two y coordinates is at least 2⁻⁵¹¹ in magnitude;
+// past the filter the answer is exact for any finite coordinates, whatever
+// their exponents.
 func Orient2D(a, b, c Point) Sign {
 	detL := (a.X - c.X) * (b.Y - c.Y)
 	detR := (a.Y - c.Y) * (b.X - c.X)
@@ -55,7 +62,7 @@ func Orient2D(a, b, c Point) Sign {
 	if det >= errBound || -det >= errBound {
 		return signOf(det)
 	}
-	return orient2DExact(a, b, c)
+	return orient2DExact(a, b, c, detSum)
 }
 
 func signOf(x float64) Sign {
@@ -69,27 +76,48 @@ func signOf(x float64) Sign {
 	}
 }
 
-func orient2DExact(a, b, c Point) Sign {
-	ax, ay := big.NewFloat(a.X), big.NewFloat(a.Y)
-	bx, by := big.NewFloat(b.X), big.NewFloat(b.Y)
-	cx, cy := big.NewFloat(c.X), big.NewFloat(c.Y)
-	for _, f := range []*big.Float{ax, ay, bx, by, cx, cy} {
-		f.SetPrec(256)
+// orient2DExact is Shewchuk's orient2dadapt through stage C: the exact
+// determinant of the rounded differences from c, then a first-order
+// correction for their rounding errors. Stage D, and every input whose
+// exponents would put a product out of range, is the exact monomial sum of
+// orient2DWide.
+func orient2DExact(a, b, c Point, detSum float64) Sign {
+	if !inRange(orientRange, a, b, c) {
+		return orient2DWide(a, b, c)
 	}
-	acx := new(big.Float).Sub(ax, cx)
-	acy := new(big.Float).Sub(ay, cy)
-	bcx := new(big.Float).Sub(bx, cx)
-	bcy := new(big.Float).Sub(by, cy)
-	l := new(big.Float).Mul(acx, bcy)
-	r := new(big.Float).Mul(acy, bcx)
-	det := new(big.Float).Sub(l, r)
-	return Sign(det.Sign())
+	acx, bcx := a.X-c.X, b.X-c.X
+	acy, bcy := a.Y-c.Y, b.Y-c.Y
+
+	var B [4]float64
+	twoTwoDiff(twoProduct(acx, bcy), twoProduct(acy, bcx), &B)
+	det := estimate(B[:])
+	errBound := ccwErrBoundB * detSum
+	if det >= errBound || -det >= errBound {
+		return signOf(det)
+	}
+
+	acxTail := twoDiffTail(a.X, c.X, acx)
+	bcxTail := twoDiffTail(b.X, c.X, bcx)
+	acyTail := twoDiffTail(a.Y, c.Y, acy)
+	bcyTail := twoDiffTail(b.Y, c.Y, bcy)
+	if acxTail == 0 && acyTail == 0 && bcxTail == 0 && bcyTail == 0 {
+		return expansionSign(B[:]) // B is the exact determinant
+	}
+
+	errBound = ccwErrBoundC*detSum + resultErrBound*math.Abs(det)
+	det += (acx*bcyTail + bcy*acxTail) - (acy*bcxTail + bcx*acyTail)
+	if det >= errBound || -det >= errBound {
+		return signOf(det)
+	}
+	return orient2DWide(a, b, c)
 }
 
 // InCircle returns Positive if point d lies strictly inside the circle
 // through a, b, c (which must be in counter-clockwise order), Negative if it
 // lies strictly outside, and Zero if the four points are cocircular. Like
-// Orient2D the result is exact via a filtered computation.
+// Orient2D the result is exact, from a filter and adaptive stages; the
+// filter assumes its products do not underflow, which holds when every
+// nonzero difference of two x or two y coordinates is at least 2⁻²⁴⁰.
 func InCircle(a, b, c, d Point) Sign {
 	adx := a.X - d.X
 	ady := a.Y - d.Y
@@ -119,33 +147,69 @@ func InCircle(a, b, c, d Point) Sign {
 	if det > errBound || -det > errBound {
 		return signOf(det)
 	}
-	return inCircleExact(a, b, c, d)
+	return inCircleExact(a, b, c, d, permanent)
 }
 
-func inCircleExact(a, b, c, d Point) Sign {
-	const prec = 512
-	nf := func(x float64) *big.Float { return big.NewFloat(x).SetPrec(prec) }
-	adx := new(big.Float).Sub(nf(a.X), nf(d.X))
-	ady := new(big.Float).Sub(nf(a.Y), nf(d.Y))
-	bdx := new(big.Float).Sub(nf(b.X), nf(d.X))
-	bdy := new(big.Float).Sub(nf(b.Y), nf(d.Y))
-	cdx := new(big.Float).Sub(nf(c.X), nf(d.X))
-	cdy := new(big.Float).Sub(nf(c.Y), nf(d.Y))
+// inCircleExact is Shewchuk's incircleadapt through stage C: the exact
+// determinant of the rounded differences from d, then a first-order
+// correction for their rounding errors. Stage D, and every input whose
+// exponents would put a product out of range, is the exact monomial sum of
+// inCircleWide.
+func inCircleExact(a, b, c, d Point, permanent float64) Sign {
+	if !inRange(inCircleRange, a, b, c, d) {
+		return inCircleWide(a, b, c, d)
+	}
+	adx, bdx, cdx := a.X-d.X, b.X-d.X, c.X-d.X
+	ady, bdy, cdy := a.Y-d.Y, b.Y-d.Y, c.Y-d.Y
 
-	mul := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(prec).Mul(x, y) }
-	sub := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(prec).Sub(x, y) }
-	add := func(x, y *big.Float) *big.Float { return new(big.Float).SetPrec(prec).Add(x, y) }
+	var bc, ca, ab [4]float64
+	twoTwoDiff(twoProduct(bdx, cdy), twoProduct(cdx, bdy), &bc)
+	twoTwoDiff(twoProduct(cdx, ady), twoProduct(adx, cdy), &ca)
+	twoTwoDiff(twoProduct(adx, bdy), twoProduct(bdx, ady), &ab)
 
-	alift := add(mul(adx, adx), mul(ady, ady))
-	blift := add(mul(bdx, bdx), mul(bdy, bdy))
-	clift := add(mul(cdx, cdx), mul(cdy, cdy))
+	var adet, bdet, cdet [32]float64
+	var abdet [64]float64
+	var fin [96]float64
+	det3 := sumExpansions(
+		sumExpansions(liftTimes(bc[:], adx, ady, &adet), liftTimes(ca[:], bdx, bdy, &bdet), abdet[:]),
+		liftTimes(ab[:], cdx, cdy, &cdet), fin[:])
 
-	t1 := mul(alift, sub(mul(bdx, cdy), mul(cdx, bdy)))
-	t2 := mul(blift, sub(mul(cdx, ady), mul(adx, cdy)))
-	t3 := mul(clift, sub(mul(adx, bdy), mul(bdx, ady)))
+	det := estimate(det3)
+	errBound := iccErrBoundB * permanent
+	if det >= errBound || -det >= errBound {
+		return signOf(det)
+	}
 
-	det := add(add(t1, t2), t3)
-	return Sign(det.Sign())
+	adxTail := twoDiffTail(a.X, d.X, adx)
+	adyTail := twoDiffTail(a.Y, d.Y, ady)
+	bdxTail := twoDiffTail(b.X, d.X, bdx)
+	bdyTail := twoDiffTail(b.Y, d.Y, bdy)
+	cdxTail := twoDiffTail(c.X, d.X, cdx)
+	cdyTail := twoDiffTail(c.Y, d.Y, cdy)
+	if adxTail == 0 && bdxTail == 0 && cdxTail == 0 &&
+		adyTail == 0 && bdyTail == 0 && cdyTail == 0 {
+		return expansionSign(det3) // det3 is the exact determinant
+	}
+
+	errBound = iccErrBoundC*permanent + resultErrBound*math.Abs(det)
+	det += ((adx*adx+ady*ady)*((bdx*cdyTail+cdy*bdxTail)-(bdy*cdxTail+cdx*bdyTail)) +
+		2.0*(adx*adxTail+ady*adyTail)*(bdx*cdy-bdy*cdx)) +
+		((bdx*bdx+bdy*bdy)*((cdx*adyTail+ady*cdxTail)-(cdy*adxTail+adx*cdyTail)) +
+			2.0*(bdx*bdxTail+bdy*bdyTail)*(cdx*ady-cdy*adx)) +
+		((cdx*cdx+cdy*cdy)*((adx*bdyTail+bdy*adxTail)-(ady*bdxTail+bdx*adyTail)) +
+			2.0*(cdx*cdxTail+cdy*cdyTail)*(adx*bdy-ady*bdx))
+	if det >= errBound || -det >= errBound {
+		return signOf(det)
+	}
+	return inCircleWide(a, b, c, d)
+}
+
+// liftTimes returns e·(x² + y²) in out, for the four-component minor e.
+func liftTimes(e []float64, x, y float64, out *[32]float64) []float64 {
+	var ex, exx, ey, eyy [16]float64
+	return sumExpansions(
+		scaleExpansion(scaleExpansion(e, x, ex[:8]), x, exx[:]),
+		scaleExpansion(scaleExpansion(e, y, ey[:8]), y, eyy[:]), out[:])
 }
 
 // SegmentsProperlyIntersect reports whether segments pq and rs intersect at a
@@ -159,8 +223,8 @@ func SegmentsProperlyIntersect(p, q, r, s Point) bool {
 }
 
 // OnSegment reports whether point c lies on segment ab (inclusive of the
-// endpoints). The three points are assumed collinear is NOT required; the
-// collinearity is checked exactly.
+// endpoints). The points need not be collinear: collinearity is checked
+// exactly.
 func OnSegment(a, b, c Point) bool {
 	if Orient2D(a, b, c) != Zero {
 		return false

@@ -1,7 +1,7 @@
 package mesh
 
 import (
-	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -36,60 +36,84 @@ func (m *Mesh) EncodedSize() int {
 // EncodeTo writes a compact binary encoding of the mesh to w. Triangle IDs
 // are not preserved (dead slots are compacted); vertex IDs are preserved.
 // Constraints are written in sorted (a, b) order, so the bytes are a function
-// of the mesh state alone.
+// of the mesh state alone. Into a bytes.Buffer the encoding is written in
+// place, the buffer grown once to its size; any other writer gets it in
+// chunks of at most encodeChunk bytes from a pooled buffer.
 func (m *Mesh) EncodeTo(w io.Writer) error {
-	// A growable destination (bytes.Buffer) is sized once instead of
-	// doubling its way up.
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(m.EncodedSize())
+	if bb, ok := w.(*bytes.Buffer); ok {
+		bb.Grow(m.EncodedSize())
+		enc := encoder{buf: bb.AvailableBuffer()}
+		m.encode(&enc)
+		_, err := bb.Write(enc.buf)
+		return err
 	}
-	bw := bufio.NewWriter(w)
-	var scratch [16]byte
+	chunk := encodePool.Get().(*[encodeChunk]byte)
+	defer encodePool.Put(chunk)
+	enc := encoder{buf: chunk[:0], w: w}
+	m.encode(&enc)
+	enc.flush()
+	return enc.err
+}
 
-	putU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	putI32 := func(v int32) error { return putU32(uint32(v)) }
+// encodeChunk bounds what EncodeTo holds before it writes to a writer other
+// than a bytes.Buffer.
+const encodeChunk = 32 << 10
 
-	if err := putU32(encodeMagic); err != nil {
-		return err
+var encodePool = sync.Pool{New: func() any { return new([encodeChunk]byte) }}
+
+// encoder appends an encoding to buf. With a writer set, it hands buf over
+// whenever fewer than a record's bytes are left, and keeps the first error.
+type encoder struct {
+	buf []byte
+	w   io.Writer
+	err error
+}
+
+// room makes space for n more bytes, n at most encodeChunk.
+func (e *encoder) room(n int) {
+	if e.w != nil && len(e.buf)+n > cap(e.buf) {
+		e.flush()
 	}
-	if err := putU32(encodeVersion); err != nil {
-		return err
+}
+
+func (e *encoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
 	}
-	if err := putU32(uint32(len(m.verts))); err != nil {
-		return err
-	}
+	e.buf = e.buf[:0]
+}
+
+func (e *encoder) u32(v uint32) {
+	e.room(4)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+}
+
+// encode appends the mesh's encoding.
+func (m *Mesh) encode(e *encoder) {
+	le := binary.LittleEndian
+	e.u32(encodeMagic)
+	e.u32(encodeVersion)
+	e.u32(uint32(len(m.verts)))
 	for _, p := range m.verts {
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(p.X))
-		binary.LittleEndian.PutUint64(scratch[8:16], math.Float64bits(p.Y))
-		if _, err := bw.Write(scratch[:16]); err != nil {
-			return err
-		}
+		e.room(16)
+		e.buf = le.AppendUint64(e.buf, math.Float64bits(p.X))
+		e.buf = le.AppendUint64(e.buf, math.Float64bits(p.Y))
 	}
 	for _, s := range m.super {
-		if err := putI32(int32(s)); err != nil {
-			return err
-		}
+		e.u32(uint32(s))
 	}
-	if err := putU32(uint32(m.nAlive)); err != nil {
-		return err
-	}
+	e.u32(uint32(m.nAlive))
 	for i := range m.tris {
 		if !m.live(TriID(i)) {
 			continue
 		}
-		for k := 0; k < 3; k++ {
-			if err := putI32(int32(m.tris[i].V[k])); err != nil {
-				return err
-			}
-		}
+		v := m.tris[i].V
+		e.room(12)
+		e.buf = le.AppendUint32(e.buf, uint32(v[0]))
+		e.buf = le.AppendUint32(e.buf, uint32(v[1]))
+		e.buf = le.AppendUint32(e.buf, uint32(v[2]))
 	}
-	if err := putU32(uint32(len(m.constrained))); err != nil {
-		return err
-	}
+	e.u32(uint32(len(m.constrained)))
 	edges := make([]edgeKey, 0, len(m.constrained))
 	for k := range m.constrained {
 		edges = append(edges, k)
@@ -98,14 +122,9 @@ func (m *Mesh) EncodeTo(w io.Writer) error {
 		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 	})
 	for _, k := range edges {
-		if err := putI32(int32(k.a)); err != nil {
-			return err
-		}
-		if err := putI32(int32(k.b)); err != nil {
-			return err
-		}
+		e.u32(uint32(k.a))
+		e.u32(uint32(k.b))
 	}
-	return bw.Flush()
 }
 
 // halfEdge is one directed triangle edge, filed during decoding under its

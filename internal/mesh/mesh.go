@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"mrts/internal/geom"
 )
@@ -96,14 +97,59 @@ type Mesh struct {
 	super [3]VertexID
 
 	nAlive int
+
+	// store is the record New took the slices' storage from, for Recycle
+	// to give it back in.
+	store *storage
 }
 
-// New returns an empty mesh.
+// storage is the backing arrays of a mesh's slices, kept between meshes by
+// storagePool. The drivers make and drop a mesh per block or leaf, each of
+// which would otherwise grow its slices from nothing, by doubling, and leave
+// every array it outgrew to the collector.
+type storage struct {
+	verts   []geom.Point
+	tris    []Tri
+	flags   []triFlags
+	free    []TriID
+	vertTri []TriID
+}
+
+var storagePool = sync.Pool{New: func() any { return new(storage) }}
+
+// New returns an empty mesh. Its slices start empty, on storage a recycled
+// mesh gave back when there is some: capacity changes no triangle ID and no
+// insertion order, so the mesh built is the same either way.
 func New() *Mesh {
-	return &Mesh{
+	s := storagePool.Get().(*storage)
+	m := &Mesh{
+		verts:       s.verts[:0],
+		tris:        s.tris[:0],
+		flags:       s.flags[:0],
+		free:        s.free[:0],
+		vertTri:     s.vertTri[:0],
 		constrained: make(map[edgeKey]bool),
 		super:       [3]VertexID{NoVertex, NoVertex, NoVertex},
+		store:       s,
 	}
+	*s = storage{} // the mesh holds the arrays now, and DecodeFrom may drop them
+	return m
+}
+
+// Recycle gives the mesh's storage back for New to reuse, hands back its
+// scratch, and zeroes the mesh, so that any later use finds nothing instead
+// of another mesh's data. Only the mesh's owner may call it, once it is done
+// with the mesh: nothing may read or mutate it afterwards, and nothing read
+// from it may alias its storage (HullPoints, EncodeTo and the counts copy).
+func (m *Mesh) Recycle() {
+	m.ReleaseScratch()
+	s := m.store
+	if s == nil { // a decoded mesh: its slices were made by DecodeFrom
+		s = new(storage)
+	}
+	*s = storage{verts: m.verts[:0], tris: m.tris[:0], flags: m.flags[:0], free: m.free[:0], vertTri: m.vertTri[:0]}
+	*m = Mesh{}
+	storagePool.Put(s)
 }
 
 // NumVertices returns the number of vertices, including super vertices.

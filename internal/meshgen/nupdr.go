@@ -235,7 +235,8 @@ func fillUniform(t0, t1 float64, a, b geom.Point, at func(float64) geom.Point,
 }
 
 // meshLeaf builds the leaf's graded mesh: CDT of the assembled boundary
-// cycle, refined by the sizing field with frozen boundary segments.
+// cycle, refined by the sizing field with frozen boundary segments. The
+// caller recycles the mesh when done with it; on an error meshLeaf does.
 func meshLeaf(rect geom.Rect, size workload.SizeFunc, beta float64, fixed []fixedPortion) (*mesh.Mesh, []geom.Point, error) {
 	cycle := assembleLeafBoundary(rect, size, fixed)
 	p := &delaunay.PSLG{Points: cycle}
@@ -251,6 +252,7 @@ func meshLeaf(rect geom.Rect, size workload.SizeFunc, beta float64, fixed []fixe
 		SizeFunc:       size,
 		NoSegmentSplit: true,
 	}); err != nil {
+		m.Recycle()
 		return nil, nil, fmt.Errorf("meshgen: leaf refine: %w", err)
 	}
 	return m, cycle, nil
@@ -441,12 +443,9 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 					results <- resultMsg{idx: jb.idx, err: err}
 					continue
 				}
-				results <- resultMsg{
-					idx:      jb.idx,
-					boundary: cycle,
-					elems:    m.NumTriangles(),
-					verts:    m.NumVertices(),
-				}
+				res := resultMsg{idx: jb.idx, boundary: cycle, elems: m.NumTriangles(), verts: m.NumVertices()}
+				m.Recycle()
+				results <- res
 			}
 		}()
 	}

@@ -411,13 +411,16 @@ func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: %w", o.Rect, err)
 	}
 	var buf bytes.Buffer
-	if err := m.EncodeTo(&buf); err != nil {
+	err = m.EncodeTo(&buf)
+	elems, verts := m.NumTriangles(), m.NumVertices()
+	m.Recycle()
+	if err != nil {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: encode mesh: %w", o.Rect, err)
 	}
 	o.MeshData = buf.Bytes()
 	o.Boundary = cycle
-	o.Elements = int32(m.NumTriangles())
-	o.Verts = int32(m.NumVertices())
+	o.Elements = int32(elems)
+	o.Verts = int32(verts)
 	o.Done = true
 	return queue, encodeQUpdate(idx, o.Elements, o.Verts, cycle), nil
 }

@@ -347,6 +347,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	}
 	var buf bytes.Buffer
 	if err := bm.mesh.EncodeTo(&buf); err != nil {
+		bm.mesh.Recycle()
 		return err
 	}
 	o.MeshData = buf.Bytes()
@@ -355,22 +356,25 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	sh.elements.Add(int64(o.Elements))
 	sh.verts.Add(int64(o.Verts))
 
-	hull := bm.hullPoints()
-	o.Left = edgePointsOn(hull, o.Rect.Min, geom.Pt(o.Rect.Min.X, o.Rect.Max.Y))
-	o.Bottom = edgePointsOn(hull, o.Rect.Min, geom.Pt(o.Rect.Max.X, o.Rect.Min.Y))
+	o.Left = edgePointsOn(bm.hull, o.Rect.Min, geom.Pt(o.Rect.Min.X, o.Rect.Max.Y))
+	o.Bottom = edgePointsOn(bm.hull, o.Rect.Min, geom.Pt(o.Rect.Max.X, o.Rect.Min.Y))
+	right, top := bm.interfacePoints(0), bm.interfacePoints(1)
+	// Everything kept or sent from here on is a copy: the mesh's storage
+	// goes to the next block.
+	bm.mesh.Recycle()
 
 	// Exchange: my right edge against the right neighbor's left edge, my
 	// top edge against the top neighbor's bottom edge. Prefer the direct
 	// in-core call (the paper's shared-memory optimization), falling back
 	// to a one-sided message.
 	if !o.Right.IsNil() {
-		arg := append([]byte{0}, encodePoints(bm.interfacePoints(0))...)
+		arg := append([]byte{0}, encodePoints(right)...)
 		if !c.CallInline(o.Right, hBlockIface, arg) {
 			c.Post(o.Right, hBlockIface, arg)
 		}
 	}
 	if !o.Top.IsNil() {
-		arg := append([]byte{1}, encodePoints(bm.interfacePoints(1))...)
+		arg := append([]byte{1}, encodePoints(top)...)
 		if !c.CallInline(o.Top, hBlockIface, arg) {
 			c.Post(o.Top, hBlockIface, arg)
 		}

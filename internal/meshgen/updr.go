@@ -69,14 +69,15 @@ func gridIJ(r geom.Rect, blocks int) (i, j int) {
 // meshBlock builds and refines one block's mesh: a CDT of the block
 // rectangle whose boundary carries deterministically placed points at
 // spacing h (the buffer-zone contract with the neighbors), refined to the
-// uniform size internally.
+// uniform size internally. The caller recycles the mesh when done with it;
+// on an error meshBlock does.
 func meshBlock(r geom.Rect, h, beta float64) (*blockMesh, error) {
 	bpts := boundaryPoints(r, h)
 	p := &delaunay.PSLG{Points: bpts}
 	for i := range bpts {
 		p.Segments = append(p.Segments, [2]int{i, (i + 1) % len(bpts)})
 	}
-	m, _, err := delaunay.BuildCDT(p)
+	m, ids, err := delaunay.BuildCDT(p)
 	if err != nil {
 		return nil, fmt.Errorf("meshgen: block CDT: %w", err)
 	}
@@ -89,16 +90,22 @@ func meshBlock(r geom.Rect, h, beta float64) (*blockMesh, error) {
 		MaxArea:        maxArea,
 		NoSegmentSplit: true,
 	}); err != nil {
+		m.Recycle()
 		return nil, fmt.Errorf("meshgen: block refine: %w", err)
 	}
-	return &blockMesh{rect: r, mesh: m, boundary: bpts}, nil
+	// The hull, walked from bpts[0], the block's Min corner.
+	hull, err := m.HullPoints(ids[0])
+	if err != nil {
+		m.Recycle()
+		return nil, fmt.Errorf("meshgen: block hull: %w", err)
+	}
+	return &blockMesh{rect: r, mesh: m, hull: hull}, nil
 }
 
 type blockMesh struct {
-	rect     geom.Rect
-	mesh     *mesh.Mesh
-	boundary []geom.Point
-	hull     []geom.Point // hullPoints' result, computed on first use
+	rect geom.Rect
+	mesh *mesh.Mesh
+	hull []geom.Point // the mesh's boundary vertices, counter-clockwise
 }
 
 // interfacePoints returns the block's boundary points on the given side
@@ -113,36 +120,7 @@ func (b *blockMesh) interfacePoints(side int) []geom.Point {
 		a = geom.Pt(b.rect.Min.X, b.rect.Max.Y)
 		c = b.rect.Max
 	}
-	// The mesh may have split boundary segments during refinement; collect
-	// actual hull points from the mesh rather than the initial spacing.
-	return edgePointsOn(b.hullPoints(), a, c)
-}
-
-// hullPoints returns the mesh's boundary vertices in first-seen order. The
-// scan covers every triangle and the mesh is final once refined, so it runs
-// once per block; callers only read the result.
-func (b *blockMesh) hullPoints() []geom.Point {
-	if b.hull != nil {
-		return b.hull
-	}
-	seen := make(map[geom.Point]bool)
-	var out []geom.Point
-	m := b.mesh
-	m.ForEachTri(func(id mesh.TriID, tr mesh.Tri) {
-		for k := 0; k < 3; k++ {
-			if tr.N[k] == mesh.NoTri {
-				for _, v := range []mesh.VertexID{tr.V[(k+1)%3], tr.V[(k+2)%3]} {
-					p := m.Vertex(v)
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
-				}
-			}
-		}
-	})
-	b.hull = out
-	return out
+	return edgePointsOn(b.hull, a, c)
 }
 
 // RunUPDR executes the in-core uniform method: blocks are meshed in parallel
@@ -226,14 +204,15 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 			a = dst.rect.Min
 			c = geom.Pt(dst.rect.Max.X, dst.rect.Min.Y)
 		}
-		mine := edgePointsOn(dst.hullPoints(), a, c)
+		mine := edgePointsOn(dst.hull, a, c)
 		if !samePoints(mine, x.pts) {
 			conforming = false
 		}
 	}
 
 	if !cfg.KeepMeshes {
-		for i := range blocks {
+		for i, b := range blocks {
+			b.mesh.Recycle()
 			blocks[i] = nil
 		}
 	}

@@ -1,6 +1,7 @@
 package meshgen
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -197,27 +198,36 @@ func TestResidentFirstKeepsGridOrderWithinGroups(t *testing.T) {
 	}
 }
 
-// TestHullPointsComputedOnce: the cached hull is the scan's own result — same
-// points, same order — and the interface sets read from it are what a fresh
-// scan gives.
-func TestHullPointsComputedOnce(t *testing.T) {
-	bm, err := meshBlock(blockRect(2, 1, 0), 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := &blockMesh{rect: bm.rect, mesh: bm.mesh, boundary: bm.boundary}
-	first := bm.hullPoints()
-	if len(first) == 0 || !slices.Equal(first, fresh.hullPoints()) {
-		t.Fatalf("cached hull differs from a fresh scan")
-	}
-	if again := bm.hullPoints(); &again[0] != &first[0] {
-		t.Fatalf("second call rescanned the mesh")
-	}
-	for side := 0; side < 2; side++ {
-		fresh := &blockMesh{rect: bm.rect, mesh: bm.mesh, boundary: bm.boundary}
-		if !slices.Equal(bm.interfacePoints(side), fresh.interfacePoints(side)) {
-			t.Fatalf("side %d: interface points differ from a fresh scan", side)
+// TestBlockHullMatchesScan: the hull meshBlock walks from the block's corner
+// holds the scan's points, each once, and the interface sets read from it are
+// the ones the scan gives, on blocks across the grid and sizes.
+func TestBlockHullMatchesScan(t *testing.T) {
+	for _, c := range []struct {
+		nb, i, j int
+		h        float64
+	}{{2, 1, 0, 0.05}, {4, 0, 0, 0.01}, {4, 3, 2, 0.013}, {16, 7, 15, 0.003}} {
+		bm, err := meshBlock(blockRect(c.nb, c.i, c.j), c.h, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		scan := hullPointsOf(bm.mesh)
+		sorted := func(pts []geom.Point) []geom.Point {
+			pts = slices.Clone(pts)
+			slices.SortFunc(pts, func(a, b geom.Point) int {
+				return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
+			})
+			return pts
+		}
+		if !slices.Equal(sorted(bm.hull), sorted(scan)) {
+			t.Fatalf("%+v: walked hull (%d points) differs from the scan (%d)", c, len(bm.hull), len(scan))
+		}
+		scanned := &blockMesh{rect: bm.rect, mesh: bm.mesh, hull: scan}
+		for side := 0; side < 2; side++ {
+			if got, want := bm.interfacePoints(side), scanned.interfacePoints(side); len(got) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("%+v side %d: interface points %d, the scan's %d", c, side, len(got), len(want))
+			}
+		}
+		bm.mesh.Recycle()
 	}
 }
 
