@@ -139,7 +139,7 @@ lint:
 	if [ -n "$$out" ]; then echo "direct time calls in clocked packages (inject clock.Clock instead):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'net\.(Dial|Listen)\(' --include='*.go' internal cmd examples | grep -v '^internal/comm/' || true)"; \
 	if [ -n "$$out" ]; then echo "raw net.Dial/net.Listen outside internal/comm (use comm endpoints):"; echo "$$out"; exit 1; fi
-	@out="$$(grep -rnE '(Send|Post|PostMulticast|RequestMigration|Migrate)\([^)]*\.Home' --include='*.go' internal cmd examples | grep -v '^internal/core/' || true)"; \
+	@out="$$(grep -rnE '(Send|Post|RequestMigration|Migrate)\([^)]*\.Home' --include='*.go' internal cmd examples | grep -v '^internal/core/' || true)"; \
 	if [ -n "$$out" ]; then echo "routing decision on ptr.Home outside internal/core (go through the Locator seam):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn '\.mshc' --include='*.go' --exclude='*_test.go' internal cmd examples | grep -v '^internal/meshstore/' || true)"; \
 	if [ -n "$$out" ]; then echo "mesh chunk files touched outside internal/meshstore (go through Writer/Store/IsChunkName):"; echo "$$out"; exit 1; fi

@@ -11,7 +11,8 @@
 //	mrtsbench -list                        # show experiment IDs
 //
 // The -trace file is Chrome trace-event JSON: open it at https://ui.perfetto.dev
-// (or chrome://tracing) to see per-node swap/comm/sched/app/mcast tracks.
+// (or chrome://tracing) to see per-node swap/comm/sched/app/tier/cluster/mesh
+// tracks.
 // The -json file is a bench.Doc consumed by cmd/benchgate and the CI
 // benchmark-regression gate.
 package main

@@ -32,9 +32,8 @@ import (
 // the memory is locked, and nobody has promised to unlock it — the head of
 // the queue is admitted whether it fits or not. That one load may find
 // nothing to evict and stall loudly (noteEvictStall), which beats waiting for
-// room nothing will make. Locks and multicast collections load at once, as
-// before: they pin what they load, and delaying a pin does not make it
-// smaller.
+// room nothing will make. Locks load at once: they pin what they load, and
+// delaying a pin does not make it smaller.
 
 // admission is the per-runtime admission state.
 type admission struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -428,88 +429,39 @@ func TestCallInline(t *testing.T) {
 	WaitQuiescence(rt)
 }
 
-func TestMulticastCollectsAndDelivers(t *testing.T) {
-	c := newCluster(t, 3, 1<<20)
-	registerInc(c)
-	// Objects scattered across nodes.
-	p0 := c.rts[0].CreateObject(&testObj{})
-	p1 := c.rts[1].CreateObject(&testObj{})
-	p2 := c.rts[2].CreateObject(&testObj{})
-	c.rts[0].PostMulticast([]MobilePtr{p0, p1, p2}, 1, hInc, nil)
-	WaitQuiescence(c.rts...)
-	// All three objects must now be on node 0 (collected), and only p0
-	// received the message.
-	for i, p := range []MobilePtr{p0, p1, p2} {
-		if !c.rts[0].IsLocal(p) {
-			t.Fatalf("object %d not collected on node 0", i)
-		}
-	}
-	if c.rts[0].PendingMulticasts() != 0 {
-		t.Fatal("multicast still pending")
-	}
-	got := make(chan int64, 1)
-	c.rts[0].Register(98, func(ctx *Ctx, arg []byte) {
-		got <- ctx.Object().(*testObj).Count
-	})
-	c.rts[0].Post(p0, 98, nil)
-	if v := <-got; v != 1 {
-		t.Fatalf("p0 count = %d, want 1", v)
-	}
-	c.rts[0].Post(p1, 98, nil)
-	if v := <-got; v != 0 {
-		t.Fatalf("p1 count = %d, want 0 (deliverCount=1)", v)
-	}
-}
-
-func TestMulticastDeliverAll(t *testing.T) {
-	c := newCluster(t, 2, 1<<20)
-	registerInc(c)
-	p0 := c.rts[0].CreateObject(&testObj{})
-	p1 := c.rts[1].CreateObject(&testObj{})
-	// Initiate from node 1 while ptrs[0] lives on node 0: the multicast
-	// must travel to node 0 and collect there.
-	c.rts[1].PostMulticast([]MobilePtr{p0, p1}, 2, hInc, nil)
-	WaitQuiescence(c.rts...)
-	got := make(chan int64, 1)
-	c.rts[0].Register(98, func(ctx *Ctx, arg []byte) {
-		got <- ctx.Object().(*testObj).Count
-	})
-	for _, p := range []MobilePtr{p0, p1} {
-		c.rts[0].Post(p, 98, nil)
-		if v := <-got; v != 1 {
-			t.Fatalf("%v count = %d, want 1", p, v)
-		}
-	}
-}
-
-// TestMcastObjectLostCancelsPendingCollection: a collection waiting on a
-// member that can never arrive is cancelled by the loss notification, not
-// left holding a work unit.
-func TestMcastObjectLostCancelsPendingCollection(t *testing.T) {
+// TestDrainReleasesHandledPayloads: an object that handles n queued
+// messages of size bytes each keeps none of the handled payloads alive — the
+// queue's backing array would otherwise hold all n × size until the object
+// is posted to again.
+func TestDrainReleasesHandledPayloads(t *testing.T) {
+	const n, size = 64, 1 << 20
 	c := newCluster(t, 1, 1<<20)
-	registerInc(c)
 	rt := c.rts[0]
-	a := rt.CreateObject(&testObj{})
-	// A pointer that was never created: the collection can never complete,
-	// exactly like a member lost in flight.
-	ghost := MobilePtr{Home: 0, Seq: 1 << 30}
-	rt.startMcast([]MobilePtr{a, ghost}, 1, hInc, nil)
-	if rt.PendingMulticasts() != 1 {
-		t.Fatalf("PendingMulticasts = %d, want 1", rt.PendingMulticasts())
+	const hBig HandlerID = 97
+	gate := make(chan struct{})
+	live := make(chan uint64, 1)
+	rt.Register(hBig, func(ctx *Ctx, arg []byte) {
+		o := ctx.Object().(*testObj)
+		if o.Count == 0 {
+			<-gate // hold the object until every message is queued
+		}
+		if o.Count++; o.Count == n {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			live <- ms.HeapAlloc
+		}
+	})
+	p := rt.CreateObject(&testObj{})
+	for i := 0; i < n; i++ {
+		rt.Post(p, hBig, make([]byte, size))
 	}
-	// The loss notification must cancel the collection: unpin the members
-	// already gathered and release the work unit, or termination wedges.
-	rt.mcasts.objectLost(rt, ghost)
-	if rt.PendingMulticasts() != 0 {
-		t.Fatalf("PendingMulticasts = %d after loss, want 0", rt.PendingMulticasts())
-	}
-	WaitQuiescence(rt) // hangs here if the cancel leaked the work unit
-	report := make(chan int64, 1)
-	rt.Register(98, func(ctx *Ctx, arg []byte) { report <- ctx.Object().(*testObj).Count })
-	rt.Post(a, 98, nil)
+	close(gate)
+	got := <-live
 	WaitQuiescence(rt)
-	if got := <-report; got != 0 {
-		t.Fatalf("cancelled multicast still delivered: Count = %d, want 0", got)
+	if got >= n*size/4 {
+		t.Fatalf("live heap in the last handler = %d MB: handled payloads of %d × %d MB are still reachable",
+			got>>20, n, size>>20)
 	}
 }
 

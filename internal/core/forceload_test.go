@@ -36,11 +36,11 @@ func (s *holdStore) Get(k storage.Key) ([]byte, error) {
 }
 
 // TestForceLoadWhileStoringSurvivesPrefetchCancel pins the class of a reload
-// that Lock (or a multicast collection) asks for while the object is being
-// written out. Nothing is queued on such an object, so if its reload went in
-// at prefetch class, the cancellation of speculative loads under memory
-// pressure would drop it and nobody would ever ask again — the hang
-// TestRunONUPDRMulticastOutOfCore used to hit one run in ten.
+// that Lock asks for while the object is being written out. Nothing is
+// queued on such an object, so if its reload went in at prefetch class, the
+// cancellation of speculative loads under memory pressure would drop it and
+// nobody would ever ask again — a hang the out-of-core ONUPDR test once hit
+// one run in ten.
 func TestForceLoadWhileStoringSurvivesPrefetchCancel(t *testing.T) {
 	tr := comm.NewInProc(1, comm.LatencyModel{})
 	pool := sched.NewWorkStealing(2)

@@ -23,7 +23,6 @@ import (
 // of a terminated system, racy while work is in flight:
 //   - no queued, running or parked work remains anywhere, a migration
 //     request parked on an object included
-//   - every multicast collection completed (reference counts back to zero)
 //   - the count of lost objects matches the loud-loss counter
 //   - the ooc layer's residency accounting agrees with the object states
 //   - in-core bytes fit the memory budget (unless eviction stalled loudly:
@@ -126,9 +125,6 @@ func (rt *Runtime) CheckInvariants(quiescent bool) []string {
 	}
 	if parkedMoves > 0 {
 		fail("quiescent but %d migration requests still parked on objects", parkedMoves)
-	}
-	if p := rt.PendingMulticasts(); p != 0 {
-		fail("quiescent but %d multicast collections pending", p)
 	}
 	rt.adm.mu.Lock()
 	listed, reserved := len(rt.adm.fifo), rt.adm.reserved

@@ -160,7 +160,6 @@ func (rt *Runtime) installLocal(in *install) {
 	if in.priority != 0 {
 		rt.mem.SetPriority(id, int(in.priority))
 	}
-	rt.mcasts.objectArrived(rt, in.ptr)
 
 	lo.mu.Lock()
 	for _, m := range parked {

@@ -45,10 +45,10 @@ type Config struct {
 	// Tracer is the node's instrumentation point: it times handler execution
 	// and (through the I/O scheduler) the swap path, which is what Report
 	// reads, and a tracer drawn from a TraceSink also records structured
-	// events for the swap lifecycle (evict/load/retry/storefail/lost),
-	// handlers and multicast progress. The transport's wire time and the
-	// events of the transport and the task pool join the same account by
-	// installing the tracer there too (comm.Endpoint.SetTracer and
+	// events for the swap lifecycle (evict/load/retry/storefail/lost) and
+	// handlers. The transport's wire time and the events of the transport
+	// and the task pool join the same account by installing the tracer
+	// there too (comm.Endpoint.SetTracer and
 	// sched.Pool.SetTracer); cluster.New wires all three. Nil means a private
 	// tracer on Clock that keeps the totals only.
 	Tracer *obs.Tracer
@@ -106,7 +106,7 @@ type localObject struct {
 	migrating bool // a move holds the object, lo.mu released while it reads the blob
 	wantLoad  bool // load requested while storing
 	// wantDemand qualifies wantLoad: something is blocked on the object (a
-	// lock, a multicast collection), so the reload goes in at demand class.
+	// lock), so the reload goes in at demand class.
 	// At prefetch class memory pressure could cancel it, and with no message
 	// queued on the object nothing would ever ask for it again.
 	wantDemand bool
@@ -179,8 +179,7 @@ type Runtime struct {
 
 	closed atomic.Bool
 
-	mcasts *mcastTable
-	term   *termState
+	term *termState
 }
 
 // NewRuntime creates the runtime for one node and registers its transport
@@ -236,14 +235,12 @@ func NewRuntime(cfg Config) *Runtime {
 		objects:  make(map[MobilePtr]*localObject),
 		parked:   make(map[MobilePtr][]*appMsg),
 		handlers: make(map[HandlerID]handlerEntry),
-		mcasts:   newMcastTable(),
 		term:     newTermState(),
 	}
 	rt.onSwapError = cfg.OnSwapError
 	rt.ep.Register(wireApp, rt.onWireApp)
 	rt.ep.Register(wireDirUpdate, rt.onWireDirUpdate)
 	rt.ep.Register(wireInstall, rt.onWireInstall)
-	rt.ep.Register(wireMcast, rt.onWireMcast)
 	rt.ep.Register(wireMigrateReq, rt.onWireMigrateReq)
 	rt.ep.Register(wireTermProbe, rt.onWireTermProbe)
 	rt.ep.Register(wireTermReply, rt.onWireTermReply)
@@ -535,8 +532,13 @@ func (rt *Runtime) drain(lo *localObject, sc *sched.Ctx) {
 		// The manager's queue length is left as it is: until the handler
 		// returns, the message being run counts as queued, so the object
 		// stays pinned for admission and last among the victims.
+		// Clear the slot: the backing array must not keep a handled
+		// payload alive.
 		q := lo.queue[0]
-		lo.queue = lo.queue[1:]
+		lo.queue[0] = queued{}
+		if lo.queue = lo.queue[1:]; len(lo.queue) == 0 {
+			lo.queue = nil
+		}
 		obj := lo.obj
 		lo.mu.Unlock()
 

@@ -17,9 +17,9 @@ import (
 
 // startLoadLocked transitions lo from stOut to stLoading and submits the
 // read to the I/O scheduler at the given class. reserved is what admission
-// set aside for this load (0 for the loads that bypass it: locks, multicast
-// collections, prefetches); it is handed back when the load settles, however
-// it settles. Caller holds lo.mu.
+// set aside for this load (0 for the loads that bypass it: locks and
+// prefetches); it is handed back when the load settles, however it settles.
+// Caller holds lo.mu.
 func (rt *Runtime) startLoadLocked(lo *localObject, class swapio.Class, reserved int64) {
 	if lo.state != stOut {
 		rt.adm.release(reserved)
@@ -97,7 +97,6 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 		rt.mem.SetQueueLen(id, 0)
 		rt.work.Add(int64(-n - parked))
 		rt.tracer.Emit(obs.KindSwapLost, uint64(id), int64(n))
-		rt.mcasts.objectLost(rt, lo.ptr)
 		rt.noteSwapError(SwapError{Ptr: lo.ptr, Op: op, Err: err, Dropped: n, Lost: true})
 		return
 	}
@@ -108,7 +107,6 @@ func (rt *Runtime) finishLoad(lo *localObject, sp obs.Span, blob []byte, err err
 	lo.wantLoad, lo.wantDemand = false, false
 	rt.mem.MarkIn(id)
 	rt.resume(lo)
-	rt.mcasts.objectArrived(rt, lo.ptr)
 }
 
 // tryEvict unloads lo to the storage layer if it can have it for that
@@ -327,7 +325,7 @@ func (rt *Runtime) Lock(ptr MobilePtr) bool {
 		return false
 	}
 	rt.mem.Lock(oid(ptr))
-	rt.forceLoad(ptr)
+	rt.wantIn(ptr, true) // the paper's "force loading": at demand class
 	return true
 }
 
@@ -346,11 +344,6 @@ func (rt *Runtime) SetPriority(ptr MobilePtr, pri int) { rt.mem.SetPriority(oid(
 // reports whether the object is local; a false return means the pointer
 // lives on another node and no load was scheduled.
 func (rt *Runtime) Prefetch(ptr MobilePtr) bool { return rt.wantIn(ptr, false) }
-
-// forceLoad is Prefetch at demand class — the paper's "force loading",
-// used when something is blocked on the object (a lock acquisition, a
-// multicast collection). It reports whether the object is local.
-func (rt *Runtime) forceLoad(ptr MobilePtr) bool { return rt.wantIn(ptr, true) }
 
 // wantIn records that a local object is wanted in core and lets resume start
 // the load, now or when whatever holds the object lets go. A load already on

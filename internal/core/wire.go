@@ -11,6 +11,7 @@ const (
 	wireDirUpdate  uint32 = 2 // lazy directory update
 	wireInstall    uint32 = 3 // object migration payload
 	wireMigrateReq uint32 = 4 // "send object X to node Y"
+	// 5 is reserved: it carried the retired multicast frame.
 )
 
 // appMsg is an application message on the wire or in an object queue.

@@ -13,14 +13,15 @@ import (
 //
 //   - every tracer (one per node per cluster) becomes a process (pid),
 //     named by its label via a process_name metadata event;
-//   - every track (swap/comm/sched/app/mcast) becomes a named thread (tid)
-//     inside that process;
+//   - every track (Kind.Track) becomes a named thread (tid) inside that
+//     process;
 //   - duration events use ph "X" (complete events), instants use ph "i"
 //     with thread scope; timestamps are microseconds with fractional
 //     nanosecond precision.
 
-// track order fixes the tid assignment so the rendered rows are stable.
-var trackOrder = []string{"swap", "comm", "sched", "app", "mcast"}
+// trackOrder lists every track Kind.Track returns; its order fixes the tid
+// assignment so the rendered rows are stable.
+var trackOrder = []string{"swap", "comm", "sched", "app", "tier", "cluster", "mesh"}
 
 func trackTID(track string) int {
 	for i, t := range trackOrder {
@@ -57,8 +58,6 @@ func argName(k Kind) string {
 		return "victim"
 	case KindHandler:
 		return "handler"
-	case KindMcastStart:
-		return "members"
 	case KindNodeJoin, KindNodeLeave:
 		return "epoch"
 	case KindDirRebalance:

@@ -90,3 +90,57 @@ func TestWriteChromeTraceSkipsNilTracers(t *testing.T) {
 		t.Fatalf("invalid JSON: %s", buf.String())
 	}
 }
+
+// TestWriteChromeTraceNamesEveryTrack: with one event of every kind, each
+// track gets a tid of its own, and every tid an event lands on has a
+// thread_name — no two tracks share an unnamed row.
+func TestWriteChromeTraceNamesEveryTrack(t *testing.T) {
+	tr := NewTraceSink(int(numKinds)).NewTracer("node0", nil)
+	kindOf := map[string]Kind{}
+	for k := Kind(0); k < numKinds; k++ {
+		tr.Emit(k, 0, 0)
+		kindOf[k.String()] = k
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	named := map[int]string{} // tid -> thread_name
+	tidOf := map[string]int{} // track -> tid its events used
+	events := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" {
+			if ev.Name == "thread_name" {
+				named[ev.TID] = ev.Args["name"].(string)
+			}
+			continue
+		}
+		events++
+		k, ok := kindOf[ev.Name]
+		if !ok {
+			t.Fatalf("event %q names no kind", ev.Name)
+		}
+		track := k.Track()
+		if tid, ok := tidOf[track]; ok && tid != ev.TID {
+			t.Fatalf("track %s on tids %d and %d", track, tid, ev.TID)
+		}
+		tidOf[track] = ev.TID
+	}
+	if events != int(numKinds) {
+		t.Fatalf("%d events rendered, want %d", events, numKinds)
+	}
+	owner := map[int]string{}
+	for track, tid := range tidOf {
+		if other, ok := owner[tid]; ok {
+			t.Fatalf("tracks %s and %s share tid %d", other, track, tid)
+		}
+		owner[tid] = track
+		if named[tid] != track {
+			t.Fatalf("tid %d carries track %s but is named %q", tid, track, named[tid])
+		}
+	}
+}

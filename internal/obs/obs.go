@@ -8,8 +8,9 @@
 // totals the tracer always keeps (account.go). "What was this node doing at
 // t=1.2s, and did the load overlap the refinement" needs per-event
 // timelines: a tracer drawn from a TraceSink also records the swap lifecycle
-// (evict/load/retry/lost), communication send/deliver, scheduler run/steal
-// and multicast progress as fixed-size events in a per-node ring buffer, and
+// (evict/load/retry/lost), communication send/deliver, scheduler run/steal,
+// handlers, tier moves, membership and mesh export/restore as fixed-size
+// events in a per-node ring buffer, and
 // the exporter in chrome.go turns a set of tracers into Chrome trace-event
 // JSON that Perfetto renders directly. Every timestamp comes from the
 // tracer's injected clock, so a simulated run reports virtual time.
@@ -65,15 +66,6 @@ const (
 	// packed mobile pointer, Arg: handler ID). Its total counts the handlers
 	// a pool worker ran from a queue; one called inline is inside its caller.
 	KindHandler
-	// KindMcastStart marks a multicast beginning collection (Arg: vector
-	// length).
-	KindMcastStart
-	// KindMcastDeliver marks a multicast whose collection completed and
-	// whose messages were posted.
-	KindMcastDeliver
-	// KindMcastCancel marks a multicast cancelled because a member object
-	// was lost.
-	KindMcastCancel
 	// KindSwapWait spans the time a demand load sat queued in the swap I/O
 	// scheduler before a worker dispatched it (ID: object).
 	KindSwapWait
@@ -151,12 +143,6 @@ func (k Kind) String() string {
 		return "sched.steal"
 	case KindHandler:
 		return "app.handler"
-	case KindMcastStart:
-		return "mcast.start"
-	case KindMcastDeliver:
-		return "mcast.deliver"
-	case KindMcastCancel:
-		return "mcast.cancel"
 	case KindSwapWait:
 		return "swap.wait"
 	case KindSwapCancel:
@@ -191,7 +177,7 @@ func (k Kind) String() string {
 }
 
 // Track returns the timeline the kind belongs to when rendered (one named
-// thread per track in the Chrome trace).
+// thread per track in the Chrome trace), or "" for a kind it does not know.
 func (k Kind) Track() string {
 	switch k {
 	case KindSwapEvict, KindSwapLoad, KindSwapRetry, KindSwapStoreFail, KindSwapLost,
@@ -210,7 +196,7 @@ func (k Kind) Track() string {
 	case KindMeshExport, KindMeshRestore:
 		return "mesh"
 	default:
-		return "mcast"
+		return ""
 	}
 }
 

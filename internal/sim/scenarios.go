@@ -188,17 +188,34 @@ func (s CounterStorm) Run(env *Env) error {
 // plan's tight budget to hold both at once: the first one's handler
 // increments the second inline if it can (hPoke). Spread over virtual time,
 // they make an inline call, a drain, an eviction and a migration request want
-// the same records while the storm and the shuffle are in flight.
-type MigrationShuffle struct{}
+// the same records while the storm and the shuffle are in flight. Over the
+// transient fault schedule the migration requests also meet loads that fail
+// and retry, and a seed-drawn node leaves the ring the moment the shuffle has
+// terminated: termination counts a request wherever it waits, so none may
+// still be on its way to pull an object back onto the drained node.
+type MigrationShuffle struct {
+	// Transient switches the plan to the transient fault schedule.
+	Transient bool
+}
 
 // Name implements Scenario.
-func (MigrationShuffle) Name() string { return "migration-shuffle" }
+func (s MigrationShuffle) Name() string {
+	if s.Transient {
+		return "migration-shuffle-transient"
+	}
+	return "migration-shuffle"
+}
 
 // Fault implements Scenario.
-func (MigrationShuffle) Fault() FaultKind { return FaultNone }
+func (s MigrationShuffle) Fault() FaultKind {
+	if s.Transient {
+		return FaultTransient
+	}
+	return FaultNone
+}
 
 // Run implements Scenario.
-func (MigrationShuffle) Run(env *Env) error {
+func (s MigrationShuffle) Run(env *Env) error {
 	board := &counterBoard{counts: make(map[core.MobilePtr]int64)}
 	registerHandlers(env, board)
 	ptrs := buildObjects(env)
@@ -236,6 +253,15 @@ func (MigrationShuffle) Run(env *Env) error {
 		expected[p] += n
 	}
 	env.WaitTermination()
+	if s.Transient {
+		leaver := env.Rng.Intn(env.Plan.Nodes)
+		if _, err := env.Cluster.LeaveNode(leaver); err != nil {
+			return fmt.Errorf("leave node %d: %w", leaver, err)
+		}
+		if err := auditPlacement(env, "after leave"); err != nil {
+			return err
+		}
+	}
 	got := reportPhase(env, board, ptrs)
 	return verifyCounts(env, ptrs, got, expected)
 }

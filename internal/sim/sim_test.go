@@ -37,7 +37,7 @@ func scenarioForSeed(seed int64) Scenario {
 	case 7:
 		return RoutedChurnStorm{}
 	case 8:
-		return McastStorm{}
+		return MigrationShuffle{Transient: true}
 	default:
 		return MeshRestoreStorm{}
 	}

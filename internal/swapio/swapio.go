@@ -40,7 +40,7 @@ type Class uint8
 // The three request classes, in strict service order.
 const (
 	// Demand is a load something is blocked on: a queued message, a
-	// migration, a multicast collection.
+	// migration, a lock.
 	Demand Class = iota
 	// Write is an eviction write; it frees memory but blocks nobody
 	// directly.
