@@ -1,16 +1,16 @@
 // Command benchgate compares two mrtsbench -json documents and exits
-// non-zero when the current run regressed past the tolerances — the CI
+// non-zero when the current run regressed past the gate's bounds — the CI
 // benchmark-regression gate.
 //
 // Usage:
 //
 //	benchgate -baseline ci/bench-baseline.json -current BENCH_ci.json
-//	benchgate -baseline a.json -current b.json -speed-tol 0.5 -time-tol 2.5
 //
-// The gate checks speed metrics against a relative lower bound, overlap
-// percentages against an absolute drop in points, and wall times against a
-// relative upper bound; see bench.GateConfig. A run-shape mismatch (different
-// -scale or -pes) fails loudly rather than comparing incomparable runs.
+// Each gated metric is checked against a relative factor of its baseline
+// plus or minus an absolute slack, one table row per kind of metric (speed,
+// overlap, time, wait, hit ratio, allocs, bytes, forwards, hops); see
+// bench.Compare. A run-shape mismatch (different -scale or -pes) fails loudly
+// rather than comparing incomparable runs.
 package main
 
 import (
@@ -25,15 +25,6 @@ func main() {
 	var (
 		baselinePath = flag.String("baseline", "", "baseline bench.Doc JSON (required)")
 		currentPath  = flag.String("current", "", "current bench.Doc JSON (required)")
-		speedTol     = flag.Float64("speed-tol", 0, "relative speed floor (0 = default 0.6)")
-		overlapTol   = flag.Float64("overlap-tol", 0, "allowed overlap drop in points (0 = default 25)")
-		timeTol      = flag.Float64("time-tol", 0, "relative time ceiling (0 = default 1.8)")
-		waitTol      = flag.Float64("wait-tol", 0, "relative demand-wait ceiling (0 = default 5)")
-		hitTol       = flag.Float64("hit-tol", 0, "allowed hit-ratio drop in points (0 = default 25)")
-		allocTol     = flag.Float64("alloc-tol", 0, "relative allocs/op ceiling (0 = default 2)")
-		bytesTol     = flag.Float64("bytes-tol", 0, "relative bytes-moved ceiling (0 = default 1.5)")
-		forwardTol   = flag.Float64("forward-tol", 0, "relative forwarded-per-message ceiling (0 = default 2)")
-		hopsTol      = flag.Float64("hops-tol", 0, "relative mean-hop-count ceiling (0 = default 1.5)")
 	)
 	flag.Parse()
 	if *baselinePath == "" || *currentPath == "" {
@@ -49,12 +40,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := bench.GateConfig{
-		SpeedTol: *speedTol, OverlapTol: *overlapTol, TimeTol: *timeTol,
-		WaitTol: *waitTol, HitTol: *hitTol, AllocTol: *allocTol, BytesTol: *bytesTol,
-		ForwardTol: *forwardTol, HopsTol: *hopsTol,
-	}
-	violations := bench.Compare(baseline, current, cfg)
+	violations := bench.Compare(baseline, current)
 	if len(violations) > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s) vs %s:\n", len(violations), *baselinePath)
 		for _, v := range violations {
@@ -63,10 +49,14 @@ func main() {
 		os.Exit(1)
 	}
 	gated := 0
-	for _, id := range baseline.ExperimentIDs() {
-		gated += len(baseline.Experiments[id])
+	for _, metrics := range baseline.Experiments {
+		for name := range metrics {
+			if bench.Gated(name) {
+				gated++
+			}
+		}
 	}
-	fmt.Printf("benchgate: ok — %d experiments, %d baseline metrics within tolerance\n",
+	fmt.Printf("benchgate: ok — %d experiments, %d gated baseline metrics within bounds\n",
 		len(baseline.Experiments), gated)
 }
 

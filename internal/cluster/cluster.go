@@ -115,22 +115,12 @@ type Config struct {
 }
 
 // TierSpec configures the tiered storage hierarchy of a RemoteMemory
-// cluster. Zero-value fields take the tier package defaults.
+// cluster.
 type TierSpec struct {
 	// Capacity is each node's tier-0 byte lease: 0 disables the fast tier
 	// (pure disk), < 0 means unbounded. The memory server's own cap is the
 	// sum of the node leases.
 	Capacity int64
-	// HighWater / LowWater are the demotion watermarks (defaults 0.9/0.7).
-	HighWater, LowWater float64
-	// AdmitMax caps the blob size admitted to tier 0 (0 = no size gate).
-	AdmitMax int64
-	// PromoteAfter is the demand-miss count that promotes a blob back to
-	// tier 0 (default 2, < 0 disables).
-	PromoteAfter int
-	// Workers is the inner I/O worker count serving the disk tier
-	// (default 2).
-	Workers int
 	// Compress, when non-nil, enables the transparent compression layer
 	// (tier 0.5) on every node: disk-bound blobs are plane-coded and a
 	// byte-capped RAM cache of compressed frames fronts the disk. See
@@ -143,15 +133,10 @@ type TierSpec struct {
 }
 
 // CompressSpec configures each node's tier-0.5 compression layer.
-// Zero-value fields take the tier package defaults.
 type CompressSpec struct {
 	// CacheBytes caps the per-node RAM cache of compressed frames
 	// (0 disables the cache; compression still applies).
 	CacheBytes int64
-	// MinSize is the blob size below which compression is skipped.
-	MinSize int
-	// AdmitHeat is the touch count before a frame earns cache space.
-	AdmitHeat int
 }
 
 // Cluster is a set of wired MRTS nodes.
@@ -205,7 +190,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = core.NodeID(i)
 	}
-	c.dir = NewDirectory(ids, 0)
+	c.dir = NewDirectory(ids)
 	if cfg.RemoteMemory {
 		ep := c.tr.Endpoint(comm.NodeID(cfg.Nodes))
 		if cfg.Tier.Capacity > 0 {
@@ -258,25 +243,16 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			var compress *tier.CompressConfig
 			if cfg.Tier.Compress != nil {
-				compress = &tier.CompressConfig{
-					CacheBytes: cfg.Tier.Compress.CacheBytes,
-					MinSize:    cfg.Tier.Compress.MinSize,
-					AdmitHeat:  cfg.Tier.Compress.AdmitHeat,
-				}
+				compress = &tier.CompressConfig{CacheBytes: cfg.Tier.Compress.CacheBytes}
 			}
 			ts, err := tier.New(tier.Config{
-				Fast:         fast,
-				Slow:         st,
-				Capacity:     cfg.Tier.Capacity,
-				HighWater:    cfg.Tier.HighWater,
-				LowWater:     cfg.Tier.LowWater,
-				AdmitMax:     cfg.Tier.AdmitMax,
-				PromoteAfter: cfg.Tier.PromoteAfter,
-				Workers:      cfg.Tier.Workers,
-				Compress:     compress,
-				Retry:        c.nodeRetry(i),
-				Tracer:       tracer,
-				Clock:        cfg.Clock,
+				Fast:     fast,
+				Slow:     st,
+				Capacity: cfg.Tier.Capacity,
+				Compress: compress,
+				Retry:    c.nodeRetry(i),
+				Tracer:   tracer,
+				Clock:    cfg.Clock,
 			})
 			if err != nil {
 				c.Close()

@@ -12,7 +12,7 @@ import (
 
 // Directory is the consistent-hash sharded object directory: it owns the
 // key→node placement every node of a multi-process cluster computes
-// identically and without communication. Each node is mapped to VNodes
+// identically and without communication. Each node is mapped to 512
 // points on a 64-bit hash ring; a key is owned by the node whose ring point
 // first follows the key's hash. Adding or removing one node therefore moves
 // only the keys in the arcs that node's points cover — about 1/N of the
@@ -26,8 +26,6 @@ import (
 //
 // All methods are safe for concurrent use.
 type Directory struct {
-	vnodes int
-
 	mu    sync.RWMutex
 	epoch uint64
 	nodes map[core.NodeID]struct{}
@@ -43,18 +41,14 @@ type ringPoint struct {
 // the caller should re-resolve against the current epoch.
 var ErrStaleEpoch = errors.New("cluster: stale ring epoch")
 
-// DefaultVNodes is the virtual-node count per member used when none is
-// given. 512 keeps the spread across 8 nodes within a few percent of
-// uniform while the ring stays small enough to rebuild on every change.
-const DefaultVNodes = 512
+// pointsPerMember is the virtual-node count of each member on the ring. 512
+// keeps the spread across 8 nodes within a few percent of uniform while the
+// ring stays small enough to rebuild on every change.
+const pointsPerMember = 512
 
-// NewDirectory builds a ring over the given members. vnodes <= 0 selects
-// DefaultVNodes. The initial epoch is 1.
-func NewDirectory(nodes []core.NodeID, vnodes int) *Directory {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	d := &Directory{vnodes: vnodes, epoch: 1, nodes: make(map[core.NodeID]struct{}, len(nodes))}
+// NewDirectory builds a ring over the given members. The initial epoch is 1.
+func NewDirectory(nodes []core.NodeID) *Directory {
+	d := &Directory{epoch: 1, nodes: make(map[core.NodeID]struct{}, len(nodes))}
 	for _, n := range nodes {
 		d.nodes[n] = struct{}{}
 	}
@@ -63,13 +57,13 @@ func NewDirectory(nodes []core.NodeID, vnodes int) *Directory {
 }
 
 // rebuildLocked regenerates the ring from the node set. Ring points depend
-// only on (node, vnodes), so every process derives the identical ring from
+// only on the node ID, so every process derives the identical ring from
 // the identical membership — the property that makes the directory shared
 // without being replicated.
 func (d *Directory) rebuildLocked() {
 	d.ring = d.ring[:0]
 	for n := range d.nodes {
-		for v := 0; v < d.vnodes; v++ {
+		for v := 0; v < pointsPerMember; v++ {
 			d.ring = append(d.ring, ringPoint{hash: vnodeHash(n, v), node: n})
 		}
 	}
@@ -210,13 +204,13 @@ func (d *Directory) Remove(n core.NodeID) uint64 {
 
 // CheckInvariants audits the ring structure and returns human-readable
 // violations (empty when healthy): the ring must hold exactly
-// members×vnodes points, sorted, every point owned by a member, and probe
-// keys must resolve to exactly one member.
+// members×pointsPerMember points, sorted, every point owned by a member, and
+// probe keys must resolve to exactly one member.
 func (d *Directory) CheckInvariants() []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var bad []string
-	if want := len(d.nodes) * d.vnodes; len(d.ring) != want {
+	if want := len(d.nodes) * pointsPerMember; len(d.ring) != want {
 		bad = append(bad, fmt.Sprintf("directory: ring has %d points, want %d", len(d.ring), want))
 	}
 	for i := 1; i < len(d.ring); i++ {

@@ -20,7 +20,7 @@ func nodeSet(n int) []core.NodeID {
 // Placement must be within ±15% of uniform across 8 nodes.
 func TestDirectoryUniformSpread(t *testing.T) {
 	const nodes, keys = 8, 20000
-	d := NewDirectory(nodeSet(nodes), 0)
+	d := NewDirectory(nodeSet(nodes))
 	counts := make(map[core.NodeID]int)
 	for i := 0; i < keys; i++ {
 		owner, _ := d.Owner(fmt.Sprintf("key-%d", i))
@@ -41,7 +41,7 @@ func TestDirectoryMinimalMovement(t *testing.T) {
 	const nodes, keys = 8, 20000
 	limit := keys * 2 / nodes
 
-	d := NewDirectory(nodeSet(nodes), 0)
+	d := NewDirectory(nodeSet(nodes))
 	before := make([]core.NodeID, keys)
 	for i := range before {
 		before[i], _ = d.Owner(fmt.Sprintf("key-%d", i))
@@ -84,8 +84,8 @@ func TestDirectoryMinimalMovement(t *testing.T) {
 // The same membership always yields the same ring — the property that lets
 // every process compute placement without communication.
 func TestDirectoryDeterministic(t *testing.T) {
-	a := NewDirectory(nodeSet(5), 64)
-	b := NewDirectory([]core.NodeID{4, 2, 0, 3, 1}, 64) // same set, any order
+	a := NewDirectory(nodeSet(5))
+	b := NewDirectory([]core.NodeID{4, 2, 0, 3, 1}) // same set, any order
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("obj-%d", i)
 		oa, _ := a.Owner(key)
@@ -99,7 +99,7 @@ func TestDirectoryDeterministic(t *testing.T) {
 // OwnerAt against a superseded ring must fail typed, and retrying against
 // the fresh epoch must succeed — exercised concurrently under -race.
 func TestDirectoryStaleEpochRetry(t *testing.T) {
-	d := NewDirectory(nodeSet(4), 32)
+	d := NewDirectory(nodeSet(4))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -153,7 +153,7 @@ func TestDirectoryStaleEpochRetry(t *testing.T) {
 }
 
 func TestDirectoryEdgeCases(t *testing.T) {
-	d := NewDirectory(nil, 8)
+	d := NewDirectory(nil)
 	if owner, _ := d.Owner("x"); owner != -1 {
 		t.Fatalf("empty ring owner = %d, want -1", owner)
 	}

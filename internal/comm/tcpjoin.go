@@ -93,10 +93,6 @@ type TCPNodeConfig struct {
 	// (defaults 50ms and 2s).
 	RedialBackoff time.Duration
 	RedialMax     time.Duration
-	// OnMembers, when non-nil, is called (on the membership goroutine,
-	// without internal locks held) after every membership change with the
-	// new epoch and table.
-	OnMembers func(epoch uint64, members []Member)
 }
 
 // Member is one row of the cluster member table.
@@ -350,9 +346,9 @@ func decodeMemberTable(b []byte) (uint64, []Member, error) {
 // installTableLocked replaces the member table from a broadcast, dropping
 // cached connections to peers that went down or moved address. Stale epochs
 // are ignored (broadcasts can reorder across connections).
-func (e *TCPNode) installTableLocked(epoch uint64, table []Member) bool {
+func (e *TCPNode) installTableLocked(epoch uint64, table []Member) {
 	if epoch <= e.epoch && len(e.members) > 0 {
-		return false
+		return
 	}
 	e.epoch = epoch
 	fresh := make(map[NodeID]*memberState, len(table))
@@ -373,7 +369,6 @@ func (e *TCPNode) installTableLocked(epoch uint64, table []Member) bool {
 		}
 	}
 	e.members = fresh
-	return true
 }
 
 func (e *TCPNode) acceptLoop() {
@@ -441,15 +436,8 @@ func (e *TCPNode) handleControl(c net.Conn, src NodeID, handler uint32, payload 
 			return false
 		}
 		e.mu.Lock()
-		changed := e.installTableLocked(epoch, table)
-		var snapshot []Member
-		if changed && e.cfg.OnMembers != nil {
-			snapshot = e.membersLocked()
-		}
+		e.installTableLocked(epoch, table)
 		e.mu.Unlock()
-		if snapshot != nil {
-			e.cfg.OnMembers(epoch, snapshot)
-		}
 		return true
 	case ctrlHeartbeat:
 		if e.seed {
@@ -501,9 +489,6 @@ func (e *TCPNode) admit(c net.Conn, want uint32, addr string) bool {
 		return false
 	}
 	e.broadcastMembers(epoch, table)
-	if e.cfg.OnMembers != nil {
-		e.cfg.OnMembers(epoch, table)
-	}
 	return true
 }
 
@@ -541,9 +526,6 @@ func (e *TCPNode) noteAlive(src NodeID) {
 	e.mu.Unlock()
 	if revived {
 		e.broadcastMembers(epoch, table)
-		if e.cfg.OnMembers != nil {
-			e.cfg.OnMembers(epoch, table)
-		}
 	}
 }
 
@@ -565,9 +547,6 @@ func (e *TCPNode) markDown(id NodeID) {
 	}
 	e.mu.Unlock()
 	e.broadcastMembers(epoch, table)
-	if e.cfg.OnMembers != nil {
-		e.cfg.OnMembers(epoch, table)
-	}
 }
 
 // heartbeatLoop (non-seed) tells the seed this node is alive.

@@ -51,10 +51,6 @@ type Options struct {
 	// reports Capped in its stats.
 	MaxVertices int
 
-	// OffCenters enables Üngör off-center Steiner points instead of plain
-	// circumcenters, which typically yields fewer inserted points.
-	OffCenters bool
-
 	// OnSegmentSplit, when non-nil, is called after every constrained
 	// segment split with the segment endpoints and the inserted midpoint.
 	// PCDM uses it to propagate interface splits to neighbor subdomains.
@@ -78,7 +74,7 @@ func (o *Options) qualityBound() float64 {
 
 // Stats reports what a refinement run did.
 type Stats struct {
-	SteinerPoints int  // circumcenters / off-centers inserted
+	SteinerPoints int  // circumcenters inserted
 	SegmentSplits int  // constrained segment midpoint insertions
 	Skipped       int  // bad triangles left alone under NoSegmentSplit
 	Capped        bool // true if MaxVertices stopped refinement early
@@ -431,13 +427,10 @@ func (r *refiner) queueAround(v mesh.VertexID) {
 }
 
 // refineTriangle attempts to kill bad triangle t by inserting its
-// circumcenter (or off-center); if the new point would encroach constrained
-// segments, those segments are split instead (Ruppert's rule). c and ok are
-// t's circumcenter as isBad returned it.
+// circumcenter; if the new point would encroach constrained segments, those
+// segments are split instead (Ruppert's rule). c and ok are t's circumcenter
+// as isBad returned it.
 func (r *refiner) refineTriangle(t mesh.TriID, c geom.Point, ok bool) error {
-	if r.opts.OffCenters {
-		c, ok = r.m.Triangle(t).OffCenter(r.beta)
-	}
 	if !ok {
 		return fmt.Errorf("delaunay: degenerate triangle %d", t)
 	}

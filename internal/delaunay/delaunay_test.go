@@ -235,37 +235,6 @@ func TestRefineBadOptions(t *testing.T) {
 	}
 }
 
-func TestRefineOffCenters(t *testing.T) {
-	m1, _, err := BuildCDT(polygonPSLG(12, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := Refine(m1, Options{MaxArea: 0.002})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, _, err := BuildCDT(polygonPSLG(12, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Refine(m2, Options{MaxArea: 0.002, OffCenters: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Both must meet the bound; off-centers usually need no more points.
-	for _, m := range []*mesh.Mesh{m1, m2} {
-		m.ForEachTri(func(id mesh.TriID, _ mesh.Tri) {
-			if m.Triangle(id).Quality() > DefaultQualityBound+1e-9 {
-				t.Errorf("bad quality triangle survived")
-			}
-		})
-	}
-	t.Logf("circumcenters: %d Steiner, off-centers: %d Steiner", s1.SteinerPoints, s2.SteinerPoints)
-}
-
 func TestSegmentsRemainConstrainedAfterRefine(t *testing.T) {
 	m, _, err := BuildCDT(squarePSLG())
 	if err != nil {

@@ -152,9 +152,6 @@ func goldenCases() []goldenCase {
 		{"holes", workload.SquareWithHoles(3),
 			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 1)},
 			"dd945be4c1857faec169697afd5a7481a4fad376f02ea602234c539539b08b92"},
-		{"gear-offcenters", workload.Gear(9, 0.5, 0.35, centre),
-			delaunay.Options{OffCenters: true, MaxArea: workload.UniformAreaFor(2500, 0.5), MaxVertices: 20000},
-			"1a0835f1b0b345d72897332e01f563bfb6d72ff77a416b25dfb6c5cf04ec412e"},
 		{"square-frozen-segments", subdividedSquare(24),
 			delaunay.Options{NoSegmentSplit: true, MaxArea: workload.UniformAreaFor(2000, 1)},
 			"f174d8f4f1b5a95eb7a37c9d82e00212459088b2a5dfdd9c2bb31bf39b59960d"},

@@ -77,7 +77,6 @@ func TestRefineFromMatchesRefine(t *testing.T) {
 		{"area", delaunay.Options{MaxArea: workload.UniformAreaFor(1500, 2)}},
 		{"area-beta", delaunay.Options{QualityBound: 1.25, MaxArea: workload.UniformAreaFor(1000, 2)}},
 		{"graded", delaunay.Options{SizeFunc: func(p geom.Point) float64 { return 0.02 + 0.08*p.Dist(centre) }}},
-		{"offcenters", delaunay.Options{OffCenters: true, MaxArea: workload.UniformAreaFor(1500, 2)}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -28,9 +28,6 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 // Sub returns p - q, treating both as vectors.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Dot returns the dot product of p and q as vectors.
 func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 

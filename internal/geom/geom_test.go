@@ -16,9 +16,6 @@ func TestPointOps(t *testing.T) {
 	if got := p.Sub(q); !got.Eq(Pt(-2, 6)) {
 		t.Errorf("Sub = %v", got)
 	}
-	if got := p.Scale(2); !got.Eq(Pt(2, 4)) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Dot(q); got != 3-8 {
 		t.Errorf("Dot = %v", got)
 	}

@@ -178,47 +178,3 @@ func (t Triangle) MinAngle() float64 {
 func (t Triangle) CircumcircleContains(p Point) bool {
 	return InCircle(t.A, t.B, t.C, p) == Positive
 }
-
-// OffCenter computes the off-center Steiner point of Üngör for the triangle,
-// a point on the segment from the circumcenter toward the midpoint of the
-// shortest edge, such that inserting it still removes the poor triangle but
-// creates a new triangle of acceptable quality more often than the plain
-// circumcenter. beta is the quality bound in use. The second return value is
-// false for degenerate triangles.
-func (t Triangle) OffCenter(beta float64) (Point, bool) {
-	cc, ok := t.Circumcenter()
-	if !ok {
-		return Point{}, false
-	}
-	// Identify the shortest edge (p, q).
-	p, q := t.A, t.B
-	best := t.A.Dist2(t.B)
-	if d := t.B.Dist2(t.C); d < best {
-		best, p, q = d, t.B, t.C
-	}
-	if d := t.C.Dist2(t.A); d < best {
-		p, q = t.C, t.A
-	}
-	m := p.Mid(q)
-	l := p.Dist(q)
-	// The off-center sits on segment (m, cc) at distance from m such that
-	// the new triangle (p, q, off) has radius-edge ratio exactly beta.
-	dm := m.Dist(cc)
-	if dm == 0 {
-		return cc, true
-	}
-	// Height h above the midpoint for which ratio == beta:
-	// r = (h^2 + (l/2)^2) / (2h), require r / l == beta.
-	// => h = beta*l + sqrt((beta*l)^2 - (l/2)^2) (take the root <= dm).
-	bl := beta * l
-	disc := bl*bl - l*l/4
-	if disc < 0 {
-		return cc, true
-	}
-	h := bl + math.Sqrt(disc)
-	if h >= dm {
-		return cc, true // circumcenter is already close enough
-	}
-	dir := cc.Sub(m).Scale(1 / dm)
-	return m.Add(dir.Scale(h)), true
-}

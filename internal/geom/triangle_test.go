@@ -117,43 +117,3 @@ func TestCircumcircleContains(t *testing.T) {
 		t.Error("cocircular point should not be strictly inside")
 	}
 }
-
-func TestOffCenter(t *testing.T) {
-	// A skinny triangle whose circumcenter is far away.
-	tr := Triangle{Pt(0, 0), Pt(1, 0), Pt(0.5, 8)}
-	beta := math.Sqrt2
-	oc, ok := tr.OffCenter(beta)
-	if !ok {
-		t.Fatal("off-center should exist")
-	}
-	cc, _ := tr.Circumcenter()
-	m := Pt(0.5, 0)
-	// The off-center must lie between the shortest-edge midpoint and the
-	// circumcenter, and no farther than the circumcenter.
-	if m.Dist(oc) > m.Dist(cc)+1e-12 {
-		t.Errorf("off-center %v is farther than circumcenter %v", oc, cc)
-	}
-	// New triangle (p,q,off) should have radius-edge ratio close to beta
-	// (when the off-center was pulled in, i.e. differs from circumcenter).
-	if oc != cc {
-		nt := Triangle{Pt(0, 0), Pt(1, 0), oc}
-		if got := nt.Quality(); math.Abs(got-beta) > 0.05 {
-			t.Errorf("off-center new triangle quality = %v, want ≈ %v", got, beta)
-		}
-	}
-	// Degenerate input.
-	deg := Triangle{Pt(0, 0), Pt(1, 1), Pt(2, 2)}
-	if _, ok := deg.OffCenter(beta); ok {
-		t.Error("degenerate triangle should have no off-center")
-	}
-	// A good-quality triangle keeps its circumcenter.
-	eqt := Triangle{Pt(0, 0), Pt(1, 0), Pt(0.5, math.Sqrt(3)/2)}
-	oc2, ok := eqt.OffCenter(beta)
-	if !ok {
-		t.Fatal("off-center should exist for equilateral")
-	}
-	cc2, _ := eqt.Circumcenter()
-	if oc2.Dist(cc2) > 1e-12 {
-		t.Errorf("good triangle should keep circumcenter, got %v want %v", oc2, cc2)
-	}
-}

@@ -26,7 +26,7 @@ import (
 
 // DistConfig parameterizes one node's share of a distributed OUPDR run. All
 // processes of a run must use identical Blocks/TargetElements/QualityBound/
-// Nodes/Phases/VNodes; Node is the process's own ID.
+// Nodes/Phases; Node is the process's own ID.
 type DistConfig struct {
 	// Blocks is the decomposition grid dimension (Blocks×Blocks blocks).
 	Blocks int
@@ -40,8 +40,6 @@ type DistConfig struct {
 	// (block idx k is posted in phase k%Phases). Multi-phase runs give the
 	// launcher quiescent boundaries to checkpoint — and kill — workers at.
 	Phases int
-	// VNodes overrides the directory's virtual node count (0 = default).
-	VNodes int
 }
 
 func (c *DistConfig) defaults() error {
@@ -122,7 +120,7 @@ func NewPlacement(cfg DistConfig) (*Placement, error) {
 	for i := range ids {
 		ids[i] = core.NodeID(i)
 	}
-	pl := &Placement{Dir: cluster.NewDirectory(ids, cfg.VNodes)}
+	pl := &Placement{Dir: cluster.NewDirectory(ids)}
 
 	nb := cfg.Blocks
 	pl.Ptrs = make([]core.MobilePtr, nb*nb)

@@ -26,10 +26,6 @@ type UPDRConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
-	// KeepMeshes retains all block meshes in memory until the run ends
-	// (the in-core behavior whose footprint the out-of-core build shrinks).
-	// Element counts are collected either way.
-	KeepMeshes bool
 	// Export, when non-nil, frames every block into the meshstore chunk once
 	// meshing is done (RunOUPDR only): a pass that reads every block, and so
 	// reloads the ones out of core. Without it a run reads nothing back; its
@@ -210,11 +206,9 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 		}
 	}
 
-	if !cfg.KeepMeshes {
-		for i, b := range blocks {
-			b.mesh.Recycle()
-			blocks[i] = nil
-		}
+	for i, b := range blocks {
+		b.mesh.Recycle()
+		blocks[i] = nil
 	}
 	return Result{
 		Method:     "UPDR",

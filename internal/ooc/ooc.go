@@ -7,8 +7,8 @@
 // Memory pressure is modeled by explicit byte accounting of serialized object
 // sizes against a per-node budget: the Go runtime's GC makes physical RAM
 // exhaustion both unportable and unsafe to provoke, while byte accounting
-// triggers the identical decision logic at the same thresholds (hard = a
-// multiple of the largest stored object, soft = a fraction of total memory).
+// triggers the identical decision logic at the same thresholds (hard = 2 ×
+// the largest stored object, soft = ½ of total memory).
 package ooc
 
 import (
@@ -50,25 +50,20 @@ type Config struct {
 	Budget int64
 	// Policy is the eviction scheme. Empty means LRU.
 	Policy Policy
-	// HardMultiple defines the hard swapping threshold as a multiple of
-	// the size of the largest object currently stored on disk; checked on
-	// allocation. Zero means the paper's default of 2.
-	HardMultiple float64
-	// SoftFraction defines the soft swapping threshold as a fraction of
-	// the total budget: when free memory drops below it the layer is
-	// "advised" to start swapping. Zero means the paper's default of 1/2.
-	SoftFraction float64
 }
+
+// The paper's swapping thresholds. The hard threshold is hardMultiple × the
+// size of the largest object stored on disk so far, checked on allocation.
+// The soft threshold is softFraction of the budget: when free memory drops
+// below it the layer is "advised" to start swapping.
+const (
+	hardMultiple = 2
+	softFraction = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = LRU
-	}
-	if c.HardMultiple == 0 {
-		c.HardMultiple = 2
-	}
-	if c.SoftFraction == 0 {
-		c.SoftFraction = 0.5
 	}
 	return c
 }
@@ -428,10 +423,10 @@ func (m *Manager) addUsed(n int64) {
 }
 
 // hardThresholdLocked returns the hard swapping threshold in bytes:
-// HardMultiple × the largest object stored so far. Allocations that would
+// hardMultiple × the largest object stored so far. Allocations that would
 // leave less than this amount free force eviction.
 func (m *Manager) hardThresholdLocked() int64 {
-	return int64(m.cfg.HardMultiple * float64(m.largestStored))
+	return int64(hardMultiple * float64(m.largestStored))
 }
 
 // NeedForSoft returns how many bytes must be evicted to bring free memory
@@ -439,7 +434,7 @@ func (m *Manager) hardThresholdLocked() int64 {
 func (m *Manager) NeedForSoft() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	target := int64((1 - m.cfg.SoftFraction) * float64(m.cfg.Budget))
+	target := int64((1 - softFraction) * float64(m.cfg.Budget))
 	over := m.used - target
 	if over < 0 {
 		return 0

@@ -202,15 +202,18 @@ func TestQueueLenBias(t *testing.T) {
 	}
 }
 
+// The paper's hard threshold is 2 × the largest object stored on disk so far.
 func TestHardThreshold(t *testing.T) {
-	m := NewManager(Config{Budget: 1000, HardMultiple: 2})
+	m := NewManager(Config{Budget: 1000})
 	if m.hardThresholdLocked() != 0 {
 		t.Fatal("no stored objects: threshold 0")
 	}
 	m.Register(1, 300)
+	m.Register(2, 120)
+	m.MarkOut(2)
 	m.MarkOut(1) // largest stored = 300 → hard threshold 600
-	if got := m.hardThresholdLocked(); got != 600 {
-		t.Fatalf("hard threshold = %d, want 600", got)
+	if got := m.hardThresholdLocked(); got != 2*300 {
+		t.Fatalf("hard threshold = %d, want 2 × 300", got)
 	}
 	// Allocation limit = budget - threshold = 400.
 	if need := m.NeedForAlloc(400); need != 0 {
@@ -221,8 +224,11 @@ func TestHardThreshold(t *testing.T) {
 	}
 }
 
+// The paper's soft threshold is ½ of memory: swapping is advised once more
+// than half the budget is in use, down to exactly half.
 func TestSoftThreshold(t *testing.T) {
-	m := NewManager(Config{Budget: 1000, SoftFraction: 0.5})
+	const budget = 1000
+	m := NewManager(Config{Budget: budget})
 	if m.NeedForSoft() != 0 {
 		t.Fatal("empty manager should not breach soft threshold")
 	}
@@ -231,8 +237,8 @@ func TestSoftThreshold(t *testing.T) {
 		t.Fatal("400/1000 used: free 600 >= 500")
 	}
 	m.Register(2, 200)
-	if m.NeedForSoft() == 0 {
-		t.Fatal("600/1000 used: free 400 < 500 should breach")
+	if got, want := m.NeedForSoft(), int64(600-budget/2); got != want {
+		t.Fatalf("600/1000 used: NeedForSoft = %d, want %d (down to ½ the budget)", got, want)
 	}
 }
 

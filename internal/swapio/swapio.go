@@ -15,9 +15,9 @@
 // Two further rules keep the pipeline honest. Per-key coalescing: a second
 // load of a key already queued or in flight joins the first request instead
 // of issuing a duplicate read, and a demand joiner promotes a still-queued
-// prefetch to demand class. Bounded speculation: when the backlog reaches the
-// configured bound, further Prefetch submissions are refused (never Demand or
-// Write — refusing those could deadlock the eviction path that runs on the
+// prefetch to demand class. Bounded speculation: when the backlog reaches
+// queueBound requests, further Prefetch submissions are refused (never Demand
+// or Write — refusing those could deadlock the eviction path that runs on the
 // workers themselves), and queued prefetches can be cancelled wholesale when
 // memory pressure or shutdown supersedes them.
 package swapio
@@ -68,14 +68,14 @@ func (c Class) String() string {
 // cancelled before a worker picked it up.
 var ErrCanceled = errors.New("swapio: request canceled")
 
+// queueBound is the queued-request count at which further Prefetch
+// submissions are refused. Demand and Write are never bounded.
+const queueBound = 64
+
 // Config configures a Scheduler.
 type Config struct {
 	// Workers is the I/O worker count (<= 0 means 2).
 	Workers int
-	// QueueBound is the queued-request count at which further Prefetch
-	// submissions are refused (<= 0 means 64). Demand and Write are never
-	// bounded.
-	QueueBound int
 	// Retry is the retry policy applied to every Get/Put (see
 	// storage.RetryPolicy). The zero value means a single attempt.
 	Retry storage.RetryPolicy
@@ -199,7 +199,6 @@ type Scheduler struct {
 	st     storage.Store
 	retry  *storage.Retrier
 	tracer *obs.Tracer
-	bound  int
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -237,10 +236,6 @@ func New(st storage.Store, cfg Config) *Scheduler {
 	if workers <= 0 {
 		workers = 2
 	}
-	bound := cfg.QueueBound
-	if bound <= 0 {
-		bound = 64
-	}
 	retry := cfg.Retry
 	if retry.Clock == nil {
 		retry.Clock = cfg.Clock
@@ -253,7 +248,6 @@ func New(st storage.Store, cfg Config) *Scheduler {
 		st:     st,
 		retry:  storage.NewRetrier(retry),
 		tracer: tracer,
-		bound:  bound,
 		loads:  make(map[storage.Key]*request),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -312,7 +306,7 @@ func (s *Scheduler) Load(key storage.Key, id uint64, class Class, done func([]by
 		s.mu.Unlock()
 		return true
 	}
-	if class == Prefetch && s.queued >= s.bound {
+	if class == Prefetch && s.queued >= queueBound {
 		s.rejected++
 		s.mu.Unlock()
 		return false

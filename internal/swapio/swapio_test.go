@@ -65,7 +65,7 @@ func TestDemandBeatsPrefetchBacklog(t *testing.T) {
 		st.MemStore.Put(storage.Key(fmt.Sprintf("p%d", i)), []byte{byte(i)})
 	}
 	st.MemStore.Put("d", []byte("demand"))
-	s := New(st, Config{Workers: 1, QueueBound: 100})
+	s := New(st, Config{Workers: 1})
 
 	var mu sync.Mutex
 	var order []string
@@ -271,42 +271,44 @@ func TestCancelPrefetches(t *testing.T) {
 	s.Close()
 }
 
-// TestBoundRejectsOnlyPrefetch: the queue bound is backpressure for
-// speculation, never for demand loads or eviction writes.
+// TestBoundRejectsOnlyPrefetch: the queue bound of 64 requests is
+// backpressure for speculation, never for demand loads or eviction writes.
 func TestBoundRejectsOnlyPrefetch(t *testing.T) {
+	const bound = 64
 	st := newGated()
-	for i := 0; i < 4; i++ {
+	for i := 0; i <= bound; i++ {
 		st.MemStore.Put(storage.Key(fmt.Sprintf("p%d", i)), []byte{byte(i)})
 	}
 	st.MemStore.Put("busy", []byte("x"))
 	st.MemStore.Put("d", []byte("y"))
-	s := New(st, Config{Workers: 1, QueueBound: 2})
+	s := New(st, Config{Workers: 1})
 	s.Load("busy", 0, Demand, func([]byte, error) {})
 	<-st.started
 
-	if !s.Load("p0", 1, Prefetch, func([]byte, error) {}) ||
-		!s.Load("p1", 2, Prefetch, func([]byte, error) {}) {
-		t.Fatal("prefetches under the bound refused")
+	for i := 0; i < bound; i++ {
+		if !s.Load(storage.Key(fmt.Sprintf("p%d", i)), uint64(1+i), Prefetch, func([]byte, error) {}) {
+			t.Fatalf("prefetch %d under the bound refused", i)
+		}
 	}
-	if s.Load("p2", 3, Prefetch, func([]byte, error) {}) {
+	if s.Load(storage.Key(fmt.Sprintf("p%d", bound)), 1+bound, Prefetch, func([]byte, error) {}) {
 		t.Fatal("prefetch beyond the bound accepted")
 	}
 	if s.Snapshot().Rejected != 1 {
 		t.Fatalf("expected 1 rejection, got %d", s.Snapshot().Rejected)
 	}
 	// Demand and Write sail past the same full queue.
-	if !s.Load("d", 4, Demand, func([]byte, error) {}) {
+	if !s.Load("d", 2+bound, Demand, func([]byte, error) {}) {
 		t.Fatal("demand load refused by the prefetch bound")
 	}
-	if !s.Store("w", 5, func() ([]byte, error) { return []byte("w"), nil }, nil, func(int, error) {}) {
+	if !s.Store("w", 3+bound, func() ([]byte, error) { return []byte("w"), nil }, nil, func(int, error) {}) {
 		t.Fatal("write refused by the prefetch bound")
 	}
-	for i := 0; i < 4; i++ {
-		st.release <- struct{}{}
-		if i < 3 {
-			<-st.started
-		}
+	if n := s.CancelPrefetches(); n != bound {
+		t.Fatalf("cancelled %d queued prefetches, want %d", n, bound)
 	}
+	st.release <- struct{}{} // busy
+	<-st.started             // d
+	st.release <- struct{}{}
 	s.Close()
 }
 

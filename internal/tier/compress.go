@@ -32,36 +32,27 @@ import (
 )
 
 const (
-	frameMagic     = 0xC7
-	codecRaw       = 0
-	codecPlanes    = 2
-	frameHdrLen    = 6
-	maxFrameRaw    = 1 << 30 // decode bound on the claimed raw length
-	defaultMinSize = 512
+	frameMagic  = 0xC7
+	codecRaw    = 0
+	codecPlanes = 2
+	frameHdrLen = 6
+	maxFrameRaw = 1 << 30 // decode bound on the claimed raw length
 )
+
+// minCompressSize is the blob size below which compression is not attempted:
+// small blobs are framed raw.
+const minCompressSize = 512
+
+// admitHeat is how many touches a key needs before its frame is worth cache
+// space (the same warmth idea as the tier-0 admission policy): first-timers
+// stream through, repeat visitors are cached.
+const admitHeat = 2
 
 // CompressConfig configures the tier-0.5 compression layer.
 type CompressConfig struct {
 	// CacheBytes caps the RAM cache of compressed frames. 0 disables the
 	// cache (compression only, no tier-0.5 residency).
 	CacheBytes int64
-	// MinSize is the blob size below which compression is not attempted
-	// (small blobs are framed raw). Default 512.
-	MinSize int
-	// AdmitHeat is how many touches a key needs before its frame is worth
-	// cache space (the same warmth idea as the tier-0 admission policy).
-	// Default 2: first-timers stream through, repeat visitors are cached.
-	AdmitHeat int
-}
-
-func (c CompressConfig) withDefaults() CompressConfig {
-	if c.MinSize <= 0 {
-		c.MinSize = defaultMinSize
-	}
-	if c.AdmitHeat <= 0 {
-		c.AdmitHeat = 2
-	}
-	return c
 }
 
 // CompressStats is a point-in-time snapshot of tier-0.5 activity.
@@ -70,7 +61,7 @@ type CompressStats struct {
 	// write through the layer; their quotient is the achieved ratio.
 	RawBytes, StoredBytes uint64
 	// Incompressible counts writes stored raw because coding did not shrink
-	// them (MinSize skips count here too).
+	// them (blobs below 512 bytes count here too).
 	Incompressible uint64
 	// CacheHits / CacheMisses count reads served from / past the frame cache.
 	CacheHits, CacheMisses uint64
@@ -139,7 +130,7 @@ type compressedStore struct {
 func newCompressedStore(inner storage.Store, cfg CompressConfig, clk clock.Clock) *compressedStore {
 	return &compressedStore{
 		inner: inner,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		clk:   clock.Or(clk),
 		cache: make(map[storage.Key]*centry),
 	}
@@ -152,7 +143,7 @@ func (s *compressedStore) encodeFrame(data []byte) []byte {
 	frame := append(bufpool.Get(frameHdrLen + len(data))[:0],
 		frameMagic, codecRaw,
 		byte(len(data)), byte(len(data)>>8), byte(len(data)>>16), byte(len(data)>>24))
-	if len(data) >= s.cfg.MinSize {
+	if len(data) >= minCompressSize {
 		start := s.clk.Now()
 		coded, ok := planes.Encode(frame, data)
 		s.mu.Lock()
@@ -208,7 +199,7 @@ func (s *compressedStore) touchLocked(ent *centry) bool {
 	s.seq++
 	ent.seq = s.seq
 	ent.heat++
-	return ent.heat >= uint64(s.cfg.AdmitHeat)
+	return ent.heat >= admitHeat
 }
 
 // admitLocked installs frame (store-owned, pooled) as key's cached copy,

@@ -111,7 +111,7 @@ func TestCompressedStoreShrinksRefinedBlock(t *testing.T) {
 
 func TestCompressedStoreCacheServesRepeatReads(t *testing.T) {
 	inner := storage.NewMem()
-	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 1 << 20, AdmitHeat: 2}, nil)
+	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 1 << 20}, nil)
 	defer cs.Close()
 
 	want := compressible(16 << 10)
@@ -140,7 +140,7 @@ func TestCompressedStoreCacheServesRepeatReads(t *testing.T) {
 func TestCompressedStoreCacheEvictsColdest(t *testing.T) {
 	inner := storage.NewMem()
 	// Room for roughly one compressed 8KiB frame at a time.
-	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 512, AdmitHeat: 1, MinSize: 1}, nil)
+	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 512}, nil)
 	defer cs.Close()
 
 	for i := 0; i < 4; i++ {
@@ -148,10 +148,16 @@ func TestCompressedStoreCacheEvictsColdest(t *testing.T) {
 		if err := cs.Put(key, compressible(8<<10)); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := cs.Get(key); err != nil { // second touch: admitted
+			t.Fatal(err)
+		}
 	}
 	st := cs.Stats()
 	if st.CacheBytes > 512 {
 		t.Fatalf("cache over cap: %d > 512", st.CacheBytes)
+	}
+	if st.CacheBlobs != 1 {
+		t.Fatalf("cache holds %d frames, want only the last one admitted", st.CacheBlobs)
 	}
 	// Every key still readable regardless of cache churn.
 	for i := 0; i < 4; i++ {
@@ -164,11 +170,16 @@ func TestCompressedStoreCacheEvictsColdest(t *testing.T) {
 
 func TestCompressedStoreDeleteDropsCache(t *testing.T) {
 	inner := storage.NewMem()
-	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 1 << 20, AdmitHeat: 1}, nil)
+	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 1 << 20}, nil)
 	defer cs.Close()
 
-	if err := cs.Put("k", compressible(4<<10)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ { // the second touch admits the frame
+		if err := cs.Put("k", compressible(4<<10)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := cs.Stats(); st.CacheBlobs != 1 {
+		t.Fatalf("frame not cached before Delete: %+v", st)
 	}
 	if err := cs.Delete("k"); err != nil {
 		t.Fatal(err)
@@ -225,7 +236,7 @@ func TestCompressedStorePooledPathsHammer(t *testing.T) {
 	defer bufpool.SetPoison(false)
 
 	inner := storage.NewMem()
-	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 4 << 10, AdmitHeat: 1, MinSize: 1}, nil)
+	cs := newCompressedStore(inner, CompressConfig{CacheBytes: 4 << 10}, nil)
 	defer cs.Close()
 
 	const nKeys = 4
@@ -288,7 +299,7 @@ func TestTierWithCompressionEndToEnd(t *testing.T) {
 		Fast:     fast,
 		Slow:     slow,
 		Capacity: 32 << 10,
-		Compress: &CompressConfig{CacheBytes: 16 << 10, AdmitHeat: 1, MinSize: 64},
+		Compress: &CompressConfig{CacheBytes: 16 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)

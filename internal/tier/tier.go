@@ -10,19 +10,19 @@
 // policy:
 //
 //   - Write admission by size and heat: an evicted blob lands in tier 0 when
-//     it fits the lease (and AdmitMax); once usage crosses the high
-//     watermark only previously-seen (warm) keys are admitted, cold
-//     first-timers go to disk.
+//     it fits the lease; once usage crosses the high watermark (90 % of the
+//     lease) only previously-seen (warm) keys are admitted, cold first-timers
+//     go to disk.
 //   - Spill, never fail: when tier 0 is full — or its store errors — the
 //     write goes to tier 1 and succeeds. Running out of remote memory is a
 //     placement decision, not an I/O error.
 //   - Background demotion: past the high watermark the coldest tier-0 blobs
-//     are copied down until usage reaches the low watermark. Demotions ride
-//     the inner I/O scheduler's eviction-write class, so demand reads always
-//     win the disk.
-//   - Promotion on repeated demand misses: a blob read from disk PromoteAfter
-//     times is copied up. Promotions ride the prefetch class (bounded,
-//     cancellable) so they can never starve demand loads.
+//     are copied down until usage reaches the low watermark (70 % of the
+//     lease). Demotions ride the inner I/O scheduler's eviction-write class,
+//     so demand reads always win the disk.
+//   - Promotion on repeated demand misses: a blob read from disk twice is
+//     copied up. Promotions ride the prefetch class (bounded, cancellable) so
+//     they can never starve demand loads.
 //
 // Every blob is resident in exactly one tier, or in flight between them with
 // its bytes conservatively charged to tier 0; tier-0 charged bytes never
@@ -54,18 +54,6 @@ type Config struct {
 	// Capacity is the tier-0 byte lease: 0 disables tier 0 entirely (pure
 	// disk), < 0 means unbounded (pure remote memory with a disk backstop).
 	Capacity int64
-	// HighWater and LowWater are the demotion watermarks as fractions of
-	// Capacity: crossing HighWater starts background demotion down to
-	// LowWater. Defaults 0.9 and 0.7.
-	HighWater, LowWater float64
-	// AdmitMax caps the size of a blob admitted to tier 0 (0 = no size
-	// gate beyond fitting the lease).
-	AdmitMax int64
-	// PromoteAfter is how many demand misses served by tier 1 promote a
-	// blob back to tier 0. Default 2; < 0 disables promotion.
-	PromoteAfter int
-	// Workers is the inner I/O worker count serving tier 1 (default 2).
-	Workers int
 	// Compress, when non-nil, inserts the transparent compression layer
 	// (tier 0.5) between the placement policy and Slow: tier-1 writes are
 	// framed and plane-coded on the way down, and a byte-capped RAM
@@ -82,6 +70,17 @@ type Config struct {
 	// clock).
 	Clock clock.Clock
 }
+
+// highWater and lowWater are the demotion watermarks as fractions of the
+// lease: crossing highWater starts background demotion down to lowWater.
+const (
+	highWater = 0.9
+	lowWater  = highWater * 7 / 9
+)
+
+// promoteAfter is how many demand misses served by tier 1 promote a blob back
+// to tier 0.
+const promoteAfter = 2
 
 // place is where a blob's authoritative copy lives.
 type place uint8
@@ -217,15 +216,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Fast == nil && cfg.Capacity != 0 {
 		return nil, errors.New("tier: Fast store is required when Capacity != 0")
 	}
-	if cfg.HighWater <= 0 || cfg.HighWater > 1 {
-		cfg.HighWater = 0.9
-	}
-	if cfg.LowWater <= 0 || cfg.LowWater >= cfg.HighWater {
-		cfg.LowWater = cfg.HighWater * 7 / 9
-	}
-	if cfg.PromoteAfter == 0 {
-		cfg.PromoteAfter = 2
-	}
 	slow := cfg.Slow
 	var comp *compressedStore
 	if cfg.Compress != nil {
@@ -242,14 +232,13 @@ func New(cfg Config) (*Store, error) {
 		index:  make(map[storage.Key]*entry),
 	}
 	if cfg.Capacity > 0 {
-		s.highMark = int64(float64(cfg.Capacity) * cfg.HighWater)
-		s.lowMark = int64(float64(cfg.Capacity) * cfg.LowWater)
+		s.highMark = int64(float64(cfg.Capacity) * highWater)
+		s.lowMark = int64(float64(cfg.Capacity) * lowWater)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.inner = swapio.New(slow, swapio.Config{
-		Workers: cfg.Workers,
-		Retry:   cfg.Retry,
-		Clock:   cfg.Clock,
+		Retry: cfg.Retry,
+		Clock: cfg.Clock,
 	})
 	return s, nil
 }
@@ -294,9 +283,6 @@ func (s *Store) admitLocked(ent *entry, size int64) bool {
 	}
 	if c < 0 {
 		return true
-	}
-	if s.cfg.AdmitMax > 0 && size > s.cfg.AdmitMax {
-		return false
 	}
 	projected := s.fastBytes - ent.charged + size
 	if projected > c {
@@ -473,7 +459,7 @@ func (s *Store) Get(key storage.Key) ([]byte, error) {
 		var psize int64
 		if ent.place == inSlow && ent.gen == gen {
 			ent.misses++
-			if s.cfg.PromoteAfter > 0 && ent.misses >= s.cfg.PromoteAfter {
+			if ent.misses >= promoteAfter {
 				promote = s.reservePromoteLocked(ent)
 				gen = ent.gen
 				psize = ent.size // read under s.mu; a racing Put mutates it
@@ -698,13 +684,8 @@ func (s *Store) reservePromoteLocked(ent *entry) bool {
 	if s.cfg.Capacity == 0 || s.fast == nil || ent.writing {
 		return false
 	}
-	if s.cfg.Capacity > 0 {
-		if s.cfg.AdmitMax > 0 && ent.size > s.cfg.AdmitMax {
-			return false
-		}
-		if s.fastBytes+ent.size > s.highMark {
-			return false
-		}
+	if s.cfg.Capacity > 0 && s.fastBytes+ent.size > s.highMark {
+		return false
 	}
 	ent.charged = ent.size
 	s.fastBytes += ent.size

@@ -90,7 +90,7 @@ func TestCapacityZeroIsPureDisk(t *testing.T) {
 }
 
 func TestSpillWhenFullNeverErrors(t *testing.T) {
-	s := newTiered(t, Config{Capacity: 300, PromoteAfter: -1})
+	s := newTiered(t, Config{Capacity: 300})
 	// Three 100-byte blobs fill the lease exactly; the fourth must spill,
 	// not fail.
 	for i := 0; i < 4; i++ {
@@ -109,21 +109,6 @@ func TestSpillWhenFullNeverErrors(t *testing.T) {
 		if got, err := s.Get(storage.Key(fmt.Sprintf("k%d", i))); err != nil || len(got) != 100 {
 			t.Fatalf("get %d: %v (%d bytes)", i, err, len(got))
 		}
-	}
-	checkClean(t, s)
-}
-
-func TestAdmitMax(t *testing.T) {
-	s := newTiered(t, Config{Capacity: 10_000, AdmitMax: 100, PromoteAfter: -1})
-	if err := s.Put("small", blob(100)); err != nil {
-		t.Fatalf("put small: %v", err)
-	}
-	if err := s.Put("big", blob(101)); err != nil {
-		t.Fatalf("put big: %v", err)
-	}
-	st := s.Snapshot()
-	if st.FastPuts != 1 || st.Spills != 1 {
-		t.Fatalf("AdmitMax not enforced: %+v", st)
 	}
 	checkClean(t, s)
 }
@@ -152,7 +137,7 @@ func TestHeatAdmissionAboveHighWater(t *testing.T) {
 	// uncontended again and the cold key admitted. The slow tier therefore
 	// holds every demotion write until both admissions have been decided.
 	slow := &heldPuts{Store: storage.NewMem(), except: "cold", release: make(chan struct{})}
-	s := newTiered(t, Config{Slow: slow, Capacity: 1000, HighWater: 0.9, LowWater: 0.1, PromoteAfter: -1})
+	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
 	release := closeOnce(slow.release)
 	defer release()
 	for i := 0; i < 17; i++ {
@@ -187,7 +172,8 @@ func TestHeatAdmissionAboveHighWater(t *testing.T) {
 
 func TestDemotionToLowWatermark(t *testing.T) {
 	slow := storage.NewMem()
-	s := newTiered(t, Config{Slow: slow, Capacity: 1000, HighWater: 0.9, LowWater: 0.5, PromoteAfter: -1})
+	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
+	// High mark 900, low mark 700.
 	// 9 × 100 bytes = 900 ≤ high mark, no demotion yet; the 10th write
 	// spills (projected 1000 > 900 and cold), so rewrite a warm key bigger
 	// to cross the mark.
@@ -204,7 +190,7 @@ func TestDemotionToLowWatermark(t *testing.T) {
 	if st.Demotions == 0 {
 		t.Fatalf("no demotions ran: %+v", st)
 	}
-	if st.FastBytes > 500 {
+	if st.FastBytes > 700 {
 		t.Fatalf("demotion stopped above low watermark: %+v", st)
 	}
 	// Every blob still readable, from whichever tier it now occupies.
@@ -217,11 +203,9 @@ func TestDemotionToLowWatermark(t *testing.T) {
 }
 
 func TestPromotionAfterRepeatedMisses(t *testing.T) {
-	s := newTiered(t, Config{Capacity: 10_000, PromoteAfter: 2})
-	// Plant the blob on the slow tier by writing past AdmitMax... simpler:
-	// use a cold write above high water. Simplest: capacity small at first
-	// is not reconfigurable, so write through a spill: blob bigger than an
-	// AdmitMax-free lease cannot spill here. Plant directly instead.
+	s := newTiered(t, Config{Capacity: 10_000})
+	// Plant the blob on the slow tier directly: an empty 10 000-byte lease
+	// admits every write that fits it.
 	if err := s.slow.Put("cold", blob(200)); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +234,7 @@ func TestPromotionAfterRepeatedMisses(t *testing.T) {
 
 func TestFastPutErrorSpills(t *testing.T) {
 	fast := storage.NewFault(storage.NewMem(), storage.FaultConfig{FailFirstPuts: 1})
-	s := newTiered(t, Config{Fast: fast, Capacity: -1, PromoteAfter: -1})
+	s := newTiered(t, Config{Fast: fast, Capacity: -1})
 	if err := s.Put("a", blob(100)); err != nil {
 		t.Fatalf("put should spill on a fast-tier fault, got %v", err)
 	}
@@ -289,8 +273,8 @@ func TestFastReadErrorPropagatesThenRecovers(t *testing.T) {
 func TestOverwriteMovesBetweenTiers(t *testing.T) {
 	slow := storage.NewMem()
 	fast := storage.NewMem()
-	s := newTiered(t, Config{Fast: fast, Slow: slow, Capacity: 200, AdmitMax: 100, PromoteAfter: -1})
-	if err := s.Put("a", blob(150)); err != nil { // > AdmitMax: slow
+	s := newTiered(t, Config{Fast: fast, Slow: slow, Capacity: 200})
+	if err := s.Put("a", blob(250)); err != nil { // > lease: slow
 		t.Fatal(err)
 	}
 	if !slow.Has("a") || fast.Has("a") {
@@ -302,7 +286,7 @@ func TestOverwriteMovesBetweenTiers(t *testing.T) {
 	if !fast.Has("a") || slow.Has("a") {
 		t.Fatal("overwrite must move the blob to tier 0 and scrub tier 1")
 	}
-	if err := s.Put("a", blob(150)); err != nil { // too big again: back to slow
+	if err := s.Put("a", blob(250)); err != nil { // too big again: back to slow
 		t.Fatal(err)
 	}
 	if !slow.Has("a") || fast.Has("a") {
@@ -369,7 +353,7 @@ func TestConcurrentHammer(t *testing.T) {
 		keys    = 16
 		lease   = 2_000
 	)
-	s := newTiered(t, Config{Capacity: lease, HighWater: 0.8, LowWater: 0.4, PromoteAfter: 2})
+	s := newTiered(t, Config{Capacity: lease})
 
 	stop := make(chan struct{})
 	var spectator sync.WaitGroup
@@ -446,21 +430,22 @@ func (g *gatedDelete) Delete(k storage.Key) error {
 // TestGetDuringDemotionScrubKeepsLease is the deterministic form of the leak
 // the hammer used to hit: a demotion has published its key as slow-resident
 // but is still scrubbing the fast copy — charged and latched — when a Get
-// reaches the promotion threshold. The Get must not reserve lease bytes for
-// the key: the demotion's epilogue would release that reservation instead of
-// its own charge and the promotion would install uncharged.
+// reaches the promotion threshold (its second miss). The Get must not
+// reserve lease bytes for the key: the demotion's epilogue would release that
+// reservation instead of its own charge and the promotion would install
+// uncharged.
 func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 	fast := &gatedDelete{Store: storage.NewMem(), key: "a",
 		entered: make(chan struct{}), release: make(chan struct{})}
-	s := newTiered(t, Config{Fast: fast, Capacity: 1000, HighWater: 0.8, LowWater: 0.7, PromoteAfter: 1})
+	s := newTiered(t, Config{Fast: fast, Capacity: 1000})
 	release := closeOnce(fast.release)
 	defer release()
 	if err := s.Put("a", blob(300)); err != nil {
 		t.Fatal(err)
 	}
 	// "b" is written twice so that the write crossing the high watermark is
-	// warm and admitted: 900 > 800 demotes "a", the coldest, down to 700.
-	for _, n := range []int{100, 600} {
+	// warm and admitted: 950 > 900 demotes "a", the coldest, down to 700.
+	for _, n := range []int{100, 650} {
 		if err := s.Put("b", blob(n)); err != nil {
 			t.Fatal(err)
 		}
@@ -471,8 +456,12 @@ func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 	if err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.Get("a"); err != nil || len(got) != 300 {
-		t.Fatalf("get during the scrub: %d bytes, %v", len(got), err)
+	// The demotion reset the miss count; the second miss reaches the
+	// promotion threshold while the key is still latched.
+	for i := 0; i < 2; i++ {
+		if got, err := s.Get("a"); err != nil || len(got) != 300 {
+			t.Fatalf("get %d during the scrub: %d bytes, %v", i, len(got), err)
+		}
 	}
 	if msgs := s.CheckInvariants(false); len(msgs) > 0 {
 		t.Fatalf("inside the window: %v", msgs)
@@ -498,7 +487,7 @@ func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 // never will, and a leaked charge shrinks the lease forever.
 func TestPutOnPromotingSpillReleasesReservation(t *testing.T) {
 	slow := storage.NewMem()
-	s := newTiered(t, Config{Slow: slow, Capacity: 1000, AdmitMax: 100, PromoteAfter: -1})
+	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
 	// Plant a key mid-promotion exactly as reservePromoteLocked leaves it
 	// while the prefetch load is in flight: slow copy authoritative, lease
 	// reservation charged.
@@ -510,13 +499,13 @@ func TestPutOnPromotingSpillReleasesReservation(t *testing.T) {
 	s.fastBytes += 80
 	s.mu.Unlock()
 
-	if err := s.Put("p", blob(150)); err != nil { // > AdmitMax: spills
+	if err := s.Put("p", blob(1100)); err != nil { // > lease: spills
 		t.Fatalf("put: %v", err)
 	}
 	if st := s.Snapshot(); st.FastBytes != 0 {
 		t.Fatalf("promotion reservation leaked into the lease: %+v", st)
 	}
-	if got, err := s.Get("p"); err != nil || len(got) != 150 {
+	if got, err := s.Get("p"); err != nil || len(got) != 1100 {
 		t.Fatalf("get: %v (%d bytes)", err, len(got))
 	}
 	checkClean(t, s)
@@ -529,7 +518,7 @@ func TestPutOnPromotingSpillReleasesReservation(t *testing.T) {
 func TestPutFailingBothTiersOnPromotingRevertsToSlow(t *testing.T) {
 	inner := storage.NewMem()
 	slow := storage.NewFault(inner, storage.FaultConfig{FailFirstPuts: 1})
-	s := newTiered(t, Config{Slow: slow, Capacity: 1000, AdmitMax: 100, PromoteAfter: -1})
+	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
 	if err := inner.Put("p", blob(80)); err != nil {
 		t.Fatal(err)
 	}
@@ -538,9 +527,9 @@ func TestPutFailingBothTiersOnPromotingRevertsToSlow(t *testing.T) {
 	s.fastBytes += 80
 	s.mu.Unlock()
 
-	// > AdmitMax refuses tier 0 and the injected fault fails the spill: the
-	// Put errors out, the old slow copy stays the truth.
-	if err := s.Put("p", blob(150)); err == nil {
+	// A blob larger than the lease refuses tier 0 and the injected fault
+	// fails the spill: the Put errors out, the old slow copy stays the truth.
+	if err := s.Put("p", blob(1100)); err == nil {
 		t.Fatal("want the double-fault put to fail")
 	}
 	s.mu.Lock()
@@ -573,7 +562,7 @@ func (n nilOnEmpty) Get(k storage.Key) ([]byte, error) {
 func TestDemoteZeroLengthBlob(t *testing.T) {
 	s := newTiered(t, Config{
 		Fast: nilOnEmpty{storage.NewMem()}, Slow: storage.NewMem(),
-		Capacity: 1000, HighWater: 0.9, LowWater: 0.1, PromoteAfter: -1,
+		Capacity: 1000,
 	})
 	if err := s.Put("z", nil); err != nil { // zero-length, coldest
 		t.Fatal(err)
