@@ -24,14 +24,15 @@ test:
 	$(GO) run ./cmd/mrtsbench -exp fig6,tab5 -scale 0.05 -pes 2
 	cd benchmark && $(GO) test ./...
 
-# The race lane, as CI's race job runs it step by step: the concurrency-heavy
+# The race lane; CI's race job runs this target. The concurrency-heavy
 # packages and the mesh kernel (whose storage pool every worker shares)
-# once, the swap path, meshgen's runs over it and the mesh store three
-# times (schedule-dependent failures hide at -count=1), the mesh store's
-# readers on one processor, the control layer on one processor (nothing
-# runs unless somebody yields) and three times on two
-# (object ownership is about pairs of workers), the cluster and the simulator
-# on one.
+# once; the swap path, meshgen's runs over it and the mesh store three
+# times (schedule-dependent failures hide at -count=1: a tier lease leak
+# once failed one TestConcurrentHammer run in six); the mesh store's
+# readers on one processor (one worker, a window of two: nothing hides a
+# worker that never yields); the control layer on one processor (nothing
+# runs unless somebody yields) and three times on two (object ownership is
+# about pairs of workers); the cluster and the simulator on one.
 RACE_PKGS = ./internal/core/... ./internal/ooc/... ./internal/storage/... \
 	./internal/swapio/... ./internal/comm/... ./internal/cluster/... \
 	./internal/sched/... ./internal/meshgen/... ./internal/obs/... \
@@ -146,17 +147,19 @@ lint:
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/planes | grep '^mrts/' | grep -v '^mrts/internal/bufpool$$' || true)"; \
 	if [ -n "$$out" ]; then echo "internal/planes imports more of the repo than bufpool:"; echo "$$out"; exit 1; fi
 
-# The multi-process e2e lane CI runs: a 3-process loopback OUPDR cluster
-# that loses one worker after the first phase barrier and relaunches it
-# from its checkpoint, checked block for block against a single-process
-# baseline of the same problem — then the export/restore drill: a 3-node
-# run exports (with one node SIGKILLed mid-export and relaunched), the
-# store verifies offline, and a 2-node restore reproduces the baseline.
+# The multi-process e2e lane; CI's e2e-multiproc job runs this target. A
+# 3-process loopback OUPDR cluster loses one worker after the first phase
+# barrier and relaunches it from its checkpoint, checked block for block
+# against a single-process baseline of the same problem (-routing placed is
+# the default, passed so the lane visibly pins the placed locator across
+# the kill/rejoin). Then the export/restore drill: a 3-node run exports
+# (with one node SIGKILLed mid-export and relaunched), the store verifies
+# offline, and a 2-node restore reproduces the baseline.
 e2e-multiproc:
 	$(GO) build -o bin/meshnode ./cmd/meshnode
 	$(GO) build -o bin/meshctl ./cmd/meshctl
 	bin/meshctl -meshnode bin/meshnode -nodes 1 -blocks 6 -elements 20000 -phases 3 -dir e2e-run/baseline -out baseline.txt
-	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -dir e2e-run/cluster -baseline baseline.txt
+	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -trace -routing placed -dir e2e-run/cluster -baseline baseline.txt
 	bin/meshctl export -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -kill-export 2 -store e2e-run/store -dir e2e-run/export -baseline baseline.txt
 	bin/meshctl verify -store e2e-run/store -deep
 	bin/meshctl restore -store e2e-run/store -nodes 2 -baseline baseline.txt

@@ -43,17 +43,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mrts/internal/bufpool"
-	"mrts/internal/comm"
-	"mrts/internal/core"
+	"mrts/internal/cluster"
 	"mrts/internal/meshgen"
 	"mrts/internal/meshstore"
-	"mrts/internal/ooc"
-	"mrts/internal/sched"
-	"mrts/internal/storage"
 )
 
 func main() {
@@ -407,62 +402,29 @@ func restoreMain(args []string) {
 		fatalf("restore: %v", err)
 	}
 	defer st.Close()
-	if st.Partial() {
-		fatalf("restore: store %s is partial; restore needs full grid coverage", *store)
-	}
-	meta := st.Manifest().Meta
-
 	b := *budget
 	if b <= 0 {
-		b = int64(meta.TargetElements) * 30
+		b = int64(st.Manifest().Meta.TargetElements) * 30
 	}
-	tr := comm.NewInProc(*nodes, comm.LatencyModel{})
-	ds := make([]*meshgen.Dist, *nodes)
-	rts := make([]*core.Runtime, *nodes)
-	for i := 0; i < *nodes; i++ {
-		rts[i] = core.NewRuntime(core.Config{
-			Endpoint: tr.Endpoint(comm.NodeID(i)),
-			Pool:     sched.NewWorkStealing(*workers),
-			Factory:  meshgen.Factory,
-			Mem:      ooc.Config{Budget: b},
-			Store:    storage.NewMem(),
-			NumNodes: *nodes,
-		})
-		defer rts[i].Close()
-		ds[i], err = meshgen.NewDist(rts[i], meshgen.DistConfig{
-			Blocks:         meta.Blocks,
-			TargetElements: meta.TargetElements,
-			QualityBound:   meta.QualityBound,
-			Nodes:          *nodes,
-			Node:           i,
-		})
-		if err != nil {
-			fatalf("restore: %v", err)
-		}
-		if err := ds[i].RestoreFromStore(st); err != nil {
-			fatalf("restore node %d: %v", i, err)
-		}
+	cl, err := cluster.New(cluster.Config{
+		Nodes:          *nodes,
+		WorkersPerNode: *workers,
+		MemBudget:      b,
+		Factory:        meshgen.Factory,
+	})
+	if err != nil {
+		fatalf("restore: %v", err)
+	}
+	defer cl.Close()
+	ds, err := meshgen.RestoreOnto(cl.Runtimes(), st)
+	if err != nil {
+		fatalf("restore %s: %v", *store, err)
 	}
 	logf("restored %d blocks onto %d nodes from %s", st.Manifest().Blocks(), *nodes, *store)
 
-	// The dump barrier is global: every node must run it concurrently.
-	dumps := make([][]meshgen.BlockDump, *nodes)
-	var wg sync.WaitGroup
-	for i := range ds {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dumps[i] = ds[i].Dump()
-		}()
-	}
-	wg.Wait()
-	var all []meshgen.BlockDump
-	for _, part := range dumps {
-		all = append(all, part...)
-	}
-	if len(all) != meta.Blocks*meta.Blocks {
-		fatalf("restore: dumped %d blocks, grid holds %d", len(all), meta.Blocks*meta.Blocks)
+	all, err := meshgen.DumpAll(ds)
+	if err != nil {
+		fatalf("restore: %v", err)
 	}
 	if got := meshgen.MeshHashOf(all); got != st.MeshHash() {
 		fatalf("restored MeshHash %s != store %s", got, st.MeshHash())

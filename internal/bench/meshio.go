@@ -8,13 +8,9 @@ import (
 	"time"
 
 	"mrts/internal/cluster"
-	"mrts/internal/comm"
-	"mrts/internal/core"
 	"mrts/internal/meshgen"
 	"mrts/internal/meshstore"
 	"mrts/internal/ooc"
-	"mrts/internal/sched"
-	"mrts/internal/storage"
 	"mrts/internal/workload"
 )
 
@@ -200,61 +196,23 @@ func meshIORestore(m int, dir string) (string, error) {
 		return "", err
 	}
 	defer st.Close()
-	meta := st.Manifest().Meta
-
-	tr := comm.NewInProc(m, comm.LatencyModel{})
-	defer tr.Close()
-	rts := make([]*core.Runtime, m)
-	defer func() {
-		for _, rt := range rts {
-			if rt != nil {
-				rt.Close()
-			}
-		}
-	}()
-	ds := make([]*meshgen.Dist, m)
-	for i := 0; i < m; i++ {
-		rts[i] = core.NewRuntime(core.Config{
-			Endpoint: tr.Endpoint(comm.NodeID(i)),
-			Pool:     sched.NewWorkStealing(2),
-			Factory:  meshgen.Factory,
-			Mem:      ooc.Config{Budget: int64(meta.TargetElements) * 30},
-			Store:    storage.NewMem(),
-			NumNodes: m,
-		})
-		d, err := meshgen.NewDist(rts[i], meshgen.DistConfig{
-			Blocks:         meta.Blocks,
-			TargetElements: meta.TargetElements,
-			QualityBound:   meta.QualityBound,
-			Nodes:          m,
-			Node:           i,
-		})
-		if err != nil {
-			return "", err
-		}
-		if err := d.RestoreFromStore(st); err != nil {
-			return "", err
-		}
-		ds[i] = d
+	cl, err := cluster.New(cluster.Config{
+		Nodes:          m,
+		WorkersPerNode: 2,
+		MemBudget:      int64(st.Manifest().Meta.TargetElements) * 30,
+		Factory:        meshgen.Factory,
+	})
+	if err != nil {
+		return "", err
 	}
-	dumps := make([][]meshgen.BlockDump, m)
-	done := make(chan struct{}, m)
-	for i, d := range ds {
-		i, d := i, d
-		go func() {
-			dumps[i] = d.Dump()
-			done <- struct{}{}
-		}()
+	defer cl.Close()
+	ds, err := meshgen.RestoreOnto(cl.Runtimes(), st)
+	if err != nil {
+		return "", err
 	}
-	for range ds {
-		<-done
+	dump, err := meshgen.DumpAll(ds)
+	if err != nil {
+		return "", err
 	}
-	var all []meshgen.BlockDump
-	for _, part := range dumps {
-		all = append(all, part...)
-	}
-	if len(all) != meta.Blocks*meta.Blocks {
-		return "", fmt.Errorf("bench: restore dumped %d blocks, want %d", len(all), meta.Blocks*meta.Blocks)
-	}
-	return meshgen.MeshHashOf(all), nil
+	return meshgen.MeshHashOf(dump), nil
 }

@@ -9,7 +9,7 @@
 //
 // Ownership rule (the single rule every layer follows): a buffer obtained
 // from Get/Clone/Writer.Detach has exactly one owner at a time. The owner may
-// hand it off (storage.PutBuf, comm.SendPooled) — after a successful hand-off
+// hand it off (storage.PutBuf, comm.Endpoint.SendBuf) — after a successful hand-off
 // the previous owner must neither read nor release it — or release it with
 // Put. Layers that must retain bytes past the hand-off (MemStore, the
 // compression cache) copy; nothing retains a caller's pooled buffer.

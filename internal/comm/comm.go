@@ -9,7 +9,9 @@
 //
 //   - InProc: N endpoints inside one process, with a configurable
 //     latency/bandwidth model, used by the simulated cluster;
-//   - TCP: endpoints connected over real loopback TCP sockets.
+//   - TCPNode: one endpoint per process, joining the others over real TCP
+//     sockets through a seed node; NewTCP starts n of them inside one
+//     process on loopback.
 //
 // Delivery guarantees match the paper: message order is preserved between
 // every pair of endpoints; no ordering holds across pairs. Handlers for one
@@ -56,6 +58,14 @@ type Endpoint interface {
 	// asynchronous and safe for concurrent use. The payload is not copied
 	// for in-process transports; the caller must not mutate it afterwards.
 	Send(to NodeID, handler uint32, payload []byte) error
+	// SendBuf is Send for a payload obtained from bufpool: the transport
+	// recycles the buffer once the message no longer needs it (after the
+	// receiving handler returns in process, after the frame is flushed
+	// over a socket). It takes ownership unconditionally: whether it
+	// returns nil or an error, the caller must not touch payload again. It
+	// is only safe for messages whose handler does not retain the payload
+	// past its return, as the remote-memory protocol's handlers do not.
+	SendBuf(to NodeID, handler uint32, payload []byte) error
 	// Register installs the handler for messages with the given ID. All
 	// registrations must happen before traffic starts.
 	Register(id uint32, h Handler)

@@ -123,6 +123,17 @@ func (e *inprocEndpoint) Send(to NodeID, handler uint32, payload []byte) error {
 	return e.send(to, handler, payload, false)
 }
 
+// SendBuf implements Endpoint: the payload rides the normal inbox and is
+// recycled on the dispatcher after its handler returns (Close drains the
+// queue through the same path, so nothing is stranded).
+func (e *inprocEndpoint) SendBuf(to NodeID, handler uint32, payload []byte) error {
+	if err := e.send(to, handler, payload, true); err != nil {
+		bufpool.Put(payload)
+		return err
+	}
+	return nil
+}
+
 func (e *inprocEndpoint) send(to NodeID, handler uint32, payload []byte, pooled bool) error {
 	if int(to) < 0 || int(to) >= len(e.tr.eps) {
 		return fmt.Errorf("comm: send to unknown node %d", to)

@@ -7,40 +7,20 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
-
-	"mrts/internal/obs"
+	"time"
 )
 
-// TCPTransport connects n endpoints over real loopback TCP sockets: one
-// listener per endpoint, one lazily-dialed connection per ordered pair.
-// Frames are length-prefixed: src(4) handler(4) len(4) payload.
-//
-// It exists to demonstrate that the MRTS control layer runs unchanged over a
-// real network substrate; the simulated cluster uses InProc.
+// TCPTransport is n TCPNodes started inside one process on loopback
+// ephemeral ports: node 0 is the seed and node i joins it as ID i. It exists
+// to demonstrate that the MRTS control layer runs unchanged over a real
+// network substrate; the simulated cluster uses InProc.
 type TCPTransport struct {
-	eps []*tcpEndpoint
+	nodes []*TCPNode
 }
 
-type tcpEndpoint struct {
-	id     NodeID
-	tr     *TCPTransport
-	ln     net.Listener
-	stats  statCounters
-	tracer atomic.Pointer[obs.Tracer]
-
-	hmu      sync.RWMutex
-	handlers map[uint32]Handler
-
-	cmu     sync.Mutex
-	conns   map[NodeID]*tcpConn
-	inbound []net.Conn // accepted connections, closed on shutdown
-
-	inbox  *inbox
-	done   chan struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
+// tcpJoinTimeout bounds how long NewTCP waits for every node to see the
+// whole member table.
+const tcpJoinTimeout = 10 * time.Second
 
 type tcpConn struct {
 	mu sync.Mutex
@@ -136,220 +116,44 @@ func (ib *inbox) close() {
 	ib.mu.Unlock()
 }
 
-// NewTCP returns a transport with n endpoints listening on ephemeral
-// loopback ports.
+// NewTCP starts n TCPNodes listening on ephemeral loopback ports and
+// returns once every node sees all n members up.
 func NewTCP(n int) (*TCPTransport, error) {
 	tr := &TCPTransport{}
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		cfg := TCPNodeConfig{Listen: "127.0.0.1:0", WantID: NodeID(i)}
+		if i > 0 {
+			cfg.Seed = tr.nodes[0].Addr()
+		}
+		nd, err := StartTCPNode(cfg)
 		if err != nil {
 			tr.Close()
 			return nil, err
 		}
-		ep := &tcpEndpoint{
-			id:       NodeID(i),
-			tr:       tr,
-			ln:       ln,
-			handlers: make(map[uint32]Handler),
-			conns:    make(map[NodeID]*tcpConn),
-			inbox:    newInbox(),
-			done:     make(chan struct{}),
-		}
-		tr.eps = append(tr.eps, ep)
+		tr.nodes = append(tr.nodes, nd)
 	}
-	for _, ep := range tr.eps {
-		ep.wg.Add(1)
-		go ep.acceptLoop()
-		go ep.dispatch()
+	for _, nd := range tr.nodes {
+		if err := nd.WaitMembers(n, tcpJoinTimeout); err != nil {
+			tr.Close()
+			return nil, err
+		}
 	}
 	return tr, nil
 }
 
 // NumNodes returns the number of endpoints.
-func (t *TCPTransport) NumNodes() int { return len(t.eps) }
+func (t *TCPTransport) NumNodes() int { return len(t.nodes) }
 
 // Endpoint returns endpoint n.
-func (t *TCPTransport) Endpoint(n NodeID) Endpoint { return t.eps[n] }
+func (t *TCPTransport) Endpoint(n NodeID) Endpoint { return t.nodes[n] }
 
-// Close closes every endpoint.
+// Close closes every node, the seed last so it hears every LEAVE.
 func (t *TCPTransport) Close() error {
 	var first error
-	for _, ep := range t.eps {
-		if ep == nil {
-			continue
-		}
-		if err := ep.Close(); err != nil && first == nil {
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		if err := t.nodes[i].Close(); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
-
-func (e *tcpEndpoint) Node() NodeID { return e.id }
-
-func (e *tcpEndpoint) Register(id uint32, h Handler) {
-	e.hmu.Lock()
-	e.handlers[id] = h
-	e.hmu.Unlock()
-}
-
-func (e *tcpEndpoint) acceptLoop() {
-	defer e.wg.Done()
-	for {
-		c, err := e.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		e.cmu.Lock()
-		if e.closed {
-			e.cmu.Unlock()
-			c.Close()
-			return
-		}
-		e.inbound = append(e.inbound, c)
-		e.cmu.Unlock()
-		e.wg.Add(1)
-		go e.readLoop(c)
-	}
-}
-
-func (e *tcpEndpoint) readLoop(c net.Conn) {
-	defer e.wg.Done()
-	defer c.Close()
-	br := bufio.NewReader(c)
-	for {
-		src, handler, payload, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		e.stats.msgsReceived.Add(1)
-		e.stats.bytesReceived.Add(uint64(len(payload)))
-		if !e.inbox.push(Message{From: src, Handler: handler, Payload: payload}) {
-			return
-		}
-	}
-}
-
-func (e *tcpEndpoint) dispatch() {
-	defer close(e.done)
-	for {
-		m, ok := e.inbox.pop()
-		if !ok {
-			return
-		}
-		e.hmu.RLock()
-		h := e.handlers[m.Handler]
-		e.hmu.RUnlock()
-		if h != nil {
-			sp := e.tracer.Load().Start(obs.KindCommDeliver, uint64(m.Handler))
-			h(m)
-			sp.End(int64(len(m.Payload)))
-		}
-	}
-}
-
-// SetTracer implements Endpoint.
-func (e *tcpEndpoint) SetTracer(tr *obs.Tracer) { e.tracer.Store(tr) }
-
-func (e *tcpEndpoint) connTo(to NodeID) (*tcpConn, error) {
-	e.cmu.Lock()
-	defer e.cmu.Unlock()
-	if c, ok := e.conns[to]; ok {
-		return c, nil
-	}
-	if int(to) < 0 || int(to) >= len(e.tr.eps) {
-		return nil, fmt.Errorf("comm: send to unknown node %d", to)
-	}
-	addr := e.tr.eps[to].ln.Addr().String()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("comm: dial node %d: %v: %w", to, err, ErrPeerDown)
-	}
-	tc := &tcpConn{w: bufio.NewWriter(c), c: c}
-	e.conns[to] = tc
-	return tc, nil
-}
-
-// dropConn discards the cached connection to a peer if it is still the one
-// that just failed, so the next Send re-dials instead of reusing a socket
-// known to be dead.
-func (e *tcpEndpoint) dropConn(to NodeID, tc *tcpConn) {
-	e.cmu.Lock()
-	if e.conns[to] == tc {
-		delete(e.conns, to)
-	}
-	e.cmu.Unlock()
-	tc.c.Close()
-}
-
-func (e *tcpEndpoint) Send(to NodeID, handler uint32, payload []byte) error {
-	if e.isClosed() {
-		return ErrClosed
-	}
-	if to == e.id {
-		// Local fast path: no socket round-trip.
-		e.stats.msgsSent.Add(1)
-		e.stats.bytesSent.Add(uint64(len(payload)))
-		e.stats.msgsReceived.Add(1)
-		e.stats.bytesReceived.Add(uint64(len(payload)))
-		if !e.inbox.push(Message{From: e.id, Handler: handler, Payload: payload}) {
-			return ErrClosed
-		}
-		e.tracer.Load().Emit(obs.KindCommSend, uint64(handler), int64(len(payload)))
-		return nil
-	}
-	tc, err := e.connTo(to)
-	if err != nil {
-		return err
-	}
-	tc.mu.Lock()
-	err = writeFrame(tc.w, e.id, handler, payload)
-	if err == nil {
-		err = tc.w.Flush()
-	}
-	tc.mu.Unlock()
-	if err != nil {
-		// The stream is misframed or the peer died mid-connection: drop
-		// the socket so a later Send re-dials, and surface a typed,
-		// retryable error instead of the raw io error.
-		e.dropConn(to, tc)
-		return fmt.Errorf("comm: send to node %d: %v: %w", to, err, ErrPeerDown)
-	}
-	e.stats.msgsSent.Add(1)
-	e.stats.bytesSent.Add(uint64(len(payload)))
-	e.tracer.Load().Emit(obs.KindCommSend, uint64(handler), int64(len(payload)))
-	return nil
-}
-
-func (e *tcpEndpoint) isClosed() bool {
-	e.cmu.Lock()
-	defer e.cmu.Unlock()
-	return e.closed
-}
-
-func (e *tcpEndpoint) Close() error {
-	e.cmu.Lock()
-	if e.closed {
-		e.cmu.Unlock()
-		<-e.done
-		return nil
-	}
-	e.closed = true
-	for _, c := range e.conns {
-		c.c.Close()
-	}
-	// Also close accepted connections: their readers would otherwise wait
-	// for the *peer* endpoints to close their dial side, and peers close
-	// after us — a circular wait across the transport.
-	for _, c := range e.inbound {
-		c.Close()
-	}
-	e.cmu.Unlock()
-	e.ln.Close()
-	e.wg.Wait()     // all readers finished feeding the inbox
-	e.inbox.close() // dispatcher drains what remains, then exits
-	<-e.done
-	return nil
-}
-
-func (e *tcpEndpoint) Stats() Stats { return e.stats.snapshot() }

@@ -15,11 +15,10 @@ import (
 	"mrts/internal/obs"
 )
 
-// TCPNode is one process's endpoint of an address-based TCP transport: the
-// multi-process counterpart of the loopback TCPTransport. Where NewTCP
-// builds all n endpoints inside one process, every TCPNode is started
-// independently (usually in its own OS process) and finds the others through
-// a join handshake with a well-known seed node:
+// TCPNode is one process's endpoint of an address-based TCP transport.
+// Every TCPNode is started independently (usually in its own OS process;
+// NewTCP starts n of them in one) and finds the others through a join
+// handshake with a well-known seed node:
 //
 //   - the seed (started with an empty Seed address) takes node ID 0 and owns
 //     the member table;
@@ -32,8 +31,8 @@ import (
 //     marks members that fall silent for ExpireAfter as down (a graceful
 //     Close sends LEAVE so the seed doesn't have to wait for the timeout).
 //
-// Frames on the wire are identical to TCPTransport's (src, handler, len,
-// payload, little-endian); handler IDs at or above ctrlBase are reserved for
+// Frames on the wire are length-prefixed (src, handler, len, payload,
+// little-endian); handler IDs at or above ctrlBase are reserved for
 // the membership protocol and never reach registered handlers. Sends to a
 // peer that is down — or whose connection dies mid-stream and cannot be
 // immediately re-dialed — fail with ErrPeerDown and back off; the connection
@@ -618,7 +617,11 @@ func (e *TCPNode) Send(to NodeID, handler uint32, payload []byte) error {
 	return nil
 }
 
-// SendBuf implements BufSender; see tcpEndpoint.SendBuf for the contract.
+// SendBuf implements Endpoint. On the socket path the frame is fully
+// buffered and flushed inside Send, so the payload is recycled as soon as
+// Send returns. The local fast path enqueues the payload itself with no
+// pooled marker, so there the buffer is dropped to the GC instead: correct,
+// just not recycled.
 func (e *TCPNode) SendBuf(to NodeID, handler uint32, payload []byte) error {
 	err := e.Send(to, handler, payload)
 	if to != e.id {
@@ -801,8 +804,4 @@ func (e *TCPNode) shutdown(announce bool) {
 	<-e.done
 }
 
-// Interface checks.
-var (
-	_ Endpoint  = (*TCPNode)(nil)
-	_ BufSender = (*TCPNode)(nil)
-)
+var _ Endpoint = (*TCPNode)(nil)

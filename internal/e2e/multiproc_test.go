@@ -105,26 +105,6 @@ func runPhase(ws []*worker, k int) {
 	wg.Wait()
 }
 
-// dumpAll runs the dump barrier on all workers and merges the results.
-func dumpAll(ws []*worker) []meshgen.BlockDump {
-	out := make([][]meshgen.BlockDump, len(ws))
-	var wg sync.WaitGroup
-	for i, w := range ws {
-		i, w := i, w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out[i] = w.d.Dump()
-		}()
-	}
-	wg.Wait()
-	var all []meshgen.BlockDump
-	for _, part := range out {
-		all = append(all, part...)
-	}
-	return all
-}
-
 // singleNodeBaseline runs the same problem on one node over the in-process
 // transport and returns its dump.
 func singleNodeBaseline(t *testing.T) []meshgen.BlockDump {
@@ -243,7 +223,14 @@ func killRejoin(t *testing.T, routing cluster.RoutingKind) {
 		}
 	}
 
-	got := dumpAll(ws)
+	ds := make([]*meshgen.Dist, len(ws))
+	for i, w := range ws {
+		ds[i] = w.d
+	}
+	got, err := meshgen.DumpAll(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(base) {
 		t.Fatalf("cluster dumped %d blocks, baseline %d (object lost or duplicated)", len(got), len(base))
 	}

@@ -179,34 +179,18 @@ func restoreInProc(t *testing.T, m int, dir string, fault *storage.FaultConfig) 
 	}
 	defer st.Close()
 	tr := comm.NewInProc(m, comm.LatencyModel{})
-	ds := make([]*meshgen.Dist, m)
+	rts := make([]*core.Runtime, m)
 	fss := make([]*storage.FaultStore, m)
-	for i := 0; i < m; i++ {
-		rt, fs := nmRuntime(t, tr, m, i, fault)
-		fss[i] = fs
-		d, err := meshgen.NewDist(rt, nmCfg(m, i))
-		if err != nil {
-			t.Fatalf("dist node %d: %v", i, err)
-		}
-		if err := d.RestoreFromStore(st); err != nil {
-			t.Fatalf("restore node %d: %v", i, err)
-		}
-		ds[i] = d
+	for i := range rts {
+		rts[i], fss[i] = nmRuntime(t, tr, m, i, fault)
 	}
-	dumps := make([][]meshgen.BlockDump, m)
-	var wg sync.WaitGroup
-	for i, d := range ds {
-		i, d := i, d
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dumps[i] = d.Dump()
-		}()
+	ds, err := meshgen.RestoreOnto(rts, st)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	var all []meshgen.BlockDump
-	for _, part := range dumps {
-		all = append(all, part...)
+	all, err := meshgen.DumpAll(ds)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(all) != nmBlocks*nmBlocks {
 		t.Fatalf("restored cluster dumped %d blocks, want %d", len(all), nmBlocks*nmBlocks)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"sync"
 
 	"mrts/internal/bufpool"
 	"mrts/internal/cluster"
@@ -382,6 +383,86 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 		meshstore.EmitRestore(d.rt.Tracer(), i, j, r.size)
 		return nil
 	})
+}
+
+// RestoreOnto rebuilds a stored mesh onto rts, one fresh runtime per node:
+// it builds each node's Dist from the store's meta and runs RestoreFromStore
+// on it. A partial store is refused, since the blocks it lacks could not be
+// restored.
+func RestoreOnto(rts []*core.Runtime, st *meshstore.Store) ([]*Dist, error) {
+	if st.Partial() {
+		return nil, fmt.Errorf("meshgen: restore: store is partial; restore needs full grid coverage")
+	}
+	ds, err := distsOn(rts, st.Manifest().Meta)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range ds {
+		if err := d.RestoreFromStore(st); err != nil {
+			return nil, fmt.Errorf("meshgen: restore onto node %d: %w", i, err)
+		}
+	}
+	return ds, nil
+}
+
+// distsOn builds one Dist per runtime for the run a store's meta describes.
+func distsOn(rts []*core.Runtime, meta meshstore.Meta) ([]*Dist, error) {
+	ds := make([]*Dist, len(rts))
+	for i, rt := range rts {
+		d, err := NewDist(rt, DistConfig{
+			Blocks:         meta.Blocks,
+			TargetElements: meta.TargetElements,
+			QualityBound:   meta.QualityBound,
+			Nodes:          len(rts),
+			Node:           i,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("meshgen: node %d: %w", i, err)
+		}
+		ds[i] = d
+	}
+	return ds, nil
+}
+
+// DumpAll runs Dump on every node at once, as the collective requires, and
+// returns the merged report sorted by (j, i). It fails unless every block of
+// the grid is reported exactly once.
+func DumpAll(ds []*Dist) ([]BlockDump, error) {
+	if len(ds) == 0 {
+		return nil, fmt.Errorf("meshgen: dump: no nodes")
+	}
+	parts := make([][]BlockDump, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i] = d.Dump()
+		}()
+	}
+	wg.Wait()
+	nb := ds[0].cfg.Blocks
+	out := make([]BlockDump, nb*nb) // grid order is (j, i) order
+	seen := make([]bool, nb*nb)
+	for _, part := range parts {
+		for _, b := range part {
+			if b.I < 0 || b.I >= nb || b.J < 0 || b.J >= nb {
+				return nil, fmt.Errorf("meshgen: dump: block (%d,%d) is outside the %dx%d grid", b.I, b.J, nb, nb)
+			}
+			idx := b.J*nb + b.I
+			if seen[idx] {
+				return nil, fmt.Errorf("meshgen: dump: block (%d,%d) reported twice", b.I, b.J)
+			}
+			seen[idx] = true
+			out[idx] = b
+		}
+	}
+	for idx, ok := range seen {
+		if !ok {
+			return nil, fmt.Errorf("meshgen: dump: block (%d,%d) missing", idx%nb, idx/nb)
+		}
+	}
+	return out, nil
 }
 
 // DecodeExportedBlock decodes a stored block payload offline and

@@ -39,19 +39,23 @@ func distCluster(t *testing.T, nodes int, budget int64) *cluster.Cluster {
 	return cl
 }
 
-// distOn builds a Dist for every node of cl against the store's meta.
+// distOn builds a Dist for every node of cl against the store's meta,
+// restoring nothing.
 func distOn(t *testing.T, cl *cluster.Cluster, meta meshstore.Meta) []*Dist {
 	t.Helper()
-	ds := make([]*Dist, cl.Nodes())
-	for i := range ds {
-		d, err := NewDist(cl.RT(i), DistConfig{
-			Blocks: meta.Blocks, TargetElements: meta.TargetElements, QualityBound: meta.QualityBound,
-			Nodes: cl.Nodes(), Node: i,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds[i] = d
+	ds, err := distsOn(cl.Runtimes(), meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// restoreOn restores the store onto every node of cl.
+func restoreOn(t *testing.T, cl *cluster.Cluster, st *meshstore.Store) []*Dist {
+	t.Helper()
+	ds, err := RestoreOnto(cl.Runtimes(), st)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return ds
 }
@@ -94,8 +98,6 @@ func collective(t *testing.T, ds []*Dist, delay func(node int) time.Duration, f 
 	}
 }
 
-func noDelay(int) time.Duration { return 0 }
-
 // TestRestoreFromStoreOntoOneTwoThreeNodes: however many nodes restore the
 // store, each mints the pointers the placement predicts (RestoreFromStore
 // checks every one) and the restored mesh carries the store's MeshHash.
@@ -104,12 +106,9 @@ func TestRestoreFromStoreOntoOneTwoThreeNodes(t *testing.T) {
 	st := openStore(t, dir)
 	for nodes := 1; nodes <= 3; nodes++ {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			ds := distOn(t, distCluster(t, nodes, 1<<30), man.Meta)
+			ds := restoreOn(t, distCluster(t, nodes, 1<<30), st)
 			blocks := 0
 			for i, d := range ds {
-				if err := d.RestoreFromStore(st); err != nil {
-					t.Fatal(err)
-				}
 				mine := 0
 				for _, owner := range d.owners {
 					if owner == core.NodeID(i) {
@@ -129,19 +128,88 @@ func TestRestoreFromStoreOntoOneTwoThreeNodes(t *testing.T) {
 			if blocks != man.Blocks() {
 				t.Fatalf("restored %d blocks, store has %d", blocks, man.Blocks())
 			}
-			var all []BlockDump
-			var mu sync.Mutex
-			collective(t, ds, noDelay, func(node int, d *Dist) error {
-				dump := d.Dump()
-				mu.Lock()
-				all = append(all, dump...)
-				mu.Unlock()
-				return nil
-			})
+			all, err := DumpAll(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := MeshHashOf(all); got != man.MeshHash {
 				t.Fatalf("restored MeshHash %s, store %s", got, man.MeshHash)
 			}
 		})
+	}
+}
+
+// TestDumpAllNamesMissingAndDuplicateBlocks: the merged report must hold
+// every grid block exactly once. A node that restored nothing leaves its
+// blocks missing; two clusters that each hold the whole mesh report every
+// block twice. Either way DumpAll names the first offending block.
+func TestDumpAllNamesMissingAndDuplicateBlocks(t *testing.T) {
+	dir, man := distStore(t)
+	st := openStore(t, dir)
+	nb := man.Meta.Blocks
+
+	ds := distOn(t, distCluster(t, 2, 1<<30), man.Meta)
+	if err := ds[0].RestoreFromStore(st); err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for idx, owner := range ds[1].owners {
+		if owner == 1 {
+			first = idx
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("placement gives node 1 no block")
+	}
+	_, err := DumpAll(ds)
+	want := fmt.Sprintf("block (%d,%d) missing", first%nb, first/nb)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("dump with node 1 empty: err = %v, want %q", err, want)
+	}
+
+	a := restoreOn(t, distCluster(t, 1, 1<<30), st)
+	b := restoreOn(t, distCluster(t, 1, 1<<30), st)
+	_, err = DumpAll([]*Dist{a[0], b[0]})
+	if err == nil || !strings.Contains(err.Error(), "block (0,0) reported twice") {
+		t.Fatalf("dump of two whole meshes: err = %v, want block (0,0) reported twice", err)
+	}
+}
+
+// TestRestoreOntoRefusesPartialStore: a sealed store that lacks one block
+// restores nothing.
+func TestRestoreOntoRefusesPartialStore(t *testing.T) {
+	dir, man := distStore(t)
+	src := openStore(t, dir)
+	part := t.TempDir()
+	w, err := meshstore.NewWriter(meshstore.WriterConfig{Dir: part, Meta: man.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range man.Records()[1:] {
+		payload, _, err := src.Payload(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(rec.Key, rec.I, rec.J, rec.Elements, rec.Hash, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if sealed, err := meshstore.MergeManifests(part); err != nil || !sealed.Partial {
+		t.Fatalf("merge of a store missing a block: partial=%v, err %v", sealed != nil && sealed.Partial, err)
+	}
+	cl := distCluster(t, 2, 1<<30)
+	_, err = RestoreOnto(cl.Runtimes(), openStore(t, part))
+	if err == nil || !strings.Contains(err.Error(), "partial") {
+		t.Fatalf("restore of a partial store: err = %v, want a refusal", err)
+	}
+	for i, rt := range cl.Runtimes() {
+		if n := rt.NumLocalObjects(); n != 0 {
+			t.Fatalf("node %d holds %d objects after a refused restore", i, n)
+		}
 	}
 }
 
@@ -302,12 +370,7 @@ func restoreSequential(d *Dist, st *meshstore.Store) error {
 func TestDistExportWithLateNode(t *testing.T) {
 	dir, man := distStore(t)
 	st := openStore(t, dir)
-	ds := distOn(t, distCluster(t, 3, 1<<30), man.Meta)
-	for _, d := range ds {
-		if err := d.RestoreFromStore(st); err != nil {
-			t.Fatal(err)
-		}
-	}
+	ds := restoreOn(t, distCluster(t, 3, 1<<30), st)
 	out := t.TempDir()
 	ws := make([]*meshstore.Writer, len(ds))
 	for i, d := range ds {

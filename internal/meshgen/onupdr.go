@@ -56,8 +56,6 @@ type leafObj struct {
 	Size sizeParams
 	Beta float64
 
-	Done     bool
-	Boundary []geom.Point
 	MeshData []byte
 	Elements int32
 	Verts    int32
@@ -65,7 +63,7 @@ type leafObj struct {
 
 func (o *leafObj) TypeID() uint16 { return typeLeaf }
 
-func (o *leafObj) SizeHint() int { return 120 + len(o.MeshData) + 16*len(o.Boundary) }
+func (o *leafObj) SizeHint() int { return 120 + len(o.MeshData) }
 
 func (o *leafObj) EncodeTo(w io.Writer) error {
 	if err := writeRect(w, o.Rect); err != nil {
@@ -75,16 +73,6 @@ func (o *leafObj) EncodeTo(w io.Writer) error {
 		if err := writeF64(w, f); err != nil {
 			return err
 		}
-	}
-	flags := uint32(0)
-	if o.Done {
-		flags = 1
-	}
-	if err := writeU32(w, flags); err != nil {
-		return err
-	}
-	if err := writePoints(w, o.Boundary); err != nil {
-		return err
 	}
 	if err := writeBytes(w, o.MeshData); err != nil {
 		return err
@@ -108,14 +96,6 @@ func (o *leafObj) DecodeFrom(r io.Reader) error {
 	}
 	o.Size = sizeParams{Scale: fs[0], Grading: fs[1], Center: geom.Pt(fs[2], fs[3]), DMax: fs[4]}
 	o.Beta = fs[5]
-	flags, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	o.Done = flags&1 != 0
-	if o.Boundary, err = readPoints(r); err != nil {
-		return err
-	}
 	if o.MeshData, err = readBytes(r); err != nil {
 		return err
 	}
@@ -418,10 +398,8 @@ func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: encode mesh: %w", o.Rect, err)
 	}
 	o.MeshData = buf.Bytes()
-	o.Boundary = cycle
 	o.Elements = int32(elems)
 	o.Verts = int32(verts)
-	o.Done = true
 	return queue, encodeQUpdate(idx, o.Elements, o.Verts, cycle), nil
 }
 

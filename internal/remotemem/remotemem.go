@@ -170,7 +170,7 @@ func (s *Server) respond(to comm.NodeID, reqID uint64, status byte, out []byte) 
 	resp[8] = status
 	binary.LittleEndian.PutUint32(resp[9:13], uint32(len(out)))
 	copy(resp[13:], out)
-	_ = comm.SendPooled(s.ep, to, wireResp, resp)
+	_ = s.ep.SendBuf(to, wireResp, resp)
 }
 
 // Client is a storage.Store backed by a remote Server's memory.
@@ -247,7 +247,7 @@ func (c *Client) call(op byte, key storage.Key, data []byte) (response, error) {
 	copy(req[13:], key)
 	binary.LittleEndian.PutUint32(req[13+len(key):], uint32(len(data)))
 	copy(req[17+len(key):], data)
-	if err := comm.SendPooled(c.ep, c.server, wireReq, req); err != nil {
+	if err := c.ep.SendBuf(c.server, wireReq, req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, reqID)
 		c.mu.Unlock()

@@ -5,12 +5,9 @@ import (
 	"os"
 	"time"
 
-	"mrts/internal/comm"
-	"mrts/internal/core"
+	"mrts/internal/cluster"
 	"mrts/internal/meshgen"
 	"mrts/internal/meshstore"
-	"mrts/internal/ooc"
-	"mrts/internal/sched"
 	"mrts/internal/storage"
 )
 
@@ -118,69 +115,33 @@ func restoreOnto(env *Env, m int, dir string) (string, error) {
 		return "", fmt.Errorf("open store: %w", err)
 	}
 	defer st.Close()
-	meta := st.Manifest().Meta
-
-	tr := comm.NewInProc(m, comm.LatencyModel{})
-	rts := make([]*core.Runtime, m)
-	defer func() {
-		for _, rt := range rts {
-			if rt != nil {
-				rt.Close()
-			}
-		}
-	}()
-	ds := make([]*meshgen.Dist, m)
-	for i := 0; i < m; i++ {
-		rts[i] = core.NewRuntime(core.Config{
-			Endpoint: tr.Endpoint(comm.NodeID(i)),
-			Pool:     sched.NewWorkStealing(env.Plan.Workers),
-			Factory:  meshgen.Factory,
-			Mem:      ooc.Config{Budget: env.Plan.MemBudget},
-			Store: storage.NewFault(storage.NewMem(), storage.FaultConfig{
-				Seed:          env.Plan.Seed + int64(i), // distinct per-node streams
-				FailFirstGets: env.Plan.FailFirst,
-				FailFirstPuts: env.Plan.FailFirst,
-			}),
-			Retry: storage.RetryPolicy{
-				MaxAttempts: env.Plan.Retries + 2,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-			},
-			NumNodes: m,
-		})
-		d, err := meshgen.NewDist(rts[i], meshgen.DistConfig{
-			Blocks:         meta.Blocks,
-			TargetElements: meta.TargetElements,
-			QualityBound:   meta.QualityBound,
-			Nodes:          m,
-			Node:           i,
-		})
-		if err != nil {
-			return "", fmt.Errorf("restore dist %d: %w", i, err)
-		}
-		if err := d.RestoreFromStore(st); err != nil {
-			return "", fmt.Errorf("restore node %d: %w", i, err)
-		}
-		ds[i] = d
+	cl, err := cluster.New(cluster.Config{
+		Nodes:          m,
+		WorkersPerNode: env.Plan.Workers,
+		MemBudget:      env.Plan.MemBudget,
+		Factory:        meshgen.Factory,
+		Fault: &storage.FaultConfig{ // node-folded: distinct per-node streams
+			Seed:          env.Plan.Seed,
+			FailFirstGets: env.Plan.FailFirst,
+			FailFirstPuts: env.Plan.FailFirst,
+		},
+		Retry: storage.RetryPolicy{
+			MaxAttempts: env.Plan.Retries + 2,
+			BaseDelay:   50 * time.Microsecond,
+			MaxDelay:    time.Millisecond,
+		},
+	})
+	if err != nil {
+		return "", fmt.Errorf("restore cluster: %w", err)
 	}
-	dumps := make([][]meshgen.BlockDump, m)
-	done := make(chan int, m)
-	for i, d := range ds {
-		i, d := i, d
-		go func() {
-			dumps[i] = d.Dump()
-			done <- i
-		}()
+	defer cl.Close()
+	ds, err := meshgen.RestoreOnto(cl.Runtimes(), st)
+	if err != nil {
+		return "", err
 	}
-	for range ds {
-		<-done
+	dump, err := meshgen.DumpAll(ds)
+	if err != nil {
+		return "", err
 	}
-	var all []meshgen.BlockDump
-	for _, part := range dumps {
-		all = append(all, part...)
-	}
-	if len(all) != meta.Blocks*meta.Blocks {
-		return "", fmt.Errorf("restored cluster dumped %d blocks, want %d", len(all), meta.Blocks*meta.Blocks)
-	}
-	return meshgen.MeshHashOf(all), nil
+	return meshgen.MeshHashOf(dump), nil
 }

@@ -73,27 +73,6 @@ func SquareWithHoles(k int) *delaunay.PSLG {
 	return p
 }
 
-// Gear returns a gear-like star polygon with the given number of teeth.
-func Gear(teeth int, rOuter, rInner float64, c geom.Point) *delaunay.PSLG {
-	if teeth < 3 {
-		teeth = 3
-	}
-	p := &delaunay.PSLG{}
-	n := teeth * 2
-	for i := 0; i < n; i++ {
-		a := 2 * math.Pi * float64(i) / float64(n)
-		r := rOuter
-		if i%2 == 1 {
-			r = rInner
-		}
-		p.Points = append(p.Points, geom.Pt(c.X+r*math.Cos(a), c.Y+r*math.Sin(a)))
-	}
-	for i := 0; i < n; i++ {
-		p.Segments = append(p.Segments, [2]int{i, (i + 1) % n})
-	}
-	return p
-}
-
 // SizeFunc is a target-edge-length field over the domain.
 type SizeFunc func(geom.Point) float64
 

@@ -76,20 +76,6 @@ func TestSquareWithHoles(t *testing.T) {
 	}
 }
 
-func TestGear(t *testing.T) {
-	p := Gear(8, 1, 0.7, geom.Pt(0, 0))
-	if len(p.Points) != 16 {
-		t.Fatalf("points = %d", len(p.Points))
-	}
-	m := meshAll(t, p, delaunay.Options{MaxArea: 0.01})
-	if a := area(m); a <= 0 {
-		t.Errorf("area = %v", a)
-	}
-	if got := Gear(1, 1, 0.5, geom.Pt(0, 0)); len(got.Points) != 6 {
-		t.Errorf("clamped gear should have 6 points, got %d", len(got.Points))
-	}
-}
-
 func TestSizeFuncs(t *testing.T) {
 	g := GradedRadial(geom.Pt(0, 0), 0.1, 0.2)
 	if got := g(geom.Pt(0, 0)); got != 0.1 {
