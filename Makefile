@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak e2e-multiproc export examples clean
+.PHONY: all build vet test race bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
 
 all: build vet test
 
@@ -106,6 +106,16 @@ bench-baseline:
 #   go test ./internal/sim -run Soak -sim.seed <seed>
 sim-soak:
 	$(GO) test ./internal/sim/ -run Soak -sim.seeds 100 -count=1 -timeout 30m
+
+# Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this): the
+# byte-plane frame decoder, the block digest against its oracles, and the
+# mesh decoder. A failing input is written under the package's
+# testdata/fuzz; committed there, plain go test replays it.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test ./internal/planes -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/meshgen -run '^$$' -fuzz '^FuzzHashMeshMatchesOracle$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mesh -run '^$$' -fuzz '^FuzzDecodeFrom$$' -fuzztime $(FUZZTIME)
 
 # Packages that must take time from an injected clock.Clock so the
 # deterministic simulation harness can virtualize them (the TCP membership,

@@ -16,13 +16,13 @@ import (
 // remote-memory comparison as one curve: capacity 0 is pure disk (the
 // classic OOC configuration), unbounded capacity is pure remote memory (the
 // conclusion's proposal), and the intermediate lease exercises the full
-// placement machinery — admission, spill, demotion, promotion — with a
+// placement machinery — admission, spill, demotion — with a
 // tier-0 hit ratio strictly between the endpoints' 0 and 1.
 func Tiers(opts Options) (*Table, error) {
 	t := &Table{
 		ID:      "tiers",
 		Title:   "tiered OOC storage: OPCDM vs tier-0 (remote memory) capacity",
-		Headers: []string{"tier0 lease", "time", "hit%", "spills", "demotions", "promotions", "evictions", "lost"},
+		Headers: []string{"tier0 lease", "time", "hit%", "spills", "demotions", "evictions", "lost"},
 		Notes: []string{
 			"capacity 0 = pure disk, unbounded = pure remote memory (the paper's remotemem endpoints)",
 			"the intermediate lease shows adaptive placement: spills and a partial tier-0 hit ratio",
@@ -78,7 +78,7 @@ func Tiers(opts Options) (*Table, error) {
 			label = fmtK(int(pt.cap)) + "B/node"
 		}
 		t.AddRow(label, fmtDur(res.Elapsed), fmtPct(ts.HitRatio()*100),
-			fmtInt(int(ts.Spills)), fmtInt(int(ts.Demotions)), fmtInt(int(ts.Promotions)),
+			fmtInt(int(ts.Spills)), fmtInt(int(ts.Demotions)),
 			fmtInt(int(res.Mem.Evictions)), fmtInt(int(lost)))
 		prefix := fmt.Sprintf("sz%d/%s", size, pt.label)
 		t.SetMetric(prefix+"/time_sec", res.Elapsed.Seconds())
@@ -87,7 +87,6 @@ func Tiers(opts Options) (*Table, error) {
 		if pt.label == "capmid" {
 			t.SetMetric(prefix+"/spills", float64(ts.Spills))
 			t.SetMetric(prefix+"/demotions", float64(ts.Demotions))
-			t.SetMetric(prefix+"/promotions", float64(ts.Promotions))
 		}
 	}
 	return t, nil

@@ -505,7 +505,6 @@ func (c *Cluster) PublishMetrics(reg *obs.Registry) {
 		reg.Gauge("cluster.tier.fast_bytes", func() float64 { return float64(c.TierStats().FastBytes) })
 		reg.Gauge("cluster.tier.spills", func() float64 { return float64(c.TierStats().Spills) })
 		reg.Gauge("cluster.tier.demotions", func() float64 { return float64(c.TierStats().Demotions) })
-		reg.Gauge("cluster.tier.promotions", func() float64 { return float64(c.TierStats().Promotions) })
 		if _, ok := c.CompressStats(); ok {
 			reg.Gauge("cluster.tier05.ratio", func() float64 {
 				s, _ := c.CompressStats()

@@ -15,22 +15,26 @@ import (
 // functionality for fault tolerance can be implemented with little effort on
 // top of the out-of-core subsystem". A checkpoint serializes every local
 // mobile object — reusing the exact serialization path the swapping machinery
-// exercises constantly — together with its pending message queue, the
-// directory and the OOC hints, into a storage.Store. Restore rebuilds the
-// node from it.
+// exercises constantly — together with the directory and the OOC hints, into
+// a storage.Store. Restore rebuilds the node from it.
 //
 // The cluster must be quiescent (WaitQuiescence) when checkpointing; this is
 // the natural phase boundary of the paper's programming model, where control
-// is back at the application.
+// is back at the application and no object has a message queued. A
+// checkpoint records no message queues: it refuses an object that has one.
 
-const checkpointMagic = 0x4D435054 // "MCPT"
+// checkpointMagic marks a manifest whose object records carry no message
+// queue. Manifests of the earlier format, which had one, begin "MCPT" and are
+// refused.
+const checkpointMagic = 0x4D435032 // "MCP2"
 
 // Checkpoint writes this node's full state into st under the given prefix.
 // Objects currently swapped out are copied from the runtime's own store
 // without deserializing them. The runtime must be quiescent. That stops
 // handlers and messages, not the evictions the last handlers started:
 // Checkpoint waits those out (200 ms of the runtime's clock at most), and an
-// object something still holds after that fails it with ErrBusy.
+// object something still holds after that, or one with queued messages,
+// fails it with ErrBusy.
 func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
 	for i := 0; i < 1000 && rt.swapOps.Load() > 0; i++ {
 		rt.clk.Sleep(200 * time.Microsecond)
@@ -84,8 +88,8 @@ func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
 	return st.Put(storage.Key(prefix+"-manifest"), manifest.Bytes())
 }
 
-// checkpointObject snapshots one object: blob + queue + hints. Returns the
-// manifest record.
+// checkpointObject snapshots one object: blob + hints. Returns the manifest
+// record.
 func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string) ([]byte, error) {
 	lo := rt.lookup(p)
 	if lo == nil {
@@ -96,6 +100,10 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 		lo.mu.Unlock()
 		return nil, err
 	}
+	if n := len(lo.queue); n > 0 {
+		lo.mu.Unlock()
+		return nil, fmt.Errorf("%w: message queue not empty (%d)", ErrBusy, n)
+	}
 	var blob []byte
 	var err error
 	if lo.state == stInCore {
@@ -103,7 +111,6 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 	} else {
 		blob, err = rt.io.Backing().Get(storeKey(p))
 	}
-	queue := append([]queued(nil), lo.queue...)
 	typeID := lo.typeID
 	lo.mu.Unlock()
 	if err != nil {
@@ -126,15 +133,6 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 		flags |= 1
 	}
 	rec.WriteByte(flags)
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(queue)))
-	rec.Write(b[0:4])
-	for _, q := range queue {
-		binary.LittleEndian.PutUint32(b[0:4], uint32(q.handler))
-		rec.Write(b[0:4])
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(q.arg)))
-		rec.Write(b[0:4])
-		rec.Write(q.arg)
-	}
 	return rec.Bytes(), nil
 }
 
@@ -185,28 +183,6 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := io.ReadFull(r, b[0:4]); err != nil {
-			return err
-		}
-		nq := int(binary.LittleEndian.Uint32(b[0:4]))
-		var queue []queued
-		for k := 0; k < nq; k++ {
-			if _, err := io.ReadFull(r, b[0:8]); err != nil {
-				return err
-			}
-			h := HandlerID(binary.LittleEndian.Uint32(b[0:4]))
-			na := int(binary.LittleEndian.Uint32(b[4:8]))
-			// Bound the untrusted arg length before allocating.
-			const maxRestoreArg = 1 << 26
-			if na > maxRestoreArg {
-				return fmt.Errorf("core: restore: queued arg length %d exceeds limit %d (corrupt checkpoint?)", na, maxRestoreArg)
-			}
-			arg := make([]byte, na)
-			if _, err := io.ReadFull(r, arg); err != nil {
-				return err
-			}
-			queue = append(queue, queued{handler: h, arg: arg})
-		}
 
 		blob, err := st.Get(storage.Key(fmt.Sprintf("%s-%d-%d", prefix, ptr.Home, ptr.Seq)))
 		if err != nil {
@@ -216,13 +192,12 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 			return err
 		}
 
-		lo := &localObject{ptr: ptr, typeID: typeID, state: stOut, queue: queue}
+		lo := &localObject{ptr: ptr, typeID: typeID, state: stOut}
 		rt.mu.Lock()
 		rt.objects[ptr] = lo
 		// Peers may have posted to this pointer while the restoring node was
 		// still coming up; those messages parked here and already hold the
-		// work counter, so adopt them into the queue (the checkpointed
-		// entries are new work and are accounted below).
+		// work counter, so adopt them into the queue.
 		parked := rt.parked[ptr]
 		delete(rt.parked, ptr)
 		rt.mu.Unlock()
@@ -234,7 +209,6 @@ func (rt *Runtime) Restore(st storage.Store, prefix string) error {
 		if fb&1 != 0 {
 			rt.mem.Lock(id)
 		}
-		rt.work.Add(int64(len(queue)))
 		lo.mu.Lock()
 		for _, m := range parked {
 			lo.queue = append(lo.queue, queued{handler: m.handler, arg: m.arg})

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -86,6 +89,41 @@ func TestCheckpointRefusesBusyObject(t *testing.T) {
 		t.Fatal("checkpoint of a running object should fail")
 	}
 	WaitQuiescence(rt)
+}
+
+// TestCheckpointRefusesQueuedMessages: a checkpoint records no message
+// queue, so an object that has one fails it with ErrBusy, named in the
+// error, and no manifest is written. Checkpoints are taken at quiescence,
+// where no queue is left; the message is planted on an idle object.
+func TestCheckpointRefusesQueuedMessages(t *testing.T) {
+	c := newCluster(t, 1, 1<<20)
+	registerInc(c)
+	rt := c.rts[0]
+	idle := rt.CreateObject(&testObj{})
+	ptr := rt.CreateObject(&testObj{})
+	WaitQuiescence(rt)
+	lo := rt.lookup(ptr)
+	lo.mu.Lock()
+	lo.queue = append(lo.queue, queued{handler: hInc, arg: []byte{1}})
+	lo.mu.Unlock()
+
+	ckpt := storage.NewMem()
+	err := rt.Checkpoint(ckpt, "q")
+	lo.mu.Lock()
+	lo.queue = nil
+	lo.mu.Unlock()
+	if !errors.Is(err, ErrBusy) {
+		t.Fatalf("checkpoint with a queued message: %v, want ErrBusy", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprint(ptr)) || strings.Contains(err.Error(), fmt.Sprint(idle)) {
+		t.Fatalf("error %q should name %v and only it", err, ptr)
+	}
+	if ckpt.Has("q-manifest") {
+		t.Fatal("a refused checkpoint wrote its manifest")
+	}
+	if err := rt.Checkpoint(ckpt, "q"); err != nil {
+		t.Fatalf("checkpoint after the queue emptied: %v", err)
+	}
 }
 
 func TestRestoreWrongNode(t *testing.T) {

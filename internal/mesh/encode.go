@@ -201,8 +201,9 @@ type sections struct {
 
 // readSections reads one encoding from src into sec — header, vertices, super
 // vertices, triangles, constraints — applying every check the format has:
-// magic and version, the count bounds, triangle vertex references in range,
-// and no section cut short. It is the only parser of the format: DecodeFrom
+// magic and version, the count bounds, every vertex reference — super
+// vertex, triangle corner, constraint endpoint — in range, and no section
+// cut short. It is the only parser of the format: DecodeFrom
 // and CanonicalDigest both read through it, so a blob is accepted by both or
 // by neither. sec's slices are reused when large enough; the constraint set
 // is built only when keepConstraints is set, but its section is read and
@@ -243,7 +244,11 @@ func readSections(src *source, sec *sections, keepConstraints bool) error {
 		return err
 	}
 	for i := range sec.super {
-		sec.super[i] = VertexID(int32(u32(b[4*i:])))
+		id := u32(b[4*i:])
+		if id >= nv && VertexID(int32(id)) != NoVertex {
+			return fmt.Errorf("mesh: super vertex %d out of range", int32(id))
+		}
+		sec.super[i] = VertexID(int32(id))
 	}
 	nt := u32(b[12:])
 	if nt > maxDecodeElems {
@@ -290,8 +295,12 @@ func readSections(src *source, sec *sections, keepConstraints bool) error {
 			return err
 		}
 		for ; len(b) >= 8; b, i = b[8:], i+1 {
+			a, c := u32(b), u32(b[4:])
+			if a >= nv || c >= nv {
+				return fmt.Errorf("mesh: constraint %d (%d,%d) references a vertex out of range", i, int32(a), int32(c))
+			}
 			if keepConstraints {
-				sec.constrained[mkEdge(VertexID(int32(u32(b))), VertexID(int32(u32(b[4:]))))] = true
+				sec.constrained[mkEdge(VertexID(a), VertexID(c))] = true
 			}
 		}
 	}

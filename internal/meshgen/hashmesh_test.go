@@ -217,9 +217,9 @@ func rawOf(t testing.TB, data []byte) rawMesh {
 	return r
 }
 
-// permuted is r renumbered: its vertices in a random order (ids outside the
-// vertex list, which super vertices and constraints may carry, stay), its
-// triangles shuffled and each rotated.
+// permuted is r renumbered: its vertices in a random order (NoVertex, which
+// a super vertex may carry, stays), its triangles shuffled and each
+// rotated.
 func (r rawMesh) permuted(rng *rand.Rand) rawMesh {
 	perm := rng.Perm(len(r.verts))
 	id := func(v int32) int32 {
@@ -247,7 +247,8 @@ func (r rawMesh) permuted(rng *rand.Rand) rawMesh {
 
 // adversarialMesh draws a small encoding no Mesh would produce: coordinates
 // from a handful of values so that equal points, -0 against +0 and NaN all
-// meet in one triangle list, super vertex ids absent, real and out of range.
+// meet in one triangle list, super vertex ids absent or real. Every id is one
+// the decoder accepts; the "rejected blobs" cases put ids out of range.
 func adversarialMesh(rng *rand.Rand) rawMesh {
 	coords := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, math.NaN(), math.Inf(1), math.Inf(-1),
 		math.Float64frombits(0x7ff8000000000001)} // a second NaN payload
@@ -257,7 +258,7 @@ func adversarialMesh(rng *rand.Rand) rawMesh {
 		r.verts[i] = geom.Pt(coords[rng.Intn(len(coords))], coords[rng.Intn(len(coords))])
 	}
 	for i := range r.super {
-		r.super[i] = int32(rng.Intn(nv+3)) - 2 // -2 … nv
+		r.super[i] = int32(rng.Intn(nv+1)) - 1 // NoVertex … nv-1
 	}
 	r.tris = make([][3]int32, rng.Intn(40))
 	for i := range r.tris {
@@ -267,7 +268,7 @@ func adversarialMesh(rng *rand.Rand) rawMesh {
 	}
 	r.cons = make([][2]int32, rng.Intn(4))
 	for i := range r.cons {
-		r.cons[i] = [2]int32{int32(rng.Intn(nv+2)) - 1, int32(rng.Intn(nv+2)) - 1}
+		r.cons[i] = [2]int32{int32(rng.Intn(nv)), int32(rng.Intn(nv))}
 	}
 	return r
 }

@@ -83,9 +83,6 @@ const (
 	// KindTierDemote marks a completed background fast→slow move (Arg:
 	// blob bytes).
 	KindTierDemote
-	// KindTierPromote marks a completed slow→fast move earned by repeated
-	// demand misses (Arg: blob bytes).
-	KindTierPromote
 	// KindNodeJoin marks a node (re)entering the placement ring (ID: the
 	// node, Arg: the new ring epoch).
 	KindNodeJoin
@@ -153,8 +150,6 @@ func (k Kind) String() string {
 		return "tier.spill"
 	case KindTierDemote:
 		return "tier.demote"
-	case KindTierPromote:
-		return "tier.promote"
 	case KindNodeJoin:
 		return "node.join"
 	case KindNodeLeave:
@@ -187,7 +182,7 @@ func (k Kind) Track() string {
 		return "comm"
 	case KindSchedRun, KindSchedSteal:
 		return "sched"
-	case KindTierSpill, KindTierDemote, KindTierPromote:
+	case KindTierSpill, KindTierDemote:
 		return "tier"
 	case KindNodeJoin, KindNodeLeave, KindDirRebalance:
 		return "cluster"

@@ -132,7 +132,7 @@ func TestMeshFaultEqualityProperty(t *testing.T) {
 // TestMeshFaultEqualityPropertyTiered repeats the equality property on the
 // tiered hierarchy: remote memory with a bounded lease fronting the faulty,
 // latency-modeled disk, while the remote tier takes its own transient fault
-// schedule. Placement decisions (admit, spill, demote, promote) and tier-0
+// schedule. Placement decisions (admit, spill, demote) and tier-0
 // faults must be invisible to the mesh: same elements and MeshHash, blocks
 // that read back unchanged, conforming interfaces, nothing lost.
 func TestMeshFaultEqualityPropertyTiered(t *testing.T) {

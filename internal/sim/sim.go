@@ -421,7 +421,7 @@ func Run(seed int64, scenario Scenario) *Result {
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("swapio dispatched %d prefetches past queued demand loads", inv))
 		}
-		// Tiered clusters: wait out in-flight demotions/promotions, then
+		// Tiered clusters: wait out in-flight demotions, then
 		// audit single-tier residency and the lease exhaustively.
 		for _, ts := range cl.Tiers() {
 			ts.WaitIdle()

@@ -7,7 +7,7 @@ package tier
 // roughly Ratio× more cache coverage per byte than caching raw blobs would.
 //
 // The layer is a storage.Store wrapper installed around Config.Slow, so the
-// whole tier-1 traffic (spills, demotions, demand reads, promotion reads)
+// whole tier-1 traffic (spills, demotions, demand reads)
 // flows through it without the placement policy knowing. It implements the
 // pooled BufGetter/BufPutter paths: frames are built in pooled buffers,
 // decompression lands in pooled buffers, and ownership transfers follow the

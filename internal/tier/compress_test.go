@@ -290,7 +290,7 @@ func TestCompressedStorePooledPathsHammer(t *testing.T) {
 	}
 }
 
-// The full tier with compression enabled: spills, demotions and promotions
+// The full tier with compression enabled: spills, demotions and demand reads
 // all round-trip through the framed path, and the tier invariants hold.
 func TestTierWithCompressionEndToEnd(t *testing.T) {
 	fast := storage.NewMem()
@@ -321,7 +321,7 @@ func TestTierWithCompressionEndToEnd(t *testing.T) {
 		}
 	}
 	ts.WaitIdle()
-	// Read everything twice: misses promote, repeats hit the frame cache.
+	// Read everything twice: repeats of tier-1 reads hit the frame cache.
 	for round := 0; round < 2; round++ {
 		for key, want := range blobs {
 			got, err := ts.Get(key)

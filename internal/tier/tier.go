@@ -20,14 +20,15 @@
 //     are copied down until usage reaches the low watermark (70 % of the
 //     lease). Demotions ride the inner I/O scheduler's eviction-write class,
 //     so demand reads always win the disk.
-//   - Promotion on repeated demand misses: a blob read from disk twice is
-//     copied up. Promotions ride the prefetch class (bounded, cancellable) so
-//     they can never starve demand loads.
 //
-// Every blob is resident in exactly one tier, or in flight between them with
-// its bytes conservatively charged to tier 0; tier-0 charged bytes never
-// exceed the lease. CheckInvariants audits both properties and the
-// simulation harness sweeps them continuously.
+// Nothing moves a blob up: a tier-1 resident stays there until a Put
+// rewrites it (and admission may then place it in tier 0) or a Delete
+// removes it.
+//
+// Every blob is resident in exactly one tier, or being demoted with its bytes
+// still charged to tier 0; tier-0 charged bytes never exceed the lease.
+// CheckInvariants audits both properties and the simulation harness sweeps
+// them continuously.
 package tier
 
 import (
@@ -63,8 +64,8 @@ type Config struct {
 	// Retry is the retry policy of the inner scheduler (absorbs transient
 	// tier-1 faults in demand reads and demotion writes).
 	Retry storage.RetryPolicy
-	// Tracer, when non-nil, receives tier.spill / tier.demote /
-	// tier.promote instants (Arg: blob bytes).
+	// Tracer, when non-nil, receives tier.spill / tier.demote instants
+	// (Arg: blob bytes).
 	Tracer *obs.Tracer
 	// Clock paces WaitIdle polling and the inner scheduler (nil = wall
 	// clock).
@@ -77,10 +78,6 @@ const (
 	highWater = 0.9
 	lowWater  = highWater * 7 / 9
 )
-
-// promoteAfter is how many demand misses served by tier 1 promote a blob back
-// to tier 0.
-const promoteAfter = 2
 
 // place is where a blob's authoritative copy lives.
 type place uint8
@@ -96,10 +93,6 @@ const (
 	// demoting: moving fast→slow; the fast copy stays authoritative (and
 	// charged) until the slow write lands.
 	demoting
-	// promoting: moving slow→fast; the slow copy stays authoritative, the
-	// fast bytes are already reserved (charged) so the lease cannot be
-	// oversubscribed by in-flight promotions.
-	promoting
 )
 
 func (p place) String() string {
@@ -110,8 +103,6 @@ func (p place) String() string {
 		return "slow"
 	case demoting:
 		return "demoting"
-	case promoting:
-		return "promoting"
 	default:
 		return "nowhere"
 	}
@@ -125,7 +116,6 @@ type entry struct {
 	gen     uint64 // bumped by every Put/Delete; in-flight movers abandon on mismatch
 	seq     uint64 // last-touch logical sequence (LRU order; no wall time)
 	heat    uint64 // lifetime touches — the admission policy's warmth signal
-	misses  int    // demand reads served by tier 1 since the last placement
 	writing bool   // per-key mutation latch: one store mutation at a time
 }
 
@@ -141,10 +131,12 @@ type Stats struct {
 	// directly on tier 1 (no lease room, too big, too cold, or a tier-0
 	// write error).
 	FastPuts, Spills uint64
-	// Demotions / Promotions count completed background moves;
-	// the *Fails counters moves that errored (the blob stayed put).
-	Demotions, Promotions         uint64
-	DemotionFails, PromotionFails uint64
+	// Demotions counts completed background moves, DemotionFails moves
+	// that errored (the blob stayed in tier 0).
+	Demotions, DemotionFails uint64
+	// Promotions is always zero: nothing moves a blob from tier 1 to tier
+	// 0. It stays for readers that still report it.
+	Promotions uint64
 	// FastPutErrors counts tier-0 write errors absorbed by spilling;
 	// FastReadErrors tier-0 read errors surfaced to the caller's retry.
 	FastPutErrors, FastReadErrors uint64
@@ -172,9 +164,7 @@ func (s *Stats) Add(other Stats) {
 	s.FastPuts += other.FastPuts
 	s.Spills += other.Spills
 	s.Demotions += other.Demotions
-	s.Promotions += other.Promotions
 	s.DemotionFails += other.DemotionFails
-	s.PromotionFails += other.PromotionFails
 	s.FastPutErrors += other.FastPutErrors
 	s.FastReadErrors += other.FastReadErrors
 	s.FastBytes += other.FastBytes
@@ -190,7 +180,7 @@ type Store struct {
 	fast   storage.Store
 	slow   storage.Store     // tier 1 as the placement policy sees it (the compression layer when enabled)
 	comp   *compressedStore  // tier 0.5, nil when Compress is not configured
-	inner  *swapio.Scheduler // serves tier 1: demand reads, demotion writes, promotion reads
+	inner  *swapio.Scheduler // serves tier 1: demand reads and demotion writes
 	clk    clock.Clock
 	tracer *obs.Tracer
 
@@ -201,7 +191,7 @@ type Store struct {
 	index     map[storage.Key]*entry
 	fastBytes int64 // sum of entry.charged — resident + reserved lease usage
 	seq       uint64
-	inFlight  int // scheduled demotions + promotions not yet finished
+	inFlight  int // scheduled demotions not yet finished
 	closed    bool
 	stats     Stats
 }
@@ -327,14 +317,13 @@ func (s *Store) Put(key storage.Key, data []byte) error {
 	if admit {
 		err := s.fast.Put(key, data)
 		if err == nil {
-			if prevPlace == inSlow || prevPlace == promoting {
+			if prevPlace == inSlow {
 				// Scrub the stale tier-1 copy: residency stays single.
 				_ = s.slow.Delete(key)
 			}
 			s.mu.Lock()
 			ent.place = inFast
 			ent.size = size
-			ent.misses = 0
 			s.touchLocked(ent)
 			s.stats.FastPuts++
 			s.releaseLocked(ent)
@@ -369,30 +358,20 @@ func (s *Store) Put(key storage.Key, data []byte) error {
 	s.mu.Lock()
 	if err != nil {
 		// The write failed everywhere; whatever was resident before stays
-		// authoritative. A mid-promotion entry reverts to its slow copy and
-		// drops the orphaned reservation — the gen bump means no mover will
-		// reconcile either.
+		// authoritative, and a fast copy keeps its charge.
 		if wasFast {
 			ent.place = inFast
-		} else {
-			if ent.place == promoting {
-				ent.place = inSlow
-			}
-			s.fastBytes -= ent.charged
-			ent.charged = 0
 		}
 		s.releaseLocked(ent)
 		s.mu.Unlock()
 		return err
 	}
-	// Release whatever this key still charges against the lease — an old fast
-	// residency, or a promotion reservation orphaned by the gen bump. The
-	// latch plus that bump guarantee no mover still owns the charge.
+	// Release an old fast residency's charge. The latch plus the gen bump
+	// guarantee no demotion still owns it.
 	s.fastBytes -= ent.charged
 	ent.charged = 0
 	ent.place = inSlow
 	ent.size = size
-	ent.misses = 0
 	s.touchLocked(ent)
 	s.stats.Spills++
 	s.releaseLocked(ent)
@@ -440,35 +419,20 @@ func (s *Store) Get(key storage.Key) ([]byte, error) {
 			s.mu.Unlock()
 			return nil, err
 		}
-		// Tier-1 resident (inSlow, or promoting with the slow copy still
-		// authoritative). A concurrent promotion load of the same key
-		// coalesces inside the inner scheduler.
+		// Tier-1 resident.
 		s.mu.Unlock()
 		data, err := s.inner.LoadSync(key, 0)
 		s.mu.Lock()
 		if err != nil {
-			if ent.gen != gen || (ent.place != inSlow && ent.place != promoting) {
-				continue // promotion or a racing Put moved it; chase
+			if ent.gen != gen || ent.place != inSlow {
+				continue // a racing Put moved it; chase
 			}
 			s.mu.Unlock()
 			return nil, err
 		}
 		s.stats.SlowHits++
 		s.touchLocked(ent)
-		promote := false
-		var psize int64
-		if ent.place == inSlow && ent.gen == gen {
-			ent.misses++
-			if ent.misses >= promoteAfter {
-				promote = s.reservePromoteLocked(ent)
-				gen = ent.gen
-				psize = ent.size // read under s.mu; a racing Put mutates it
-			}
-		}
 		s.mu.Unlock()
-		if promote {
-			s.startPromote(key, ent, gen, psize)
-		}
 		return data, nil
 	}
 }
@@ -482,7 +446,7 @@ func (s *Store) Delete(key storage.Key) error {
 	}
 	ent := s.acquireLocked(key)
 	hadFast := ent.place == inFast || ent.place == demoting
-	hadSlow := ent.place == inSlow || ent.place == promoting
+	hadSlow := ent.place == inSlow
 	s.mu.Unlock()
 	var ferr, serr error
 	if hadFast && s.fast != nil {
@@ -513,8 +477,8 @@ func (s *Store) Has(key storage.Key) bool {
 	return ent != nil && ent.place != nowhere
 }
 
-// Close drains the inner scheduler (pending demotions complete, queued
-// promotions cancel), closing the slow store, then closes the fast store.
+// Close drains the inner scheduler (pending demotions complete), closing the
+// slow store, then closes the fast store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -652,7 +616,6 @@ func (s *Store) scheduleDemotion(key storage.Key, ent *entry, gen uint64) {
 		// fast copy so concurrent reads always find a valid home.
 		s.mu.Lock()
 		ent.place = inSlow
-		ent.misses = 0
 		s.mu.Unlock()
 		_ = s.fast.Delete(key)
 		s.mu.Lock()
@@ -673,95 +636,7 @@ func (s *Store) scheduleDemotion(key storage.Key, ent *entry, gen uint64) {
 	}
 }
 
-// reservePromoteLocked charges the lease for an upcoming promotion so
-// concurrent promotions cannot oversubscribe it. Promotion is gated on the
-// high watermark: promoting into a contended lease would just thrash the
-// demoter. A latched key is refused: its mover still owns ent.charged — a
-// demotion publishes inSlow before it has scrubbed the fast copy and released
-// that charge, and a reservation made in between would be overwritten and
-// then released in its place, leaking the blob's bytes from the lease.
-func (s *Store) reservePromoteLocked(ent *entry) bool {
-	if s.cfg.Capacity == 0 || s.fast == nil || ent.writing {
-		return false
-	}
-	if s.cfg.Capacity > 0 && s.fastBytes+ent.size > s.highMark {
-		return false
-	}
-	ent.charged = ent.size
-	s.fastBytes += ent.size
-	ent.place = promoting
-	s.inFlight++
-	return true
-}
-
-// startPromote submits the slow→fast move: a prefetch-class read (bounded,
-// cancellable, never ahead of demand) whose callback installs the blob in
-// tier 0 and scrubs the tier-1 copy.
-func (s *Store) startPromote(key storage.Key, ent *entry, gen uint64, size int64) {
-	release := func(failed bool) {
-		// Only release if this promotion still owns the reservation: a
-		// superseding Put/Delete reconciles the charge itself.
-		if ent.gen == gen && ent.place == promoting {
-			s.fastBytes -= ent.charged
-			ent.charged = 0
-			ent.place = inSlow
-			ent.misses = 0
-			if failed {
-				s.stats.PromotionFails++
-			}
-		}
-		s.inFlight--
-	}
-	ok := s.inner.Load(key, 0, swapio.Prefetch, func(blob []byte, err error) {
-		s.mu.Lock()
-		if err != nil || ent.gen != gen || ent.place != promoting {
-			release(err != nil && ent.gen == gen)
-			s.mu.Unlock()
-			return
-		}
-		// Install under the key's latch: serialized against Put/Delete.
-		for ent.writing {
-			s.cond.Wait()
-			if ent.gen != gen || ent.place != promoting {
-				release(false)
-				s.mu.Unlock()
-				return
-			}
-		}
-		ent.writing = true
-		s.mu.Unlock()
-		perr := s.fast.Put(key, blob)
-		if perr == nil {
-			_ = s.slow.Delete(key)
-		}
-		s.mu.Lock()
-		if perr != nil {
-			release(true)
-		} else {
-			ent.place = inFast // the reservation becomes the residency charge
-			ent.misses = 0
-			s.stats.Promotions++
-			s.inFlight--
-		}
-		s.releaseLocked(ent)
-		over := s.overHighLocked()
-		s.mu.Unlock()
-		if perr == nil {
-			s.tracer.Emit(obs.KindTierPromote, 0, size)
-			if over {
-				s.demote()
-			}
-		}
-	})
-	if !ok {
-		// Prefetch bound or shutdown: no promotion this round.
-		s.mu.Lock()
-		release(false)
-		s.mu.Unlock()
-	}
-}
-
-// WaitIdle blocks until no demotion or promotion is in flight and no key is
+// WaitIdle blocks until no demotion is in flight and no key is
 // latched by an in-progress mutation, stable across a clock tick — the
 // quiescence hook the simulation audit uses before its deep residency
 // checks. Under a virtual clock the tick only elapses at global quiescence,
@@ -803,7 +678,7 @@ func (s *Store) Snapshot() Stats {
 		switch e.place {
 		case inFast, demoting:
 			out.FastBlobs++
-		case inSlow, promoting:
+		case inSlow:
 			out.SlowBlobs++
 		}
 	}
@@ -860,7 +735,7 @@ func (s *Store) CheckInvariants(deep bool) []string {
 			out = append(out, fmt.Sprintf("tier: %q latched at quiescence", k))
 		}
 		switch e.place {
-		case demoting, promoting:
+		case demoting:
 			out = append(out, fmt.Sprintf("tier: %q still %s at quiescence", k, e.place))
 		case inFast:
 			if e.charged != e.size {

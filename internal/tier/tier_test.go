@@ -202,32 +202,37 @@ func TestDemotionToLowWatermark(t *testing.T) {
 	checkClean(t, s)
 }
 
-func TestPromotionAfterRepeatedMisses(t *testing.T) {
-	s := newTiered(t, Config{Capacity: 10_000})
+// TestRepeatedSlowReadsStayInSlowTier: reads never move a blob up. However
+// often a tier-1 resident is read, and however much lease is free, it stays
+// in tier 1 and every read is a tier-1 hit.
+func TestRepeatedSlowReadsStayInSlowTier(t *testing.T) {
+	fast, slow := storage.NewMem(), storage.NewMem()
+	s := newTiered(t, Config{Fast: fast, Slow: slow, Capacity: 10_000})
 	// Plant the blob on the slow tier directly: an empty 10 000-byte lease
 	// admits every write that fits it.
-	if err := s.slow.Put("cold", blob(200)); err != nil {
+	if err := slow.Put("cold", blob(200)); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
 	s.index["cold"] = &entry{size: 200, place: inSlow}
 	s.mu.Unlock()
 
-	for i := 0; i < 2; i++ {
-		if _, err := s.Get("cold"); err != nil {
-			t.Fatalf("get %d: %v", i, err)
+	const reads = 5
+	for i := 0; i < reads; i++ {
+		if got, err := s.Get("cold"); err != nil || len(got) != 200 {
+			t.Fatalf("get %d: %v (%d bytes)", i, err, len(got))
 		}
+		s.WaitIdle()
 	}
-	s.WaitIdle()
 	st := s.Snapshot()
-	if st.Promotions != 1 {
-		t.Fatalf("want 1 promotion, got %+v", st)
+	if st.SlowHits != reads || st.FastHits != 0 {
+		t.Fatalf("want %d tier-1 hits and none from tier 0, got %+v", reads, st)
 	}
-	if _, err := s.Get("cold"); err != nil {
-		t.Fatal(err)
+	if st.FastPuts != 0 || st.FastBytes != 0 || st.SlowBlobs != 1 {
+		t.Fatalf("reads moved the blob: %+v", st)
 	}
-	if st := s.Snapshot(); st.FastHits == 0 {
-		t.Fatalf("promoted blob not served by tier 0: %+v", st)
+	if fast.Has("cold") || !slow.Has("cold") {
+		t.Fatal("want the blob on the slow tier only")
 	}
 	checkClean(t, s)
 }
@@ -427,13 +432,10 @@ func (g *gatedDelete) Delete(k storage.Key) error {
 	return g.Store.Delete(k)
 }
 
-// TestGetDuringDemotionScrubKeepsLease is the deterministic form of the leak
-// the hammer used to hit: a demotion has published its key as slow-resident
-// but is still scrubbing the fast copy — charged and latched — when a Get
-// reaches the promotion threshold (its second miss). The Get must not
-// reserve lease bytes for the key: the demotion's epilogue would release that
-// reservation instead of its own charge and the promotion would install
-// uncharged.
+// TestGetDuringDemotionScrubKeepsLease reads a key inside the window where a
+// demotion has published it as slow-resident but is still scrubbing the fast
+// copy — charged and latched. The reads are served by tier 1, and the lease
+// accounting holds inside the window and after the demotion settles.
 func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 	fast := &gatedDelete{Store: storage.NewMem(), key: "a",
 		entered: make(chan struct{}), release: make(chan struct{})}
@@ -451,13 +453,10 @@ func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 		}
 	}
 	<-fast.entered
-	// Make room under the high watermark so that only the latch stands
-	// between the Get and a promotion reservation.
+	// Empty the lease but for the charge the demotion still holds.
 	if err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	// The demotion reset the miss count; the second miss reaches the
-	// promotion threshold while the key is still latched.
 	for i := 0; i < 2; i++ {
 		if got, err := s.Get("a"); err != nil || len(got) != 300 {
 			t.Fatalf("get %d during the scrub: %d bytes, %v", i, len(got), err)
@@ -468,54 +467,15 @@ func TestGetDuringDemotionScrubKeepsLease(t *testing.T) {
 	}
 	release()
 	checkClean(t, s)
-	if st := s.Snapshot(); st.FastBytes != 0 || st.Demotions != 1 || st.Promotions != 0 {
+	if st := s.Snapshot(); st.FastBytes != 0 || st.Demotions != 1 || st.SlowHits != 2 {
 		t.Fatalf("after the demotion settled: %+v", st)
 	}
-	// The key is promotable again once the latch is gone.
-	if _, err := s.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	checkClean(t, s)
-	if st := s.Snapshot(); st.Promotions != 1 || st.FastBytes != 300 {
-		t.Fatalf("promotion after the demotion settled: %+v", st)
-	}
 }
 
-// TestPutOnPromotingSpillReleasesReservation overwrites a mid-promotion key
-// with a blob admission refuses: the spill succeeds and must release the
-// orphaned promotion reservation — the gen bump means the promotion callback
-// never will, and a leaked charge shrinks the lease forever.
-func TestPutOnPromotingSpillReleasesReservation(t *testing.T) {
-	slow := storage.NewMem()
-	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
-	// Plant a key mid-promotion exactly as reservePromoteLocked leaves it
-	// while the prefetch load is in flight: slow copy authoritative, lease
-	// reservation charged.
-	if err := s.slow.Put("p", blob(80)); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.index["p"] = &entry{size: 80, charged: 80, place: promoting}
-	s.fastBytes += 80
-	s.mu.Unlock()
-
-	if err := s.Put("p", blob(1100)); err != nil { // > lease: spills
-		t.Fatalf("put: %v", err)
-	}
-	if st := s.Snapshot(); st.FastBytes != 0 {
-		t.Fatalf("promotion reservation leaked into the lease: %+v", st)
-	}
-	if got, err := s.Get("p"); err != nil || len(got) != 1100 {
-		t.Fatalf("get: %v (%d bytes)", err, len(got))
-	}
-	checkClean(t, s)
-}
-
-// TestPutFailingBothTiersOnPromotingRevertsToSlow fails a Put of a
-// mid-promotion key on both tiers: the entry must revert to its (still
-// authoritative) slow copy and drop the reservation, not stay `promoting`
-// forever with the charge held.
-func TestPutFailingBothTiersOnPromotingRevertsToSlow(t *testing.T) {
+// TestPutFailingBothTiersKeepsSlowCopy fails a Put of a slow-resident key on
+// both tiers: the entry must stay on its (still authoritative) slow copy,
+// charging nothing against the lease.
+func TestPutFailingBothTiersKeepsSlowCopy(t *testing.T) {
 	inner := storage.NewMem()
 	slow := storage.NewFault(inner, storage.FaultConfig{FailFirstPuts: 1})
 	s := newTiered(t, Config{Slow: slow, Capacity: 1000})
@@ -523,8 +483,7 @@ func TestPutFailingBothTiersOnPromotingRevertsToSlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.index["p"] = &entry{size: 80, charged: 80, place: promoting}
-	s.fastBytes += 80
+	s.index["p"] = &entry{size: 80, place: inSlow}
 	s.mu.Unlock()
 
 	// A blob larger than the lease refuses tier 0 and the injected fault
