@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
+.PHONY: all build vet test race poolcheck bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
 
 all: build vet test
 
@@ -46,6 +46,16 @@ race:
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/...
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/core/...
 	GOMAXPROCS=1 $(GO) test -race ./internal/cluster/... ./internal/sim/...
+
+# The swap path's packages with every released buffer poisoned (the
+# poolcheck build tag): a buffer recycled while someone still reads it, a
+# blob a store lent out included, reads as 0xDB and fails the test that
+# reads it. CI's build-and-test job runs this target.
+POOLCHECK_PKGS = ./internal/storage/... ./internal/swapio/... ./internal/core/... \
+	./internal/tier/... ./internal/remotemem/... ./internal/cluster/... \
+	./internal/meshgen/... ./internal/sim/...
+poolcheck:
+	$(GO) test -tags poolcheck $(POOLCHECK_PKGS)
 
 # Full benchmark harness: every figure and table of the paper.
 bench:
@@ -108,14 +118,15 @@ sim-soak:
 	$(GO) test ./internal/sim/ -run Soak -sim.seeds 100 -count=1 -timeout 30m
 
 # Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this): the
-# byte-plane frame decoder, the block digest against its oracles, and the
-# mesh decoder. A failing input is written under the package's
+# byte-plane frame decoder, the block digest against its oracles, the mesh
+# decoder and the swap tier's frame decoder. A failing input is written under the package's
 # testdata/fuzz; committed there, plain go test replays it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/planes -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/meshgen -run '^$$' -fuzz '^FuzzHashMeshMatchesOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mesh -run '^$$' -fuzz '^FuzzDecodeFrom$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/tier -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 
 # Packages that must take time from an injected clock.Clock so the
 # deterministic simulation harness can virtualize them (the TCP membership,

@@ -3,16 +3,20 @@
 // on a demand load, the wire frames of the remote-memory protocol — is a
 // short-lived []byte whose size repeats run after run; allocating each one
 // fresh makes the garbage collector a hidden participant in every swap. The
-// arena recycles them instead: Get hands out a buffer from a power-of-two
-// size class, Put returns it, and the steady-state evict/load cycle touches
-// the heap not at all.
+// arena recycles them instead: Get hands out a buffer from a size class, Put
+// returns it, and the steady-state evict/load cycle touches the heap not at
+// all. The classes run from 512 B to 16 MiB, four to each doubling (512, 640,
+// 768, 896, 1024, 1280, …), so a pooled buffer is at most a quarter larger
+// than the request: the memory store keeps the buffers it is handed, and
+// what a class wastes it wastes for as long as the blob is stored.
 //
 // Ownership rule (the single rule every layer follows): a buffer obtained
 // from Get/Clone/Writer.Detach has exactly one owner at a time. The owner may
-// hand it off (storage.PutBuf, comm.Endpoint.SendBuf) — after a successful hand-off
-// the previous owner must neither read nor release it — or release it with
-// Put. Layers that must retain bytes past the hand-off (MemStore, the
-// compression cache) copy; nothing retains a caller's pooled buffer.
+// hand it off (storage.PutBuf, comm.Endpoint.SendBuf) — after a successful
+// hand-off the previous owner must neither read nor release it — or release
+// it with Put. A store may keep a buffer handed to it and lend it out again
+// (storage.GetBuf): a lent buffer is read-only, and its borrower gives it
+// back with the store's ReleaseBuf, never with Put.
 //
 // The free lists are plain bounded stacks, not sync.Pool: sync.Pool drops
 // its contents at GC (reintroducing the allocations the arena exists to
@@ -23,18 +27,20 @@
 package bufpool
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
 const (
-	// minClassBits..maxClassBits bound the pooled size classes: 512 B up to
-	// 16 MiB. Smaller requests round up to the smallest class; larger ones
-	// fall through to the allocator (they are rare enough not to matter and
-	// pooling them would pin large dead memory).
-	minClassBits = 9
-	maxClassBits = 24
-	numClasses   = maxClassBits - minClassBits + 1
+	// Class i holds buffers of (4 + i%4) << (7 + i/4) bytes: 512 B up to
+	// 16 MiB, four classes to each doubling. Smaller requests round up to the
+	// smallest class; larger ones fall through to the allocator (they are
+	// rare enough not to matter and pooling them would pin large dead
+	// memory).
+	minClassSize = 512
+	maxClassSize = 16 << 20
+	numClasses   = 61
 
 	// maxFreePerClass bounds each class's free list; beyond it, released
 	// buffers are dropped to the GC. The pool is a cache, not a reservation.
@@ -61,20 +67,22 @@ var hits, misses, puts, drops atomic.Uint64
 // build tag turns it on for a whole build.
 var poison atomic.Bool
 
-// classIndex returns the class for a capacity request, or -1 when the
-// request is beyond the largest class.
+// classSize returns the capacity of class idx.
+func classSize(idx int) int { return (4 + idx&3) << (7 + idx>>2) }
+
+// classIndex returns the smallest class holding n bytes, or -1 when the
+// request is beyond the largest class. For n > 512, n-1 shifted right by e
+// lands in [4, 8): its top three bits, which name the doubling (e) and the
+// quarter within it.
 func classIndex(n int) int {
-	if n < 0 {
+	switch {
+	case n < 0 || n > maxClassSize:
 		return -1
+	case n <= minClassSize:
+		return 0
 	}
-	c := 0
-	for size := 1 << minClassBits; size < n; size <<= 1 {
-		c++
-	}
-	if c >= numClasses {
-		return -1
-	}
-	return c
+	e := bits.Len(uint(n-1)) - 3
+	return 4*(e-7) + (n-1)>>e - 3
 }
 
 // classOf returns the class whose size is exactly cap(b), or -1 — only
@@ -82,14 +90,13 @@ func classIndex(n int) int {
 // capacity cannot corrupt the arena's size invariant.
 func classOf(b []byte) int {
 	c := cap(b)
-	if c < 1<<minClassBits || c > 1<<maxClassBits || c&(c-1) != 0 {
+	if c < minClassSize {
 		return -1
 	}
-	idx := 0
-	for size := 1 << minClassBits; size < c; size <<= 1 {
-		idx++
+	if idx := classIndex(c); idx >= 0 && classSize(idx) == c {
+		return idx
 	}
-	return idx
+	return -1
 }
 
 // Get returns a buffer of length n whose capacity is the smallest class that
@@ -112,7 +119,7 @@ func Get(n int) []byte {
 	}
 	cl.mu.Unlock()
 	misses.Add(1)
-	return make([]byte, n, 1<<(minClassBits+idx))
+	return make([]byte, n, classSize(idx))
 }
 
 // Put releases b back to its size class. Buffers whose capacity is not
@@ -144,6 +151,16 @@ func Put(b []byte) {
 	}
 	cl.mu.Unlock()
 	drops.Add(1)
+}
+
+// Snug reports whether cap(b) is no more than Get(len(b)) would give it: a
+// buffer worth keeping as it is, where a roomier one is worth a copy.
+func Snug(b []byte) bool {
+	idx := classIndex(len(b))
+	if idx < 0 {
+		return cap(b) == len(b)
+	}
+	return cap(b) <= classSize(idx)
 }
 
 // Clone returns a pooled copy of src (the caller owns it; release with Put).

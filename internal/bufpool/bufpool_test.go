@@ -7,8 +7,10 @@ import (
 
 func TestClassSizing(t *testing.T) {
 	cases := []struct{ n, wantCap int }{
-		{0, 512}, {1, 512}, {512, 512}, {513, 1024}, {4096, 4096},
-		{5000, 8192}, {1 << 24, 1 << 24},
+		{0, 512}, {1, 512}, {512, 512}, {513, 640}, {640, 640}, {641, 768},
+		{896, 896}, {897, 1024}, {1024, 1024}, {1025, 1280}, {4096, 4096},
+		{5000, 5120}, {5121, 6144}, {7169, 8192}, {8193, 10240},
+		{12<<20 + 1, 14 << 20}, {14<<20 + 1, 1 << 24}, {1 << 24, 1 << 24},
 	}
 	for _, c := range cases {
 		b := Get(c.n)
@@ -23,6 +25,48 @@ func TestClassSizing(t *testing.T) {
 		t.Fatalf("oversize Get: len=%d", len(big))
 	}
 	Put(big) // must be a silent drop
+}
+
+// TestClassTable checks the class arithmetic against the table it encodes:
+// sizes ascend, four to each doubling from 512 B to 16 MiB, and every
+// request maps to the smallest class that holds it.
+func TestClassTable(t *testing.T) {
+	if classSize(0) != 512 || classSize(numClasses-1) != 1<<24 {
+		t.Fatalf("classes span %d..%d, want 512..16 MiB", classSize(0), classSize(numClasses-1))
+	}
+	for i := 1; i < numClasses; i++ {
+		lo, hi := classSize(i-1), classSize(i)
+		if hi <= lo || hi > lo+lo/4 {
+			t.Fatalf("class %d: %d after %d, want at most a quarter more", i, hi, lo)
+		}
+		for _, n := range []int{lo + 1, (lo + hi) / 2, hi} {
+			if got := classIndex(n); got != i {
+				t.Fatalf("classIndex(%d) = %d, want %d", n, got, i)
+			}
+		}
+		if classOf(make([]byte, 0, hi)) != i || classOf(make([]byte, 0, hi-1)) != -1 {
+			t.Fatalf("classOf misreads capacity %d or %d", hi, hi-1)
+		}
+	}
+	if classIndex(1<<24+1) != -1 || classIndex(-1) != -1 {
+		t.Fatal("out-of-range requests must map to no class")
+	}
+}
+
+func TestSnug(t *testing.T) {
+	cases := []struct {
+		len, cap int
+		want     bool
+	}{
+		{0, 0, true}, {10, 512, true}, {10, 640, false}, {600, 640, true},
+		{600, 768, false}, {5000, 5000, true}, {5000, 5120, true}, {5000, 6144, false},
+		{1<<24 + 1, 1<<24 + 1, true}, {1<<24 + 1, 1<<24 + 2, false},
+	}
+	for _, c := range cases {
+		if got := Snug(make([]byte, c.len, c.cap)); got != c.want {
+			t.Errorf("Snug(len %d, cap %d) = %v, want %v", c.len, c.cap, got, c.want)
+		}
+	}
 }
 
 func TestRoundTripReuse(t *testing.T) {

@@ -56,11 +56,22 @@ func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(ptrs)))
 	manifest.Write(hdr[:])
 
+	// A failed checkpoint leaves nothing under prefix: the blobs written
+	// before the failure go again.
+	written := make([]storage.Key, 0, len(ptrs))
+	abandon := func() {
+		for _, k := range written {
+			_ = st.Delete(k) // best effort: the failure is the error to report
+		}
+	}
 	for _, p := range ptrs {
-		rec, err := rt.checkpointObject(p, st, prefix)
+		key := storage.Key(fmt.Sprintf("%s-%d-%d", prefix, p.Home, p.Seq))
+		rec, err := rt.checkpointObject(p, st, key)
 		if err != nil {
+			abandon()
 			return fmt.Errorf("core: checkpoint %v: %w", p, err)
 		}
+		written = append(written, key)
 		manifest.Write(rec)
 	}
 
@@ -85,12 +96,16 @@ func (rt *Runtime) Checkpoint(st storage.Store, prefix string) error {
 	binary.LittleEndian.PutUint64(cb[8:16], uint64(rt.recv.Load()))
 	manifest.Write(cb[:])
 
-	return st.Put(storage.Key(prefix+"-manifest"), manifest.Bytes())
+	if err := st.Put(storage.Key(prefix+"-manifest"), manifest.Bytes()); err != nil {
+		abandon()
+		return err
+	}
+	return nil
 }
 
-// checkpointObject snapshots one object: blob + hints. Returns the manifest
-// record.
-func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string) ([]byte, error) {
+// checkpointObject snapshots one object: its blob goes to st under key, and
+// the manifest record with its hints is returned.
+func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, key storage.Key) ([]byte, error) {
 	lo := rt.lookup(p)
 	if lo == nil {
 		return nil, ErrUnknownObject
@@ -118,7 +133,7 @@ func (rt *Runtime) checkpointObject(p MobilePtr, st storage.Store, prefix string
 	}
 
 	id := oid(p)
-	if err := st.Put(storage.Key(fmt.Sprintf("%s-%d-%d", prefix, p.Home, p.Seq)), blob); err != nil {
+	if err := st.Put(key, blob); err != nil {
 		return nil, err
 	}
 

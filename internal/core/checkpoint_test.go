@@ -126,6 +126,45 @@ func TestCheckpointRefusesQueuedMessages(t *testing.T) {
 	}
 }
 
+// TestRefusedCheckpointLeavesNoBlobs: a checkpoint refused for one queued
+// object among eight deletes the blobs it wrote before the refusal. The
+// objects are visited in map order, so the refusal comes after some writes
+// in all but an eighth of the attempts; five attempts make that certain in
+// practice.
+func TestRefusedCheckpointLeavesNoBlobs(t *testing.T) {
+	c := newCluster(t, 1, 1<<20)
+	registerInc(c)
+	rt := c.rts[0]
+	var ptrs []MobilePtr
+	for i := 0; i < 8; i++ {
+		ptrs = append(ptrs, rt.CreateObject(&testObj{Count: int64(i), Ballast: make([]byte, 100)}))
+	}
+	WaitQuiescence(rt)
+	lo := rt.lookup(ptrs[5])
+	lo.mu.Lock()
+	lo.queue = append(lo.queue, queued{handler: hInc, arg: []byte{1}})
+	lo.mu.Unlock()
+	defer func() {
+		lo.mu.Lock()
+		lo.queue = nil
+		lo.mu.Unlock()
+	}()
+	for attempt := 0; attempt < 5; attempt++ {
+		ckpt := storage.NewMem()
+		if err := rt.Checkpoint(ckpt, "q"); !errors.Is(err, ErrBusy) {
+			t.Fatalf("checkpoint with a queued message: %v, want ErrBusy", err)
+		}
+		for _, p := range ptrs {
+			if key := storage.Key(fmt.Sprintf("q-%d-%d", p.Home, p.Seq)); ckpt.Has(key) {
+				t.Fatalf("attempt %d: refused checkpoint left %s behind", attempt, key)
+			}
+		}
+		if ckpt.Has("q-manifest") || ckpt.BytesResident() != 0 {
+			t.Fatalf("attempt %d: refused checkpoint left %d bytes behind", attempt, ckpt.BytesResident())
+		}
+	}
+}
+
 func TestRestoreWrongNode(t *testing.T) {
 	c := newCluster(t, 2, 1<<20)
 	rt := c.rts[0]

@@ -1,6 +1,10 @@
 package storage
 
-import "mrts/internal/bufpool"
+import (
+	"unsafe"
+
+	"mrts/internal/bufpool"
+)
 
 // This file defines the ownership-transfer I/O path that makes the swap hot
 // path allocation-free. The plain Store interface is copy-safe and simple;
@@ -11,13 +15,15 @@ import "mrts/internal/bufpool"
 //
 // Ownership rules (see also the bufpool package comment):
 //
-//   - GetBuf returns a buffer OWNED BY THE STORE's read path; the caller must
-//     hand it back with ReleaseBuf of the same store when done, and must not
-//     retain it past that point. For most stores the buffer is pooled memory;
-//     for the mmap-backed FileStore it is a mapped view whose release unmaps.
+//   - GetBuf returns a buffer OWNED BY THE STORE's read path and read-only
+//     to the caller, who must hand it back with ReleaseBuf of the same store
+//     when done and must not retain it past that point. The FileStore reads
+//     into a pooled buffer; the mmap-backed FileStore lends a mapped view
+//     whose release unmaps; MemStore lends the stored buffer itself.
 //   - PutBuf transfers ownership of data to the store. On success the store
-//     disposes of the buffer (recycling it when it is pooled); on error the
-//     caller retains ownership — which is exactly what a retry loop needs.
+//     keeps the buffer (MemStore) or disposes of it (recycling it when it is
+//     pooled); on error the caller retains ownership — which is exactly what
+//     a retry loop needs.
 //   - Store.Put never retains data after returning (implementations copy or
 //     write out), so the copy-fallbacks below are safe for every Store.
 
@@ -41,8 +47,8 @@ type BufPutter interface {
 }
 
 // GetBuf reads key through the store's pooled path when it has one, falling
-// back to a plain Get. Either way the caller owns the result only until the
-// matching ReleaseBuf(st, ...) call.
+// back to a plain Get. Either way the caller may read the result only until
+// the matching ReleaseBuf(st, ...) call, and must not write it.
 func GetBuf(st Store, key Key) ([]byte, error) {
 	if bg, ok := st.(BufGetter); ok {
 		return bg.GetBuf(key)
@@ -84,7 +90,9 @@ type StatsReader interface {
 
 // --- MemStore ---
 
-// GetBuf implements BufGetter: the returned buffer is a pooled copy.
+// GetBuf implements BufGetter: the returned buffer is the stored value
+// itself, lent read-only until ReleaseBuf. A Put or Delete of key meanwhile
+// replaces the value without touching the lent buffer.
 func (s *MemStore) GetBuf(key Key) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,21 +102,53 @@ func (s *MemStore) GetBuf(key Key) ([]byte, error) {
 	}
 	s.stats.Gets++
 	s.stats.BytesRead += uint64(len(d))
-	return bufpool.Clone(d), nil
+	if cap(d) > 0 {
+		base := unsafe.SliceData(d)
+		l := s.lent[base]
+		l.n++
+		s.lent[base] = l
+	}
+	return d, nil
 }
 
-// ReleaseBuf implements BufGetter.
-func (s *MemStore) ReleaseBuf(data []byte) { bufpool.Put(data) }
-
-// PutBuf implements BufPutter. MemStore retains what it stores, so this is
-// the documented copy fallback: the value is copied into store-owned pooled
-// memory and the caller's buffer is recycled on success.
-func (s *MemStore) PutBuf(key Key, data []byte) error {
-	err := s.Put(key, data)
-	if err == nil {
-		bufpool.Put(data)
+// ReleaseBuf implements BufGetter: it ends one loan of the buffer data
+// starts (a truncated view will do), and recycles the buffer when that was
+// the last loan of one the store has let go.
+func (s *MemStore) ReleaseBuf(data []byte) {
+	if cap(data) == 0 {
+		return
 	}
-	return err
+	base := unsafe.SliceData(data)
+	var dead []byte
+	s.mu.Lock()
+	switch l, ok := s.lent[base]; {
+	case !ok:
+	case l.n > 1:
+		l.n--
+		s.lent[base] = l
+	default:
+		delete(s.lent, base)
+		dead = l.dead
+	}
+	s.mu.Unlock()
+	if dead != nil {
+		bufpool.Put(dead)
+	}
+}
+
+// PutBuf implements BufPutter: the store keeps data itself, so the blob
+// costs what its buffer holds and no copy. A buffer roomier than its
+// length's size class (bufpool.Snug) is copied into one that fits instead,
+// and released on success. A refused write leaves data with the caller.
+func (s *MemStore) PutBuf(key Key, data []byte) error {
+	if !bufpool.Snug(data) {
+		err := s.Put(key, data)
+		if err == nil {
+			bufpool.Put(data)
+		}
+		return err
+	}
+	return s.keep(key, data)
 }
 
 // --- LatencyStore ---

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"mrts/internal/bufpool"
 	"mrts/internal/clock"
@@ -79,56 +80,96 @@ var ErrClosed = errors.New("storage: async store closed")
 // out-of-core media" configuration sketched in the paper's conclusion. Built
 // with NewMemCap it enforces a byte capacity: a donor node leases a bounded
 // slice of its RAM, it does not surrender all of it.
+//
+// A stored value is one buffer the map owns: Put copies into a pooled one,
+// PutBuf keeps the caller's (bufio.go). GetBuf lends that buffer out
+// read-only; a value replaced or deleted while lent stays allocated until
+// its last borrower's ReleaseBuf recycles it.
 type MemStore struct {
 	mu       sync.RWMutex
 	data     map[Key][]byte
+	lent     map[*byte]loan // by base pointer, each stored buffer out on loan
 	stats    Stats
 	resident int64
 	capacity int64 // <= 0 means unbounded
 	rejected uint64
 }
 
+// loan counts a stored buffer's borrowers. dead holds the buffer once the
+// store has let go of it (replaced or deleted), for the last ReleaseBuf to
+// recycle.
+type loan struct {
+	n    int
+	dead []byte
+}
+
 // NewMem returns an empty, unbounded in-memory store.
-func NewMem() *MemStore { return &MemStore{data: make(map[Key][]byte)} }
+func NewMem() *MemStore { return NewMemCap(0) }
 
 // NewMemCap returns an in-memory store that rejects writes (ErrCapacity)
 // once resident payload bytes would exceed capacity. capacity <= 0 means
 // unbounded.
 func NewMemCap(capacity int64) *MemStore {
-	return &MemStore{data: make(map[Key][]byte), capacity: capacity}
+	return &MemStore{data: make(map[Key][]byte), lent: make(map[*byte]loan), capacity: capacity}
 }
 
 // Put implements Store. On a capacity-bounded store a write that would push
 // the resident bytes past the cap fails loudly with ErrCapacity (replacing
-// an existing value accounts only the size delta).
+// an existing value accounts only the size delta). The store keeps a pooled
+// copy of data, never data itself.
 func (s *MemStore) Put(key Key, data []byte) error {
-	// The stored copy lives in pooled memory owned by the map; it is
-	// recycled on overwrite and Delete. Get/GetBuf always copy out, so no
-	// reference to a map value ever escapes the store.
 	cp := bufpool.Clone(data)
+	err := s.keep(key, cp)
+	if err != nil {
+		bufpool.Put(cp)
+	}
+	return err
+}
+
+// keep stores buf itself under key. A refused write leaves buf with the
+// caller; on success the buffer it replaces is let go.
+func (s *MemStore) keep(key Key, buf []byte) error {
 	s.mu.Lock()
-	old, hadOld := s.data[key]
-	next := s.resident - int64(len(old)) + int64(len(data))
+	old := s.data[key]
+	next := s.resident - int64(len(old)) + int64(len(buf))
 	if s.capacity > 0 && next > s.capacity {
 		s.rejected++
 		resident := s.resident
 		s.mu.Unlock()
-		bufpool.Put(cp)
 		return fmt.Errorf("put %q (%d bytes, %d/%d resident): %w",
-			string(key), len(data), resident, s.capacity, ErrCapacity)
+			string(key), len(buf), resident, s.capacity, ErrCapacity)
 	}
-	s.data[key] = cp
+	s.data[key] = buf
 	s.resident = next
 	s.stats.Puts++
-	s.stats.BytesWritten += uint64(len(data))
+	s.stats.BytesWritten += uint64(len(buf))
+	old = s.letGoLocked(old)
 	s.mu.Unlock()
-	if hadOld {
+	if old != nil {
 		bufpool.Put(old)
 	}
 	return nil
 }
 
-// Get implements Store.
+// letGoLocked is called when the store stops holding buf (nil when it held
+// nothing). It returns buf for the caller to recycle, or nil when there is
+// nothing to recycle yet: a buffer out on loan is recycled by its last
+// ReleaseBuf.
+func (s *MemStore) letGoLocked(buf []byte) []byte {
+	if cap(buf) == 0 {
+		return nil
+	}
+	base := unsafe.SliceData(buf)
+	l, ok := s.lent[base]
+	if !ok {
+		return buf
+	}
+	l.dead = buf
+	s.lent[base] = l
+	return nil
+}
+
+// Get implements Store. The result is a copy the caller owns.
 func (s *MemStore) Get(key Key) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -146,12 +187,13 @@ func (s *MemStore) Get(key Key) ([]byte, error) {
 // Delete implements Store.
 func (s *MemStore) Delete(key Key) error {
 	s.mu.Lock()
-	old, had := s.data[key]
+	old := s.data[key]
 	s.resident -= int64(len(old))
 	delete(s.data, key)
 	s.stats.Deletes++
+	old = s.letGoLocked(old)
 	s.mu.Unlock()
-	if had {
+	if old != nil {
 		bufpool.Put(old)
 	}
 	return nil
