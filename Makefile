@@ -117,10 +117,11 @@ bench-baseline:
 sim-soak:
 	$(GO) test ./internal/sim/ -run Soak -sim.seeds 100 -count=1 -timeout 30m
 
-# Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this): the
-# byte-plane frame decoder, the block digest against its oracles, the mesh
-# decoder and the swap tier's frame decoder. A failing input is written under the package's
-# testdata/fuzz; committed there, plain go test replays it.
+# Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this, and
+# CI's build-and-test job with FUZZTIME=5s on every push): the byte-plane
+# frame decoder, the block digest against its oracles, the mesh decoder and
+# the swap tier's frame decoder. A failing input is written under the
+# package's testdata/fuzz; committed there, plain go test replays it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/planes -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)

@@ -213,17 +213,19 @@ func methodPair(id, title, method string, sizes []int, opts Options) (*Table, er
 			"paper: MRTS overhead up to 12-18% for in-core problem sizes",
 		},
 	}
-	// The OOC cluster budget fits the whole series with headroom above the
-	// soft swapping threshold: these figures measure pure control-layer
-	// overhead on in-core problem sizes, like the paper's small runs.
+	// Each size runs on a cluster of its own, whose budget fits the series'
+	// largest size with headroom above the soft swapping threshold: these
+	// figures measure pure control-layer overhead on in-core problem sizes,
+	// like the paper's small runs.
 	maxSize := sizes[len(sizes)-1]
-	cl, cleanup, err := oocCluster(opts.PEs, maxSize*6, ooc.LRU, cluster.WorkStealing, 1, opts.Trace, id+"/")
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
 	for _, s := range sizes {
+		cl, cleanup, err := oocCluster(opts.PEs, maxSize*6, ooc.LRU, cluster.WorkStealing, 1,
+			opts.Trace, fmt.Sprintf("%s/sz%d/", id, s))
+		if err != nil {
+			return nil, err
+		}
 		in, oc, err := runPair(method, cl, s, opts.PEs)
+		cleanup()
 		if err != nil {
 			return nil, err
 		}
@@ -377,14 +379,17 @@ func speedTable(id, title, method string, sizes []int, opts Options) (*Table, er
 		Headers: []string{"size", "in-core time", "in-core speed", "OOC time", "OOC speed"},
 		Notes:   []string{"Speed = S/(T×N) in elements/sec/PE; the paper's point is that it stays ~constant"},
 	}
+	// Each size runs on a cluster of its own with the same budget, half the
+	// largest size: the smaller sizes fit in core and the largest does not.
 	maxSize := sizes[len(sizes)-1]
-	cl, cleanup, err := oocCluster(opts.PEs, maxSize/2, ooc.LRU, cluster.WorkStealing, 1, opts.Trace, id+"/")
-	if err != nil {
-		return nil, err
-	}
-	defer cleanup()
 	for _, s := range sizes {
+		cl, cleanup, err := oocCluster(opts.PEs, maxSize/2, ooc.LRU, cluster.WorkStealing, 1,
+			opts.Trace, fmt.Sprintf("%s/sz%d/", id, s))
+		if err != nil {
+			return nil, err
+		}
 		in, oc, err := runPair(method, cl, s, opts.PEs)
+		cleanup()
 		if err != nil {
 			return nil, err
 		}

@@ -17,13 +17,14 @@ import (
 	"mrts/internal/workload"
 )
 
-// This file is the SPMD driver for a true multi-process OUPDR run: every
-// worker process executes the same code against its own core.Runtime, and
-// the only thing the processes share is the deterministic placement function
-// below. No process ever tells another which MobilePtr it minted — each one
-// recomputes the full pointer table from the block grid, the consistent-hash
-// directory, and the runtime's sequential Seq assignment, and CreateBlocks
-// verifies the prediction against what CreateObject actually returned.
+// This file is the SPMD driver of OUPDR: every node executes the same code
+// against its own core.Runtime — one per worker process in a multi-process
+// run, one per in-process node under RunOUPDR — and the only thing the nodes
+// share is the deterministic placement function below. No node ever tells
+// another which MobilePtr it minted — each one recomputes the full pointer
+// table from the block grid, the consistent-hash directory, and the
+// runtime's sequential Seq assignment, and CreateBlocks verifies the
+// prediction against what CreateObject actually returned.
 
 // DistConfig parameterizes one node's share of a distributed OUPDR run. All
 // processes of a run must use identical Blocks/TargetElements/QualityBound/
@@ -89,8 +90,6 @@ type Placement struct {
 	Ptrs []core.MobilePtr
 	// Owners is the owner per block, same indexing.
 	Owners []core.NodeID
-	// Order is the canonical creation order (indexes into Ptrs).
-	Order []int
 
 	keys map[core.MobilePtr]string // ptr -> the "block-i-j" key that placed it
 }
@@ -111,8 +110,8 @@ func (pl *Placement) Key(ptr core.MobilePtr) string {
 // NewPlacement computes the shared placement table for a run configuration.
 // It predicts every block's MobilePtr: owner from the directory, Seq from
 // the owner's creation order (CreateObject assigns 1, 2, ... on a fresh
-// runtime). The canonical order is top-right first — j then i descending —
-// so each block's right/top neighbors are already placed when it is.
+// runtime). Blocks are created in reverse grid order, top-right first, so
+// each block's right/top neighbors already exist when it is created.
 func NewPlacement(cfg DistConfig) (*Placement, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -126,7 +125,6 @@ func NewPlacement(cfg DistConfig) (*Placement, error) {
 	nb := cfg.Blocks
 	pl.Ptrs = make([]core.MobilePtr, nb*nb)
 	pl.Owners = make([]core.NodeID, nb*nb)
-	pl.Order = make([]int, 0, nb*nb)
 	pl.keys = make(map[core.MobilePtr]string, nb*nb)
 	seq := make([]uint32, cfg.Nodes)
 	for j := nb - 1; j >= 0; j-- {
@@ -137,7 +135,6 @@ func NewPlacement(cfg DistConfig) (*Placement, error) {
 			seq[owner]++
 			pl.Ptrs[idx] = core.MobilePtr{Home: owner, Seq: seq[owner]}
 			pl.Owners[idx] = owner
-			pl.Order = append(pl.Order, idx)
 			pl.keys[pl.Ptrs[idx]] = key
 		}
 	}
@@ -152,7 +149,6 @@ type Dist struct {
 
 	ptrs   []core.MobilePtr // global pointer table, indexed j*Blocks+i
 	owners []core.NodeID    // owner per block, same indexing
-	order  []int            // canonical creation order (indexes into ptrs)
 }
 
 // NewDist computes the placement table and registers the OUPDR handlers on
@@ -178,7 +174,7 @@ func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error)
 		return nil, fmt.Errorf("meshgen: placement is for %d blocks, config wants %d", len(pl.Ptrs), nb*nb)
 	}
 	d := &Dist{rt: rt, cfg: cfg, sh: newBlockShared(nb),
-		ptrs: pl.Ptrs, owners: pl.Owners, order: pl.Order}
+		ptrs: pl.Ptrs, owners: pl.Owners}
 	registerBlockHandlers(rt, d.sh)
 	return d, nil
 }
@@ -209,17 +205,26 @@ func hashMesh(data []byte) []byte {
 	return d
 }
 
-// CreateBlocks creates this node's blocks in the canonical order and
-// verifies each minted pointer against the prediction — the property the
-// whole cross-process addressing scheme rests on.
+// local returns this node's blocks (indexes into ptrs) in creation order,
+// reverse grid order.
+func (d *Dist) local() []int {
+	var out []int
+	for idx := len(d.ptrs) - 1; idx >= 0; idx-- {
+		if d.owners[idx] == core.NodeID(d.cfg.Node) {
+			out = append(out, idx)
+		}
+	}
+	return out
+}
+
+// CreateBlocks creates this node's blocks in creation order and verifies
+// each minted pointer against the prediction — the property the whole
+// cross-process addressing scheme rests on.
 func (d *Dist) CreateBlocks() error {
 	nb := d.cfg.Blocks
 	h := workload.UniformSizeFor(d.cfg.TargetElements, 1.0)
 	beta := d.cfg.QualityBound
-	for _, idx := range d.order {
-		if d.owners[idx] != core.NodeID(d.cfg.Node) {
-			continue
-		}
+	for _, idx := range d.local() {
 		i, j := idx%nb, idx/nb
 		got := d.rt.CreateObject(newBlock(nb, i, j, h, beta, d.ptrs))
 		if got != d.ptrs[idx] {
@@ -230,15 +235,17 @@ func (d *Dist) CreateBlocks() error {
 	return nil
 }
 
-// PostPhase posts the mesh kick-off to this node's blocks of phase k (block
-// order index k mod Phases). Every process must post the same phase, then
-// call WaitPhase — the phases are global barriers.
+// PostPhase posts the mesh kick-off to this node's blocks of phase k (those
+// whose creation ordinal is k mod Phases). Every process must post the same
+// phase, then call WaitPhase — the phases are global barriers. The posts go
+// in grid order, left and bottom neighbours first, so a block's interface
+// messages mostly reach neighbours not meshed yet, which keep them until
+// they mesh, instead of meshed ones that may have been evicted since.
 func (d *Dist) PostPhase(k int) {
-	for ord, idx := range d.order {
-		if ord%d.cfg.Phases != k || d.owners[idx] != core.NodeID(d.cfg.Node) {
-			continue
+	for idx, ptr := range d.ptrs {
+		if (len(d.ptrs)-1-idx)%d.cfg.Phases == k && d.owners[idx] == core.NodeID(d.cfg.Node) {
+			d.rt.Post(ptr, hBlockMesh, nil)
 		}
-		d.rt.Post(d.ptrs[idx], hBlockMesh, nil)
 	}
 }
 
@@ -341,12 +348,7 @@ func (d *Dist) Export(w *meshstore.Writer) error {
 // it stay created.
 func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 	nb := d.cfg.Blocks
-	var local []int
-	for _, idx := range d.order {
-		if d.owners[idx] == core.NodeID(d.cfg.Node) {
-			local = append(local, idx)
-		}
-	}
+	local := d.local()
 	type restored struct {
 		o    *blockObj
 		size int
@@ -424,6 +426,27 @@ func distsOn(rts []*core.Runtime, meta meshstore.Meta) ([]*Dist, error) {
 	return ds, nil
 }
 
+// onEveryNode runs f on every node at once, as a collective requires, and
+// returns the first error in node order, naming its node.
+func onEveryNode(ds []*Dist, f func(node int, d *Dist) error) error {
+	errs := make([]error, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i, d)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("meshgen: node %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // DumpAll runs Dump on every node at once, as the collective requires, and
 // returns the merged report sorted by (j, i). It fails unless every block of
 // the grid is reported exactly once.
@@ -432,15 +455,10 @@ func DumpAll(ds []*Dist) ([]BlockDump, error) {
 		return nil, fmt.Errorf("meshgen: dump: no nodes")
 	}
 	parts := make([][]BlockDump, len(ds))
-	var wg sync.WaitGroup
-	for i, d := range ds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[i] = d.Dump()
-		}()
-	}
-	wg.Wait()
+	onEveryNode(ds, func(i int, d *Dist) error {
+		parts[i] = d.Dump()
+		return nil
+	})
 	nb := ds[0].cfg.Blocks
 	out := make([]BlockDump, nb*nb) // grid order is (j, i) order
 	seen := make([]bool, nb*nb)

@@ -245,7 +245,7 @@ func TestRestoreFromStoreNamesFirstBadBlock(t *testing.T) {
 	d := ds[0]
 	nb := man.Meta.Blocks
 	// Placement positions 4 and 5: the middle of the 3×3 grid's order.
-	first, second := d.order[4], d.order[5]
+	first, second := d.local()[4], d.local()[5]
 	for _, idx := range []int{second, first} {
 		damageFrame(t, dir, man, meshstore.BlockKey(idx%nb, idx/nb))
 	}
@@ -339,10 +339,7 @@ func TestRestoreFromStorePeakWithinWindow(t *testing.T) {
 // read, decode, check and create one block at a time.
 func restoreSequential(d *Dist, st *meshstore.Store) error {
 	nb := d.cfg.Blocks
-	for _, idx := range d.order {
-		if d.owners[idx] != core.NodeID(d.cfg.Node) {
-			continue
-		}
+	for _, idx := range d.local() {
 		i, j := idx%nb, idx/nb
 		payload, rec, err := st.Payload(meshstore.BlockKey(i, j))
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,21 +13,20 @@ import (
 	"mrts/internal/core"
 	"mrts/internal/geom"
 	"mrts/internal/meshstore"
-	"mrts/internal/workload"
 )
 
-// OUPDR handler IDs, shared by RunOUPDR and the multi-process Dist driver.
+// OUPDR handler IDs, registered on every node by its Dist.
 const (
 	hBlockMesh  core.HandlerID = 101
 	hBlockIface core.HandlerID = 102
 	// hBlockDump asks a block to report (i, j, elements, mesh digest) and,
 	// while an export is attached, to frame its full encoded state into the
 	// store. It reads the block, so it is posted only where the bytes are
-	// needed: to every block by an export and by RereadDigests, and by
-	// Dist.Dump to the local blocks this process has no digest for. The
-	// digest it reports is the one taken when the block was meshed; it
-	// hashes only a block that has none (one restored from a store or a
-	// checkpoint, or every block under RereadDigests).
+	// needed: by Dist.Export to every local block, and by Dist.Dump to the
+	// local blocks its node holds no digest for (one restored from a store or
+	// a checkpoint, or every block under RereadDigests). The digest it
+	// reports is the one taken when the block was meshed; it hashes only a
+	// block that has none.
 	hBlockDump core.HandlerID = 103
 )
 
@@ -156,11 +154,11 @@ func (o *blockObj) DecodeFrom(r io.Reader) error {
 	return nil
 }
 
-// blockShared carries what the block handlers of one driver report into:
-// run totals, the first handler error, every block's canonical digest, and —
-// during a dump pass — the pass's reports, the store writer if an export is
-// attached, and the first error it returned. RunOUPDR shares one across the
-// nodes of its cluster; a Dist owns one per process.
+// blockShared carries what the block handlers of one node report into: the
+// node's run totals, the first handler error, the canonical digest of every
+// block meshed or read there, and — during a dump pass — the pass's reports,
+// the store writer if an export is attached, and the first error it
+// returned. Each Dist owns one; nodes share none.
 //
 // A block's digest is taken by the handler that writes its mesh, from the
 // encoding it has just made, so a MeshHash built from the digests certifies
@@ -217,23 +215,6 @@ func (sh *blockShared) digest(idx int) (BlockDump, bool) {
 	defer sh.mu.Unlock()
 	b := sh.digests[idx]
 	return b, b.Hash != ""
-}
-
-// all returns every block's digest, or an error naming the blocks without one.
-func (sh *blockShared) all() ([]BlockDump, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var missing []string
-	for idx, b := range sh.digests {
-		if b.Hash == "" {
-			missing = append(missing, fmt.Sprintf("(%d,%d)", idx%sh.nb, idx/sh.nb))
-		}
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("meshgen: %d of %d blocks have no digest: %s",
-			len(missing), len(sh.digests), strings.Join(missing, " "))
-	}
-	return append([]BlockDump(nil), sh.digests...), nil
 }
 
 // report adds block o to the dump pass in progress and returns its report and
@@ -457,53 +438,61 @@ func residentFirst(ptrs []core.MobilePtr, inCore func(core.MobilePtr) bool) []co
 
 // RunOUPDR executes the out-of-core uniform method on an MRTS cluster: one
 // mobile object per block, meshing driven by messages, interfaces verified
-// by one-sided exchanges, blocks swapped to disk under memory pressure.
+// by one-sided exchanges, blocks swapped to disk under memory pressure. It
+// runs the SPMD driver, Dist, on every node of cl at once: each node creates
+// the blocks the placement ring gives it, kicks them off and waits for
+// global termination, then frames them into cfg.Export if one is attached.
+// Dist predicts the pointer every block is minted with, so cl's runtimes
+// must hold no objects yet.
 func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	nb := cfg.Blocks
-	sh := newBlockShared(nb)
-	for _, rt := range cl.Runtimes() {
-		registerBlockHandlers(rt, sh)
-	}
-
-	h := workload.UniformSizeFor(cfg.TargetElements, 1.0)
-	ptrs := make([]core.MobilePtr, nb*nb)
-	// Create top-right first so each block's right/top neighbors exist,
-	// dealing blocks to the nodes round-robin.
-	node := 0
-	for j := nb - 1; j >= 0; j-- {
-		for i := nb - 1; i >= 0; i-- {
-			ptrs[j*nb+i] = cl.RT(node).CreateObject(newBlock(nb, i, j, h, cfg.QualityBound, ptrs))
-			node = (node + 1) % cl.Nodes()
+	rts := cl.Runtimes()
+	for i, rt := range rts {
+		if n := rt.NumLocalObjects(); n > 0 {
+			return Result{}, fmt.Errorf("meshgen: OUPDR needs fresh runtimes; node %d already holds %d objects", i, n)
 		}
 	}
-	// Kick off: post the mesh message to every block (the initial messages
-	// of the paper's programming model), then hand control to the runtime.
-	for _, p := range ptrs {
-		cl.RT(int(p.Home)).Post(p, hBlockMesh, nil)
-	}
-	cl.Wait()
-
-	if err := sh.meshErr.take(); err != nil {
+	ds, err := distsOn(rts, meshstore.Meta{
+		Blocks:         cfg.Blocks,
+		TargetElements: cfg.TargetElements,
+		QualityBound:   cfg.QualityBound,
+	})
+	if err != nil {
 		return Result{}, err
 	}
-	if n := sh.elements.Load(); n == 0 {
+	for i, d := range ds {
+		if err := d.CreateBlocks(); err != nil {
+			return Result{}, fmt.Errorf("meshgen: node %d: %w", i, err)
+		}
+	}
+	// Kick off: the mesh message to every block (the initial messages of the
+	// paper's programming model), then the runtime has control until global
+	// termination.
+	onEveryNode(ds, func(_ int, d *Dist) error {
+		d.PostPhase(0)
+		d.WaitPhase()
+		return nil
+	})
+	res := Result{Method: "OUPDR", Subdomains: cfg.Blocks * cfg.Blocks, PEs: cl.PEs(), Conforming: true}
+	for _, d := range ds {
+		if err := d.Err(); err != nil {
+			return Result{}, err
+		}
+		res.Elements += int(d.Elements())
+		res.Vertices += int(d.sh.verts.Load())
+		res.Conforming = res.Conforming && d.Mismatches() == 0
+	}
+	if res.Elements == 0 {
 		return Result{}, fmt.Errorf("meshgen: OUPDR produced no elements")
 	}
 	// An export frames every block into cfg.Export — the bulk-sync method's
 	// irrevocable point. Framing needs the bytes, so that pass reloads the
 	// blocks out of core; without an export nothing is read back.
 	if cfg.Export != nil {
-		sh.begin(cfg.Export)
-		inCore := func(p core.MobilePtr) bool { return cl.RT(int(p.Home)).InCore(p) }
-		for _, p := range residentFirst(ptrs, inCore) {
-			cl.RT(int(p.Home)).Post(p, hBlockDump, nil)
-		}
-		cl.Wait()
-		if _, err := sh.end(); err != nil {
+		if err := onEveryNode(ds, func(_ int, d *Dist) error { return d.Export(cfg.Export) }); err != nil {
 			return Result{}, fmt.Errorf("meshgen: export: %w", err)
 		}
 	}
@@ -513,23 +502,17 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 		return Result{}, fmt.Errorf("meshgen: OUPDR lost %d objects to failed loads", lost)
 	}
 	// The run-wide digest the mesh-equality properties compare, combined
-	// from the digests the blocks took when they were meshed.
-	dump, err := sh.all()
+	// from the digests the blocks took when they were meshed: the dump reads
+	// no block that has one.
+	dump, err := DumpAll(ds)
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Method:     "OUPDR",
-		MeshHash:   MeshHashOf(dump),
-		Elements:   int(sh.elements.Load()),
-		Vertices:   int(sh.verts.Load()),
-		Subdomains: nb * nb,
-		PEs:        cl.PEs(),
-		Elapsed:    time.Since(start),
-		Report:     cl.Report(),
-		Mem:        cl.MemStats(),
-		Conforming: sh.mismatch.Load() == 0,
-	}, nil
+	res.MeshHash = MeshHashOf(dump)
+	res.Elapsed = time.Since(start)
+	res.Report = cl.Report()
+	res.Mem = cl.MemStats()
+	return res, nil
 }
 
 // RereadDigests reads every block of the RunOUPDR run that finished on cl
@@ -537,20 +520,18 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 // MeshHash certifies the meshes as refined; MeshHashOf of these reports equals
 // it only if every block also came back from the swap path unchanged, which
 // is what the mesh-equality tests check. cl must be quiescent and hold that
-// run's blocks only; the block handlers are registered on it afresh.
+// run's blocks only. Its nodes get new Dists, which hold no digest, so the
+// dump reads every block.
 func RereadDigests(cl *cluster.Cluster, blocks int) ([]BlockDump, error) {
-	sh := newBlockShared(blocks) // no digests: each is taken from the bytes read
-	for _, rt := range cl.Runtimes() {
-		registerBlockHandlers(rt, sh)
+	// The element target only sizes the blocks CreateBlocks makes; a re-read
+	// makes none.
+	ds, err := distsOn(cl.Runtimes(), meshstore.Meta{Blocks: blocks, TargetElements: 1})
+	if err != nil {
+		return nil, err
 	}
-	for _, rt := range cl.Runtimes() {
-		for _, p := range rt.LocalObjects() {
-			rt.Post(p, hBlockDump, nil)
-		}
-	}
-	cl.Wait()
+	dump, err := DumpAll(ds)
 	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
 		return nil, fmt.Errorf("meshgen: %d objects lost to failed loads", lost)
 	}
-	return sh.all()
+	return dump, err
 }

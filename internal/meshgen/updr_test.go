@@ -2,6 +2,7 @@ package meshgen
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -116,6 +117,74 @@ func TestRunOUPDRInCore(t *testing.T) {
 	}
 	if res.Mem.Evictions != 0 {
 		t.Errorf("no evictions expected with huge budget, got %d", res.Mem.Evictions)
+	}
+}
+
+// TestRunOUPDRSameMeshOnOneToFourNodes: however the placement ring splits
+// the blocks over the nodes — unevenly, with neighbours on different nodes —
+// RunOUPDR builds the mesh whose MeshHash TestGoldenRuns pins on one node.
+func TestRunOUPDRSameMeshOnOneToFourNodes(t *testing.T) {
+	const golden = "80acf9032c132089de7c19e3fbe6fc46b16df9869d5b732b7add68bc60bbe996"
+	cfg := UPDRConfig{Blocks: 3, TargetElements: 5000}
+	for nodes := 1; nodes <= 4; nodes++ {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			pl, err := NewPlacement(DistConfig{Blocks: cfg.Blocks, TargetElements: cfg.TargetElements, Nodes: nodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			split := make([]int, nodes)
+			cross := 0
+			for idx, owner := range pl.Owners {
+				split[owner]++
+				i, j := idx%cfg.Blocks, idx/cfg.Blocks
+				if i+1 < cfg.Blocks && pl.Owners[idx+1] != owner {
+					cross++
+				}
+				if j+1 < cfg.Blocks && pl.Owners[idx+cfg.Blocks] != owner {
+					cross++
+				}
+			}
+			if nodes > 1 && cross == 0 {
+				t.Fatalf("the ring puts no two neighbours on different nodes (split %v)", split)
+			}
+			res, err := RunOUPDR(newTestCluster(t, nodes, 1<<30), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.MeshHash != golden || res.Elements != 5118 || !res.Conforming {
+				t.Fatalf("split %v: MeshHash %s, %d elements, conforming %v; want %s, 5118, true",
+					split, res.MeshHash, res.Elements, res.Conforming, golden)
+			}
+		})
+	}
+}
+
+// TestRunOUPDRRefusesAUsedCluster: the placement predicts every block's
+// pointer from a fresh runtime, so a second run on the same cluster fails
+// before it creates anything, naming a node that already holds objects.
+func TestRunOUPDRRefusesAUsedCluster(t *testing.T) {
+	cl := newTestCluster(t, 2, 1<<30)
+	cfg := UPDRConfig{Blocks: 3, TargetElements: 3000}
+	if _, err := RunOUPDR(cl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	held := make([]int, cl.Nodes())
+	node := -1
+	for i, rt := range cl.Runtimes() {
+		held[i] = rt.NumLocalObjects()
+		if node < 0 && held[i] > 0 {
+			node = i
+		}
+	}
+	_, err := RunOUPDR(cl, cfg)
+	want := fmt.Sprintf("node %d already holds %d objects", node, held[node])
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("second run: err = %v, want it to say %q", err, want)
+	}
+	for i, rt := range cl.Runtimes() {
+		if got := rt.NumLocalObjects(); got != held[i] {
+			t.Fatalf("node %d holds %d objects after the refused run, %d before", i, got, held[i])
+		}
 	}
 }
 
@@ -287,7 +356,8 @@ func TestRunOUPDRReadsNothingBack(t *testing.T) {
 }
 
 // TestBlockDigestsNameWhatIsWrong: a block digested twice must digest alike,
-// and a missing digest is an error that names the blocks without one.
+// and a digest off the grid is refused. (A block without a digest is read by
+// the dump; DumpAll names a block nobody reported.)
 func TestBlockDigestsNameWhatIsWrong(t *testing.T) {
 	sh := newBlockShared(2)
 	b := BlockDump{I: 1, J: 0, Elements: 5, Hash: "aa"}
@@ -301,9 +371,5 @@ func TestBlockDigestsNameWhatIsWrong(t *testing.T) {
 	}
 	if err := sh.record(BlockDump{I: 2, J: 0, Hash: "aa"}); err == nil {
 		t.Fatal("a digest off the grid was accepted")
-	}
-	_, err := sh.all()
-	if err == nil || !strings.Contains(err.Error(), "(0,0) (0,1) (1,1)") {
-		t.Fatalf("all() = %v, want the three blocks without a digest named", err)
 	}
 }

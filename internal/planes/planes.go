@@ -62,13 +62,19 @@ func Encode(dst, src []byte) ([]byte, bool) {
 // tokens of src fill dst exactly.
 func Decode(dst, src []byte) error {
 	stream := bufpool.Get(len(dst))
-	err := unpack(stream, src)
+	err := unpack(stream, len(stream), src)
 	if err == nil {
 		join(dst, stream)
 	}
 	bufpool.Put(stream)
 	return err
 }
+
+// Check returns the error Decode would return for a destination of n bytes
+// without writing or allocating anything: it reads only the token lengths.
+// A caller that takes n from an untrusted header checks before it allocates
+// n bytes for the tokens to fill.
+func Check(src []byte, n int) error { return unpack(nil, n, src) }
 
 // split writes the plane stream of src into stream (same length).
 func split(stream, src []byte) {
@@ -214,35 +220,41 @@ func nextRun(s []byte, i int) int {
 // uvarintLen is the encoded size of x as a uvarint.
 func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
-// unpack expands the tokens of src into stream. Every length is checked
-// against what is left of both before it is used.
-func unpack(stream, src []byte) error {
+// unpack expands the tokens of src into stream, which is n bytes long or,
+// nil, not written at all. Every length is checked against what is left of
+// both before it is used.
+func unpack(stream []byte, n int, src []byte) error {
 	at := 0
 	for len(src) > 0 {
-		n, k := binary.Uvarint(src)
-		if k <= 0 || n > uint64(len(src)-k) {
+		m, k := binary.Uvarint(src)
+		if k <= 0 || m > uint64(len(src)-k) {
 			return errTruncated
 		}
-		if n > uint64(len(stream)-at) {
+		if m > uint64(n-at) {
 			return errOverrun
 		}
-		at += copy(stream[at:], src[k:k+int(n)])
-		src = src[k+int(n):]
+		if stream != nil {
+			copy(stream[at:], src[k:k+int(m)])
+		}
+		at += int(m)
+		src = src[k+int(m):]
 		if len(src) == 0 {
 			break
 		}
-		n, k = binary.Uvarint(src)
+		m, k = binary.Uvarint(src)
 		if k <= 0 || k == len(src) {
 			return errTruncated
 		}
-		if n > uint64(len(stream)-at) {
+		if m > uint64(n-at) {
 			return errOverrun
 		}
-		fill(stream[at:at+int(n)], src[k])
-		at += int(n)
+		if stream != nil {
+			fill(stream[at:at+int(m)], src[k])
+		}
+		at += int(m)
 		src = src[k+1:]
 	}
-	if at != len(stream) {
+	if at != n {
 		return errShort
 	}
 	return nil

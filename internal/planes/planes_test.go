@@ -175,6 +175,7 @@ func refDecode(src []byte, n int) ([]byte, bool) {
 // FuzzDecode: whatever the bytes, Decode does not panic, writes only inside
 // dst, and returns nil exactly when the tokens fill dst — in which case dst
 // is what the reference decoder makes of them, and otherwise is untouched.
+// Check, which only counts, returns the error Decode does.
 func FuzzDecode(f *testing.F) {
 	for _, src := range [][]byte{meshShaped(300, 1), adversarial(200), bytes.Repeat([]byte{7}, 1000), {}} {
 		enc, _ := Encode(nil, src)
@@ -207,6 +208,8 @@ func FuzzDecode(f *testing.F) {
 		}
 		want, ok := refDecode(src, int(n))
 		switch {
+		case Check(src, int(n)) != err:
+			t.Fatalf("Check returned %v, Decode %v", Check(src, int(n)), err)
 		case ok != (err == nil):
 			t.Fatalf("Decode returned %v; the tokens fill dst exactly: %v", err, ok)
 		case ok && !bytes.Equal(dst, want):

@@ -178,11 +178,18 @@ func (s *compressedStore) decodeFrame(frame []byte) ([]byte, error) {
 		}
 		out = bufpool.Clone(payload)
 	case codecPlanes:
-		out = bufpool.Get(rawLen)
-		// The tokens must fill exactly the rawLen bytes the header claims.
-		if err = planes.Decode(out, payload); err != nil {
-			bufpool.Put(out)
-			out, err = nil, fmt.Errorf("tier: frame decompression: %w", err)
+		// The tokens must fill exactly the rawLen bytes the header claims;
+		// they are counted before rawLen bytes are taken for them, so a
+		// corrupt header costs no more than the frame it came in.
+		if err = planes.Check(payload, rawLen); err == nil {
+			out = bufpool.Get(rawLen)
+			if err = planes.Decode(out, payload); err != nil {
+				bufpool.Put(out)
+				out = nil
+			}
+		}
+		if err != nil {
+			err = fmt.Errorf("tier: frame decompression: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("tier: unknown frame codec %d", frame[1])

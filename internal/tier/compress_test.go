@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -225,6 +226,28 @@ func TestCompressedStoreCorruptFrames(t *testing.T) {
 	// huge-raw must have failed on the bound, not by attempting the alloc.
 	if _, err := cs.Get("huge-raw"); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("huge-raw error = %v, want raw-length bound", err)
+	}
+}
+
+// TestDecodeFrameCountsTokensBeforeAllocating: a 7-byte frame whose header
+// claims 64 MiB fails on its one token, which fills nothing, without anything
+// near that size being allocated for it.
+func TestDecodeFrameCountsTokensBeforeAllocating(t *testing.T) {
+	cs := newCompressedStore(storage.NewMem(), CompressConfig{}, nil)
+	defer cs.Close()
+	const claim = 64 << 20
+	frame := []byte{frameMagic, codecPlanes, 0, 0, 0, 0, 0x00}
+	binary.LittleEndian.PutUint32(frame[2:], claim)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := cs.decodeFrame(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("decoded %d bytes from a frame without tokens", len(out))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a %d-byte frame claiming %d MiB allocated %d bytes before it failed (%v)",
+			len(frame), claim>>20, got, err)
 	}
 }
 
