@@ -14,14 +14,15 @@ vet:
 	$(GO) vet ./...
 
 # The kernel, predicate, residency-manager, block-digest and frame-codec
-# micro-benchmarks run once each so that they cannot rot, ONUPDR runs across
-# two nodes in and out of core through the paper harness (an experiment fails
-# on a non-conforming mesh), and the benchmark module (its own go.mod,
-# invisible to ./...) runs its unit and smoke tests.
+# micro-benchmarks run once each so that they cannot rot, ONUPDR and OPCDM
+# run across two nodes in and out of core through the paper harness (an
+# experiment fails on a non-conforming mesh), and the benchmark module (its
+# own go.mod, invisible to ./...) runs its unit and smoke tests.
 test:
 	$(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/delaunay ./internal/ooc ./internal/meshgen ./internal/planes ./internal/geom
 	$(GO) run ./cmd/mrtsbench -exp fig6,tab5 -scale 0.05 -pes 2
+	$(GO) run ./cmd/mrtsbench -exp fig7,tab6 -scale 0.05 -pes 2
 	cd benchmark && $(GO) test ./...
 
 # The race lane; CI's race job runs this target. The concurrency-heavy
@@ -119,8 +120,8 @@ sim-soak:
 
 # Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this, and
 # CI's build-and-test job with FUZZTIME=5s on every push): the byte-plane
-# frame decoder, the block digest against its oracles, the mesh decoder and
-# the swap tier's frame decoder. A failing input is written under the
+# frame decoder, the block digest against its oracles, the mesh decoder, the
+# swap tier's frame decoder and the mesh store's. A failing input is written under the
 # package's testdata/fuzz; committed there, plain go test replays it.
 FUZZTIME ?= 30s
 fuzz:
@@ -128,6 +129,7 @@ fuzz:
 	$(GO) test ./internal/meshgen -run '^$$' -fuzz '^FuzzHashMeshMatchesOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mesh -run '^$$' -fuzz '^FuzzDecodeFrom$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tier -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/meshstore -run '^$$' -fuzz '^FuzzPayload$$' -fuzztime $(FUZZTIME)
 
 # Packages that must take time from an injected clock.Clock so the
 # deterministic simulation harness can virtualize them (the TCP membership,
@@ -172,16 +174,17 @@ lint:
 # The multi-process e2e lane; CI's e2e-multiproc job runs this target. A
 # 3-process loopback OUPDR cluster loses one worker after the first phase
 # barrier and relaunches it from its checkpoint, checked block for block
-# against a single-process baseline of the same problem (-routing placed is
-# the default, passed so the lane visibly pins the placed locator across
-# the kill/rejoin). Then the export/restore drill: a 3-node run exports
+# against a single-process baseline of the same problem (every worker
+# computes the same dealt placement, and a block's pointer names the node
+# that holds it, so the runtime's default routing needs no placement
+# setting). Then the export/restore drill: a 3-node run exports
 # (with one node SIGKILLed mid-export and relaunched), the store verifies
 # offline, and a 2-node restore reproduces the baseline.
 e2e-multiproc:
 	$(GO) build -o bin/meshnode ./cmd/meshnode
 	$(GO) build -o bin/meshctl ./cmd/meshctl
 	bin/meshctl -meshnode bin/meshnode -nodes 1 -blocks 6 -elements 20000 -phases 3 -dir e2e-run/baseline -out baseline.txt
-	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -trace -routing placed -dir e2e-run/cluster -baseline baseline.txt
+	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -trace -dir e2e-run/cluster -baseline baseline.txt
 	bin/meshctl export -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -kill-export 2 -store e2e-run/store -dir e2e-run/export -baseline baseline.txt
 	bin/meshctl verify -store e2e-run/store -deep
 	bin/meshctl restore -store e2e-run/store -nodes 2 -baseline baseline.txt

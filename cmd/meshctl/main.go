@@ -11,6 +11,11 @@
 //	meshctl -meshnode bin/meshnode -nodes 1 -out baseline.txt
 //	meshctl -meshnode bin/meshnode -nodes 3 -kill 2 -kill-after 0 -baseline baseline.txt
 //
+// Every meshnode computes the same placement from the grid and the node
+// count alone — block idx on node idx mod -nodes, its pointer naming that
+// node — so the launcher passes no placement or routing setting, and a
+// relaunched worker owns the blocks its predecessor did.
+//
 // Subcommands operate on the meshstore format:
 //
 //	meshctl export  -meshnode bin/meshnode -nodes 3 -store dir [-kill-export 2]
@@ -79,7 +84,6 @@ type clusterOpts struct {
 	phases   int
 	budget   int64
 	dir      string
-	routing  string
 	trace    bool
 	timeout  time.Duration
 }
@@ -94,7 +98,6 @@ func registerClusterOpts(fs *flag.FlagSet) *clusterOpts {
 	fs.IntVar(&o.phases, "phases", 3, "barrier-separated kick-off phases")
 	fs.Int64Var(&o.budget, "budget", 0, "per-node memory budget in bytes")
 	fs.StringVar(&o.dir, "dir", "", "working directory for logs/spools/checkpoints (default: temp)")
-	fs.StringVar(&o.routing, "routing", "placed", "routing locator passed to every node: placed, lazy, eager or home")
 	fs.BoolVar(&o.trace, "trace", false, "have each node write a Chrome trace under -dir")
 	fs.DurationVar(&o.timeout, "timeout", 2*time.Minute, "per-step timeout")
 	return o
@@ -126,7 +129,6 @@ func (o *clusterOpts) start(extra ...string) (*control, func()) {
 			"-quality", fmt.Sprint(o.quality),
 			"-phases", fmt.Sprint(o.phases),
 			"-budget", fmt.Sprint(o.budget),
-			"-routing", o.routing,
 			"-heartbeat", "100ms",
 			"-expire", "1s",
 		}, extra...),

@@ -1,8 +1,10 @@
 // Command meshnode is one worker process of a distributed OUPDR run. It
 // joins a TCP cluster (dialing the seed, or listening as the seed when -seed
-// is empty), predicts the global block placement from the shared
-// consistent-hash directory, creates or restores its share of the blocks, and
-// then executes phase barriers driven over stdin by cmd/meshctl:
+// is empty), predicts the global block placement — block idx is dealt to
+// node idx mod -nodes, and each block's pointer names its owner, so the
+// runtime's default lazy routing reaches it in one hop — creates or restores
+// its share of the blocks, and then executes phase barriers driven over
+// stdin by cmd/meshctl:
 //
 //	phase K     post phase K, run it to global termination, checkpoint -> "done K"
 //	dump        report every local block as "block <j> <i> <elements> <hash>" -> "dumped"
@@ -24,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"mrts/internal/cluster"
 	"mrts/internal/comm"
 	"mrts/internal/core"
 	"mrts/internal/meshgen"
@@ -52,7 +53,6 @@ func main() {
 		restore  = flag.Bool("restore", false, "restore from the checkpoint in -ckpt instead of creating blocks")
 		compress = flag.Bool("compress", true, "compress exported chunk frames (byte-plane coding, raw when it does not shrink them)")
 		workers  = flag.Int("workers", 2, "task pool workers")
-		routing  = flag.String("routing", "placed", "routing locator: placed, lazy, eager or home")
 		hb       = flag.Duration("heartbeat", 0, "heartbeat interval (0 = default)")
 		expire   = flag.Duration("expire", 0, "seed-side member expiry (0 = default)")
 	)
@@ -108,27 +108,7 @@ func main() {
 	}
 	pool := sched.NewWorkStealing(*workers)
 	pool.SetTracer(tracer)
-	rkind, err := cluster.ParseRouting(*routing)
-	if err != nil {
-		fatalf("routing: %v", err)
-	}
-	dcfg := meshgen.DistConfig{
-		Blocks:         *blocks,
-		TargetElements: *elements,
-		QualityBound:   *quality,
-		Nodes:          *nodes,
-		Node:           int(tn.Node()),
-		Phases:         *phases,
-	}
-	// The placement directory exists before the runtime: under -routing
-	// placed it doubles as the runtime's locator, so block addressing and
-	// message routing come from the same ring and every first hop lands on
-	// the owner directly.
-	pl, err := meshgen.NewPlacement(dcfg)
-	if err != nil {
-		fatalf("dist: %v", err)
-	}
-	cc := core.Config{
+	rt := core.NewRuntime(core.Config{
 		Endpoint: tn,
 		Pool:     pool,
 		Factory:  meshgen.Factory,
@@ -136,23 +116,17 @@ func main() {
 		Store:    store,
 		Tracer:   tracer,
 		NumNodes: *nodes,
-	}
-	switch rkind {
-	case cluster.RoutePlaced:
-		// Keyed by Placement.Key: blocks were placed on the ring by their
-		// "block-i-j" names, so first hops must resolve by those names too.
-		cc.Locator = cluster.NewPlacedLocatorKeyed(pl.Dir, tn.Node(), pl.Key)
-	case cluster.RouteEager:
-		cc.Directory = core.DirEager
-	case cluster.RouteHome:
-		cc.Directory = core.DirHome
-	default:
-		cc.Directory = core.DirLazy
-	}
-	rt := core.NewRuntime(cc)
+	})
 	defer rt.Close()
 
-	d, err := meshgen.NewDistFrom(rt, dcfg, pl)
+	d, err := meshgen.NewDist(rt, meshgen.DistConfig{
+		Blocks:         *blocks,
+		TargetElements: *elements,
+		QualityBound:   *quality,
+		Nodes:          *nodes,
+		Node:           int(tn.Node()),
+		Phases:         *phases,
+	})
 	if err != nil {
 		fatalf("dist: %v", err)
 	}

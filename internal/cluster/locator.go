@@ -69,7 +69,6 @@ type placedResolution struct {
 type PlacedLocator struct {
 	dir  *Directory
 	self core.NodeID
-	key  func(core.MobilePtr) string
 
 	mu       sync.RWMutex
 	override map[core.MobilePtr]core.NodeID
@@ -82,20 +81,9 @@ type PlacedLocator struct {
 // keys come from PtrKey — correct whenever objects were settled by
 // Directory.OwnerOf (SettleAtOwners, the churn drain rule).
 func NewPlacedLocator(dir *Directory, self core.NodeID) *PlacedLocator {
-	return NewPlacedLocatorKeyed(dir, self, PtrKey)
-}
-
-// NewPlacedLocatorKeyed is NewPlacedLocator with an application-supplied
-// placement-key function. An application that placed its objects by its own
-// keys (meshgen hashes "block-i-j", not the minted pointer) must resolve
-// first hops through those same keys, or the ring answers a different
-// question than the one placement asked. key must be pure: same pointer,
-// same key, on every node of the run.
-func NewPlacedLocatorKeyed(dir *Directory, self core.NodeID, key func(core.MobilePtr) string) *PlacedLocator {
 	return &PlacedLocator{
 		dir:      dir,
 		self:     self,
-		key:      key,
 		override: make(map[core.MobilePtr]core.NodeID),
 		resolved: make(map[core.MobilePtr]placedResolution),
 	}
@@ -122,7 +110,7 @@ func (l *PlacedLocator) Locate(ptr core.MobilePtr) (core.NodeID, uint64) {
 	}
 	key := res.key
 	if !hasRes {
-		key = l.key(ptr)
+		key = PtrKey(ptr)
 	}
 	node, epoch := l.dir.Owner(key)
 	if node < 0 {
@@ -152,7 +140,7 @@ func (l *PlacedLocator) Note(ptr core.MobilePtr, at core.NodeID) {
 	if !ok {
 		// Skip the override when the observation just confirms ring
 		// placement — the resolution cache already answers that.
-		if owner, _ := l.dir.Owner(l.key(ptr)); owner == at {
+		if owner, _ := l.dir.Owner(PtrKey(ptr)); owner == at {
 			return
 		}
 	}
@@ -191,7 +179,7 @@ func (l *PlacedLocator) FeedbackTargets(route []core.NodeID) []core.NodeID {
 // hop lands there, and without the override the owner would park those
 // messages forever (it has no local install coming).
 func (l *PlacedLocator) MigrateTargets(ptr core.MobilePtr, dest core.NodeID) []core.NodeID {
-	owner, _ := l.dir.Owner(l.key(ptr))
+	owner, _ := l.dir.Owner(PtrKey(ptr))
 	if owner >= 0 && owner != l.self && owner != dest {
 		return []core.NodeID{owner}
 	}

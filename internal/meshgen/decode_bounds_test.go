@@ -130,26 +130,3 @@ func TestOUPDRIfaceRejectsUnknownSide(t *testing.T) {
 		t.Errorf("mismatches = %d, want 0", n)
 	}
 }
-
-// A wiring payload that does not carry four neighbor pointers must fail the
-// run instead of leaving the subdomain to refine unwired.
-func TestOPCDMWireRejectsMalformedPayload(t *testing.T) {
-	nbs := []core.MobilePtr{{Home: 0, Seq: 1}, core.Nil, {Home: 1, Seq: 2}, core.Nil}
-	o := &subdomainObj{}
-	if err := opcdmWireHandler(o, encodePtrList(nbs)); err != nil {
-		t.Fatalf("well-formed payload: %v", err)
-	}
-	if o.Nbs[0] != nbs[0] || o.Nbs[2] != nbs[2] {
-		t.Fatalf("neighbors = %v, want %v", o.Nbs, nbs)
-	}
-	full := encodePtrList(nbs)
-	for _, arg := range [][]byte{nil, encodePtrList(nbs[:3]), full[:len(full)-1]} {
-		o := &subdomainObj{}
-		if err := opcdmWireHandler(o, arg); err == nil {
-			t.Errorf("payload %x accepted, want an error", arg)
-		}
-		if o.Nbs != [4]core.MobilePtr{} {
-			t.Errorf("payload %x wired %v", arg, o.Nbs)
-		}
-	}
-}

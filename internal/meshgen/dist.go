@@ -6,10 +6,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
 
 	"mrts/internal/bufpool"
-	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/mesh"
 	"mrts/internal/meshstore"
@@ -17,14 +15,10 @@ import (
 	"mrts/internal/workload"
 )
 
-// This file is the SPMD driver of OUPDR: every node executes the same code
-// against its own core.Runtime — one per worker process in a multi-process
-// run, one per in-process node under RunOUPDR — and the only thing the nodes
-// share is the deterministic placement function below. No node ever tells
-// another which MobilePtr it minted — each one recomputes the full pointer
-// table from the block grid, the consistent-hash directory, and the
-// runtime's sequential Seq assignment, and CreateBlocks verifies the
-// prediction against what CreateObject actually returned.
+// This file is OUPDR on the SPMD grid driver (grid.go): a Dist is one
+// node's share of the block grid, running the block handlers (oupdr.go),
+// the dump and export passes over its blocks, and the restore of its share
+// of a stored mesh.
 
 // DistConfig parameterizes one node's share of a distributed OUPDR run. All
 // processes of a run must use identical Blocks/TargetElements/QualityBound/
@@ -75,106 +69,22 @@ func (b BlockDump) String() string {
 	return fmt.Sprintf("%d %d %d %s", b.J, b.I, b.Elements, b.Hash)
 }
 
-// Placement is the deterministic block→node mapping every process of a run
-// computes identically: the consistent-hash directory over the node set plus
-// the predicted MobilePtr table derived from it. It exists as a standalone
-// value so a worker can build it before its runtime — the directory doubles
-// as the runtime's placement-aware locator (cluster.NewPlacedLocatorKeyed
-// with Placement.Key), and since blocks are created at their ring owners,
-// that locator resolves every first hop to the correct node with zero
-// forwarding.
-type Placement struct {
-	// Dir is the placement ring (identical in every process of the run).
-	Dir *cluster.Directory
-	// Ptrs is the global pointer table, indexed j*Blocks+i.
-	Ptrs []core.MobilePtr
-	// Owners is the owner per block, same indexing.
-	Owners []core.NodeID
-
-	keys map[core.MobilePtr]string // ptr -> the "block-i-j" key that placed it
-}
-
-// Key is the placement-key function for the run's locator
-// (cluster.NewPlacedLocatorKeyed): blocks were placed on the ring by their
-// "block-i-j" names, so first-hop resolution must ask the ring by those same
-// names — the canonical PtrKey of a block pointer hashes elsewhere entirely.
-// Pointers outside the block table (none exist in this workload) fall back
-// to the canonical key.
-func (pl *Placement) Key(ptr core.MobilePtr) string {
-	if k, ok := pl.keys[ptr]; ok {
-		return k
-	}
-	return cluster.PtrKey(ptr)
-}
-
-// NewPlacement computes the shared placement table for a run configuration.
-// It predicts every block's MobilePtr: owner from the directory, Seq from
-// the owner's creation order (CreateObject assigns 1, 2, ... on a fresh
-// runtime). Blocks are created in reverse grid order, top-right first, so
-// each block's right/top neighbors already exist when it is created.
-func NewPlacement(cfg DistConfig) (*Placement, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	ids := make([]core.NodeID, cfg.Nodes)
-	for i := range ids {
-		ids[i] = core.NodeID(i)
-	}
-	pl := &Placement{Dir: cluster.NewDirectory(ids)}
-
-	nb := cfg.Blocks
-	pl.Ptrs = make([]core.MobilePtr, nb*nb)
-	pl.Owners = make([]core.NodeID, nb*nb)
-	pl.keys = make(map[core.MobilePtr]string, nb*nb)
-	seq := make([]uint32, cfg.Nodes)
-	for j := nb - 1; j >= 0; j-- {
-		for i := nb - 1; i >= 0; i-- {
-			idx := j*nb + i
-			key := meshstore.BlockKey(i, j)
-			owner, _ := pl.Dir.Owner(key)
-			seq[owner]++
-			pl.Ptrs[idx] = core.MobilePtr{Home: owner, Seq: seq[owner]}
-			pl.Owners[idx] = owner
-			pl.keys[pl.Ptrs[idx]] = key
-		}
-	}
-	return pl, nil
-}
-
 // Dist drives one node of a distributed OUPDR run.
 type Dist struct {
-	rt  *core.Runtime
+	*grid
 	cfg DistConfig
 	sh  *blockShared
-
-	ptrs   []core.MobilePtr // global pointer table, indexed j*Blocks+i
-	owners []core.NodeID    // owner per block, same indexing
 }
 
 // NewDist computes the placement table and registers the OUPDR handlers on
 // rt. It does not create objects: call CreateBlocks on a fresh start, or
 // Restore when relaunching from a checkpoint.
 func NewDist(rt *core.Runtime, cfg DistConfig) (*Dist, error) {
-	pl, err := NewPlacement(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return NewDistFrom(rt, cfg, pl)
-}
-
-// NewDistFrom registers the OUPDR handlers on rt against a placement the
-// caller already computed — the path workers take when the placement also
-// feeds the runtime's locator, so both views come from one directory.
-func NewDistFrom(rt *core.Runtime, cfg DistConfig, pl *Placement) (*Dist, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	nb := cfg.Blocks
-	if len(pl.Ptrs) != nb*nb {
-		return nil, fmt.Errorf("meshgen: placement is for %d blocks, config wants %d", len(pl.Ptrs), nb*nb)
-	}
-	d := &Dist{rt: rt, cfg: cfg, sh: newBlockShared(nb),
-		ptrs: pl.Ptrs, owners: pl.Owners}
+	d := &Dist{grid: newGrid(rt, cfg.Blocks, cfg.Nodes, cfg.Node, cfg.Phases),
+		cfg: cfg, sh: newBlockShared(cfg.Blocks)}
 	registerBlockHandlers(rt, d.sh)
 	return d, nil
 }
@@ -205,52 +115,21 @@ func hashMesh(data []byte) []byte {
 	return d
 }
 
-// local returns this node's blocks (indexes into ptrs) in creation order,
-// reverse grid order.
-func (d *Dist) local() []int {
-	var out []int
-	for idx := len(d.ptrs) - 1; idx >= 0; idx-- {
-		if d.owners[idx] == core.NodeID(d.cfg.Node) {
-			out = append(out, idx)
-		}
-	}
-	return out
-}
-
-// CreateBlocks creates this node's blocks in creation order and verifies
-// each minted pointer against the prediction — the property the whole
-// cross-process addressing scheme rests on.
+// CreateBlocks creates this node's blocks in creation order, each checked
+// against the pointer the placement predicts.
 func (d *Dist) CreateBlocks() error {
-	nb := d.cfg.Blocks
 	h := workload.UniformSizeFor(d.cfg.TargetElements, 1.0)
-	beta := d.cfg.QualityBound
-	for _, idx := range d.local() {
-		i, j := idx%nb, idx/nb
-		got := d.rt.CreateObject(newBlock(nb, i, j, h, beta, d.ptrs))
-		if got != d.ptrs[idx] {
-			return fmt.Errorf("meshgen: block (%d,%d) minted %v, placement predicted %v",
-				i, j, got, d.ptrs[idx])
-		}
-	}
-	return nil
+	return d.create(func(i, j int) core.Object {
+		return newBlock(d.nb, i, j, h, d.cfg.QualityBound, d.ptrs)
+	})
 }
 
-// PostPhase posts the mesh kick-off to this node's blocks of phase k (those
-// whose creation ordinal is k mod Phases). Every process must post the same
-// phase, then call WaitPhase — the phases are global barriers. The posts go
-// in grid order, left and bottom neighbours first, so a block's interface
-// messages mostly reach neighbours not meshed yet, which keep them until
-// they mesh, instead of meshed ones that may have been evicted since.
-func (d *Dist) PostPhase(k int) {
-	for idx, ptr := range d.ptrs {
-		if (len(d.ptrs)-1-idx)%d.cfg.Phases == k && d.owners[idx] == core.NodeID(d.cfg.Node) {
-			d.rt.Post(ptr, hBlockMesh, nil)
-		}
-	}
-}
+// PostPhase posts the mesh kick-off to this node's blocks of phase k. Every
+// process must post the same phase, then call WaitPhase.
+func (d *Dist) PostPhase(k int) { d.post(k, hBlockMesh) }
 
 // WaitPhase runs the distributed termination protocol for one phase barrier.
-func (d *Dist) WaitPhase() { d.rt.WaitTermination(d.cfg.Nodes) }
+func (d *Dist) WaitPhase() { d.wait() }
 
 // Dump reports every local block, waits for global termination (every
 // process must call Dump together), and returns this node's block reports
@@ -289,7 +168,7 @@ func (d *Dist) dumpPass(w *meshstore.Writer) ([]BlockDump, error) {
 	for _, ptr := range residentFirst(visit, d.rt.InCore) {
 		d.rt.Post(ptr, hBlockDump, nil)
 	}
-	d.rt.WaitTermination(d.cfg.Nodes)
+	d.wait()
 	dump, err := d.sh.end()
 	return append(known, dump...), err
 }
@@ -347,7 +226,7 @@ func (d *Dist) Export(w *meshstore.Writer) error {
 // placement order stops the restore and names the error; the blocks before
 // it stay created.
 func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
-	nb := d.cfg.Blocks
+	nb := d.nb
 	local := d.local()
 	type restored struct {
 		o    *blockObj
@@ -378,9 +257,8 @@ func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
 		idx := local[k]
 		i, j := idx%nb, idx/nb
 		r.o.Right, r.o.Top = blockNeighbors(nb, i, j, d.ptrs)
-		if got := d.rt.CreateObject(r.o); got != d.ptrs[idx] {
-			return fmt.Errorf("meshgen: restored block (%d,%d) minted %v, placement predicted %v",
-				i, j, got, d.ptrs[idx])
+		if err := d.createAt(idx, r.o); err != nil {
+			return err
 		}
 		meshstore.EmitRestore(d.rt.Tracer(), i, j, r.size)
 		return nil
@@ -426,27 +304,6 @@ func distsOn(rts []*core.Runtime, meta meshstore.Meta) ([]*Dist, error) {
 	return ds, nil
 }
 
-// onEveryNode runs f on every node at once, as a collective requires, and
-// returns the first error in node order, naming its node.
-func onEveryNode(ds []*Dist, f func(node int, d *Dist) error) error {
-	errs := make([]error, len(ds))
-	var wg sync.WaitGroup
-	for i, d := range ds {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = f(i, d)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("meshgen: node %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // DumpAll runs Dump on every node at once, as the collective requires, and
 // returns the merged report sorted by (j, i). It fails unless every block of
 // the grid is reported exactly once.
@@ -455,32 +312,11 @@ func DumpAll(ds []*Dist) ([]BlockDump, error) {
 		return nil, fmt.Errorf("meshgen: dump: no nodes")
 	}
 	parts := make([][]BlockDump, len(ds))
-	onEveryNode(ds, func(i int, d *Dist) error {
-		parts[i] = d.Dump()
+	onEveryNode(len(ds), func(i int) error {
+		parts[i] = ds[i].Dump()
 		return nil
 	})
-	nb := ds[0].cfg.Blocks
-	out := make([]BlockDump, nb*nb) // grid order is (j, i) order
-	seen := make([]bool, nb*nb)
-	for _, part := range parts {
-		for _, b := range part {
-			if b.I < 0 || b.I >= nb || b.J < 0 || b.J >= nb {
-				return nil, fmt.Errorf("meshgen: dump: block (%d,%d) is outside the %dx%d grid", b.I, b.J, nb, nb)
-			}
-			idx := b.J*nb + b.I
-			if seen[idx] {
-				return nil, fmt.Errorf("meshgen: dump: block (%d,%d) reported twice", b.I, b.J)
-			}
-			seen[idx] = true
-			out[idx] = b
-		}
-	}
-	for idx, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("meshgen: dump: block (%d,%d) missing", idx%nb, idx/nb)
-		}
-	}
-	return out, nil
+	return cover(ds[0].nb, parts, func(b BlockDump) (int, int) { return b.I, b.J }, "dump: block")
 }
 
 // DecodeExportedBlock decodes a stored block payload offline and

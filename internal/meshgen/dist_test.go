@@ -110,18 +110,17 @@ func TestRestoreFromStoreOntoOneTwoThreeNodes(t *testing.T) {
 			blocks := 0
 			for i, d := range ds {
 				mine := 0
-				for _, owner := range d.owners {
-					if owner == core.NodeID(i) {
-						mine++
+				for idx, ptr := range d.ptrs {
+					if ptr.Home != core.NodeID(i) {
+						continue
+					}
+					mine++
+					if !d.rt.IsLocal(ptr) {
+						t.Fatalf("node %d: predicted pointer %v of block %d is not local", i, ptr, idx)
 					}
 				}
 				if got := d.rt.NumLocalObjects(); got != mine {
 					t.Fatalf("node %d holds %d objects, placement gives it %d", i, got, mine)
-				}
-				for idx, owner := range d.owners {
-					if owner == core.NodeID(i) && !d.rt.IsLocal(d.ptrs[idx]) {
-						t.Fatalf("node %d: predicted pointer %v of block %d is not local", i, d.ptrs[idx], idx)
-					}
 				}
 				blocks += mine
 			}
@@ -153,8 +152,8 @@ func TestDumpAllNamesMissingAndDuplicateBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := -1
-	for idx, owner := range ds[1].owners {
-		if owner == 1 {
+	for idx, ptr := range ds[1].ptrs {
+		if ptr.Home == 1 {
 			first = idx
 			break
 		}

@@ -180,14 +180,15 @@ func TestOUPDRLostBlockFailsTheRun(t *testing.T) {
 // TestOPCDMLostSubdomainFailsTheRun: a subdomain lost on a failed load fails
 // the run, although the report its refinement before the loss recorded is
 // still there and the audit may pass. On one node with room for about one
-// refined subdomain, subdomain (1,0) — the node's second object — is
-// usually out of core when splits come back to it, and the store refuses
-// exactly its key. Whether its eviction lands before those splits do is up
+// refined subdomain, subdomain (1,0) is usually out of core when splits
+// come back to it, and the store refuses exactly its key, the one its
+// placement pointer names. Whether its eviction lands before those splits do is up
 // to the schedule (under -race, about one run in thirty keeps it resident),
 // so a run that lost nothing is repeated on a fresh cluster.
 func TestOPCDMLostSubdomainFailsTheRun(t *testing.T) {
 	cfg := PCDMConfig{Grid: 2, TargetElements: 4000}
-	lost := storage.Key("obj-0-2")
+	ptr := newGrid(nil, cfg.Grid, 1, 0, 1).ptrs[1] // subdomain (1,0)
+	lost := storage.Key(fmt.Sprintf("obj-%d-%d", ptr.Home, ptr.Seq))
 	for attempt := 1; attempt <= 5; attempt++ {
 		cl, err := cluster.New(cluster.Config{
 			Nodes:          1,

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"time"
 
@@ -216,43 +215,6 @@ type subdomainReport struct {
 	elements int
 	vertices int
 	hull     []geom.Point // the boundary points; nil until refined
-}
-
-// reportSlots keeps one report per subdomain or leaf, each recorded by the
-// handler that refines it. Nothing else changes a refined object, so the
-// last report recorded is final, and a driver audits without reading its
-// objects back.
-type reportSlots struct {
-	mu      sync.Mutex
-	reports []subdomainReport
-}
-
-// set records rep in slot idx, replacing an earlier report. An idx off the
-// slots records nothing, and all then names the slot that stayed empty.
-func (s *reportSlots) set(idx int, rep subdomainReport) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx >= 0 && idx < len(s.reports) {
-		s.reports[idx] = rep
-	}
-}
-
-// all returns every report, or an error naming, by name(idx), the slots
-// never recorded.
-func (s *reportSlots) all(name func(idx int) string) ([]subdomainReport, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var missing []string
-	for idx, r := range s.reports {
-		if r.hull == nil {
-			missing = append(missing, name(idx))
-		}
-	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("meshgen: %d of %d never reported: %s",
-			len(missing), len(s.reports), strings.Join(missing, " "))
-	}
-	return append([]subdomainReport(nil), s.reports...), nil
 }
 
 // auditInterfaces verifies interface conformity: both sides of every shared

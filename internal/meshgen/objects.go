@@ -2,7 +2,6 @@ package meshgen
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -19,9 +18,11 @@ import (
 // audit passes that read every leaf and subdomain back (the refine handlers
 // record what those passes read), and handler IDs 203 (hLSendBuffer), 204
 // (hLAddToBuffer) and 205 (hLRelease) to ONUPDR's buffer collection, which
-// the refinement queue's fixed portions replaced. All of them stay unused,
-// so a checkpoint or trace from an old run fails with ErrUnknownType or "no
-// handler" instead of being misread.
+// the refinement queue's fixed portions replaced, and handler ID 303 to
+// OPCDM's wiring message, which creating each subdomain with its neighbour
+// pointers replaced. All of them stay unused, so a checkpoint or trace from
+// an old run fails with ErrUnknownType or "no handler" instead of being
+// misread.
 const (
 	typeBlock     uint16 = 1 // OUPDR block
 	typeLeaf      uint16 = 2 // ONUPDR quad-tree leaf
@@ -228,14 +229,4 @@ func readPoints(r io.Reader) ([]geom.Point, error) {
 		pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8 : off+16]))
 	}
 	return pts, nil
-}
-
-// bytesReader adapts a byte slice into an io.Reader for the decode helpers.
-func bytesReader(b []byte) io.Reader { return bytes.NewReader(b) }
-
-// encodePtrList serializes a pointer list for message arguments.
-func encodePtrList(ps []core.MobilePtr) []byte {
-	var buf bytes.Buffer
-	writePtrs(&buf, ps)
-	return buf.Bytes()
 }

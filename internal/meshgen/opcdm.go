@@ -3,6 +3,7 @@ package meshgen
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"mrts/internal/cluster"
@@ -12,11 +13,9 @@ import (
 	"mrts/internal/workload"
 )
 
-// OPCDM handler IDs.
-const (
-	hSDRefine core.HandlerID = 301 // apply interface splits + refine
-	hSDWire   core.HandlerID = 303 // install neighbor pointers
-)
+// hSDRefine, the OPCDM handler, applies interface splits to a subdomain and
+// refines it.
+const hSDRefine core.HandlerID = 301
 
 // subdomainObj is the OPCDM mobile object: one subdomain with its live
 // constrained Delaunay mesh. The mesh is serialized only when the
@@ -111,66 +110,83 @@ func (o *subdomainObj) DecodeFrom(r io.Reader) error {
 	return nil
 }
 
-// opcdmShared collects what the refine handlers report: every subdomain's
-// report, taken by the call that last refined it, and the first error a call
-// returned.
+// opcdmShared collects what the refine handlers of one node report: every
+// subdomain's report, taken by the call that last refined it, and the first
+// error a call returned. Each node has its own.
 type opcdmShared struct {
-	g       int         // grid dimension, to recover (i, j) from a subdomain's rectangle
-	reports reportSlots // indexed j*g+i
+	g       int // grid dimension, to recover (i, j) from a subdomain's rectangle
+	mu      sync.Mutex
+	reports []subdomainReport // indexed j*g+i; hull nil until refined here
 	err     firstErr
 }
 
 func newOPCDMShared(g int) *opcdmShared {
-	return &opcdmShared{g: g, reports: reportSlots{reports: make([]subdomainReport, g*g)}}
+	return &opcdmShared{g: g, reports: make([]subdomainReport, g*g)}
 }
 
 // record keeps rep as its subdomain's report, replacing an earlier call's.
+// Nothing else changes a refined subdomain, so the last report is final and
+// the audit reads no subdomain back.
 func (sh *opcdmShared) record(rep subdomainReport) error {
 	i, j := gridIJ(rep.rect, sh.g)
 	if i < 0 || j < 0 || i >= sh.g || j >= sh.g {
 		return fmt.Errorf("meshgen: subdomain %v is off the %d×%d grid", rep.rect, sh.g, sh.g)
 	}
-	sh.reports.set(j*sh.g+i, rep)
+	sh.mu.Lock()
+	sh.reports[j*sh.g+i] = rep
+	sh.mu.Unlock()
 	return nil
 }
 
-// all returns every subdomain's report, or an error naming the subdomains
-// that never reported.
-func (sh *opcdmShared) all() ([]subdomainReport, error) {
-	return sh.reports.all(func(idx int) string {
-		return fmt.Sprintf("subdomain (%d,%d)", idx%sh.g, idx/sh.g)
+// recorded returns the reports of the subdomains refined on this node.
+func (sh *opcdmShared) recorded() []subdomainReport {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []subdomainReport
+	for _, r := range sh.reports {
+		if r.hull != nil {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// mergeReports merges the nodes' subdomain reports in grid order, each
+// subdomain reported by exactly one node.
+func mergeReports(g int, shs []*opcdmShared) ([]subdomainReport, error) {
+	parts := make([][]subdomainReport, len(shs))
+	for n, sh := range shs {
+		parts[n] = sh.recorded()
+	}
+	return cover(g, parts, func(r subdomainReport) (int, int) { return gridIJ(r.rect, g) }, "subdomain")
+}
+
+// registerOPCDM installs the OPCDM handler on one node.
+func registerOPCDM(rt *core.Runtime, sh *opcdmShared) {
+	rt.Register(hSDRefine, func(c *core.Ctx, arg []byte) {
+		if err := opcdmRefineHandler(c, c.Object().(*subdomainObj), arg, sh); err != nil {
+			sh.err.set(err)
+		}
 	})
 }
 
-// registerOPCDM installs the OPCDM handlers on every node.
-func registerOPCDM(cl *cluster.Cluster, sh *opcdmShared) {
-	for _, rt := range cl.Runtimes() {
-		rt.Register(hSDRefine, func(c *core.Ctx, arg []byte) {
-			if err := opcdmRefineHandler(c, c.Object().(*subdomainObj), arg, sh); err != nil {
-				sh.err.set(err)
-			}
-		})
-		rt.Register(hSDWire, func(c *core.Ctx, arg []byte) {
-			if err := opcdmWireHandler(c.Object().(*subdomainObj), arg); err != nil {
-				sh.err.set(err)
-			}
-		})
+// subdomainNeighbors returns subdomain (i, j)'s left, right, bottom and top
+// neighbours from the pointer table (indexed j*g+i), Nil on the grid's edge.
+func subdomainNeighbors(g, i, j int, ptrs []core.MobilePtr) (nbs [4]core.MobilePtr) {
+	idx := j*g + i
+	if i > 0 {
+		nbs[sideLeft] = ptrs[idx-1]
 	}
-}
-
-// opcdmWireHandler installs the subdomain's four neighbor pointers. A payload
-// it cannot read is an error: the subdomain would refine unwired, never
-// sending its boundary splits.
-func opcdmWireHandler(o *subdomainObj, arg []byte) error {
-	ptrs, err := readPtrs(bytesReader(arg))
-	if err != nil {
-		return fmt.Errorf("meshgen: subdomain %v: wire payload: %w", o.Rect, err)
+	if i+1 < g {
+		nbs[sideRight] = ptrs[idx+1]
 	}
-	if len(ptrs) != len(o.Nbs) {
-		return fmt.Errorf("meshgen: subdomain %v: wire payload has %d neighbors, want %d", o.Rect, len(ptrs), len(o.Nbs))
+	if j > 0 {
+		nbs[sideBottom] = ptrs[idx-g]
 	}
-	copy(o.Nbs[:], ptrs)
-	return nil
+	if j+1 < g {
+		nbs[sideTop] = ptrs[idx+g]
+	}
+	return nbs
 }
 
 // opcdmRefineHandler applies incoming split points, refines the subdomain,
@@ -219,57 +235,44 @@ func opcdmRefineHandler(c *core.Ctx, o *subdomainObj, arg []byte, sh *opcdmShare
 }
 
 // RunOPCDM executes the out-of-core constrained Delaunay method on an MRTS
-// cluster.
+// cluster. It runs the SPMD grid driver on every node of cl at once: each
+// node creates the subdomains the placement deals it, wired to their four
+// neighbours from the pointer table, kicks them off and waits for global
+// termination. The placement predicts every subdomain's pointer, so cl's
+// runtimes must hold no objects yet.
 func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	g := cfg.Grid
-	sh := newOPCDMShared(g)
-	registerOPCDM(cl, sh)
-
-	maxArea := workload.UniformAreaFor(cfg.TargetElements, 1.0)
-	ptrs := make([]core.MobilePtr, g*g)
-	for j := 0; j < g; j++ {
-		for i := 0; i < g; i++ {
-			idx := j*g + i
-			node := idx % cl.Nodes()
-			o := &subdomainObj{Rect: blockRect(g, i, j), MaxArea: maxArea, Beta: cfg.QualityBound}
-			ptrs[idx] = cl.RT(node).CreateObject(o)
-		}
-	}
-	// Wire neighbor pointers through messages so the writes serialize with
-	// any swapping, and start refinement only once every subdomain is wired:
-	// a refining subdomain posts splits to its neighbors at once, and one
-	// that met a split before its own wiring would refine believing it has no
-	// neighbors and never report its boundary splits.
-	for j := 0; j < g; j++ {
-		for i := 0; i < g; i++ {
-			idx := j*g + i
-			nbs := []core.MobilePtr{core.Nil, core.Nil, core.Nil, core.Nil}
-			if i > 0 {
-				nbs[sideLeft] = ptrs[idx-1]
-			}
-			if i+1 < g {
-				nbs[sideRight] = ptrs[idx+1]
-			}
-			if j > 0 {
-				nbs[sideBottom] = ptrs[idx-g]
-			}
-			if j+1 < g {
-				nbs[sideTop] = ptrs[idx+g]
-			}
-			cl.RT(int(ptrs[idx].Home)).Post(ptrs[idx], hSDWire, encodePtrList(nbs))
-		}
-	}
-	cl.Wait()
-	for _, p := range ptrs {
-		cl.RT(int(p.Home)).Post(p, hSDRefine, nil)
-	}
-	cl.Wait()
-	if err := sh.err.take(); err != nil {
+	rts := cl.Runtimes()
+	if err := freshRuntimes("OPCDM", rts); err != nil {
 		return Result{}, err
+	}
+	g := cfg.Grid
+	maxArea := workload.UniformAreaFor(cfg.TargetElements, 1.0)
+	grids := make([]*grid, len(rts))
+	shs := make([]*opcdmShared, len(rts))
+	for n, rt := range rts {
+		grids[n] = newGrid(rt, g, len(rts), n, 1)
+		shs[n] = newOPCDMShared(g)
+		registerOPCDM(rt, shs[n])
+		ptrs := grids[n].ptrs
+		err := grids[n].create(func(i, j int) core.Object {
+			return &subdomainObj{Rect: blockRect(g, i, j), MaxArea: maxArea, Beta: cfg.QualityBound,
+				Nbs: subdomainNeighbors(g, i, j, ptrs)}
+		})
+		if err != nil {
+			return Result{}, fmt.Errorf("meshgen: node %d: %w", n, err)
+		}
+	}
+	// Kick off: one refine message to every subdomain, then the runtime has
+	// control until global termination.
+	runGrid(grids, hSDRefine)
+	for _, sh := range shs {
+		if err := sh.err.take(); err != nil {
+			return Result{}, err
+		}
 	}
 	// A subdomain whose load failed is gone with every split it was sent,
 	// while its report from before the loss stays: the reports may look
@@ -277,7 +280,7 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
 		return Result{}, fmt.Errorf("meshgen: OPCDM lost %d objects to failed loads", lost)
 	}
-	reports, err := sh.all()
+	reports, err := mergeReports(g, shs)
 	if err != nil {
 		return Result{}, err
 	}

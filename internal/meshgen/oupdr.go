@@ -440,20 +440,18 @@ func residentFirst(ptrs []core.MobilePtr, inCore func(core.MobilePtr) bool) []co
 // mobile object per block, meshing driven by messages, interfaces verified
 // by one-sided exchanges, blocks swapped to disk under memory pressure. It
 // runs the SPMD driver, Dist, on every node of cl at once: each node creates
-// the blocks the placement ring gives it, kicks them off and waits for
-// global termination, then frames them into cfg.Export if one is attached.
-// Dist predicts the pointer every block is minted with, so cl's runtimes
-// must hold no objects yet.
+// the blocks the placement deals it, kicks them off and waits for global
+// termination, then frames them into cfg.Export if one is attached. Dist
+// predicts the pointer every block is minted with, so cl's runtimes must
+// hold no objects yet.
 func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
 	rts := cl.Runtimes()
-	for i, rt := range rts {
-		if n := rt.NumLocalObjects(); n > 0 {
-			return Result{}, fmt.Errorf("meshgen: OUPDR needs fresh runtimes; node %d already holds %d objects", i, n)
-		}
+	if err := freshRuntimes("OUPDR", rts); err != nil {
+		return Result{}, err
 	}
 	ds, err := distsOn(rts, meshstore.Meta{
 		Blocks:         cfg.Blocks,
@@ -463,19 +461,17 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	for i, d := range ds {
+	grids := make([]*grid, len(ds))
+	for n, d := range ds {
 		if err := d.CreateBlocks(); err != nil {
-			return Result{}, fmt.Errorf("meshgen: node %d: %w", i, err)
+			return Result{}, fmt.Errorf("meshgen: node %d: %w", n, err)
 		}
+		grids[n] = d.grid
 	}
 	// Kick off: the mesh message to every block (the initial messages of the
 	// paper's programming model), then the runtime has control until global
 	// termination.
-	onEveryNode(ds, func(_ int, d *Dist) error {
-		d.PostPhase(0)
-		d.WaitPhase()
-		return nil
-	})
+	runGrid(grids, hBlockMesh)
 	res := Result{Method: "OUPDR", Subdomains: cfg.Blocks * cfg.Blocks, PEs: cl.PEs(), Conforming: true}
 	for _, d := range ds {
 		if err := d.Err(); err != nil {
@@ -492,7 +488,7 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	// irrevocable point. Framing needs the bytes, so that pass reloads the
 	// blocks out of core; without an export nothing is read back.
 	if cfg.Export != nil {
-		if err := onEveryNode(ds, func(_ int, d *Dist) error { return d.Export(cfg.Export) }); err != nil {
+		if err := onEveryNode(len(ds), func(n int) error { return ds[n].Export(cfg.Export) }); err != nil {
 			return Result{}, fmt.Errorf("meshgen: export: %w", err)
 		}
 	}

@@ -229,8 +229,9 @@ func TestPCDMAuditSeesOnePointOff(t *testing.T) {
 	}
 }
 
-// TestOPCDMReportsNameWhatIsMissing: a subdomain that never reported is an
-// error that names it, a report off the grid is refused, and a later report
+// TestOPCDMReportsNameWhatIsMissing: merging the nodes' reports, a
+// subdomain that never reported is an error that names it, and so is one
+// two nodes reported; a report off the grid is refused, and a later report
 // replaces an earlier one.
 func TestOPCDMReportsNameWhatIsMissing(t *testing.T) {
 	sh := newOPCDMShared(2)
@@ -243,16 +244,26 @@ func TestOPCDMReportsNameWhatIsMissing(t *testing.T) {
 	if err := sh.record(subdomainReport{rect: blockRect(2, 2, 0), hull: hull}); err == nil {
 		t.Error("a report off the grid was accepted")
 	}
-	_, err := sh.all()
-	if err == nil || !strings.Contains(err.Error(), "subdomain (0,0) subdomain (1,1)") {
-		t.Fatalf("all() = %v, want the two subdomains without a report named", err)
+	_, err := mergeReports(2, []*opcdmShared{sh})
+	if err == nil || !strings.Contains(err.Error(), "subdomain (0,0) missing") {
+		t.Fatalf("merge = %v, want the first subdomain without a report named", err)
+	}
+	other := newOPCDMShared(2)
+	for _, r := range []geom.Rect{blockRect(2, 0, 0), blockRect(2, 1, 1), blockRect(2, 1, 0)} {
+		if err := other.record(subdomainReport{rect: r, elements: 2, hull: hull}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = mergeReports(2, []*opcdmShared{sh, other})
+	if err == nil || !strings.Contains(err.Error(), "subdomain (1,0) reported twice") {
+		t.Fatalf("merge = %v, want the subdomain both nodes reported named", err)
 	}
 	for _, r := range []geom.Rect{blockRect(2, 0, 0), blockRect(2, 1, 1), blockRect(2, 1, 0)} {
 		if err := sh.record(subdomainReport{rect: r, elements: 2, hull: hull}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reports, err := sh.all()
+	reports, err := mergeReports(2, []*opcdmShared{sh})
 	if err != nil {
 		t.Fatal(err)
 	}

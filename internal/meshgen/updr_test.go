@@ -120,32 +120,29 @@ func TestRunOUPDRInCore(t *testing.T) {
 	}
 }
 
-// TestRunOUPDRSameMeshOnOneToFourNodes: however the placement ring splits
-// the blocks over the nodes — unevenly, with neighbours on different nodes —
-// RunOUPDR builds the mesh whose MeshHash TestGoldenRuns pins on one node.
+// TestRunOUPDRSameMeshOnOneToFourNodes: however the placement deals the
+// blocks over the nodes — with neighbours on different nodes — RunOUPDR
+// builds the mesh whose MeshHash TestGoldenRuns pins on one node.
 func TestRunOUPDRSameMeshOnOneToFourNodes(t *testing.T) {
 	const golden = "80acf9032c132089de7c19e3fbe6fc46b16df9869d5b732b7add68bc60bbe996"
 	cfg := UPDRConfig{Blocks: 3, TargetElements: 5000}
 	for nodes := 1; nodes <= 4; nodes++ {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			pl, err := NewPlacement(DistConfig{Blocks: cfg.Blocks, TargetElements: cfg.TargetElements, Nodes: nodes})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ptrs := newGrid(nil, cfg.Blocks, nodes, 0, 1).ptrs
 			split := make([]int, nodes)
 			cross := 0
-			for idx, owner := range pl.Owners {
-				split[owner]++
+			for idx, ptr := range ptrs {
+				split[ptr.Home]++
 				i, j := idx%cfg.Blocks, idx/cfg.Blocks
-				if i+1 < cfg.Blocks && pl.Owners[idx+1] != owner {
+				if i+1 < cfg.Blocks && ptrs[idx+1].Home != ptr.Home {
 					cross++
 				}
-				if j+1 < cfg.Blocks && pl.Owners[idx+cfg.Blocks] != owner {
+				if j+1 < cfg.Blocks && ptrs[idx+cfg.Blocks].Home != ptr.Home {
 					cross++
 				}
 			}
 			if nodes > 1 && cross == 0 {
-				t.Fatalf("the ring puts no two neighbours on different nodes (split %v)", split)
+				t.Fatalf("the placement puts no two neighbours on different nodes (split %v)", split)
 			}
 			res, err := RunOUPDR(newTestCluster(t, nodes, 1<<30), cfg)
 			if err != nil {

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync"
 
+	"mrts/internal/bufpool"
 	"mrts/internal/planes"
 )
 
@@ -56,6 +57,9 @@ const (
 	// maxPayloadBytes bounds both rawLen and encLen on decode so a corrupt
 	// or hostile frame header cannot drive an unbounded allocation.
 	maxPayloadBytes = 1 << 28
+	// maxInflateRatio bounds how far a DEFLATE stream expands: a match
+	// copies at most 258 bytes and costs at least two bits.
+	maxInflateRatio = 1032
 	// compressMin is the smallest payload worth running through the coder.
 	compressMin = 512
 	// maxManifestBytes bounds the manifest JSON decode (the merge path's
@@ -154,6 +158,54 @@ func (r *byteSliceReader) ReadByte() (byte, error) {
 	c := r.b[0]
 	r.b = r.b[1:]
 	return c, nil
+}
+
+// decodeFrame parses one whole frame, which must hold block key, and decodes
+// its payload into alloc(RawLen), checked against the digest the frame
+// records — what both readers, Store.Payload and the deep scan, do with a
+// frame they read. The raw length the header claims is checked against the
+// payload section before it is allocated.
+func decodeFrame(frame []byte, key string, alloc func(int) []byte) ([]byte, error) {
+	h, keyLen, hashLen, err := parseFixed(frame)
+	if err != nil {
+		return nil, err
+	}
+	if frameFixedLen+keyLen+hashLen+h.EncLen != len(frame) {
+		return nil, fmt.Errorf("meshstore: frame length %d, header says %d", len(frame), frameFixedLen+keyLen+hashLen+h.EncLen)
+	}
+	h.Key = string(frame[frameFixedLen : frameFixedLen+keyLen])
+	if h.Key != key {
+		return nil, fmt.Errorf("meshstore: frame holds %q, want %q", h.Key, key)
+	}
+	enc := frame[frameFixedLen+keyLen+hashLen:]
+	if err := checkRawLen(h, enc); err != nil {
+		return nil, err
+	}
+	out := alloc(h.RawLen)
+	if err := decodePayload(out, h, enc); err != nil {
+		bufpool.Put(out)
+		return nil, err
+	}
+	return out, nil
+}
+
+// checkRawLen refuses a frame whose payload section cannot fill the raw
+// length its header claims. A reader calls it before it allocates RawLen
+// bytes, so a corrupt header costs no more than the frame it came in: plane
+// tokens are counted (planes.Check), and a DEFLATE stream cannot inflate
+// past maxInflateRatio times its length.
+func checkRawLen(h frameHeader, enc []byte) error {
+	switch h.Codec {
+	case codecFlate:
+		if h.RawLen > maxInflateRatio*len(enc) {
+			return fmt.Errorf("meshstore: frame %q: %d bytes cannot inflate to rawLen %d", h.Key, len(enc), h.RawLen)
+		}
+	case codecPlanes:
+		if err := planes.Check(enc, h.RawLen); err != nil {
+			return fmt.Errorf("meshstore: frame %q: %w", h.Key, err)
+		}
+	}
+	return nil
 }
 
 // decodePayload decodes (or copies) one frame's payload section into out,

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -418,5 +419,59 @@ func TestDecodePayloadChecksRawLen(t *testing.T) {
 				t.Fatalf("%s: frame claiming %d raw bytes for %d: err=%v, want a length error", name, claimed, len(raw), err)
 			}
 		}
+	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A small plane-coded frame whose header claims the largest raw length the
+// format allows is refused by Payload and by the deep scan before either
+// allocates that length: the tokens are counted first.
+func TestClaimedRawLenIsCheckedBeforeAllocating(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(WriterConfig{Dir: dir, Writer: 0, Meta: Meta{Blocks: 1, TargetElements: 10}, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPayload(1, 4<<10)
+	if err := w.Append(BlockKey(0, 0), 0, 0, 1, blockHash(p), p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, chunkName(0))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != codecPlanes {
+		t.Fatalf("frame codec %d, want the plane codec", data[4])
+	}
+	binary.LittleEndian.PutUint32(data[20:], maxPayloadBytes)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const limit = 16 << 20 // far below the 256 MiB claimed
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var perr error
+	if n := allocated(func() { _, _, perr = st.Payload(BlockKey(0, 0)) }); perr == nil || n > limit {
+		t.Errorf("Payload: err %v after allocating %d bytes; want an error, under %d bytes", perr, n, limit)
+	}
+	var res ScanResult
+	var serr error
+	if n := allocated(func() { res, serr = ScanChunk(path, true) }); serr != nil || len(res.Problems) == 0 || n > limit {
+		t.Errorf("deep scan: err %v, problems %v after allocating %d bytes; want a problem, under %d bytes", serr, res.Problems, n, limit)
 	}
 }

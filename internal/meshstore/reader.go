@@ -51,7 +51,6 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 
 	// The header, key and hash of a frame fit in one read.
 	var hdr [frameFixedLen + 2*255]byte
-	var frames []frameHeader
 	var off int64
 	for off < size {
 		if size-off < frameFixedLen {
@@ -80,7 +79,6 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 			Length:     h.frameLen(),
 			RawLen:     h.RawLen,
 		})
-		frames = append(frames, h)
 		off += h.frameLen()
 	}
 	res.Chunk.Bytes = off
@@ -89,18 +87,19 @@ func ScanChunk(path string, deep bool) (ScanResult, error) {
 	if !deep {
 		return res, nil
 	}
-	err = Ordered(len(frames), func(k int) (string, error) {
-		h, rec := frames[k], res.Chunk.Records[k]
-		enc := bufpool.Get(h.EncLen)
-		defer bufpool.Put(enc)
-		if _, err := f.ReadAt(enc, rec.Offset+rec.Length-int64(h.EncLen)); err != nil {
-			return fmt.Sprintf("meshstore: frame %q: read: %v", h.Key, err), nil
+	recs := res.Chunk.Records
+	err = Ordered(len(recs), func(k int) (string, error) {
+		rec := recs[k]
+		frame := bufpool.Get(int(rec.Length))
+		defer bufpool.Put(frame)
+		if _, err := f.ReadAt(frame, rec.Offset); err != nil {
+			return fmt.Sprintf("meshstore: frame %q: read: %v", rec.Key, err), nil
 		}
-		raw := bufpool.Get(h.RawLen)
-		defer bufpool.Put(raw)
-		if err := decodePayload(raw, h, enc); err != nil {
+		raw, err := decodeFrame(frame, rec.Key, bufpool.Get)
+		if err != nil {
 			return err.Error(), nil
 		}
+		bufpool.Put(raw)
 		return "", nil
 	}, func(_ int, problem string) error {
 		if problem != "" {
@@ -220,21 +219,8 @@ func (s *Store) payload(key string, alloc func(int) []byte) ([]byte, Record, err
 	if _, err := f.ReadAt(frame, loc.rec.Offset); err != nil {
 		return nil, Record{}, fmt.Errorf("meshstore: read block %q: %w", key, err)
 	}
-	h, keyLen, hashLen, err := parseFixed(frame)
+	payload, err := decodeFrame(frame, key, alloc)
 	if err != nil {
-		return nil, Record{}, err
-	}
-	if int64(frameFixedLen+keyLen+hashLen+h.EncLen) != loc.rec.Length {
-		return nil, Record{}, fmt.Errorf("meshstore: block %q frame length mismatch", key)
-	}
-	h.Key = string(frame[frameFixedLen : frameFixedLen+keyLen])
-	h.Hash = string(frame[frameFixedLen+keyLen : frameFixedLen+keyLen+hashLen])
-	if h.Key != key {
-		return nil, Record{}, fmt.Errorf("meshstore: frame at %d holds %q, index says %q", loc.rec.Offset, h.Key, key)
-	}
-	payload := alloc(h.RawLen)
-	if err := decodePayload(payload, h, frame[frameFixedLen+keyLen+hashLen:]); err != nil {
-		bufpool.Put(payload)
 		return nil, Record{}, err
 	}
 	statBlocksRead.Add(1)
