@@ -112,14 +112,17 @@ func TestMigrationRequestWaitsOnHeldObject(t *testing.T) {
 			defer once.Do(unhold) // a failure above the unhold must not leave the holder stuck
 			base := rts[0].Work()
 
+			// The detectors start once the request is placed: before that, an
+			// eviction write stuck at its gate is no work, and a cluster
+			// holding nothing else is rightly quiescent. From here on the
+			// request is counted, in sent/recv and then in node 0's work.
+			rts[1].RequestMigration(ptr, 1)
 			terminated := make(chan string, 3)
 			go func() { WaitQuiescence(rts...); terminated <- "WaitQuiescence" }()
 			for _, rt := range rts {
 				rt := rt
 				go func() { rt.WaitTermination(2); terminated <- "WaitTermination" }()
 			}
-
-			rts[1].RequestMigration(ptr, 1)
 			deadline := time.Now().Add(5 * time.Second)
 			for reg.Snapshot()["node0.core.migrate_parked"] != 1 {
 				if time.Now().After(deadline) {
