@@ -121,8 +121,9 @@ sim-soak:
 # Every fuzz target, FUZZTIME each (the nightly sim-soak job runs this, and
 # CI's build-and-test job with FUZZTIME=5s on every push): the byte-plane
 # frame decoder, the block digest against its oracles, the mesh decoder, the
-# swap tier's frame decoder and the mesh store's. A failing input is written under the
-# package's testdata/fuzz; committed there, plain go test replays it.
+# swap tier's frame decoder, the mesh store's and the meshgen object
+# decoders. A failing input is written under the package's testdata/fuzz;
+# committed there, plain go test replays it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/planes -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -130,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/mesh -run '^$$' -fuzz '^FuzzDecodeFrom$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tier -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/meshstore -run '^$$' -fuzz '^FuzzPayload$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/meshgen -run '^$$' -fuzz '^FuzzObjectDecoders$$' -fuzztime $(FUZZTIME)
 
 # Packages that must take time from an injected clock.Clock so the
 # deterministic simulation harness can virtualize them (the TCP membership,

@@ -62,8 +62,8 @@ func TestDecodeRejectsOutOfRangeReferences(t *testing.T) {
 }
 
 // FuzzDecodeFrom: DecodeFrom never panics, nor does Validate on a mesh it
-// accepted, and CanonicalDigest — the other reader of the format — fails
-// exactly when DecodeFrom does. The corpus under testdata/fuzz holds the
+// accepted, and CanonicalDigest and Canonicalize — the other readers of the
+// format — fail exactly when DecodeFrom does. The corpus under testdata/fuzz holds the
 // blobs found so far; plain go test replays them. The seeds are small
 // refined blocks: the fuzzer minimizes every input that finds new coverage,
 // and on a seed of several kilobytes that takes most of a short run.
@@ -83,6 +83,9 @@ func FuzzDecodeFrom(f *testing.F) {
 		_, derr := mesh.CanonicalDigest(blob)
 		if (err == nil) != (derr == nil) {
 			t.Fatalf("DecodeFrom: %v, CanonicalDigest: %v", err, derr)
+		}
+		if _, _, cerr := mesh.Canonicalize(blob); (err == nil) != (cerr == nil) {
+			t.Fatalf("DecodeFrom: %v, Canonicalize: %v", err, cerr)
 		}
 		if err == nil {
 			_ = m.Validate()

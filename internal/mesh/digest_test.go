@@ -94,18 +94,44 @@ func digestShapes(tb testing.TB) []struct {
 
 var digestSink []byte
 
+// BenchmarkCanonicalDigest times the digest of every shape as encoded and,
+// for the refined blocks, in canonical order (the linear pass).
 func BenchmarkCanonicalDigest(b *testing.B) {
-	for _, s := range digestShapes(b) {
-		b.Run(s.name, func(b *testing.B) {
+	run := func(name string, blob []byte) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(s.blob)))
+			b.SetBytes(int64(len(blob)))
 			for i := 0; i < b.N; i++ {
 				var err error
-				if digestSink, err = mesh.CanonicalDigest(s.blob); err != nil {
+				if digestSink, err = mesh.CanonicalDigest(blob); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+	for _, s := range digestShapes(b) {
+		run(s.name, s.blob)
+	}
+	for _, s := range digestShapes(b)[:2] {
+		canon, _, err := mesh.Canonicalize(s.blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(s.name+"-canonical", canon)
+	}
+}
+
+// BenchmarkCanonicalize times turning a refined block into its canonical
+// encoding: the digest's ranking and sorting, and the writing.
+func BenchmarkCanonicalize(b *testing.B) {
+	blob := digestShapes(b)[0].blob
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, digestSink, err = mesh.Canonicalize(blob); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -125,6 +151,60 @@ func TestCanonicalDigestAllocs(t *testing.T) {
 		})
 		if allocs > 2 {
 			t.Errorf("%s: %.1f allocations a digest, want the sum and the hash state at most", s.name, allocs)
+		}
+	}
+}
+
+// TestCanonicalize checks the canonical encoding of every digest shape: it
+// decodes to the same triangulation (a refined block still passes
+// Validate), digests alike, is in the order the digest's linear pass needs,
+// and canonicalizes to itself without a copy.
+func TestCanonicalize(t *testing.T) {
+	for _, s := range digestShapes(t) {
+		canon, digest, err := mesh.Canonicalize(s.blob)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		want, err := mesh.CanonicalDigest(s.blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(digest, want) {
+			t.Fatalf("%s: Canonicalize digest %x, CanonicalDigest %x", s.name, digest, want)
+		}
+		if got, _ := mesh.CanonicalDigest(canon); !bytes.Equal(got, want) {
+			t.Fatalf("%s: canonical bytes digest %x, the input %x", s.name, got, want)
+		}
+		if len(canon) != len(s.blob) {
+			t.Fatalf("%s: canonical encoding is %d bytes, the input %d", s.name, len(canon), len(s.blob))
+		}
+		var m, c mesh.Mesh
+		if err := m.DecodeFrom(bytes.NewReader(s.blob)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DecodeFrom(bytes.NewReader(canon)); err != nil {
+			t.Fatalf("%s: canonical bytes do not decode: %v", s.name, err)
+		}
+		if c.NumVertices() != m.NumVertices() || c.NumTriangles() != m.NumTriangles() {
+			t.Fatalf("%s: canonical mesh has %d vertices and %d triangles, the input %d and %d",
+				s.name, c.NumVertices(), c.NumTriangles(), m.NumVertices(), m.NumTriangles())
+		}
+		if m.Validate() == nil {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%s: canonical mesh: %v", s.name, err)
+			}
+		}
+		again, digest2, err := mesh.Canonicalize(canon)
+		if err != nil || !bytes.Equal(digest2, want) {
+			t.Fatalf("%s: canonicalizing again: digest %x, err %v", s.name, digest2, err)
+		}
+		if len(again) == 0 || &again[0] != &canon[0] {
+			t.Fatalf("%s: the canonical bytes were not taken as canonical", s.name)
+		}
+		// Trailing bytes are not part of the encoding.
+		tail := append(bytes.Clone(canon), "tail"...)
+		if got, _, _ := mesh.Canonicalize(tail); !bytes.Equal(got, canon) {
+			t.Fatalf("%s: canonical bytes with a tail canonicalize to %d bytes, want %d", s.name, len(got), len(canon))
 		}
 	}
 }

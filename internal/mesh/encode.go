@@ -26,11 +26,17 @@ const (
 // EncodedSize returns the exact number of bytes EncodeTo will write for the
 // current mesh state. The out-of-core layer uses it for memory accounting.
 func (m *Mesh) EncodedSize() int {
+	return encodedSize(len(m.verts), m.nAlive, len(m.constrained))
+}
+
+// encodedSize is the length of an encoding of nv vertices, nt triangles and
+// nc constraints.
+func encodedSize(nv, nt, nc int) int {
 	return 4 + 4 + // magic, version
-		4 + 16*len(m.verts) + // vertex count + coordinates
+		4 + 16*nv + // vertex count + coordinates
 		12 + // super vertices
-		4 + 12*m.nAlive + // triangle count + vertex triples
-		4 + 8*len(m.constrained) // constraint count + pairs
+		4 + 12*nt + // triangle count + vertex triples
+		4 + 8*nc // constraint count + pairs
 }
 
 // EncodeTo writes a compact binary encoding of the mesh to w. Triangle IDs
@@ -88,43 +94,76 @@ func (e *encoder) u32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 }
 
-// encode appends the mesh's encoding.
-func (m *Mesh) encode(e *encoder) {
-	le := binary.LittleEndian
+// The format, section by section. Every writer of it writes through these,
+// in this order: header, nv vertex records (appendVertex), triangles, nt
+// triangle records (appendTri), constraints. The records are plain appends,
+// which inline, with the writer making room for each.
+
+// header starts an encoding of nv vertices.
+func (e *encoder) header(nv int) {
 	e.u32(encodeMagic)
 	e.u32(encodeVersion)
-	e.u32(uint32(len(m.verts)))
-	for _, p := range m.verts {
-		e.room(16)
-		e.buf = le.AppendUint64(e.buf, math.Float64bits(p.X))
-		e.buf = le.AppendUint64(e.buf, math.Float64bits(p.Y))
-	}
-	for _, s := range m.super {
+	e.u32(uint32(nv))
+}
+
+// appendVertex appends one vertex record: the bits of x and of y.
+func appendVertex(b []byte, p geom.Point) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.X))
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(p.Y))
+}
+
+// triangles ends the vertex section with the super vertices and starts a
+// triangle section of nt records.
+func (e *encoder) triangles(super [3]VertexID, nt int) {
+	for _, s := range super {
 		e.u32(uint32(s))
 	}
-	e.u32(uint32(m.nAlive))
+	e.u32(uint32(nt))
+}
+
+// appendTri appends one triangle record, its corners in the order given.
+func appendTri(b []byte, v0, v1, v2 uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, v0)
+	b = binary.LittleEndian.AppendUint32(b, v1)
+	return binary.LittleEndian.AppendUint32(b, v2)
+}
+
+// constraints writes the constraint section, edges in the order given.
+func (e *encoder) constraints(edges []edgeKey) {
+	e.u32(uint32(len(edges)))
+	for _, k := range edges {
+		e.u32(uint32(k.a))
+		e.u32(uint32(k.b))
+	}
+}
+
+// encode appends the mesh's encoding.
+func (m *Mesh) encode(e *encoder) {
+	e.header(len(m.verts))
+	for _, p := range m.verts {
+		e.room(16)
+		e.buf = appendVertex(e.buf, p)
+	}
+	e.triangles(m.super, m.nAlive)
 	for i := range m.tris {
 		if !m.live(TriID(i)) {
 			continue
 		}
 		v := m.tris[i].V
 		e.room(12)
-		e.buf = le.AppendUint32(e.buf, uint32(v[0]))
-		e.buf = le.AppendUint32(e.buf, uint32(v[1]))
-		e.buf = le.AppendUint32(e.buf, uint32(v[2]))
+		e.buf = appendTri(e.buf, uint32(v[0]), uint32(v[1]), uint32(v[2]))
 	}
-	e.u32(uint32(len(m.constrained)))
 	edges := make([]edgeKey, 0, len(m.constrained))
 	for k := range m.constrained {
 		edges = append(edges, k)
 	}
-	slices.SortFunc(edges, func(x, y edgeKey) int {
-		return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
-	})
-	for _, k := range edges {
-		e.u32(uint32(k.a))
-		e.u32(uint32(k.b))
-	}
+	slices.SortFunc(edges, compareEdges)
+	e.constraints(edges)
+}
+
+// compareEdges is the order constraints are written in: by (a, b).
+func compareEdges(x, y edgeKey) int {
+	return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 }
 
 // halfEdge is one directed triangle edge, filed during decoding under its
@@ -140,6 +179,7 @@ type decodeScratch struct {
 	buf   [1 << 15]byte
 	first []uint32   // bucket boundaries of half, per vertex
 	half  []halfEdge // all directed edges, bucketed by lower endpoint
+	cons  []edgeKey  // the constraints as read
 
 	digest digestScratch
 }
@@ -193,118 +233,136 @@ func (src *source) records(n, size int) ([]byte, error) {
 
 // sections is the content of one encoding, as read by readSections.
 type sections struct {
-	verts       []geom.Point
-	super       [3]VertexID
-	tris        []Tri // vertex triples in encoding order; neighbors unset
-	constrained map[edgeKey]bool
+	verts []geom.Point
+	super [3]VertexID
+	tris  []Tri     // vertex triples in encoding order; neighbors unset
+	cons  []edgeKey // constraint endpoints in encoding order, as written
+
+	// The vertex and triangle sections as encoded, when they are read in
+	// place instead of into verts and tris.
+	vertData, triData []byte
 }
 
 // readSections reads one encoding from src into sec — header, vertices, super
 // vertices, triangles, constraints — applying every check the format has:
 // magic and version, the count bounds, every vertex reference — super
 // vertex, triangle corner, constraint endpoint — in range, and no section
-// cut short. It is the only parser of the format: DecodeFrom
-// and CanonicalDigest both read through it, so a blob is accepted by both or
-// by neither. sec's slices are reused when large enough; the constraint set
-// is built only when keepConstraints is set, but its section is read and
-// checked either way. It reads exactly the encoding's bytes from src.
-func readSections(src *source, sec *sections, keepConstraints bool) error {
-	u32, u64 := binary.LittleEndian.Uint32, binary.LittleEndian.Uint64
+// cut short. It is the only parser of the format: DecodeFrom,
+// CanonicalDigest and Canonicalize all read through it, so a blob is
+// accepted by all or by none. sec's slices are reused when large enough. It
+// reads exactly the encoding's bytes from src. With inPlace set, the
+// vertices and triangles are checked but not copied: src must then be a
+// slice, and sec.vertData and sec.triData are the sections in it.
+func readSections(src *source, sec *sections, inPlace bool) error {
+	// Through le, not method values: those are called, not inlined.
+	le := binary.LittleEndian
 
 	b, err := src.take(8)
 	if err != nil {
 		return err
 	}
-	if magic := u32(b); magic != encodeMagic {
+	if magic := le.Uint32(b); magic != encodeMagic {
 		return fmt.Errorf("mesh: bad magic %#x", magic)
 	}
-	if version := u32(b[4:]); version != encodeVersion {
+	if version := le.Uint32(b[4:]); version != encodeVersion {
 		return fmt.Errorf("mesh: unsupported version %d", version)
 	}
 	if b, err = src.take(4); err != nil {
 		return err
 	}
-	nv := u32(b)
+	nv := le.Uint32(b)
 	if nv > maxDecodeElems {
 		return fmt.Errorf("mesh: vertex count %d exceeds limit %d (corrupt blob?)", nv, maxDecodeElems)
 	}
 	if src.short(int(nv) * 16) {
 		return io.ErrUnexpectedEOF
 	}
-	verts := slices.Grow(sec.verts[:0], int(nv))[:nv]
+	var verts []geom.Point
+	if inPlace {
+		sec.vertData, src.data = src.data[:16*nv:16*nv], src.data[16*nv:]
+	} else {
+		verts = slices.Grow(sec.verts[:0], int(nv))[:nv]
+	}
 	for i := 0; i < len(verts); {
 		if b, err = src.records(len(verts)-i, 16); err != nil {
 			return err
 		}
 		for ; len(b) >= 16; b, i = b[16:], i+1 {
-			verts[i] = geom.Point{X: math.Float64frombits(u64(b)), Y: math.Float64frombits(u64(b[8:]))}
+			verts[i] = geom.Point{X: math.Float64frombits(le.Uint64(b)), Y: math.Float64frombits(le.Uint64(b[8:]))}
 		}
 	}
 	if b, err = src.take(16); err != nil {
 		return err
 	}
 	for i := range sec.super {
-		id := u32(b[4*i:])
+		id := le.Uint32(b[4*i:])
 		if id >= nv && VertexID(int32(id)) != NoVertex {
 			return fmt.Errorf("mesh: super vertex %d out of range", int32(id))
 		}
 		sec.super[i] = VertexID(int32(id))
 	}
-	nt := u32(b[12:])
+	nt := le.Uint32(b[12:])
 	if nt > maxDecodeElems {
 		return fmt.Errorf("mesh: triangle count %d exceeds limit %d (corrupt blob?)", nt, maxDecodeElems)
 	}
 	if src.short(int(nt) * 12) {
 		return io.ErrUnexpectedEOF
 	}
-	tris := slices.Grow(sec.tris[:0], int(nt))[:nt]
-	for i := 0; i < len(tris); {
-		if b, err = src.records(len(tris)-i, 12); err != nil {
+	var tris []Tri
+	if inPlace {
+		sec.triData = src.data[: 12*nt : 12*nt]
+	} else {
+		tris = slices.Grow(sec.tris[:0], int(nt))[:nt]
+	}
+	for i := 0; i < int(nt); {
+		if b, err = src.records(int(nt)-i, 12); err != nil {
 			return err
 		}
 		for ; len(b) >= 12; b, i = b[12:], i+1 {
 			// One unsigned comparison a reference: a negative id is a
 			// large one, and nv is at most maxDecodeElems.
-			v := [3]uint32{u32(b), u32(b[4:]), u32(b[8:])}
-			for _, id := range v {
-				if id >= nv {
-					return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, int32(id))
+			v := [3]uint32{le.Uint32(b), le.Uint32(b[4:]), le.Uint32(b[8:])}
+			if v[0] >= nv || v[1] >= nv || v[2] >= nv {
+				id := v[0]
+				for _, id = range v {
+					if id >= nv {
+						break
+					}
 				}
+				return fmt.Errorf("mesh: triangle %d references vertex %d out of range", i, int32(id))
 			}
-			t := &tris[i]
-			t.V[0], t.V[1], t.V[2] = VertexID(v[0]), VertexID(v[1]), VertexID(v[2])
-			t.N[0], t.N[1], t.N[2] = NoTri, NoTri, NoTri
+			if !inPlace {
+				tris[i] = Tri{V: [3]VertexID{VertexID(v[0]), VertexID(v[1]), VertexID(v[2])}, N: [3]TriID{NoTri, NoTri, NoTri}}
+			}
 		}
 	}
 	if b, err = src.take(4); err != nil {
 		return err
 	}
-	nc := u32(b)
+	nc := le.Uint32(b)
 	if nc > maxDecodeElems {
 		return fmt.Errorf("mesh: constraint count %d exceeds limit %d (corrupt blob?)", nc, maxDecodeElems)
 	}
 	if src.short(int(nc) * 8) {
 		return io.ErrUnexpectedEOF
 	}
-	sec.constrained = nil
-	if keepConstraints {
-		sec.constrained = make(map[edgeKey]bool, nc)
-	}
-	for i := 0; i < int(nc); {
-		if b, err = src.records(int(nc)-i, 8); err != nil {
+	cons := slices.Grow(sec.cons[:0], int(nc))[:nc]
+	for i := 0; i < len(cons); {
+		if b, err = src.records(len(cons)-i, 8); err != nil {
 			return err
 		}
 		for ; len(b) >= 8; b, i = b[8:], i+1 {
-			a, c := u32(b), u32(b[4:])
+			a, c := le.Uint32(b), le.Uint32(b[4:])
 			if a >= nv || c >= nv {
 				return fmt.Errorf("mesh: constraint %d (%d,%d) references a vertex out of range", i, int32(a), int32(c))
 			}
-			if keepConstraints {
-				sec.constrained[mkEdge(VertexID(a), VertexID(c))] = true
-			}
+			cons[i] = edgeKey{VertexID(a), VertexID(c)}
 		}
 	}
-	sec.verts, sec.tris = verts, tris
+	if !inPlace {
+		sec.verts, sec.tris = verts, tris
+	}
+	sec.cons = cons
 	return nil
 }
 
@@ -314,11 +372,17 @@ func readSections(src *source, sec *sections, keepConstraints bool) error {
 func (m *Mesh) DecodeFrom(r io.Reader) error {
 	s := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(s)
-	var sec sections
-	if err := readSections(&source{r: r, buf: s.buf[:]}, &sec, true); err != nil {
+	sec := sections{cons: s.cons}
+	err := readSections(&source{r: r, buf: s.buf[:]}, &sec, false)
+	s.cons = sec.cons
+	if err != nil {
 		return err
 	}
-	verts, super, tris, constrained := sec.verts, sec.super, sec.tris, sec.constrained
+	verts, super, tris := sec.verts, sec.super, sec.tris
+	constrained := make(map[edgeKey]bool, len(sec.cons))
+	for _, e := range sec.cons {
+		constrained[mkEdge(e.a, e.b)] = true
+	}
 
 	flags := make([]triFlags, len(tris))
 	vertTri := make([]TriID, len(verts))

@@ -89,16 +89,18 @@ func NewDist(rt *core.Runtime, cfg DistConfig) (*Dist, error) {
 	return d, nil
 }
 
-// exportBlock frames one block into a store chunk: the canonical mesh
-// digest for offline verification, and the block's full encoded state as
-// the payload a rank-independent restore re-creates it from.
-func exportBlock(w *meshstore.Writer, i, j int, o *blockObj, digest string) error {
-	bw := bufpool.GetWriter(o.SizeHint())
+// exportBlock frames one block into a store chunk: its report's digest for
+// offline verification, and the block's full encoded state, with meshData
+// as its mesh, as the payload a rank-independent restore re-creates it from.
+func exportBlock(w *meshstore.Writer, b BlockDump, o *blockObj, meshData []byte) error {
+	framed := *o // the dump pass reads its block only
+	framed.MeshData = meshData
+	bw := bufpool.GetWriter(framed.SizeHint())
 	defer bufpool.PutWriter(bw)
-	if err := o.EncodeTo(bw); err != nil {
+	if err := framed.EncodeTo(bw); err != nil {
 		return err
 	}
-	return w.Append(meshstore.BlockKey(i, j), i, j, o.Elements, digest, bw.Bytes())
+	return w.Append(meshstore.BlockKey(b.I, b.J), b.I, b.J, b.Elements, b.Hash, bw.Bytes())
 }
 
 // hashMesh digests a block's refined mesh by geometry, not by encoding: two
@@ -107,12 +109,28 @@ func exportBlock(w *meshstore.Writer, i, j int, o *blockObj, digest string) erro
 func hashMesh(data []byte) []byte {
 	d, err := mesh.CanonicalDigest(data)
 	if err != nil {
-		// An undecodable mesh hashes to a tagged digest of the raw bytes so
-		// the equality check fails loudly rather than panicking mid-handler.
-		h := sha256.Sum256(append([]byte("undecodable:"), data...))
-		return h[:]
+		return undecodableDigest(data)
 	}
 	return d
+}
+
+// canonicalMesh returns a block's mesh encoding in canonical order
+// (mesh.Canonicalize) and its digest, hashMesh's: data itself when it
+// already is canonical, or does not decode.
+func canonicalMesh(data []byte) (canon, digest []byte) {
+	canon, digest, err := mesh.Canonicalize(data)
+	if err != nil {
+		return data, undecodableDigest(data)
+	}
+	return canon, digest
+}
+
+// undecodableDigest is the digest of a mesh that does not decode: a tagged
+// digest of the raw bytes, so that the equality check fails loudly rather
+// than a handler panicking.
+func undecodableDigest(data []byte) []byte {
+	h := sha256.Sum256(append([]byte("undecodable:"), data...))
+	return h[:]
 }
 
 // CreateBlocks creates this node's blocks in creation order, each checked

@@ -410,3 +410,150 @@ func TestDistExportWithLateNode(t *testing.T) {
 		t.Fatalf("export with a late node: partial=%v, MeshHash %s, want %s", got.Partial, got.MeshHash, man.MeshHash)
 	}
 }
+
+// preCanonicalStore copies the store in dir as a store written before OUPDR
+// blocks were kept in canonical order: every block's mesh as the refiner
+// numbers it (the mesh's own encoding), framed with the digest the store
+// recorded for it.
+func preCanonicalStore(t *testing.T, dir string, man *meshstore.Manifest) string {
+	t.Helper()
+	src := openStore(t, dir)
+	old := t.TempDir()
+	w, err := meshstore.NewWriter(meshstore.WriterConfig{Dir: old, Meta: man.Meta, Compress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, rec := range man.Records() {
+		payload, _, err := src.Payload(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &blockObj{}
+		if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
+			t.Fatal(err)
+		}
+		bm, err := meshBlock(o.Rect, o.H, o.Beta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw bytes.Buffer
+		if err := bm.mesh.EncodeTo(&raw); err != nil {
+			t.Fatal(err)
+		}
+		bm.mesh.Recycle()
+		if bytes.Equal(raw.Bytes(), o.MeshData) {
+			t.Fatalf("block %s: the refiner's encoding is the canonical one", rec.Key)
+		}
+		o.MeshData = raw.Bytes()
+		var enc bytes.Buffer
+		if err := o.EncodeTo(&enc); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(rec.Key, rec.I, rec.J, rec.Elements, rec.Hash, enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finishExport(t, old, w)
+	return old
+}
+
+// checkBlocks requires every block of the store in dir to decode offline to
+// the digest its record holds, and to hold its mesh in canonical order or
+// not, as canonicalOrder says.
+func checkBlocks(t *testing.T, dir string, canonicalOrder bool) {
+	t.Helper()
+	st := openStore(t, dir)
+	for _, rec := range st.Manifest().Records() {
+		payload, _, err := st.Payload(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dump, err := DecodeExportedBlock(payload, st.Manifest().Meta.Blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dump.Hash != rec.Hash || dump.I != rec.I || dump.J != rec.J {
+			t.Fatalf("block %s decodes to %v, its record says %s", rec.Key, dump, rec.Hash)
+		}
+		o := &blockObj{}
+		if err := o.DecodeFrom(bytes.NewReader(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if canon := canonical(t, o.MeshData); (&canon[0] == &o.MeshData[0]) != canonicalOrder {
+			t.Fatalf("block %s: mesh in canonical order = %v, want %v", rec.Key, !canonicalOrder, canonicalOrder)
+		}
+	}
+}
+
+// TestRestorePreCanonicalStore: a store whose blocks hold their meshes as
+// the refiner numbered them still verifies offline, restores onto one, two
+// and three nodes, and re-exports to a store that carries the source's
+// MeshHash with every block in canonical order — on two nodes after a dump,
+// which reads every block first.
+func TestRestorePreCanonicalStore(t *testing.T) {
+	dir, man := distStore(t)
+	checkBlocks(t, dir, true)
+	old := preCanonicalStore(t, dir, man)
+	checkBlocks(t, old, false)
+	st := openStore(t, old)
+	for nodes := 1; nodes <= 3; nodes++ {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			ds := restoreOn(t, distCluster(t, nodes, 1<<30), st)
+			if nodes == 2 {
+				all, err := DumpAll(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := MeshHashOf(all); got != man.MeshHash {
+					t.Fatalf("restored MeshHash %s, store %s", got, man.MeshHash)
+				}
+				// The dump keeps each digest, and marks the block raw for
+				// the export to canonicalize.
+				kept := 0
+				for _, d := range ds {
+					for _, s := range d.sh.digests {
+						if s.Hash == "" {
+							continue
+						}
+						if !s.raw {
+							t.Fatalf("block (%d,%d) restored in the old order is not marked raw", s.I, s.J)
+						}
+						kept++
+					}
+				}
+				if kept != len(all) {
+					t.Fatalf("%d digests kept after the dump, want %d", kept, len(all))
+				}
+			}
+			out := t.TempDir()
+			ws := make([]*meshstore.Writer, nodes)
+			for i, d := range ds {
+				w, err := meshstore.NewWriter(meshstore.WriterConfig{Dir: out, Writer: i, Meta: d.StoreMeta(), Compress: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { w.Close() })
+				ws[i] = w
+			}
+			collective(t, ds, func(int) time.Duration { return 0 }, func(node int, d *Dist) error {
+				if err := d.Export(ws[node]); err != nil {
+					return err
+				}
+				_, err := ws[node].Finalize()
+				return err
+			})
+			re, err := meshstore.MergeManifests(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := meshstore.Verify(out); err != nil || !rep.OK() {
+				t.Fatalf("re-export does not verify: %v %v", err, rep.Problems)
+			}
+			if re.Partial || re.MeshHash != man.MeshHash {
+				t.Fatalf("re-export partial=%v MeshHash %s, source %s", re.Partial, re.MeshHash, man.MeshHash)
+			}
+			checkBlocks(t, out, true)
+		})
+	}
+}

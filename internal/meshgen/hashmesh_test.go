@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +215,7 @@ func rawOf(t testing.TB, data []byte) rawMesh {
 		r.tris = append(r.tris, [3]int32{int32(tr.V[0]), int32(tr.V[1]), int32(tr.V[2])})
 	})
 	m.ForEachConstrained(func(a, b mesh.VertexID) { r.cons = append(r.cons, [2]int32{int32(a), int32(b)}) })
+	slices.SortFunc(r.cons, func(x, y [2]int32) int { return slices.Compare(x[:], y[:]) })
 	return r
 }
 
@@ -221,7 +223,20 @@ func rawOf(t testing.TB, data []byte) rawMesh {
 // a super vertex may carry, stays), its triangles shuffled and each
 // rotated.
 func (r rawMesh) permuted(rng *rand.Rand) rawMesh {
-	perm := rng.Perm(len(r.verts))
+	out := r.renumbered(rng.Perm(len(r.verts)))
+	tris := out.tris
+	out.tris = nil
+	for _, i := range rng.Perm(len(tris)) {
+		tr, k := tris[i], rng.Intn(3)
+		out.tris = append(out.tris, [3]int32{tr[k], tr[(k+1)%3], tr[(k+2)%3]})
+	}
+	return out
+}
+
+// renumbered is r with vertex v numbered perm[v] (NoVertex, which a super
+// vertex may carry, stays), its triangles and constraints following in
+// their order.
+func (r rawMesh) renumbered(perm []int) rawMesh {
 	id := func(v int32) int32 {
 		if v < 0 || int(v) >= len(perm) {
 			return v
@@ -235,9 +250,8 @@ func (r rawMesh) permuted(rng *rand.Rand) rawMesh {
 	for i, s := range r.super {
 		out.super[i] = id(s)
 	}
-	for _, i := range rng.Perm(len(r.tris)) {
-		tr, k := r.tris[i], rng.Intn(3)
-		out.tris = append(out.tris, [3]int32{id(tr[k]), id(tr[(k+1)%3]), id(tr[(k+2)%3])})
+	for _, tr := range r.tris {
+		out.tris = append(out.tris, [3]int32{id(tr[0]), id(tr[1]), id(tr[2])})
 	}
 	for _, c := range r.cons {
 		out.cons = append(out.cons, [2]int32{id(c[0]), id(c[1])})
@@ -457,10 +471,171 @@ func TestHashMeshWorstCaseShapes(t *testing.T) {
 	}
 }
 
+// canonical is data's canonical encoding.
+func canonical(t testing.TB, data []byte) []byte {
+	t.Helper()
+	canon, _, err := mesh.Canonicalize(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canon
+}
+
+// canonicalSeeds are canonical encodings — a refined block, a pair of
+// triangles apart only in the sign of a zero, a mesh whose super triangles
+// sort among the others — and near-canonical mutants of the block that the
+// digest's linear pass must refuse: two vertices swapped, a point
+// duplicated, a triangle that does not start at its lowest id, two
+// triangles out of order.
+func canonicalSeeds(t testing.TB) map[string][]byte {
+	block := canonical(t, refinedBlock(t, geom.NewRect(geom.Pt(0.25, 0.5), geom.Pt(0.5, 0.75)), 0.2))
+	r := rawOf(t, block)
+	swap := make([]int, len(r.verts)) // vertices 3 and 4 trade places
+	for v := range swap {
+		swap[v] = v
+	}
+	swap[3], swap[4] = 4, 3
+	dup := rawOf(t, block)
+	dup.verts[1] = dup.verts[0]
+	rotated := rawOf(t, block)
+	tr := rotated.tris[2]
+	rotated.tris[2] = [3]int32{tr[1], tr[2], tr[0]}
+	swapped := rawOf(t, block)
+	swapped.tris[2], swapped.tris[3] = swapped.tris[3], swapped.tris[2]
+
+	m := mesh.New()
+	m.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
+	for _, p := range []geom.Point{geom.Pt(0.2, 0.3), geom.Pt(0.7, 0.4), geom.Pt(0.5, 0.8), geom.Pt(0.4, 0.5)} {
+		if _, err := m.InsertPoint(p, mesh.NoTri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var withSuper bytes.Buffer
+	if err := m.EncodeTo(&withSuper); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"canonical-block": block,
+		"canonical-signed-zeros": canonical(t, rawMesh{
+			verts: []geom.Point{geom.Pt(math.Copysign(0, -1), 0), geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)},
+			super: [3]int32{-1, -1, -1}, tris: [][3]int32{{0, 2, 3}, {1, 2, 3}}}.encoding()),
+		"canonical-super-triangles": canonical(t, withSuper.Bytes()),
+		"vertices-swapped":          r.renumbered(swap).encoding(),
+		"point-duplicated":          dup.encoding(),
+		"triangle-rotated":          rotated.encoding(),
+		"triangles-swapped":         swapped.encoding(),
+	}
+}
+
+// TestCanonicalSeeds checks that the seeds are what they claim: the
+// canonical ones take the digest's linear pass (mesh.Canonicalize returns
+// them as they are), the mutants do not, and each holds the properties.
+func TestCanonicalSeeds(t *testing.T) {
+	for name, data := range canonicalSeeds(t) {
+		canon := canonical(t, data)
+		if got := len(canon) > 0 && &canon[0] == &data[0]; got != strings.HasPrefix(name, "canonical-") {
+			t.Errorf("%s: taken as canonical = %v", name, got)
+		}
+		sameDigest(t, name, data)
+		canonicalProperties(t, name, data)
+	}
+}
+
+// distinctCorners reports whether no two vertices of data share their bits,
+// no triangle repeats a vertex and no two triangles share their corners:
+// what the digest's linear pass needs beyond the order.
+func distinctCorners(t testing.TB, data []byte) bool {
+	r := rawOf(t, data)
+	points := map[[2]uint64]bool{}
+	for _, p := range r.verts {
+		k := [2]uint64{math.Float64bits(p.X), math.Float64bits(p.Y)}
+		if points[k] {
+			return false
+		}
+		points[k] = true
+	}
+	tris := map[[3]int32]bool{}
+	for _, tr := range r.tris {
+		slices.Sort(tr[:])
+		if tr[0] == tr[1] || tr[1] == tr[2] || tris[tr] {
+			return false
+		}
+		tris[tr] = true
+	}
+	return true
+}
+
+// finite reports whether every vertex of m has finite coordinates.
+func finite(m *mesh.Mesh) bool {
+	for v := 0; v < m.NumVertices(); v++ {
+		p := m.Vertex(mesh.VertexID(v))
+		if math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) || p.X != p.X || p.Y != p.Y {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalProperties holds mesh.Canonicalize to its contract on data: it
+// fails exactly when decoding does; otherwise its output decodes to as many
+// vertices and triangles, passes Validate if data does (and its points are
+// finite), digests as data
+// does (and as it says), canonicalizes to itself, and — when no two
+// vertices share their bits and no two triangles their corners — takes the
+// linear pass and is what any renumbering of data canonicalizes to.
+func canonicalProperties(t testing.TB, what string, data []byte) {
+	t.Helper()
+	canon, digest, err := mesh.Canonicalize(data)
+	m := mesh.New()
+	if derr := m.DecodeFrom(bytes.NewReader(data)); (err == nil) != (derr == nil) {
+		t.Fatalf("%s: Canonicalize: %v, DecodeFrom: %v", what, err, derr)
+	}
+	if err != nil {
+		return
+	}
+	if want := hashMesh(data); !bytes.Equal(digest, want) {
+		t.Fatalf("%s: Canonicalize digest %x, hashMesh %x", what, digest, want)
+	}
+	if got := hashMesh(canon); !bytes.Equal(got, digest) {
+		t.Fatalf("%s: canonical encoding digests %x, the input %x", what, got, digest)
+	}
+	c := mesh.New()
+	if err := c.DecodeFrom(bytes.NewReader(canon)); err != nil {
+		t.Fatalf("%s: canonical encoding does not decode: %v", what, err)
+	}
+	if c.NumVertices() != m.NumVertices() || c.NumTriangles() != m.NumTriangles() {
+		t.Fatalf("%s: canonical mesh has %d vertices and %d triangles, the input %d and %d",
+			what, c.NumVertices(), c.NumTriangles(), m.NumVertices(), m.NumTriangles())
+	}
+	// Validate's orientation test is exact on finite points only: on an
+	// infinite coordinate, rotating a triangle can change its sign.
+	if m.Validate() == nil && finite(m) {
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%s: canonical mesh fails Validate: %v", what, err)
+		}
+	}
+	again, _, err := mesh.Canonicalize(canon)
+	if err != nil || !bytes.Equal(again, canon) {
+		t.Fatalf("%s: canonicalizing the canonical encoding changed it (err %v)", what, err)
+	}
+	if !distinctCorners(t, canon) {
+		return
+	}
+	if &again[0] != &canon[0] {
+		t.Fatalf("%s: the canonical encoding did not take the linear pass", what)
+	}
+	renumbered := rawOf(t, data).permuted(rand.New(rand.NewSource(int64(len(data)))))
+	if got := canonical(t, renumbered.encoding()); !bytes.Equal(got, canon) {
+		t.Fatalf("%s: a renumbering canonicalizes differently", what)
+	}
+}
+
 // FuzzHashMeshMatchesOracle feeds the digest whatever bytes the fuzzer finds,
-// starting from the adversarial encodings and the rejected blobs: it must
-// agree with the total-order oracle, and with the old one where that is
-// defined, and a renumbering of anything that decodes must digest alike.
+// starting from the adversarial encodings, the rejected blobs, and canonical
+// encodings with near-canonical mutants of them (canonicalSeeds, checked in
+// under testdata/fuzz): it must agree with the total-order oracle, and with
+// the old one where that is defined, a renumbering of anything that decodes
+// must digest alike, and mesh.Canonicalize must hold canonicalProperties.
 func FuzzHashMeshMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 24; i++ {
@@ -474,6 +649,7 @@ func FuzzHashMeshMatchesOracle(f *testing.F) {
 	f.Add([]byte("not a mesh"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameDigest(t, "fuzzed", data)
+		canonicalProperties(t, "fuzzed", data)
 		if _, ok := hashedTriangles(data); ok {
 			r := rawOf(t, data)
 			want := hashMesh(r.encoding())
@@ -509,7 +685,9 @@ func TestHashMeshBeyondPackedKeyRange(t *testing.T) {
 var hashSink []byte
 
 // BenchmarkHashMesh digests one block of the benchmark's oupdr-ooc shape
-// (about 6 000 triangles, 120 KB encoded).
+// (about 6 000 triangles, 120 KB encoded) in two encodings of it: as the
+// mesh writes it (pre-canonical: the ranking and sorting) and as an OUPDR
+// block stores it (canonical: the linear pass).
 func BenchmarkHashMesh(b *testing.B) {
 	bm, err := meshBlock(geom.NewRect(geom.Pt(0, 0), geom.Pt(1.0/16, 1.0/16)), 0.0015, math.Sqrt2)
 	if err != nil {
@@ -519,10 +697,20 @@ func BenchmarkHashMesh(b *testing.B) {
 	if err := bm.mesh.EncodeTo(&enc); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(enc.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hashSink = hashMesh(enc.Bytes())
+	canon, _, err := mesh.Canonicalize(enc.Bytes())
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportMetric(float64(bm.mesh.NumTriangles()), "triangles")
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"pre-canonical", enc.Bytes()}, {"canonical", canon}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			for i := 0; i < b.N; i++ {
+				hashSink = hashMesh(c.data)
+			}
+			b.ReportMetric(float64(bm.mesh.NumTriangles()), "triangles")
+		})
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mrts/internal/bufpool"
 	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/geom"
@@ -174,19 +175,27 @@ type blockShared struct {
 	meshErr  firstErr
 
 	mu      sync.Mutex
-	digests []BlockDump       // indexed j*nb+i; Hash "" until the block is digested
+	digests []blockSlot       // indexed j*nb+i; Hash "" until the block is digested
 	pass    []BlockDump       // reports of the dump pass in progress
 	export  *meshstore.Writer // non-nil: the dump pass also frames each block
 	expErr  firstErr          // first export error of the dump pass
 }
 
+// blockSlot is what a node knows of one of its blocks: its digest, and
+// whether the mesh it holds is raw — not in canonical order, as a block
+// restored from a store written before blocks were holds it.
+type blockSlot struct {
+	BlockDump
+	raw bool
+}
+
 func newBlockShared(nb int) *blockShared {
-	return &blockShared{nb: nb, digests: make([]BlockDump, nb*nb)}
+	return &blockShared{nb: nb, digests: make([]blockSlot, nb*nb)}
 }
 
 // slot returns block (i, j)'s digest slot, nil off the grid. The caller
 // holds sh.mu.
-func (sh *blockShared) slot(i, j int) *BlockDump {
+func (sh *blockShared) slot(i, j int) *blockSlot {
 	if i < 0 || j < 0 || i >= sh.nb || j >= sh.nb {
 		return nil
 	}
@@ -202,10 +211,10 @@ func (sh *blockShared) record(b BlockDump) error {
 	switch {
 	case s == nil:
 		return fmt.Errorf("meshgen: block (%d,%d) is off the %d×%d grid", b.I, b.J, sh.nb, sh.nb)
-	case s.Hash != "" && *s != b:
-		return fmt.Errorf("meshgen: block (%d,%d) digested twice, differently: %v, then %v", b.I, b.J, *s, b)
+	case s.Hash != "" && s.BlockDump != b:
+		return fmt.Errorf("meshgen: block (%d,%d) digested twice, differently: %v, then %v", b.I, b.J, s.BlockDump, b)
 	}
-	*s = b
+	*s = blockSlot{BlockDump: b}
 	return nil
 }
 
@@ -213,34 +222,45 @@ func (sh *blockShared) record(b BlockDump) error {
 func (sh *blockShared) digest(idx int) (BlockDump, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	b := sh.digests[idx]
+	b := sh.digests[idx].BlockDump
 	return b, b.Hash != ""
 }
 
-// report adds block o to the dump pass in progress and returns its report and
-// the pass's export writer. The report carries the digest taken when o was
-// meshed; a block without one is hashed from the bytes just read, and that
-// digest is kept.
-func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer) {
+// report adds block o to the dump pass in progress and returns its report,
+// the pass's export writer and o's mesh in canonical order, for the export.
+// The report carries the digest taken when o was meshed; a block without
+// one is hashed from the bytes just read, and that digest is kept. Bytes
+// that are not canonical (a block restored from a store written before
+// blocks were) are canonicalized for the digest and marked raw, and a raw
+// block is canonicalized again by each export that frames it: a read-only
+// handler cannot store the canonical bytes. So an export frames every
+// block canonical.
+func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer, []byte) {
 	i, j := gridIJ(o.Rect, sh.nb)
-	var b BlockDump
+	var slot blockSlot
 	sh.mu.Lock()
 	s := sh.slot(i, j)
 	if s != nil {
-		b = *s
+		slot = *s
 	}
+	w := sh.export
 	sh.mu.Unlock()
-	if b.Hash == "" {
-		b = BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))}
+	meshData := o.MeshData
+	if slot.Hash == "" || slot.raw && w != nil {
+		canon, digest := canonicalMesh(o.MeshData)
+		if slot.Hash == "" {
+			slot = blockSlot{BlockDump: BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(digest)},
+				raw: !bytes.Equal(canon, o.MeshData)}
+		}
+		meshData = canon
 	}
 	sh.mu.Lock()
 	if s != nil && s.Hash == "" {
-		*s = b
+		*s = slot
 	}
-	sh.pass = append(sh.pass, b)
-	w := sh.export
+	sh.pass = append(sh.pass, slot.BlockDump)
 	sh.mu.Unlock()
-	return b, w
+	return slot.BlockDump, w, meshData
 }
 
 // begin starts a dump pass: no reports, exporting into w if it is non-nil.
@@ -308,11 +328,11 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	// block reloaded for it is dropped afterwards instead of written again.
 	rt.RegisterReadOnly(hBlockDump, func(c *core.Ctx, arg []byte) {
 		o := c.Object().(*blockObj)
-		b, w := sh.report(o)
+		b, w, meshData := sh.report(o)
 		if w == nil {
 			return
 		}
-		if err := exportBlock(w, b.I, b.J, o, b.Hash); err != nil {
+		if err := exportBlock(w, b, o, meshData); err != nil {
 			sh.expErr.set(err)
 		}
 	})
@@ -320,18 +340,21 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 
 // oupdrMeshHandler refines the block, ships interface point sets to the
 // right and top neighbors (structured communication) and records the
-// block's canonical digest from the encoding it stores.
+// block's canonical digest. The block stores its mesh in canonical order
+// (mesh.Canonicalize), whose sort is the digest's: paid once here, it
+// lets every later digest of the block — a dump, an export, `meshctl
+// verify -deep`, a re-export after a restore — take the linear pass.
 func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	bm, err := meshBlock(o.Rect, o.H, o.Beta)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := bm.mesh.EncodeTo(&buf); err != nil {
+	raw := bytes.NewBuffer(bufpool.Get(bm.mesh.EncodedSize())[:0])
+	if err := bm.mesh.EncodeTo(raw); err != nil {
 		bm.mesh.Recycle()
 		return err
 	}
-	o.MeshData = buf.Bytes()
+	o.MeshData = raw.Bytes() // until it is put in canonical order, last
 	o.Elements = int32(bm.mesh.NumTriangles())
 	o.Verts = int32(bm.mesh.NumVertices())
 	sh.elements.Add(int64(o.Elements))
@@ -373,9 +396,16 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	if o.IfaceNeeded > 0 {
 		c.SetPriority(c.Self, 5)
 	}
-	// The digest last, with the interface messages already on their way.
+	// The canonical order and the digest last, with the interface messages
+	// already on their way.
+	canon, digest := canonicalMesh(o.MeshData)
+	if bytes.Equal(canon, o.MeshData) {
+		canon = bytes.Clone(canon) // it was canonical already
+	}
+	bufpool.Put(o.MeshData)
+	o.MeshData = canon
 	i, j := gridIJ(o.Rect, sh.nb)
-	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))})
+	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(digest)})
 }
 
 // oupdrIfaceHandler verifies a neighbor's interface points against this

@@ -47,8 +47,16 @@ func scenarioForSeed(seed int64) Scenario {
 // only hang if the runtime deadlocks — that is itself a finding).
 func runSeed(t *testing.T, seed int64) *Result {
 	t.Helper()
+	return runWatched(t, seed, scenarioForSeed(seed))
+}
+
+// runWatched runs sc with seed under runSeed's watchdog, so that a hang
+// fails the test naming its seed instead of running into the package's
+// timeout.
+func runWatched(t *testing.T, seed int64, sc Scenario) *Result {
+	t.Helper()
 	ch := make(chan *Result, 1)
-	go func() { ch <- Run(seed, scenarioForSeed(seed)) }()
+	go func() { ch <- Run(seed, sc) }()
 	select {
 	case r := <-ch:
 		return r
@@ -128,7 +136,7 @@ func TestPlanIsPureFunctionOfSeed(t *testing.T) {
 func TestCleanDropsUnderFaultsMigrationAndChurn(t *testing.T) {
 	for _, seed := range []int64{11, 12, 14, 15, 26} {
 		probe := &cleanDropProbe{Scenario: scenarioForSeed(seed)}
-		res := Run(seed, probe)
+		res := runWatched(t, seed, probe)
 		if res.Failed() {
 			t.Errorf("seed %d (%s) failed:\n%s", seed, res.Scenario, res.TraceBytes())
 		}
