@@ -122,8 +122,10 @@ sim-soak:
 # CI's build-and-test job with FUZZTIME=5s on every push): the byte-plane
 # frame decoder, the block digest against its oracles, the mesh decoder, the
 # swap tier's frame decoder, the mesh store's and the meshgen object
-# decoders. A failing input is written under the package's testdata/fuzz;
-# committed there, plain go test replays it.
+# decoders, and the refinement kernel's two shortcuts (the quality filter
+# and the rotated in-circle test) against the forms they stand in for. A
+# failing input is written under the package's testdata/fuzz; committed
+# there, plain go test replays it.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/planes -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test ./internal/tier -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/meshstore -run '^$$' -fuzz '^FuzzPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/meshgen -run '^$$' -fuzz '^FuzzObjectDecoders$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzKernelShortcuts$$' -fuzztime $(FUZZTIME)
 
 # Packages that must take time from an injected clock.Clock so the
 # deterministic simulation harness can virtualize them (the TCP membership,

@@ -319,16 +319,25 @@ func (r *refiner) capped() bool {
 
 // isBad reports whether triangle t violates the quality or size bounds, and
 // returns its circumcenter as geom.Triangle.Circumcenter does: a bad
-// triangle is refined there.
+// triangle is refined there. Most triangles are good, and QualityWithin
+// certifies most of those without a circumcenter, so that is computed only
+// for a triangle it leaves in doubt or one found bad.
 func (r *refiner) isBad(t mesh.TriID) (bad bool, cc geom.Point, ok bool) {
 	tr := r.m.Triangle(t)
-	bad, cc, ok = tr.QualityExceeds(r.beta)
+	ab, bc, ca := tr.EdgeLengths2()
+	haveCC := !tr.QualityWithin(r.beta, ab, bc, ca)
+	if haveCC {
+		bad, cc, ok = tr.QualityExceeds(r.beta)
+	}
 	if !bad && r.opts.MaxArea > 0 {
 		bad = tr.Area() > r.opts.MaxArea
 	}
 	if !bad && r.opts.SizeFunc != nil {
 		h := r.opts.SizeFunc(tr.Centroid())
-		bad = h > 0 && tr.LongestEdgeExceeds(h)
+		bad = h > 0 && tr.LongestEdgeExceeds(h, ab, bc, ca)
+	}
+	if bad && !haveCC {
+		cc, ok = tr.Circumcenter()
 	}
 	if r.audit != nil {
 		r.audit(tr, bad)

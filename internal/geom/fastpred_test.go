@@ -25,6 +25,9 @@ func (c *predicateTally) count(certain bool) {
 func (c *predicateTally) quality(tr Triangle, beta float64) {
 	c.t.Helper()
 	want := tr.Quality() > beta
+	if ab, bc, ca := tr.EdgeLengths2(); tr.QualityWithin(beta, ab, bc, ca) && want {
+		c.t.Fatalf("QualityWithin(%v, %v) is certain, Quality() = %v", tr, beta, tr.Quality())
+	}
 	cc, ok := tr.Circumcenter()
 	if ok {
 		exceeds, certain := tr.qualityExceedsSq(cc, beta)
@@ -46,12 +49,13 @@ func (c *predicateTally) quality(tr Triangle, beta float64) {
 func (c *predicateTally) longest(tr Triangle, h float64) {
 	c.t.Helper()
 	want := tr.LongestEdge() > h
-	exceeds, certain := tr.longestEdgeExceedsSq(h)
+	ab, bc, ca := tr.EdgeLengths2()
+	exceeds, certain := longestEdgeExceedsSq(h, ab, bc, ca)
 	if certain && exceeds != want {
 		c.t.Fatalf("longestEdgeExceedsSq(%v, %v) is certain of %v, LongestEdge() = %v", tr, h, exceeds, tr.LongestEdge())
 	}
 	c.count(certain)
-	if got := tr.LongestEdgeExceeds(h); got != want {
+	if got := tr.LongestEdgeExceeds(h, ab, bc, ca); got != want {
 		c.t.Fatalf("LongestEdgeExceeds(%v, %v) = %v, LongestEdge() = %v", tr, h, got, tr.LongestEdge())
 	}
 }
@@ -120,7 +124,7 @@ func TestFastPredicatesMatchOracleNearThreshold(t *testing.T) {
 			// and from the squared side.
 			l := tr.LongestEdge()
 			c.longest(tr, l*(1+d))
-			ab, bc, ca := tr.edgeLengths2()
+			ab, bc, ca := tr.EdgeLengths2()
 			c.longest(tr, math.Sqrt(max(ab, bc, ca))*(1+d))
 		}
 	}

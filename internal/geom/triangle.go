@@ -89,6 +89,24 @@ const (
 	maxSquare    = 1e280
 )
 
+// QualityWithin's bounds (DESIGN.md, "A good triangle without its
+// circumcenter"). It answers only for squared sides in [withinMin,
+// withinMax] and 0 < beta <= withinMaxBeta, so that no product it forms
+// overflows or underflows, and only for ε·|A|/R <= 2⁻²⁶ (withinFar), so that
+// Quality's rounding of A + u, the circumcenter as a point, is small against
+// R. A triangle it certifies has every angle's sine above 1/(2·beta), so its
+// cross product, and the circumcenter Quality divides by it, are well
+// conditioned. Between them, the two forms' rounding moves the ratio by at
+// most 2⁻²⁶ + 10⁻¹¹ relative, and a margin of 2⁻²³ on the squares covers
+// that four times over.
+const (
+	withinBand    = 0x1p-23
+	withinFar     = 0x1p52
+	withinMin     = 1e-80
+	withinMax     = 1e80
+	withinMaxBeta = 0x1p10
+)
+
 // exceedsSq reports whether lhs > rhs for two squared quantities, and
 // whether that verdict is certain to match the comparison of their roots
 // however those were rounded. NaN on either side is never certain.
@@ -100,15 +118,16 @@ func exceedsSq(lhs, rhs float64) (exceeds, certain bool) {
 	return lhs > rhs, lhs > rhs+slack || lhs < rhs-slack
 }
 
-// edgeLengths2 returns the squared lengths of t's three edges.
-func (t Triangle) edgeLengths2() (ab, bc, ca float64) {
+// EdgeLengths2 returns the squared lengths of t's edges AB, BC and CA, which
+// QualityWithin and LongestEdgeExceeds take.
+func (t Triangle) EdgeLengths2() (ab, bc, ca float64) {
 	return t.A.Dist2(t.B), t.B.Dist2(t.C), t.C.Dist2(t.A)
 }
 
 // qualityExceedsSq is the squared-length form of Quality() > beta for a t
 // whose circumcenter is cc.
 func (t Triangle) qualityExceedsSq(cc Point, beta float64) (exceeds, certain bool) {
-	ab, bc, ca := t.edgeLengths2()
+	ab, bc, ca := t.EdgeLengths2()
 	s2 := min(ab, bc, ca)
 	if !(beta > 0 && s2 > minSquare) { // beta² could lift a subnormal s2 into range
 		return false, false
@@ -117,12 +136,33 @@ func (t Triangle) qualityExceedsSq(cc Point, beta float64) (exceeds, certain boo
 }
 
 // longestEdgeExceedsSq is the squared-length form of LongestEdge() > h.
-func (t Triangle) longestEdgeExceedsSq(h float64) (exceeds, certain bool) {
+func longestEdgeExceedsSq(h, ab, bc, ca float64) (exceeds, certain bool) {
 	if !(h > 0) {
 		return false, false
 	}
-	ab, bc, ca := t.edgeLengths2()
 	return exceedsSq(max(ab, bc, ca), h*h)
+}
+
+// QualityWithin reports whether t.Quality() <= beta is certain, given t's
+// squared edge lengths as EdgeLengths2 returns them. It needs no
+// circumcenter and no division: R² = |ab|²·|bc|²·|ca|² / (4·cross²), so it
+// compares |ab|²·|bc|²·|ca|² against 4·beta²·s²·cross², s the shortest
+// edge and cross that of AB and AC, with a margin that covers both its own
+// rounding and Quality's, the rounding of the circumcenter as a point
+// included. false means only "not certain": the caller asks QualityExceeds.
+func (t Triangle) QualityWithin(beta, ab, bc, ca float64) bool {
+	if !(ab > withinMin && bc > withinMin && ca > withinMin &&
+		ab < withinMax && bc < withinMax && ca < withinMax &&
+		beta > 0 && beta <= withinMaxBeta) {
+		return false
+	}
+	bx, by := t.B.X-t.A.X, t.B.Y-t.A.Y
+	cx, cy := t.C.X-t.A.X, t.C.Y-t.A.Y
+	cross := bx*cy - by*cx
+	cross2 := cross * cross
+	lhs := ab * bc * ca
+	a2 := t.A.X*t.A.X + t.A.Y*t.A.Y
+	return lhs*(1+withinBand) < 4*(beta*beta)*min(ab, bc, ca)*cross2 && a2*cross2 <= withinFar*lhs
 }
 
 // QualityExceeds reports whether t.Quality() > beta, the verdict of Ruppert
@@ -141,10 +181,11 @@ func (t Triangle) QualityExceeds(beta float64) (exceeds bool, cc Point, ok bool)
 	return t.Quality() > beta, cc, ok
 }
 
-// LongestEdgeExceeds reports whether t.LongestEdge() > h, by the same
-// squared comparison with LongestEdge as the fallback.
-func (t Triangle) LongestEdgeExceeds(h float64) bool {
-	if exceeds, certain := t.longestEdgeExceedsSq(h); certain {
+// LongestEdgeExceeds reports whether t.LongestEdge() > h, given t's squared
+// edge lengths as EdgeLengths2 returns them, by comparing the longest
+// against h² with LongestEdge as the fallback.
+func (t Triangle) LongestEdgeExceeds(h, ab, bc, ca float64) bool {
+	if exceeds, certain := longestEdgeExceedsSq(h, ab, bc, ca); certain {
 		return exceeds
 	}
 	return t.LongestEdge() > h

@@ -96,8 +96,8 @@ func TestCommitCavityPinchedBoundary(t *testing.T) {
 	s.splitA, s.splitB = NoVertex, NoVertex
 	s.cavity = append(s.cavity[:0], t1, t2)
 	s.boundary = append(s.boundary[:0],
-		bedge{a, b, NoTri, false}, bedge{b, w, NoTri, false}, bedge{w, a, NoTri, true},
-		bedge{c, d, NoTri, false}, bedge{d, w, NoTri, true}, bedge{w, c, NoTri, false})
+		bedge{a, b, NoTri, -1, false}, bedge{b, w, NoTri, -1, false}, bedge{w, a, NoTri, -1, true},
+		bedge{c, d, NoTri, -1, false}, bedge{d, w, NoTri, -1, true}, bedge{w, c, NoTri, -1, false})
 	commitAndCheckWiring(t, m)
 
 	// Not vacuous: across (w, v) from the fan over (b, w) lies the fan over

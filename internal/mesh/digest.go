@@ -50,12 +50,9 @@ const (
 	digestBucketMax = 32
 )
 
-// sortKey maps a coordinate to an integer that orders as cmp.Compare orders
-// the floats: NaN lowest, then -Inf … +Inf, with -0 equal to +0.
+// sortKey maps a coordinate, which readSections has checked is finite, to an
+// integer that orders as cmp.Compare orders the floats, with -0 equal to +0.
 func sortKey(f float64) uint64 {
-	if f != f {
-		return 0
-	}
 	b := math.Float64bits(f + 0) // -0 + 0 is +0
 	if b>>63 != 0 {
 		return ^b
@@ -65,7 +62,7 @@ func sortKey(f float64) uint64 {
 
 // comparePoints is the digest's total order on points: by x and then y as
 // cmp.Compare orders floats (sortKey), and between points that compare equal
-// there — -0 against +0, one NaN against another — by the bits of x and then
+// there — -0 against +0 — by the bits of x and then
 // of y. Only points with the same bits are equal.
 func comparePoints(a, b *digestPoint, verts []geom.Point) int {
 	if c := cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y)); c != 0 {
@@ -87,9 +84,9 @@ func comparePointIDs(a, b *digestPoint, verts []geom.Point) int {
 // its three vertex coordinates with the vertices in point order, the list
 // itself sorted by that order — so two encodings of the same triangulation
 // digest alike however their vertices and triangles are numbered. Point
-// order is a total order: (x, y) as cmp.Compare orders floats (-0 equals +0,
-// NaN sorts first) and, between points equal there, the bits of x and then
-// of y. It fails exactly when DecodeFrom would.
+// order is a total order: (x, y) as cmp.Compare orders floats (-0 equals +0)
+// and, between points equal there, the bits of x and then of y. It fails
+// exactly when DecodeFrom would, so on a coordinate that is not finite.
 //
 // The encoding is read in place, not decoded into a Mesh, and nothing as
 // long as the vertex or triangle list is sorted by comparison. An encoding
@@ -389,13 +386,13 @@ func (d *digestScratch) markReferenced() {
 func (d *digestScratch) rankPoints() {
 	verts := d.sec.verts
 
-	// The x range of the referenced vertices. A coordinate that is not
-	// finite, or a range that is empty or overflows, leaves one bucket.
+	// The x range of the referenced vertices. A range that is empty or
+	// overflows leaves one bucket.
 	n, lo, hi := 0, math.Inf(1), math.Inf(-1)
 	for v, r := range d.rank {
 		if r != noRank {
 			n++
-			lo, hi = min(lo, verts[v].X), max(hi, verts[v].X) // NaN if either is
+			lo, hi = min(lo, verts[v].X), max(hi, verts[v].X)
 		}
 	}
 	if n == 0 {

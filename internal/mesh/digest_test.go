@@ -12,10 +12,10 @@ import (
 )
 
 // TestSortKeyOrdersAsCompare checks the integer keys the digest sorts by
-// against the float order they stand for.
+// against the float order they stand for, on the finite coordinates the
+// decoder lets through (and the infinities, which order as well).
 func TestSortKeyOrdersAsCompare(t *testing.T) {
-	vals := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff8000000000000),
-		math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
+	vals := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
 		math.SmallestNonzeroFloat64, 0.5, 1, math.Nextafter(1, 2), math.MaxFloat64, math.Inf(1)}
 	for _, a := range vals {
 		for _, b := range vals {

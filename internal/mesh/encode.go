@@ -245,12 +245,12 @@ type sections struct {
 
 // readSections reads one encoding from src into sec — header, vertices, super
 // vertices, triangles, constraints — applying every check the format has:
-// magic and version, the count bounds, every vertex reference — super
-// vertex, triangle corner, constraint endpoint — in range, and no section
-// cut short. It is the only parser of the format: DecodeFrom,
-// CanonicalDigest and Canonicalize all read through it, so a blob is
-// accepted by all or by none. sec's slices are reused when large enough. It
-// reads exactly the encoding's bytes from src. With inPlace set, the
+// magic and version, the count bounds, every coordinate finite, every
+// vertex reference — super vertex, triangle corner, constraint endpoint — in
+// range, and no section cut short. It is the only parser of the format:
+// DecodeFrom, CanonicalDigest and Canonicalize all read through it, so a
+// blob is accepted by all or by none. sec's slices are reused when large
+// enough. It reads exactly the encoding's bytes from src. With inPlace set, the
 // vertices and triangles are checked but not copied: src must then be a
 // slice, and sec.vertData and sec.triData are the sections in it.
 func readSections(src *source, sec *sections, inPlace bool) error {
@@ -280,6 +280,11 @@ func readSections(src *source, sec *sections, inPlace bool) error {
 	var verts []geom.Point
 	if inPlace {
 		sec.vertData, src.data = src.data[:16*nv:16*nv], src.data[16*nv:]
+		for i, b := 0, sec.vertData; len(b) >= 16; b, i = b[16:], i+1 {
+			if !finite(le.Uint64(b)) || !finite(le.Uint64(b[8:])) {
+				return fmt.Errorf("mesh: vertex %d has a coordinate that is not finite", i)
+			}
+		}
 	} else {
 		verts = slices.Grow(sec.verts[:0], int(nv))[:nv]
 	}
@@ -288,7 +293,11 @@ func readSections(src *source, sec *sections, inPlace bool) error {
 			return err
 		}
 		for ; len(b) >= 16; b, i = b[16:], i+1 {
-			verts[i] = geom.Point{X: math.Float64frombits(le.Uint64(b)), Y: math.Float64frombits(le.Uint64(b[8:]))}
+			x, y := le.Uint64(b), le.Uint64(b[8:])
+			if !finite(x) || !finite(y) {
+				return fmt.Errorf("mesh: vertex %d has a coordinate that is not finite", i)
+			}
+			verts[i] = geom.Point{X: math.Float64frombits(x), Y: math.Float64frombits(y)}
 		}
 	}
 	if b, err = src.take(16); err != nil {
@@ -366,9 +375,16 @@ func readSections(src *source, sec *sections, inPlace bool) error {
 	return nil
 }
 
+// finite reports whether the float64 with the given bits is finite: its
+// exponent is not all ones, as it is for ±Inf and every NaN.
+func finite(bits uint64) bool { return bits>>52&0x7ff != 0x7ff }
+
 // DecodeFrom reads a mesh previously written by EncodeTo and replaces the
 // receiver's contents. Triangle adjacency is rebuilt from the vertex triples.
-// It reads exactly the encoding's bytes from r and no more.
+// It reads exactly the encoding's bytes from r and no more. A coordinate
+// that is not finite is an error: no mesh generator's refinement makes one,
+// and the predicates, whose exact signs the kernel relies on, are exact for
+// finite coordinates only.
 func (m *Mesh) DecodeFrom(r io.Reader) error {
 	s := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(s)

@@ -83,6 +83,7 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 		t := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
 		tr := m.tris[t]
+		corners := [3]geom.Point{m.verts[tr.V[0]], m.verts[tr.V[1]], m.verts[tr.V[2]]}
 		for i := 0; i < 3; i++ {
 			if m.EdgeConstrained(t, i) {
 				s.segs = append(s.segs, [2]VertexID{tr.V[(i+1)%3], tr.V[(i+2)%3]})
@@ -92,7 +93,7 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 			if n == NoTri || s.mark[n] == s.epoch {
 				continue
 			}
-			if m.Triangle(n).CircumcircleContains(p) {
+			if m.inCircleAcross(n, t, tr.V[(i+1)%3], tr.V[(i+2)%3], corners[(i+1)%3], corners[(i+2)%3], p) {
 				s.mark[n] = s.epoch
 				s.cavity = append(s.cavity, n)
 				s.stack = append(s.stack, n)
@@ -115,9 +116,44 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 			if s.splitA != NoVertex && mkEdge(a, b) == mkEdge(s.splitA, s.splitB) {
 				continue
 			}
-			s.boundary = append(s.boundary, bedge{a, b, n, m.EdgeConstrained(t, i)})
+			back := int8(-1)
+			if n != NoTri {
+				back = int8(m.backEdge(n, t, a, b))
+			}
+			s.boundary = append(s.boundary, bedge{a, b, n, back, m.EdgeConstrained(t, i)})
 		}
 	}
+}
+
+// inCircleAcross reports whether p lies strictly inside the circumcircle of
+// n, the neighbour of t across t's edge from a to b (vertices av and bv). n
+// runs (apex, b, a) counter-clockwise from its corner whose edge links back
+// to t, so only the apex is loaded: InCircle is exact, and an exact sign
+// does not change when a triangle's corners are rotated. A neighbour whose
+// link back is not that edge, which no consistent mesh has, is tested whole.
+func (m *Mesh) inCircleAcross(n, t TriID, av, bv VertexID, a, b, p geom.Point) bool {
+	j := m.backEdge(n, t, av, bv)
+	if j < 0 {
+		return m.Triangle(n).CircumcircleContains(p)
+	}
+	return geom.InCircle(m.verts[m.tris[n].V[j]], b, a, p) == geom.Positive
+}
+
+// backEdge returns the index of n's edge that links back to its neighbour t,
+// found by that link, if the edge runs from b to a as it must; otherwise -1,
+// which no consistent mesh gives. Where it returns an index, that is the
+// edge link's search by vertex pair would find.
+func (m *Mesh) backEdge(n, t TriID, a, b VertexID) int {
+	nt := &m.tris[n]
+	for j := 0; j < 3; j++ {
+		if nt.N[j] == t {
+			if nt.V[(j+1)%3] == b && nt.V[(j+2)%3] == a {
+				return j
+			}
+			break
+		}
+	}
+	return -1
 }
 
 // CavitySegments returns the constrained edges of the triangles of the
@@ -154,7 +190,10 @@ func (m *Mesh) CommitCavity() VertexID {
 		if e.constrained {
 			m.flags[t] |= flagEdge0
 		}
-		if e.out != NoTri {
+		if e.back >= 0 {
+			m.tris[t].N[0] = e.out
+			m.tris[e.out].N[e.back] = t
+		} else if e.out != NoTri {
 			m.link(t, 0, e.out)
 		}
 		if j := s.end(e.b).from; j >= 0 {

@@ -40,9 +40,10 @@ func (m *Mesh) Locate(p geom.Point, hint TriID) Location {
 	prev := NoTri
 	for step := 0; step < maxSteps; step++ {
 		tr := m.tris[t]
+		corners := [3]geom.Point{m.verts[tr.V[0]], m.verts[tr.V[1]], m.verts[tr.V[2]]}
 		// Check vertices first.
 		for i := 0; i < 3; i++ {
-			if m.verts[tr.V[i]].Eq(p) {
+			if corners[i].Eq(p) {
 				return Location{Kind: LocateOnVert, Tri: t, Vert: tr.V[i]}
 			}
 		}
@@ -53,9 +54,7 @@ func (m *Mesh) Locate(p geom.Point, hint TriID) Location {
 		start := int(t) % 3
 		for k := 0; k < 3; k++ {
 			i := (start + k) % 3
-			a := m.verts[tr.V[(i+1)%3]]
-			b := m.verts[tr.V[(i+2)%3]]
-			s := geom.Orient2D(a, b, p)
+			s := geom.Orient2D(corners[(i+1)%3], corners[(i+2)%3], p)
 			signs[i] = s
 			if s == geom.Negative {
 				n := tr.N[i]
@@ -79,7 +78,7 @@ func (m *Mesh) Locate(p geom.Point, hint TriID) Location {
 		// backtracking (numerically possible); handle both.
 		for i := 0; i < 3; i++ {
 			if signs[i] == geom.Negative {
-				prev, t = t, m.tris[t].N[i]
+				prev, t = t, tr.N[i]
 				moved = true
 				break
 			}

@@ -7,10 +7,12 @@ import (
 )
 
 // bedge is one edge (a, b) of a cavity's boundary, counter-clockwise as seen
-// from inside, with the triangle beyond it and whether it is constrained.
+// from inside, with the triangle beyond it, the index of the edge there that
+// links back into the cavity (-1 if none) and whether it is constrained.
 type bedge struct {
 	a, b        VertexID
 	out         TriID
+	back        int8
 	constrained bool
 }
 
