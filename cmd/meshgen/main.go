@@ -158,7 +158,7 @@ func writeSVG(path, method string, elements int, quality float64) error {
 		}
 		size := workload.GradedRadial(geom.Pt(0.5, 0.5),
 			workload.UniformSizeFor(elements, 1)/2, 0.08)
-		_, err = delaunay.Refine(mm, delaunay.Options{QualityBound: quality, SizeFunc: size})
+		_, err = delaunay.Refine(mm, delaunay.Options{QualityBound: quality, Size: size})
 	default:
 		mm, _, err = delaunay.BuildCDT(workload.UnitSquare())
 		if err != nil {

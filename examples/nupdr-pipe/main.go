@@ -30,7 +30,7 @@ func main() {
 	}
 	// Fine elements at the inner wall, coarsening outward.
 	size := workload.GradedAnnular(geom.Pt(0, 0), 0.45, 0.012, 0.35)
-	stats, err := delaunay.Refine(m, delaunay.Options{SizeFunc: size})
+	stats, err := delaunay.Refine(m, delaunay.Options{Size: size})
 	if err != nil {
 		log.Fatal(err)
 	}

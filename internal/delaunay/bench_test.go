@@ -59,7 +59,7 @@ func gradedLeaf() (*PSLG, Options) {
 	for i := range p.Points {
 		p.Segments = append(p.Segments, [2]int{i, (i + 1) % len(p.Points)})
 	}
-	return p, Options{SizeFunc: size, NoSegmentSplit: true}
+	return p, Options{Size: SizeFunc(size), NoSegmentSplit: true}
 }
 
 var isBadSink int

@@ -173,7 +173,7 @@ func TestRefineGraded(t *testing.T) {
 		d := math.Hypot(p.X, p.Y)
 		return 0.01 + 0.15*d
 	}
-	if _, err := Refine(m, Options{SizeFunc: size}); err != nil {
+	if _, err := Refine(m, Options{Size: SizeFunc(size)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Validate(); err != nil {

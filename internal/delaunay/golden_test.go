@@ -147,7 +147,7 @@ func goldenCases() []goldenCase {
 			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 0.66)},
 			"9274e511aceabeea0dfd69e5b19759ec6b63ee60631c99e87b229fc017dbb418"},
 		{"pipe-graded", workload.Pipe(32, 0.5, 0.2, centre),
-			delaunay.Options{SizeFunc: workload.GradedAnnular(centre, 0.2, 0.01, 0.25)},
+			delaunay.Options{Size: workload.GradedAnnular(centre, 0.2, 0.01, 0.25)},
 			"4bb0bd69e2d8d8430820f0e4b03ba68596edc78ddf5b5ab4eba437f7ce0d6de5"},
 		{"holes", workload.SquareWithHoles(3),
 			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 1)},

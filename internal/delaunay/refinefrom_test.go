@@ -76,7 +76,7 @@ func TestRefineFromMatchesRefine(t *testing.T) {
 	}{
 		{"area", delaunay.Options{MaxArea: workload.UniformAreaFor(1500, 2)}},
 		{"area-beta", delaunay.Options{QualityBound: 1.25, MaxArea: workload.UniformAreaFor(1000, 2)}},
-		{"graded", delaunay.Options{SizeFunc: func(p geom.Point) float64 { return 0.02 + 0.08*p.Dist(centre) }}},
+		{"graded", delaunay.Options{Size: delaunay.SizeFunc(func(p geom.Point) float64 { return 0.02 + 0.08*p.Dist(centre) })}},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 3; seed++ {

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// The refinement kernel takes two shortcuts that must not change a single
+// The refinement kernel takes three shortcuts that must not change a single
 // verdict (DESIGN.md, "The mesh kernel"): QualityWithin judges a good
-// triangle without its circumcenter, and the cavity walk tests a neighbour
-// with its corners rotated to start at the apex. These tests hold both to
-// the slow forms they stand in for.
+// triangle without its circumcenter, the cavity walk tests a neighbour with
+// its corners rotated to start at the apex, and RadialFilter judges a
+// triangle against the radial size field without Hypot. These tests hold
+// them to the slow forms they stand in for.
 
 // checkWithin fails if QualityWithin certifies tr while Quality() > beta.
 func checkWithin(t *testing.T, tr Triangle, beta float64) bool {
@@ -75,9 +76,13 @@ func checkRotations(t *testing.T, p [4]Point) {
 // bound at up to 1e12 circumradii from the origin (the filter answers up to
 // about 1e8), with each corner as A and beta up to 2⁶⁰ (it answers up to
 // 2¹⁰), and on the raw triangle;
-// and InCircle gives the oracle's sign for every rotation of the triangle,
+// InCircle gives the oracle's sign for every rotation of the triangle,
 // on cocircular lattice points, on quadruples cocircular or collinear up to
-// a few ulps (which take the exact stages) and on the raw quadruple.
+// a few ulps (which take the exact stages) and on the raw quadruple;
+// and RadialFilter certifies only the exact form's size verdict, under
+// fields of scale 1e-6 to 1e3 and grading 1 to 64 centred up to 1e12 from
+// the origin, on triangles whose side is within 1e-9 (and down to 1e-16,
+// and exactly) of h at their centre, and on the raw triangle.
 func FuzzKernelShortcuts(f *testing.F) {
 	f.Add(int64(1), 1e-9, 1e6, 0.3, 0.0, 0.0, 1.0, 0.0, 0.5, 1.0, 0.5, 0.2)
 	f.Add(int64(2), -1e-9, 1e8, 2.0, 0.0, 0.0, 5.0, 0.0, 0.0, 5.0, 3.0, 4.0)
@@ -107,6 +112,14 @@ func FuzzKernelShortcuts(f *testing.F) {
 		for _, p := range [][4]Point{latticeQuad(rng), nearDegenerateQuad(rng), {raw.A, raw.B, raw.C, Pt(dx, dy)}} {
 			checkRotations(t, p)
 		}
+
+		field := drawRadial(rng, far)
+		side := d * 1e-4
+		if rng.Intn(4) == 0 {
+			side = []float64{0, 1e-16, -1e-16}[rng.Intn(3)]
+		}
+		checkRadial(t, field, nearSize(field, 2*rng.Float64(), angle, side))
+		checkRadial(t, field, raw)
 	})
 }
 

@@ -161,7 +161,8 @@ func TestLeafQueueMatchesOldDispatcher(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	for trial := 0; trial < 25; trial++ {
-		size := gradedSizeFor(domain, 2+8*rng.Float64(), 2000+rng.Intn(40000))
+		sp := gradedSizeFor(domain, 2+8*rng.Float64(), 2000+rng.Intn(40000))
+		size := sp.At
 		q := newLeafQueue(buildLeafTree(domain, size, 300+rng.Intn(1700)), 1+rng.Intn(6))
 		old := newOldDispatcher(&q)
 		checkQueue(t, &q, old)

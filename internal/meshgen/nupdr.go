@@ -55,12 +55,9 @@ const elementsPerUnitArea = 3.4
 // gradedSizeFor builds the radial sizing field h(p) = s·(1 + (Grading−1)·d)
 // (d = distance from the domain center, normalized) and solves the scale s
 // numerically so the refined mesh lands near target elements.
-func gradedSizeFor(domain geom.Rect, grading float64, target int) workload.SizeFunc {
+func gradedSizeFor(domain geom.Rect, grading float64, target int) sizeParams {
 	c := domain.Center()
-	dmax := c.Dist(domain.Max)
-	g := func(p geom.Point) float64 {
-		return 1 + (grading-1)*(p.Dist(c)/dmax)
-	}
+	g := newSizeParams(1, grading, c, c.Dist(domain.Max))
 	// integral = ∫ dA / g² over a sample grid.
 	const n = 64
 	var integral float64
@@ -69,13 +66,13 @@ func gradedSizeFor(domain geom.Rect, grading float64, target int) workload.SizeF
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			p := geom.Pt(domain.Min.X+(float64(i)+0.5)*dx, domain.Min.Y+(float64(j)+0.5)*dy)
-			gi := g(p)
+			gi := g.At(p)
 			integral += dx * dy / (gi * gi)
 		}
 	}
 	// target = k/s² · integral  →  s = sqrt(k·integral/target).
 	s := math.Sqrt(elementsPerUnitArea * integral / float64(target))
-	return func(p geom.Point) float64 { return s * g(p) }
+	return newSizeParams(s, grading, c, g.DMax)
 }
 
 // buildLeafTree builds the balanced quad-tree whose leaves each hold at most
@@ -234,11 +231,19 @@ func fillUniform(t0, t1 float64, a, b geom.Point, at func(float64) geom.Point,
 	}
 }
 
+// leafSize is a sizing field as meshLeaf takes it: the target length at a
+// point, which spaces the boundary points, and the refiner's size test.
+// *sizeParams is the one the NUPDR builds use.
+type leafSize interface {
+	delaunay.SizeField
+	At(geom.Point) float64
+}
+
 // meshLeaf builds the leaf's graded mesh: CDT of the assembled boundary
 // cycle, refined by the sizing field with frozen boundary segments. The
 // caller recycles the mesh when done with it; on an error meshLeaf does.
-func meshLeaf(rect geom.Rect, size workload.SizeFunc, beta float64, fixed []fixedPortion) (*mesh.Mesh, []geom.Point, error) {
-	cycle := assembleLeafBoundary(rect, size, fixed)
+func meshLeaf(rect geom.Rect, size leafSize, beta float64, fixed []fixedPortion) (*mesh.Mesh, []geom.Point, error) {
+	cycle := assembleLeafBoundary(rect, size.At, fixed)
 	p := &delaunay.PSLG{Points: cycle}
 	for i := range cycle {
 		p.Segments = append(p.Segments, [2]int{i, (i + 1) % len(cycle)})
@@ -249,7 +254,7 @@ func meshLeaf(rect geom.Rect, size workload.SizeFunc, beta float64, fixed []fixe
 	}
 	if _, err := delaunay.Refine(m, delaunay.Options{
 		QualityBound:   beta,
-		SizeFunc:       size,
+		Size:           size,
 		NoSegmentSplit: true,
 	}); err != nil {
 		m.Recycle()
@@ -415,7 +420,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	start := time.Now()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	size := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
-	q := newLeafQueue(buildLeafTree(domain, size, cfg.MaxLeafElems), cfg.PEs)
+	q := newLeafQueue(buildLeafTree(domain, size.At, cfg.MaxLeafElems), cfg.PEs)
 	n := len(q.Leaves)
 
 	type job struct {
@@ -438,7 +443,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		go func() {
 			defer wg.Done()
 			for jb := range jobs {
-				m, cycle, err := meshLeaf(jb.rect, size, cfg.QualityBound, jb.fixed)
+				m, cycle, err := meshLeaf(jb.rect, &size, cfg.QualityBound, jb.fixed)
 				if err != nil {
 					results <- resultMsg{idx: jb.idx, err: err}
 					continue

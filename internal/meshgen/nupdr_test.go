@@ -1,16 +1,20 @@
 package meshgen
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
 	"mrts/internal/cluster"
+	"mrts/internal/delaunay"
 	"mrts/internal/geom"
 )
 
 func TestGradedSizeForCalibration(t *testing.T) {
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
-	size := gradedSizeFor(domain, 6, 20000)
+	sp := gradedSizeFor(domain, 6, 20000)
+	size := sp.At
 	// The field must be finer at the center than at the corner.
 	if !(size(domain.Center()) < size(geom.Pt(0, 0))) {
 		t.Error("sizing not graded")
@@ -26,7 +30,8 @@ func TestGradedSizeForCalibration(t *testing.T) {
 
 func TestBuildLeafTreeBalanced(t *testing.T) {
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
-	size := gradedSizeFor(domain, 8, 30000)
+	sp := gradedSizeFor(domain, 8, 30000)
+	size := sp.At
 	tree := buildLeafTree(domain, size, 1000)
 	if tree.NumLeaves() < 4 {
 		t.Fatalf("expected several leaves, got %d", tree.NumLeaves())
@@ -242,4 +247,87 @@ func TestONUPDRLoadsOnlyItsLeaves(t *testing.T) {
 		t.Errorf("%d loads for %d leaves, want at most one each", res.Mem.Loads, res.Subdomains)
 	}
 	t.Logf("%v evictions=%d loads=%d", res, res.Mem.Evictions, res.Mem.Loads)
+}
+
+// A finished leaf is never touched again, so it goes out before any leaf
+// still to come (priority -1): an ONUPDR run that swaps writes finished
+// leaves and reads nothing back. So it makes 0 loads, and no leaf is evicted
+// twice, at two sizes and two budgets each. With a finished leaf left at
+// priority 0, LRU evicted the oldest objects, the leaves not yet refined,
+// and loaded them back: 36 to 273 loads in these four runs.
+func TestONUPDRSwapsWithoutLoads(t *testing.T) {
+	for _, c := range []struct {
+		target int
+		budget int64
+	}{{100_000, 1 << 20}, {100_000, 2 << 20}, {300_000, 2 << 20}, {300_000, 4 << 20}} {
+		t.Run(fmt.Sprintf("%dk-%dMB", c.target/1000, c.budget>>20), func(t *testing.T) {
+			cl := newTestCluster(t, 2, c.budget)
+			res, err := RunONUPDR(cl, NUPDRConfig{TargetElements: c.target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Conforming {
+				t.Error("leaves do not conform")
+			}
+			if res.Mem.Evictions == 0 {
+				t.Fatalf("%d leaves under %d bytes a node: no evictions, the run did not swap", res.Subdomains, c.budget)
+			}
+			if res.Mem.Loads != 0 || res.Mem.Evictions > uint64(res.Subdomains) {
+				t.Errorf("%d loads and %d evictions for %d leaves, want 0 loads and at most one eviction a leaf",
+					res.Mem.Loads, res.Mem.Evictions, res.Subdomains)
+			}
+			t.Logf("%v evictions=%d loads=%d", res, res.Mem.Evictions, res.Mem.Loads)
+		})
+	}
+}
+
+// closureSize is a leaf's sizing field given as a plain function, judged by
+// the exact size test alone.
+type closureSize func(geom.Point) float64
+
+func (f closureSize) At(p geom.Point) float64 { return f(p) }
+
+func (f closureSize) Exceeds(tr geom.Triangle, ab, bc, ca float64) bool {
+	return delaunay.SizeFunc(f).Exceeds(tr, ab, bc, ca)
+}
+
+// The radial field's filtered size test changes no mesh: every leaf of a
+// tree of about 200 000 elements, meshed under sizeParams and under the same
+// field as a plain function, encodes to the same bytes.
+func TestRadialSizeMeshesLikeExact(t *testing.T) {
+	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
+	sp := gradedSizeFor(domain, 6, 140_000)
+	if sp.filter == (geom.RadialFilter{}) {
+		t.Fatal("the field has no filter: both sides would take the exact test")
+	}
+	exact := closureSize(func(p geom.Point) float64 {
+		return sp.Scale * (1 + (sp.Grading-1)*(p.Dist(sp.Center)/sp.DMax))
+	})
+	encode := func(rect geom.Rect, size leafSize) ([]byte, int) {
+		m, _, err := meshLeaf(rect, size, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Recycle()
+		var buf bytes.Buffer
+		if err := m.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), m.NumTriangles()
+	}
+	tree := buildLeafTree(domain, sp.At, 2000)
+	elements := 0
+	for _, l := range tree.Leaves() {
+		rect := tree.Bounds(l)
+		got, n := encode(rect, &sp)
+		want, _ := encode(rect, exact)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("leaf %v: %d bytes under sizeParams, %d under the exact test, not the same", rect, len(got), len(want))
+		}
+		elements += n
+	}
+	if elements < 150_000 {
+		t.Fatalf("%d elements in %d leaves, want about 200 000", elements, len(tree.Leaves()))
+	}
+	t.Logf("%d leaves, %d elements, the same bytes", len(tree.Leaves()), elements)
 }

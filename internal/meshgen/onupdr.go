@@ -9,7 +9,6 @@ import (
 	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/geom"
-	"mrts/internal/workload"
 )
 
 // ONUPDR handler IDs (the message vocabulary of §III of the paper). A leaf
@@ -23,30 +22,42 @@ const (
 // kickOff is the leaf index of the hQUpdate that starts a run.
 const kickOff = -1
 
-// sizeParams is the serializable description of the radial sizing field, so
-// a reloaded leaf can reconstruct its SizeFunc.
+// sizeParams is the radial sizing field of both NUPDR builds,
+// h(p) = Scale·(1 + (Grading−1)·|p−Center|/DMax), serializable so that a
+// reloaded leaf refines against the same field. filter is derived from the
+// other fields by newSizeParams; a sizeParams built without it takes the
+// exact size test every time, with the same verdicts.
 type sizeParams struct {
 	Scale, Grading float64
 	Center         geom.Point
 	DMax           float64
+
+	filter geom.RadialFilter
 }
 
-func (s sizeParams) fn() workload.SizeFunc {
-	return func(p geom.Point) float64 {
-		return s.Scale * (1 + (s.Grading-1)*(p.Dist(s.Center)/s.DMax))
-	}
+func newSizeParams(scale, grading float64, center geom.Point, dmax float64) sizeParams {
+	return sizeParams{Scale: scale, Grading: grading, Center: center, DMax: dmax,
+		filter: geom.NewRadialFilter(scale, grading, dmax)}
 }
 
-// paramsFor fits sizeParams to the field produced by gradedSizeFor.
-func paramsFor(domain geom.Rect, grading float64, target int) sizeParams {
-	f := gradedSizeFor(domain, grading, target)
-	c := domain.Center()
-	return sizeParams{
-		Scale:   f(c), // at center the graded factor is 1
-		Grading: grading,
-		Center:  c,
-		DMax:    c.Dist(domain.Max),
+// At is the field's target length at p.
+func (s *sizeParams) At(p geom.Point) float64 {
+	return s.Scale * (1 + (s.Grading-1)*(p.Dist(s.Center)/s.DMax))
+}
+
+// Exceeds is the refiner's size test (delaunay.SizeField): the filter's
+// verdict where it is certain, and otherwise the exact one, At at the
+// centroid against the longest edge, which the filter's verdicts match
+// (DESIGN.md, "The size test without Hypot").
+func (s *sizeParams) Exceeds(tr geom.Triangle, ab, bc, ca float64) bool {
+	// tr.Centroid(), written out, as in delaunay.SizeFunc: the method call
+	// stalls on a store and reload of tr (25 ns a test instead of 9).
+	c := geom.Pt((tr.A.X+tr.B.X+tr.C.X)/3, (tr.A.Y+tr.B.Y+tr.C.Y)/3)
+	if exceeds, certain := s.filter.Exceeds(max(ab, bc, ca), c.Sub(s.Center)); certain {
+		return exceeds
 	}
+	h := s.At(c)
+	return h > 0 && tr.LongestEdgeExceeds(h, ab, bc, ca)
 }
 
 // leafObj is the ONUPDR mobile object: one quad-tree leaf holding its
@@ -94,7 +105,7 @@ func (o *leafObj) DecodeFrom(r io.Reader) error {
 			return err
 		}
 	}
-	o.Size = sizeParams{Scale: fs[0], Grading: fs[1], Center: geom.Pt(fs[2], fs[3]), DMax: fs[4]}
+	o.Size = newSizeParams(fs[0], fs[1], geom.Pt(fs[2], fs[3]), fs[4])
 	o.Beta = fs[5]
 	if o.MeshData, err = readBytes(r); err != nil {
 		return err
@@ -281,7 +292,9 @@ func registerONUPDR(cl *cluster.Cluster, errs *firstErr) {
 				errs.set(err)
 				return
 			}
-			c.SetPriority(c.Self, 0)
+			// A finished leaf is never touched again: evict it before
+			// anything still to come.
+			c.SetPriority(c.Self, -1)
 			c.Post(queue, hQUpdate, update)
 		})
 	}
@@ -386,12 +399,12 @@ func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
 	if err != nil {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: construct payload: %w", o.Rect, err)
 	}
-	m, cycle, err := meshLeaf(o.Rect, o.Size.fn(), o.Beta, fixed)
+	m, cycle, err := meshLeaf(o.Rect, &o.Size, o.Beta, fixed)
 	if err != nil {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: %w", o.Rect, err)
 	}
-	var buf bytes.Buffer
-	err = m.EncodeTo(&buf)
+	buf := bytes.NewBuffer(make([]byte, 0, m.EncodedSize()))
+	err = m.EncodeTo(buf)
 	elems, verts := m.NumTriangles(), m.NumVertices()
 	m.Recycle()
 	if err != nil {
@@ -410,7 +423,7 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	}
 	start := time.Now()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
-	sp := paramsFor(domain, cfg.Grading, cfg.TargetElements)
+	sp := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
 	errs := &firstErr{}
 	registerONUPDR(cl, errs)
 
@@ -418,7 +431,7 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	// and is locked in memory. More leaves than PEs stay in flight so a leaf
 	// waiting on its message or its load never idles a PE (the flexibility
 	// the paper's over-decomposition buys).
-	q := &queueObj{leafQueue: newLeafQueue(buildLeafTree(domain, sp.fn(), cfg.MaxLeafElems), 2*cl.PEs())}
+	q := &queueObj{leafQueue: newLeafQueue(buildLeafTree(domain, sp.At, cfg.MaxLeafElems), 2*cl.PEs())}
 	for i, l := range q.Leaves {
 		q.Ptrs = append(q.Ptrs, cl.RT(i%cl.Nodes()).CreateObject(&leafObj{
 			Rect: l.Rect,

@@ -15,7 +15,8 @@ import (
 func midRunQueue(t *testing.T, maxLeafElems int) *queueObj {
 	t.Helper()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
-	size := gradedSizeFor(domain, 6, 20000)
+	sp := gradedSizeFor(domain, 6, 20000)
+	size := sp.At
 	q := &queueObj{leafQueue: newLeafQueue(buildLeafTree(domain, size, maxLeafElems), 3), Elements: 12345, Verts: 6789}
 	for i := range q.Leaves {
 		q.Ptrs = append(q.Ptrs, core.MobilePtr{Home: core.NodeID(i % 3), Seq: uint32(i + 1)})
@@ -129,7 +130,7 @@ func testLeaf() *leafObj {
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	return &leafObj{
 		Rect: geom.NewRect(geom.Pt(0, 0), geom.Pt(0.5, 0.5)),
-		Size: paramsFor(domain, 6, 4000),
+		Size: gradedSizeFor(domain, 6, 4000),
 		Beta: 1.5,
 	}
 }
@@ -206,10 +207,11 @@ func TestONUPDRLeafRejectsMalformedPayload(t *testing.T) {
 // fails the run and leaves the queue as it was.
 func TestONUPDRQueueRejectsMalformedPayload(t *testing.T) {
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
+	size := gradedSizeFor(domain, 6, 1000)
 	newQueue := func() *queueObj {
 		// One leaf, dispatched: finishing it leaves nothing to dispatch.
 		q := &queueObj{
-			leafQueue: newLeafQueue(buildLeafTree(domain, gradedSizeFor(domain, 6, 1000), 1<<30), 1),
+			leafQueue: newLeafQueue(buildLeafTree(domain, size.At, 1<<30), 1),
 			Ptrs:      []core.MobilePtr{{Home: 0, Seq: 1}},
 		}
 		if _, _, ok := q.next(); !ok || len(q.Leaves) != 1 {
@@ -217,7 +219,7 @@ func TestONUPDRQueueRejectsMalformedPayload(t *testing.T) {
 		}
 		return q
 	}
-	boundary := assembleLeafBoundary(domain, gradedSizeFor(domain, 6, 1000), nil)
+	boundary := assembleLeafBoundary(domain, size.At, nil)
 	good := encodeQUpdate(0, 10, 8, boundary)
 	for _, arg := range [][]byte{nil, {0}, good[:12], good[:len(good)-1],
 		encodeQUpdate(1, 10, 8, boundary), encodeQUpdate(-2, 10, 8, boundary)} {

@@ -73,8 +73,9 @@ func SquareWithHoles(k int) *delaunay.PSLG {
 	return p
 }
 
-// SizeFunc is a target-edge-length field over the domain.
-type SizeFunc func(geom.Point) float64
+// SizeFunc is a target-edge-length field over the domain. It is the
+// refiner's delaunay.SizeFunc, so it serves as Options.Size as it is.
+type SizeFunc = delaunay.SizeFunc
 
 // GradedRadial returns a sizing function that is h0 at center and grows
 // linearly with distance (slope per unit distance) — the graded sizing of

@@ -109,7 +109,7 @@ func TestUniformAreaForCalibration(t *testing.T) {
 func TestUniformSizeForCalibration(t *testing.T) {
 	target := 5000
 	h := UniformSizeFor(target, 1.0)
-	m := meshAll(t, UnitSquare(), delaunay.Options{SizeFunc: func(geom.Point) float64 { return h }})
+	m := meshAll(t, UnitSquare(), delaunay.Options{Size: SizeFunc(func(geom.Point) float64 { return h })})
 	got := m.NumTriangles()
 	if got < target/2 || got > target*2 {
 		t.Errorf("UniformSizeFor(%d) produced %d elements (off by >2x)", target, got)
