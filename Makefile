@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race poolcheck bench bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
+.PHONY: all build vet test race poolcheck bench bench-ab bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
 
 all: build vet test
 
@@ -61,6 +61,14 @@ poolcheck:
 # Full benchmark harness: every figure and table of the paper.
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# An A/B of the kernel micro-benchmarks against a base revision: the mesh
+# and delaunay test binaries of both sides, run in turn N times, medians
+# and ratios printed (make bench-ab BASE=HEAD~1 [BENCH=<regexp>] [N=<runs>];
+# an empty BENCH or N takes the script's default, which ci/bench-ab.sh
+# documents). CI does not run it.
+bench-ab:
+	bash ci/bench-ab.sh '$(BASE)' '$(BENCH)' '$(N)'
 
 # One quick iteration of every experiment at reduced scale.
 bench-quick:

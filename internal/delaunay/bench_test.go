@@ -15,8 +15,8 @@ func BenchmarkRefineBlock(b *testing.B) {
 	benchRefine(b, squarePSLG(), Options{MaxArea: 1.0 / 6000})
 }
 
-// BenchmarkRefineLeaf does the same for a leaf of the graded methods: a size
-// field instead of an area bound, and frozen sides.
+// BenchmarkRefineLeaf does the same for a leaf of the graded methods: the
+// radial size field instead of an area bound, and frozen sides.
 func BenchmarkRefineLeaf(b *testing.B) {
 	p, opts := gradedLeaf()
 	benchRefine(b, p, opts)
@@ -40,17 +40,16 @@ func benchRefine(b *testing.B, p *PSLG, opts Options) {
 
 // gradedLeaf returns a leaf as ONUPDR and OPCDM refine them: a square cell
 // off the centre of the unit domain, its sides cut at the local size and
-// frozen, under a size field that grows with the distance from the domain's
-// centre. Refined, it holds about 10 000 triangles.
+// frozen, under the radial size field of the NUPDR builds, judged as the
+// workloads judge it (radialField), growing with the distance from the
+// domain's centre. Refined, it holds about 10 000 triangles.
 func gradedLeaf() (*PSLG, Options) {
-	centre := geom.Pt(0.5, 0.5)
-	const halfDiagonal = math.Sqrt2 / 2
-	size := func(p geom.Point) float64 { return 0.0021 * (1 + 5*p.Dist(centre)/halfDiagonal) }
+	size := newRadialField(0.0021, 6, geom.Pt(0.5, 0.5), math.Sqrt2/2)
 	corners := []geom.Point{geom.Pt(0.55, 0.55), geom.Pt(0.8, 0.55), geom.Pt(0.8, 0.8), geom.Pt(0.55, 0.8)}
 	p := &PSLG{}
 	for s, a := range corners {
 		b := corners[(s+1)%4]
-		n := int(math.Ceil(a.Dist(b) / size(a.Mid(b))))
+		n := int(math.Ceil(a.Dist(b) / size.At(a.Mid(b))))
 		for k := 0; k < n; k++ {
 			f := float64(k) / float64(n)
 			p.Points = append(p.Points, geom.Pt(a.X+(b.X-a.X)*f, a.Y+(b.Y-a.Y)*f))
@@ -59,7 +58,7 @@ func gradedLeaf() (*PSLG, Options) {
 	for i := range p.Points {
 		p.Segments = append(p.Segments, [2]int{i, (i + 1) % len(p.Points)})
 	}
-	return p, Options{Size: SizeFunc(size), NoSegmentSplit: true}
+	return p, Options{Size: size, NoSegmentSplit: true}
 }
 
 var isBadSink int

@@ -31,3 +31,6 @@ func RefineFromSeeds(m *mesh.Mesh, opts Options, since int) (st Stats, seeds, fu
 
 // GradedLeaf is gradedLeaf, shared with the same tests.
 var GradedLeaf = gradedLeaf
+
+// RadialField is the size field of GradedLeaf.
+type RadialField = radialField

@@ -38,44 +38,10 @@ func sizeAt(f delaunay.SizeField) func(geom.Point) float64 {
 	switch f := f.(type) {
 	case delaunay.SizeFunc:
 		return f
-	case radialField:
-		return f.at
+	case delaunay.RadialField:
+		return f.At
 	}
 	panic(fmt.Sprintf("no oracle for size field %T", f))
-}
-
-// radialField is the radial field of the NUPDR builds, judged as meshgen's
-// sizeParams judges it: geom.RadialFilter where that is certain, and the
-// exact form, which is also the oracle's, where it is not.
-type radialField struct {
-	scale, grading float64
-	center         geom.Point
-	dmax           float64
-	filter         geom.RadialFilter
-}
-
-func newRadialField(scale, grading float64, center geom.Point, dmax float64) radialField {
-	return radialField{scale, grading, center, dmax, geom.NewRadialFilter(scale, grading, dmax)}
-}
-
-func (f radialField) at(p geom.Point) float64 {
-	return f.scale * (1 + (f.grading-1)*(p.Dist(f.center)/f.dmax))
-}
-
-// certain reports whether the filter decides tr's size verdict.
-func (f radialField) certain(tr geom.Triangle) bool {
-	ab, bc, ca := tr.EdgeLengths2()
-	_, certain := f.filter.Exceeds(max(ab, bc, ca), tr.Centroid().Sub(f.center))
-	return certain
-}
-
-func (f radialField) Exceeds(tr geom.Triangle, ab, bc, ca float64) bool {
-	c := tr.Centroid()
-	if exceeds, certain := f.filter.Exceeds(max(ab, bc, ca), c.Sub(f.center)); certain {
-		return exceeds
-	}
-	h := f.at(c)
-	return h > 0 && tr.LongestEdgeExceeds(h, ab, bc, ca)
 }
 
 // translated returns p, which has no holes, and opts moved by off: the
@@ -89,8 +55,8 @@ func translated(p *delaunay.PSLG, opts delaunay.Options, off geom.Point) (*delau
 	switch f := opts.Size.(type) {
 	case delaunay.SizeFunc:
 		opts.Size = delaunay.SizeFunc(func(pt geom.Point) float64 { return f(pt.Sub(off)) })
-	case radialField:
-		opts.Size = newRadialField(f.scale, f.grading, f.center.Add(off), f.dmax)
+	case delaunay.RadialField:
+		opts.Size = f.Moved(off)
 	}
 	return q, opts
 }
@@ -108,14 +74,14 @@ func translated(p *delaunay.PSLG, opts delaunay.Options, off geom.Point) (*delau
 // decided at least 99 % of the size verdicts.
 func TestIsBadDecisionsMatchOracle(t *testing.T) {
 	cases := goldenCases()
-	leaf, leafOpts := delaunay.GradedLeaf()
+	leaf, radialOpts := delaunay.GradedLeaf()
+	leafOpts := radialOpts
+	leafOpts.Size = delaunay.SizeFunc(radialOpts.Size.(delaunay.RadialField).At)
 	cases = append(cases, goldenCase{name: "graded-leaf", pslg: leaf, opts: leafOpts})
 	farLeaf, farLeafOpts := translated(leaf, leafOpts, geom.Pt(4096, -3072))
 	cases = append(cases, goldenCase{name: "graded-leaf-far", pslg: farLeaf, opts: farLeafOpts})
 	farBlock, farBlockOpts := translated(workload.UnitSquare(), delaunay.Options{MaxArea: 1.0 / 6000}, geom.Pt(1e4, 1e4))
 	cases = append(cases, goldenCase{name: "block-far", pslg: farBlock, opts: farBlockOpts})
-	radialOpts := leafOpts
-	radialOpts.Size = newRadialField(0.0021, 6, geom.Pt(0.5, 0.5), math.Sqrt2/2)
 	cases = append(cases, goldenCase{name: "radial-leaf", pslg: leaf, opts: radialOpts})
 	farRadial, farRadialOpts := translated(leaf, radialOpts, geom.Pt(4096, -3072))
 	cases = append(cases, goldenCase{name: "radial-leaf-far", pslg: farRadial, opts: farRadialOpts})
@@ -125,7 +91,7 @@ func TestIsBadDecisionsMatchOracle(t *testing.T) {
 			if beta == 0 {
 				beta = delaunay.DefaultQualityBound
 			}
-			radial, isRadial := c.opts.Size.(radialField)
+			radial, isRadial := c.opts.Size.(delaunay.RadialField)
 			m, _, err := delaunay.BuildCDT(c.pslg)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +109,7 @@ func TestIsBadDecisionsMatchOracle(t *testing.T) {
 				far = max(far, math.Hypot(tr.A.X, tr.A.Y)/tr.Circumradius())
 				if isRadial && !(tr.Quality() > beta) { // the size test ran
 					sized++
-					if radial.certain(tr) {
+					if radial.Certain(tr) {
 						certified++
 					}
 				}

@@ -4,24 +4,28 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"hash"
 	"math"
 	"slices"
 
 	"mrts/internal/geom"
 )
 
-// digestScratch is the working storage of one CanonicalDigest or
-// Canonicalize, kept in the pooled decodeScratch: the out-of-core methods
-// digest every block.
+// digestScratch is the working storage of one CanonicalDigest,
+// Canonicalize or EncodeCanonical, kept in the pooled decodeScratch: the
+// out-of-core methods digest every block.
 type digestScratch struct {
 	sec   sections
-	rank  []uint32      // per vertex: noRank, then its bucket, then its rank; in Canonicalize, last, its new id
+	verts []geom.Point  // the vertices ranked: sec.verts, or a mesh's own, which are only read
+	rank  []uint32      // per vertex: noRank, then its bucket, then its rank; when writing, last, its new id
 	first []uint32      // counting-sort boundaries, of the points and then of the triangles
 	pts   []digestPoint // the referenced vertices in point order; a rank indexes it
-	tris  []digestTri   // the hashed triangles in encoding order
+	tris  []digestTri   // every triangle as vertex ids; on the ranked path, then the hashed ones as rank triples
 	keys  []digestTri   // and sorted
-	rest  []digestPoint // Canonicalize: the vertices of no hashed triangle, in point order
-	order []VertexID    // Canonicalize: every vertex, in point order
+	rest  []digestPoint // when writing: the vertices of no hashed triangle, in point order
+	order []VertexID    // when writing: every vertex, in point order
+	tied  bool          // two referenced vertices share their bits, and so a rank
 }
 
 // digestPoint is one referenced vertex: while the points are being ordered,
@@ -38,7 +42,7 @@ func pointKey(verts []geom.Point, v VertexID) digestPoint {
 }
 
 // digestTri is one triangle of the canonical form: vertex ids as read, then
-// their ranks in ascending order; in encodeCanonical, its new ids.
+// their ranks in ascending order; when writing, its new ids.
 type digestTri struct{ a, b, c uint32 }
 
 const (
@@ -123,12 +127,10 @@ func CanonicalDigest(data []byte) ([]byte, error) {
 // It decodes to the same triangulation, digests alike, and canonicalizes to
 // itself. When data already is canonical in the order CanonicalDigest's
 // linear pass needs, canon is data itself (without any bytes that follow
-// the encoding) and the digest is that pass's. Otherwise canon is new: the
-// vertices are put in the order the digest ranks them, the triangles sorted
-// once, by their new ids, and the digest taken from canon by the linear
-// pass — ranked and sorted again only when two of its vertices share their
-// bits or two triangles their corners, which no refiner writes. It fails
-// exactly when DecodeFrom would.
+// the encoding) and the digest is that pass's. Otherwise canon is new,
+// written as EncodeCanonical writes a mesh's: the vertices ranked, the
+// triangles sorted once by their new ids and hashed as they are written.
+// It fails exactly when DecodeFrom would.
 func Canonicalize(data []byte) (canon, digest []byte, err error) {
 	s := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(s)
@@ -143,13 +145,64 @@ func Canonicalize(data []byte) (canon, digest []byte, err error) {
 			return data[:n:n], digest, nil
 		}
 	}
-	d.rankVertices()
-	canon = d.encodeCanonical()
-	if err := readSections(&source{data: canon, buf: s.buf[:]}, &d.sec, true); err != nil {
+	d.readVertices()
+	d.readTriangles()
+	canon, digest = d.writeCanonical(s.buf[:])
+	return canon, digest, nil
+}
+
+// EncodeCanonical returns the canonical encoding of the mesh and its
+// CanonicalDigest: the bytes Canonicalize makes of what EncodeTo writes,
+// and the same digest, without the intermediate encoding. The vertices are
+// ranked from the mesh's own, the live triangles sorted by their new ids,
+// and each hashed as it is written, so the digest costs no second pass. It
+// fails exactly when decoding what EncodeTo writes would: on a coordinate
+// that is not finite, or a count beyond what a decoder accepts.
+func (m *Mesh) EncodeCanonical() (canon, digest []byte, err error) {
+	if err := m.decodable(); err != nil {
 		return nil, nil, err
 	}
-	digest = d.sum(s.buf[:])
+	s := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(s)
+	d := &s.digest
+	d.verts, d.sec.super = m.verts, m.super
+	d.tris = slices.Grow(d.tris[:0], m.nAlive)[:m.nAlive]
+	n := 0
+	for i := range m.tris {
+		if m.live(TriID(i)) {
+			v := &m.tris[i].V
+			d.tris[n] = digestTri{uint32(v[0]), uint32(v[1]), uint32(v[2])}
+			n++
+		}
+	}
+	d.sec.cons = d.sec.cons[:0]
+	for k := range m.constrained {
+		d.sec.cons = append(d.sec.cons, k)
+	}
+	canon, digest = d.writeCanonical(s.buf[:])
+	d.verts = nil // the mesh's: the pooled scratch must not keep it
 	return canon, digest, nil
+}
+
+// decodable fails as readSections would on what EncodeTo writes of the
+// mesh: a count beyond maxDecodeElems or a coordinate that is not finite.
+// readSections' range checks on vertex ids are not repeated: insertion and
+// DecodeFrom keep every id of a mesh in range.
+func (m *Mesh) decodable() error {
+	switch {
+	case len(m.verts) > maxDecodeElems:
+		return fmt.Errorf("mesh: vertex count %d exceeds limit %d", len(m.verts), maxDecodeElems)
+	case m.nAlive > maxDecodeElems:
+		return fmt.Errorf("mesh: triangle count %d exceeds limit %d", m.nAlive, maxDecodeElems)
+	case len(m.constrained) > maxDecodeElems:
+		return fmt.Errorf("mesh: constraint count %d exceeds limit %d", len(m.constrained), maxDecodeElems)
+	}
+	for i, p := range m.verts {
+		if !finite(math.Float64bits(p.X)) || !finite(math.Float64bits(p.Y)) {
+			return fmt.Errorf("mesh: vertex %d has a coordinate that is not finite", i)
+		}
+	}
+	return nil
 }
 
 // sum digests the encoding read, by the linear pass if it takes it and
@@ -160,7 +213,10 @@ func (d *digestScratch) sum(buf []byte) []byte {
 			return digest
 		}
 	}
-	d.rankAndSort()
+	d.readVertices()
+	d.readTriangles()
+	d.rankPoints()
+	d.sortTriangles()
 	return d.hashRanked(buf)
 }
 
@@ -193,19 +249,58 @@ func corners(t []byte) (a, b, c uint32) {
 	return le.Uint32(t), le.Uint32(t[4:]), le.Uint32(t[8:])
 }
 
+// triHasher feeds the digest its triangles, 48 bytes each — the bits of x
+// and of y of the lowest, middle and highest vertex — through a buffer, a
+// few hundred triangles at a time. The hash state is made at the first
+// write, so that a pass that gives up early allocates nothing.
+type triHasher struct {
+	h   hash.Hash
+	out []byte
+	n   int
+}
+
+// next returns the buffer's room for the next triangle.
+func (t *triHasher) next() *[48]byte {
+	if t.n+48 > len(t.out) {
+		t.write()
+	}
+	o := (*[48]byte)(t.out[t.n:])
+	t.n += 48
+	return o
+}
+
+func (t *triHasher) write() {
+	if t.h == nil {
+		t.h = sha256.New()
+	}
+	t.h.Write(t.out[:t.n])
+	t.n = 0
+}
+
+func (t *triHasher) sum() []byte {
+	t.write()
+	return t.h.Sum(nil)
+}
+
+// hashVertices fills o with the records of vertices a, b and c of a vertex
+// section, as they are encoded.
+func hashVertices(o *[48]byte, verts []byte, a, b, c uint32) {
+	*(*[16]byte)(o[:16]) = [16]byte(verts[16*a:])
+	*(*[16]byte)(o[16:32]) = [16]byte(verts[16*b:])
+	*(*[16]byte)(o[32:]) = [16]byte(verts[16*c:])
+}
+
 // hashInOrder digests an encoding pointsInOrder accepted in one pass over
 // its triangles: each that touches no super vertex is hashed as it comes,
 // as its lowest, middle and highest vertex. That is the digest if every
 // triangle starts at its lowest id and follows the one before it by
 // (lowest, middle, highest) id — so no two share their corners, and the
 // list is the sorted one; at the first that does not, it gives up and
-// reports false. The hash is fed through out, a few hundred triangles at a
-// time; a vertex is hashed as it is encoded, the bits of x and of y.
+// reports false. The hash is fed through out.
 func (d *digestScratch) hashInOrder(out []byte) ([]byte, bool) {
 	verts := d.sec.vertData
 	s0, s1, s2 := uint32(d.sec.super[0]), uint32(d.sec.super[1]), uint32(d.sec.super[2])
-	h := sha256.New()
-	n := 0
+	th := triHasher{out: out}
 	var first, last uint64 // the triangle before: lowest<<32 | middle, and highest
 	for t := d.sec.triData; len(t) >= 12; t = t[12:] {
 		a, b, c := corners(t)
@@ -218,39 +313,24 @@ func (d *digestScratch) hashInOrder(out []byte) ([]byte, bool) {
 		if a == s0 || a == s1 || a == s2 || b == s0 || b == s1 || b == s2 || c == s0 || c == s1 || c == s2 {
 			continue
 		}
-		if n+48 > len(out) {
-			h.Write(out[:n])
-			n = 0
-		}
-		o := (*[48]byte)(out[n:])
-		*(*[16]byte)(o[:16]) = [16]byte(verts[16*a:])
-		*(*[16]byte)(o[16:32]) = [16]byte(verts[16*b:])
-		*(*[16]byte)(o[32:]) = [16]byte(verts[16*c:])
-		n += 48
+		hashVertices(th.next(), verts, a, b, c)
 	}
-	h.Write(out[:n])
-	return h.Sum(nil), true
+	return th.sum(), true
 }
 
 // hashRanked is the digest of the triangles sortTriangles sorted into
 // d.keys, fed through out as hashInOrder feeds it.
 func (d *digestScratch) hashRanked(out []byte) []byte {
-	h := sha256.New()
-	n := 0
+	th := triHasher{out: out}
 	for _, t := range d.keys {
-		if n+48 > len(out) {
-			h.Write(out[:n])
-			n = 0
-		}
-		for _, r := range [3]uint32{t.a, t.b, t.c} {
+		o := th.next()
+		for i, r := range [3]uint32{t.a, t.b, t.c} {
 			p := &d.pts[r]
-			binary.LittleEndian.PutUint64(out[n:], p.x)
-			binary.LittleEndian.PutUint64(out[n+8:], p.y)
-			n += 16
+			binary.LittleEndian.PutUint64(o[16*i:], p.x)
+			binary.LittleEndian.PutUint64(o[16*i+8:], p.y)
 		}
 	}
-	h.Write(out[:n])
-	return h.Sum(nil)
+	return th.sum()
 }
 
 // isSuper reports whether vertex v is one of the super vertices.
@@ -258,12 +338,20 @@ func isSuper(v uint32, super [3]VertexID) bool {
 	return VertexID(v) == super[0] || VertexID(v) == super[1] || VertexID(v) == super[2]
 }
 
-// encodeCanonical writes the canonical encoding of the mesh read, once its
-// points are ranked: the ranked vertices merged with the rest in point
-// order, the triangles renumbered, rotated and sorted by their new ids, the
-// constraints renumbered and sorted as EncodeTo sorts them.
-func (d *digestScratch) encodeCanonical() []byte {
-	verts := d.sec.verts
+// writeCanonical is the core of Canonicalize and EncodeCanonical: it ranks
+// d.verts by the triangles in d.tris that touch no super vertex of
+// d.sec.super, then writes the canonical encoding — the ranked vertices
+// merged with the rest in point order, the triangles renumbered, rotated
+// and sorted by their new ids, the constraints in d.sec.cons renumbered and
+// sorted as EncodeTo sorts them — and returns it with its digest. The
+// digest is taken as the triangles are written: in their sorted order, the
+// order the digest hashes them in, unless two referenced vertices share
+// their bits (their ranks tie where their ids do not, which no refiner
+// writes); then it is taken from the encoding written, by ranking and
+// sorting. The hash is fed through buf.
+func (d *digestScratch) writeCanonical(buf []byte) (canon, digest []byte) {
+	d.rankPoints()
+	verts := d.verts
 	d.rest = d.rest[:0]
 	for v, r := range d.rank {
 		if r == noRank {
@@ -293,11 +381,8 @@ func (d *digestScratch) encodeCanonical() []byte {
 	// A triangle as (lowest, middle, highest<<1 | 1 if the rotation that
 	// starts at the lowest runs lowest, highest, middle): sorted as the
 	// digest sorts rank triples, with the orientation the last key.
-	nt := len(d.sec.triData) / 12
-	d.tris = slices.Grow(d.tris[:0], nt)[:nt]
-	for t, i := d.sec.triData, 0; len(t) >= 12; t, i = t[12:], i+1 {
-		a, b, c := corners(t)
-		a, b, c = id[a], id[b], id[c]
+	for i, t := range d.tris {
+		a, b, c := id[t.a], id[t.b], id[t.c]
 		switch {
 		case b < a && b <= c:
 			a, b, c = b, c, a
@@ -331,60 +416,75 @@ func (d *digestScratch) encodeCanonical() []byte {
 		e.buf = appendVertex(e.buf, verts[v])
 	}
 	e.triangles(super, len(d.keys))
+	vertData := e.buf[12 : 12+16*len(verts)]
+	th := triHasher{out: buf}
+	s0, s1, s2 := uint32(super[0]), uint32(super[1]), uint32(super[2])
 	for _, t := range d.keys {
-		b, c := t.b, t.c>>1
-		if t.c&1 != 0 {
-			b, c = c, b
+		a, b, c := t.a, t.b, t.c>>1
+		if t.c&1 == 0 {
+			e.buf = appendTri(e.buf, a, b, c)
+		} else {
+			e.buf = appendTri(e.buf, a, c, b)
 		}
-		e.buf = appendTri(e.buf, t.a, b, c)
+		if d.tied || a == s0 || a == s1 || a == s2 || b == s0 || b == s1 || b == s2 || c == s0 || c == s1 || c == s2 {
+			continue
+		}
+		hashVertices(th.next(), vertData, a, b, c)
 	}
 	e.constraints(cons)
-	return e.buf
+	canon = e.buf
+	if !d.tied {
+		return canon, th.sum()
+	}
+	if err := readSections(&source{data: canon, buf: buf}, &d.sec, true); err != nil {
+		panic(fmt.Sprintf("mesh: canonical encoding does not read back: %v", err))
+	}
+	return canon, d.sum(buf)
 }
 
-// rankAndSort ranks the points and sorts the triangles of an encoding the
-// linear pass could not take: the hashed triangles, as rank triples, are
-// sorted into d.keys.
-func (d *digestScratch) rankAndSort() {
-	d.rankVertices()
-	d.sortTriangles()
-}
-
-// rankVertices decodes the vertices read into d.sec.verts and ranks the ones the
-// hashed triangles reference.
-func (d *digestScratch) rankVertices() {
+// readVertices decodes the vertex section read into d.sec.verts, the
+// vertices to rank.
+func (d *digestScratch) readVertices() {
 	le := binary.LittleEndian
 	d.sec.verts = slices.Grow(d.sec.verts[:0], len(d.sec.vertData)/16)
 	for b := d.sec.vertData; len(b) >= 16; b = b[16:] {
 		d.sec.verts = append(d.sec.verts, geom.Point{X: math.Float64frombits(le.Uint64(b)), Y: math.Float64frombits(le.Uint64(b[8:]))})
 	}
-	d.markReferenced()
-	d.rankPoints()
+	d.verts = d.sec.verts
 }
 
-// markReferenced lists in d.tris the triangles that touch no super vertex
-// and gives their vertices rank 0, every other vertex noRank.
-func (d *digestScratch) markReferenced() {
-	nv, super := len(d.sec.verts), d.sec.super
-	d.rank = slices.Grow(d.rank[:0], nv)[:nv]
-	for v := range d.rank {
-		d.rank[v] = noRank
-	}
+// readTriangles lists the triangle section read in d.tris.
+func (d *digestScratch) readTriangles() {
 	d.tris = slices.Grow(d.tris[:0], len(d.sec.triData)/12)
 	for t := d.sec.triData; len(t) >= 12; t = t[12:] {
 		a, b, c := corners(t)
-		if isSuper(a, super) || isSuper(b, super) || isSuper(c, super) {
-			continue
-		}
-		d.rank[a], d.rank[b], d.rank[c] = 0, 0, 0
 		d.tris = append(d.tris, digestTri{a, b, c})
 	}
 }
 
-// rankPoints puts the referenced vertices into d.pts in point order and sets
-// d.rank of each to the index of the first point with its bits.
+// markReferenced gives the vertices of the triangles in d.tris that touch
+// no super vertex rank 0, and every other vertex noRank.
+func (d *digestScratch) markReferenced() {
+	nv, super := len(d.verts), d.sec.super
+	d.rank = slices.Grow(d.rank[:0], nv)[:nv]
+	for v := range d.rank {
+		d.rank[v] = noRank
+	}
+	for _, t := range d.tris {
+		if isSuper(t.a, super) || isSuper(t.b, super) || isSuper(t.c, super) {
+			continue
+		}
+		d.rank[t.a], d.rank[t.b], d.rank[t.c] = 0, 0, 0
+	}
+}
+
+// rankPoints puts the vertices the hashed triangles of d.tris reference
+// (markReferenced) into d.pts in point order, sets d.rank of each to the
+// index of the first point with its bits, and d.tied if two share them.
 func (d *digestScratch) rankPoints() {
-	verts := d.sec.verts
+	d.markReferenced()
+	d.tied = false
+	verts := d.verts
 
 	// The x range of the referenced vertices. A range that is empty or
 	// overflows leaves one bucket.
@@ -445,6 +545,8 @@ func (d *digestScratch) rankPoints() {
 		x, y := math.Float64bits(verts[p.v].X), math.Float64bits(verts[p.v].Y)
 		if q := &d.pts[run]; q.x != x || q.y != y {
 			run = i
+		} else if run != i {
+			d.tied = true
 		}
 		p.x, p.y = x, y
 		d.rank[p.v] = uint32(run)
@@ -456,7 +558,7 @@ func (d *digestScratch) rankPoints() {
 // vertex order Canonicalize writes does. The bucket is filled in id order,
 // so the insertion sort, which is stable, keeps it.
 func (d *digestScratch) sortPoints(b []digestPoint) {
-	verts := d.sec.verts
+	verts := d.verts
 	if len(b) > digestBucketMax {
 		slices.SortFunc(b, func(p, q digestPoint) int { return comparePointIDs(&p, &q, verts) })
 		return
@@ -468,17 +570,24 @@ func (d *digestScratch) sortPoints(b []digestPoint) {
 	}
 }
 
-// sortTriangles turns d.tris into ascending rank triples and sorts them into
-// d.keys.
+// sortTriangles turns the triangles in d.tris that touch no super vertex
+// into ascending rank triples and sorts them into d.keys.
 func (d *digestScratch) sortTriangles() {
-	for i, t := range d.tris {
+	n := 0
+	for _, t := range d.tris {
+		// A super vertex, which only super triangles touch, has no rank.
 		// Ascending by min and max, which compile to conditional moves:
 		// the order is as good as random, and branches on it would be
 		// mispredicted half the time.
 		a, b, c := d.rank[t.a], d.rank[t.b], d.rank[t.c]
+		if a == noRank || b == noRank || c == noRank {
+			continue
+		}
 		lo, hi := min(a, b), max(a, b)
-		d.tris[i] = digestTri{min(lo, c), max(lo, min(hi, c)), max(hi, c)}
+		d.tris[n] = digestTri{min(lo, c), max(lo, min(hi, c)), max(hi, c)}
+		n++
 	}
+	d.tris = d.tris[:n]
 	d.sortKeys(len(d.pts))
 }
 

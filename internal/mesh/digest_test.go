@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"mrts/internal/geom"
@@ -131,6 +133,115 @@ func BenchmarkCanonicalize(b *testing.B) {
 		var err error
 		if _, digestSink, err = mesh.Canonicalize(blob); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeCanonical times writing the mesh of a refined block
+// canonical with its digest, the work BenchmarkCanonicalize does from the
+// block's encoding, without the encoding.
+func BenchmarkEncodeCanonical(b *testing.B) {
+	blob := digestShapes(b)[0].blob
+	var m mesh.Mesh
+	if err := m.DecodeFrom(bytes.NewReader(blob)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blob)))
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, digestSink, err = m.EncodeCanonical(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// decoded is the mesh blob decodes to.
+func decoded(tb testing.TB, blob []byte) *mesh.Mesh {
+	m := mesh.New()
+	if err := m.DecodeFrom(bytes.NewReader(blob)); err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestEncodeCanonicalAllocs holds EncodeCanonical to the encoding it
+// returns, the digest and the hash state, on every digest shape: once the
+// pooled scratch has grown to the mesh, nothing else is allocated.
+func TestEncodeCanonicalAllocs(t *testing.T) {
+	if mesh.RaceEnabled {
+		t.Skip("the race detector empties sync.Pool at random")
+	}
+	for _, s := range digestShapes(t) {
+		m := decoded(t, s.blob)
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if _, digestSink, err = m.EncodeCanonical(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%s: %.1f allocations a canonical encoding, want the encoding, the sum and the hash state at most", s.name, allocs)
+		}
+	}
+}
+
+// TestEncodeCanonicalMatchesCanonicalize checks EncodeCanonical against
+// Canonicalize of the mesh's encoding — the same bytes, the same digest, or
+// both an error — and its digest against CanonicalDigest's, which the
+// writers' hash as they write does not share, on the digest shapes, on meshes whose vertices share their
+// bits (a signed zero among them) or whose triangles share their corners,
+// which digest by the ranked fallback, and on coordinates that are not
+// finite, which neither accepts.
+func TestEncodeCanonicalMatchesCanonicalize(t *testing.T) {
+	noSuper := [3]mesh.VertexID{mesh.NoVertex, mesh.NoVertex, mesh.NoVertex}
+	square := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(1, 1), geom.Pt(0, 1)}
+	cases := map[string]*mesh.Mesh{
+		"shared-bits": mesh.RawMesh(append(slices.Clone(square), geom.Pt(1, 1)), noSuper,
+			[][3]mesh.VertexID{{0, 1, 2}, {0, 4, 3}, {1, 4, 3}}),
+		// Vertices 0 and 1 tie: by ids the triangle at 0 sorts first, by
+		// ranks the one at 1, whose second vertex is lower.
+		"shared-bits-reordered": mesh.RawMesh([]geom.Point{geom.Pt(0, 0), geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(1, 0), geom.Pt(5, 5), geom.Pt(6, 6)}, noSuper,
+			[][3]mesh.VertexID{{0, 2, 4}, {1, 3, 5}}),
+		"signed-zero": mesh.RawMesh([]geom.Point{geom.Pt(math.Copysign(0, -1), 0), geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(0, 1)}, noSuper,
+			[][3]mesh.VertexID{{0, 2, 3}, {1, 2, 3}}),
+		"shared-corners": mesh.RawMesh(square, noSuper,
+			[][3]mesh.VertexID{{0, 1, 2}, {2, 0, 1}, {0, 2, 1}, {0, 2, 3}, {3, 3, 0}}, [2]mesh.VertexID{2, 0}, [2]mesh.VertexID{1, 0}),
+		"super": mesh.RawMesh(append(slices.Clone(square), geom.Pt(-9, -9), geom.Pt(9, -9), geom.Pt(0, 9)), [3]mesh.VertexID{5, 4, 6},
+			[][3]mesh.VertexID{{0, 1, 2}, {4, 5, 0}, {0, 2, 3}, {6, 3, 2}}),
+		"not-finite": mesh.RawMesh([]geom.Point{geom.Pt(0, 0), geom.Pt(math.NaN(), 0), geom.Pt(0, 1)}, noSuper,
+			[][3]mesh.VertexID{{0, 1, 2}}),
+		"infinite-unreferenced": mesh.RawMesh(append(slices.Clone(square), geom.Pt(math.Inf(1), 0)), noSuper,
+			[][3]mesh.VertexID{{0, 1, 2}}),
+	}
+	for _, s := range digestShapes(t) {
+		cases[s.name] = decoded(t, s.blob)
+	}
+	for name, m := range cases {
+		var enc bytes.Buffer
+		if err := m.EncodeTo(&enc); err != nil {
+			t.Fatal(err)
+		}
+		want, wantDigest, werr := mesh.Canonicalize(enc.Bytes())
+		got, digest, err := m.EncodeCanonical()
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%s: EncodeCanonical: %v, Canonicalize of the encoding: %v", name, err, werr)
+		}
+		if strings.HasPrefix(name, "not-finite") || strings.HasPrefix(name, "infinite") {
+			if err == nil {
+				t.Fatalf("%s: written canonical", name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(digest, wantDigest) {
+			t.Fatalf("%s: EncodeCanonical wrote %d bytes digesting %x, Canonicalize %d bytes digesting %x",
+				name, len(got), digest, len(want), wantDigest)
+		}
+		if d, err := mesh.CanonicalDigest(enc.Bytes()); err != nil || !bytes.Equal(digest, d) {
+			t.Fatalf("%s: EncodeCanonical's digest %x, CanonicalDigest's %x (%v)", name, digest, d, err)
 		}
 	}
 }

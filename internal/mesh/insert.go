@@ -57,6 +57,13 @@ func (m *Mesh) insertAt(p geom.Point, loc Location) (VertexID, error) {
 // an edge, the neighbor across it) and grown depth-first with a LIFO stack,
 // edge index 0→2. Triangle IDs follow from this order, and through them the
 // order of everything downstream, so it is part of the kernel's contract.
+//
+// The walk keeps what it learns of each edge: the neighbour was already in
+// the cavity or joined it, or it stays outside, with its link back. A
+// neighbour left outside never joins later — the exact in-circle sign does
+// not depend on the edge it is tested from — so the boundary pass reads the
+// walk's verdicts instead of looking every neighbour up again. A
+// constrained edge, which the walk does not test, is decided there.
 func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 	s := m.scratch()
 	s.begin(len(m.tris))
@@ -77,67 +84,92 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 			s.mark[n] = s.epoch
 		}
 	}
-	s.stack = append(s.stack[:0], s.cavity...)
+	s.backs = extended(s.backs[:0], len(s.cavity))
+	s.walk = s.walk[:0]
+	for k := range s.cavity {
+		s.walk = append(s.walk, int32(k))
+	}
 	s.segs = s.segs[:0]
-	for len(s.stack) > 0 {
-		t := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
+	for len(s.walk) > 0 {
+		k := s.walk[len(s.walk)-1]
+		s.walk = s.walk[:len(s.walk)-1]
+		t := s.cavity[k]
 		tr := m.tris[t]
+		f := m.flags[t]
 		corners := [3]geom.Point{m.verts[tr.V[0]], m.verts[tr.V[1]], m.verts[tr.V[2]]}
-		for i := 0; i < 3; i++ {
-			if m.EdgeConstrained(t, i) {
-				s.segs = append(s.segs, [2]VertexID{tr.V[(i+1)%3], tr.V[(i+2)%3]})
-				continue
-			}
+		var backs [3]int8
+		// i1, i2 are (i+1)%3 and (i+2)%3, rotated instead of divided.
+		for i, i1, i2 := 0, 1, 2; i < 3; i, i1, i2 = i+1, i2, i {
+			a, b := tr.V[i1], tr.V[i2]
 			n := tr.N[i]
-			if n == NoTri || s.mark[n] == s.epoch {
-				continue
+			constrained := f&(flagEdge0<<i) != 0
+			if constrained {
+				s.segs = append(s.segs, [2]VertexID{a, b})
 			}
-			if m.inCircleAcross(n, t, tr.V[(i+1)%3], tr.V[(i+2)%3], corners[(i+1)%3], corners[(i+2)%3], p) {
-				s.mark[n] = s.epoch
-				s.cavity = append(s.cavity, n)
-				s.stack = append(s.stack, n)
+			switch {
+			case n == NoTri:
+				backs[i] = -1
+			case constrained: // not crossed: decided after the walk
+				backs[i] = int8(m.backEdge(n, t, a, b))
+			case s.mark[n] == s.epoch:
+				backs[i] = edgeInside
+			default:
+				// n runs (apex, b, a) counter-clockwise from its corner j
+				// whose edge links back to t, so only the apex is loaded:
+				// InCircle is exact, and an exact sign does not change
+				// when a triangle's corners are rotated. A neighbour whose
+				// link back is not that edge, which no consistent mesh
+				// has, is tested whole.
+				j := m.backEdge(n, t, a, b)
+				var inside bool
+				if j < 0 {
+					inside = m.Triangle(n).CircumcircleContains(p)
+				} else {
+					inside = geom.InCircle(m.verts[m.tris[n].V[j]], corners[i2], corners[i1], p) == geom.Positive
+				}
+				backs[i] = int8(j)
+				if inside {
+					backs[i] = edgeInside
+					s.mark[n] = s.epoch
+					s.walk = append(s.walk, int32(len(s.cavity)))
+					s.cavity = append(s.cavity, n)
+					s.backs = append(s.backs, [3]int8{})
+				}
 			}
 		}
+		s.backs[k] = backs
 	}
 
 	// The edge being split (if any) is left out of the boundary: p lies on
 	// it, so it contributes the two hull edges (a,p), (p,b) instead of a
-	// degenerate fan triangle.
+	// degenerate fan triangle. A constrained edge is inside when the
+	// triangle beyond it joined the cavity from another side.
 	s.boundary = s.boundary[:0]
-	for _, t := range s.cavity {
-		tr := m.tris[t]
-		for i := 0; i < 3; i++ {
-			n := tr.N[i]
-			if n != NoTri && s.mark[n] == s.epoch {
+	for k, t := range s.cavity {
+		tr := &m.tris[t]
+		f := m.flags[t]
+		for i, i1, i2 := 0, 1, 2; i < 3; i, i1, i2 = i+1, i2, i {
+			back := s.backs[k][i]
+			if back == edgeInside {
 				continue
 			}
-			a, b := tr.V[(i+1)%3], tr.V[(i+2)%3]
+			n := tr.N[i]
+			constrained := f&(flagEdge0<<i) != 0
+			if constrained && n != NoTri && s.mark[n] == s.epoch {
+				continue
+			}
+			a, b := tr.V[i1], tr.V[i2]
 			if s.splitA != NoVertex && mkEdge(a, b) == mkEdge(s.splitA, s.splitB) {
 				continue
 			}
-			back := int8(-1)
-			if n != NoTri {
-				back = int8(m.backEdge(n, t, a, b))
-			}
-			s.boundary = append(s.boundary, bedge{a, b, n, back, m.EdgeConstrained(t, i)})
+			s.boundary = append(s.boundary, bedge{a, b, n, back, constrained})
 		}
 	}
 }
 
-// inCircleAcross reports whether p lies strictly inside the circumcircle of
-// n, the neighbour of t across t's edge from a to b (vertices av and bv). n
-// runs (apex, b, a) counter-clockwise from its corner whose edge links back
-// to t, so only the apex is loaded: InCircle is exact, and an exact sign
-// does not change when a triangle's corners are rotated. A neighbour whose
-// link back is not that edge, which no consistent mesh has, is tested whole.
-func (m *Mesh) inCircleAcross(n, t TriID, av, bv VertexID, a, b, p geom.Point) bool {
-	j := m.backEdge(n, t, av, bv)
-	if j < 0 {
-		return m.Triangle(n).CircumcircleContains(p)
-	}
-	return geom.InCircle(m.verts[m.tris[n].V[j]], b, a, p) == geom.Positive
-}
+// edgeInside is the walk's verdict on an edge whose neighbour is in the
+// cavity; any other is the link back of the neighbour outside, or -1.
+const edgeInside int8 = -2
 
 // backEdge returns the index of n's edge that links back to its neighbour t,
 // found by that link, if the edge runs from b to a as it must; otherwise -1,
@@ -166,6 +198,10 @@ func (m *Mesh) CavitySegments() [][2]VertexID { return m.scr.segs }
 // CommitCavity inserts the point of the preceding GrowCavity, which must not
 // have been followed by any other mutation: it kills the cavity and
 // retriangulates it as a fan around the new vertex, which it returns.
+//
+// The fan takes its slots from the free list as newTri hands them out, the
+// cavity's own first, then writes each triangle once, in boundary order:
+// its corners, all three neighbours, its flags and the vertTri hints.
 func (m *Mesh) CommitCavity() VertexID {
 	s := m.scr
 	v := m.addVertex(s.p)
@@ -173,9 +209,17 @@ func (m *Mesh) CommitCavity() VertexID {
 		m.killTri(t)
 	}
 	s.created = s.created[:0]
-	for _, e := range s.boundary {
-		s.created = append(s.created, m.newTri(v, e.a, e.b))
+	for range s.boundary {
+		if n := len(m.free); n > 0 {
+			s.created = append(s.created, m.free[n-1])
+			m.free = m.free[:n-1]
+		} else {
+			m.tris = append(room(m.tris), Tri{})
+			m.flags = append(room(m.flags), 0)
+			s.created = append(s.created, TriID(len(m.tris)-1))
+		}
 	}
+	m.nAlive += len(s.boundary)
 	// Fan triangle (v, a, b) keeps the boundary edge's neighbor and
 	// constraint across edge 0. Across (b, v) lies the triangle whose first
 	// base vertex is b, across (v, a) the one whose second base vertex is
@@ -187,20 +231,33 @@ func (m *Mesh) CommitCavity() VertexID {
 	}
 	for i, e := range s.boundary {
 		t := s.created[i]
-		if e.constrained {
-			m.flags[t] |= flagEdge0
+		across := [3]TriID{e.out, NoTri, NoTri}
+		if j := s.end(e.b).from; j >= 0 {
+			across[1] = s.created[j]
 		}
+		if j := s.end(e.a).into; j >= 0 {
+			across[2] = s.created[j]
+		}
+		f := flagAlive
+		if e.constrained {
+			f |= flagEdge0
+		}
+		// A split segment's halves are the fan edges (b, v) and (v, a) at
+		// its ends. With no split, splitA and splitB are NoVertex, which
+		// matches no vertex.
+		if e.b == s.splitA || e.b == s.splitB {
+			f |= flagEdge0 << 1
+		}
+		if e.a == s.splitA || e.a == s.splitB {
+			f |= flagEdge0 << 2
+		}
+		m.tris[t] = Tri{V: [3]VertexID{v, e.a, e.b}, N: across}
+		m.flags[t] = f
+		m.vertTri[v], m.vertTri[e.a], m.vertTri[e.b] = t, t, t
 		if e.back >= 0 {
-			m.tris[t].N[0] = e.out
 			m.tris[e.out].N[e.back] = t
 		} else if e.out != NoTri {
 			m.link(t, 0, e.out)
-		}
-		if j := s.end(e.b).from; j >= 0 {
-			m.tris[t].N[1] = s.created[j]
-		}
-		if j := s.end(e.a).into; j >= 0 {
-			m.tris[t].N[2] = s.created[j]
 		}
 	}
 
@@ -208,14 +265,6 @@ func (m *Mesh) CommitCavity() VertexID {
 		delete(m.constrained, mkEdge(s.splitA, s.splitB))
 		m.constrained[mkEdge(s.splitA, v)] = true
 		m.constrained[mkEdge(v, s.splitB)] = true
-		for i, e := range s.boundary {
-			if e.b == s.splitA || e.b == s.splitB {
-				m.flags[s.created[i]] |= flagEdge0 << 1 // edge (b, v)
-			}
-			if e.a == s.splitA || e.a == s.splitB {
-				m.flags[s.created[i]] |= flagEdge0 << 2 // edge (v, a)
-			}
-		}
 		if m.splitHook != nil {
 			m.splitHook(m.verts[s.splitA], m.verts[s.splitB], s.p)
 		}

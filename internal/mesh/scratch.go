@@ -32,6 +32,12 @@ type scratch struct {
 	segs           [][2]VertexID
 	splitA, splitB VertexID // the constrained edge p splits, or NoVertex
 
+	// GrowCavity's walk: the cavity indices still to expand, and per
+	// cavity triangle what the walk found across each edge (edgeInside,
+	// or the link back of the neighbour beyond the boundary).
+	walk  []int32
+	backs [][3]int8
+
 	stack, created []TriID
 
 	// ends[v].epoch == epoch: v is on the boundary CommitCavity is wiring.

@@ -116,11 +116,25 @@ func hashMesh(data []byte) []byte {
 
 // canonicalMesh returns a block's mesh encoding in canonical order
 // (mesh.Canonicalize) and its digest, hashMesh's: data itself when it
-// already is canonical, or does not decode.
+// already is canonical, or does not decode. A block stored before blocks
+// were stored canonical takes this path on a dump or an export.
 func canonicalMesh(data []byte) (canon, digest []byte) {
 	canon, digest, err := mesh.Canonicalize(data)
 	if err != nil {
 		return data, undecodableDigest(data)
+	}
+	return canon, digest
+}
+
+// canonicalOf is canonicalMesh of m's encoding, written straight from m
+// (mesh.EncodeCanonical): the same bytes and digest, and for a mesh whose
+// encoding would not decode, that encoding and its undecodableDigest.
+func canonicalOf(m *mesh.Mesh) (canon, digest []byte) {
+	canon, digest, err := m.EncodeCanonical()
+	if err != nil {
+		var raw bytes.Buffer
+		m.EncodeTo(&raw) // a bytes.Buffer takes every write
+		return raw.Bytes(), undecodableDigest(raw.Bytes())
 	}
 	return canon, digest
 }

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -626,12 +627,125 @@ func canonicalProperties(t testing.TB, what string, data []byte) {
 	}
 }
 
+// encodeCanonicalMatches holds m.EncodeCanonical to mesh.Canonicalize of
+// what m.EncodeTo writes — the same bytes and digest, or both an error —
+// and the handler's canonicalOf to canonicalMesh of that encoding.
+func encodeCanonicalMatches(t testing.TB, what string, m *mesh.Mesh) {
+	t.Helper()
+	var enc bytes.Buffer
+	if err := m.EncodeTo(&enc); err != nil {
+		t.Fatal(err)
+	}
+	want, wantDigest, werr := mesh.Canonicalize(enc.Bytes())
+	got, digest, err := m.EncodeCanonical()
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: EncodeCanonical: %v, Canonicalize of the encoding: %v", what, err, werr)
+	}
+	if err == nil && (!bytes.Equal(got, want) || !bytes.Equal(digest, wantDigest)) {
+		t.Fatalf("%s: EncodeCanonical wrote %d bytes digesting %x, Canonicalize %d bytes digesting %x",
+			what, len(got), digest, len(want), wantDigest)
+	}
+	got, digest = canonicalOf(m)
+	want, wantDigest = canonicalMesh(enc.Bytes())
+	if !bytes.Equal(got, want) || !bytes.Equal(digest, wantDigest) {
+		t.Fatalf("%s: canonicalOf gives %d bytes digesting %x, canonicalMesh %d bytes digesting %x",
+			what, len(got), digest, len(want), wantDigest)
+	}
+}
+
+// TestEncodeCanonicalMatchesCanonicalize writes the meshes the methods
+// store straight to canonical form and checks them against canonicalizing
+// their encoding: a refined OUPDR block, a graded ONUPDR leaf, a PCDM
+// subdomain with the super vertices its carving left, a mesh with its super
+// triangles, meshes whose vertices share their bits or whose triangles share
+// their corners (the digest's rank-and-sort fallback), and a mesh with a
+// coordinate that is not finite, which keeps its raw encoding and the
+// undecodable digest.
+func TestEncodeCanonicalMatchesCanonicalize(t *testing.T) {
+	bm, err := meshBlock(geom.NewRect(geom.Pt(0, 0), geom.Pt(1.0/16, 1.0/16)), 0.0015, math.Sqrt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodeCanonicalMatches(t, "block", bm.mesh)
+
+	size := gradedSizeFor(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)), 6, 200000)
+	leaf, _, err := meshLeaf(geom.NewRect(geom.Pt(0.5, 0.5), geom.Pt(0.625, 0.625)), &size, math.Sqrt2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodeCanonicalMatches(t, "graded leaf", leaf)
+
+	r := geom.NewRect(geom.Pt(0.25, 0), geom.Pt(0.5, 0.25))
+	sub, err := newSubdomainMesh(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := refineSubdomain(sub, r, []geom.Point{geom.Pt(0.25, 0.125), geom.Pt(0.375, 0.25)}, 0, 1e-4, math.Sqrt2, [4]bool{}); err != nil {
+		t.Fatal(err)
+	}
+	if sub.IncidentTri(0) != mesh.NoTri {
+		t.Fatal("the subdomain's first vertex, a super vertex, is still in a triangle")
+	}
+	encodeCanonicalMatches(t, "PCDM subdomain", sub)
+
+	withSuper := mesh.New()
+	withSuper.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1)))
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 200; i++ {
+		if _, err := withSuper.InsertPoint(geom.Pt(rng.Float64(), rng.Float64()), mesh.NoTri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withSuper.SetConstrained(3, 4, true)
+	encodeCanonicalMatches(t, "super triangles", withSuper)
+
+	ties := 0
+	for name, data := range canonicalSeeds(t) {
+		m := mesh.New()
+		if err := m.DecodeFrom(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+		encodeCanonicalMatches(t, name, m)
+	}
+	for i := 0; i < 200; i++ {
+		data := adversarialMesh(rng).encoding()
+		m := mesh.New()
+		if m.DecodeFrom(bytes.NewReader(data)) != nil {
+			continue
+		}
+		if !distinctCorners(t, data) {
+			ties++
+		}
+		encodeCanonicalMatches(t, fmt.Sprintf("adversarial %d", i), m)
+	}
+	if ties == 0 {
+		t.Error("no adversarial mesh shared a vertex's bits or a triangle's corners")
+	}
+
+	// An overflowing super triangle: coordinates that are not finite.
+	inf := mesh.New()
+	inf.InitSuper(geom.NewRect(geom.Pt(0, 0), geom.Pt(math.MaxFloat64, 1)))
+	if _, _, err := inf.EncodeCanonical(); err == nil {
+		t.Fatal("a mesh with coordinates that are not finite was written canonical")
+	}
+	encodeCanonicalMatches(t, "not finite", inf)
+	var raw bytes.Buffer
+	if err := inf.EncodeTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if canon, digest := canonicalOf(inf); !bytes.Equal(canon, raw.Bytes()) || !bytes.Equal(digest, undecodableDigest(raw.Bytes())) {
+		t.Fatal("a mesh that does not decode did not keep its raw encoding and the undecodable digest")
+	}
+}
+
 // FuzzHashMeshMatchesOracle feeds the digest whatever bytes the fuzzer finds,
 // starting from the adversarial encodings, the rejected blobs, and canonical
 // encodings with near-canonical mutants of them (canonicalSeeds, checked in
 // under testdata/fuzz): it must agree with the total-order oracle, and with
 // the old one where that is defined, a renumbering of anything that decodes
-// must digest alike, and mesh.Canonicalize must hold canonicalProperties.
+// must digest alike, mesh.Canonicalize must hold canonicalProperties, and
+// the mesh anything decodes to must write itself canonical as Canonicalize
+// writes its encoding (encodeCanonicalMatches).
 func FuzzHashMeshMatchesOracle(f *testing.F) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 24; i++ {
@@ -646,6 +760,9 @@ func FuzzHashMeshMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sameDigest(t, "fuzzed", data)
 		canonicalProperties(t, "fuzzed", data)
+		if m := mesh.New(); m.DecodeFrom(bytes.NewReader(data)) == nil {
+			encodeCanonicalMatches(t, "fuzzed", m)
+		}
 		if _, ok := hashedTriangles(data); ok {
 			r := rawOf(t, data)
 			want := hashMesh(r.encoding())

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mrts/internal/bufpool"
 	"mrts/internal/cluster"
 	"mrts/internal/core"
 	"mrts/internal/geom"
@@ -340,21 +339,16 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 
 // oupdrMeshHandler refines the block, ships interface point sets to the
 // right and top neighbors (structured communication) and records the
-// block's canonical digest. The block stores its mesh in canonical order
-// (mesh.Canonicalize), whose sort is the digest's: paid once here, it
-// lets every later digest of the block — a dump, an export, `meshctl
-// verify -deep`, a re-export after a restore — take the linear pass.
+// block's canonical digest. The block stores its mesh in canonical order,
+// written straight from the refined mesh with its digest
+// (mesh.EncodeCanonical): no intermediate encoding is made, and every later
+// digest of the block — a dump, an export, `meshctl verify -deep`, a
+// re-export after a restore — takes the linear pass.
 func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	bm, err := meshBlock(o.Rect, o.H, o.Beta)
 	if err != nil {
 		return err
 	}
-	raw := bytes.NewBuffer(bufpool.Get(bm.mesh.EncodedSize())[:0])
-	if err := bm.mesh.EncodeTo(raw); err != nil {
-		bm.mesh.Recycle()
-		return err
-	}
-	o.MeshData = raw.Bytes() // until it is put in canonical order, last
 	o.Elements = int32(bm.mesh.NumTriangles())
 	o.Verts = int32(bm.mesh.NumVertices())
 	sh.elements.Add(int64(o.Elements))
@@ -363,9 +357,6 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	o.Left = edgePointsOn(bm.hull, o.Rect.Min, geom.Pt(o.Rect.Min.X, o.Rect.Max.Y))
 	o.Bottom = edgePointsOn(bm.hull, o.Rect.Min, geom.Pt(o.Rect.Max.X, o.Rect.Min.Y))
 	right, top := bm.interfacePoints(0), bm.interfacePoints(1)
-	// Everything kept or sent from here on is a copy: the mesh's storage
-	// goes to the next block.
-	bm.mesh.Recycle()
 
 	// Exchange: my right edge against the right neighbor's left edge, my
 	// top edge against the top neighbor's bottom edge. Prefer the direct
@@ -383,6 +374,12 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 			c.Post(o.Top, hBlockIface, arg)
 		}
 	}
+	// The canonical encoding and the digest with the interface messages
+	// already on their way. Everything kept from here on is a copy: the
+	// mesh's storage goes to the next block.
+	canon, digest := canonicalOf(bm.mesh)
+	bm.mesh.Recycle()
+	o.MeshData = canon // before the pending payloads: nil reads as not meshed
 	// Resolve interface payloads that arrived before this block meshed.
 	pend := o.Pending
 	o.Pending = nil
@@ -396,14 +393,6 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	if o.IfaceNeeded > 0 {
 		c.SetPriority(c.Self, 5)
 	}
-	// The canonical order and the digest last, with the interface messages
-	// already on their way.
-	canon, digest := canonicalMesh(o.MeshData)
-	if bytes.Equal(canon, o.MeshData) {
-		canon = bytes.Clone(canon) // it was canonical already
-	}
-	bufpool.Put(o.MeshData)
-	o.MeshData = canon
 	i, j := gridIJ(o.Rect, sh.nb)
 	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(digest)})
 }
