@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race poolcheck bench bench-ab bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
+.PHONY: all build vet test race poolcheck regolden bench bench-ab e2e-ab bench-quick bench-pipeline bench-tiers bench-compress bench-routing bench-meshio trace bench-json bench-baseline lint sim-soak fuzz e2e-multiproc export examples clean
 
 all: build vet test
 
@@ -58,17 +58,33 @@ POOLCHECK_PKGS = ./internal/storage/... ./internal/swapio/... ./internal/core/..
 poolcheck:
 	$(GO) test -tags poolcheck $(POOLCHECK_PKGS)
 
+# Re-pin the goldens: rerun them, rewrite internal/delaunay/testdata/golden.json
+# and internal/meshgen/testdata/golden.json, and print each changed pin's old
+# and new quality reports side by side. A change that moves a mesh runs this
+# and puts the diff in CHANGES.md (DESIGN.md "When a mesh may change").
+regolden:
+	$(GO) test -count=1 -v -run '^TestGolden(Refinement|Runs)$$' ./internal/delaunay ./internal/meshgen -args -regolden
+
 # Full benchmark harness: every figure and table of the paper.
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# An A/B of the kernel micro-benchmarks against a base revision: the mesh
-# and delaunay test binaries of both sides, run in turn N times, medians
-# and ratios printed (make bench-ab BASE=HEAD~1 [BENCH=<regexp>] [N=<runs>];
-# an empty BENCH or N takes the script's default, which ci/bench-ab.sh
-# documents). CI does not run it.
+# An A/B of the kernel micro-benchmarks against a base revision: the mesh,
+# delaunay and meshgen test binaries of both sides, run in turn N times, medians
+# and ratios printed (make bench-ab BASE=HEAD~1 [BENCH=<regexp>] [N=<runs>]
+# [OVERLAY=<test files>]; an empty variable takes the script's default, which
+# ci/bench-ab.sh documents). CI does not run it.
 bench-ab:
-	bash ci/bench-ab.sh '$(BASE)' '$(BENCH)' '$(N)'
+	bash ci/bench-ab.sh '$(BASE)' '$(BENCH)' '$(N)' '$(OVERLAY)'
+
+# An A/B of the benchmark's end-to-end metrics against a base revision: the
+# benchmark binary of both sides, N interleaved pairs of untraced runs per
+# workload on fresh seeds, the record written to OUT (make e2e-ab BASE=HEAD~1
+# [WORKLOADS=a,b] [N=<pairs>] [SECONDS=<s>] [OUT=BENCH_<n>.json]; an empty
+# variable takes the script's default, which ci/e2e-ab.sh documents). CI
+# does not run it.
+e2e-ab:
+	bash ci/e2e-ab.sh '$(BASE)' '$(WORKLOADS)' '$(N)' '$(SECONDS)' '$(OUT)'
 
 # One quick iteration of every experiment at reduced scale.
 bench-quick:

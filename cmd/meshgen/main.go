@@ -7,9 +7,19 @@
 //	meshgen -method updr   -elements 100000 -pes 4
 //	meshgen -method onupdr -elements 200000 -pes 4 -budget 2000000
 //	meshgen -method opcdm  -elements 500000 -pes 8 -policy lfu -spool /tmp/spool
+//	meshgen -method oupdr  -elements 200000 -pes 2 -quality
+//	meshgen -method updr   -elements 200000 -quality -against old.json
+//
+// -quality prints the run's quality report (meshgen.Quality: counts, the
+// minimum-angle histogram against the bound, the worst radius-edge ratio,
+// size fidelity, Validate/CheckDelaunay per piece, conformity and MeshHash)
+// as a table and as one JSON line; -against FILE, a JSON report saved from
+// an earlier run, prints the two side by side instead of the table. OPCDM
+// has no report.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,11 +44,16 @@ func main() {
 		budget   = flag.Int64("budget", 0, "per-node memory budget in bytes (OOC methods; 0 = generous)")
 		policy   = flag.String("policy", "lru", "eviction policy: lru|lfu|mru|mu|lu")
 		spool    = flag.String("spool", "", "spool directory for OOC storage (default: temp dir)")
-		quality  = flag.Float64("quality", 0, "radius-edge quality bound (0 = sqrt 2)")
+		beta     = flag.Float64("beta", 0, "radius-edge quality bound (0 = sqrt 2)")
 		svgPath  = flag.String("svg", "", "also render an equivalent sequential mesh to this SVG file")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (OOC methods; open in Perfetto)")
+		quality  = flag.Bool("quality", false, "print the run's quality report (not opcdm)")
+		against  = flag.String("against", "", "with -quality: a saved JSON report to print side by side with this run's")
 	)
 	flag.Parse()
+	if *quality && strings.EqualFold(*method, "opcdm") {
+		fatalf("-quality: OPCDM has no quality report")
+	}
 
 	m := strings.ToLower(*method)
 	ooM := strings.HasPrefix(m, "o") && m != "updr"
@@ -56,15 +71,15 @@ func main() {
 		switch m {
 		case "updr":
 			res, err = meshgen.RunUPDR(meshgen.UPDRConfig{
-				Blocks: 6, TargetElements: *elements, PEs: *pes, QualityBound: *quality,
+				Blocks: 6, TargetElements: *elements, PEs: *pes, QualityBound: *beta, Quality: *quality,
 			})
 		case "nupdr":
 			res, err = meshgen.RunNUPDR(meshgen.NUPDRConfig{
-				TargetElements: *elements, PEs: *pes, QualityBound: *quality,
+				TargetElements: *elements, PEs: *pes, QualityBound: *beta, Quality: *quality,
 			})
 		case "pcdm":
 			res, err = meshgen.RunPCDM(meshgen.PCDMConfig{
-				Grid: 6, TargetElements: *elements, PEs: *pes, QualityBound: *quality,
+				Grid: 6, TargetElements: *elements, PEs: *pes, QualityBound: *beta, Quality: *quality,
 			})
 		default:
 			fatalf("unknown method %q", *method)
@@ -98,15 +113,15 @@ func main() {
 		switch m {
 		case "oupdr":
 			res, err = meshgen.RunOUPDR(cl, meshgen.UPDRConfig{
-				Blocks: 6, TargetElements: *elements, QualityBound: *quality,
+				Blocks: 6, TargetElements: *elements, QualityBound: *beta, Quality: *quality,
 			})
 		case "onupdr":
 			res, err = meshgen.RunONUPDR(cl, meshgen.NUPDRConfig{
-				TargetElements: *elements, QualityBound: *quality,
+				TargetElements: *elements, QualityBound: *beta, Quality: *quality,
 			})
 		case "opcdm":
 			res, err = meshgen.RunOPCDM(cl, meshgen.PCDMConfig{
-				Grid: 6, TargetElements: *elements, QualityBound: *quality,
+				Grid: 6, TargetElements: *elements, QualityBound: *beta, Quality: *quality,
 			})
 		default:
 			fatalf("unknown method %q", *method)
@@ -118,8 +133,13 @@ func main() {
 
 	fmt.Println(res)
 	fmt.Printf("conforming interfaces: %v\n", res.Conforming)
+	if *quality {
+		if err := printQuality(res.Quality, *against); err != nil {
+			fatalf("quality: %v", err)
+		}
+	}
 	if *svgPath != "" {
-		if err := writeSVG(*svgPath, m, *elements, *quality); err != nil {
+		if err := writeSVG(*svgPath, m, *elements, *beta); err != nil {
 			fatalf("svg: %v", err)
 		}
 		fmt.Printf("wrote %s\n", *svgPath)
@@ -178,6 +198,30 @@ func writeSVG(path, method string, elements int, quality float64) error {
 	}
 	defer f.Close()
 	return render.WriteSVG(f, mm, render.Options{FillByQuality: true, Constrained: true})
+}
+
+// printQuality prints q as a table, or side by side with the report saved
+// in against, then as one JSON line.
+func printQuality(q *meshgen.Quality, against string) error {
+	if against == "" {
+		fmt.Print(q.Table())
+	} else {
+		data, err := os.ReadFile(against)
+		if err != nil {
+			return err
+		}
+		old := &meshgen.Quality{}
+		if err := json.Unmarshal(data, old); err != nil {
+			return fmt.Errorf("%s: %w", against, err)
+		}
+		fmt.Print(meshgen.QualityDiff(old, q))
+	}
+	line, err := json.Marshal(q)
+	if err != nil {
+		return err
+	}
+	fmt.Println(string(line))
+	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sync"
 
 	"mrts/internal/core"
@@ -27,21 +26,6 @@ const (
 	RouteHome   RoutingKind = "home"
 	RoutePlaced RoutingKind = "placed"
 )
-
-// ParseRouting maps a flag string onto a RoutingKind ("" means RouteLazy).
-func ParseRouting(s string) (RoutingKind, error) {
-	switch RoutingKind(s) {
-	case "", RouteLazy:
-		return RouteLazy, nil
-	case RouteEager:
-		return RouteEager, nil
-	case RouteHome:
-		return RouteHome, nil
-	case RoutePlaced:
-		return RoutePlaced, nil
-	}
-	return "", fmt.Errorf("cluster: unknown routing kind %q (want lazy, eager, home or placed)", s)
-}
 
 // placedResolution is one cached ring lookup: the placement key (so the hot
 // path never re-formats it), the owner it resolved to, and the epoch the

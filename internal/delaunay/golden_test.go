@@ -5,13 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
 	"slices"
 	"testing"
 
 	"mrts/internal/delaunay"
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
+	"mrts/internal/meshgen"
 	"mrts/internal/workload"
 )
 
@@ -76,23 +80,74 @@ func meshDigest(m *mesh.Mesh) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+var regolden = flag.Bool("regolden", false,
+	"rewrite testdata/golden.json from this run and print the old and new reports side by side (make regolden)")
+
+// goldenPin is what testdata/golden.json keeps of one case: the mesh's
+// digest and its quality report.
+type goldenPin struct {
+	Digest string           `json:"digest"`
+	Report *meshgen.Quality `json:"report"`
+}
+
+const goldenFile = "testdata/golden.json"
+
 // TestGoldenRefinement pins the exact output of single-threaded
-// BuildCDT+Refine. The digests were recorded at the commit before the
-// grow/commit kernel, with its map-based insertion, so a kernel change that
-// alters any triangle, or the order in which points go in, fails here. Raw
-// EncodeTo bytes could not be pinned there: that kernel freed carved slots in
-// map order, so triangle slot numbers differed from run to run, which is the
-// one thing meshDigest leaves out. TestRefinementEncodingIsReproducible
+// BuildCDT+Refine, by meshDigest and by the quality report, both in
+// testdata/golden.json, which make regolden rewrites (DESIGN.md "When a
+// mesh may change"). The digest pins every triangle and the order in which
+// points go in; the report says whether a changed digest is a reordered
+// mesh or a worse one. Raw EncodeTo bytes are not pinned here: the
+// map-based kernel the first digests were recorded with freed carved slots
+// in map order, so triangle slot numbers differed from run to run, which is
+// the one thing meshDigest leaves out. TestRefinementEncodingIsReproducible
 // covers the bytes.
 func TestGoldenRefinement(t *testing.T) {
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]goldenPin{}
+	if err := json.Unmarshal(data, &pins); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]goldenPin{}
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			m := c.build(t)
-			if got := meshDigest(m); got != c.want {
-				t.Errorf("%d triangles, %d vertices:\n got %s\nwant %s",
-					m.NumTriangles(), m.NumVertices(), got, c.want)
+			q := meshgen.NewQuality(c.opts.QualityBound)
+			q.Add(m, c.target())
+			pin := goldenPin{Digest: meshDigest(m), Report: q.Close(c.name, true, "")}
+			old := pins[c.name]
+			if old.Report == nil {
+				old.Report = &meshgen.Quality{}
+			}
+			a, _ := json.Marshal(old)
+			b, err := json.Marshal(pin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case *regolden:
+				got[c.name] = pin
+				if !bytes.Equal(a, b) {
+					t.Logf("re-pinned: digest %s -> %s, old | new:\n%s", old.Digest, pin.Digest,
+						meshgen.QualityDiff(old.Report, pin.Report))
+				}
+			case !bytes.Equal(a, b):
+				t.Errorf("digest %s, pinned %s (make regolden re-pins), old | new:\n%s", pin.Digest, old.Digest,
+					meshgen.QualityDiff(old.Report, pin.Report))
 			}
 		})
+	}
+	if *regolden && !t.Failed() {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -119,7 +174,16 @@ type goldenCase struct {
 	name string
 	pslg *delaunay.PSLG
 	opts delaunay.Options
-	want string
+}
+
+// target is the case's target edge length for the quality report: its size
+// function, or the side of the equilateral triangle of its area bound.
+func (c goldenCase) target() func(geom.Point) float64 {
+	if f, ok := c.opts.Size.(delaunay.SizeFunc); ok {
+		return f
+	}
+	h := math.Sqrt(4 * c.opts.MaxArea / math.Sqrt(3))
+	return func(geom.Point) float64 { return h }
 }
 
 func (c goldenCase) build(t *testing.T) *mesh.Mesh {
@@ -141,19 +205,14 @@ func goldenCases() []goldenCase {
 	centre := geom.Pt(0.5, 0.5)
 	return []goldenCase{
 		{"unit-square", workload.UnitSquare(),
-			delaunay.Options{MaxArea: workload.UniformAreaFor(4000, 1)},
-			"34ceebf2cdf37bb3b822e3a3b2ac0756217779a3ac2ee820bfae4216eae649f6"},
+			delaunay.Options{MaxArea: workload.UniformAreaFor(4000, 1)}},
 		{"pipe", workload.Pipe(48, 0.5, 0.2, centre),
-			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 0.66)},
-			"9274e511aceabeea0dfd69e5b19759ec6b63ee60631c99e87b229fc017dbb418"},
+			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 0.66)}},
 		{"pipe-graded", workload.Pipe(32, 0.5, 0.2, centre),
-			delaunay.Options{Size: workload.GradedAnnular(centre, 0.2, 0.01, 0.25)},
-			"4bb0bd69e2d8d8430820f0e4b03ba68596edc78ddf5b5ab4eba437f7ce0d6de5"},
+			delaunay.Options{Size: workload.GradedAnnular(centre, 0.2, 0.01, 0.25)}},
 		{"holes", workload.SquareWithHoles(3),
-			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 1)},
-			"dd945be4c1857faec169697afd5a7481a4fad376f02ea602234c539539b08b92"},
+			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 1)}},
 		{"square-frozen-segments", subdividedSquare(24),
-			delaunay.Options{NoSegmentSplit: true, MaxArea: workload.UniformAreaFor(2000, 1)},
-			"f174d8f4f1b5a95eb7a37c9d82e00212459088b2a5dfdd9c2bb31bf39b59960d"},
+			delaunay.Options{NoSegmentSplit: true, MaxArea: workload.UniformAreaFor(2000, 1)}},
 	}
 }

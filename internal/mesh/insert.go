@@ -1,6 +1,10 @@
 package mesh
 
-import "mrts/internal/geom"
+import (
+	"fmt"
+
+	"mrts/internal/geom"
+)
 
 // InsertPoint inserts p into the triangulation using the Bowyer–Watson
 // cavity algorithm and returns the new vertex ID. hint is a triangle to
@@ -142,8 +146,25 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 
 	// The edge being split (if any) is left out of the boundary: p lies on
 	// it, so it contributes the two hull edges (a,p), (p,b) instead of a
-	// degenerate fan triangle. A constrained edge is inside when the
-	// triangle beyond it joined the cavity from another side.
+	// degenerate fan triangle.
+	//
+	// No other constrained edge has the cavity on both sides unless p lies
+	// on it, and that is checked. In a constrained Delaunay triangulation
+	// every triangle the walk reaches — its circumcircle holds p, and it is
+	// reached without crossing a constrained edge — is visible from p: no
+	// constrained edge cuts the open segment from p to a point inside it
+	// (the lemma constrained Bowyer–Watson insertion rests on). Take the
+	// two triangles of a constrained edge (a, b) and p off the line ab,
+	// on one side of it: the segment from p to a point of the far-side
+	// triangle close enough to the middle of ab crosses ab between a and b,
+	// so that triangle is not visible. And p on the line but off the closed
+	// segment is in neither circumcircle, which meets the line in [a, b]
+	// alone. So p is on the segment: the split edge above, or the
+	// refiner's probe of a circumcenter that lies on a segment, grown from
+	// one side only, whose cavity is never committed (the point encroaches
+	// the segment, which is split instead). Dropping the test changes no
+	// mesh and no test's outcome; a failure of the check is a triangulation
+	// that is not constrained Delaunay.
 	s.boundary = s.boundary[:0]
 	for k, t := range s.cavity {
 		tr := &m.tris[t]
@@ -153,13 +174,17 @@ func (m *Mesh) GrowCavity(p geom.Point, loc Location) {
 			if back == edgeInside {
 				continue
 			}
+			a, b := tr.V[i1], tr.V[i2]
+			if s.splitA != NoVertex && mkEdge(a, b) == mkEdge(s.splitA, s.splitB) {
+				continue
+			}
 			n := tr.N[i]
 			constrained := f&(flagEdge0<<i) != 0
 			if constrained && n != NoTri && s.mark[n] == s.epoch {
-				continue
-			}
-			a, b := tr.V[i1], tr.V[i2]
-			if s.splitA != NoVertex && mkEdge(a, b) == mkEdge(s.splitA, s.splitB) {
+				if geom.Orient2D(m.verts[a], m.verts[b], s.p) != geom.Zero {
+					panic(fmt.Sprintf("mesh: the cavity of %v holds both sides of segment %v-%v: not a constrained Delaunay triangulation",
+						s.p, m.verts[a], m.verts[b]))
+				}
 				continue
 			}
 			s.boundary = append(s.boundary, bedge{a, b, n, back, constrained})

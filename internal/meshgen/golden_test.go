@@ -3,50 +3,109 @@ package meshgen
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"math/rand"
+	"os"
 	"testing"
 
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
 )
 
-// TestGoldenRuns pins what the three methods produce on small fixed inputs,
-// as recorded with the map-based kernel that preceded the grow/commit one.
-// RunOUPDR reports the canonical MeshHash of the mesh RunUPDR builds (the
-// in-core runs have no dump pass and so no hash); for RunUPDR, RunNUPDR and
-// RunPCDM the exact element and vertex counts are pinned.
+var regolden = flag.Bool("regolden", false,
+	"rewrite testdata/golden.json from this run and print the old and new reports side by side (make regolden)")
+
+// goldenFile holds the goldens' pins: one quality report per run, its
+// counts and, for OUPDR, its MeshHash among them. make regolden rewrites
+// it; DESIGN.md "When a mesh may change" says when that is allowed.
+const goldenFile = "testdata/golden.json"
+
+// loadGolden reads the pinned reports.
+func loadGolden(t *testing.T) map[string]*Quality {
+	t.Helper()
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := map[string]*Quality{}
+	if err := json.Unmarshal(data, &pins); err != nil {
+		t.Fatal(err)
+	}
+	return pins
+}
+
+// checkGolden compares a run's report with its pin: equal JSON, or, with
+// -regolden, the new pin recorded in got. A difference is shown side by
+// side.
+func checkGolden(t *testing.T, pins, got map[string]*Quality, name string, q *Quality) {
+	t.Helper()
+	pin := pins[name]
+	if pin == nil {
+		pin = &Quality{}
+	}
+	a, _ := json.Marshal(pin)
+	b, err := json.Marshal(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case *regolden:
+		got[name] = q
+		if !bytes.Equal(a, b) {
+			t.Logf("%s re-pinned, old | new:\n%s", name, QualityDiff(pin, q))
+		}
+	case !bytes.Equal(a, b):
+		t.Errorf("%s: the report differs from its pin (make regolden re-pins), old | new:\n%s", name, QualityDiff(pin, q))
+	}
+}
+
+// TestGoldenRuns pins what the methods produce on small fixed inputs, by
+// their quality reports in testdata/golden.json: counts, angles, size
+// fidelity, validity and conformity, and RunOUPDR's MeshHash. The in-core
+// runs have no dump pass and so no hash; 1-PE runs are deterministic, so
+// RunNUPDR's and RunPCDM's reports are too.
 func TestGoldenRuns(t *testing.T) {
-	type counts struct{ elements, vertices int }
-	check := func(t *testing.T, res Result, err error, want counts) {
+	pins := loadGolden(t)
+	got := map[string]*Quality{}
+	check := func(t *testing.T, name string, res Result, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := (counts{res.Elements, res.Vertices}); got != want {
-			t.Errorf("%s: got %+v, want %+v", res.Method, got, want)
+		q := res.Quality
+		if q.Elements != res.Elements || q.Vertices != res.Vertices || q.Pieces != res.Subdomains {
+			t.Errorf("%s: the report counts %d elements, %d vertices, %d pieces; the run %d, %d, %d",
+				name, q.Elements, q.Vertices, q.Pieces, res.Elements, res.Vertices, res.Subdomains)
 		}
+		checkGolden(t, pins, got, name, q)
 	}
 	t.Run("UPDR", func(t *testing.T) {
-		res, err := RunUPDR(UPDRConfig{Blocks: 3, TargetElements: 5000, PEs: 1})
-		check(t, res, err, counts{5118, 2829})
+		res, err := RunUPDR(UPDRConfig{Blocks: 3, TargetElements: 5000, PEs: 1, Quality: true})
+		check(t, "UPDR", res, err)
 	})
 	t.Run("OUPDR", func(t *testing.T) {
 		cl := newTestCluster(t, 1, 1<<30)
-		res, err := RunOUPDR(cl, UPDRConfig{Blocks: 3, TargetElements: 5000})
-		check(t, res, err, counts{5118, 2829})
-		const want = "80acf9032c132089de7c19e3fbe6fc46b16df9869d5b732b7add68bc60bbe996"
-		if res.MeshHash != want {
-			t.Errorf("MeshHash %s, want %s", res.MeshHash, want)
-		}
+		res, err := RunOUPDR(cl, UPDRConfig{Blocks: 3, TargetElements: 5000, Quality: true})
+		check(t, "OUPDR", res, err)
 	})
 	t.Run("NUPDR", func(t *testing.T) {
-		res, err := RunNUPDR(NUPDRConfig{TargetElements: 6000, MaxLeafElems: 600, PEs: 1})
-		check(t, res, err, counts{8584, 4884})
+		res, err := RunNUPDR(NUPDRConfig{TargetElements: 6000, MaxLeafElems: 600, PEs: 1, Quality: true})
+		check(t, "NUPDR", res, err)
 	})
 	t.Run("PCDM", func(t *testing.T) {
-		res, err := RunPCDM(PCDMConfig{Grid: 3, TargetElements: 5000, PEs: 1})
-		check(t, res, err, counts{4642, 2645})
+		res, err := RunPCDM(PCDMConfig{Grid: 3, TargetElements: 5000, PEs: 1, Quality: true})
+		check(t, "PCDM", res, err)
 	})
+	if *regolden && !t.Failed() {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestHashMeshPinned pins hashMesh's digest bytes for a fixed mesh, super

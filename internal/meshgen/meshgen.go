@@ -50,6 +50,10 @@ type Result struct {
 	// the meshes as refined, not copies read back from disk. Equal hashes
 	// mean geometrically identical meshes.
 	MeshHash string
+
+	// Quality is the run's quality report when its config asked for one
+	// (OPCDM has none), nil otherwise.
+	Quality *Quality
 }
 
 // Speed returns the paper's per-PE performance metric S/(T·N).

@@ -25,6 +25,10 @@ type NUPDRConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
+	// Quality asks for the run's quality report (Result.Quality): every
+	// piece is judged as it is meshed, which costs a pass over its elements
+	// and its Validate and CheckDelaunay.
+	Quality bool
 	// Grading is the coarse-to-fine size ratio across the domain (default 6).
 	Grading float64
 	// MaxLeafElems bounds the estimated elements per quad-tree leaf
@@ -422,6 +426,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	size := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
 	q := newLeafQueue(buildLeafTree(domain, size.At, cfg.MaxLeafElems), cfg.PEs)
 	n := len(q.Leaves)
+	qr := newQualityIf(cfg.Quality, cfg.QualityBound)
 
 	type job struct {
 		idx   int32
@@ -449,6 +454,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 					continue
 				}
 				res := resultMsg{idx: jb.idx, boundary: cycle, elems: m.NumTriangles(), verts: m.NumVertices()}
+				qr.Add(m, size.At)
 				m.Recycle()
 				results <- res
 			}
@@ -481,6 +487,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		return Result{}, firstErr
 	}
 
+	conforming := q.conforming()
 	return Result{
 		Method:     "NUPDR",
 		Elements:   elements,
@@ -488,7 +495,8 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		Subdomains: n,
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),
-		Conforming: q.conforming(),
+		Conforming: conforming,
+		Quality:    qr.Close("NUPDR", conforming, ""),
 	}, nil
 }
 

@@ -173,6 +173,10 @@ type blockShared struct {
 	mismatch atomic.Int64
 	meshErr  firstErr
 
+	// quality, when RunOUPDR was asked for a report, judges every block as
+	// it is meshed; nil adds nothing.
+	quality *Quality
+
 	mu      sync.Mutex
 	digests []blockSlot       // indexed j*nb+i; Hash "" until the block is digested
 	pass    []BlockDump       // reports of the dump pass in progress
@@ -215,6 +219,20 @@ func (sh *blockShared) record(b BlockDump) error {
 	}
 	*s = blockSlot{BlockDump: b}
 	return nil
+}
+
+// meshed returns every digest this node holds, in grid order: the blocks
+// it meshed, and any an earlier dump pass read.
+func (sh *blockShared) meshed() []BlockDump {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var out []BlockDump
+	for _, s := range sh.digests {
+		if s.Hash != "" {
+			out = append(out, s.BlockDump)
+		}
+	}
+	return out
 }
 
 // digest returns block idx's digest (idx = j*nb+i) and whether it was taken.
@@ -377,6 +395,9 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	// The canonical encoding and the digest with the interface messages
 	// already on their way. Everything kept from here on is a copy: the
 	// mesh's storage goes to the next block.
+	if sh.quality != nil {
+		sh.quality.Add(bm.mesh, constTarget(o.H))
+	}
 	canon, digest := canonicalOf(bm.mesh)
 	bm.mesh.Recycle()
 	o.MeshData = canon // before the pending payloads: nil reads as not meshed
@@ -460,9 +481,9 @@ func residentFirst(ptrs []core.MobilePtr, inCore func(core.MobilePtr) bool) []co
 // by one-sided exchanges, blocks swapped to disk under memory pressure. It
 // runs the SPMD driver, Dist, on every node of cl at once: each node creates
 // the blocks the placement deals it, kicks them off and waits for global
-// termination, then frames them into cfg.Export if one is attached. Dist
-// predicts the pointer every block is minted with, so cl's runtimes must
-// hold no objects yet.
+// termination — the run's one barrier — then frames them into cfg.Export if
+// one is attached, which is a second. Dist predicts the pointer every block
+// is minted with, so cl's runtimes must hold no objects yet.
 func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -480,8 +501,10 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	q := newQualityIf(cfg.Quality, cfg.QualityBound)
 	grids := make([]*grid, len(ds))
 	for n, d := range ds {
+		d.sh.quality = q
 		if err := d.CreateBlocks(); err != nil {
 			return Result{}, fmt.Errorf("meshgen: node %d: %w", n, err)
 		}
@@ -517,13 +540,20 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 		return Result{}, fmt.Errorf("meshgen: OUPDR lost %d objects to failed loads", lost)
 	}
 	// The run-wide digest the mesh-equality properties compare, combined
-	// from the digests the blocks took when they were meshed: the dump reads
-	// no block that has one.
-	dump, err := DumpAll(ds)
+	// from the digests the blocks took when they were meshed. At termination
+	// every block's digest is in its node's slots already, so they are merged
+	// here, with no dump pass and the barrier it would wait for; a block
+	// missing from them, or digested on two nodes, fails the run.
+	parts := make([][]BlockDump, len(ds))
+	for n, d := range ds {
+		parts[n] = d.sh.meshed()
+	}
+	dump, err := cover(cfg.Blocks, parts, func(b BlockDump) (int, int) { return b.I, b.J }, "OUPDR: block")
 	if err != nil {
 		return Result{}, err
 	}
 	res.MeshHash = MeshHashOf(dump)
+	res.Quality = q.Close("OUPDR", res.Conforming, res.MeshHash)
 	res.Elapsed = time.Since(start)
 	res.Report = cl.Report()
 	res.Mem = cl.MemStats()

@@ -24,6 +24,10 @@ type PCDMConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
+	// Quality asks for the run's quality report (Result.Quality): every
+	// subdomain is judged once the run is over, which costs a pass over its
+	// elements and its Validate and CheckDelaunay.
+	Quality bool
 }
 
 func (c *PCDMConfig) defaults() error {
@@ -222,6 +226,7 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 
 	reports := make([]subdomainReport, len(subs))
 	elements, vertices := 0, 0
+	q, target := newQualityIf(cfg.Quality, cfg.QualityBound), uniformTarget(maxArea)
 	for idx, s := range subs {
 		rep, err := reportOf(s.rect, s.m)
 		if err != nil {
@@ -230,7 +235,9 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 		reports[idx] = rep
 		elements += rep.elements
 		vertices += rep.vertices
+		q.Add(s.m, target)
 	}
+	conforming := auditInterfaces(reports)
 	return Result{
 		Method:     "PCDM",
 		Elements:   elements,
@@ -238,7 +245,8 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 		Subdomains: g * g,
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),
-		Conforming: auditInterfaces(reports),
+		Conforming: conforming,
+		Quality:    q.Close("PCDM", conforming, ""),
 	}, nil
 }
 

@@ -26,6 +26,10 @@ type UPDRConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
+	// Quality asks for the run's quality report (Result.Quality): every
+	// piece is judged as it is meshed, which costs a pass over its elements
+	// and its Validate and CheckDelaunay.
+	Quality bool
 	// Export, when non-nil, frames every block into the meshstore chunk once
 	// meshing is done (RunOUPDR only): a pass that reads every block, and so
 	// reloads the ones out of core. Without it a run reads nothing back; its
@@ -133,6 +137,8 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 
 	blocks := make([]*blockMesh, nb*nb)
 	var elements, vertices atomic.Int64
+	q := newQualityIf(cfg.Quality, cfg.QualityBound)
+	target := constTarget(h)
 
 	// Phase 1: mesh blocks in parallel.
 	type job struct{ i, j int }
@@ -157,6 +163,7 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 				}
 				elements.Add(int64(bm.mesh.NumTriangles()))
 				vertices.Add(int64(bm.mesh.NumVertices()))
+				q.Add(bm.mesh, target)
 				blocks[jb.j*nb+jb.i] = bm
 			}
 		}()
@@ -218,5 +225,6 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),
 		Conforming: conforming,
+		Quality:    q.Close("UPDR", conforming, ""),
 	}, nil
 }

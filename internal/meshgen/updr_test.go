@@ -122,9 +122,11 @@ func TestRunOUPDRInCore(t *testing.T) {
 
 // TestRunOUPDRSameMeshOnOneToFourNodes: however the placement deals the
 // blocks over the nodes — with neighbours on different nodes — RunOUPDR
-// builds the mesh whose MeshHash TestGoldenRuns pins on one node.
+// builds the mesh whose MeshHash and element count TestGoldenRuns pins on
+// one node.
 func TestRunOUPDRSameMeshOnOneToFourNodes(t *testing.T) {
-	const golden = "80acf9032c132089de7c19e3fbe6fc46b16df9869d5b732b7add68bc60bbe996"
+	pin := loadGolden(t)["OUPDR"]
+	golden, elements := pin.MeshHash, pin.Elements
 	cfg := UPDRConfig{Blocks: 3, TargetElements: 5000}
 	for nodes := 1; nodes <= 4; nodes++ {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
@@ -148,9 +150,9 @@ func TestRunOUPDRSameMeshOnOneToFourNodes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.MeshHash != golden || res.Elements != 5118 || !res.Conforming {
-				t.Fatalf("split %v: MeshHash %s, %d elements, conforming %v; want %s, 5118, true",
-					split, res.MeshHash, res.Elements, res.Conforming, golden)
+			if res.MeshHash != golden || res.Elements != elements || !res.Conforming {
+				t.Fatalf("split %v: MeshHash %s, %d elements, conforming %v; want %s, %d, true",
+					split, res.MeshHash, res.Elements, res.Conforming, golden, elements)
 			}
 		})
 	}
@@ -369,4 +371,44 @@ func TestBlockDigestsNameWhatIsWrong(t *testing.T) {
 	if err := sh.record(BlockDump{I: 2, J: 0, Hash: "aa"}); err == nil {
 		t.Fatal("a digest off the grid was accepted")
 	}
+}
+
+// TestRunOUPDRWaitsForTerminationOnce: RunOUPDR on two nodes crosses one
+// termination barrier, the one that ends the meshing — no dump pass waits
+// for a second after it — and the MeshHash it merges from the digests the
+// blocks took as they were meshed is the one the blocks read back through
+// the swap path digest to. Node 0 sends one announcement per barrier to
+// each other node; the trace counts them.
+func TestRunOUPDRWaitsForTerminationOnce(t *testing.T) {
+	const wireTermAnnounce = 8 // core's wire kind of a termination announcement
+	sink := obs.NewTraceSink(0)
+	cl, err := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, MemBudget: 150_000,
+		Factory: Factory, Trace: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cfg := UPDRConfig{Blocks: 4, TargetElements: 8000}
+	res, err := RunOUPDR(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mem.Evictions == 0 {
+		t.Fatal("no evictions: the budget must force swapping")
+	}
+	announced := 0
+	for _, tr := range sink.Tracers() {
+		if n := tr.Dropped(); n > 0 {
+			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
+		}
+		for _, ev := range tr.Events() {
+			if ev.Kind == obs.KindCommSend && ev.ID == wireTermAnnounce {
+				announced++
+			}
+		}
+	}
+	if announced != 1 {
+		t.Errorf("RunOUPDR announced termination %d times, want 1", announced)
+	}
+	checkReread(t, cl, cfg.Blocks, res.MeshHash)
 }
