@@ -66,6 +66,7 @@ type record struct {
 	ParentCommit    string                        `json:"parent_commit"`
 	ChangeCommit    string                        `json:"change_commit"`
 	ChangeDirty     bool                          `json:"change_is_working_tree_with_changes"`
+	ChangeTree      string                        `json:"change_tree"`
 	TestFilesDiffer []string                      `json:"test_files_differ"`
 	AllCorrect      bool                          `json:"all_correct"`
 	PairSummaries   map[string]map[string]summary `json:"pair_summaries"`
@@ -84,6 +85,7 @@ func main() {
 	flag.StringVar(&rec.ParentCommit, "base", "", "parent commit")
 	flag.StringVar(&rec.ChangeCommit, "head", "", "change commit (HEAD of the working tree)")
 	flag.BoolVar(&rec.ChangeDirty, "dirty", false, "the working tree differs from HEAD")
+	flag.StringVar(&rec.ChangeTree, "tree", "", "git tree hash of the measured working tree (equals the tree of the commit that records it unchanged)")
 	flag.StringVar(&rec.Host.Nproc, "nproc", "", "host processors")
 	flag.StringVar(&rec.Host.CPU, "cpu", "", "host CPU model")
 	flag.StringVar(&rec.Host.Go, "go", "", "go version")

@@ -24,6 +24,12 @@
 # the clock, so no seed used while a change was written is reused, and they
 # are recorded.
 #
+# The record names the measured tree by its git tree hash as well as by
+# HEAD: on a dirty working tree HEAD is not what ran, but the tree hash
+# (every tracked and untracked, not ignored file, as `git add -A` would
+# stage them, taken before the build) equals `git rev-parse C^{tree}` of the
+# commit C that later records that tree unchanged.
+#
 # The base is extracted with git archive into a temporary directory, which
 # is removed at the end; nothing in the repository changes but OUT and the
 # working tree's benchmark/out, where its runs spool. It needs git, a shell
@@ -50,6 +56,13 @@ git -C "$root" archive "$base" | tar -x -C "$tmp/base"
 build() {
 	(cd "$2/benchmark" && GOWORK=off GOTOOLCHAIN=local go build -o "$tmp/bin/$1" .)
 }
+# The measured tree, staged into a scratch index (the repository's own
+# index is not touched; the blobs land in its object store).
+cp "$(git -C "$root" rev-parse --git-path index)" "$tmp/index" 2>/dev/null || true
+tree=$(cd "$root" && GIT_INDEX_FILE="$tmp/index" git add -A && GIT_INDEX_FILE="$tmp/index" git write-tree)
+dirty=false
+[[ "$tree" != "$(git -C "$root" rev-parse 'HEAD^{tree}')" ]] && dirty=true
+
 build parent "$tmp/base"
 build change "$root"
 
@@ -83,11 +96,9 @@ done
 	git -C "$root" ls-files --others --exclude-standard -- '*_test.go' '*/testdata/*'
 } | sort -u >"$tmp/testfiles.txt"
 
-dirty=false
-[[ -n "$(git -C "$root" status --porcelain)" ]] && dirty=true
 how="$pairs interleaved pairs per workload of the benchmark binary (--workload W --seed S --seconds $seconds --trace 0), built once from $base (git archive) and once from the working tree; seeds $seed0-$((seed0 + pairs - 1)), the same seed for both sides of a pair, the parent running first in the first pair and in every other one after it; workloads one after another in the order $workloads. Written by ci/e2e-ab.sh."
 (cd "$root" && go run ./ci/abreport \
 	-raw "$tmp/raw.tsv" -tests "$tmp/testfiles.txt" -bench BENCHMARK.json \
-	-base "$(git -C "$root" rev-parse "$base")" -head "$(git -C "$root" rev-parse HEAD)" -dirty="$dirty" \
+	-base "$(git -C "$root" rev-parse "$base")" -head "$(git -C "$root" rev-parse HEAD)" -dirty="$dirty" -tree "$tree" \
 	-nproc "$(nproc)" -cpu "$(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//' || true)" \
 	-go "$(go version)" -how "$how" -out "$out")

@@ -8,14 +8,11 @@
 //	meshgen -method onupdr -elements 200000 -pes 4 -budget 2000000
 //	meshgen -method opcdm  -elements 500000 -pes 8 -policy lfu -spool /tmp/spool
 //	meshgen -method oupdr  -elements 200000 -pes 2 -quality
-//	meshgen -method updr   -elements 200000 -quality -against old.json
 //
 // -quality prints the run's quality report (meshgen.Quality: counts, the
 // minimum-angle histogram against the bound, the worst radius-edge ratio,
 // size fidelity, Validate/CheckDelaunay per piece, conformity and MeshHash)
-// as a table and as one JSON line; -against FILE, a JSON report saved from
-// an earlier run, prints the two side by side instead of the table. OPCDM
-// has no report.
+// as a table and as one JSON line. ONUPDR and OPCDM have no report.
 package main
 
 import (
@@ -47,15 +44,17 @@ func main() {
 		beta     = flag.Float64("beta", 0, "radius-edge quality bound (0 = sqrt 2)")
 		svgPath  = flag.String("svg", "", "also render an equivalent sequential mesh to this SVG file")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (OOC methods; open in Perfetto)")
-		quality  = flag.Bool("quality", false, "print the run's quality report (not opcdm)")
-		against  = flag.String("against", "", "with -quality: a saved JSON report to print side by side with this run's")
+		quality  = flag.Bool("quality", false, "print the run's quality report (not onupdr or opcdm)")
 	)
 	flag.Parse()
-	if *quality && strings.EqualFold(*method, "opcdm") {
-		fatalf("-quality: OPCDM has no quality report")
+	if flag.NArg() > 0 {
+		fatalf("unexpected arguments %q (the radius-edge bound is -beta)", flag.Args())
 	}
 
 	m := strings.ToLower(*method)
+	if *quality && (m == "onupdr" || m == "opcdm") {
+		fatalf("-quality: %s has no quality report", strings.ToUpper(m))
+	}
 	ooM := strings.HasPrefix(m, "o") && m != "updr"
 	var res meshgen.Result
 	var err error
@@ -117,11 +116,11 @@ func main() {
 			})
 		case "onupdr":
 			res, err = meshgen.RunONUPDR(cl, meshgen.NUPDRConfig{
-				TargetElements: *elements, QualityBound: *beta, Quality: *quality,
+				TargetElements: *elements, QualityBound: *beta,
 			})
 		case "opcdm":
 			res, err = meshgen.RunOPCDM(cl, meshgen.PCDMConfig{
-				Grid: 6, TargetElements: *elements, QualityBound: *beta, Quality: *quality,
+				Grid: 6, TargetElements: *elements, QualityBound: *beta,
 			})
 		default:
 			fatalf("unknown method %q", *method)
@@ -134,7 +133,7 @@ func main() {
 	fmt.Println(res)
 	fmt.Printf("conforming interfaces: %v\n", res.Conforming)
 	if *quality {
-		if err := printQuality(res.Quality, *against); err != nil {
+		if err := printQuality(res.Quality); err != nil {
 			fatalf("quality: %v", err)
 		}
 	}
@@ -200,22 +199,9 @@ func writeSVG(path, method string, elements int, quality float64) error {
 	return render.WriteSVG(f, mm, render.Options{FillByQuality: true, Constrained: true})
 }
 
-// printQuality prints q as a table, or side by side with the report saved
-// in against, then as one JSON line.
-func printQuality(q *meshgen.Quality, against string) error {
-	if against == "" {
-		fmt.Print(q.Table())
-	} else {
-		data, err := os.ReadFile(against)
-		if err != nil {
-			return err
-		}
-		old := &meshgen.Quality{}
-		if err := json.Unmarshal(data, old); err != nil {
-			return fmt.Errorf("%s: %w", against, err)
-		}
-		fmt.Print(meshgen.QualityDiff(old, q))
-	}
+// printQuality prints q as a table, then as one JSON line.
+func printQuality(q *meshgen.Quality) error {
+	fmt.Print(q.Table())
 	line, err := json.Marshal(q)
 	if err != nil {
 		return err

@@ -52,7 +52,7 @@ type Result struct {
 	MeshHash string
 
 	// Quality is the run's quality report when its config asked for one
-	// (OPCDM has none), nil otherwise.
+	// (ONUPDR and OPCDM have none), nil otherwise.
 	Quality *Quality
 }
 

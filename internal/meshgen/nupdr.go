@@ -25,9 +25,10 @@ type NUPDRConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
-	// Quality asks for the run's quality report (Result.Quality): every
-	// piece is judged as it is meshed, which costs a pass over its elements
-	// and its Validate and CheckDelaunay.
+	// Quality asks RunNUPDR for the run's quality report (Result.Quality):
+	// every piece is judged as it is meshed, which costs a pass over its
+	// elements and its Validate and CheckDelaunay. RunONUPDR, whose mesh
+	// depends on the schedule, has no report.
 	Quality bool
 	// Grading is the coarse-to-fine size ratio across the domain (default 6).
 	Grading float64

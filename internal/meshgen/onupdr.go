@@ -279,7 +279,7 @@ func readIdxs(r io.Reader, n uint32) ([]int32, error) {
 
 // registerONUPDR installs the ONUPDR handlers on every node; errs keeps the
 // first error a handler meets.
-func registerONUPDR(cl *cluster.Cluster, errs *firstErr, q *Quality) {
+func registerONUPDR(cl *cluster.Cluster, errs *firstErr) {
 	for _, rt := range cl.Runtimes() {
 		rt.Register(hQUpdate, func(c *core.Ctx, arg []byte) {
 			if err := onupdrQUpdate(c, c.Object().(*queueObj), arg); err != nil {
@@ -287,7 +287,7 @@ func registerONUPDR(cl *cluster.Cluster, errs *firstErr, q *Quality) {
 			}
 		})
 		rt.Register(hLConstruct, func(c *core.Ctx, arg []byte) {
-			queue, update, err := onupdrRefine(c.Object().(*leafObj), arg, q)
+			queue, update, err := onupdrRefine(c.Object().(*leafObj), arg)
 			if err != nil {
 				errs.set(err)
 				return
@@ -392,10 +392,9 @@ func onupdrQUpdate(c *core.Ctx, q *queueObj, arg []byte) error {
 }
 
 // onupdrRefine is a leaf's handler: it meshes the leaf against the fixed
-// portions the queue sent, keeps the mesh, judges it into q, and returns the
-// queue's pointer and the update that reports the leaf's counts and
-// boundary.
-func onupdrRefine(o *leafObj, arg []byte, q *Quality) (core.MobilePtr, []byte, error) {
+// portions the queue sent, keeps the mesh, and returns the queue's pointer
+// and the update that reports the leaf's counts and boundary.
+func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
 	queue, idx, fixed, err := decodeLConstruct(arg)
 	if err != nil {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: construct payload: %w", o.Rect, err)
@@ -407,7 +406,6 @@ func onupdrRefine(o *leafObj, arg []byte, q *Quality) (core.MobilePtr, []byte, e
 	buf := bytes.NewBuffer(make([]byte, 0, m.EncodedSize()))
 	err = m.EncodeTo(buf)
 	elems, verts := m.NumTriangles(), m.NumVertices()
-	q.Add(m, o.Size.At)
 	m.Recycle()
 	if err != nil {
 		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: encode mesh: %w", o.Rect, err)
@@ -427,8 +425,7 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	sp := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
 	errs := &firstErr{}
-	qr := newQualityIf(cfg.Quality, cfg.QualityBound)
-	registerONUPDR(cl, errs, qr)
+	registerONUPDR(cl, errs)
 
 	// Create leaf objects round-robin across nodes; the queue lives on node 0
 	// and is locked in memory. More leaves than PEs stay in flight so a leaf
@@ -463,7 +460,6 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 		}
 	}
 
-	conforming := q.conforming()
 	return Result{
 		Method:     "ONUPDR",
 		Elements:   int(q.Elements),
@@ -473,7 +469,6 @@ func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 		Elapsed:    time.Since(start),
 		Report:     cl.Report(),
 		Mem:        cl.MemStats(),
-		Conforming: conforming,
-		Quality:    qr.Close("ONUPDR", conforming, ""),
+		Conforming: q.conforming(),
 	}, nil
 }

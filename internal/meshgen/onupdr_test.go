@@ -149,7 +149,7 @@ func TestONUPDRRefineAndLeafRoundTrip(t *testing.T) {
 	queue := core.MobilePtr{Home: 0, Seq: 7}
 	fp := testFixedPortion()
 	o := testLeaf()
-	to, update, err := onupdrRefine(o, encodeLConstruct(queue, 3, []fixedPortion{fp}), nil)
+	to, update, err := onupdrRefine(o, encodeLConstruct(queue, 3, []fixedPortion{fp}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestONUPDRRefineAndLeafRoundTrip(t *testing.T) {
 func TestONUPDRLeafRejectsMalformedPayload(t *testing.T) {
 	queue := core.MobilePtr{Home: 0, Seq: 7}
 	good := encodeLConstruct(queue, 0, []fixedPortion{testFixedPortion()})
-	if _, _, err := onupdrRefine(testLeaf(), good, nil); err != nil {
+	if _, _, err := onupdrRefine(testLeaf(), good); err != nil {
 		t.Fatalf("well-formed payload: %v", err)
 	}
 	var noEnds bytes.Buffer
@@ -194,7 +194,7 @@ func TestONUPDRLeafRejectsMalformedPayload(t *testing.T) {
 	writePoints(&noEnds, []geom.Point{geom.Pt(0.5, 0)})
 	for _, arg := range [][]byte{nil, {0}, good[:12], good[:len(good)-1], noEnds.Bytes()} {
 		o := testLeaf()
-		if _, _, err := onupdrRefine(o, arg, nil); err == nil {
+		if _, _, err := onupdrRefine(o, arg); err == nil {
 			t.Errorf("payload %x accepted, want an error", arg)
 		}
 		if o.MeshData != nil {

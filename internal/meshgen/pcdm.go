@@ -24,9 +24,10 @@ type PCDMConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
-	// Quality asks for the run's quality report (Result.Quality): every
-	// subdomain is judged once the run is over, which costs a pass over its
-	// elements and its Validate and CheckDelaunay.
+	// Quality asks RunPCDM for the run's quality report (Result.Quality):
+	// every subdomain is judged once the run is over, which costs a pass over
+	// its elements and its Validate and CheckDelaunay. RunOPCDM has no
+	// report.
 	Quality bool
 }
 

@@ -28,7 +28,7 @@ func TestMeshPoolChangesNoResult(t *testing.T) {
 	}
 	leaf := func() []byte {
 		o := testLeaf()
-		_, update, err := onupdrRefine(o, encodeLConstruct(core.MobilePtr{Home: 0, Seq: 7}, 3, []fixedPortion{testFixedPortion()}), nil)
+		_, update, err := onupdrRefine(o, encodeLConstruct(core.MobilePtr{Home: 0, Seq: 7}, 3, []fixedPortion{testFixedPortion()}))
 		if err != nil {
 			t.Fatal(err)
 		}
