@@ -137,7 +137,8 @@ func (p *PSLG) Validate() error {
 // BuildCDT builds the constrained Delaunay triangulation of the PSLG and
 // carves away the exterior (and any holes). It returns the mesh and the
 // vertex IDs corresponding to p.Points (duplicated points map to the same
-// vertex). On an error it recycles the mesh it started.
+// vertex). The points go in coarse to fine (order.go), so vertex IDs follow
+// that order, not the PSLG's. On an error it recycles the mesh it started.
 func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -146,15 +147,22 @@ func BuildCDT(p *PSLG) (*mesh.Mesh, []mesh.VertexID, error) {
 	bbox := geom.BoundingRect(p.Points)
 	m.InitSuper(bbox)
 
+	s := orderPool.Get().(*orderScratch)
+	defer orderPool.Put(s)
+	insertionOrder(p, s)
 	ids := make([]mesh.VertexID, len(p.Points))
 	hint := mesh.NoTri
-	for i, pt := range p.Points {
+	for _, st := range s.order {
+		if st.from >= 0 {
+			hint = m.IncidentTri(ids[st.from])
+		}
+		pt := p.Points[st.pt]
 		v, err := m.InsertPoint(pt, hint)
 		if err != nil && err != mesh.ErrDuplicate {
 			m.Recycle()
-			return nil, nil, fmt.Errorf("delaunay: inserting point %d %v: %w", i, pt, err)
+			return nil, nil, fmt.Errorf("delaunay: inserting point %d %v: %w", st.pt, pt, err)
 		}
-		ids[i] = v
+		ids[st.pt] = v
 		hint = m.IncidentTri(v)
 	}
 	for i, s := range p.Segments {
