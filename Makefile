@@ -106,8 +106,8 @@ bench-tiers:
 bench-compress:
 	$(GO) run ./cmd/mrtsbench -exp compress,alloc -scale $(SCALE)
 
-# The first-hop routing sweep: four locators × two migration regimes
-# (override: make bench-routing SCALE=0.5 DIR=placed to run one locator).
+# The first-hop routing sweep: the three directory policies × two migration
+# regimes (override: make bench-routing SCALE=0.5 DIR=eager to run one policy).
 DIR ?=
 bench-routing:
 	$(GO) run ./cmd/mrtsbench -exp routing -scale $(SCALE) -dir "$(DIR)"

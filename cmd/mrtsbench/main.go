@@ -41,7 +41,7 @@ func main() {
 		jsonPath  = flag.String("json", "", "write machine-readable metrics (bench.Doc JSON)")
 		pprofAddr = flag.String("pprof", "", "serve /debug/pprof and /debug/vars on this address while running")
 		seed      = flag.Int64("seed", 0, "perturb every seeded random stream in the experiments (0 = legacy fixed seeds)")
-		dir       = flag.String("dir", "", "restrict the routing experiment to one locator (placed, lazy, eager, home)")
+		dir       = flag.String("dir", "", "restrict the routing experiment to one directory policy (lazy, eager, home)")
 	)
 	flag.Parse()
 

@@ -54,6 +54,32 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknownDir: a -dir value that names no directory policy is
+// an error for every experiment, listing the three it accepts, instead of an
+// empty routing table; a valid one runs that policy's two rows.
+func TestRunRejectsUnknownDir(t *testing.T) {
+	for _, dir := range []string{"placed", "Lazy", "bogus"} {
+		for _, id := range []string{"routing", "tab1"} {
+			_, err := Run(id, Options{Scale: 0.05, PEs: 2, Dir: dir})
+			if err == nil {
+				t.Fatalf("-exp %s -dir %s ran", id, dir)
+			}
+			for _, want := range []string{"lazy", "eager", "home"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("-dir %s error %q does not list %q", dir, err, want)
+				}
+			}
+		}
+	}
+	tbl, err := Run("routing", Options{Scale: 0.05, PEs: 2, Dir: "eager"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "eager" || tbl.Rows[1][0] != "eager" {
+		t.Fatalf("-dir eager rows = %v, want eager's settled and drift", tbl.Rows)
+	}
+}
+
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
 	if len(ids) != 24 {

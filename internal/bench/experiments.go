@@ -33,9 +33,10 @@ type Options struct {
 	// (access skew, directory traffic). Zero keeps the legacy fixed
 	// seeds, so the CI bench baseline stays bit-stable by default.
 	Seed int64
-	// Dir, when non-empty, restricts locator-sweep experiments (routing) to
-	// one locator kind ("lazy", "eager", "home" or "placed") so a single
-	// cell can run standalone (mrtsbench -dir placed -exp routing).
+	// Dir, when non-empty, restricts the routing sweep to one directory
+	// policy ("lazy", "eager" or "home") so a single row pair can run
+	// standalone (mrtsbench -dir eager -exp routing); any other value is an
+	// error for every experiment.
 	Dir string
 }
 
@@ -74,6 +75,9 @@ func Experiments() []string {
 // Run executes one experiment by ID.
 func Run(id string, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
+	if _, err := routingPolicies(opts.Dir); err != nil {
+		return nil, err
+	}
 	switch id {
 	case "fig1":
 		return Figure1(opts)

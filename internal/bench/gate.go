@@ -47,7 +47,7 @@ var bounds = []bound{
 	// Payload bytes crossing a storage boundary: a double write or a lost
 	// compression win trips it regardless of machine speed.
 	{leaf: "bytes_moved", rel: 2},
-	// Routing indirection. The placed locator's settled baseline is exactly
+	// Routing indirection. The eager policy's settled baseline is exactly
 	// zero; a handful of forwards from scheduling races (a post landing
 	// during a migration install) are noise.
 	{leaf: "forwarded_per_msg", rel: 2, abs: 0.05},

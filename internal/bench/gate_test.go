@@ -191,29 +191,29 @@ func TestGateBytesMetric(t *testing.T) {
 func TestGateForwardMetric(t *testing.T) {
 	base, cur := docPair()
 	base.Experiments["routing"] = map[string]float64{
-		"placed/settled/forwarded_per_msg": 0,
-		"lazy/drift/forwarded_per_msg":     0.2,
+		"eager/settled/forwarded_per_msg": 0,
+		"lazy/drift/forwarded_per_msg":    0.2,
 	}
 	cur.Experiments["routing"] = map[string]float64{
-		"placed/settled/forwarded_per_msg": 0,
-		"lazy/drift/forwarded_per_msg":     0.2,
+		"eager/settled/forwarded_per_msg": 0,
+		"lazy/drift/forwarded_per_msg":    0.2,
 	}
 
-	// The placed settled baseline is exactly zero — the absolute slack keeps
+	// The eager settled baseline is exactly zero — the absolute slack keeps
 	// a stray scheduling-race forward from tripping the gate.
-	cur.Experiments["routing"]["placed/settled/forwarded_per_msg"] = 0.04
+	cur.Experiments["routing"]["eager/settled/forwarded_per_msg"] = 0.04
 	if v := Compare(base, cur); len(v) != 0 {
 		t.Fatalf("sub-slack forwarding must pass, got %v", v)
 	}
-	// Systematic forwarding over a zero baseline trips: the placed locator
-	// stopped resolving first hops off the ring.
-	cur.Experiments["routing"]["placed/settled/forwarded_per_msg"] = 0.3
+	// Systematic forwarding over a zero baseline trips: the eager broadcast
+	// stopped keeping every cache exact.
+	cur.Experiments["routing"]["eager/settled/forwarded_per_msg"] = 0.3
 	v := Compare(base, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "forwarded_per_msg") {
 		t.Fatalf("want one forwarding violation, got %v", v)
 	}
 	// Over a nonzero baseline the relative bound applies.
-	cur.Experiments["routing"]["placed/settled/forwarded_per_msg"] = 0
+	cur.Experiments["routing"]["eager/settled/forwarded_per_msg"] = 0
 	cur.Experiments["routing"]["lazy/drift/forwarded_per_msg"] = 0.6
 	v = Compare(base, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "lazy/drift") {
@@ -228,17 +228,17 @@ func TestGateForwardMetric(t *testing.T) {
 
 func TestGateHopsMetric(t *testing.T) {
 	base, cur := docPair()
-	base.Experiments["routing"] = map[string]float64{"placed/drift/hops_mean": 1.1}
-	cur.Experiments["routing"] = map[string]float64{"placed/drift/hops_mean": 1.1}
+	base.Experiments["routing"] = map[string]float64{"lazy/drift/hops_mean": 1.1}
+	cur.Experiments["routing"] = map[string]float64{"lazy/drift/hops_mean": 1.1}
 
 	// The healthy floor is 1.0 (every remote message direct), so small
 	// absolute growth under the slack is noise.
-	cur.Experiments["routing"]["placed/drift/hops_mean"] = 1.3
+	cur.Experiments["routing"]["lazy/drift/hops_mean"] = 1.3
 	if v := Compare(base, cur); len(v) != 0 {
 		t.Fatalf("sub-slack hop growth must pass, got %v", v)
 	}
 	// A forwarding chain creeping toward the hop bound trips.
-	cur.Experiments["routing"]["placed/drift/hops_mean"] = 2.5
+	cur.Experiments["routing"]["lazy/drift/hops_mean"] = 2.5
 	v := Compare(base, cur)
 	if len(v) != 1 || !strings.Contains(v[0], "hops_mean") {
 		t.Fatalf("want one hop-count violation, got %v", v)

@@ -11,40 +11,35 @@ import (
 	"mrts/internal/ooc"
 )
 
-// Routing sweeps the four locators over two migration regimes — the
-// experiment behind the placement-aware routing claim: with objects settled
-// at their ring owners, a DirPlaced first hop lands on the owner directly
-// (forwarded-per-message ≈ 0), while the home-anchored policies pay the home
-// detour or a forwarding chain; under migration drift every locator pays
-// something, and the sweep shows what.
-//
-// The dirpolicies experiment is unchanged and still reproduces the paper's
-// lazy/eager/home comparison; this one adds the placed locator and gates the
-// forwarding and hop-count metrics in CI.
+// Routing sweeps the paper's three directory policies over two migration
+// regimes: with objects settled where the grid deal puts them, eager's first
+// hop is exact while home pays the home detour and lazy a forwarding chain
+// until its repair lands; under migration drift every policy pays something,
+// and the sweep shows what. Unlike dirpolicies it normalizes per message,
+// reports the hop mean, keeps at least three nodes and is gated in CI.
 func Routing(opts Options) (*Table, error) {
+	policies, err := routingPolicies(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "routing",
-		Title:   "first-hop routing: home-anchored policies vs directory placement",
-		Headers: []string{"locator", "regime", "time", "fwd/msg", "hops", "dir updates", "stale"},
+		Title:   "first-hop routing: the directory policies under settled and drifting placement",
+		Headers: []string{"policy", "regime", "time", "fwd/msg", "hops", "dir updates"},
 		Notes: []string{
-			"settled: objects sit at their ring owners; drift: a third migrate to random nodes between rounds",
-			"placed resolves first hops off the consistent-hash ring: fwd/msg ~ 0 when settled",
+			"settled: object i sits at node i mod nodes, the grid deal; drift: a third migrate to random nodes between rounds",
 		},
 	}
-	kinds := []cluster.RoutingKind{cluster.RouteHome, cluster.RouteLazy, cluster.RouteEager, cluster.RoutePlaced}
-	for _, kind := range kinds {
-		if opts.Dir != "" && string(kind) != opts.Dir {
-			continue
-		}
+	for _, policy := range policies {
 		for _, regime := range []string{"settled", "drift"} {
-			m, err := routingRun(opts, kind, regime == "drift")
+			m, err := routingRun(opts, policy, regime == "drift")
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(string(kind), regime, fmtDur(m.elapsed),
+			t.AddRow(policy.String(), regime, fmtDur(m.elapsed),
 				fmt.Sprintf("%.3f", m.fwdPerMsg), fmt.Sprintf("%.2f", m.hopsMean),
-				fmtInt(int(m.dirUpdates)), fmtInt(int(m.staleRetries)))
-			pfx := fmt.Sprintf("%s/%s/", kind, regime)
+				fmtInt(int(m.dirUpdates)))
+			pfx := fmt.Sprintf("%s/%s/", policy, regime)
 			t.SetMetric(pfx+"time_sec", m.elapsed.Seconds())
 			t.SetMetric(pfx+"forwarded_per_msg", m.fwdPerMsg)
 			t.SetMetric(pfx+"hops_mean", m.hopsMean)
@@ -53,23 +48,36 @@ func Routing(opts Options) (*Table, error) {
 	return t, nil
 }
 
-type routingMetrics struct {
-	elapsed      time.Duration
-	fwdPerMsg    float64
-	hopsMean     float64
-	dirUpdates   int64
-	staleRetries int64
+// routingPolicies returns the policies the routing sweep runs: all three, or
+// the one -dir names.
+func routingPolicies(dir string) ([]core.DirectoryPolicy, error) {
+	if dir == "" {
+		return core.DirectoryPolicies(), nil
+	}
+	for _, p := range core.DirectoryPolicies() {
+		if p.String() == dir {
+			return []core.DirectoryPolicy{p}, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown -dir %q (want lazy, eager or home)", dir)
 }
 
-// routingRun executes one (locator, regime) cell: objects born on node 0,
-// rebalanced to their ring owners, then a post storm from random nodes. The
-// drift regime migrates a third of the objects to random nodes between storm
-// rounds, so locators must recover from off-placement objects.
-func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetrics, error) {
+type routingMetrics struct {
+	elapsed    time.Duration
+	fwdPerMsg  float64
+	hopsMean   float64
+	dirUpdates int64
+}
+
+// routingRun executes one (policy, regime) cell: objects born on node 0,
+// dealt over the nodes, then a post storm from random nodes. The drift regime
+// migrates a third of the objects to random nodes between storm rounds, so
+// the directory must catch up with objects that left their dealt node.
+func routingRun(opts Options, policy core.DirectoryPolicy, drift bool) (routingMetrics, error) {
 	var m routingMetrics
 	// A two-node cluster cannot express a stale first hop: every object is
 	// either local to the poster or on the only other node, so the home
-	// anchor always answers correctly and all locators tie at zero. Three
+	// anchor always answers correctly and all policies tie at zero. Three
 	// nodes is the smallest shape with a real detour (poster, home, owner
 	// pairwise distinct).
 	nodes := opts.PEs
@@ -79,7 +87,7 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     nodes,
 		MemBudget: 1 << 24,
-		Routing:   kind,
+		Directory: policy,
 		Network:   comm.LatencyModel{Latency: 100 * time.Microsecond},
 		Policy:    ooc.LRU,
 		Factory: func(typeID uint16) (core.Object, error) {
@@ -89,7 +97,7 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 			return nil, core.ErrUnknownType
 		},
 		Trace:      opts.Trace,
-		TraceLabel: fmt.Sprintf("routing/%s/", kind),
+		TraceLabel: fmt.Sprintf("routing/%s/", policy),
 	})
 	if err != nil {
 		return m, err
@@ -100,9 +108,9 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 		rt.Register(1, func(c *core.Ctx, arg []byte) {})
 	}
 
-	// Every object is born on node 0 (maximal home skew), then settled at its
-	// ring owner — the placement a directory-driven application (meshgen's
-	// SPMD driver) establishes by construction.
+	// Every object is born on node 0 (maximal home skew), then object i is
+	// dealt to node i mod nodes — the placement the grid methods give their
+	// cells at creation.
 	const objects = 48
 	ptrs := make([]core.MobilePtr, 0, objects)
 	host := make([]core.NodeID, objects) // where each object currently lives
@@ -110,10 +118,9 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 		ptrs = append(ptrs, rts[0].CreateObject(&noopObj{}))
 	}
 	for i, p := range ptrs {
-		owner, _ := cl.Directory().OwnerOf(p)
-		host[i] = owner
-		if owner != 0 {
-			if err := rts[0].Migrate(p, owner); err != nil {
+		host[i] = core.NodeID(i % nodes)
+		if host[i] != 0 {
+			if err := rts[0].Migrate(p, host[i]); err != nil {
 				return m, err
 			}
 		}
@@ -132,7 +139,7 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 	for round := 0; round < rounds; round++ {
 		if drift && round > 0 {
 			// Migration drift: a third of the objects move to random nodes,
-			// taking them off their ring placement.
+			// away from their dealt node.
 			for i := rng.Intn(3); i < len(ptrs); i += 3 {
 				dest := core.NodeID(rng.Intn(nodes))
 				if dest == host[i] {
@@ -156,9 +163,8 @@ func routingRun(opts Options, kind cluster.RoutingKind, drift bool) (routingMetr
 	m.fwdPerMsg = float64(after.Forwarded-before.Forwarded) / float64(posts)
 	m.hopsMean = after.HopsMean
 	m.dirUpdates = after.DirUpdates - before.DirUpdates
-	m.staleRetries = after.StaleRetries - before.StaleRetries
 	if after.Dropped != 0 {
-		return m, fmt.Errorf("bench: routing %s: %d messages dropped at the hop bound", kind, after.Dropped)
+		return m, fmt.Errorf("bench: routing %s: %d messages dropped at the hop bound", policy, after.Dropped)
 	}
 	return m, nil
 }

@@ -1,15 +1,16 @@
-// Node churn: graceful leave/join with object rebalancing over the
-// consistent-hash directory, and whole-node crash/restart built on the
-// checkpoint machinery.
+// Node churn: graceful leave/join with object rebalancing, and whole-node
+// crash/restart built on the checkpoint machinery.
 //
 // The rebalance drain rule: a membership change never copies the whole
-// keyspace. On leave, only the departing node's objects move — each to the
-// node now owning its placement key; on join, only the objects whose
-// placement key the new member took over move. Both are migration requests
+// keyspace. On leave, only the departing node's objects move — dealt
+// round-robin over the live nodes in (Home, Seq) order, the grid deal's rule;
+// on join, only the objects born on the returning node move back to it,
+// wherever they now live. Both are migration requests
 // (core.Runtime.RequestMigration): one that finds its object still held by
 // an eviction at the phase boundary waits on the object, an out-of-core
 // object comes in through the swapio demand class first, and the Wait that
-// ends the operation waits for every move.
+// ends the operation waits for every move. Routing needs no repair: each
+// move tells the object's home node, as any migration does.
 //
 // All churn operations require a quiescent cluster (call Wait first): they
 // reshape placement between computation phases, mirroring how the
@@ -18,15 +19,14 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mrts/internal/core"
 	"mrts/internal/obs"
 	"mrts/internal/storage"
 )
-
-// Directory returns the cluster's placement ring.
-func (c *Cluster) Directory() *Directory { return c.dir }
 
 // ActiveNodes counts nodes currently in service (not drained or crashed).
 func (c *Cluster) ActiveNodes() int {
@@ -41,42 +41,46 @@ func (c *Cluster) ActiveNodes() int {
 	return n
 }
 
-// LeaveNode gracefully removes node i from the placement ring and drains
-// every object it holds to the object's new ring owner. The node's runtime
-// stays up as a forwarding shell — in-flight references through it still
-// resolve — but it owns no keys and hosts no objects until JoinNode.
-// Returns the number of objects drained.
+// LeaveNode gracefully takes node i out of service and deals every object it
+// holds round-robin over the live nodes, in (Home, Seq) order. The node's
+// runtime stays up as a forwarding shell — in-flight references through it
+// still resolve — but it hosts no objects until JoinNode. Returns the number
+// of objects drained.
 func (c *Cluster) LeaveNode(i int) (int, error) {
-	c.nmu.RLock()
-	bad := i < 0 || i >= len(c.rts)
-	if !bad {
-		bad = c.inactive[i]
-	}
-	c.nmu.RUnlock()
-	if bad {
+	c.nmu.Lock()
+	if i < 0 || i >= len(c.rts) || c.inactive[i] {
+		c.nmu.Unlock()
 		return 0, fmt.Errorf("cluster: node %d absent or already inactive", i)
 	}
-	if c.dir.Size() <= 1 {
-		return 0, fmt.Errorf("cluster: cannot drain the last ring member")
+	var live []core.NodeID
+	for j, gone := range c.inactive {
+		if !gone && j != i {
+			live = append(live, core.NodeID(j))
+		}
 	}
-	epoch := c.dir.Remove(core.NodeID(i))
-	c.tracer(i).Emit(obs.KindNodeLeave, uint64(i), int64(epoch))
-	moved, err := c.drainNode(i)
-	c.nmu.Lock()
+	if len(live) == 0 {
+		c.nmu.Unlock()
+		return 0, fmt.Errorf("cluster: cannot drain the last active node")
+	}
 	c.inactive[i] = true
+	rt := c.rts[i]
 	c.nmu.Unlock()
-	// The ring epoch moved: off-placement objects must be re-announced to
-	// their new anchors, and a message parked under the old placement would
-	// hold its node's work counter forever, so Wait below would hang.
-	c.reAnchor()
-	c.reRouteParked()
+	c.tracer(i).Emit(obs.KindNodeLeave, uint64(i), int64(len(live)))
+
+	ptrs := rt.LocalObjects()
+	slices.SortFunc(ptrs, func(a, b core.MobilePtr) int {
+		return cmp.Or(cmp.Compare(a.Home, b.Home), cmp.Compare(a.Seq, b.Seq))
+	})
+	for k, ptr := range ptrs {
+		c.rebalance(rt, ptr, live[k%len(live)])
+	}
 	c.Wait() // let the last installs land before the caller resumes posting
-	return moved, err
+	return len(ptrs), nil
 }
 
-// JoinNode returns a previously drained node to the ring and pulls over the
-// objects whose placement keys it now owns. Returns the number of objects
-// moved to it.
+// JoinNode returns a drained node to service and pulls back every object
+// born on it (ptr.Home == i), wherever it now lives. Returns the number of
+// objects moved to it.
 func (c *Cluster) JoinNode(i int) (int, error) {
 	c.nmu.Lock()
 	if i < 0 || i >= len(c.rts) || !c.inactive[i] || c.ckpts[i] != nil {
@@ -85,8 +89,7 @@ func (c *Cluster) JoinNode(i int) (int, error) {
 	}
 	c.inactive[i] = false
 	c.nmu.Unlock()
-	epoch := c.dir.Add(core.NodeID(i))
-	c.tracer(i).Emit(obs.KindNodeJoin, uint64(i), int64(epoch))
+	c.tracer(i).Emit(obs.KindNodeJoin, uint64(i), int64(c.ActiveNodes()))
 
 	moved := 0
 	for j, rt := range c.Runtimes() {
@@ -94,106 +97,13 @@ func (c *Cluster) JoinNode(i int) (int, error) {
 			continue
 		}
 		for _, ptr := range rt.LocalObjects() {
-			owner, _ := c.dir.OwnerOf(ptr)
-			if owner != core.NodeID(i) {
-				continue
+			if ptr.Home == core.NodeID(i) {
+				c.rebalance(rt, ptr, core.NodeID(i))
+				moved++
 			}
-			c.rebalance(rt, ptr, core.NodeID(i))
-			moved++
-		}
-	}
-	c.reAnchor()
-	c.reRouteParked() // see LeaveNode: the epoch bump moved placements
-	c.Wait()
-	return moved, nil
-}
-
-// reAnchor repairs placed-routing anchor state after a ring epoch bump. An
-// object that migrated off its placement is reachable only through the
-// override its old ring owner recorded; when the epoch moves that key to a
-// different owner, the override is orphaned and first hops would park at the
-// new owner forever. Each live node is the ground truth for the objects it
-// hosts, so it re-announces every off-placement object to the current ring
-// owner's locator. No-op for the home-anchored policies (their anchor, the
-// birth node, never moves).
-func (c *Cluster) reAnchor() {
-	c.nmu.RLock()
-	placed := make([]*PlacedLocator, len(c.placed))
-	copy(placed, c.placed)
-	c.nmu.RUnlock()
-	if len(placed) == 0 {
-		return
-	}
-	for j, rt := range c.Runtimes() {
-		if c.isInactive(j) {
-			continue
-		}
-		for _, ptr := range rt.LocalObjects() {
-			owner, _ := c.dir.OwnerOf(ptr)
-			if owner == core.NodeID(j) || owner < 0 {
-				continue
-			}
-			if l := placed[owner]; l != nil {
-				l.Note(ptr, core.NodeID(j))
-			}
-		}
-	}
-}
-
-// SettleAtOwners migrates every hosted object to its current ring owner —
-// the placement a directory-driven application establishes by construction,
-// and the state in which the placed locator's first hops are exact. Returns
-// the number of objects moved. The cluster must be quiescent.
-func (c *Cluster) SettleAtOwners() (int, error) {
-	moved := 0
-	for j, rt := range c.Runtimes() {
-		if c.isInactive(j) {
-			continue
-		}
-		for _, ptr := range rt.LocalObjects() {
-			dest, _ := c.dir.OwnerOf(ptr)
-			if dest < 0 || dest == core.NodeID(j) {
-				continue
-			}
-			c.rebalance(rt, ptr, dest)
-			moved++
 		}
 	}
 	c.Wait()
-	return moved, nil
-}
-
-// reRouteParked re-resolves parked messages on every live runtime after a
-// ring epoch bump. Drained nodes are included — they stay up as forwarding
-// shells and can hold parked messages too; crashed nodes are skipped (their
-// runtime is closed, and a crash does not move the ring).
-func (c *Cluster) reRouteParked() {
-	c.nmu.RLock()
-	rts := make([]*core.Runtime, 0, len(c.rts))
-	for i, rt := range c.rts {
-		if c.ckpts[i] != nil {
-			continue
-		}
-		rts = append(rts, rt)
-	}
-	c.nmu.RUnlock()
-	for _, rt := range rts {
-		rt.ReRouteParked()
-	}
-}
-
-// drainNode migrates every object node i holds to its ring owner.
-func (c *Cluster) drainNode(i int) (int, error) {
-	rt := c.RT(i)
-	moved := 0
-	for _, ptr := range rt.LocalObjects() {
-		dest, _ := c.dir.OwnerOf(ptr)
-		if dest < 0 || dest == core.NodeID(i) {
-			return moved, fmt.Errorf("cluster: no ring owner for %v while draining node %d", ptr, i)
-		}
-		c.rebalance(rt, ptr, dest)
-		moved++
-	}
 	return moved, nil
 }
 
@@ -213,10 +123,10 @@ func packPtr(p core.MobilePtr) uint64 {
 // CrashNode kills node i at a phase boundary: its state is checkpointed to
 // an in-memory store (standing in for the durable checkpoint a real worker
 // process writes at every barrier), and the runtime is torn down. The node
-// keeps its ring membership — it is down, not departed — exactly like a
-// real worker that will be relaunched with the same node ID. Only plain
-// disk clusters support crash/restart; remote-memory and tiered stacks
-// share state through the transport that dies with the runtime.
+// is down, not departed — exactly like a real worker that will be relaunched
+// with the same node ID — so its objects stay in its checkpoint. Only plain
+// disk clusters support crash/restart; remote-memory and tiered stacks share
+// state through the transport that dies with the runtime.
 func (c *Cluster) CrashNode(i int) error {
 	if c.cfg.RemoteMemory || c.cfg.Tier != nil {
 		return fmt.Errorf("cluster: CrashNode supports plain disk clusters only")
@@ -239,7 +149,7 @@ func (c *Cluster) CrashNode(i int) error {
 	c.ckpts[i] = ck
 	c.inactive[i] = true
 	c.nmu.Unlock()
-	c.tracer(i).Emit(obs.KindNodeLeave, uint64(i), int64(c.dir.Epoch()))
+	c.tracer(i).Emit(obs.KindNodeLeave, uint64(i), int64(c.ActiveNodes()))
 	return rt.Close()
 }
 
@@ -274,7 +184,7 @@ func (c *Cluster) RestartNode(i int) (*core.Runtime, error) {
 	c.ckpts[i] = nil
 	c.inactive[i] = false
 	c.nmu.Unlock()
-	c.tracer(i).Emit(obs.KindNodeJoin, uint64(i), int64(c.dir.Epoch()))
+	c.tracer(i).Emit(obs.KindNodeJoin, uint64(i), int64(c.ActiveNodes()))
 	return rt, nil
 }
 
@@ -292,13 +202,10 @@ func (c *Cluster) tracer(i int) *obs.Tracer {
 }
 
 // DirectoryInvariants audits placement after churn, on a quiescent cluster:
-// the ring structure itself; every mobile object hosted by exactly one
-// active node; drained nodes hosting nothing; ring membership matching node
-// state (crashed-but-checkpointed nodes stay members, drained nodes do
-// not). Returns human-readable violations, empty when healthy.
+// every mobile object hosted by exactly one active node, drained nodes
+// hosting nothing, and a crash checkpoint held only by a node that is down.
+// Returns human-readable violations, empty when healthy.
 func (c *Cluster) DirectoryInvariants() []string {
-	bad := c.dir.CheckInvariants()
-
 	c.nmu.RLock()
 	rts := make([]*core.Runtime, len(c.rts))
 	copy(rts, c.rts)
@@ -310,12 +217,15 @@ func (c *Cluster) DirectoryInvariants() []string {
 	}
 	c.nmu.RUnlock()
 
+	var bad []string
 	hosts := make(map[core.MobilePtr]int)
 	for i, rt := range rts {
-		if inactive[i] {
-			if crashed[i] {
-				continue // its objects live in the checkpoint, not on a node
-			}
+		switch {
+		case crashed[i] && !inactive[i]:
+			bad = append(bad, fmt.Sprintf("cluster: node %d is in service but holds a crash checkpoint", i))
+		case crashed[i]:
+			continue // its objects live in the checkpoint, not on a node
+		case inactive[i]:
 			if n := rt.NumLocalObjects(); n != 0 {
 				bad = append(bad, fmt.Sprintf("cluster: drained node %d still hosts %d objects", i, n))
 			}
@@ -328,14 +238,6 @@ func (c *Cluster) DirectoryInvariants() []string {
 	for ptr, n := range hosts {
 		if n > 1 {
 			bad = append(bad, fmt.Sprintf("cluster: object %v hosted by %d nodes", ptr, n))
-		}
-	}
-	for i := range rts {
-		inRing := c.dir.Contains(core.NodeID(i))
-		wantIn := !inactive[i] || crashed[i]
-		if inRing != wantIn {
-			bad = append(bad, fmt.Sprintf("cluster: node %d ring membership %v, want %v (inactive=%v crashed=%v)",
-				i, inRing, wantIn, inactive[i], crashed[i]))
 		}
 	}
 	return bad

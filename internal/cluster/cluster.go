@@ -65,12 +65,9 @@ type Config struct {
 	Tier *TierSpec
 	// Scheduler selects the task scheduler flavor (default WorkStealing).
 	Scheduler SchedulerKind
-	// Routing selects the locator wired into every node: one of the paper's
-	// home-anchored directory policies (RouteLazy — the default and the
-	// paper's choice — RouteEager, RouteHome) or RoutePlaced, which resolves
-	// first hops off the cluster's consistent-hash placement ring so a
-	// settled object costs one hop regardless of its birth node.
-	Routing RoutingKind
+	// Directory selects the paper's location-management policy on every
+	// node; the zero value is DirLazy, the paper's choice.
+	Directory core.DirectoryPolicy
 	// Factory constructs application objects on reload/migration.
 	Factory core.Factory
 	// IOWorkers per node (<= 0 means 2).
@@ -158,9 +155,7 @@ type Cluster struct {
 	inactive []bool          // node has left (drained) or crashed
 	ckpts    []storage.Store // crash checkpoints awaiting RestartNode
 
-	dir        *Directory       // consistent-hash object placement ring
-	placed     []*PlacedLocator // per-node placed locators (RoutePlaced only, else nil)
-	rebalanced atomic.Int64     // objects moved by churn rebalancing
+	rebalanced atomic.Int64 // objects moved by churn rebalancing
 }
 
 // New builds and starts a cluster.
@@ -183,14 +178,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	clk := clock.Or(cfg.Clock)
 	c := &Cluster{cfg: cfg, tr: comm.NewInProcClock(endpoints, cfg.Network, clk), clk: clk}
-	// The placement ring exists before any node: RoutePlaced nodes wrap it as
-	// their locator, and churn mutates this same instance, so every node's
-	// routing view moves with the membership by construction.
-	ids := make([]core.NodeID, cfg.Nodes)
-	for i := range ids {
-		ids[i] = core.NodeID(i)
-	}
-	c.dir = NewDirectory(ids)
 	if cfg.RemoteMemory {
 		ep := c.tr.Endpoint(comm.NodeID(cfg.Nodes))
 		if cfg.Tier.Capacity > 0 {
@@ -297,34 +284,13 @@ func (c *Cluster) nodeConfig(i int, st storage.Store) core.Config {
 		Retry:         c.nodeRetry(i),
 		Tracer:        c.tracers[i],
 		Clock:         c.cfg.Clock,
+		Directory:     c.cfg.Directory,
+		NumNodes:      c.cfg.Nodes,
 	}
 	if hook := c.cfg.OnSwapError; hook != nil {
 		cc.OnSwapError = func(e core.SwapError) { hook(i, e) }
 	}
-	c.applyRouting(&cc, i)
 	return cc
-}
-
-// applyRouting fills node i's routing configuration per cfg.Routing: the
-// placement-aware locator over the shared ring, or one of the home-anchored
-// policy locators.
-func (c *Cluster) applyRouting(cc *core.Config, i int) {
-	switch c.cfg.Routing {
-	case RoutePlaced:
-		l := NewPlacedLocator(c.dir, core.NodeID(i))
-		if c.placed == nil {
-			c.placed = make([]*PlacedLocator, c.cfg.Nodes)
-		}
-		c.placed[i] = l
-		cc.Locator = l
-	case RouteEager:
-		cc.Directory = core.DirEager
-	case RouteHome:
-		cc.Directory = core.DirHome
-	default: // "" and RouteLazy: the paper's default policy
-		cc.Directory = core.DirLazy
-	}
-	cc.NumNodes = c.cfg.Nodes
 }
 
 // nodeBaseStore builds node i's bottom-level store stack, the one under the
@@ -492,13 +458,10 @@ func (c *Cluster) PublishMetrics(reg *obs.Registry) {
 	reg.Gauge("cluster.demand_wait_ms", func() float64 {
 		return float64(c.IOStats().DemandWaitMean().Microseconds()) / 1000
 	})
-	reg.Gauge("cluster.ring_epoch", func() float64 { return float64(c.dir.Epoch()) })
-	reg.Gauge("cluster.ring_nodes", func() float64 { return float64(c.dir.Size()) })
 	reg.Gauge("cluster.active_nodes", func() float64 { return float64(c.ActiveNodes()) })
 	reg.Gauge("cluster.rebalanced_objects", func() float64 { return float64(c.rebalanced.Load()) })
 	reg.Gauge("cluster.route.forwarded", func() float64 { return float64(c.RouteStats().Forwarded) })
 	reg.Gauge("cluster.route.dropped", func() float64 { return float64(c.RouteStats().Dropped) })
-	reg.Gauge("cluster.route.stale_retries", func() float64 { return float64(c.RouteStats().StaleRetries) })
 	reg.Gauge("cluster.route.hops_mean", func() float64 { return c.RouteStats().HopsMean })
 	if len(c.tiers) > 0 {
 		reg.Gauge("cluster.tier0_hit_pct", func() float64 { return c.TierStats().HitRatio() * 100 })
@@ -552,14 +515,13 @@ func (c *Cluster) IOStats() swapio.Stats {
 }
 
 // RouteStats aggregates the routing counters across nodes: forwarding
-// traffic, directory updates, loud drops, epoch-staleness retries and the
-// cluster-wide mean hop count of delivered remote messages.
+// traffic, directory updates, loud drops and the cluster-wide mean hop count
+// of delivered remote messages.
 type RouteStats struct {
-	Forwarded    int64
-	DirUpdates   int64
-	Dropped      int64
-	StaleRetries int64
-	HopsMean     float64
+	Forwarded  int64
+	DirUpdates int64
+	Dropped    int64
+	HopsMean   float64
 }
 
 // RouteStats aggregates routing counters across nodes (hop means weighted by
@@ -572,7 +534,6 @@ func (c *Cluster) RouteStats() RouteStats {
 		out.Forwarded += rt.ForwardedCount()
 		out.DirUpdates += rt.DirUpdatesSent()
 		out.Dropped += rt.RouteDropped()
-		out.StaleRetries += rt.RouteStaleRetries()
 		var n int64
 		for _, b := range rt.RouteHopHistogram() {
 			n += b

@@ -83,11 +83,9 @@ const maxForwardHops = 64
 
 // Errors returned by the runtime.
 var (
-	ErrUnknownObject  = errors.New("core: unknown mobile object")
-	ErrUnknownHandler = errors.New("core: unknown handler")
-	ErrUnknownType    = errors.New("core: unknown object type")
-	ErrNotLocal       = errors.New("core: object is not local")
-	ErrBusy           = errors.New("core: object is busy")
-	ErrShutdown       = errors.New("core: runtime is shut down")
-	ErrObjectLost     = errors.New("core: mobile object lost to a storage failure")
+	ErrUnknownObject = errors.New("core: unknown mobile object")
+	ErrUnknownType   = errors.New("core: unknown object type")
+	ErrNotLocal      = errors.New("core: object is not local")
+	ErrBusy          = errors.New("core: object is busy")
+	ErrObjectLost    = errors.New("core: mobile object lost to a storage failure")
 )

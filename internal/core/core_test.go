@@ -583,14 +583,18 @@ func TestMobilePtrString(t *testing.T) {
 	}
 }
 
-func TestWirreRoundtrips(t *testing.T) {
+func TestWireRoundtrips(t *testing.T) {
 	m := &appMsg{
 		dst:     MobilePtr{Home: 2, Seq: 77},
 		handler: 9,
 		route:   []NodeID{0, 3},
 		arg:     []byte("payload"),
 	}
-	got, err := decodeApp(encodeApp(m))
+	enc := encodeApp(m)
+	if want := 18 + 4*2 + 7; len(enc) != want {
+		t.Fatalf("app message encodes to %d bytes, want %d", len(enc), want)
+	}
+	got, err := decodeApp(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,6 +602,16 @@ func TestWirreRoundtrips(t *testing.T) {
 		len(got.route) != 2 || got.route[0] != 0 || got.route[1] != 3 ||
 		string(got.arg) != "payload" {
 		t.Fatalf("roundtrip mismatch: %+v", got)
+	}
+	// The decoder accepts exactly what the encoder writes: no strict prefix,
+	// and not the encoding with one more byte.
+	for n := 0; n < len(enc); n++ {
+		if _, err := decodeApp(enc[:n]); err == nil {
+			t.Errorf("app message cut to %d of %d bytes decoded", n, len(enc))
+		}
+	}
+	if _, err := decodeApp(append(append([]byte(nil), enc...), 0)); err == nil {
+		t.Error("app message with a trailing byte decoded")
 	}
 	in := &install{
 		ptr: MobilePtr{Home: 1, Seq: 5}, typeID: 1, priority: -3, locked: true,
@@ -617,6 +631,11 @@ func TestWirreRoundtrips(t *testing.T) {
 		t.Error("short app message should fail")
 	}
 	frame := encodeInstall(in)
+	for n := 0; n < len(frame); n++ {
+		if _, err := decodeInstall(frame[:n]); err == nil {
+			t.Errorf("install cut to %d of %d bytes decoded", n, len(frame))
+		}
+	}
 	for _, tc := range []struct {
 		name  string
 		frame []byte

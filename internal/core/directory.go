@@ -6,11 +6,9 @@ import "sync/atomic"
 // migration. The paper's system uses lazy updates, chosen over the
 // alternatives after experimentation ("lazy updates provides good compromise
 // between accuracy and update overhead"); all three candidates are
-// implemented here so the trade-off can be measured (see the dirpolicies
-// bench experiment). The policies are realized behind the Locator seam — see
-// NewPolicyLocator — and a fourth, placement-aware locator lives in
-// internal/cluster (NewPlacedLocator), which routes by the consistent-hash
-// directory instead of the home anchor.
+// implemented here so the trade-off can be measured (see the dirpolicies and
+// routing bench experiments). The policies are realized behind the Locator
+// seam — see NewPolicyLocator.
 type DirectoryPolicy int
 
 const (
@@ -49,13 +47,12 @@ const hopBuckets = 5
 // dirStats counts routing events for the policy comparison and the routing
 // observability surface.
 type dirStats struct {
-	forwarded    atomic.Int64 // messages received for objects not local here
-	dirUpdates   atomic.Int64 // directory update messages sent
-	dropped      atomic.Int64 // messages dropped at the forward-hop bound
-	staleRetries atomic.Int64 // re-resolves after an epoch mismatch
-	hopSum       atomic.Int64 // total hops across delivered remote messages
-	hopCount     atomic.Int64 // delivered remote messages
-	hops         [hopBuckets]atomic.Int64
+	forwarded  atomic.Int64 // messages received for objects not local here
+	dirUpdates atomic.Int64 // directory update messages sent
+	dropped    atomic.Int64 // messages dropped at the forward-hop bound
+	hopSum     atomic.Int64 // total hops across delivered remote messages
+	hopCount   atomic.Int64 // delivered remote messages
+	hops       [hopBuckets]atomic.Int64
 }
 
 // observeHops records the hop count of one delivered remote message.
@@ -83,10 +80,6 @@ func (rt *Runtime) DirUpdatesSent() int64 { return rt.dstats.dirUpdates.Load() }
 // failed install — CheckInvariants surfaces it as a quiescent violation so
 // sim soaks fail loudly instead of silently losing messages.
 func (rt *Runtime) RouteDropped() int64 { return rt.dstats.dropped.Load() }
-
-// RouteStaleRetries returns how many received messages carried a resolution
-// epoch older than the locator's current one and were re-resolved here.
-func (rt *Runtime) RouteStaleRetries() int64 { return rt.dstats.staleRetries.Load() }
 
 // RouteHopsMean returns the mean hop count over messages delivered to this
 // node from remote senders (1.0 = every message took the direct hop).

@@ -10,20 +10,13 @@ import "sync"
 // acquire runtime locks (the runtime calls Locate while holding rt.mu on the
 // re-route path).
 //
-// Two families exist: NewPolicyLocator wraps the paper's home-anchored
-// policies (lazy forwarding chains, eager broadcast, pure home routing), and
-// cluster.NewPlacedLocator resolves the first hop straight off the
-// epoch-versioned consistent-hash directory so a settled object costs one
-// hop regardless of where it was born.
+// NewPolicyLocator implements it for the paper's three home-anchored
+// directory policies (lazy forwarding chains, eager broadcast, pure home
+// routing); Config.Locator lets a test inject its own.
 type Locator interface {
-	// Locate returns the first hop for ptr plus the epoch of the resolution
-	// (0 for unversioned locators). Returning the local node parks the
-	// message until an install or directory update re-routes it.
-	Locate(ptr MobilePtr) (NodeID, uint64)
-	// Epoch returns the locator's current version. A received message whose
-	// carried epoch differs was resolved against a stale view; the runtime
-	// counts it and re-resolves instead of trusting the old chain.
-	Epoch() uint64
+	// Locate returns the first hop for ptr. Returning the local node parks
+	// the message until an install or directory update re-routes it.
+	Locate(ptr MobilePtr) NodeID
 	// Note records an observed location: ptr was seen (or installed) at the
 	// given node. Implementations should treat a matching cached entry as a
 	// no-op without taking their write lock — Note runs on the forward path.
@@ -68,23 +61,20 @@ func NewPolicyLocator(policy DirectoryPolicy, self NodeID, nodes int) Locator {
 }
 
 // Locate implements Locator.
-func (pl *policyLocator) Locate(ptr MobilePtr) (NodeID, uint64) {
+func (pl *policyLocator) Locate(ptr MobilePtr) NodeID {
 	if pl.policy == DirHome && ptr.Home != pl.self {
 		// Non-home nodes never cache: always route via home. The home node
 		// itself consults its map (it is the forwarding anchor).
-		return ptr.Home, 0
+		return ptr.Home
 	}
 	pl.mu.RLock()
 	n, ok := pl.dir[ptr]
 	pl.mu.RUnlock()
 	if ok {
-		return n, 0
+		return n
 	}
-	return ptr.Home, 0
+	return ptr.Home
 }
-
-// Epoch implements Locator: the home-anchored policies are unversioned.
-func (pl *policyLocator) Epoch() uint64 { return 0 }
 
 // Note implements Locator. The read-locked fast path makes the common case
 // — a directory update confirming what is already cached — lock-traffic

@@ -11,26 +11,20 @@ import (
 	"mrts/internal/storage"
 )
 
-// scriptLocator routes every pointer to a settable target with a settable
-// epoch — a test double for driving the runtime's routing edges (the
-// forward-hop bound, the stale-epoch retry, parked re-routing) without a
-// real directory behind them.
+// scriptLocator routes every pointer to a settable target — a test double
+// for driving the runtime's routing edges (the forward-hop bound, parked
+// re-routing) without a real directory behind them.
 type scriptLocator struct {
 	target atomic.Int64
-	epoch  atomic.Uint64
 }
 
-func newScriptLocator(target NodeID, epoch uint64) *scriptLocator {
+func newScriptLocator(target NodeID) *scriptLocator {
 	l := &scriptLocator{}
 	l.target.Store(int64(target))
-	l.epoch.Store(epoch)
 	return l
 }
 
-func (l *scriptLocator) Locate(MobilePtr) (NodeID, uint64) {
-	return NodeID(l.target.Load()), l.epoch.Load()
-}
-func (l *scriptLocator) Epoch() uint64                             { return l.epoch.Load() }
+func (l *scriptLocator) Locate(MobilePtr) NodeID                   { return NodeID(l.target.Load()) }
 func (l *scriptLocator) Note(MobilePtr, NodeID)                    {}
 func (l *scriptLocator) Forget(MobilePtr)                          {}
 func (l *scriptLocator) FeedbackTargets([]NodeID) []NodeID         { return nil }
@@ -71,7 +65,7 @@ func newLocatorCluster(t testing.TB, n int, loc func(i int) Locator) *cluster {
 // naming it.
 func TestRouteDropAtHopBound(t *testing.T) {
 	c := newLocatorCluster(t, 2, func(i int) Locator {
-		return newScriptLocator(NodeID(1-i), 0)
+		return newScriptLocator(NodeID(1 - i))
 	})
 	c.rts[0].Post(MobilePtr{Home: 0, Seq: 9999}, hInc, nil)
 	WaitQuiescence(c.rts...)
@@ -100,16 +94,16 @@ func TestRouteDropAtHopBound(t *testing.T) {
 	}
 }
 
-// TestStaleEpochRetry sends a message resolved at epoch 5 through a node
-// whose locator is already at epoch 7: the receiver must count a stale
-// retry, re-resolve at its own epoch, and still deliver exactly once.
-func TestStaleEpochRetry(t *testing.T) {
-	locs := []*scriptLocator{
-		newScriptLocator(1, 5), // sender: stale view, routes via node 1
-		newScriptLocator(2, 7), // relay: current view, knows the object's host
-		newScriptLocator(2, 7),
-	}
-	c := newLocatorCluster(t, 3, func(i int) Locator { return locs[i] })
+// TestRelayedDeliveryCountsHops sends a message through a relay whose
+// locator knows the object's host: the relay counts one forward, the host
+// delivers exactly once and records the two-hop route.
+func TestRelayedDeliveryCountsHops(t *testing.T) {
+	c := newLocatorCluster(t, 3, func(i int) Locator {
+		if i == 0 {
+			return newScriptLocator(1) // sender: routes via node 1
+		}
+		return newScriptLocator(2) // relay: knows the object's host
+	})
 	var delivered atomic.Int64
 	for _, rt := range c.rts {
 		rt.Register(hInc, func(ctx *Ctx, arg []byte) { delivered.Add(1) })
@@ -121,9 +115,6 @@ func TestStaleEpochRetry(t *testing.T) {
 
 	if n := delivered.Load(); n != 1 {
 		t.Fatalf("delivered %d times, want 1", n)
-	}
-	if n := c.rts[1].RouteStaleRetries(); n != 1 {
-		t.Fatalf("relay counted %d stale retries, want 1", n)
 	}
 	if n := c.rts[1].ForwardedCount(); n != 1 {
 		t.Fatalf("relay forwarded %d messages, want 1", n)
@@ -137,12 +128,12 @@ func TestStaleEpochRetry(t *testing.T) {
 // itself, then flips the locator and requires ReRouteParked to release
 // exactly the parked message.
 func TestReRouteParked(t *testing.T) {
-	l0 := newScriptLocator(0, 0) // self: the post parks
+	l0 := newScriptLocator(0) // self: the post parks
 	c := newLocatorCluster(t, 2, func(i int) Locator {
 		if i == 0 {
 			return l0
 		}
-		return newScriptLocator(1, 0)
+		return newScriptLocator(1)
 	})
 	var delivered atomic.Int64
 	for _, rt := range c.rts {

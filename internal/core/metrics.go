@@ -59,10 +59,9 @@ func (rt *Runtime) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Gauge(prefix+"core.migrate_parked", func() float64 { return float64(rt.movesParked.Load()) })
 	reg.Gauge(prefix+"dir.forwarded", func() float64 { return float64(rt.ForwardedCount()) })
 	reg.Gauge(prefix+"dir.updates_sent", func() float64 { return float64(rt.DirUpdatesSent()) })
-	// Routing surface: drops at the hop bound, epoch-staleness retries and
-	// the delivered-message hop histogram.
+	// Routing surface: drops at the hop bound and the delivered-message hop
+	// histogram.
 	reg.Gauge(prefix+"route.dropped", func() float64 { return float64(rt.RouteDropped()) })
-	reg.Gauge(prefix+"route.stale_retries", func() float64 { return float64(rt.RouteStaleRetries()) })
 	reg.Gauge(prefix+"route.hops_mean", func() float64 { return rt.RouteHopsMean() })
 	for b := 1; b <= hopBuckets; b++ {
 		b := b

@@ -100,9 +100,8 @@ func (rt *Runtime) moveHeld(lo *localObject, dest NodeID) error {
 		rt.installLocal(in)
 		return err
 	}
-	// Proactively tell whichever nodes the locator anchors routing on (the
-	// home node for the policy locators — plus the whole cluster under
-	// eager — or the ring owner for the placed locator).
+	// Proactively tell whichever nodes the locator anchors routing on: the
+	// home node, plus the whole cluster under eager.
 	if targets := rt.loc.MigrateTargets(ptr, dest); len(targets) > 0 {
 		upd := encodeDirUpdate(ptr, dest)
 		for _, n := range targets {
@@ -220,7 +219,7 @@ func (rt *Runtime) requestMove(ptr MobilePtr, dest NodeID) {
 	}
 	// Not here. A locator that answers "here" means the object is in flight
 	// to this node (or gone for good): there is nowhere to send the request.
-	if target, _ := rt.loc.Locate(ptr); target != rt.node {
+	if target := rt.loc.Locate(ptr); target != rt.node {
 		rt.sent.Add(1)
 		if err := rt.ep.Send(target, wireMigrateReq, encodeDirUpdate(ptr, dest)); err != nil {
 			rt.sent.Add(-1)

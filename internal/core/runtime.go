@@ -64,8 +64,8 @@ type Config struct {
 	NumNodes int
 	// Locator, when non-nil, replaces the home-anchored policy locator as
 	// the routing seam: first-hop resolution, the location cache, and the
-	// staleness-feedback fan-outs all go through it. cluster.New injects a
-	// directory-backed locator here for placement-aware routing.
+	// staleness-feedback fan-outs all go through it. Tests inject scripted
+	// locators here to drive the routing edges.
 	Locator Locator
 	// Clock is the time source for message timestamps, handler accounting,
 	// termination probing and swap waits. Nil means the wall clock; the
@@ -350,7 +350,7 @@ func (rt *Runtime) route(m *appMsg) {
 		rt.enqueueLocal(lo, queued{handler: m.handler, arg: m.arg})
 		return
 	}
-	target, epoch := rt.loc.Locate(m.dst)
+	target := rt.loc.Locate(m.dst)
 	if target == rt.node {
 		// The locator says the object should be here but it is not: it is
 		// in flight to us (migration), not created yet, or the view is
@@ -379,7 +379,6 @@ func (rt *Runtime) route(m *appMsg) {
 		rt.work.Add(-1)
 		return
 	}
-	m.epoch = epoch
 	m.route = append(m.route, rt.node)
 	rt.sent.Add(1)
 	rt.work.Add(-1)
@@ -400,7 +399,7 @@ func (rt *Runtime) onWireApp(msg comm.Message) {
 	rt.work.Add(1)
 	if lo := rt.lookup(m.dst); lo != nil {
 		// Delivered: repair whatever stale nodes the locator wants told
-		// (the lazy chain, the placed locator's overridden senders).
+		// (the lazy chain).
 		if targets := rt.loc.FeedbackTargets(m.route); len(targets) > 0 {
 			upd := encodeDirUpdate(m.dst, rt.node)
 			for _, via := range targets {
@@ -413,13 +412,6 @@ func (rt *Runtime) onWireApp(msg comm.Message) {
 		return
 	}
 	rt.dstats.forwarded.Add(1)
-	if m.epoch != 0 && m.epoch != rt.loc.Epoch() {
-		// The sender resolved against a directory epoch that has since
-		// moved on: this is a versioned-staleness retry, not a forwarding
-		// chain. route() below re-resolves at the current epoch.
-		rt.dstats.staleRetries.Add(1)
-		rt.tracer.Emit(obs.KindRouteStale, uint64(oid(m.dst)), int64(m.epoch))
-	}
 	rt.route(m)
 }
 
@@ -441,16 +433,16 @@ func (rt *Runtime) onWireDirUpdate(msg comm.Message) {
 }
 
 // ReRouteParked re-resolves every parked message against the locator and
-// re-routes those whose first hop is no longer this node. Cluster churn
-// calls it after a membership epoch bump: a message parked here awaiting an
-// object whose placement moved to another node would otherwise wait forever
-// (parked messages hold the work counter, so termination would never fire).
-// Returns the number of messages re-routed.
+// re-routes those whose first hop is no longer this node, for a locator
+// whose answer changed without an install or directory update reaching this
+// node: a parked message would otherwise wait forever (parked messages hold
+// the work counter, so termination would never fire). Returns the number of
+// messages re-routed.
 func (rt *Runtime) ReRouteParked() int {
 	rt.mu.Lock()
 	var ms []*appMsg
 	for ptr, list := range rt.parked {
-		if target, _ := rt.loc.Locate(ptr); target != rt.node {
+		if rt.loc.Locate(ptr) != rt.node {
 			ms = append(ms, list...)
 			delete(rt.parked, ptr)
 		}

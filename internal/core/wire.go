@@ -18,7 +18,6 @@ const (
 type appMsg struct {
 	dst     MobilePtr
 	handler HandlerID
-	epoch   uint64 // locator epoch at last resolution (0 = unversioned)
 	route   []NodeID
 	arg     []byte
 }
@@ -35,16 +34,18 @@ func getPtr(b []byte) MobilePtr {
 	}
 }
 
+// appHeader is an application message's fixed part: ptr, handler, route
+// length and arg length.
+const appHeader = 8 + 4 + 2 + 4
+
 // encodeApp encodes an application message.
-// Layout: ptr(8) handler(4) epoch(8) routeLen(2) route(4 each) argLen(4) arg.
+// Layout: ptr(8) handler(4) routeLen(2) route(4 each) argLen(4) arg.
 func encodeApp(m *appMsg) []byte {
-	n := 8 + 4 + 8 + 2 + 4*len(m.route) + 4 + len(m.arg)
-	b := make([]byte, n)
+	b := make([]byte, appHeader+4*len(m.route)+len(m.arg))
 	putPtr(b[0:8], m.dst)
 	binary.LittleEndian.PutUint32(b[8:12], uint32(m.handler))
-	binary.LittleEndian.PutUint64(b[12:20], m.epoch)
-	binary.LittleEndian.PutUint16(b[20:22], uint16(len(m.route)))
-	off := 22
+	binary.LittleEndian.PutUint16(b[12:14], uint16(len(m.route)))
+	off := 14
 	for _, r := range m.route {
 		binary.LittleEndian.PutUint32(b[off:off+4], uint32(r))
 		off += 4
@@ -56,17 +57,16 @@ func encodeApp(m *appMsg) []byte {
 }
 
 func decodeApp(b []byte) (*appMsg, error) {
-	if len(b) < 26 {
+	if len(b) < appHeader {
 		return nil, fmt.Errorf("core: short app message (%d bytes)", len(b))
 	}
 	m := &appMsg{
 		dst:     getPtr(b[0:8]),
 		handler: HandlerID(binary.LittleEndian.Uint32(b[8:12])),
-		epoch:   binary.LittleEndian.Uint64(b[12:20]),
 	}
-	nr := int(binary.LittleEndian.Uint16(b[20:22]))
-	off := 22
-	if len(b) < off+4*nr+4 {
+	nr := int(binary.LittleEndian.Uint16(b[12:14]))
+	off := 14
+	if len(b) < appHeader+4*nr {
 		return nil, fmt.Errorf("core: truncated app message route")
 	}
 	for i := 0; i < nr; i++ {
@@ -75,10 +75,11 @@ func decodeApp(b []byte) (*appMsg, error) {
 	}
 	na := int(binary.LittleEndian.Uint32(b[off : off+4]))
 	off += 4
-	if len(b) < off+na {
-		return nil, fmt.Errorf("core: truncated app message arg")
+	// Every process of a run is one binary, so the frame ends with the arg.
+	if len(b)-off != na {
+		return nil, fmt.Errorf("core: app message arg of %d bytes in %d", na, len(b)-off)
 	}
-	m.arg = b[off : off+na]
+	m.arg = b[off:]
 	return m, nil
 }
 

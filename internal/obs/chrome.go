@@ -59,7 +59,7 @@ func argName(k Kind) string {
 	case KindHandler:
 		return "handler"
 	case KindNodeJoin, KindNodeLeave:
-		return "epoch"
+		return "active"
 	case KindDirRebalance:
 		return "dest"
 	default:

@@ -83,20 +83,17 @@ const (
 	// KindTierDemote marks a completed background fast→slow move (Arg:
 	// blob bytes).
 	KindTierDemote
-	// KindNodeJoin marks a node (re)entering the placement ring (ID: the
-	// node, Arg: the new ring epoch).
+	// KindNodeJoin marks a node returning to service, by rejoin or by
+	// restart after a crash (ID: the node, Arg: the number of nodes in
+	// service after it).
 	KindNodeJoin
-	// KindNodeLeave marks a node leaving the placement ring (ID: the
-	// node, Arg: the new ring epoch).
+	// KindNodeLeave marks a node going out of service, drained or crashed
+	// (ID: the node, Arg: the number of nodes in service after it).
 	KindNodeLeave
-	// KindDirRebalance marks one object migrated to its ring owner during
-	// a membership change (ID: the object's packed mobile pointer, Arg:
-	// the destination node).
+	// KindDirRebalance marks one object a membership change migrates —
+	// dealt off a leaving node, or back to the node it was born on (ID:
+	// the object's packed mobile pointer, Arg: the destination node).
 	KindDirRebalance
-	// KindRouteStale marks a received message whose carried resolution
-	// epoch was older than the locator's current one (ID: the object's
-	// packed mobile pointer, Arg: the stale epoch).
-	KindRouteStale
 	// KindRouteDrop marks a message dropped at the forward-hop bound —
 	// always a routing defect, surfaced by CheckInvariants too (ID: the
 	// object's packed mobile pointer, Arg: the hop count at the drop).
@@ -156,8 +153,6 @@ func (k Kind) String() string {
 		return "node.leave"
 	case KindDirRebalance:
 		return "dir.rebalance"
-	case KindRouteStale:
-		return "route.stale"
 	case KindRouteDrop:
 		return "route.drop"
 	case KindMeshExport:
@@ -178,7 +173,7 @@ func (k Kind) Track() string {
 	case KindSwapEvict, KindSwapLoad, KindSwapRetry, KindSwapStoreFail, KindSwapLost,
 		KindSwapWait, KindSwapCancel, KindSwapStall, KindSwapBusy:
 		return "swap"
-	case KindCommSend, KindCommDeliver, KindRouteStale, KindRouteDrop:
+	case KindCommSend, KindCommDeliver, KindRouteDrop:
 		return "comm"
 	case KindSchedRun, KindSchedSteal:
 		return "sched"

@@ -51,7 +51,7 @@ func verifyCounts(env *Env, ptrs []core.MobilePtr, got, expected map[core.Mobile
 
 // auditPlacement snapshots the directory invariants at a phase boundary and
 // turns any violation into a scenario error (the harness's final audit would
-// catch it too, but failing at the boundary names the epoch that broke).
+// catch it too, but failing at the boundary names the change that broke it).
 func auditPlacement(env *Env, when string) error {
 	if bad := env.Cluster.DirectoryInvariants(); len(bad) > 0 {
 		return fmt.Errorf("placement %s: %v", when, bad)
@@ -60,30 +60,49 @@ func auditPlacement(env *Env, when string) error {
 }
 
 // NodeChurnStorm interleaves the increment storm with a graceful membership
-// change: one seed-drawn node leaves the ring mid-run (draining its objects
-// to their new ring owners), the storm keeps posting at the drained node's
-// old objects while it is out, then the node rejoins and pulls back the keys
-// it owns. Every increment must land exactly once and the directory
-// invariants must hold at every epoch boundary.
-type NodeChurnStorm struct{}
+// change: one seed-drawn node leaves mid-run (its objects dealt over the live
+// nodes), the storm keeps posting at the drained node's old objects while it
+// is out, then the node rejoins and pulls back the objects born on it. Every
+// increment must land exactly once and the placement invariants must hold at
+// every membership change.
+type NodeChurnStorm struct {
+	// Drift races migrations to seed-drawn nodes against the storm before
+	// the leave, so the drain and the rejoin find objects away from where
+	// they were born and posts chase them along stale directory chains.
+	Drift bool
+}
 
 // Name implements Scenario.
-func (NodeChurnStorm) Name() string { return "node-churn-storm" }
+func (s NodeChurnStorm) Name() string {
+	if s.Drift {
+		return "node-churn-storm-drift"
+	}
+	return "node-churn-storm"
+}
 
 // Fault implements Scenario.
 func (NodeChurnStorm) Fault() FaultKind { return FaultNodeCrash }
 
 // Run implements Scenario.
-func (NodeChurnStorm) Run(env *Env) error {
+func (s NodeChurnStorm) Run(env *Env) error {
 	board := &counterBoard{counts: make(map[core.MobilePtr]int64)}
 	registerHandlers(env, board)
 	ptrs := buildObjects(env)
 	churn := env.Plan.ChurnNode
 	posts := env.Plan.Nodes * env.Plan.Objects * env.Plan.Messages
 	third := posts / 3
-	env.Note("churn storm of %d posts; node %d leaves and rejoins", posts, churn)
+	env.Note("churn storm of %d posts (drift %t); node %d leaves and rejoins", posts, s.Drift, churn)
 
 	expected := postStorm(env, ptrs, third)
+	if s.Drift {
+		// Fire-and-forget like MigrationShuffle, while the first third is
+		// still in flight: a busy object staying put changes no count.
+		for i := 0; i < len(ptrs); i++ {
+			p := ptrs[env.Rng.Intn(len(ptrs))]
+			dest := core.NodeID(env.Rng.Intn(env.Plan.Nodes))
+			env.Cluster.RT(int(p.Home)).RequestMigration(p, dest)
+		}
+	}
 	env.WaitTermination()
 
 	moved, err := env.Cluster.LeaveNode(churn)
@@ -93,9 +112,13 @@ func (NodeChurnStorm) Run(env *Env) error {
 	if err := auditPlacement(env, "after leave"); err != nil {
 		return err
 	}
-	// The drained node's object count is seed-determined (objects stay where
-	// they were created until the drain moves them).
-	env.Record("rebalanced.out", int64(moved))
+	// Without drift the drained node's object count is seed-determined
+	// (objects stay where they were created until the drain moves them);
+	// with it, where a drifted object ends depends on the schedule, and the
+	// digest holds only confluent outcomes.
+	if !s.Drift {
+		env.Record("rebalanced.out", int64(moved))
+	}
 
 	// The storm keeps running while the node is out: posts to its old
 	// objects follow the drain's directory updates, and the drained node
@@ -112,8 +135,12 @@ func (NodeChurnStorm) Run(env *Env) error {
 	if err := auditPlacement(env, "after join"); err != nil {
 		return err
 	}
-	// back counts the keys the rejoined member took over — a pure function
-	// of the ring, so it digests deterministically.
+	// The drain left the node empty, so the rejoin pulls back every object
+	// born on it, drifted or not.
+	if back != env.Plan.Objects {
+		return fmt.Errorf("rejoin of node %d pulled back %d objects, want the %d born on it",
+			churn, back, env.Plan.Objects)
+	}
 	env.Record("rebalanced.in", int64(back))
 
 	for p, n := range postStorm(env, ptrs, posts-2*third) {
@@ -127,10 +154,10 @@ func (NodeChurnStorm) Run(env *Env) error {
 
 // NodeCrashStorm kills a seed-drawn node at a quiescent phase boundary —
 // checkpoint, teardown, relaunch in the same slot with the same node ID,
-// restore — and resumes the storm. The crashed node keeps its ring
-// membership (it is down, not departed), no object may be lost through the
-// checkpoint round-trip, and every increment posted before and after the
-// outage must land exactly once.
+// restore — and resumes the storm. The crashed node is down, not departed:
+// its objects wait in its checkpoint, none may be lost through the round
+// trip, and every increment posted before and after the outage must land
+// exactly once.
 type NodeCrashStorm struct{}
 
 // Name implements Scenario.
@@ -157,9 +184,6 @@ func (NodeCrashStorm) Run(env *Env) error {
 	}
 	if err := auditPlacement(env, "during outage"); err != nil {
 		return err
-	}
-	if !env.Cluster.Directory().Contains(core.NodeID(churn)) {
-		return fmt.Errorf("crashed node %d lost its ring membership", churn)
 	}
 
 	rt, err := env.Cluster.RestartNode(churn)

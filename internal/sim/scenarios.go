@@ -190,7 +190,7 @@ func (s CounterStorm) Run(env *Env) error {
 // they make an inline call, a drain, an eviction and a migration request want
 // the same records while the storm and the shuffle are in flight. Over the
 // transient fault schedule the migration requests also meet loads that fail
-// and retry, and a seed-drawn node leaves the ring the moment the shuffle has
+// and retry, and a seed-drawn node leaves the moment the shuffle has
 // terminated: termination counts a request wherever it waits, so none may
 // still be on its way to pull an object back onto the drained node.
 type MigrationShuffle struct {

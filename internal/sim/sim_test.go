@@ -35,7 +35,7 @@ func scenarioForSeed(seed int64) Scenario {
 	case 6:
 		return NodeCrashStorm{}
 	case 7:
-		return RoutedChurnStorm{}
+		return NodeChurnStorm{Drift: true}
 	case 8:
 		return MigrationShuffle{Transient: true}
 	default:
@@ -160,5 +160,42 @@ func (p *cleanDropProbe) Run(env *Env) error {
 			p.drops += v
 		}
 	}
+	return err
+}
+
+// TestChurnClassesMoveObjects: the churn seed classes still move objects —
+// the leave/join classes (5, 7 with drift, 8's leave) through the cluster's
+// rebalancing, the crash class (6) through a checkpoint restore — so a soak
+// that passes has exercised the moves, not skipped them.
+func TestChurnClassesMoveObjects(t *testing.T) {
+	for _, seed := range []int64{5, 7, 8, 15, 17, 18} {
+		probe := &rebalanceProbe{Scenario: scenarioForSeed(seed)}
+		res := runWatched(t, seed, probe)
+		if res.Failed() {
+			t.Errorf("seed %d (%s) failed:\n%s", seed, res.Scenario, res.TraceBytes())
+		}
+		if probe.moved == 0 {
+			t.Errorf("seed %d (%s): no object rebalanced", seed, res.Scenario)
+		}
+	}
+	for _, seed := range []int64{6, 16} {
+		res := runSeed(t, seed)
+		if res.Failed() || res.Digest["restored"] == 0 {
+			t.Errorf("seed %d (%s): restored %d objects, failed %t",
+				seed, res.Scenario, res.Digest["restored"], res.Failed())
+		}
+	}
+}
+
+// rebalanceProbe runs a scenario and then reads cluster.rebalanced_objects
+// while Run still has the cluster open.
+type rebalanceProbe struct {
+	Scenario
+	moved float64
+}
+
+func (p *rebalanceProbe) Run(env *Env) error {
+	err := p.Scenario.Run(env)
+	p.moved = env.Cluster.Metrics()["cluster.rebalanced_objects"]
 	return err
 }
