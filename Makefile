@@ -168,9 +168,14 @@ fuzz:
 CLOCKED_PKGS = internal/core internal/comm internal/storage internal/swapio internal/sched internal/cluster internal/tier internal/bufpool internal/obs
 
 # gofmt and vet (of the root module and of the benchmark module, the one
-# consumer of internal/ that ./... cannot see), then five layering rules.
-# This target is their only statement: CI's lint job calls it, then runs
-# staticcheck (which needs an install, so it stays there).
+# consumer of internal/ that ./... cannot see), the unused-API check, then
+# five layering rules. This target is their only statement: CI's lint job
+# calls it, then runs staticcheck (which needs an install, so it stays there).
+# - Unused API: every exported identifier of an internal/ package (names,
+#   methods, fields) has a use in a non-test file of either module, or a
+#   line with its reason in ci/deadapi/allow.txt (ci/deadapi says what
+#   counts as a use). One that only its own package's tests use moves to
+#   that package's export_test.go.
 # - Clock injection: no package below cmd/ that the simulator drives may
 #   read real time directly.
 # - Transport encapsulation: all raw TCP lives behind internal/comm;
@@ -189,6 +194,7 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
+	$(GO) run ./ci/deadapi -allow ci/deadapi/allow.txt . benchmark
 	@out="$$(grep -rnE 'time\.(Now|Sleep|After|NewTimer|NewTicker|Tick)\(' --include='*.go' --exclude='*_test.go' $(CLOCKED_PKGS) || true)"; \
 	if [ -n "$$out" ]; then echo "direct time calls in clocked packages (inject clock.Clock instead):"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE 'net\.(Dial|Listen)\(' --include='*.go' internal cmd examples | grep -v '^internal/comm/' || true)"; \
@@ -200,13 +206,14 @@ lint:
 	@out="$$($(GO) list -f '{{join .Imports "\n"}}' ./internal/planes | grep '^mrts/' | grep -v '^mrts/internal/bufpool$$' || true)"; \
 	if [ -n "$$out" ]; then echo "internal/planes imports more of the repo than bufpool:"; echo "$$out"; exit 1; fi
 
-# The multi-process e2e lane; CI's e2e-multiproc job runs this target. A
-# 3-process loopback OUPDR cluster loses one worker after the first phase
-# barrier and relaunches it from its checkpoint, checked block for block
-# against a single-process baseline of the same problem (every worker
-# computes the same dealt placement, and a block's pointer names the node
-# that holds it, so the runtime's default routing needs no placement
-# setting). Then the export/restore drill: a 3-node run exports
+# The multi-process e2e lane; CI's e2e-multiproc job runs this target. Every
+# launch ends in an export, and its block report comes from the store's
+# merged manifest. A 3-process loopback OUPDR cluster loses one worker after
+# the first phase barrier and relaunches it from its checkpoint, checked
+# block for block against a single-process baseline of the same problem
+# (every worker computes the same dealt placement, and a block's pointer
+# names the node that holds it, so the runtime's default routing needs no
+# placement setting). Then the export/restore drill: a 3-node run exports
 # (with one node SIGKILLed mid-export and relaunched), the store verifies
 # offline, and a 2-node restore reproduces the baseline.
 e2e-multiproc:
@@ -214,7 +221,7 @@ e2e-multiproc:
 	$(GO) build -o bin/meshctl ./cmd/meshctl
 	bin/meshctl -meshnode bin/meshnode -nodes 1 -blocks 6 -elements 20000 -phases 3 -dir e2e-run/baseline -out baseline.txt
 	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 3 -kill 2 -kill-after 0 -trace -dir e2e-run/cluster -baseline baseline.txt
-	bin/meshctl export -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -kill-export 2 -store e2e-run/store -dir e2e-run/export -baseline baseline.txt
+	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -kill-export 2 -store e2e-run/store -dir e2e-run/export -baseline baseline.txt
 	bin/meshctl verify -store e2e-run/store -deep
 	bin/meshctl restore -store e2e-run/store -nodes 2 -baseline baseline.txt
 
@@ -224,7 +231,7 @@ e2e-multiproc:
 export:
 	$(GO) build -o bin/meshnode ./cmd/meshnode
 	$(GO) build -o bin/meshctl ./cmd/meshctl
-	bin/meshctl export -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -store export-run/store -dir export-run/work
+	bin/meshctl -meshnode bin/meshnode -nodes 3 -blocks 6 -elements 20000 -phases 2 -store export-run/store -dir export-run/work
 	bin/meshctl verify -store export-run/store -deep
 
 # Every example, so a new one cannot be left out of the list: each is a

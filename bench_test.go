@@ -64,10 +64,8 @@ func BenchmarkTable5(b *testing.B) { runExperiment(b, "tab5") }
 func BenchmarkTable6(b *testing.B) { runExperiment(b, "tab6") }
 func BenchmarkTable7(b *testing.B) { runExperiment(b, "tab7") }
 
-// Ablations: the eviction-policy comparison of §II-E, the directory
-// location-management comparison of [27], and the conclusion's
+// Ablations: the eviction-policy comparison of §II-E and the conclusion's
 // remote-memory configuration.
 
-func BenchmarkAblationPolicies(b *testing.B)    { runExperiment(b, "policies") }
-func BenchmarkAblationDirPolicies(b *testing.B) { runExperiment(b, "dirpolicies") }
-func BenchmarkAblationRemoteMem(b *testing.B)   { runExperiment(b, "remotemem") }
+func BenchmarkAblationPolicies(b *testing.B)  { runExperiment(b, "policies") }
+func BenchmarkAblationRemoteMem(b *testing.B) { runExperiment(b, "remotemem") }

@@ -1,35 +1,31 @@
 // Command meshctl launches and drives a multi-process OUPDR cluster, and
 // operates on the chunked mesh stores such runs export.
 //
-// Run mode (the default, bare flags) spawns one cmd/meshnode process per node
-// (the first is the membership seed), steps them through the phase barriers
-// over their stdin/stdout protocol, optionally SIGKILLs one worker between
-// phases and relaunches it from its checkpoint under the same node ID, and
-// finally merges the per-node block dumps into one mesh report — verifying
-// every block is reported exactly once:
+// Launched bare, it spawns one cmd/meshnode process per node (the first is
+// the membership seed), steps them through the phase barriers over their
+// stdin/stdout protocol — optionally SIGKILLing one worker after a barrier
+// (-kill, -kill-after) and relaunching it from its checkpoint under the same
+// node ID — and then has every node stream its blocks into one chunk per
+// node under -store (default: store under -dir; -kill-export SIGKILLs a
+// worker right after it starts exporting, and the relaunched incarnation
+// truncates the partial chunk and re-exports). It merges the per-node
+// manifests into MANIFEST.json, verifies the store offline, and renders the
+// block report (-out, -baseline) from the manifest index: a block reported
+// twice, or one missing, leaves the merge partial and fails the run.
 //
 //	meshctl -meshnode bin/meshnode -nodes 1 -out baseline.txt
 //	meshctl -meshnode bin/meshnode -nodes 3 -kill 2 -kill-after 0 -baseline baseline.txt
+//	meshctl -meshnode bin/meshnode -nodes 3 -store dir -kill-export 2 -baseline baseline.txt
 //
 // Every meshnode computes the same placement from the grid and the node
 // count alone — block idx on node idx mod -nodes, its pointer naming that
 // node — so the launcher passes no placement or routing setting, and a
 // relaunched worker owns the blocks its predecessor did.
 //
-// Subcommands operate on the meshstore format:
+// Subcommands operate on a store offline:
 //
-//	meshctl export  -meshnode bin/meshnode -nodes 3 -store dir [-kill-export 2]
 //	meshctl verify  -store dir [-deep]
 //	meshctl restore -store dir -nodes 2 [-baseline baseline.txt]
-//
-// export runs the cluster to completion and has every node stream its blocks
-// into one chunk per node under -store, then merges the per-node manifests
-// into MANIFEST.json and verifies the store offline. The block report (-out)
-// is rendered from the manifest index — block payloads never pass through
-// the launcher, unlike the in-memory dump merge of run mode. -kill-export
-// SIGKILLs a worker right after it starts exporting and relaunches it from
-// its checkpoint; the fresh incarnation truncates the partial chunk and
-// re-exports.
 //
 // restore proves rank independence: it rebuilds the mesh from a store onto
 // -nodes in-process runtimes — however many nodes wrote it — and compares
@@ -59,9 +55,6 @@ import (
 func main() {
 	if len(os.Args) > 1 {
 		switch os.Args[1] {
-		case "export":
-			exportMain(os.Args[2:])
-			return
 		case "verify":
 			verifyMain(os.Args[2:])
 			return
@@ -70,11 +63,10 @@ func main() {
 			return
 		}
 	}
-	runMain(os.Args[1:])
+	launchMain(os.Args[1:])
 }
 
-// clusterOpts are the flags shared by every mode that launches meshnode
-// processes.
+// clusterOpts are the flags that shape the launched cluster.
 type clusterOpts struct {
 	meshnode string
 	nodes    int
@@ -165,85 +157,75 @@ func (c *control) runPhases(phases, kill, killAfter int) {
 		}
 		logf("phase %d complete on all %d nodes", k, c.nodes)
 		if kill > 0 && k == killAfter {
-			victim := c.procs[kill]
-			logf("killing node %d (pid %d)", kill, victim.cmd.Process.Pid)
-			victim.cmd.Process.Kill()
-			victim.cmd.Wait()
-			p, err := c.launch(kill, true)
-			if err != nil {
-				fatalf("relaunch node %d: %v", kill, err)
-			}
-			c.procs[kill] = p
-			logf("node %d rejoined at %s and restored from checkpoint", kill, p.addr)
+			c.relaunch(kill, fmt.Sprintf("after phase %d", k))
 		}
 	}
 }
 
-func runMain(args []string) {
+// relaunch SIGKILLs worker i and launches its next incarnation, which
+// rejoins under the same ID and restores from its last checkpoint.
+func (c *control) relaunch(i int, when string) {
+	victim := c.procs[i]
+	logf("killing node %d (pid %d) %s", i, victim.cmd.Process.Pid, when)
+	victim.cmd.Process.Kill()
+	victim.cmd.Wait()
+	p, err := c.launch(i, true)
+	if err != nil {
+		fatalf("relaunch node %d: %v", i, err)
+	}
+	c.procs[i] = p
+	logf("node %d rejoined at %s and restored from checkpoint", i, p.addr)
+}
+
+// launchMain runs the cluster through its phases, exports the mesh into a
+// chunked store, one chunk per node, then merges, verifies offline and
+// reports from the manifest.
+func launchMain(args []string) {
 	fs := flag.NewFlagSet("meshctl", flag.ExitOnError)
 	o := registerClusterOpts(fs)
 	var (
-		kill      = fs.Int("kill", -1, "worker node to SIGKILL and relaunch mid-run (-1: none; 0, the seed, is not killable)")
-		killAfter = fs.Int("kill-after", 0, "phase barrier after which to kill")
-		out       = fs.String("out", "", "write the merged block dump to this file")
-		baseline  = fs.String("baseline", "", "compare the merged dump against this file; exit 1 on any difference")
-	)
-	fs.Parse(args)
-	if *kill == 0 || *kill >= o.nodes {
-		fatalf("-kill must name a worker node in [1,%d)", o.nodes)
-	}
-	if *kill > 0 && (*killAfter < 0 || *killAfter >= o.phases-1) {
-		fatalf("-kill-after must leave a phase to run after the rejoin (have %d phases)", o.phases)
-	}
-
-	ctl, cleanup := o.start()
-	defer cleanup()
-	defer ctl.killAll()
-
-	ctl.runPhases(o.phases, *kill, *killAfter)
-
-	dump, err := ctl.dump(o.blocks * o.blocks)
-	if err != nil {
-		fatalf("dump: %v", err)
-	}
-	if err := ctl.quitAll(); err != nil {
-		fatalf("shutdown: %v", err)
-	}
-	finishReport(dump, *out, *baseline)
-}
-
-// exportMain runs the cluster to completion and streams the mesh into a
-// chunked store, one chunk per node, then merges and verifies offline.
-func exportMain(args []string) {
-	fs := flag.NewFlagSet("meshctl export", flag.ExitOnError)
-	o := registerClusterOpts(fs)
-	var (
-		store      = fs.String("store", "", "mesh store directory (required)")
+		kill       = fs.Int("kill", -1, "worker node to SIGKILL and relaunch mid-run (-1: none; 0, the seed, is not killable)")
+		killAfter  = fs.Int("kill-after", 0, "phase barrier after which to kill")
+		store      = fs.String("store", "", "mesh store directory the run exports into (default: store under -dir, emptied first)")
 		killExport = fs.Int("kill-export", -1, "worker to SIGKILL right after it starts exporting, then relaunch and re-export (-1: none)")
 		compress   = fs.Bool("compress", true, "compress chunk frames (byte-plane coding, raw when it does not shrink them)")
 		out        = fs.String("out", "", "write the manifest-derived block report to this file")
 		baseline   = fs.String("baseline", "", "compare the block report against this file; exit 1 on any difference")
 	)
 	fs.Parse(args)
-	if *store == "" {
-		fatalf("export: -store is required")
+	if fs.NArg() > 0 {
+		fatalf("unexpected arguments %q (subcommands: verify, restore)", fs.Args())
+	}
+	if *kill == 0 || *kill >= o.nodes {
+		fatalf("-kill must name a worker node in [1,%d)", o.nodes)
+	}
+	if *kill > 0 && (*killAfter < 0 || *killAfter >= o.phases-1) {
+		fatalf("-kill-after must leave a phase to run after the rejoin (have %d phases)", o.phases)
 	}
 	if *killExport == 0 || *killExport >= o.nodes {
-		fatalf("export: -kill-export must name a worker node in [1,%d)", o.nodes)
+		fatalf("-kill-export must name a worker node in [1,%d)", o.nodes)
+	}
+
+	ctl, cleanup := o.start("-compress=" + fmt.Sprint(*compress))
+	defer cleanup()
+	defer ctl.killAll()
+	if *store == "" {
+		// The default store is the launcher's own: a previous run's chunks
+		// there would merge into this one.
+		*store = filepath.Join(ctl.work, "store")
+		if err := os.RemoveAll(*store); err != nil {
+			fatalf("store: %v", err)
+		}
 	}
 	// Workers inherit this process's working directory; make the store path
 	// absolute so launcher and workers agree on it regardless.
 	abs, err := filepath.Abs(*store)
 	if err != nil {
-		fatalf("export: %v", err)
+		fatalf("store: %v", err)
 	}
 	*store = abs
 
-	ctl, cleanup := o.start("-compress=" + fmt.Sprint(*compress))
-	defer cleanup()
-	defer ctl.killAll()
-
-	ctl.runPhases(o.phases, -1, 0)
+	ctl.runPhases(o.phases, *kill, *killAfter)
 
 	if *killExport > 0 {
 		// Crash drill: tell the victim to export and SIGKILL it immediately —
@@ -254,15 +236,7 @@ func exportMain(args []string) {
 		// truncates whatever the dead one left in the chunk.
 		victim := ctl.procs[*killExport]
 		fmt.Fprintf(victim.stdin, "export %s\n", *store)
-		logf("killing node %d (pid %d) mid-export", *killExport, victim.cmd.Process.Pid)
-		victim.cmd.Process.Kill()
-		victim.cmd.Wait()
-		p, err := ctl.launch(*killExport, true)
-		if err != nil {
-			fatalf("relaunch node %d: %v", *killExport, err)
-		}
-		ctl.procs[*killExport] = p
-		logf("node %d rejoined at %s and restored from checkpoint", *killExport, p.addr)
+		ctl.relaunch(*killExport, "mid-export")
 	}
 
 	for _, p := range ctl.procs {
@@ -286,7 +260,7 @@ func exportMain(args []string) {
 		fatalf("merge: %v", err)
 	}
 	if man.Partial {
-		fatalf("merged store does not cover the %dx%d grid", o.blocks, o.blocks)
+		fatalf("merged store does not cover the %dx%d grid exactly once", o.blocks, o.blocks)
 	}
 	rep, err := meshstore.Verify(*store)
 	if err != nil {
@@ -442,7 +416,7 @@ func restoreMain(args []string) {
 }
 
 // manifestReport renders the canonical block report from the manifest index
-// alone — the streaming replacement for run mode's in-memory dump merge.
+// alone: block payloads never pass through the launcher.
 func manifestReport(man *meshstore.Manifest) []string {
 	recs := man.Records()
 	lines := make([]string, len(recs))
@@ -601,56 +575,6 @@ func (c *control) phase(k int) error {
 	return nil
 }
 
-// dump collects every node's block reports and merges them, verifying each
-// block appears exactly once across the cluster and that no node reports
-// more than the grid holds — the merge never grows past expect lines.
-func (c *control) dump(expect int) ([]string, error) {
-	for _, p := range c.procs {
-		if _, err := fmt.Fprintln(p.stdin, "dump"); err != nil {
-			return nil, fmt.Errorf("node %d: %w", p.id, err)
-		}
-	}
-	seen := make(map[string]int) // "j i" -> reporting node
-	var all []string
-	for _, p := range c.procs {
-		deadline := time.After(c.timeout)
-		for {
-			var line string
-			var ok bool
-			select {
-			case line, ok = <-p.lines:
-				if !ok {
-					return nil, fmt.Errorf("node %d exited mid-dump", p.id)
-				}
-			case <-deadline:
-				return nil, fmt.Errorf("node %d: timeout mid-dump", p.id)
-			}
-			if line == "dumped" {
-				break
-			}
-			rec, found := strings.CutPrefix(line, "block ")
-			if !found {
-				return nil, fmt.Errorf("node %d: unexpected output %q", p.id, line)
-			}
-			if len(all) >= expect {
-				return nil, fmt.Errorf("node %d: more than %d block lines; refusing to buffer past the grid size", p.id, expect)
-			}
-			f := strings.Fields(rec)
-			if len(f) != 4 {
-				return nil, fmt.Errorf("node %d: bad block line %q", p.id, line)
-			}
-			key := f[0] + " " + f[1]
-			if prev, dup := seen[key]; dup {
-				return nil, fmt.Errorf("block (%s) reported by both node %d and node %d", key, prev, p.id)
-			}
-			seen[key] = p.id
-			all = append(all, rec)
-		}
-	}
-	sort.Strings(all)
-	return all, nil
-}
-
 func (c *control) quitAll() error {
 	for _, p := range c.procs {
 		fmt.Fprintln(p.stdin, "quit")
@@ -674,7 +598,7 @@ func (c *control) killAll() {
 }
 
 // diff prints the first few lines that differ between the baseline and the
-// cluster dump.
+// cluster's block report.
 func diff(want, got []string) {
 	n := 0
 	for i := 0; i < len(want) || i < len(got); i++ {

@@ -7,7 +7,6 @@
 // stdin by cmd/meshctl:
 //
 //	phase K     post phase K, run it to global termination, checkpoint -> "done K"
-//	dump        report every local block as "block <j> <i> <elements> <hash>" -> "dumped"
 //	export DIR  frame every local block into DIR as meshstore chunk + manifest
 //	            (all nodes must export together) -> "exported <blocks> <bytes>"
 //	quit        leave the cluster and exit
@@ -164,12 +163,6 @@ func main() {
 			logf(tn, "%v", rt.Report())
 			writeTrace(*traceOut, sink)
 			return
-		case line == "dump":
-			for _, bd := range d.Dump() {
-				fmt.Fprintf(out, "block %s\n", bd)
-			}
-			fmt.Fprintln(out, "dumped")
-			out.Flush()
 		case strings.HasPrefix(line, "export "):
 			// Every node of the run must receive the export command: the
 			// export barrier is global, like a phase. The writer truncates any

@@ -48,15 +48,21 @@ func TestFormatHelpers(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an ID that names no experiment is an error,
+// the retired dirpolicies (folded into routing) included.
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("bogus", Options{}); err == nil {
-		t.Fatal("unknown experiment should fail")
+	for _, id := range []string{"bogus", "dirpolicies"} {
+		if _, err := Run(id, Options{}); err == nil {
+			t.Fatalf("unknown experiment %q should fail", id)
+		}
 	}
 }
 
 // TestRunRejectsUnknownDir: a -dir value that names no directory policy is
 // an error for every experiment, listing the three it accepts, instead of an
-// empty routing table; a valid one runs that policy's two rows.
+// empty routing table; a valid one runs that policy's two rows. Without a
+// filter the sweep runs all six rows even on one PE: it floors the node
+// count at three.
 func TestRunRejectsUnknownDir(t *testing.T) {
 	for _, dir := range []string{"placed", "Lazy", "bogus"} {
 		for _, id := range []string{"routing", "tab1"} {
@@ -78,12 +84,19 @@ func TestRunRejectsUnknownDir(t *testing.T) {
 	if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "eager" || tbl.Rows[1][0] != "eager" {
 		t.Fatalf("-dir eager rows = %v, want eager's settled and drift", tbl.Rows)
 	}
+	tbl, err = Run("routing", Options{Scale: 0.05, PEs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("-pes 1 rows = %v, want three policies by two regimes", tbl.Rows)
+	}
 }
 
 func TestExperimentsListed(t *testing.T) {
 	ids := Experiments()
-	if len(ids) != 24 {
-		t.Fatalf("expected 24 experiments, got %d", len(ids))
+	if len(ids) != 23 {
+		t.Fatalf("expected 23 experiments, got %d", len(ids))
 	}
 	seen := map[string]bool{}
 	for _, id := range ids {

@@ -67,7 +67,7 @@ func Experiments() []string {
 	return []string{
 		"fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 		"tab1", "tab2", "tab3", "tab4", "tab5", "tab6", "tab7",
-		"policies", "dirpolicies", "routing", "remotemem", "tiers", "faults",
+		"policies", "routing", "remotemem", "tiers", "faults",
 		"pipeline", "alloc", "compress", "meshio",
 	}
 }
@@ -109,8 +109,6 @@ func Run(id string, opts Options) (*Table, error) {
 		return Table7(opts)
 	case "policies":
 		return Policies(opts)
-	case "dirpolicies":
-		return DirPolicies(opts)
 	case "routing":
 		return Routing(opts)
 	case "remotemem":
@@ -643,108 +641,6 @@ func (o *kbObj) DecodeFrom(r io.Reader) error {
 	return err
 }
 func (o *kbObj) SizeHint() int { return 1024 }
-
-// DirPolicies compares the three directory location-management policies on
-// a migration-heavy synthetic workload — the experiment behind the paper's
-// statement that lazy updates are the right compromise between accuracy and
-// update overhead.
-func DirPolicies(opts Options) (*Table, error) {
-	t := &Table{
-		ID:      "dirpolicies",
-		Title:   "directory location management: lazy vs eager vs home",
-		Headers: []string{"policy", "time", "forwarded", "dir updates"},
-		Notes:   []string{"paper: lazy updates are a good compromise between accuracy and update overhead"},
-	}
-	const objects = 64
-	posts := int(2000 * opts.Scale)
-	if posts < 200 {
-		posts = 200
-	}
-	for _, policy := range core.DirectoryPolicies() {
-		elapsed, fwd, upd, err := dirPolicyRun(opts.PEs, objects, posts, policy, opts.seedFor(11))
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(policy.String(), fmtDur(elapsed), fmtInt(int(fwd)), fmtInt(int(upd)))
-	}
-	return t, nil
-}
-
-func dirPolicyRun(nodes, objects, posts int, policy core.DirectoryPolicy, seed int64) (time.Duration, int64, int64, error) {
-	tr := comm.NewInProc(nodes, comm.LatencyModel{Latency: 100 * time.Microsecond})
-	defer tr.Close()
-	var pools []sched.Pool
-	var rts []*core.Runtime
-	for i := 0; i < nodes; i++ {
-		pool := sched.NewWorkStealing(1)
-		pools = append(pools, pool)
-		rts = append(rts, core.NewRuntime(core.Config{
-			Endpoint: tr.Endpoint(comm.NodeID(i)),
-			Pool:     pool,
-			Factory: func(typeID uint16) (core.Object, error) {
-				if typeID == 9 {
-					return &noopObj{}, nil
-				}
-				return nil, core.ErrUnknownType
-			},
-			Mem:       ooc.Config{Budget: 1 << 24},
-			Store:     storage.NewMem(),
-			Directory: policy,
-			NumNodes:  nodes,
-		}))
-	}
-	defer func() {
-		core.WaitQuiescence(rts...)
-		for _, rt := range rts {
-			rt.Close()
-		}
-		for _, p := range pools {
-			p.Close()
-		}
-	}()
-	for _, rt := range rts {
-		rt.Register(1, func(c *core.Ctx, arg []byte) {})
-	}
-	// All objects born on node 0, then scattered by migration — the
-	// directory-staleness stress.
-	var ptrs []core.MobilePtr
-	for i := 0; i < objects; i++ {
-		ptrs = append(ptrs, rts[0].CreateObject(&noopObj{}))
-	}
-	for i, p := range ptrs {
-		if err := rts[0].Migrate(p, core.NodeID(1+i%(nodes-1))); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	core.WaitQuiescence(rts...)
-	time.Sleep(5 * time.Millisecond) // let eager broadcasts land
-	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
-	// Several rounds: the first touches pay for staleness, later rounds
-	// show the steady state each policy converges to.
-	for round := 0; round < 3; round++ {
-		for i := 0; i < posts/3; i++ {
-			// Posts come from random nodes whose directories may be stale.
-			rts[rng.Intn(nodes)].Post(ptrs[rng.Intn(len(ptrs))], 1, nil)
-		}
-		core.WaitQuiescence(rts...)
-	}
-	elapsed := time.Since(start)
-	var fwd, upd int64
-	for _, rt := range rts {
-		fwd += rt.ForwardedCount()
-		upd += rt.DirUpdatesSent()
-	}
-	return elapsed, fwd, upd, nil
-}
-
-// noopObj is a minimal object for the directory experiment.
-type noopObj struct{}
-
-func (o *noopObj) TypeID() uint16               { return 9 }
-func (o *noopObj) EncodeTo(w io.Writer) error   { return nil }
-func (o *noopObj) DecodeFrom(r io.Reader) error { return nil }
-func (o *noopObj) SizeHint() int                { return 16 }
 
 // RemoteMem compares the out-of-core media: local modeled disk versus the
 // memory of a remote node (the configuration the paper's conclusion

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -15,8 +16,9 @@ import (
 // regimes: with objects settled where the grid deal puts them, eager's first
 // hop is exact while home pays the home detour and lazy a forwarding chain
 // until its repair lands; under migration drift every policy pays something,
-// and the sweep shows what. Unlike dirpolicies it normalizes per message,
-// reports the hop mean, keeps at least three nodes and is gated in CI.
+// and the sweep shows what. It normalizes per message, reports the hop
+// mean, keeps at least three nodes (two cannot forward: a pointer's home is
+// either the sender or the host) and is gated in CI.
 func Routing(opts Options) (*Table, error) {
 	policies, err := routingPolicies(opts.Dir)
 	if err != nil {
@@ -168,3 +170,11 @@ func routingRun(opts Options, policy core.DirectoryPolicy, drift bool) (routingM
 	}
 	return m, nil
 }
+
+// noopObj is a minimal object for the routing sweep.
+type noopObj struct{}
+
+func (o *noopObj) TypeID() uint16               { return 9 }
+func (o *noopObj) EncodeTo(w io.Writer) error   { return nil }
+func (o *noopObj) DecodeFrom(r io.Reader) error { return nil }
+func (o *noopObj) SizeHint() int                { return 16 }

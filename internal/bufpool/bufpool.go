@@ -253,15 +253,6 @@ func (w *Writer) grow(n int) {
 // Len returns the bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Truncate discards all but the first n written bytes, keeping the backing
-// buffer. n must not exceed Len.
-func (w *Writer) Truncate(n int) {
-	if n < 0 || n > len(w.buf) {
-		panic("bufpool: Truncate out of range")
-	}
-	w.buf = w.buf[:n]
-}
-
 // Bytes returns the accumulated bytes, still owned by the Writer.
 func (w *Writer) Bytes() []byte { return w.buf }
 

@@ -27,9 +27,6 @@ type Clock interface {
 	// Sleep blocks the calling goroutine for d of this clock's time.
 	// Non-positive d yields the processor without sleeping.
 	Sleep(d time.Duration)
-	// After returns a channel that receives the clock's time once d has
-	// elapsed. The channel is buffered; the send never blocks the clock.
-	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a Timer firing after d.
 	NewTimer(d time.Duration) *Timer
 }
@@ -75,8 +72,6 @@ func (realClock) Sleep(d time.Duration) {
 		time.Sleep(d)
 	}
 }
-
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 func (realClock) NewTimer(d time.Duration) *Timer {
 	t := time.NewTimer(d)

@@ -15,9 +15,9 @@ func TestRealClockSmoke(t *testing.T) {
 		t.Fatalf("real clock did not advance")
 	}
 	select {
-	case <-c.After(0):
+	case <-c.NewTimer(0).C:
 	case <-time.After(time.Second):
-		t.Fatalf("After(0) never fired")
+		t.Fatalf("NewTimer(0) never fired")
 	}
 	tm := c.NewTimer(time.Hour)
 	if !tm.Stop() {
@@ -75,14 +75,13 @@ func TestVirtualSleepOrdering(t *testing.T) {
 func TestVirtualAfterAndTimer(t *testing.T) {
 	v := NewVirtual()
 	defer v.Stop()
-	ch := v.After(5 * time.Millisecond)
 	select {
-	case ts := <-ch:
+	case ts := <-v.NewTimer(5 * time.Millisecond).C:
 		if ts.Before(epoch.Add(5 * time.Millisecond)) {
-			t.Fatalf("After fired at %v, want >= epoch+5ms", ts)
+			t.Fatalf("timer fired at %v, want >= epoch+5ms", ts)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("virtual After never fired")
+		t.Fatalf("virtual timer never fired")
 	}
 
 	tm := v.NewTimer(time.Hour)

@@ -42,7 +42,7 @@ type Virtual struct {
 	done    chan struct{}
 }
 
-// waiter is one pending Sleep/After/Timer deadline.
+// waiter is one pending Sleep or Timer deadline.
 type waiter struct {
 	at    int64 // virtual deadline, nanoseconds since epoch
 	seq   uint64
@@ -81,20 +81,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 		return // stopped clock: sleeps return immediately
 	}
 	<-w.ch
-}
-
-// After implements Clock.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- v.Now()
-		return ch
-	}
-	if w := v.add(d); w != nil {
-		return w.ch
-	}
-	ch <- v.Now()
-	return ch
 }
 
 // NewTimer implements Clock.

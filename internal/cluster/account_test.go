@@ -184,7 +184,7 @@ func TestReportTieredAndRestartedNode(t *testing.T) {
 				for _, rt := range rts {
 					rt.Register(1, func(ctx *core.Ctx, arg []byte) {
 						ctx.Object().(*ballastObj).N++
-						ctx.Runtime().Clock().Sleep(time.Millisecond)
+						vclk.Sleep(time.Millisecond)
 					})
 				}
 			}

@@ -160,8 +160,8 @@ func TestSimulateJobsFCFSOrdering(t *testing.T) {
 		t.Errorf("job 0 wait = %v", jobs[0].Wait())
 	}
 	// Job 1 must wait for job 0 to finish: starts at 10min, waited 9min.
-	if jobs[1].Start() != 10*time.Minute {
-		t.Errorf("job 1 start = %v", jobs[1].Start())
+	if jobs[1].start != 10*time.Minute {
+		t.Errorf("job 1 start = %v", jobs[1].start)
 	}
 	if jobs[1].Wait() != 9*time.Minute {
 		t.Errorf("job 1 wait = %v", jobs[1].Wait())
@@ -194,8 +194,8 @@ func TestSimulateJobsBackfill(t *testing.T) {
 		t.Error("without backfill the small job should wait")
 	}
 	// Backfill must not delay the head job.
-	if withBF[1].Start() > noBF[1].Start() {
-		t.Errorf("backfill delayed the head: %v > %v", withBF[1].Start(), noBF[1].Start())
+	if withBF[1].start > noBF[1].start {
+		t.Errorf("backfill delayed the head: %v > %v", withBF[1].start, noBF[1].start)
 	}
 }
 

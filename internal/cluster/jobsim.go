@@ -30,9 +30,6 @@ type Job struct {
 // Wait returns the queue wait time of a scheduled job.
 func (j *Job) Wait() time.Duration { return j.start - j.Submit }
 
-// Start returns the scheduled start time.
-func (j *Job) Start() time.Duration { return j.start }
-
 // JobSimConfig configures the simulator.
 type JobSimConfig struct {
 	ClusterNodes int  // total nodes in the machine

@@ -84,7 +84,6 @@ type Endpoint interface {
 // Transport wires a set of endpoints together.
 type Transport interface {
 	Endpoint(n NodeID) Endpoint
-	NumNodes() int
 	// Close closes every endpoint.
 	Close() error
 }

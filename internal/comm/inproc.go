@@ -95,9 +95,6 @@ func NewInProcClock(n int, model LatencyModel, clk clock.Clock) *InProcTransport
 	return tr
 }
 
-// NumNodes returns the number of endpoints.
-func (t *InProcTransport) NumNodes() int { return len(t.eps) }
-
 // Endpoint returns endpoint n.
 func (t *InProcTransport) Endpoint(n NodeID) Endpoint { return t.eps[n] }
 

@@ -141,9 +141,6 @@ func NewTCP(n int) (*TCPTransport, error) {
 	return tr, nil
 }
 
-// NumNodes returns the number of endpoints.
-func (t *TCPTransport) NumNodes() int { return len(t.nodes) }
-
 // Endpoint returns endpoint n.
 func (t *TCPTransport) Endpoint(n NodeID) Endpoint { return t.nodes[n] }
 

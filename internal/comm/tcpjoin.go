@@ -188,13 +188,6 @@ func (e *TCPNode) Addr() string { return e.ln.Addr().String() }
 // Node implements Endpoint.
 func (e *TCPNode) Node() NodeID { return e.id }
 
-// Epoch returns the current membership epoch.
-func (e *TCPNode) Epoch() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.epoch
-}
-
 // Members returns the current member table, sorted by node ID.
 func (e *TCPNode) Members() []Member {
 	e.mu.Lock()
@@ -776,10 +769,6 @@ func (e *TCPNode) Close() error {
 	e.shutdown(true)
 	return nil
 }
-
-// abort tears the node down without the LEAVE announcement — test hook for
-// simulating a crash that the seed must detect by heartbeat expiry.
-func (e *TCPNode) abort() { e.shutdown(false) }
 
 func (e *TCPNode) shutdown(announce bool) {
 	e.closeOnce.Do(func() {

@@ -31,9 +31,6 @@ func (c *Ctx) Create(obj Object) MobilePtr { return c.rt.CreateObject(obj) }
 // SetPriority hints the out-of-core layer (see Runtime.SetPriority).
 func (c *Ctx) SetPriority(ptr MobilePtr, pri int) { c.rt.SetPriority(ptr, pri) }
 
-// InCore reports whether ptr is local and in-core right now.
-func (c *Ctx) InCore(ptr MobilePtr) bool { return c.rt.InCore(ptr) }
-
 // CallInline attempts the paper's shared-memory optimization: if the target
 // object is local, in-core and idle, its handler runs synchronously in the
 // caller's goroutine — the sender's data is made available to the receiver

@@ -6,9 +6,9 @@ import "sync/atomic"
 // migration. The paper's system uses lazy updates, chosen over the
 // alternatives after experimentation ("lazy updates provides good compromise
 // between accuracy and update overhead"); all three candidates are
-// implemented here so the trade-off can be measured (see the dirpolicies and
-// routing bench experiments). The policies are realized behind the Locator
-// seam — see NewPolicyLocator.
+// implemented here so the trade-off can be measured (see the routing bench
+// experiment). The policies are realized behind the Locator seam — see
+// NewPolicyLocator.
 type DirectoryPolicy int
 
 const (
@@ -100,6 +100,3 @@ func (rt *Runtime) RouteHopHistogram() [hopBuckets]int64 {
 	}
 	return out
 }
-
-// Locator returns the runtime's routing locator.
-func (rt *Runtime) Locator() Locator { return rt.loc }

@@ -120,8 +120,8 @@ func (pl *policyLocator) FeedbackTargets(route []NodeID) []NodeID {
 // MigrateTargets implements Locator: every policy informs the home node (the
 // routing anchor for nodes with no cache entry); the eager policy
 // additionally broadcasts to the whole cluster. Home appears twice under
-// eager by design — it mirrors the historical update traffic the dirpolicies
-// experiment measures.
+// eager by design — it mirrors the historical update traffic the routing
+// experiment's dir-updates column counts.
 func (pl *policyLocator) MigrateTargets(ptr MobilePtr, dest NodeID) []NodeID {
 	var out []NodeID
 	if ptr.Home != pl.self && ptr.Home != dest {

@@ -12,8 +12,8 @@ import (
 )
 
 // scriptLocator routes every pointer to a settable target — a test double
-// for driving the runtime's routing edges (the forward-hop bound, parked
-// re-routing) without a real directory behind them.
+// for driving the runtime's routing edges (the forward-hop bound, relayed
+// delivery) without a real directory behind them.
 type scriptLocator struct {
 	target atomic.Int64
 }
@@ -121,37 +121,6 @@ func TestRelayedDeliveryCountsHops(t *testing.T) {
 	}
 	if got := c.rts[2].RouteHopsMean(); got != 2.0 {
 		t.Fatalf("delivered hop mean %.2f, want 2.0 (sender -> relay -> host)", got)
-	}
-}
-
-// TestReRouteParked parks a message by pointing the sender's locator at
-// itself, then flips the locator and requires ReRouteParked to release
-// exactly the parked message.
-func TestReRouteParked(t *testing.T) {
-	l0 := newScriptLocator(0) // self: the post parks
-	c := newLocatorCluster(t, 2, func(i int) Locator {
-		if i == 0 {
-			return l0
-		}
-		return newScriptLocator(1)
-	})
-	var delivered atomic.Int64
-	for _, rt := range c.rts {
-		rt.Register(hInc, func(ctx *Ctx, arg []byte) { delivered.Add(1) })
-	}
-	ptr := c.rts[1].CreateObject(&testObj{})
-
-	c.rts[0].Post(ptr, hInc, nil) // routes inline: parked before Post returns
-	if n := c.rts[0].ReRouteParked(); n != 0 {
-		t.Fatalf("re-route moved %d messages while the locator still says self", n)
-	}
-	l0.target.Store(1)
-	if n := c.rts[0].ReRouteParked(); n != 1 {
-		t.Fatalf("re-route moved %d messages after the locator learned, want 1", n)
-	}
-	WaitQuiescence(c.rts...)
-	if n := delivered.Load(); n != 1 {
-		t.Fatalf("delivered %d times, want 1", n)
 	}
 }
 

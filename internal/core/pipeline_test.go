@@ -69,7 +69,7 @@ func TestIOCompletionServicedAtHandlerBoundary(t *testing.T) {
 		n := started.Add(1)
 		if n == 1 {
 			c.Runtime().Prefetch(target) // the outstanding load
-		} else if sawAt.Load() == 0 && c.InCore(target) {
+		} else if sawAt.Load() == 0 && c.Runtime().InCore(target) {
 			sawAt.Store(n)
 		}
 		for t0 := time.Now(); time.Since(t0) < time.Millisecond; {
@@ -307,7 +307,7 @@ func TestAdmissionKeepsTheBudget(t *testing.T) {
 	var ran atomic.Int32
 	rt.Register(hInc, func(c *Ctx, arg []byte) {
 		c.Object().(*testObj).Count++
-		c.Runtime().Clock().Sleep(200 * time.Microsecond)
+		c.Runtime().clk.Sleep(200 * time.Microsecond)
 		ran.Add(1)
 	})
 	for _, p := range ptrs {
@@ -346,7 +346,7 @@ func TestAdmissionTerminatesAroundPins(t *testing.T) {
 	var ran atomic.Int32
 	rt.Register(hInc, func(c *Ctx, arg []byte) {
 		c.Object().(*testObj).Count++
-		c.Runtime().Clock().Sleep(200 * time.Microsecond)
+		c.Runtime().clk.Sleep(200 * time.Microsecond)
 		ran.Add(1)
 	})
 	for _, p := range ptrs[:2] {

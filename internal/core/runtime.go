@@ -248,9 +248,6 @@ func NewRuntime(cfg Config) *Runtime {
 	return rt
 }
 
-// Node returns this runtime's node ID.
-func (rt *Runtime) Node() NodeID { return rt.node }
-
 // Mem returns the out-of-core residency manager (for stats and tests).
 func (rt *Runtime) Mem() *ooc.Manager { return rt.mem }
 
@@ -260,9 +257,6 @@ func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
 // Report returns the node's comp/comm/disk time account since the tracer
 // was created, over the pool's workers as its PEs.
 func (rt *Runtime) Report() obs.Report { return rt.tracer.Report(rt.pool.Workers()) }
-
-// Clock returns the runtime's injected time source (never nil).
-func (rt *Runtime) Clock() clock.Clock { return rt.clk }
 
 // Register installs a message handler under id. All nodes must register the
 // same IDs before posting any messages (SPMD model).
@@ -430,28 +424,6 @@ func (rt *Runtime) onWireDirUpdate(msg comm.Message) {
 	for _, m := range parked {
 		rt.route(m)
 	}
-}
-
-// ReRouteParked re-resolves every parked message against the locator and
-// re-routes those whose first hop is no longer this node, for a locator
-// whose answer changed without an install or directory update reaching this
-// node: a parked message would otherwise wait forever (parked messages hold
-// the work counter, so termination would never fire). Returns the number of
-// messages re-routed.
-func (rt *Runtime) ReRouteParked() int {
-	rt.mu.Lock()
-	var ms []*appMsg
-	for ptr, list := range rt.parked {
-		if rt.loc.Locate(ptr) != rt.node {
-			ms = append(ms, list...)
-			delete(rt.parked, ptr)
-		}
-	}
-	rt.mu.Unlock()
-	for _, m := range ms {
-		rt.route(m)
-	}
-	return len(ms)
 }
 
 // enqueueLocal queues q for local object lo and makes sure progress happens

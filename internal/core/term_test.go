@@ -72,7 +72,7 @@ func TestWaitTerminationSPMD(t *testing.T) {
 			defer wg.Done()
 			rt.WaitTermination(4)
 			if h := hops.Load(); h != 200 {
-				t.Errorf("node %d unblocked at %d hops, want 200", rt.Node(), h)
+				t.Errorf("node %d unblocked at %d hops, want 200", rt.node, h)
 			}
 		}(rt)
 	}

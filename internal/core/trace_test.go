@@ -49,7 +49,7 @@ func TestTracerRecordsSwapLifecycle(t *testing.T) {
 	rt.Post(ptr, hInc, nil)
 	waitQuiesceOrFail(t, rt)
 
-	counts := tracer.CountByKind()
+	counts := countByKind(tracer)
 	if counts[obs.KindSwapEvict] != 1 {
 		t.Fatalf("swap.evict events = %d, want 1 (counts %v)", counts[obs.KindSwapEvict], counts)
 	}
@@ -86,7 +86,7 @@ func TestTracerRecordsRetries(t *testing.T) {
 	rt.Post(ptr, hInc, nil)
 	waitQuiesceOrFail(t, rt)
 
-	counts := tracer.CountByKind()
+	counts := countByKind(tracer)
 	if counts[obs.KindSwapRetry] != 4 {
 		t.Fatalf("swap.retry events = %d, want 4 (2 put + 2 get)", counts[obs.KindSwapRetry])
 	}
@@ -119,7 +119,7 @@ func TestTracerRecordsObjectLoss(t *testing.T) {
 	rt.Post(ptr, hInc, nil)
 	waitQuiesceOrFail(t, rt)
 
-	counts := tracer.CountByKind()
+	counts := countByKind(tracer)
 	if counts[obs.KindSwapLost] != 1 {
 		t.Fatalf("swap.lost events = %d, want 1 (counts %v)", counts[obs.KindSwapLost], counts)
 	}
@@ -140,11 +140,20 @@ func TestTracerRecordsStoreFailure(t *testing.T) {
 		t.Fatalf("eviction settled in state %d, want rollback to stInCore", got)
 	}
 
-	counts := tracer.CountByKind()
+	counts := countByKind(tracer)
 	if counts[obs.KindSwapStoreFail] != 1 {
 		t.Fatalf("swap.store_fail events = %d, want 1 (counts %v)", counts[obs.KindSwapStoreFail], counts)
 	}
 	if counts[obs.KindSwapLost] != 0 {
 		t.Fatalf("rolled-back store must not lose the object: %v", counts)
 	}
+}
+
+// countByKind tallies tr's recorded events per kind.
+func countByKind(tr *obs.Tracer) map[obs.Kind]int {
+	out := make(map[obs.Kind]int)
+	for _, ev := range tr.Events() {
+		out[ev.Kind]++
+	}
+	return out
 }

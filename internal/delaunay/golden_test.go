@@ -19,6 +19,25 @@ import (
 	"mrts/internal/workload"
 )
 
+// squareWithHoles is the unit square with k small square holes in a
+// diagonal arrangement.
+func squareWithHoles(k int) *delaunay.PSLG {
+	p := workload.UnitSquare()
+	for i := 0; i < k; i++ {
+		f := (float64(i) + 0.5) / float64(k)
+		cx, cy := f, f
+		r := 0.03 / float64(k) * 4
+		base := len(p.Points)
+		p.Points = append(p.Points,
+			geom.Pt(cx-r, cy-r), geom.Pt(cx+r, cy-r), geom.Pt(cx+r, cy+r), geom.Pt(cx-r, cy+r))
+		p.Segments = append(p.Segments,
+			[2]int{base, base + 1}, [2]int{base + 1, base + 2},
+			[2]int{base + 2, base + 3}, [2]int{base + 3, base})
+		p.Holes = append(p.Holes, geom.Pt(cx, cy))
+	}
+	return p
+}
+
 // subdividedSquare is the unit square with every side cut into n segments,
 // the shape of a block whose interfaces its neighbours have already fixed.
 func subdividedSquare(n int) *delaunay.PSLG {
@@ -210,7 +229,7 @@ func goldenCases() []goldenCase {
 			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 0.66)}},
 		{"pipe-graded", workload.Pipe(32, 0.5, 0.2, centre),
 			delaunay.Options{Size: workload.GradedAnnular(centre, 0.2, 0.01, 0.25)}},
-		{"holes", workload.SquareWithHoles(3),
+		{"holes", squareWithHoles(3),
 			delaunay.Options{MaxArea: workload.UniformAreaFor(3000, 1)}},
 		{"square-frozen-segments", subdividedSquare(24),
 			delaunay.Options{NoSegmentSplit: true, MaxArea: workload.UniformAreaFor(2000, 1)}},

@@ -50,7 +50,7 @@ func sizeAt(f delaunay.SizeField) func(geom.Point) float64 {
 func translated(p *delaunay.PSLG, opts delaunay.Options, off geom.Point) (*delaunay.PSLG, delaunay.Options) {
 	q := &delaunay.PSLG{Segments: p.Segments}
 	for _, pt := range p.Points {
-		q.Points = append(q.Points, pt.Add(off))
+		q.Points = append(q.Points, geom.Pt(pt.X+off.X, pt.Y+off.Y))
 	}
 	switch f := opts.Size.(type) {
 	case delaunay.SizeFunc:

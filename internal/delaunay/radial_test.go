@@ -42,5 +42,5 @@ func (f radialField) Exceeds(tr geom.Triangle, ab, bc, ca float64) bool {
 
 // Moved is the field with its centre moved by off.
 func (f radialField) Moved(off geom.Point) radialField {
-	return newRadialField(f.scale, f.grading, f.center.Add(off), f.dmax)
+	return newRadialField(f.scale, f.grading, geom.Pt(f.center.X+off.X, f.center.Y+off.Y), f.dmax)
 }

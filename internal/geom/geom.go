@@ -22,9 +22,6 @@ type Point struct {
 // Pt is shorthand for Point{x, y}.
 func Pt(x, y float64) Point { return Point{X: x, Y: y} }
 
-// Add returns p + q, treating both as vectors.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
-
 // Sub returns p - q, treating both as vectors.
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
@@ -75,11 +72,6 @@ func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 // Center returns the center point of r.
 func (r Rect) Center() Point { return r.Min.Mid(r.Max) }
 
-// Contains reports whether p lies inside r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Intersects reports whether r and s share any area or boundary.
 func (r Rect) Intersects(s Rect) bool {
 	return r.Min.X <= s.Max.X && s.Min.X <= r.Max.X &&
@@ -106,12 +98,6 @@ func BoundingRect(pts []Point) Rect {
 type Segment struct {
 	A, B Point
 }
-
-// Len returns the length of s.
-func (s Segment) Len() float64 { return s.A.Dist(s.B) }
-
-// Mid returns the midpoint of s.
-func (s Segment) Mid() Point { return s.A.Mid(s.B) }
 
 // DiametralContains reports whether p lies strictly inside the diametral
 // circle of s (the circle with s as diameter). This is the encroachment test

@@ -12,6 +12,9 @@ const RaceEnabled = raceEnabled
 
 var SortKey = sortKey
 
+// NumConstrained returns the number of constrained edges.
+func (m *Mesh) NumConstrained() int { return len(m.constrained) }
+
 // RawMesh is a mesh of the vertex, triangle and constrained-edge lists as
 // given, which no insertion need be able to make: duplicate points,
 // degenerate and repeated triangles, coordinates that are not finite. Its

@@ -358,9 +358,6 @@ func (m *Mesh) EdgeConstrained(t TriID, i int) bool {
 // neighbor subdomains through it.
 func (m *Mesh) SetSplitHook(hook func(a, b, mid geom.Point)) { m.splitHook = hook }
 
-// NumConstrained returns the number of constrained edges.
-func (m *Mesh) NumConstrained() int { return len(m.constrained) }
-
 // ForEachConstrained calls f for every constrained edge.
 func (m *Mesh) ForEachConstrained(f func(a, b VertexID)) {
 	for k := range m.constrained {

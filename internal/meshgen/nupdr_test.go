@@ -33,8 +33,8 @@ func TestBuildLeafTreeBalanced(t *testing.T) {
 	sp := gradedSizeFor(domain, 8, 30000)
 	size := sp.At
 	tree := buildLeafTree(domain, size, 1000)
-	if tree.NumLeaves() < 4 {
-		t.Fatalf("expected several leaves, got %d", tree.NumLeaves())
+	if len(tree.Leaves()) < 4 {
+		t.Fatalf("expected several leaves, got %d", len(tree.Leaves()))
 	}
 	for _, leaf := range tree.Leaves() {
 		for _, nb := range tree.Neighbors(leaf) {

@@ -297,9 +297,9 @@ func TestRunOPCDMReadsNothingBack(t *testing.T) {
 	// The node tracers share one epoch, so their timelines compare.
 	var refineEnd int64
 	var loads []int64
-	for _, tr := range sink.Tracers() {
+	for i, tr := range sink.Tracers() {
 		if n := tr.Dropped(); n > 0 {
-			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
+			t.Fatalf("tracer %d dropped %d trace events", i, n)
 		}
 		for _, ev := range tr.Events() {
 			switch {

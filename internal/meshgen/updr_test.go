@@ -327,9 +327,9 @@ func TestRunOUPDRReadsNothingBack(t *testing.T) {
 	// The node tracers share one epoch, so their timelines compare.
 	var meshEnd int64
 	var loads []int64
-	for _, tr := range sink.Tracers() {
+	for i, tr := range sink.Tracers() {
 		if n := tr.Dropped(); n > 0 {
-			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
+			t.Fatalf("tracer %d dropped %d trace events", i, n)
 		}
 		for _, ev := range tr.Events() {
 			switch {
@@ -397,9 +397,9 @@ func TestRunOUPDRWaitsForTerminationOnce(t *testing.T) {
 		t.Fatal("no evictions: the budget must force swapping")
 	}
 	announced := 0
-	for _, tr := range sink.Tracers() {
+	for i, tr := range sink.Tracers() {
 		if n := tr.Dropped(); n > 0 {
-			t.Fatalf("%s dropped %d trace events", tr.Label(), n)
+			t.Fatalf("tracer %d dropped %d trace events", i, n)
 		}
 		for _, ev := range tr.Events() {
 			if ev.Kind == obs.KindCommSend && ev.ID == wireTermAnnounce {

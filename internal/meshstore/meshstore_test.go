@@ -115,6 +115,39 @@ func TestWriteMergeReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesDuplicateBlock: a block two writers both report leaves
+// the merged manifest partial and without a MeshHash, naming the block —
+// cmd/meshctl refuses a partial merge, so a block reported twice fails the
+// run.
+func TestMergeRefusesDuplicateBlock(t *testing.T) {
+	dir := t.TempDir()
+	man := writeTestStore(t, dir, 2, 2, false)
+	if man.Partial {
+		t.Fatal("merged manifest of a full grid marked partial")
+	}
+	w, err := NewWriter(WriterConfig{Dir: dir, Writer: 2, Meta: man.Meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPayload(1, 600)
+	if err := w.Append(BlockKey(0, 0), 0, 0, 100, blockHash(p), p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	man, err = MergeManifests(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !man.Partial || man.MeshHash != "" {
+		t.Fatalf("a block reported twice merged as complete (partial=%v, hash %q)", man.Partial, man.MeshHash)
+	}
+	if _, probs := man.complete(); !strings.Contains(strings.Join(probs, "\n"), "appears more than once") {
+		t.Fatalf("merge of a duplicated block: problems %q", probs)
+	}
+}
+
 func TestCompressionShrinksChunks(t *testing.T) {
 	raw := t.TempDir()
 	comp := t.TempDir()

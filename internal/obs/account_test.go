@@ -37,19 +37,19 @@ func TestTimedSpan(t *testing.T) {
 		sp := tr.Timed(KindHandler, 1)
 		time.Sleep(20 * time.Millisecond)
 		if d := sp.End(0); d < 15*time.Millisecond || tr.Total(KindHandler) != d {
-			t.Errorf("%s: timed span returned %v, total %v", tr.Label(), d, tr.Total(KindHandler))
+			t.Errorf("%s: timed span returned %v, total %v", tr.label, d, tr.Total(KindHandler))
 		}
 		sp = tr.Start(KindSwapLoad, 1)
 		time.Sleep(time.Millisecond)
 		d := sp.End(0)
 		if tr.Total(KindSwapLoad) != 0 {
-			t.Errorf("%s: a plain span was added to the total", tr.Label())
+			t.Errorf("%s: a plain span was added to the total", tr.label)
 		}
 		if want := 2; tr.ring && (tr.Len() != want || d <= 0) {
-			t.Errorf("%s: %d events (want %d), plain span %v", tr.Label(), tr.Len(), want, d)
+			t.Errorf("%s: %d events (want %d), plain span %v", tr.label, tr.Len(), want, d)
 		}
 		if !tr.ring && (tr.Len() != 0 || d != 0) {
-			t.Errorf("%s: a tracer without a ring recorded %d events, plain span %v", tr.Label(), tr.Len(), d)
+			t.Errorf("%s: a tracer without a ring recorded %d events, plain span %v", tr.label, tr.Len(), d)
 		}
 	}
 }

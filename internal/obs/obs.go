@@ -239,14 +239,6 @@ func NewTracer(label string, clk clock.Clock) *Tracer {
 	return &Tracer{label: label, clk: clk, epoch: clk.Now()}
 }
 
-// Label returns the tracer's display label.
-func (t *Tracer) Label() string {
-	if t == nil {
-		return ""
-	}
-	return t.label
-}
-
 // now returns nanoseconds since the epoch.
 func (t *Tracer) now() int64 { return int64(t.clk.Since(t.epoch)) }
 
@@ -376,20 +368,6 @@ func (t *Tracer) Events() []Event {
 	out := append([]Event(nil), t.buf...)
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
-// CountByKind tallies the recorded events per kind.
-func (t *Tracer) CountByKind() map[Kind]int {
-	out := make(map[Kind]int)
-	if t == nil {
-		return out
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, ev := range t.buf {
-		out[ev.Kind]++
-	}
 	return out
 }
 

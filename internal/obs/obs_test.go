@@ -53,8 +53,8 @@ func TestTracerRecordsAndSorts(t *testing.T) {
 	if evs[1].Dur != 0 || evs[1].Arg != 1 {
 		t.Fatalf("instant fields wrong: %+v", evs[1])
 	}
-	if got := tr.CountByKind()[KindSwapRetry]; got != 1 {
-		t.Fatalf("CountByKind retry = %d, want 1", got)
+	if got := countByKind(tr)[KindSwapRetry]; got != 1 {
+		t.Fatalf("retry events = %d, want 1", got)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestSinkAssignsDistinctPids(t *testing.T) {
 	if len(s.Tracers()) != 2 {
 		t.Fatalf("sink lists %d tracers", len(s.Tracers()))
 	}
-	if a.Label() != "node0" {
-		t.Fatalf("label = %q", a.Label())
+	if a.label != "node0" {
+		t.Fatalf("label = %q", a.label)
 	}
 }
 
@@ -120,4 +120,13 @@ func TestKindStringsAndTracks(t *testing.T) {
 			t.Fatalf("kind %d has no track", k)
 		}
 	}
+}
+
+// countByKind tallies tr's recorded events per kind.
+func countByKind(tr *Tracer) map[Kind]int {
+	out := make(map[Kind]int)
+	for _, ev := range tr.Events() {
+		out[ev.Kind]++
+	}
+	return out
 }

@@ -166,9 +166,6 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Policy returns the active eviction policy.
-func (m *Manager) Policy() Policy { return m.cfg.Policy }
-
 // Budget returns the memory budget in bytes.
 func (m *Manager) Budget() int64 { return m.cfg.Budget }
 
@@ -366,14 +363,6 @@ func (m *Manager) QueueLen(id ObjectID) int {
 		return e.queueLen
 	}
 	return 0
-}
-
-// InCore reports whether id is resident.
-func (m *Manager) InCore(id ObjectID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[id]
-	return ok && e.inCore
 }
 
 // MarkOut transitions id out of core (after its bytes hit the store).

@@ -288,8 +288,8 @@ func TestSnapshot(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	m := NewManager(Config{Budget: 100})
-	if m.Policy() != LRU {
-		t.Errorf("default policy = %q", m.Policy())
+	if m.cfg.Policy != LRU {
+		t.Errorf("default policy = %q", m.cfg.Policy)
 	}
 	if m.Budget() != 100 {
 		t.Errorf("budget = %d", m.Budget())
@@ -440,7 +440,7 @@ func TestPropertyVictimsAreEvictable(t *testing.T) {
 		}
 		for _, v := range m.PickVictims(int64(rng.Intn(5000) + 1)) {
 			if state[v] != "evictable" {
-				t.Fatalf("policy %s picked %s object %d", m.Policy(), state[v], v)
+				t.Fatalf("policy %s picked %s object %d", m.cfg.Policy, state[v], v)
 			}
 		}
 	}

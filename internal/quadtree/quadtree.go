@@ -18,14 +18,6 @@ type NodeID int32
 // NoNode is the nil node ID.
 const NoNode NodeID = -1
 
-// Child quadrant order.
-const (
-	SW = iota
-	SE
-	NW
-	NE
-)
-
 type node struct {
 	bounds geom.Rect
 	parent NodeID
@@ -53,9 +45,6 @@ func New(bounds geom.Rect) *Tree {
 	t.nLeaves = 1
 	return t
 }
-
-// NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return t.nLeaves }
 
 // Bounds returns the rectangle covered by n.
 func (t *Tree) Bounds(n NodeID) geom.Rect { return t.nodes[n].bounds }

@@ -15,7 +15,7 @@ func unitTree() *Tree {
 // leafAt returns a leaf whose rectangle contains p, or NoNode.
 func leafAt(tr *Tree, p geom.Point) NodeID {
 	for _, leaf := range tr.Leaves() {
-		if tr.Bounds(leaf).Contains(p) {
+		if r := tr.Bounds(leaf); p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y {
 			return leaf
 		}
 	}
@@ -24,8 +24,8 @@ func leafAt(tr *Tree, p geom.Point) NodeID {
 
 func TestNewAndRoot(t *testing.T) {
 	tr := unitTree()
-	if len(tr.nodes) != 1 || tr.NumLeaves() != 1 {
-		t.Fatalf("nodes=%d leaves=%d", len(tr.nodes), tr.NumLeaves())
+	if len(tr.nodes) != 1 || len(tr.Leaves()) != 1 {
+		t.Fatalf("nodes=%d leaves=%d", len(tr.nodes), len(tr.Leaves()))
 	}
 	if !tr.nodes[0].isLeaf() {
 		t.Fatal("root should start as a leaf")
@@ -41,8 +41,8 @@ func TestNewAndRoot(t *testing.T) {
 func TestSplitGeometry(t *testing.T) {
 	tr := unitTree()
 	kids := tr.Split(0)
-	if tr.NumLeaves() != 4 || len(tr.nodes) != 5 {
-		t.Fatalf("after split: leaves=%d nodes=%d", tr.NumLeaves(), len(tr.nodes))
+	if len(tr.Leaves()) != 4 || len(tr.nodes) != 5 {
+		t.Fatalf("after split: leaves=%d nodes=%d", len(tr.Leaves()), len(tr.nodes))
 	}
 	if tr.nodes[0].isLeaf() {
 		t.Fatal("root should no longer be a leaf")

@@ -48,8 +48,8 @@ func TestWriteSVGQualityAndConstrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if got := strings.Count(out, "<line"); got != m.NumConstrained() {
-		t.Fatalf("lines = %d, constrained = %d", got, m.NumConstrained())
+	if got := strings.Count(out, "<line"); got != numConstrained(m) {
+		t.Fatalf("lines = %d, constrained = %d", got, numConstrained(m))
 	}
 	if !strings.Contains(out, `width="400"`) {
 		t.Fatal("width option ignored")
@@ -73,4 +73,11 @@ func TestQualityColorRange(t *testing.T) {
 		t.Fatal("good and bad triangles should differ in color")
 	}
 	_ = geom.Pt(0, 0)
+}
+
+// numConstrained counts m's constrained edges.
+func numConstrained(m *mesh.Mesh) int {
+	n := 0
+	m.ForEachConstrained(func(_, _ mesh.VertexID) { n++ })
+	return n
 }

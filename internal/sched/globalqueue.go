@@ -38,8 +38,6 @@ func NewGlobalQueue(workers int) Pool {
 	return p
 }
 
-func (p *gqPool) Name() string { return "globalqueue" }
-
 // SetTracer implements Pool.
 func (p *gqPool) SetTracer(tr *obs.Tracer) { p.tracer.Store(tr) }
 

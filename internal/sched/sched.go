@@ -29,13 +29,6 @@ type Ctx struct {
 	worker int
 }
 
-// Worker returns the index of the worker executing the task, in [0,
-// Workers()).
-func (c *Ctx) Worker() int { return c.worker }
-
-// Pool returns the pool executing the task.
-func (c *Ctx) Pool() Pool { return c.pool }
-
 // Spawn schedules a subtask. On a work-stealing pool the subtask goes to the
 // current worker's local deque (LIFO); on a global-queue pool it is appended
 // to the shared queue.
@@ -52,8 +45,6 @@ type Pool interface {
 	Close()
 	// Workers returns the number of worker goroutines.
 	Workers() int
-	// Name identifies the scheduler flavor ("workstealing" or "globalqueue").
-	Name() string
 	// SetTracer installs a structured event tracer: task executions are
 	// recorded as sched.run spans and successful steals as sched.steal
 	// instants. A nil tracer (the default) disables recording.

@@ -87,10 +87,10 @@ func TestWorkerIndexInRange(t *testing.T) {
 			var bad atomic.Int64
 			for i := 0; i < 200; i++ {
 				p.Submit(func(c *Ctx) {
-					if c.Worker() < 0 || c.Worker() >= 3 {
+					if c.worker < 0 || c.worker >= 3 {
 						bad.Add(1)
 					}
-					if c.Pool() != p {
+					if c.pool != p {
 						bad.Add(1)
 					}
 				})
@@ -116,24 +116,6 @@ func TestDefaultWorkers(t *testing.T) {
 	defer p2.Close()
 	if p2.Workers() != DefaultWorkers() {
 		t.Fatalf("Workers = %d, want %d", p2.Workers(), DefaultWorkers())
-	}
-}
-
-func TestNames(t *testing.T) {
-	p := NewWorkStealing(1)
-	defer p.Close()
-	if p.Name() != "workstealing(seed=1)" {
-		t.Errorf("Name = %q", p.Name())
-	}
-	ps := NewWorkStealingSeeded(1, 42)
-	defer ps.Close()
-	if ps.Name() != "workstealing(seed=42)" {
-		t.Errorf("Name = %q", ps.Name())
-	}
-	g := NewGlobalQueue(1)
-	defer g.Close()
-	if g.Name() != "globalqueue" {
-		t.Errorf("Name = %q", g.Name())
 	}
 }
 

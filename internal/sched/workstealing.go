@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 type wsPool struct {
 	deques  []*deque
 	rngs    []*rand.Rand // per-worker seeded victim selectors
-	seed    int64
 	tracer  atomic.Pointer[obs.Tracer]
 	q       *quiescence
 	wake    *sync.Cond
@@ -73,8 +71,7 @@ func NewWorkStealing(workers int) Pool {
 // NewWorkStealingSeeded is NewWorkStealing with an explicit seed for the
 // steal-victim selectors. Worker w draws from a rand.Rand seeded with
 // seed+w, never from the global source, so a steal sequence is reproducible
-// from the seed alone — the property the simulation harness replays on. The
-// seed appears in Name() so failure output identifies the schedule.
+// from the seed alone — the property the simulation harness replays on.
 func NewWorkStealingSeeded(workers int, seed int64) Pool {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -82,7 +79,6 @@ func NewWorkStealingSeeded(workers int, seed int64) Pool {
 	p := &wsPool{
 		deques: make([]*deque, workers),
 		rngs:   make([]*rand.Rand, workers),
-		seed:   seed,
 		q:      newQuiescence(),
 	}
 	p.wake = sync.NewCond(&p.wakeMu)
@@ -96,8 +92,6 @@ func NewWorkStealingSeeded(workers int, seed int64) Pool {
 	}
 	return p
 }
-
-func (p *wsPool) Name() string { return fmt.Sprintf("workstealing(seed=%d)", p.seed) }
 
 // SetTracer implements Pool.
 func (p *wsPool) SetTracer(tr *obs.Tracer) { p.tracer.Store(tr) }

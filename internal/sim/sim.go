@@ -234,9 +234,6 @@ type Env struct {
 	notes  []string
 }
 
-// Clock returns the run's virtual clock.
-func (e *Env) Clock() Clock { return e.clk }
-
 // Record adds key=v to the run's outcome digest. Digest entries must be
 // deterministic functions of the seed (confluent outcomes like final
 // counter values — never interleaving-dependent counters like evictions),

@@ -91,9 +91,6 @@ func (s *FaultStore) Stats() FaultStats {
 	return FaultStats{InjectedGets: s.injGets.Load(), InjectedPuts: s.injPuts.Load()}
 }
 
-// Inner returns the wrapped store.
-func (s *FaultStore) Inner() Store { return s.inner }
-
 func (s *FaultStore) targeted(key Key) bool {
 	if len(s.cfg.Keys) == 0 {
 		return true

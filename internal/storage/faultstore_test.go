@@ -50,7 +50,7 @@ func TestFaultStoreKeyTargeting(t *testing.T) {
 func TestFaultStoreProbabilityDeterminism(t *testing.T) {
 	seq := func() []bool {
 		st := NewFault(NewMem(), FaultConfig{Seed: 99, GetFailProb: 0.5})
-		st.Inner().Put("k", []byte("v"))
+		st.inner.Put("k", []byte("v"))
 		var out []bool
 		for i := 0; i < 64; i++ {
 			_, err := st.Get("k")
@@ -93,7 +93,7 @@ func TestFaultStorePermanentClassification(t *testing.T) {
 func TestFaultStoreCorruptGets(t *testing.T) {
 	st := NewFault(NewMem(), FaultConfig{FailFirstGets: 1, CorruptGets: true})
 	full := []byte("0123456789abcdef")
-	st.Inner().Put("k", full)
+	st.inner.Put("k", full)
 	got, err := st.Get("k")
 	if err != nil {
 		t.Fatalf("corrupting Get returned error %v", err)
@@ -124,7 +124,7 @@ func TestRetryAbsorbsTransientFaults(t *testing.T) {
 
 func TestRetryExhaustsBudget(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstGets: 10})
-	fs.Inner().Put("k", []byte("v"))
+	fs.inner.Put("k", []byte("v"))
 	var observed int
 	r := NewRetrier(RetryPolicy{
 		MaxAttempts: 3,
@@ -145,7 +145,7 @@ func TestRetryExhaustsBudget(t *testing.T) {
 
 func TestRetrySkipsPermanentErrors(t *testing.T) {
 	fs := NewFault(NewMem(), FaultConfig{FailFirstGets: 10, Permanent: true, Keys: []Key{"k"}})
-	fs.Inner().Put("k", []byte("v"))
+	fs.inner.Put("k", []byte("v"))
 	r := NewRetrier(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
 	if _, err := r.DoGetBuf(fs, "k"); !IsPermanent(err) {
 		t.Fatalf("permanent Get = %v, want permanent", err)

@@ -29,9 +29,6 @@ func NewFile(dir string) (*FileStore, error) {
 	return &FileStore{dir: dir}, nil
 }
 
-// Dir returns the spool directory.
-func (s *FileStore) Dir() string { return s.dir }
-
 func (s *FileStore) path(key Key) string {
 	name := strings.Map(func(r rune) rune {
 		switch {

@@ -64,14 +64,6 @@ type Stats struct {
 	BytesRead           uint64
 }
 
-// SizedStore is implemented by stores that account their resident payload
-// bytes — the contract a capacity-aware tier needs from its backends.
-type SizedStore interface {
-	Store
-	// BytesResident returns the total payload bytes currently stored.
-	BytesResident() int64
-}
-
 // ErrClosed is returned by operations submitted to a store, or to a layer
 // over one, that has been closed.
 var ErrClosed = errors.New("storage: async store closed")
@@ -217,7 +209,7 @@ func (s *MemStore) Stats() Stats {
 	return s.stats
 }
 
-// BytesResident implements SizedStore.
+// BytesResident returns the total payload bytes currently stored.
 func (s *MemStore) BytesResident() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -233,8 +225,6 @@ func (s *MemStore) Rejected() uint64 {
 	defer s.mu.RUnlock()
 	return s.rejected
 }
-
-var _ SizedStore = (*MemStore)(nil)
 
 // DiskModel is the service-time model of the latency-injecting wrapper: each
 // operation costs Seek plus size/BytesPerSec of transfer time.

@@ -54,25 +54,6 @@ func Pipe(n int, outer, inner float64, c geom.Point) *delaunay.PSLG {
 	return p
 }
 
-// SquareWithHoles returns the unit square with k small square holes in a
-// diagonal arrangement.
-func SquareWithHoles(k int) *delaunay.PSLG {
-	p := UnitSquare()
-	for i := 0; i < k; i++ {
-		f := (float64(i) + 0.5) / float64(k)
-		cx, cy := f, f
-		r := 0.03 / float64(k) * 4
-		base := len(p.Points)
-		p.Points = append(p.Points,
-			geom.Pt(cx-r, cy-r), geom.Pt(cx+r, cy-r), geom.Pt(cx+r, cy+r), geom.Pt(cx-r, cy+r))
-		p.Segments = append(p.Segments,
-			[2]int{base, base + 1}, [2]int{base + 1, base + 2},
-			[2]int{base + 2, base + 3}, [2]int{base + 3, base})
-		p.Holes = append(p.Holes, geom.Pt(cx, cy))
-	}
-	return p
-}
-
 // SizeFunc is a target-edge-length field over the domain. It is the
 // refiner's delaunay.SizeFunc, so it serves as Options.Size as it is.
 type SizeFunc = delaunay.SizeFunc

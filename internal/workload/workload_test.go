@@ -64,18 +64,6 @@ func TestPipeHasHole(t *testing.T) {
 	}
 }
 
-func TestSquareWithHoles(t *testing.T) {
-	p := SquareWithHoles(3)
-	m := meshAll(t, p, delaunay.Options{MaxArea: 0.005})
-	got := area(m)
-	if got >= 1 || got < 0.9 {
-		t.Errorf("area = %v, want slightly under 1", got)
-	}
-	if len(p.Holes) != 3 {
-		t.Errorf("holes = %d", len(p.Holes))
-	}
-}
-
 func TestSizeFuncs(t *testing.T) {
 	g := GradedRadial(geom.Pt(0, 0), 0.1, 0.2)
 	if got := g(geom.Pt(0, 0)); got != 0.1 {
