@@ -12,7 +12,8 @@
 // -quality prints the run's quality report (meshgen.Quality: counts, the
 // minimum-angle histogram against the bound, the worst radius-edge ratio,
 // size fidelity, Validate/CheckDelaunay per piece, conformity and MeshHash)
-// as a table and as one JSON line. ONUPDR and OPCDM have no report.
+// as a table and as one JSON line. OPCDM, whose mesh depends on the
+// schedule, has no report.
 package main
 
 import (
@@ -44,7 +45,7 @@ func main() {
 		beta     = flag.Float64("beta", 0, "radius-edge quality bound (0 = sqrt 2)")
 		svgPath  = flag.String("svg", "", "also render an equivalent sequential mesh to this SVG file")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file (OOC methods; open in Perfetto)")
-		quality  = flag.Bool("quality", false, "print the run's quality report (not onupdr or opcdm)")
+		quality  = flag.Bool("quality", false, "print the run's quality report (not opcdm)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	m := strings.ToLower(*method)
-	if *quality && (m == "onupdr" || m == "opcdm") {
+	if *quality && m == "opcdm" {
 		fatalf("-quality: %s has no quality report", strings.ToUpper(m))
 	}
 	ooM := strings.HasPrefix(m, "o") && m != "updr"
@@ -116,7 +117,7 @@ func main() {
 			})
 		case "onupdr":
 			res, err = meshgen.RunONUPDR(cl, meshgen.NUPDRConfig{
-				TargetElements: *elements, QualityBound: *beta,
+				TargetElements: *elements, QualityBound: *beta, Quality: *quality,
 			})
 		case "opcdm":
 			res, err = meshgen.RunOPCDM(cl, meshgen.PCDMConfig{

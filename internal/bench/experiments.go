@@ -266,6 +266,12 @@ func runPair(method string, cl *cluster.Cluster, size, pes int) (in, oc meshgen.
 	if err == nil {
 		err = conforming(in, oc)
 	}
+	// UPDR's and NUPDR's meshes do not depend on the schedule, so the two
+	// builds must make the same one; PCDM's does.
+	if err == nil && method != "PCDM" && (in.Elements != oc.Elements || in.Vertices != oc.Vertices) {
+		err = fmt.Errorf("bench: %s made %d elements and %d vertices, %s %d and %d",
+			oc.Method, oc.Elements, oc.Vertices, in.Method, in.Elements, in.Vertices)
+	}
 	return
 }
 
@@ -357,10 +363,10 @@ func Figure8(opts Options) (*Table, error) {
 // Figure9 scales ONUPDR past the memory budget.
 func Figure9(opts Options) (*Table, error) {
 	base := opts.size(20000)
-	// ONUPDR keeps up to two leaves in flight per PE, and the refinement
-	// queue, locked in core, grows by every finished leaf's boundary; a
-	// budget of 3× the base size leaves room for both, so the large runs go
-	// out of core without evicting leaves that are about to refine.
+	// A leaf that holds some of its predecessors' portions but not yet all
+	// stays in core at priority 10 until it meshes; a budget of 3× the base
+	// size leaves room for those, so the large runs go out of core without
+	// evicting leaves that are about to refine.
 	return oocScaling("fig9", "ONUPDR on very large problems", "NUPDR",
 		[]int{base, base * 2, base * 4, base * 8}, base*3, opts)
 }
@@ -516,9 +522,8 @@ func onupdrTime(size int, kind cluster.SchedulerKind, workers int, sink *obs.Tra
 		return 0, err
 	}
 	defer cleanup()
-	// A fine decomposition: the region-disjoint dispatch rule needs many
-	// leaves before several can refine concurrently (the paper's runs had
-	// hundreds of leaves).
+	// A fine decomposition: the precedence needs many leaves before several
+	// can refine concurrently (the paper's runs had hundreds of leaves).
 	maxLeaf := size / 60
 	if maxLeaf < 300 {
 		maxLeaf = 300

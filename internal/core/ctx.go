@@ -28,8 +28,9 @@ func (c *Ctx) Post(dst MobilePtr, h HandlerID, arg []byte) { c.rt.Post(dst, h, a
 // Create registers a new mobile object homed on this node.
 func (c *Ctx) Create(obj Object) MobilePtr { return c.rt.CreateObject(obj) }
 
-// SetPriority hints the out-of-core layer (see Runtime.SetPriority).
-func (c *Ctx) SetPriority(ptr MobilePtr, pri int) { c.rt.SetPriority(ptr, pri) }
+// SetPriority sets the swapping priority hint of the handler's own object
+// (see Runtime.SetPriority).
+func (c *Ctx) SetPriority(pri int) { c.rt.SetPriority(c.Self, pri) }
 
 // CallInline attempts the paper's shared-memory optimization: if the target
 // object is local, in-core and idle, its handler runs synchronously in the

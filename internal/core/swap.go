@@ -337,7 +337,8 @@ func (rt *Runtime) Unlock(ptr MobilePtr) {
 }
 
 // SetPriority sets the object's swapping priority hint: higher values keep
-// the object in core longer.
+// the object in core longer. The hint lives in this node's out-of-core
+// layer, so a pointer this node does not hold is ignored.
 func (rt *Runtime) SetPriority(ptr MobilePtr, pri int) { rt.mem.SetPriority(oid(ptr), pri) }
 
 // Prefetch schedules a speculative load of a local out-of-core object. It

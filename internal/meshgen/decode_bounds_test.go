@@ -27,10 +27,10 @@ func TestReadBytesRejectsHugeLength(t *testing.T) {
 	}
 }
 
-func TestReadPtrsRejectsHugeLength(t *testing.T) {
+func TestReadCountRejectsHugeLength(t *testing.T) {
 	r := bytes.NewReader(u32le(0xFFFFFFFF))
-	if _, err := readPtrs(r); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("readPtrs(huge prefix) err = %v, want bound error", err)
+	if _, err := readCount(r, "neighbours"); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("readCount(huge prefix) err = %v, want bound error", err)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestBlockObjDecodeCorruptPointCount(t *testing.T) {
 // Type IDs of retired drivers stay reserved: a blob from an old checkpoint
 // must fail to construct, not decode as whatever took the ID over.
 func TestFactoryRejectsRetiredTypes(t *testing.T) {
-	for _, id := range []uint16{5, 6} {
+	for _, id := range []uint16{3, 5, 6} {
 		if o, err := Factory(id); !errors.Is(err, core.ErrUnknownType) {
 			t.Errorf("Factory(%d) = %T, %v; want ErrUnknownType", id, o, err)
 		}

@@ -83,7 +83,7 @@ func NewDist(rt *core.Runtime, cfg DistConfig) (*Dist, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	d := &Dist{grid: newGrid(rt, cfg.Blocks, cfg.Nodes, cfg.Node, cfg.Phases),
+	d := &Dist{grid: newGrid(rt, cfg.Blocks*cfg.Blocks, cfg.Nodes, cfg.Node, cfg.Phases),
 		cfg: cfg, sh: newBlockShared(cfg.Blocks)}
 	registerBlockHandlers(rt, d.sh)
 	return d, nil
@@ -151,8 +151,9 @@ func undecodableDigest(data []byte) []byte {
 // against the pointer the placement predicts.
 func (d *Dist) CreateBlocks() error {
 	h := workload.UniformSizeFor(d.cfg.TargetElements, 1.0)
-	return d.create(func(i, j int) core.Object {
-		return newBlock(d.nb, i, j, h, d.cfg.QualityBound, d.ptrs)
+	nb := d.cfg.Blocks
+	return d.create(func(idx int) core.Object {
+		return newBlock(nb, idx%nb, idx/nb, h, d.cfg.QualityBound, d.ptrs)
 	})
 }
 
@@ -258,7 +259,7 @@ func (d *Dist) Export(w *meshstore.Writer) error {
 // placement order stops the restore and names the error; the blocks before
 // it stay created.
 func (d *Dist) RestoreFromStore(st *meshstore.Store) error {
-	nb := d.nb
+	nb := d.cfg.Blocks
 	local := d.local()
 	type restored struct {
 		o    *blockObj
@@ -348,7 +349,8 @@ func DumpAll(ds []*Dist) ([]BlockDump, error) {
 		parts[i] = ds[i].Dump()
 		return nil
 	})
-	return cover(ds[0].nb, parts, func(b BlockDump) (int, int) { return b.I, b.J }, "dump: block")
+	nb := ds[0].cfg.Blocks
+	return cover(nb*nb, parts, func(b BlockDump) int { return gridCell(nb, b.I, b.J) }, gridName(nb, "dump: block"))
 }
 
 // DecodeExportedBlock decodes a stored block payload offline and

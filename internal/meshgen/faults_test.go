@@ -187,7 +187,7 @@ func TestOUPDRLostBlockFailsTheRun(t *testing.T) {
 // so a run that lost nothing is repeated on a fresh cluster.
 func TestOPCDMLostSubdomainFailsTheRun(t *testing.T) {
 	cfg := PCDMConfig{Grid: 2, TargetElements: 4000}
-	ptr := newGrid(nil, cfg.Grid, 1, 0, 1).ptrs[1] // subdomain (1,0)
+	ptr := newGrid(nil, cfg.Grid*cfg.Grid, 1, 0, 1).ptrs[1] // subdomain (1,0)
 	lost := storage.Key(fmt.Sprintf("obj-%d-%d", ptr.Home, ptr.Seq))
 	for attempt := 1; attempt <= 5; attempt++ {
 		cl, err := cluster.New(cluster.Config{

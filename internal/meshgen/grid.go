@@ -7,37 +7,37 @@ import (
 	"mrts/internal/core"
 )
 
-// This file is the SPMD driver both grid methods run on — OUPDR's blocks
-// (Dist) and OPCDM's subdomains (RunOPCDM). Every node executes the same
-// code against its own core.Runtime — one per worker process in a
-// multi-process run, one per in-process node under RunOUPDR and RunOPCDM —
-// and the only thing the nodes share is the placement below. No node ever
-// tells another which MobilePtr it minted: each one computes the whole
-// pointer table from the grid and the node count, and create checks the
-// prediction against what CreateObject actually returned.
+// This file is the SPMD driver the cell methods run on — OUPDR's blocks
+// (Dist), OPCDM's subdomains (RunOPCDM) and ONUPDR's quad-tree leaves
+// (RunONUPDR). Every node executes the same code against its own
+// core.Runtime — one per worker process in a multi-process run, one per
+// in-process node under the Run functions — and the only thing the nodes
+// share is the placement below. No node ever tells another which MobilePtr
+// it minted: each one computes the whole pointer table from the cell count
+// and the node count, and create checks the prediction against what
+// CreateObject actually returned. A cell is an index; the grid methods map
+// index j*nb+i to their cell (i, j) themselves.
 
-// grid is one node's share of a grid of mobile objects, one object per cell
-// of an nb×nb decomposition.
+// grid is one node's share of n cells, one mobile object per cell.
 type grid struct {
 	rt     *core.Runtime
-	nb     int // grid dimension
 	nodes  int
 	node   core.NodeID
 	phases int
-	ptrs   []core.MobilePtr // the pointer table, indexed j*nb+i
+	ptrs   []core.MobilePtr // the pointer table, indexed by cell
 }
 
 // newGrid computes the placement every node of a run computes alike. Cell
 // idx is dealt to node idx%nodes, so each node holds within one cell of an
 // even share, and its Seq is its owner's creation order: CreateObject
 // assigns 1, 2, ... on a fresh runtime, and the cells are created in reverse
-// grid order, top-right first. A cell's pointer names the node that holds
-// it, so the runtime's default routing reaches it in one hop.
-func newGrid(rt *core.Runtime, nb, nodes, node, phases int) *grid {
-	g := &grid{rt: rt, nb: nb, nodes: nodes, node: core.NodeID(node), phases: phases,
-		ptrs: make([]core.MobilePtr, nb*nb)}
+// order, the last first. A cell's pointer names the node that holds it, so
+// the runtime's default routing reaches it in one hop.
+func newGrid(rt *core.Runtime, cells, nodes, node, phases int) *grid {
+	g := &grid{rt: rt, nodes: nodes, node: core.NodeID(node), phases: phases,
+		ptrs: make([]core.MobilePtr, cells)}
 	seq := make([]uint32, nodes)
-	for idx := nb*nb - 1; idx >= 0; idx-- {
+	for idx := cells - 1; idx >= 0; idx-- {
 		owner := idx % nodes
 		seq[owner]++
 		g.ptrs[idx] = core.MobilePtr{Home: core.NodeID(owner), Seq: seq[owner]}
@@ -61,17 +61,15 @@ func (g *grid) local() []int {
 // rests on.
 func (g *grid) createAt(idx int, o core.Object) error {
 	if got := g.rt.CreateObject(o); got != g.ptrs[idx] {
-		return fmt.Errorf("meshgen: cell (%d,%d) minted %v, placement predicted %v",
-			idx%g.nb, idx/g.nb, got, g.ptrs[idx])
+		return fmt.Errorf("meshgen: cell %d minted %v, placement predicted %v", idx, got, g.ptrs[idx])
 	}
 	return nil
 }
 
-// create creates this node's cells in creation order, cell (i, j) as
-// mk(i, j).
-func (g *grid) create(mk func(i, j int) core.Object) error {
+// create creates this node's cells in creation order, cell idx as mk(idx).
+func (g *grid) create(mk func(idx int) core.Object) error {
 	for _, idx := range g.local() {
-		if err := g.createAt(idx, mk(idx%g.nb, idx/g.nb)); err != nil {
+		if err := g.createAt(idx, mk(idx)); err != nil {
 			return err
 		}
 	}
@@ -80,7 +78,7 @@ func (g *grid) create(mk func(i, j int) core.Object) error {
 
 // post sends h to this node's cells of phase k (those whose creation ordinal
 // is k mod phases). Every node must post the same phase, then wait — the
-// phases are global barriers. The posts go in grid order, left and bottom
+// phases are global barriers. The posts go in cell order, left and bottom
 // neighbours first, so the messages a cell sends its right and top
 // neighbours mostly reach cells that have not run yet.
 func (g *grid) post(k int, h core.HandlerID) {
@@ -95,17 +93,23 @@ func (g *grid) post(k int, h core.HandlerID) {
 // the run enters.
 func (g *grid) wait() { g.rt.WaitTermination(g.nodes) }
 
-// runGrid runs an in-process grid method, grids[n] being node n's share: it
-// posts h to every cell in grid order from one goroutine, each post on its
-// owner's runtime, then waits for global termination on every node at once.
-// Posting is much faster than a handler, so every cell's kick-off is queued
-// before a neighbour's handler can message it, whichever node runs first;
-// with each node posting its own cells, a node that started late would see
-// its neighbours' messages before its kick-offs, and OPCDM, whose mesh
-// depends on the order a subdomain meets them in, would spread wider.
-func runGrid(grids []*grid, h core.HandlerID) {
-	for _, ptr := range grids[0].ptrs {
-		grids[ptr.Home].rt.Post(ptr, h, nil)
+// everyCell kicks off every cell (runGrid).
+func everyCell(int) bool { return true }
+
+// runGrid runs an in-process cell method, grids[n] being node n's share: it
+// posts h to every cell that start accepts, in cell order from one
+// goroutine, each post on its owner's runtime, then waits for global
+// termination on every node at once. Posting is much faster than a
+// handler, so every cell's kick-off is queued before a neighbour's handler
+// can message it, whichever node runs first; with each node posting its own
+// cells, a node that started late would see its neighbours' messages before
+// its kick-offs, and OPCDM, whose mesh depends on the order a subdomain
+// meets them in, would spread wider.
+func runGrid(grids []*grid, h core.HandlerID, start func(idx int) bool) {
+	for idx, ptr := range grids[0].ptrs {
+		if start(idx) {
+			grids[ptr.Home].rt.Post(ptr, h, nil)
+		}
 	}
 	onEveryNode(len(grids), func(n int) error {
 		grids[n].wait()
@@ -146,21 +150,20 @@ func onEveryNode(n int, f func(node int) error) error {
 	return nil
 }
 
-// cover merges the nodes' reports into one per cell of the nb×nb grid, in
-// grid order, and fails unless every cell is reported exactly once; at
-// names a report's cell and what the kind of thing it reports.
-func cover[T any](nb int, parts [][]T, at func(T) (i, j int), what string) ([]T, error) {
-	out := make([]T, nb*nb)
-	seen := make([]bool, nb*nb)
+// cover merges the nodes' reports into one per cell of n, in cell order,
+// and fails unless every cell is reported exactly once; at gives a report's
+// cell, and name names a cell in an error.
+func cover[T any](n int, parts [][]T, at func(T) int, name func(idx int) string) ([]T, error) {
+	out := make([]T, n)
+	seen := make([]bool, n)
 	for _, part := range parts {
 		for _, r := range part {
-			i, j := at(r)
-			if i < 0 || i >= nb || j < 0 || j >= nb {
-				return nil, fmt.Errorf("meshgen: %s (%d,%d) is outside the %dx%d grid", what, i, j, nb, nb)
+			idx := at(r)
+			if idx < 0 || idx >= n {
+				return nil, fmt.Errorf("meshgen: a report names cell %d of %d", idx, n)
 			}
-			idx := j*nb + i
 			if seen[idx] {
-				return nil, fmt.Errorf("meshgen: %s (%d,%d) reported twice", what, i, j)
+				return nil, fmt.Errorf("meshgen: %s reported twice", name(idx))
 			}
 			seen[idx] = true
 			out[idx] = r
@@ -168,8 +171,21 @@ func cover[T any](nb int, parts [][]T, at func(T) (i, j int), what string) ([]T,
 	}
 	for idx, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("meshgen: %s (%d,%d) missing", what, idx%nb, idx/nb)
+			return nil, fmt.Errorf("meshgen: %s missing", name(idx))
 		}
 	}
 	return out, nil
+}
+
+// gridCell is cell (i, j) of an nb×nb grid, -1 off the grid.
+func gridCell(nb, i, j int) int {
+	if i < 0 || i >= nb || j < 0 || j >= nb {
+		return -1
+	}
+	return j*nb + i
+}
+
+// gridName names the cells of an nb×nb grid as what (i, j), for cover.
+func gridName(nb int, what string) func(idx int) string {
+	return func(idx int) string { return fmt.Sprintf("%s (%d,%d)", what, idx%nb, idx/nb) }
 }

@@ -12,7 +12,7 @@ import (
 func TestGridDealSplitsEvenly(t *testing.T) {
 	for _, nb := range []int{6, 8, 16} {
 		for nodes := 1; nodes <= 4; nodes++ {
-			ptrs := newGrid(nil, nb, nodes, 0, 1).ptrs
+			ptrs := newGrid(nil, nb*nb, nodes, 0, 1).ptrs
 			split := make([]int, nodes)
 			for idx := len(ptrs) - 1; idx >= 0; idx-- {
 				owner := ptrs[idx].Home

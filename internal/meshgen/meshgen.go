@@ -6,9 +6,10 @@
 //     decomposition with buffer-zone interfaces — structured communication
 //     with global synchronization;
 //   - NUPDR / ONUPDR: non-uniform (graded) refinement over an adaptive
-//     quad-tree with a master refinement queue that hands each leaf its
-//     neighbours' fixed boundary points — multi-threaded, locally
-//     synchronized;
+//     quad-tree on a fixed precedence, each leaf meshed once its
+//     lower-index neighbours have fixed their boundary points on its edges
+//     (the paper runs a master refinement queue instead) — multi-threaded,
+//     locally synchronized;
 //   - PCDM / OPCDM: constrained Delaunay meshing over a domain
 //     decomposition with asynchronous small "split" messages — fully
 //     unstructured communication.

@@ -25,10 +25,10 @@ type NUPDRConfig struct {
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
-	// Quality asks RunNUPDR for the run's quality report (Result.Quality):
-	// every piece is judged as it is meshed, which costs a pass over its
-	// elements and its Validate and CheckDelaunay. RunONUPDR, whose mesh
-	// depends on the schedule, has no report.
+	// Quality asks RunNUPDR and RunONUPDR for the run's quality report
+	// (Result.Quality): every leaf is judged as it is meshed, which costs a
+	// pass over its elements and its Validate and CheckDelaunay. Both builds
+	// make the 1-PE mesh, so every run's report is the same.
 	Quality bool
 	// Grading is the coarse-to-fine size ratio across the domain (default 6).
 	Grading float64
@@ -93,8 +93,8 @@ func buildLeafTree(domain geom.Rect, size workload.SizeFunc, maxLeafElems int) *
 }
 
 // fixedPortion is a stretch of a leaf's boundary whose point set was already
-// fixed by a refined neighbor: the buffer-zone data the refinement queue
-// hands a leaf at dispatch.
+// fixed by a refined neighbor: the buffer-zone data a finished predecessor
+// hands a leaf.
 type fixedPortion struct {
 	A, B geom.Point
 	Pts  []geom.Point
@@ -268,156 +268,79 @@ func meshLeaf(rect geom.Rect, size leafSize, beta float64, fixed []fixedPortion)
 	return m, cycle, nil
 }
 
-// qleaf is the refinement queue's record of one leaf.
-type qleaf struct {
-	Rect     geom.Rect
-	Nbs      []int32 // the leaf's buffer zone, as queue indices
-	Done     bool
-	InFlight bool
-	Boundary []geom.Point // the boundary cycle the leaf was meshed with, once done
+// leafPlan is the fixed precedence both NUPDR builds mesh by: the tree's
+// leaves in tree order (quadtree.Tree.Leaves), each with its neighbours,
+// edge or corner (quadtree.Tree.Neighbors), as indices. A leaf's
+// neighbours of lower index are its predecessors and the rest its
+// successors: it meshes once every predecessor has finished, and takes as
+// fixed portions their points on each shared edge, in Nbs order. Those are
+// the portions the 1-PE run gives it, which meshes the leaves in index
+// order, so every run of either build makes the 1-PE mesh, whatever its
+// PEs, nodes or swapping. (The paper's master queue dispatched the first
+// leaf whose region was free, and the mesh depended on the schedule;
+// DESIGN.md "The NUPDR precedence and ONUPDR's one message".)
+type leafPlan struct {
+	Rects []geom.Rect
+	Nbs   [][]int32
 }
 
-// leafQueue is the refinement queue of both NUPDR builds. It dispatches the
-// first leaf in pending order whose region (the leaf and its buffer zone)
-// meets no in-flight leaf's region, and none while MaxInflight leaves are in
-// flight. So no two in-flight leaves are neighbours or share one, and a
-// dispatched leaf's finished neighbours cannot change until it finishes.
-type leafQueue struct {
-	Leaves      []qleaf
-	Pending     []int32
-	Inflight    int32
-	MaxInflight int32
-
-	// busy[i] counts the in-flight regions holding leaf i. Like Inflight it
-	// follows from the in-flight flags (recount), so it is not serialized.
-	busy []int32
-}
-
-// newLeafQueue numbers tree's leaves in tree order, all pending.
-func newLeafQueue(tree *quadtree.Tree, maxInflight int) leafQueue {
+// newLeafPlan numbers tree's leaves in tree order.
+func newLeafPlan(tree *quadtree.Tree) leafPlan {
 	leaves := tree.Leaves()
 	idxOf := make(map[quadtree.NodeID]int32, len(leaves))
 	for i, l := range leaves {
 		idxOf[l] = int32(i)
 	}
-	q := leafQueue{MaxInflight: int32(maxInflight)}
+	p := leafPlan{Rects: make([]geom.Rect, len(leaves)), Nbs: make([][]int32, len(leaves))}
 	for i, l := range leaves {
-		var nbs []int32
+		p.Rects[i] = tree.Bounds(l)
 		for _, nb := range tree.Neighbors(l) {
-			nbs = append(nbs, idxOf[nb])
-		}
-		q.Leaves = append(q.Leaves, qleaf{Rect: tree.Bounds(l), Nbs: nbs})
-		q.Pending = append(q.Pending, int32(i))
-	}
-	q.recount()
-	return q
-}
-
-// recount derives Inflight and the busy counts from the in-flight flags.
-func (q *leafQueue) recount() {
-	q.Inflight = 0
-	q.busy = make([]int32, len(q.Leaves))
-	for i := range q.Leaves {
-		if q.Leaves[i].InFlight {
-			q.Inflight++
-			q.mark(int32(i), 1)
+			p.Nbs[i] = append(p.Nbs[i], idxOf[nb])
 		}
 	}
+	return p
 }
 
-// mark adds d to the busy count of leaf i's region.
-func (q *leafQueue) mark(i, d int32) {
-	q.busy[i] += d
-	for _, nb := range q.Leaves[i].Nbs {
-		q.busy[nb] += d
-	}
-}
-
-// blocked reports whether leaf i's region meets an in-flight region.
-func (q *leafQueue) blocked(i int32) bool {
-	if q.busy[i] > 0 {
-		return true
-	}
-	for _, nb := range q.Leaves[i].Nbs {
-		if q.busy[nb] > 0 {
-			return true
+// preds counts leaf i's predecessors.
+func (p *leafPlan) preds(i int) int {
+	n := 0
+	for _, nb := range p.Nbs[i] {
+		if int(nb) < i {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// next dispatches the next startable leaf, if any, and returns the boundary
-// portions its finished neighbours fixed.
-func (q *leafQueue) next() (idx int32, fixed []fixedPortion, ok bool) {
-	if q.Inflight >= q.MaxInflight {
-		return 0, nil, false
+// portionOf is the fixed portion a leaf with rectangle to takes from a
+// finished neighbour with rectangle from, meshed with boundary: the
+// neighbour's points on their shared edge. ok is false for a neighbour that
+// shares a corner only.
+func portionOf(to, from geom.Rect, boundary []geom.Point) (f fixedPortion, ok bool) {
+	a, b, ok := sharedEdge(to, from)
+	if !ok {
+		return fixedPortion{}, false
 	}
-	for pi, li := range q.Pending {
-		if q.blocked(li) {
-			continue
-		}
-		q.Pending = append(q.Pending[:pi], q.Pending[pi+1:]...)
-		q.Leaves[li].InFlight = true
-		q.Inflight++
-		q.mark(li, 1)
-		return li, q.fixedFor(li), true
-	}
-	return 0, nil, false
+	return fixedPortion{A: a, B: b, Pts: edgePointsOn(boundary, a, b)}, true
 }
 
-// fixedFor returns, for each finished neighbour of leaf i that shares an edge
-// with it, that neighbour's boundary points on the edge.
-func (q *leafQueue) fixedFor(i int32) []fixedPortion {
-	var fixed []fixedPortion
-	l := &q.Leaves[i]
-	for _, nb := range l.Nbs {
-		n := &q.Leaves[nb]
-		if !n.Done {
-			continue
-		}
-		a, b, ok := sharedEdge(l.Rect, n.Rect)
-		if !ok {
-			continue
-		}
-		fixed = append(fixed, fixedPortion{A: a, B: b, Pts: edgePointsOn(n.Boundary, a, b)})
-	}
-	return fixed
-}
-
-// finish records that in-flight leaf idx was meshed with boundary and
-// releases its region.
-func (q *leafQueue) finish(idx int32, boundary []geom.Point) error {
-	if idx < 0 || int(idx) >= len(q.Leaves) || !q.Leaves[idx].InFlight {
-		return fmt.Errorf("meshgen: leaf %d finished but is not in flight", idx)
-	}
-	l := &q.Leaves[idx]
-	l.Done, l.InFlight, l.Boundary = true, false, boundary
-	q.Inflight--
-	q.mark(idx, -1)
-	return nil
-}
-
-// conforming reports whether every pair of edge-sharing leaves holds the
-// same points on the shared edge.
-func (q *leafQueue) conforming() bool {
-	for i, l := range q.Leaves {
-		for _, nb := range l.Nbs {
-			if int(nb) <= i {
-				continue
-			}
-			a, b, ok := sharedEdge(l.Rect, q.Leaves[nb].Rect)
-			if ok && !samePoints(edgePointsOn(l.Boundary, a, b), edgePointsOn(q.Leaves[nb].Boundary, a, b)) {
-				return false
-			}
+// mismatches counts the fixed portions that cycle, the boundary a leaf was
+// meshed with, does not hold verbatim on their edge: shared edges on which
+// the leaf and a neighbour do not conform.
+func mismatches(cycle []geom.Point, fixed []fixedPortion) int {
+	n := 0
+	for _, f := range fixed {
+		if !samePoints(edgePointsOn(cycle, f.A, f.B), f.Pts) {
+			n++
 		}
 	}
-	return true
+	return n
 }
 
-// RunNUPDR executes the in-core non-uniform method with the paper's
-// master–worker structure: the refinement queue dispatches leaves to
-// workers, each worker meshes its leaf reusing the boundary points its
-// refined neighbors fixed (the buffer-zone data).
+// RunNUPDR executes the in-core non-uniform method: workers mesh the
+// leaves of the quad-tree, each reusing the boundary points its finished
+// predecessors fixed (the buffer-zone data), fed from a ready list of the
+// leaves whose predecessors have all finished (leafPlan).
 func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -425,36 +348,43 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	start := time.Now()
 	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
 	size := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
-	q := newLeafQueue(buildLeafTree(domain, size.At, cfg.MaxLeafElems), cfg.PEs)
-	n := len(q.Leaves)
+	plan := newLeafPlan(buildLeafTree(domain, size.At, cfg.MaxLeafElems))
+	n := len(plan.Rects)
 	qr := newQualityIf(cfg.Quality, cfg.QualityBound)
 
-	type job struct {
-		idx   int32
-		rect  geom.Rect
-		fixed []fixedPortion
+	// boundary[i] is the cycle leaf i was meshed with. The loop below
+	// writes it before it sends any successor of i to a worker, which reads
+	// it from there.
+	boundary := make([][]geom.Point, n)
+	type result struct {
+		idx                      int32
+		cycle                    []geom.Point
+		elems, verts, mismatches int
+		err                      error
 	}
-	type resultMsg struct {
-		idx      int32
-		boundary []geom.Point
-		elems    int
-		verts    int
-		err      error
-	}
-	jobs := make(chan job)
-	results := make(chan resultMsg)
+	jobs := make(chan int32)
+	results := make(chan result)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.PEs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for jb := range jobs {
-				m, cycle, err := meshLeaf(jb.rect, &size, cfg.QualityBound, jb.fixed)
+			for i := range jobs {
+				var fixed []fixedPortion
+				for _, nb := range plan.Nbs[i] {
+					if nb < i {
+						if f, ok := portionOf(plan.Rects[i], plan.Rects[nb], boundary[nb]); ok {
+							fixed = append(fixed, f)
+						}
+					}
+				}
+				m, cycle, err := meshLeaf(plan.Rects[i], &size, cfg.QualityBound, fixed)
 				if err != nil {
-					results <- resultMsg{idx: jb.idx, err: err}
+					results <- result{idx: i, err: err}
 					continue
 				}
-				res := resultMsg{idx: jb.idx, boundary: cycle, elems: m.NumTriangles(), verts: m.NumVertices()}
+				res := result{idx: i, cycle: cycle, elems: m.NumTriangles(), verts: m.NumVertices(),
+					mismatches: mismatches(cycle, fixed)}
 				qr.Add(m, size.At)
 				m.Recycle()
 				results <- res
@@ -462,25 +392,41 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		}()
 	}
 
-	var elements, vertices int
+	waiting := make([]int, n) // each leaf's unfinished predecessors
+	var ready []int32
+	for i := range waiting {
+		if waiting[i] = plan.preds(i); waiting[i] == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	var elements, vertices, mismatched int
 	var firstErr error
-	for done := 0; done < n; done++ {
-		for {
-			li, fixed, ok := q.next()
-			if !ok {
-				break
+	for done := 0; done < n; {
+		var send chan<- int32 // nil, so never chosen, while nothing is ready
+		var next int32
+		if len(ready) > 0 {
+			send, next = jobs, ready[0]
+		}
+		select {
+		case send <- next:
+			ready = ready[1:]
+		case res := <-results:
+			done++
+			if res.err != nil && firstErr == nil {
+				firstErr = res.err
 			}
-			jobs <- job{idx: li, rect: q.Leaves[li].Rect, fixed: fixed}
+			boundary[res.idx] = res.cycle
+			elements += res.elems
+			vertices += res.verts
+			mismatched += res.mismatches
+			for _, s := range plan.Nbs[res.idx] {
+				if s > res.idx {
+					if waiting[s]--; waiting[s] == 0 {
+						ready = append(ready, s)
+					}
+				}
+			}
 		}
-		res := <-results
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err
-		}
-		if err := q.finish(res.idx, res.boundary); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		elements += res.elems
-		vertices += res.verts
 	}
 	close(jobs)
 	wg.Wait()
@@ -488,7 +434,7 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 		return Result{}, firstErr
 	}
 
-	conforming := q.conforming()
+	conforming := mismatched == 0
 	return Result{
 		Method:     "NUPDR",
 		Elements:   elements,

@@ -2,8 +2,10 @@ package meshgen
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"mrts/internal/cluster"
@@ -107,29 +109,108 @@ func TestRunNUPDRBadConfig(t *testing.T) {
 	}
 }
 
+// sameNUPDRMesh fails t unless got has want's elements, vertices, leaves,
+// conformity and quality report, the method's name aside.
+func sameNUPDRMesh(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	if got.Elements != want.Elements || got.Vertices != want.Vertices || got.Subdomains != want.Subdomains || !got.Conforming {
+		t.Errorf("%s: %d elements, %d vertices, %d leaves, conforming %v; 1-PE NUPDR: %d, %d, %d",
+			name, got.Elements, got.Vertices, got.Subdomains, got.Conforming, want.Elements, want.Vertices, want.Subdomains)
+	}
+	if got.Quality == nil || want.Quality == nil {
+		t.Fatalf("%s: a run without a quality report", name)
+	}
+	report := func(q *Quality) map[string]any {
+		var m map[string]any
+		b, err := json.Marshal(q)
+		if err == nil {
+			err = json.Unmarshal(b, &m)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "method")
+		return m
+	}
+	if !reflect.DeepEqual(report(got.Quality), report(want.Quality)) {
+		t.Errorf("%s: the report differs from 1-PE NUPDR's, NUPDR | %s:\n%s", name, got.Method, QualityDiff(want.Quality, got.Quality))
+	}
+}
+
+// ONUPDR with memory to spare makes RunNUPDR's mesh: the same counts and
+// the same quality report.
 func TestRunONUPDRInCore(t *testing.T) {
-	cl := newTestCluster(t, 2, 1<<30)
-	res, err := RunONUPDR(cl, NUPDRConfig{TargetElements: 10000, PEs: 2, MaxLeafElems: 1200})
+	cfg := NUPDRConfig{TargetElements: 10000, PEs: 2, MaxLeafElems: 1200, Quality: true}
+	res, err := RunONUPDR(newTestCluster(t, 2, 1<<30), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Conforming {
-		t.Error("ONUPDR leaves do not conform")
-	}
-	// Compare against the in-core method: same decomposition and sizing,
-	// so counts should land close (order effects shift boundaries a bit).
-	ref, err := RunNUPDR(NUPDRConfig{TargetElements: 10000, PEs: 2, MaxLeafElems: 1200})
+	ref, err := RunNUPDR(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := float64(ref.Elements)*0.85, float64(ref.Elements)*1.15
-	if f := float64(res.Elements); f < lo || f > hi {
-		t.Errorf("ONUPDR elements %d far from NUPDR %d", res.Elements, ref.Elements)
-	}
-	if res.Subdomains != ref.Subdomains {
-		t.Errorf("decompositions differ: %d vs %d leaves", res.Subdomains, ref.Subdomains)
-	}
+	sameNUPDRMesh(t, "ONUPDR", res, ref)
 	t.Log(res)
+}
+
+// TestNUPDRMeshesAlikeEverywhere: both NUPDR builds mesh on one fixed
+// precedence, so every run makes the 1-PE mesh — the same elements,
+// vertices and quality report — on any number of PEs or nodes, and out of
+// core; at the golden configuration that is the pinned report.
+func TestNUPDRMeshesAlikeEverywhere(t *testing.T) {
+	for _, cfg := range []NUPDRConfig{
+		{TargetElements: 6000, MaxLeafElems: 600},
+		{TargetElements: 20000, MaxLeafElems: 1000},
+	} {
+		cfg.Quality = true
+		t.Run(fmt.Sprintf("%dk", cfg.TargetElements/1000), func(t *testing.T) {
+			one := cfg
+			one.PEs = 1
+			want, err := RunNUPDR(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.TargetElements == 6000 {
+				if pin := loadGolden(t)["NUPDR"]; pin.Elements != want.Elements || pin.Vertices != want.Vertices {
+					t.Fatalf("1-PE NUPDR: %d elements, %d vertices; the golden pins %d, %d",
+						want.Elements, want.Vertices, pin.Elements, pin.Vertices)
+				}
+			}
+			for _, pes := range []int{2, 4} {
+				c := cfg
+				c.PEs = pes
+				got, err := RunNUPDR(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameNUPDRMesh(t, fmt.Sprintf("NUPDR on %d PEs", pes), got, want)
+			}
+			for _, cc := range []struct {
+				name string
+				cfg  cluster.Config
+			}{
+				{"1 node x 2 workers", cluster.Config{Nodes: 1, WorkersPerNode: 2, MemBudget: 1 << 30}},
+				{"2 nodes", cluster.Config{Nodes: 2, MemBudget: 1 << 30}},
+				{"3 nodes", cluster.Config{Nodes: 3, MemBudget: 1 << 30}},
+				{"2 nodes at 100 kB, spooled", cluster.Config{Nodes: 2, MemBudget: 100_000, SpoolDir: t.TempDir()}},
+			} {
+				cc.cfg.Factory = Factory
+				cl, err := cluster.New(cc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunONUPDR(cl, cfg)
+				cl.Close()
+				if err != nil {
+					t.Fatalf("ONUPDR on %s: %v", cc.name, err)
+				}
+				if cc.cfg.SpoolDir != "" && got.Mem.Evictions == 0 {
+					t.Errorf("ONUPDR on %s: no evictions, the run did not swap", cc.name)
+				}
+				sameNUPDRMesh(t, "ONUPDR on "+cc.name, got, want)
+			}
+		})
+	}
 }
 
 func TestRunONUPDROutOfCore(t *testing.T) {
@@ -187,8 +268,8 @@ func TestSharedEdge(t *testing.T) {
 	}
 }
 
-// Leaves spread over three nodes: the queue's dispatch reaches every one,
-// and no object moves or is duplicated on the way.
+// Leaves spread over three nodes: every leaf is reached and meshed, and no
+// object moves or is duplicated on the way.
 func TestRunONUPDRThreeNodes(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     3,
@@ -213,15 +294,16 @@ func TestRunONUPDRThreeNodes(t *testing.T) {
 	for _, rt := range cl.Runtimes() {
 		total += rt.NumLocalObjects()
 	}
-	if total != res.Subdomains+1 { // leaves + the queue object
-		t.Errorf("object count drifted: %d vs %d leaves + queue", total, res.Subdomains)
+	if total != res.Subdomains {
+		t.Errorf("object count drifted: %d objects for %d leaves", total, res.Subdomains)
 	}
 	t.Log(res)
 }
 
-// A leaf gets exactly one message, the queue's, so out of core no leaf is
-// loaded more than once: a neighbour's boundary comes from the queue, not
-// from the neighbour.
+// A leaf is messaged only by its predecessors, and raises itself to
+// priority 10 when the first portion comes, so it stays in core until it
+// meshes; once meshed it drops to -1 and nothing messages it again. So out
+// of core no leaf is loaded more than once.
 func TestONUPDRLoadsOnlyItsLeaves(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Nodes:     2,
@@ -252,15 +334,22 @@ func TestONUPDRLoadsOnlyItsLeaves(t *testing.T) {
 // A finished leaf is never touched again, so it goes out before any leaf
 // still to come (priority -1): an ONUPDR run that swaps writes finished
 // leaves and reads nothing back. So it makes 0 loads, and no leaf is evicted
-// twice, at two sizes and two budgets each. With a finished leaf left at
-// priority 0, LRU evicted the oldest objects, the leaves not yet refined,
-// and loaded them back: 36 to 273 loads in these four runs.
+// twice, at two sizes and two budgets each, and at 512 kB a node. With a
+// finished leaf left at priority 0, LRU evicted the oldest objects, the
+// leaves not yet refined, and loaded them back: 36 to 273 loads in the
+// first four runs. At 512 kB the build that dispatched from a refinement
+// queue object, locked in core and holding every finished leaf's boundary,
+// made 68–71 loads.
 func TestONUPDRSwapsWithoutLoads(t *testing.T) {
 	for _, c := range []struct {
 		target int
 		budget int64
-	}{{100_000, 1 << 20}, {100_000, 2 << 20}, {300_000, 2 << 20}, {300_000, 4 << 20}} {
-		t.Run(fmt.Sprintf("%dk-%dMB", c.target/1000, c.budget>>20), func(t *testing.T) {
+	}{{100_000, 1 << 20}, {100_000, 2 << 20}, {300_000, 2 << 20}, {300_000, 4 << 20}, {300_000, 512 << 10}} {
+		name := fmt.Sprintf("%dk-%dMB", c.target/1000, c.budget>>20)
+		if c.budget < 1<<20 {
+			name = fmt.Sprintf("%dk-%dkB", c.target/1000, c.budget>>10)
+		}
+		t.Run(name, func(t *testing.T) {
 			cl := newTestCluster(t, 2, c.budget)
 			res, err := RunONUPDR(cl, NUPDRConfig{TargetElements: c.target})
 			if err != nil {

@@ -18,15 +18,18 @@ import (
 // audit passes that read every leaf and subdomain back (the refine handlers
 // record what those passes read), and handler IDs 203 (hLSendBuffer), 204
 // (hLAddToBuffer) and 205 (hLRelease) to ONUPDR's buffer collection, which
-// the refinement queue's fixed portions replaced, and handler ID 303 to
-// OPCDM's wiring message, which creating each subdomain with its neighbour
-// pointers replaced. All of them stay unused, so a checkpoint or trace from
-// an old run fails with ErrUnknownType or "no handler" instead of being
-// misread.
+// the refinement queue's fixed portions replaced. Type ID 3 and handler IDs
+// 201 and 202 belonged to that queue — its object, a leaf's update to it
+// and its construct message to a leaf — which leaves messaging their
+// successors replaced (leafPlan), and handler
+// ID 303 to OPCDM's wiring message, which creating each subdomain with its
+// neighbour pointers replaced. All of them stay unused, so a checkpoint or
+// trace from an old run fails with ErrUnknownType or "no handler" instead
+// of being misread; an old leaf's blob, which lacks the index and
+// neighbours a leaf now holds, fails to decode.
 const (
 	typeBlock     uint16 = 1 // OUPDR block
 	typeLeaf      uint16 = 2 // ONUPDR quad-tree leaf
-	typeQueue     uint16 = 3 // ONUPDR refinement queue
 	typeSubdomain uint16 = 4 // OPCDM subdomain
 )
 
@@ -37,8 +40,6 @@ func Factory(typeID uint16) (core.Object, error) {
 		return &blockObj{}, nil
 	case typeLeaf:
 		return &leafObj{}, nil
-	case typeQueue:
-		return &queueObj{}, nil
 	case typeSubdomain:
 		return &subdomainObj{}, nil
 	default:
@@ -158,37 +159,6 @@ func readPtr(r io.Reader) (core.MobilePtr, error) {
 		return core.Nil, err
 	}
 	return core.MobilePtr{Home: core.NodeID(int32(h)), Seq: s}, nil
-}
-
-func writePtrs(w io.Writer, ps []core.MobilePtr) error {
-	if err := writeU32(w, uint32(len(ps))); err != nil {
-		return err
-	}
-	for _, p := range ps {
-		if err := writePtr(w, p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readPtrs(r io.Reader) ([]core.MobilePtr, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxDecodeElems {
-		return nil, errDecodeBound("ptrs", n, maxDecodeElems)
-	}
-	out := make([]core.MobilePtr, n)
-	for i := range out {
-		p, err := readPtr(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = p
-	}
-	return out, nil
 }
 
 func writePoints(w io.Writer, pts []geom.Point) error {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"mrts/internal/cluster"
@@ -11,16 +14,12 @@ import (
 	"mrts/internal/geom"
 )
 
-// ONUPDR handler IDs (the message vocabulary of §III of the paper). A leaf
-// gets one message and sends one: the queue hands it the boundary portions
-// its finished neighbours fixed, and it answers with its own boundary.
-const (
-	hQUpdate    core.HandlerID = 201 // to queue: a leaf's counts and boundary / kick-off
-	hLConstruct core.HandlerID = 202 // to leaf: refine against these fixed portions
-)
-
-// kickOff is the leaf index of the hQUpdate that starts a run.
-const kickOff = -1
+// hLPortion is ONUPDR's one message (the paper's §III vocabulary, on the
+// fixed precedence of leafPlan instead of the paper's master queue): a
+// finished leaf sends each successor the portion of its boundary they
+// share, and a leaf meshes once every predecessor's has come. Empty, it is
+// the kick-off of a leaf with no predecessor.
+const hLPortion core.HandlerID = 207
 
 // sizeParams is the radial sizing field of both NUPDR builds,
 // h(p) = Scale·(1 + (Grading−1)·|p−Center|/DMax), serializable so that a
@@ -66,15 +65,53 @@ type leafObj struct {
 	Rect geom.Rect
 	Size sizeParams
 	Beta float64
+	Idx  int32    // the leaf's index in tree order
+	Nbs  []leafNb // its neighbours, in leafPlan's Nbs order
+	// Got holds the portions its predecessors sent, until it meshes.
+	Got []leafPortion
 
 	MeshData []byte
 	Elements int32
 	Verts    int32
 }
 
+// leafNb is one neighbour of a leaf: its index, which makes it a
+// predecessor or a successor, its object and its rectangle.
+type leafNb struct {
+	Idx  int32
+	Ptr  core.MobilePtr
+	Rect geom.Rect
+}
+
+// leafPortion is what a finished predecessor sends a leaf: the portion it
+// fixed on their shared edge, none from a neighbour at a corner.
+type leafPortion struct {
+	From  int32
+	Fixed []fixedPortion
+}
+
+// leaf builds leaf idx of the plan, unmeshed, with its neighbours' pointers
+// from the placement's table.
+func (p *leafPlan) leaf(idx int, ptrs []core.MobilePtr, size sizeParams, beta float64) *leafObj {
+	o := &leafObj{Rect: p.Rects[idx], Size: size, Beta: beta, Idx: int32(idx)}
+	for _, nb := range p.Nbs[idx] {
+		o.Nbs = append(o.Nbs, leafNb{Idx: nb, Ptr: ptrs[nb], Rect: p.Rects[nb]})
+	}
+	return o
+}
+
 func (o *leafObj) TypeID() uint16 { return typeLeaf }
 
-func (o *leafObj) SizeHint() int { return 120 + len(o.MeshData) }
+func (o *leafObj) SizeHint() int {
+	n := 124 + len(o.MeshData) + 44*len(o.Nbs)
+	for _, g := range o.Got {
+		n += 8
+		for _, f := range g.Fixed {
+			n += 36 + 16*len(f.Pts)
+		}
+	}
+	return n
+}
 
 func (o *leafObj) EncodeTo(w io.Writer) error {
 	if err := writeRect(w, o.Rect); err != nil {
@@ -82,6 +119,31 @@ func (o *leafObj) EncodeTo(w io.Writer) error {
 	}
 	for _, f := range []float64{o.Size.Scale, o.Size.Grading, o.Size.Center.X, o.Size.Center.Y, o.Size.DMax, o.Beta} {
 		if err := writeF64(w, f); err != nil {
+			return err
+		}
+	}
+	if err := writeU32(w, uint32(o.Idx)); err != nil {
+		return err
+	}
+	if err := writeU32(w, uint32(len(o.Nbs))); err != nil {
+		return err
+	}
+	for _, nb := range o.Nbs {
+		if err := writeU32(w, uint32(nb.Idx)); err != nil {
+			return err
+		}
+		if err := writePtr(w, nb.Ptr); err != nil {
+			return err
+		}
+		if err := writeRect(w, nb.Rect); err != nil {
+			return err
+		}
+	}
+	if err := writeU32(w, uint32(len(o.Got))); err != nil {
+		return err
+	}
+	for _, g := range o.Got {
+		if err := writePortion(w, g); err != nil {
 			return err
 		}
 	}
@@ -107,6 +169,42 @@ func (o *leafObj) DecodeFrom(r io.Reader) error {
 	}
 	o.Size = newSizeParams(fs[0], fs[1], geom.Pt(fs[2], fs[3]), fs[4])
 	o.Beta = fs[5]
+	idx, err := readU32(r)
+	if err != nil {
+		return err
+	}
+	o.Idx = int32(idx)
+	n, err := readCount(r, "neighbours")
+	if err != nil {
+		return err
+	}
+	o.Nbs = nil
+	for range n {
+		var nb leafNb
+		v, err := readU32(r)
+		if err != nil {
+			return err
+		}
+		nb.Idx = int32(v)
+		if nb.Ptr, err = readPtr(r); err != nil {
+			return err
+		}
+		if nb.Rect, err = readRect(r); err != nil {
+			return err
+		}
+		o.Nbs = append(o.Nbs, nb)
+	}
+	if n, err = readCount(r, "portions"); err != nil {
+		return err
+	}
+	o.Got = nil
+	for range n {
+		g, err := readPortion(r)
+		if err != nil {
+			return err
+		}
+		o.Got = append(o.Got, g)
+	}
 	if o.MeshData, err = readBytes(r); err != nil {
 		return err
 	}
@@ -123,352 +221,278 @@ func (o *leafObj) DecodeFrom(r io.Reader) error {
 	return nil
 }
 
-// queueObj is the ONUPDR refinement queue mobile object: the dispatcher both
-// NUPDR builds share, the leaves' objects and the run's totals. It holds
-// every finished leaf's boundary, so it can hand a dispatched leaf its fixed
-// portions without asking the neighbours. The paper locks it in memory ("it
-// is relatively small and receives and sends many messages").
-type queueObj struct {
-	leafQueue
-	Ptrs     []core.MobilePtr // leaf i's object
-	Elements int64
-	Verts    int64
+// readCount reads a list's length, refusing one past maxDecodeElems.
+func readCount(r io.Reader, what string) (uint32, error) {
+	n, err := readU32(r)
+	if err == nil && n > maxDecodeElems {
+		err = errDecodeBound(what, n, maxDecodeElems)
+	}
+	return n, err
 }
 
-func (o *queueObj) TypeID() uint16 { return typeQueue }
+// writePortion and readPortion serialize a leafPortion, as the hLPortion
+// message and as one of a leaf's Got: the sender's index, then its fixed
+// portions (at most one), each as one point list, its ends A and B first.
+func writePortion(w io.Writer, g leafPortion) error {
+	if err := writeU32(w, uint32(g.From)); err != nil {
+		return err
+	}
+	if err := writeU32(w, uint32(len(g.Fixed))); err != nil {
+		return err
+	}
+	for _, f := range g.Fixed {
+		if err := writePoints(w, append([]geom.Point{f.A, f.B}, f.Pts...)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-func (o *queueObj) SizeHint() int {
-	n := 64 + 8*len(o.Ptrs) + 4*len(o.Pending)
-	for _, l := range o.Leaves {
-		n += 48 + 4*len(l.Nbs) + 16*len(l.Boundary)
+func readPortion(r io.Reader) (leafPortion, error) {
+	from, err := readU32(r)
+	if err != nil {
+		return leafPortion{}, err
+	}
+	n, err := readU32(r)
+	if err != nil {
+		return leafPortion{}, err
+	}
+	if n > 1 {
+		return leafPortion{}, fmt.Errorf("meshgen: portion from leaf %d holds %d fixed portions, a neighbour shares one edge", int32(from), n)
+	}
+	g := leafPortion{From: int32(from)}
+	for range n {
+		pts, err := readPoints(r)
+		if err != nil {
+			return leafPortion{}, err
+		}
+		if len(pts) < 2 {
+			return leafPortion{}, fmt.Errorf("meshgen: fixed portion of %d points has no ends", len(pts))
+		}
+		g.Fixed = append(g.Fixed, fixedPortion{A: pts[0], B: pts[1], Pts: pts[2:]})
+	}
+	return g, nil
+}
+
+func encodePortion(g leafPortion) []byte {
+	var buf bytes.Buffer
+	writePortion(&buf, g)
+	return buf.Bytes()
+}
+
+// decodePortion reads an hLPortion payload; bytes after the portion are an
+// error.
+func decodePortion(b []byte) (leafPortion, error) {
+	r := bytes.NewReader(b)
+	g, err := readPortion(r)
+	if err == nil && r.Len() > 0 {
+		err = fmt.Errorf("meshgen: %d bytes after the portion", r.Len())
+	}
+	return g, err
+}
+
+// preds counts the leaf's predecessors.
+func (o *leafObj) preds() int {
+	n := 0
+	for _, nb := range o.Nbs {
+		if nb.Idx < o.Idx {
+			n++
+		}
 	}
 	return n
 }
 
-func (o *queueObj) EncodeTo(w io.Writer) error {
-	if err := writeU32(w, uint32(len(o.Leaves))); err != nil {
-		return err
+// receive takes one hLPortion message: a predecessor's portion, or the
+// kick-off (empty) of a leaf with none. It reports whether every
+// predecessor's portion is in, so the leaf can mesh, and refuses a message
+// to a meshed leaf, a kick-off to a leaf with predecessors and a portion
+// from a leaf that is not a predecessor or has sent one already.
+func (o *leafObj) receive(arg []byte) (ready bool, err error) {
+	if o.MeshData != nil {
+		return false, fmt.Errorf("meshgen: leaf %d: a message after it meshed", o.Idx)
 	}
-	for _, l := range o.Leaves {
-		if err := writeRect(w, l.Rect); err != nil {
-			return err
+	preds := o.preds()
+	if len(arg) == 0 {
+		if preds > 0 {
+			return false, fmt.Errorf("meshgen: leaf %d: kick-off to a leaf with %d predecessors", o.Idx, preds)
 		}
-		if err := writeIdxs(w, l.Nbs); err != nil {
-			return err
-		}
-		flags := uint32(0)
-		if l.Done {
-			flags |= 1
-		}
-		if l.InFlight {
-			flags |= 2
-		}
-		if err := writeU32(w, flags); err != nil {
-			return err
-		}
-		if err := writePoints(w, l.Boundary); err != nil {
-			return err
-		}
+		return true, nil
 	}
-	if err := writeIdxs(w, o.Pending); err != nil {
-		return err
+	g, err := decodePortion(arg)
+	if err != nil {
+		return false, fmt.Errorf("meshgen: leaf %d: portion payload: %w", o.Idx, err)
 	}
-	if err := writeU32(w, uint32(o.MaxInflight)); err != nil {
-		return err
+	pred := slices.ContainsFunc(o.Nbs, func(nb leafNb) bool { return nb.Idx == g.From && nb.Idx < o.Idx })
+	again := slices.ContainsFunc(o.Got, func(got leafPortion) bool { return got.From == g.From })
+	if !pred || again {
+		return false, fmt.Errorf("meshgen: leaf %d: a portion from leaf %d, not a predecessor it awaits", o.Idx, g.From)
 	}
-	if err := writePtrs(w, o.Ptrs); err != nil {
-		return err
-	}
-	if err := writeF64(w, float64(o.Elements)); err != nil {
-		return err
-	}
-	return writeF64(w, float64(o.Verts))
+	o.Got = append(o.Got, g)
+	return len(o.Got) == preds, nil
 }
 
-// DecodeFrom reads what EncodeTo wrote and recounts the in-flight leaves
-// and busy counts from the in-flight flags.
-func (o *queueObj) DecodeFrom(r io.Reader) error {
-	n, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	if n > maxDecodeElems {
-		return errDecodeBound("leaves", n, maxDecodeElems)
-	}
-	o.Leaves = make([]qleaf, n)
-	for i := range o.Leaves {
-		l := &o.Leaves[i]
-		if l.Rect, err = readRect(r); err != nil {
-			return err
-		}
-		if l.Nbs, err = readIdxs(r, n); err != nil {
-			return err
-		}
-		flags, err := readU32(r)
-		if err != nil {
-			return err
-		}
-		l.Done = flags&1 != 0
-		l.InFlight = flags&2 != 0
-		if l.Boundary, err = readPoints(r); err != nil {
-			return err
-		}
-	}
-	if o.Pending, err = readIdxs(r, n); err != nil {
-		return err
-	}
-	maxInflight, err := readU32(r)
-	if err != nil {
-		return err
-	}
-	o.MaxInflight = int32(maxInflight)
-	if o.Ptrs, err = readPtrs(r); err != nil {
-		return err
-	}
-	if len(o.Ptrs) != int(n) {
-		return fmt.Errorf("meshgen: decode queue: %d leaf pointers for %d leaves (corrupt blob?)", len(o.Ptrs), n)
-	}
-	e, err := readF64(r)
-	if err != nil {
-		return err
-	}
-	v, err := readF64(r)
-	if err != nil {
-		return err
-	}
-	o.Elements, o.Verts = int64(e), int64(v)
-	o.recount()
-	return nil
-}
-
-// writeIdxs and readIdxs serialize a list of leaf indices; readIdxs rejects
-// an index that is not below n.
-func writeIdxs(w io.Writer, xs []int32) error {
-	if err := writeU32(w, uint32(len(xs))); err != nil {
-		return err
-	}
-	for _, x := range xs {
-		if err := writeU32(w, uint32(x)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readIdxs(r io.Reader, n uint32) ([]int32, error) {
-	c, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if c > maxDecodeElems {
-		return nil, errDecodeBound("indices", c, maxDecodeElems)
-	}
-	xs := make([]int32, c)
-	for i := range xs {
-		v, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if v >= n {
-			return nil, fmt.Errorf("meshgen: decode indices: leaf %d of %d (corrupt blob?)", v, n)
-		}
-		xs[i] = int32(v)
-	}
-	return xs, nil
-}
-
-// registerONUPDR installs the ONUPDR handlers on every node; errs keeps the
-// first error a handler meets.
-func registerONUPDR(cl *cluster.Cluster, errs *firstErr) {
-	for _, rt := range cl.Runtimes() {
-		rt.Register(hQUpdate, func(c *core.Ctx, arg []byte) {
-			if err := onupdrQUpdate(c, c.Object().(*queueObj), arg); err != nil {
-				errs.set(err)
+// refine meshes the leaf against its predecessors' portions, taken in Nbs
+// order as RunNUPDR takes them, keeps the mesh and drops the portions. It
+// adds the mesh to q and returns the boundary cycle it was meshed with and
+// how many portions that cycle does not hold verbatim.
+func (o *leafObj) refine(q *Quality) (cycle []geom.Point, mismatched int, err error) {
+	var fixed []fixedPortion
+	for _, nb := range o.Nbs {
+		for _, g := range o.Got {
+			if g.From == nb.Idx {
+				fixed = append(fixed, g.Fixed...)
 			}
-		})
-		rt.Register(hLConstruct, func(c *core.Ctx, arg []byte) {
-			queue, update, err := onupdrRefine(c.Object().(*leafObj), arg)
-			if err != nil {
-				errs.set(err)
-				return
-			}
-			// A finished leaf is never touched again: evict it before
-			// anything still to come.
-			c.SetPriority(c.Self, -1)
-			c.Post(queue, hQUpdate, update)
-		})
-	}
-}
-
-// Argument encodings for the ONUPDR messages.
-
-func encodeQUpdate(leafIdx, elems, verts int32, boundary []geom.Point) []byte {
-	var buf bytes.Buffer
-	writeU32(&buf, uint32(leafIdx))
-	writeU32(&buf, uint32(elems))
-	writeU32(&buf, uint32(verts))
-	writePoints(&buf, boundary)
-	return buf.Bytes()
-}
-
-func decodeQUpdate(b []byte) (leafIdx, elems, verts int32, boundary []geom.Point, err error) {
-	r := bytes.NewReader(b)
-	var vs [3]uint32
-	for i := range vs {
-		if vs[i], err = readU32(r); err != nil {
-			return
 		}
-	}
-	if boundary, err = readPoints(r); err != nil {
-		return
-	}
-	return int32(vs[0]), int32(vs[1]), int32(vs[2]), boundary, nil
-}
-
-// encodeLConstruct writes the queue's pointer, the leaf's index and the fixed
-// portions, each as one point list: its ends A and B, then its points.
-func encodeLConstruct(queue core.MobilePtr, leafIdx int32, fixed []fixedPortion) []byte {
-	var buf bytes.Buffer
-	writePtr(&buf, queue)
-	writeU32(&buf, uint32(leafIdx))
-	writeU32(&buf, uint32(len(fixed)))
-	for _, f := range fixed {
-		writePoints(&buf, append([]geom.Point{f.A, f.B}, f.Pts...))
-	}
-	return buf.Bytes()
-}
-
-func decodeLConstruct(b []byte) (queue core.MobilePtr, leafIdx int32, fixed []fixedPortion, err error) {
-	r := bytes.NewReader(b)
-	if queue, err = readPtr(r); err != nil {
-		return
-	}
-	idx, err := readU32(r)
-	if err != nil {
-		return
-	}
-	n, err := readU32(r)
-	if err != nil {
-		return
-	}
-	for i := uint32(0); i < n; i++ {
-		pts, err := readPoints(r)
-		if err != nil {
-			return core.Nil, 0, nil, err
-		}
-		if len(pts) < 2 {
-			return core.Nil, 0, nil, fmt.Errorf("meshgen: fixed portion of %d points has no ends", len(pts))
-		}
-		fixed = append(fixed, fixedPortion{A: pts[0], B: pts[1], Pts: pts[2:]})
-	}
-	return queue, int32(idx), fixed, nil
-}
-
-// onupdrQUpdate is the refinement queue's handler: record a finished leaf's
-// counts and boundary, then dispatch every leaf the queue may, each with the
-// boundary portions its finished neighbours fixed.
-func onupdrQUpdate(c *core.Ctx, q *queueObj, arg []byte) error {
-	idx, elems, verts, boundary, err := decodeQUpdate(arg)
-	if err != nil {
-		return fmt.Errorf("meshgen: ONUPDR queue: update payload: %w", err)
-	}
-	if idx != kickOff {
-		if err := q.finish(idx, boundary); err != nil {
-			return err
-		}
-		q.Elements += int64(elems)
-		q.Verts += int64(verts)
-	}
-	for {
-		li, fixed, ok := q.next()
-		if !ok {
-			return nil
-		}
-		// Raise the priority of a leaf about to be refined, as the paper's
-		// optimization does, to keep it resident.
-		c.SetPriority(q.Ptrs[li], 10)
-		c.Post(q.Ptrs[li], hLConstruct, encodeLConstruct(c.Self, li, fixed))
-	}
-}
-
-// onupdrRefine is a leaf's handler: it meshes the leaf against the fixed
-// portions the queue sent, keeps the mesh, and returns the queue's pointer
-// and the update that reports the leaf's counts and boundary.
-func onupdrRefine(o *leafObj, arg []byte) (core.MobilePtr, []byte, error) {
-	queue, idx, fixed, err := decodeLConstruct(arg)
-	if err != nil {
-		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: construct payload: %w", o.Rect, err)
 	}
 	m, cycle, err := meshLeaf(o.Rect, &o.Size, o.Beta, fixed)
 	if err != nil {
-		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: %w", o.Rect, err)
+		return nil, 0, fmt.Errorf("meshgen: leaf %d %v: %w", o.Idx, o.Rect, err)
 	}
+	q.Add(m, o.Size.At)
 	buf := bytes.NewBuffer(make([]byte, 0, m.EncodedSize()))
 	err = m.EncodeTo(buf)
 	elems, verts := m.NumTriangles(), m.NumVertices()
 	m.Recycle()
 	if err != nil {
-		return core.Nil, nil, fmt.Errorf("meshgen: leaf %v: encode mesh: %w", o.Rect, err)
+		return nil, 0, fmt.Errorf("meshgen: leaf %d %v: encode mesh: %w", o.Idx, o.Rect, err)
 	}
 	o.MeshData = buf.Bytes()
 	o.Elements = int32(elems)
 	o.Verts = int32(verts)
-	return queue, encodeQUpdate(idx, o.Elements, o.Verts, cycle), nil
+	o.Got = nil
+	return cycle, mismatches(cycle, fixed), nil
+}
+
+// leafReport is what a leaf's handler records as it meshes: its counts.
+type leafReport struct {
+	idx             int32
+	elements, verts int
+}
+
+// onupdrShared collects what the leaf handlers of one node record: every
+// leaf meshed there, the shared edges that did not conform and the first
+// error. quality, one for the whole run, judges each leaf as it is meshed.
+type onupdrShared struct {
+	quality  *Quality
+	mismatch atomic.Int64
+	err      firstErr
+
+	mu     sync.Mutex
+	meshed []leafReport
+}
+
+func (sh *onupdrShared) record(r leafReport, mismatched int) {
+	sh.mismatch.Add(int64(mismatched))
+	sh.mu.Lock()
+	sh.meshed = append(sh.meshed, r)
+	sh.mu.Unlock()
+}
+
+func (sh *onupdrShared) recorded() []leafReport {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.meshed
+}
+
+// registerONUPDR installs the leaf handler on one node.
+func registerONUPDR(rt *core.Runtime, sh *onupdrShared) {
+	rt.Register(hLPortion, func(c *core.Ctx, arg []byte) {
+		o := c.Object().(*leafObj)
+		ready, err := o.receive(arg)
+		if err != nil {
+			sh.err.set(err)
+			return
+		}
+		if !ready {
+			if len(o.Got) == 1 {
+				// Its first portion: keep it in core until the rest come.
+				c.SetPriority(10)
+			}
+			return
+		}
+		cycle, mismatched, err := o.refine(sh.quality)
+		if err != nil {
+			sh.err.set(err)
+			return
+		}
+		for _, nb := range o.Nbs {
+			if nb.Idx > o.Idx {
+				g := leafPortion{From: o.Idx}
+				if f, ok := portionOf(nb.Rect, o.Rect, cycle); ok {
+					g.Fixed = []fixedPortion{f}
+				}
+				c.Post(nb.Ptr, hLPortion, encodePortion(g))
+			}
+		}
+		// A finished leaf is never touched again: evict it before anything
+		// still to come.
+		c.SetPriority(-1)
+		sh.record(leafReport{idx: o.Idx, elements: int(o.Elements), verts: int(o.Verts)}, mismatched)
+	})
 }
 
 // RunONUPDR executes the out-of-core non-uniform method on an MRTS cluster.
+// It runs the SPMD cell driver (grid.go) on every node of cl at once, one
+// cell a quad-tree leaf: each node creates the leaves the placement deals
+// it, the leaves with no predecessor are kicked off, and each finished leaf
+// messages its successors (leafPlan), until global termination. The mesh is
+// RunNUPDR's on one PE. The placement predicts every leaf's pointer, so
+// cl's runtimes must hold no objects yet.
 func RunONUPDR(cl *cluster.Cluster, cfg NUPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
-	sp := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
-	errs := &firstErr{}
-	registerONUPDR(cl, errs)
-
-	// Create leaf objects round-robin across nodes; the queue lives on node 0
-	// and is locked in memory. More leaves than PEs stay in flight so a leaf
-	// waiting on its message or its load never idles a PE (the flexibility
-	// the paper's over-decomposition buys).
-	q := &queueObj{leafQueue: newLeafQueue(buildLeafTree(domain, sp.At, cfg.MaxLeafElems), 2*cl.PEs())}
-	for i, l := range q.Leaves {
-		q.Ptrs = append(q.Ptrs, cl.RT(i%cl.Nodes()).CreateObject(&leafObj{
-			Rect: l.Rect,
-			Size: sp,
-			Beta: cfg.QualityBound,
-		}))
-	}
-	qptr := cl.RT(0).CreateObject(q)
-	if !cl.RT(0).Lock(qptr) {
-		return Result{}, fmt.Errorf("meshgen: ONUPDR queue object %v not local after create", qptr)
-	}
-
-	// Kick off and hand control to the runtime.
-	cl.RT(0).Post(qptr, hQUpdate, encodeQUpdate(kickOff, 0, 0, nil))
-	cl.Wait()
-	if err := errs.take(); err != nil {
+	rts := cl.Runtimes()
+	if err := freshRuntimes("ONUPDR", rts); err != nil {
 		return Result{}, err
 	}
-	// A leaf whose load failed is gone with the message it was sent.
+	domain := geom.NewRect(geom.Pt(0, 0), geom.Pt(1, 1))
+	sp := gradedSizeFor(domain, cfg.Grading, cfg.TargetElements)
+	plan := newLeafPlan(buildLeafTree(domain, sp.At, cfg.MaxLeafElems))
+	n := len(plan.Rects)
+	q := newQualityIf(cfg.Quality, cfg.QualityBound)
+	grids := make([]*grid, len(rts))
+	shs := make([]*onupdrShared, len(rts))
+	for node, rt := range rts {
+		grids[node] = newGrid(rt, n, len(rts), node, 1)
+		shs[node] = &onupdrShared{quality: q}
+		registerONUPDR(rt, shs[node])
+		ptrs := grids[node].ptrs
+		err := grids[node].create(func(idx int) core.Object { return plan.leaf(idx, ptrs, sp, cfg.QualityBound) })
+		if err != nil {
+			return Result{}, fmt.Errorf("meshgen: node %d: %w", node, err)
+		}
+	}
+	// Kick off the leaves with no predecessor; every other leaf starts when
+	// its last predecessor's portion comes.
+	runGrid(grids, hLPortion, func(idx int) bool { return plan.preds(idx) == 0 })
+	parts := make([][]leafReport, len(shs))
+	var mismatched int64
+	for node, sh := range shs {
+		if err := sh.err.take(); err != nil {
+			return Result{}, err
+		}
+		parts[node] = sh.recorded()
+		mismatched += sh.mismatch.Load()
+	}
+	// A leaf whose load failed is gone with the portions it was sent.
 	if lost := cl.SwapStats().ObjectsLost; lost > 0 {
 		return Result{}, fmt.Errorf("meshgen: ONUPDR lost %d objects to failed loads", lost)
 	}
-	for i, l := range q.Leaves {
-		if !l.Done {
-			return Result{}, fmt.Errorf("meshgen: ONUPDR incomplete: leaf %d of %d never finished", i, len(q.Leaves))
-		}
+	reports, err := cover(n, parts, func(r leafReport) int { return int(r.idx) },
+		func(idx int) string { return fmt.Sprintf("ONUPDR: leaf %d", idx) })
+	if err != nil {
+		return Result{}, err
 	}
-
-	return Result{
-		Method:     "ONUPDR",
-		Elements:   int(q.Elements),
-		Vertices:   int(q.Verts),
-		Subdomains: len(q.Leaves),
-		PEs:        cl.PEs(),
-		Elapsed:    time.Since(start),
-		Report:     cl.Report(),
-		Mem:        cl.MemStats(),
-		Conforming: q.conforming(),
-	}, nil
+	res := Result{Method: "ONUPDR", Subdomains: n, PEs: cl.PEs(), Conforming: mismatched == 0}
+	for _, r := range reports {
+		res.Elements += r.elements
+		res.Vertices += r.verts
+	}
+	res.Quality = q.Close("ONUPDR", res.Conforming, "")
+	res.Elapsed = time.Since(start)
+	res.Report = cl.Report()
+	res.Mem = cl.MemStats()
+	return res, nil
 }

@@ -158,7 +158,11 @@ func mergeReports(g int, shs []*opcdmShared) ([]subdomainReport, error) {
 	for n, sh := range shs {
 		parts[n] = sh.recorded()
 	}
-	return cover(g, parts, func(r subdomainReport) (int, int) { return gridIJ(r.rect, g) }, "subdomain")
+	at := func(r subdomainReport) int {
+		i, j := gridIJ(r.rect, g)
+		return gridCell(g, i, j)
+	}
+	return cover(g*g, parts, at, gridName(g, "subdomain"))
 }
 
 // registerOPCDM installs the OPCDM handler on one node.
@@ -254,11 +258,12 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 	grids := make([]*grid, len(rts))
 	shs := make([]*opcdmShared, len(rts))
 	for n, rt := range rts {
-		grids[n] = newGrid(rt, g, len(rts), n, 1)
+		grids[n] = newGrid(rt, g*g, len(rts), n, 1)
 		shs[n] = newOPCDMShared(g)
 		registerOPCDM(rt, shs[n])
 		ptrs := grids[n].ptrs
-		err := grids[n].create(func(i, j int) core.Object {
+		err := grids[n].create(func(idx int) core.Object {
+			i, j := idx%g, idx/g
 			return &subdomainObj{Rect: blockRect(g, i, j), MaxArea: maxArea, Beta: cfg.QualityBound,
 				Nbs: subdomainNeighbors(g, i, j, ptrs)}
 		})
@@ -268,7 +273,7 @@ func RunOPCDM(cl *cluster.Cluster, cfg PCDMConfig) (Result, error) {
 	}
 	// Kick off: one refine message to every subdomain, then the runtime has
 	// control until global termination.
-	runGrid(grids, hSDRefine)
+	runGrid(grids, hSDRefine, everyCell)
 	for _, sh := range shs {
 		if err := sh.err.take(); err != nil {
 			return Result{}, err

@@ -412,7 +412,7 @@ func oupdrMeshHandler(c *core.Ctx, o *blockObj, sh *blockShared) error {
 	// Until the remaining interface messages arrive, keep this block
 	// in-core preferentially (the paper's priority hint).
 	if o.IfaceNeeded > 0 {
-		c.SetPriority(c.Self, 5)
+		c.SetPriority(5)
 	}
 	i, j := gridIJ(o.Rect, sh.nb)
 	return sh.record(BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(digest)})
@@ -435,7 +435,7 @@ func oupdrIfaceHandler(c *core.Ctx, o *blockObj, arg []byte, sh *blockShared) er
 	if o.IfaceNeeded > 0 {
 		o.IfaceNeeded--
 		if o.IfaceNeeded == 0 && o.MeshData != nil {
-			c.SetPriority(c.Self, 0)
+			c.SetPriority(0)
 		}
 	}
 	if o.MeshData == nil {
@@ -513,7 +513,7 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	// Kick off: the mesh message to every block (the initial messages of the
 	// paper's programming model), then the runtime has control until global
 	// termination.
-	runGrid(grids, hBlockMesh)
+	runGrid(grids, hBlockMesh, everyCell)
 	res := Result{Method: "OUPDR", Subdomains: cfg.Blocks * cfg.Blocks, PEs: cl.PEs(), Conforming: true}
 	for _, d := range ds {
 		if err := d.Err(); err != nil {
@@ -548,7 +548,8 @@ func RunOUPDR(cl *cluster.Cluster, cfg UPDRConfig) (Result, error) {
 	for n, d := range ds {
 		parts[n] = d.sh.meshed()
 	}
-	dump, err := cover(cfg.Blocks, parts, func(b BlockDump) (int, int) { return b.I, b.J }, "OUPDR: block")
+	nb := cfg.Blocks
+	dump, err := cover(nb*nb, parts, func(b BlockDump) int { return gridCell(nb, b.I, b.J) }, gridName(nb, "OUPDR: block"))
 	if err != nil {
 		return Result{}, err
 	}

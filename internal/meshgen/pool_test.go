@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"mrts/internal/core"
 	"mrts/internal/delaunay"
 )
 
@@ -28,11 +27,14 @@ func TestMeshPoolChangesNoResult(t *testing.T) {
 	}
 	leaf := func() []byte {
 		o := testLeaf()
-		_, update, err := onupdrRefine(o, encodeLConstruct(core.MobilePtr{Home: 0, Seq: 7}, 3, []fixedPortion{testFixedPortion()}))
+		if _, err := o.receive(encodePortion(testPortion())); err != nil {
+			t.Fatal(err)
+		}
+		cycle, _, err := o.refine(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(o.MeshData, update...)
+		return append(o.MeshData, encodePoints(cycle)...)
 	}
 	emptyPool := func() { // twice: the pool keeps a victim generation
 		runtime.GC()

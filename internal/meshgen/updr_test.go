@@ -130,7 +130,7 @@ func TestRunOUPDRSameMeshOnOneToFourNodes(t *testing.T) {
 	cfg := UPDRConfig{Blocks: 3, TargetElements: 5000}
 	for nodes := 1; nodes <= 4; nodes++ {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			ptrs := newGrid(nil, cfg.Blocks, nodes, 0, 1).ptrs
+			ptrs := newGrid(nil, cfg.Blocks*cfg.Blocks, nodes, 0, 1).ptrs
 			split := make([]int, nodes)
 			cross := 0
 			for idx, ptr := range ptrs {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -60,43 +61,56 @@ func checkMeshProp(t *testing.T, seed int64, cl *cluster.Cluster, got, want mesh
 	}
 }
 
+// faultConfig is the cluster of one fault schedule: a tiny budget, modeled
+// network and disk latency, a slow node and transient storage faults
+// absorbed by seeded-backoff retry, all on vclk.
+func faultConfig(seed int64, vclk *clock.Virtual) cluster.Config {
+	return cluster.Config{
+		Nodes:     2,
+		MemBudget: 200_000, // tiny: blocks must swap under faults
+		Factory:   meshgen.Factory,
+		Clock:     vclk,
+		Seed:      seed,
+		Network:   comm.LatencyModel{Latency: time.Duration(50*(seed%5)) * time.Microsecond, BytesPerSec: 100e6},
+		NodeDisk: func(node int) storage.DiskModel {
+			d := storage.DiskModel{Seek: time.Duration(100+50*seed) * time.Microsecond, BytesPerSec: 50e6}
+			if node == int(seed)%2 {
+				d.Seek *= 4 // one slow node per schedule
+			}
+			return d
+		},
+		Fault: &storage.FaultConfig{
+			Seed:          seed,
+			FailFirstGets: int(1 + seed%2),
+			FailFirstPuts: int(1 + seed%2),
+		},
+		Retry: storage.RetryPolicy{
+			MaxAttempts: 5,
+			BaseDelay:   50 * time.Microsecond,
+			MaxDelay:    time.Millisecond,
+			Seed:        seed,
+			Clock:       vclk,
+		},
+	}
+}
+
 // TestMeshFaultEqualityProperty is the paper's central claim as a property
-// test: for every seed, an out-of-core run — tiny budget, modeled network
-// and disk latency, a slow node, transient storage faults absorbed by
-// seeded-backoff retry, all on virtual time — produces a mesh identical to
-// the in-core run, and every block reads back from the swap path unchanged.
+// test: for every seed, an out-of-core run on the seed's fault schedule
+// (faultConfig) produces a mesh identical to the in-core run, and every
+// block reads back from the swap path unchanged. ONUPDR on the same
+// schedule makes the in-core NUPDR mesh of one PE.
 func TestMeshFaultEqualityProperty(t *testing.T) {
 	want := inCoreReference(t)
+	one := nupdrPropConfig
+	one.PEs = 1
+	wantNUPDR, err := meshgen.RunNUPDR(one)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for seed := int64(1); seed <= meshPropSeeds; seed++ {
 		vclk := clock.NewVirtual()
-		cl, err := cluster.New(cluster.Config{
-			Nodes:     2,
-			MemBudget: 200_000, // tiny: blocks must swap under faults
-			Factory:   meshgen.Factory,
-			Clock:     vclk,
-			Seed:      seed,
-			Network:   comm.LatencyModel{Latency: time.Duration(50*(seed%5)) * time.Microsecond, BytesPerSec: 100e6},
-			NodeDisk: func(node int) storage.DiskModel {
-				d := storage.DiskModel{Seek: time.Duration(100+50*seed) * time.Microsecond, BytesPerSec: 50e6}
-				if node == int(seed)%2 {
-					d.Seek *= 4 // one slow node per schedule
-				}
-				return d
-			},
-			Fault: &storage.FaultConfig{
-				Seed:          seed,
-				FailFirstGets: int(1 + seed%2),
-				FailFirstPuts: int(1 + seed%2),
-			},
-			Retry: storage.RetryPolicy{
-				MaxAttempts: 5,
-				BaseDelay:   50 * time.Microsecond,
-				MaxDelay:    time.Millisecond,
-				Seed:        seed,
-				Clock:       vclk,
-			},
-		})
+		cl, err := cluster.New(faultConfig(seed, vclk))
 		if err != nil {
 			vclk.Stop()
 			t.Fatal(err)
@@ -126,7 +140,68 @@ func TestMeshFaultEqualityProperty(t *testing.T) {
 		if stats.Retries == 0 {
 			t.Errorf("seed %d: no retries recorded; the fault injection did not engage", seed)
 		}
+		checkNUPDRUnderFaults(t, seed, wantNUPDR)
 	}
+}
+
+// nupdrPropConfig is a graded mesh of about 10 000 elements in some twenty
+// quad-tree leaves.
+var nupdrPropConfig = meshgen.NUPDRConfig{TargetElements: 7000, MaxLeafElems: 500, Quality: true}
+
+// checkNUPDRUnderFaults runs ONUPDR on seed's fault schedule and checks it
+// makes want, the in-core build's mesh on one PE: the same counts and
+// quality report, the method's name aside.
+func checkNUPDRUnderFaults(t *testing.T, seed int64, want meshgen.Result) {
+	t.Helper()
+	vclk := clock.NewVirtual()
+	defer vclk.Stop()
+	cl, err := cluster.New(faultConfig(seed, vclk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := meshgen.RunONUPDR(cl, nupdrPropConfig)
+	stats := cl.SwapStats()
+	cl.Close()
+	if err != nil {
+		t.Fatalf("seed %d: ONUPDR: %v", seed, err)
+	}
+	t.Logf("seed %d: %v, %d evictions, %d loads, %d retries", seed, got, got.Mem.Evictions, got.Mem.Loads, stats.Retries)
+	if got.Mem.Evictions == 0 || stats.Retries == 0 {
+		t.Errorf("seed %d: ONUPDR made %d evictions and %d retries; the property was not exercised", seed, got.Mem.Evictions, stats.Retries)
+	}
+	if got.Elements != want.Elements || got.Vertices != want.Vertices || !got.Conforming {
+		t.Errorf("seed %d: ONUPDR has %d elements, %d vertices, conforming %v; 1-PE NUPDR %d, %d",
+			seed, got.Elements, got.Vertices, got.Conforming, want.Elements, want.Vertices)
+	}
+	if reportJSON(t, got.Quality) != reportJSON(t, want.Quality) {
+		t.Errorf("seed %d: ONUPDR's report differs from 1-PE NUPDR's, NUPDR | ONUPDR:\n%s",
+			seed, meshgen.QualityDiff(want.Quality, got.Quality))
+	}
+	if stats.ObjectsLost != 0 || stats.LoadFailures != 0 || stats.StoreFailures != 0 {
+		t.Errorf("seed %d: transient faults leaked into ONUPDR's SwapStats: %+v", seed, stats)
+	}
+}
+
+// reportJSON is q as JSON without the method's name.
+func reportJSON(t *testing.T, q *meshgen.Quality) string {
+	t.Helper()
+	if q == nil {
+		t.Fatal("a run without a quality report")
+	}
+	var m map[string]any
+	b, err := json.Marshal(q)
+	if err == nil {
+		err = json.Unmarshal(b, &m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(m, "method")
+	b, err = json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestMeshFaultEqualityPropertyTiered repeats the equality property on the
