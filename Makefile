@@ -31,9 +31,11 @@ test:
 # times (schedule-dependent failures hide at -count=1: a tier lease leak
 # once failed one TestConcurrentHammer run in six); the mesh store's
 # readers on one processor (one worker, a window of two: nothing hides a
-# worker that never yields); the control layer on one processor (nothing
-# runs unless somebody yields) and three times on two (object ownership is
-# about pairs of workers); the cluster and the simulator on one.
+# worker that never yields); meshgen's in-core builds on one processor (the
+# task pool's workers and the goroutine that submits to it share it); the
+# control layer on one processor (nothing runs unless somebody yields) and
+# three times on two (object ownership is about pairs of workers); the
+# cluster and the simulator on one.
 RACE_PKGS = ./internal/core/... ./internal/ooc/... ./internal/storage/... \
 	./internal/swapio/... ./internal/comm/... ./internal/cluster/... \
 	./internal/sched/... ./internal/meshgen/... ./internal/obs/... \
@@ -44,6 +46,7 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=3 ./internal/tier/... ./internal/ooc/... ./internal/core/... ./internal/storage/... ./internal/planes/... ./internal/meshgen/... ./internal/meshstore/...
 	GOMAXPROCS=1 $(GO) test -race ./internal/meshstore/... ./internal/meshgen/ -run 'Scan|Verify|Restore|Export|Dump'
+	GOMAXPROCS=1 $(GO) test -race ./internal/meshgen -run 'Test(RunUPDR|RunNUPDR|RunPCDM|GoldenRuns)'
 	GOMAXPROCS=1 $(GO) test -race ./internal/core/...
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/core/...
 	GOMAXPROCS=1 $(GO) test -race ./internal/cluster/... ./internal/sim/...

@@ -140,7 +140,7 @@ func main() {
 		fatalf("membership: %v", err)
 	}
 	if *restore {
-		if err := d.Restore(ckStore, "ck"); err != nil {
+		if err := rt.Restore(ckStore, "ck"); err != nil {
 			fatalf("restore: %v", err)
 		}
 		logf(tn, "restored %d blocks from checkpoint", rt.NumLocalObjects())
@@ -198,7 +198,7 @@ func main() {
 			}
 			// Checkpoint at every barrier so a later incarnation can resume
 			// from whichever phase the process died after.
-			if err := d.Checkpoint(ckStore, "ck"); err != nil {
+			if err := rt.Checkpoint(ckStore, "ck"); err != nil {
 				fatalf("checkpoint: %v", err)
 			}
 			logf(tn, "phase %d done: %d elements local", k, d.Elements())

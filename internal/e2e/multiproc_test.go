@@ -166,7 +166,7 @@ func killRejoin(t *testing.T) {
 	// Kill node 2 at the barrier: checkpoint (what a worker process does at
 	// every phase boundary), then tear the whole node down.
 	ck := storage.NewMem()
-	if err := w2.d.Checkpoint(ck, "ck"); err != nil {
+	if err := w2.rt.Checkpoint(ck, "ck"); err != nil {
 		t.Fatalf("checkpoint node 2: %v", err)
 	}
 	if err := w2.rt.Close(); err != nil {
@@ -179,7 +179,7 @@ func killRejoin(t *testing.T) {
 	if w2b.tn.Node() != 2 {
 		t.Fatalf("rejoin assigned node %d, want 2", w2b.tn.Node())
 	}
-	if err := w2b.d.Restore(ck, "ck"); err != nil {
+	if err := w2b.rt.Restore(ck, "ck"); err != nil {
 		t.Fatalf("restore node 2: %v", err)
 	}
 	// The placement deals block idx to node idx mod e2eNodes.

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -309,8 +311,9 @@ func recodeFlate(t *testing.T, dir string) {
 }
 
 // TestRestoreFlateStore: a store whose frames are all codec 1, as every
-// store written before the plane codec is, still verifies deeply and
-// restores N→M with the digest it was exported under.
+// store written before the plane codec is, fails loudly: Verify reports
+// problems with every chunk, and the restore refuses it with an error that
+// names the codec, rather than restoring any of it.
 func TestRestoreFlateStore(t *testing.T) {
 	dir := t.TempDir()
 	man := exportInProc(t, 3, dir, nil)
@@ -328,10 +331,22 @@ func TestRestoreFlateStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK() || rep.Partial || rep.MeshHash != man.MeshHash {
-		t.Fatalf("flate store verify: problems=%v partial=%v hash %s, exported %s", rep.Problems, rep.Partial, rep.MeshHash, man.MeshHash)
+	for _, c := range man.Chunks {
+		if !slices.ContainsFunc(rep.Problems, func(p string) bool { return strings.Contains(p, c.Name) }) {
+			t.Fatalf("flate store verify names no problem with %s: %v", c.Name, rep.Problems)
+		}
 	}
-	if got := restoreInProc(t, 2, dir, nil); got != man.MeshHash {
-		t.Fatalf("flate store restored to %s, exported %s", got, man.MeshHash)
+	st, err := meshstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	tr := comm.NewInProc(2, comm.LatencyModel{})
+	rts := make([]*core.Runtime, 2)
+	for i := range rts {
+		rts[i], _ = nmRuntime(t, tr, 2, i, nil)
+	}
+	if _, err := meshgen.RestoreOnto(rts, st); err == nil || !strings.Contains(err.Error(), "codec 1") {
+		t.Fatalf("flate store restore: err=%v, want a refusal naming codec 1", err)
 	}
 }

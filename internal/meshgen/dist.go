@@ -11,7 +11,6 @@ import (
 	"mrts/internal/core"
 	"mrts/internal/mesh"
 	"mrts/internal/meshstore"
-	"mrts/internal/storage"
 	"mrts/internal/workload"
 )
 
@@ -78,7 +77,8 @@ type Dist struct {
 
 // NewDist computes the placement table and registers the OUPDR handlers on
 // rt. It does not create objects: call CreateBlocks on a fresh start, or
-// Restore when relaunching from a checkpoint.
+// rt.Restore when relaunching from a checkpoint that rt.Checkpoint wrote at
+// a phase barrier.
 func NewDist(rt *core.Runtime, cfg DistConfig) (*Dist, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -90,14 +90,12 @@ func NewDist(rt *core.Runtime, cfg DistConfig) (*Dist, error) {
 }
 
 // exportBlock frames one block into a store chunk: its report's digest for
-// offline verification, and the block's full encoded state, with meshData
-// as its mesh, as the payload a rank-independent restore re-creates it from.
-func exportBlock(w *meshstore.Writer, b BlockDump, o *blockObj, meshData []byte) error {
-	framed := *o // the dump pass reads its block only
-	framed.MeshData = meshData
-	bw := bufpool.GetWriter(framed.SizeHint())
+// offline verification, and the block's full encoded state as the payload
+// a rank-independent restore re-creates it from.
+func exportBlock(w *meshstore.Writer, b BlockDump, o *blockObj) error {
+	bw := bufpool.GetWriter(o.SizeHint())
 	defer bufpool.PutWriter(bw)
-	if err := framed.EncodeTo(bw); err != nil {
+	if err := o.EncodeTo(bw); err != nil {
 		return err
 	}
 	return w.Append(meshstore.BlockKey(b.I, b.J), b.I, b.J, b.Elements, b.Hash, bw.Bytes())
@@ -114,20 +112,8 @@ func hashMesh(data []byte) []byte {
 	return d
 }
 
-// canonicalMesh returns a block's mesh encoding in canonical order
-// (mesh.Canonicalize) and its digest, hashMesh's: data itself when it
-// already is canonical, or does not decode. A block stored before blocks
-// were stored canonical takes this path on a dump or an export.
-func canonicalMesh(data []byte) (canon, digest []byte) {
-	canon, digest, err := mesh.Canonicalize(data)
-	if err != nil {
-		return data, undecodableDigest(data)
-	}
-	return canon, digest
-}
-
-// canonicalOf is canonicalMesh of m's encoding, written straight from m
-// (mesh.EncodeCanonical): the same bytes and digest, and for a mesh whose
+// canonicalOf is m's encoding in canonical order, written straight from m
+// (mesh.EncodeCanonical), and its digest, hashMesh's; for a mesh whose
 // encoding would not decode, that encoding and its undecodableDigest.
 func canonicalOf(m *mesh.Mesh) (canon, digest []byte) {
 	canon, digest, err := m.EncodeCanonical()
@@ -215,17 +201,6 @@ func (d *Dist) Mismatches() int64 { return d.sh.mismatch.Load() }
 // Err returns, and forgets, the first error a block handler on this node met:
 // a block that failed to mesh or an interface payload it could not read.
 func (d *Dist) Err() error { return d.sh.meshErr.take() }
-
-// Checkpoint writes the node's state into st at a phase barrier.
-func (d *Dist) Checkpoint(st storage.Store, prefix string) error {
-	return d.rt.Checkpoint(st, prefix)
-}
-
-// Restore rebuilds the node from a checkpoint written by Checkpoint; the
-// runtime must be fresh (NewDist registered handlers, no objects created).
-func (d *Dist) Restore(st storage.Store, prefix string) error {
-	return d.rt.Restore(st, prefix)
-}
 
 // StoreMeta is the manifest meta for this run's generation parameters —
 // what a rank-independent restore needs, and nothing about the node count.

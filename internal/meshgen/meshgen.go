@@ -14,8 +14,9 @@
 //     decomposition with asynchronous small "split" messages — fully
 //     unstructured communication.
 //
-// The plain names are the traditional in-core parallel builds (goroutines +
-// channels standing in for MPI ranks); the O-prefixed builds run on the MRTS
+// The plain names are the traditional in-core parallel builds: each runs its
+// pieces as tasks on one pool of PE workers of the computing layer (package
+// sched), standing in for MPI ranks; the O-prefixed builds run on the MRTS
 // (package core) with the dataset decomposed into mobile objects, and can
 // execute problems larger than the per-node memory budget by swapping
 // subdomains to the storage layer.

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"mrts/internal/delaunay"
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
 	"mrts/internal/quadtree"
+	"mrts/internal/sched"
 	"mrts/internal/workload"
 )
 
@@ -337,10 +338,11 @@ func mismatches(cycle []geom.Point, fixed []fixedPortion) int {
 	return n
 }
 
-// RunNUPDR executes the in-core non-uniform method: workers mesh the
-// leaves of the quad-tree, each reusing the boundary points its finished
-// predecessors fixed (the buffer-zone data), fed from a ready list of the
-// leaves whose predecessors have all finished (leafPlan).
+// RunNUPDR executes the in-core non-uniform method: the leaves of the
+// quad-tree are meshed as tasks on a pool of PE workers, each reusing the
+// boundary points its finished predecessors fixed (the buffer-zone data).
+// A leaf's task is spawned by the task of its last predecessor to finish
+// (leafPlan); the leaves with none are submitted at the start.
 func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -352,93 +354,59 @@ func RunNUPDR(cfg NUPDRConfig) (Result, error) {
 	n := len(plan.Rects)
 	qr := newQualityIf(cfg.Quality, cfg.QualityBound)
 
-	// boundary[i] is the cycle leaf i was meshed with. The loop below
-	// writes it before it sends any successor of i to a worker, which reads
-	// it from there.
+	// boundary[i] is the cycle leaf i was meshed with. Leaf i's task writes
+	// it before it counts i off its successors, whose tasks read it.
 	boundary := make([][]geom.Point, n)
-	type result struct {
-		idx                      int32
-		cycle                    []geom.Point
-		elems, verts, mismatches int
-		err                      error
-	}
-	jobs := make(chan int32)
-	results := make(chan result)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.PEs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				var fixed []fixedPortion
-				for _, nb := range plan.Nbs[i] {
-					if nb < i {
-						if f, ok := portionOf(plan.Rects[i], plan.Rects[nb], boundary[nb]); ok {
-							fixed = append(fixed, f)
-						}
-					}
+	waiting := make([]atomic.Int32, n) // each leaf's unfinished predecessors
+	var elements, vertices, mismatched atomic.Int64
+	var errs firstErr
+	var meshTask func(c *sched.Ctx, i int32)
+	meshTask = func(c *sched.Ctx, i int32) {
+		var fixed []fixedPortion
+		for _, nb := range plan.Nbs[i] {
+			if nb < i {
+				if f, ok := portionOf(plan.Rects[i], plan.Rects[nb], boundary[nb]); ok {
+					fixed = append(fixed, f)
 				}
-				m, cycle, err := meshLeaf(plan.Rects[i], &size, cfg.QualityBound, fixed)
-				if err != nil {
-					results <- result{idx: i, err: err}
-					continue
-				}
-				res := result{idx: i, cycle: cycle, elems: m.NumTriangles(), verts: m.NumVertices(),
-					mismatches: mismatches(cycle, fixed)}
-				qr.Add(m, size.At)
-				m.Recycle()
-				results <- res
 			}
-		}()
+		}
+		m, cycle, err := meshLeaf(plan.Rects[i], &size, cfg.QualityBound, fixed)
+		if err != nil {
+			errs.set(err)
+			return
+		}
+		elements.Add(int64(m.NumTriangles()))
+		vertices.Add(int64(m.NumVertices()))
+		mismatched.Add(int64(mismatches(cycle, fixed)))
+		qr.Add(m, size.At)
+		m.Recycle()
+		boundary[i] = cycle
+		for _, s := range plan.Nbs[i] {
+			if s > i && waiting[s].Add(-1) == 0 {
+				c.Spawn(func(c *sched.Ctx) { meshTask(c, s) })
+			}
+		}
 	}
-
-	waiting := make([]int, n) // each leaf's unfinished predecessors
-	var ready []int32
 	for i := range waiting {
-		if waiting[i] = plan.preds(i); waiting[i] == 0 {
-			ready = append(ready, int32(i))
+		waiting[i].Store(int32(plan.preds(i)))
+	}
+	pool := sched.NewGlobalQueue(cfg.PEs)
+	for i := range waiting {
+		if plan.preds(i) == 0 {
+			pool.Submit(func(c *sched.Ctx) { meshTask(c, int32(i)) })
 		}
 	}
-	var elements, vertices, mismatched int
-	var firstErr error
-	for done := 0; done < n; {
-		var send chan<- int32 // nil, so never chosen, while nothing is ready
-		var next int32
-		if len(ready) > 0 {
-			send, next = jobs, ready[0]
-		}
-		select {
-		case send <- next:
-			ready = ready[1:]
-		case res := <-results:
-			done++
-			if res.err != nil && firstErr == nil {
-				firstErr = res.err
-			}
-			boundary[res.idx] = res.cycle
-			elements += res.elems
-			vertices += res.verts
-			mismatched += res.mismatches
-			for _, s := range plan.Nbs[res.idx] {
-				if s > res.idx {
-					if waiting[s]--; waiting[s] == 0 {
-						ready = append(ready, s)
-					}
-				}
-			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return Result{}, firstErr
+	pool.Wait()
+	pool.Close()
+	if err := errs.take(); err != nil {
+		return Result{}, err
 	}
 
-	conforming := mismatched == 0
+	conforming := mismatched.Load() == 0
 	return Result{
 		Method:     "NUPDR",
-		Elements:   elements,
-		Vertices:   vertices,
+		Elements:   int(elements.Load()),
+		Vertices:   int(vertices.Load()),
 		Subdomains: n,
 		PEs:        cfg.PEs,
 		Elapsed:    time.Since(start),

@@ -1,7 +1,6 @@
 package meshgen
 
 import (
-	"bytes"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -178,27 +177,19 @@ type blockShared struct {
 	quality *Quality
 
 	mu      sync.Mutex
-	digests []blockSlot       // indexed j*nb+i; Hash "" until the block is digested
+	digests []BlockDump       // indexed j*nb+i; Hash "" until the block is digested
 	pass    []BlockDump       // reports of the dump pass in progress
 	export  *meshstore.Writer // non-nil: the dump pass also frames each block
 	expErr  firstErr          // first export error of the dump pass
 }
 
-// blockSlot is what a node knows of one of its blocks: its digest, and
-// whether the mesh it holds is raw — not in canonical order, as a block
-// restored from a store written before blocks were holds it.
-type blockSlot struct {
-	BlockDump
-	raw bool
-}
-
 func newBlockShared(nb int) *blockShared {
-	return &blockShared{nb: nb, digests: make([]blockSlot, nb*nb)}
+	return &blockShared{nb: nb, digests: make([]BlockDump, nb*nb)}
 }
 
 // slot returns block (i, j)'s digest slot, nil off the grid. The caller
 // holds sh.mu.
-func (sh *blockShared) slot(i, j int) *blockSlot {
+func (sh *blockShared) slot(i, j int) *BlockDump {
 	if i < 0 || j < 0 || i >= sh.nb || j >= sh.nb {
 		return nil
 	}
@@ -214,10 +205,10 @@ func (sh *blockShared) record(b BlockDump) error {
 	switch {
 	case s == nil:
 		return fmt.Errorf("meshgen: block (%d,%d) is off the %d×%d grid", b.I, b.J, sh.nb, sh.nb)
-	case s.Hash != "" && s.BlockDump != b:
-		return fmt.Errorf("meshgen: block (%d,%d) digested twice, differently: %v, then %v", b.I, b.J, s.BlockDump, b)
+	case s.Hash != "" && *s != b:
+		return fmt.Errorf("meshgen: block (%d,%d) digested twice, differently: %v, then %v", b.I, b.J, *s, b)
 	}
-	*s = blockSlot{BlockDump: b}
+	*s = b
 	return nil
 }
 
@@ -229,7 +220,7 @@ func (sh *blockShared) meshed() []BlockDump {
 	var out []BlockDump
 	for _, s := range sh.digests {
 		if s.Hash != "" {
-			out = append(out, s.BlockDump)
+			out = append(out, s)
 		}
 	}
 	return out
@@ -239,45 +230,36 @@ func (sh *blockShared) meshed() []BlockDump {
 func (sh *blockShared) digest(idx int) (BlockDump, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	b := sh.digests[idx].BlockDump
+	b := sh.digests[idx]
 	return b, b.Hash != ""
 }
 
-// report adds block o to the dump pass in progress and returns its report,
-// the pass's export writer and o's mesh in canonical order, for the export.
-// The report carries the digest taken when o was meshed; a block without
-// one is hashed from the bytes just read, and that digest is kept. Bytes
-// that are not canonical (a block restored from a store written before
-// blocks were) are canonicalized for the digest and marked raw, and a raw
-// block is canonicalized again by each export that frames it: a read-only
-// handler cannot store the canonical bytes. So an export frames every
-// block canonical.
-func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer, []byte) {
+// report adds block o to the dump pass in progress and returns its report
+// and the pass's export writer. The report carries the digest taken when o
+// was meshed; a block without one (a restored block) is hashed from the
+// bytes just read, and that digest is kept. An export frames the block's
+// bytes as they are: a block restored from a store written before blocks
+// were stored canonical keeps its old order, under the same digest.
+func (sh *blockShared) report(o *blockObj) (BlockDump, *meshstore.Writer) {
 	i, j := gridIJ(o.Rect, sh.nb)
-	var slot blockSlot
+	var b BlockDump
 	sh.mu.Lock()
 	s := sh.slot(i, j)
 	if s != nil {
-		slot = *s
+		b = *s
 	}
 	w := sh.export
 	sh.mu.Unlock()
-	meshData := o.MeshData
-	if slot.Hash == "" || slot.raw && w != nil {
-		canon, digest := canonicalMesh(o.MeshData)
-		if slot.Hash == "" {
-			slot = blockSlot{BlockDump: BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(digest)},
-				raw: !bytes.Equal(canon, o.MeshData)}
-		}
-		meshData = canon
+	if b.Hash == "" {
+		b = BlockDump{I: i, J: j, Elements: o.Elements, Hash: hex.EncodeToString(hashMesh(o.MeshData))}
 	}
 	sh.mu.Lock()
 	if s != nil && s.Hash == "" {
-		*s = slot
+		*s = b
 	}
-	sh.pass = append(sh.pass, slot.BlockDump)
+	sh.pass = append(sh.pass, b)
 	sh.mu.Unlock()
-	return slot.BlockDump, w, meshData
+	return b, w
 }
 
 // begin starts a dump pass: no reports, exporting into w if it is non-nil.
@@ -345,11 +327,11 @@ func registerBlockHandlers(rt *core.Runtime, sh *blockShared) {
 	// block reloaded for it is dropped afterwards instead of written again.
 	rt.RegisterReadOnly(hBlockDump, func(c *core.Ctx, arg []byte) {
 		o := c.Object().(*blockObj)
-		b, w, meshData := sh.report(o)
+		b, w := sh.report(o)
 		if w == nil {
 			return
 		}
-		if err := exportBlock(w, b, o, meshData); err != nil {
+		if err := exportBlock(w, b, o); err != nil {
 			sh.expErr.set(err)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"mrts/internal/delaunay"
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
+	"mrts/internal/sched"
 	"mrts/internal/workload"
 )
 
@@ -128,107 +129,65 @@ var refine = refineSubdomain
 type subdomainState struct {
 	mu        sync.Mutex
 	rect      geom.Rect
+	nbs       [4]int // left, right, bottom and top neighbours' indices; -1 on the grid's edge
 	m         *mesh.Mesh
 	since     int // refineSubdomain's since for m; 0: judge every triangle
 	pending   []geom.Point
-	scheduled bool
+	scheduled bool // a task for the subdomain is queued or running
+}
+
+// pcdmRun is one in-core PCDM run: its subdomains (indexed j*g+i) and the
+// first error a task returned.
+type pcdmRun struct {
+	subs          []*subdomainState
+	maxArea, beta float64
+	err           firstErr
 }
 
 // RunPCDM executes the in-core constrained Delaunay method: subdomains
-// refined by a PE worker pool, interface splits exchanged as small
-// asynchronous messages until the system goes quiet.
+// refined as tasks on a pool of PE workers, interface splits exchanged as
+// small asynchronous messages until the system goes quiet.
 func RunPCDM(cfg PCDMConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
 	g := cfg.Grid
-	maxArea := workload.UniformAreaFor(cfg.TargetElements, 1.0)
-
-	subs := make([]*subdomainState, g*g)
+	r := &pcdmRun{
+		subs:    make([]*subdomainState, g*g),
+		maxArea: workload.UniformAreaFor(cfg.TargetElements, 1.0),
+		beta:    cfg.QualityBound,
+	}
 	for j := 0; j < g; j++ {
 		for i := 0; i < g; i++ {
-			subs[j*g+i] = &subdomainState{rect: blockRect(g, i, j)}
-		}
-	}
-	nbIndex := func(idx, side int) int {
-		i, j := idx%g, idx/g
-		switch side {
-		case sideLeft:
-			i--
-		case sideRight:
-			i++
-		case sideBottom:
-			j--
-		case sideTop:
-			j++
-		}
-		if i < 0 || i >= g || j < 0 || j >= g {
-			return -1
-		}
-		return j*g + i
-	}
-
-	type task struct{ idx int }
-	var wg sync.WaitGroup // counts outstanding tasks
-	tasks := make(chan task, g*g*4)
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	// schedule enqueues a task for idx if none is queued or running.
-	var schedule func(idx int)
-	schedule = func(idx int) {
-		s := subs[idx]
-		s.mu.Lock()
-		if s.scheduled {
-			s.mu.Unlock()
-			return
-		}
-		s.scheduled = true
-		s.mu.Unlock()
-		wg.Add(1)
-		tasks <- task{idx}
-	}
-
-	var workersWG sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < cfg.PEs; w++ {
-		workersWG.Add(1)
-		go func() {
-			defer workersWG.Done()
-			for {
-				select {
-				case t := <-tasks:
-					runPCDMTask(subs, t.idx, maxArea, cfg.QualityBound, g, nbIndex, schedule, fail)
-					wg.Done()
-				case <-stop:
-					return
+			s := &subdomainState{rect: blockRect(g, i, j), nbs: [4]int{j*g + i - 1, j*g + i + 1, (j-1)*g + i, (j+1)*g + i}}
+			for side, on := range [4]bool{i > 0, i+1 < g, j > 0, j+1 < g} {
+				if !on {
+					s.nbs[side] = -1
 				}
 			}
-		}()
+			r.subs[j*g+i] = s
+		}
 	}
 
-	for idx := range subs {
-		schedule(idx)
-	}
-	wg.Wait() // all tasks (including cascaded split tasks) done
-	close(stop)
-	workersWG.Wait()
-	if firstErr != nil {
-		return Result{}, firstErr
+	// One task schedules every subdomain, in index order: on one PE all of
+	// them are queued before the first refinement sends a split.
+	pool := sched.NewGlobalQueue(cfg.PEs)
+	pool.Submit(func(c *sched.Ctx) {
+		for idx := range r.subs {
+			r.schedule(c, idx)
+		}
+	})
+	pool.Wait() // every task, the cascaded split tasks included, is done
+	pool.Close()
+	if err := r.err.take(); err != nil {
+		return Result{}, err
 	}
 
-	reports := make([]subdomainReport, len(subs))
+	reports := make([]subdomainReport, len(r.subs))
 	elements, vertices := 0, 0
-	q, target := newQualityIf(cfg.Quality, cfg.QualityBound), uniformTarget(maxArea)
-	for idx, s := range subs {
+	q, target := newQualityIf(cfg.Quality, cfg.QualityBound), uniformTarget(r.maxArea)
+	for idx, s := range r.subs {
 		rep, err := reportOf(s.rect, s.m)
 		if err != nil {
 			return Result{}, err
@@ -251,34 +210,48 @@ func RunPCDM(cfg PCDMConfig) (Result, error) {
 	}, nil
 }
 
+// schedule spawns a task for subdomain idx unless one is queued or running.
+func (r *pcdmRun) schedule(c *sched.Ctx, idx int) {
+	s := r.subs[idx]
+	s.mu.Lock()
+	if s.scheduled {
+		s.mu.Unlock()
+		return
+	}
+	s.scheduled = true
+	s.mu.Unlock()
+	c.Spawn(func(c *sched.Ctx) {
+		if err := r.runPCDMTask(c, idx); err != nil {
+			r.err.set(err)
+		}
+	})
+}
+
 // runPCDMTask processes one subdomain: drain pending splits, refine,
 // dispatch outgoing splits.
-func runPCDMTask(subs []*subdomainState, idx int, maxArea, beta float64, g int,
-	nbIndex func(int, int) int, schedule func(int), fail func(error)) {
-	s := subs[idx]
+func (r *pcdmRun) runPCDMTask(c *sched.Ctx, idx int) error {
+	s := r.subs[idx]
 	s.mu.Lock()
 	splits := s.pending
 	s.pending = nil
 	if s.m == nil {
 		m, err := newSubdomainMesh(s.rect)
 		if err != nil {
-			s.scheduled = false
 			s.mu.Unlock()
-			fail(err)
-			return
+			return err
 		}
 		s.m = m
 	}
-	m, rect, since := s.m, s.rect, s.since
+	m, since := s.m, s.since
 	s.mu.Unlock()
 
 	var hasNb [4]bool
-	for side := 0; side < 4; side++ {
-		hasNb[side] = nbIndex(idx, side) >= 0
+	for side, nb := range s.nbs {
+		hasNb[side] = nb >= 0
 	}
-	out, since, err := refine(m, rect, splits, since, maxArea, beta, hasNb)
+	out, since, err := refine(m, s.rect, splits, since, r.maxArea, r.beta, hasNb)
 	if err != nil {
-		fail(err)
+		return err
 	}
 
 	s.mu.Lock()
@@ -288,23 +261,20 @@ func runPCDMTask(subs []*subdomainState, idx int, maxArea, beta float64, g int,
 	s.mu.Unlock()
 
 	// Ship aggregated split messages to the neighbors.
-	for side := 0; side < 4; side++ {
-		if len(out[side]) == 0 {
+	for side, nb := range s.nbs {
+		if len(out[side]) == 0 || nb < 0 {
 			continue
 		}
-		nb := nbIndex(idx, side)
-		if nb < 0 {
-			continue
-		}
-		ns := subs[nb]
+		ns := r.subs[nb]
 		ns.mu.Lock()
 		ns.pending = append(ns.pending, out[side]...)
 		ns.mu.Unlock()
-		schedule(nb)
+		r.schedule(c, nb)
 	}
 	if more {
-		schedule(idx)
+		r.schedule(c, idx)
 	}
+	return nil
 }
 
 // subdomainCorner is the vertex of a subdomain mesh at its rectangle's Min

@@ -229,12 +229,21 @@ func TestRunOPCDMReportsRefineError(t *testing.T) {
 	}
 }
 
-// TestRunOUPDRReportsMeshError: the error a block's meshing returns is the
-// run's error, not a bare "produced no elements".
+// TestRunOUPDRReportsMeshError: the error a block's or a leaf's meshing
+// returns is the run's error, not a bare "produced no elements", in both
+// builds of UPDR and of NUPDR.
 func TestRunOUPDRReportsMeshError(t *testing.T) {
-	_, err := RunOUPDR(newTestCluster(t, 2, 1<<30), UPDRConfig{Blocks: 2, TargetElements: 2000, QualityBound: 0.5})
-	if !errors.Is(err, delaunay.ErrBadOptions) {
-		t.Fatalf("err = %v, want %v", err, delaunay.ErrBadOptions)
+	updr := UPDRConfig{Blocks: 2, TargetElements: 2000, PEs: 2, QualityBound: 0.5}
+	nupdr := NUPDRConfig{TargetElements: 2000, PEs: 2, QualityBound: 0.5}
+	for name, run := range map[string]func() (Result, error){
+		"RunUPDR":   func() (Result, error) { return RunUPDR(updr) },
+		"RunOUPDR":  func() (Result, error) { return RunOUPDR(newTestCluster(t, 2, 1<<30), updr) },
+		"RunNUPDR":  func() (Result, error) { return RunNUPDR(nupdr) },
+		"RunONUPDR": func() (Result, error) { return RunONUPDR(newTestCluster(t, 2, 1<<30), nupdr) },
+	} {
+		if _, err := run(); !errors.Is(err, delaunay.ErrBadOptions) {
+			t.Fatalf("%s: err = %v, want %v", name, err, delaunay.ErrBadOptions)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package meshgen
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"mrts/internal/geom"
 	"mrts/internal/mesh"
 	"mrts/internal/meshstore"
+	"mrts/internal/sched"
 	"mrts/internal/workload"
 )
 
@@ -22,7 +22,8 @@ type UPDRConfig struct {
 	Blocks int
 	// TargetElements is the approximate total element count.
 	TargetElements int
-	// PEs is the number of processing elements (worker goroutines).
+	// PEs is the number of processing elements: the workers of
+	// RunUPDR's task pool.
 	PEs int
 	// QualityBound is the radius-edge bound (0 = default √2).
 	QualityBound float64
@@ -108,25 +109,33 @@ type blockMesh struct {
 	hull []geom.Point // the mesh's boundary vertices, counter-clockwise
 }
 
+// edge returns the block's right (side 0) or top (side 1) edge, the one it
+// shares with that neighbour.
+func (b *blockMesh) edge(side int) (a, c geom.Point) {
+	if side == 0 {
+		return geom.Pt(b.rect.Max.X, b.rect.Min.Y), b.rect.Max
+	}
+	return geom.Pt(b.rect.Min.X, b.rect.Max.Y), b.rect.Max
+}
+
 // interfacePoints returns the block's boundary points on the given side
 // (0=right edge, 1=top edge), for interface exchange with the neighbor.
 func (b *blockMesh) interfacePoints(side int) []geom.Point {
-	var a, c geom.Point
-	switch side {
-	case 0: // right edge
-		a = geom.Pt(b.rect.Max.X, b.rect.Min.Y)
-		c = b.rect.Max
-	default: // top edge
-		a = geom.Pt(b.rect.Min.X, b.rect.Max.Y)
-		c = b.rect.Max
-	}
+	a, c := b.edge(side)
 	return edgePointsOn(b.hull, a, c)
 }
 
-// RunUPDR executes the in-core uniform method: blocks are meshed in parallel
-// by PE workers, then neighbors exchange interface point sets and verify
-// conformity (the structured communication + global synchronization phase of
-// the paper's UPDR).
+// conformsWith reports whether nbr, the block's neighbour across side,
+// holds the block's interface points on their shared edge.
+func (b *blockMesh) conformsWith(nbr *blockMesh, side int) bool {
+	a, c := b.edge(side)
+	return samePoints(edgePointsOn(nbr.hull, a, c), b.interfacePoints(side))
+}
+
+// RunUPDR executes the in-core uniform method: blocks are meshed in parallel,
+// one task each on a pool of PE workers, then every block's right and top
+// interface point sets are checked against its neighbours' (the structured
+// communication + global synchronization phase of the paper's UPDR).
 func RunUPDR(cfg UPDRConfig) (Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return Result{}, err
@@ -137,86 +146,49 @@ func RunUPDR(cfg UPDRConfig) (Result, error) {
 
 	blocks := make([]*blockMesh, nb*nb)
 	var elements, vertices atomic.Int64
+	var errs firstErr
 	q := newQualityIf(cfg.Quality, cfg.QualityBound)
 	target := constTarget(h)
 
 	// Phase 1: mesh blocks in parallel.
-	type job struct{ i, j int }
-	jobs := make(chan job, nb*nb)
+	pool := sched.NewGlobalQueue(cfg.PEs)
 	for j := 0; j < nb; j++ {
 		for i := 0; i < nb; i++ {
-			jobs <- job{i, j}
-		}
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.PEs)
-	for w := 0; w < cfg.PEs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for jb := range jobs {
-				bm, err := meshBlock(blockRect(nb, jb.i, jb.j), h, cfg.QualityBound)
+			pool.Submit(func(*sched.Ctx) {
+				bm, err := meshBlock(blockRect(nb, i, j), h, cfg.QualityBound)
 				if err != nil {
-					errs <- err
+					errs.set(err)
 					return
 				}
 				elements.Add(int64(bm.mesh.NumTriangles()))
 				vertices.Add(int64(bm.mesh.NumVertices()))
 				q.Add(bm.mesh, target)
-				blocks[jb.j*nb+jb.i] = bm
-			}
-		}()
+				blocks[j*nb+i] = bm
+			})
+		}
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+	pool.Wait()
+	pool.Close()
+	if err := errs.take(); err != nil {
 		return Result{}, err
-	default:
 	}
 
-	// Phase 2 (global synchronization + structured exchange): each block
-	// sends its right/top interface point sets to the respective neighbor,
-	// which verifies them against its own.
+	// Phase 2 (global synchronization + structured exchange): each block's
+	// right and top interface point sets are checked against the points
+	// its neighbour holds on the same edge.
 	conforming := true
-	type xfer struct {
-		dst  int
-		side int
-		pts  []geom.Point
-	}
-	ch := make(chan xfer, nb*nb*2)
 	for j := 0; j < nb; j++ {
 		for i := 0; i < nb; i++ {
 			b := blocks[j*nb+i]
-			if i+1 < nb {
-				ch <- xfer{dst: j*nb + i + 1, side: 0, pts: b.interfacePoints(0)}
-			}
-			if j+1 < nb {
-				ch <- xfer{dst: (j+1)*nb + i, side: 1, pts: b.interfacePoints(1)}
+			if i+1 < nb && !b.conformsWith(blocks[j*nb+i+1], 0) || j+1 < nb && !b.conformsWith(blocks[(j+1)*nb+i], 1) {
+				conforming = false
 			}
 		}
 	}
-	close(ch)
-	for x := range ch {
-		dst := blocks[x.dst]
-		var a, c geom.Point
-		if x.side == 0 { // neighbor's left edge
-			a = dst.rect.Min
-			c = geom.Pt(dst.rect.Min.X, dst.rect.Max.Y)
-		} else { // neighbor's bottom edge
-			a = dst.rect.Min
-			c = geom.Pt(dst.rect.Max.X, dst.rect.Min.Y)
-		}
-		mine := edgePointsOn(dst.hull, a, c)
-		if !samePoints(mine, x.pts) {
-			conforming = false
-		}
+	for _, b := range blocks {
+		b.mesh.Recycle()
 	}
 
-	for i, b := range blocks {
-		b.mesh.Recycle()
-		blocks[i] = nil
-	}
 	return Result{
 		Method:     "UPDR",
 		Elements:   int(elements.Load()),

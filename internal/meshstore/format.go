@@ -15,8 +15,8 @@
 //
 //   - Rank independence: nothing in a chunk or manifest binds a block to
 //     the node that wrote it. A mesh written by N nodes restores onto M
-//     nodes by repartitioning block keys through a fresh consistent-hash
-//     placement — the chunk a block came from is irrelevant.
+//     nodes by dealing the blocks afresh, block j·blocks+i to node
+//     (j·blocks+i) mod M — the chunk a block came from is irrelevant.
 //   - Streaming append: frames are written at irrevocable commit points
 //     while generation is still running, and readers tolerate a truncated
 //     trailing frame (a crash mid-append, or a read racing the writer), so
@@ -24,14 +24,11 @@
 package meshstore
 
 import (
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"sort"
-	"sync"
 
 	"mrts/internal/bufpool"
 	"mrts/internal/planes"
@@ -48,8 +45,8 @@ const (
 	// key, hash, and payload sections.
 	frameFixedLen = 60
 
-	// Frame codecs. Writers emit raw and planes frames only; flate frames
-	// are what stores written before the plane codec hold, and stay readable.
+	// Frame codecs. Codec 1 was DEFLATE, which stores written before the
+	// plane codec hold; readers refuse it.
 	codecRaw    = 0
 	codecFlate  = 1
 	codecPlanes = 2
@@ -57,9 +54,6 @@ const (
 	// maxPayloadBytes bounds both rawLen and encLen on decode so a corrupt
 	// or hostile frame header cannot drive an unbounded allocation.
 	maxPayloadBytes = 1 << 28
-	// maxInflateRatio bounds how far a DEFLATE stream expands: a match
-	// copies at most 258 bytes and costs at least two bits.
-	maxInflateRatio = 1032
 	// compressMin is the smallest payload worth running through the coder.
 	compressMin = 512
 	// maxManifestBytes bounds the manifest JSON decode (the merge path's
@@ -73,7 +67,7 @@ const (
 //
 //	off  len
 //	  0    4  magic "MSC1"
-//	  4    1  codec (0 raw, 1 flate, 2 planes)
+//	  4    1  codec (0 raw, 2 planes; 1, DEFLATE, is refused)
 //	  5    1  key length K
 //	  6    1  canonical-hash length H
 //	  7    1  reserved (0)
@@ -115,7 +109,11 @@ func parseFixed(b []byte) (frameHeader, int, int, error) {
 		return h, 0, 0, fmt.Errorf("meshstore: bad frame magic %q", b[0:4])
 	}
 	h.Codec = b[4]
-	if h.Codec > codecPlanes {
+	switch h.Codec {
+	case codecRaw, codecPlanes:
+	case codecFlate:
+		return h, 0, 0, fmt.Errorf("meshstore: frame codec 1 (DEFLATE, written before the plane codec) is no longer read")
+	default:
 		return h, 0, 0, fmt.Errorf("meshstore: unknown codec %d", h.Codec)
 	}
 	keyLen, hashLen := int(b[5]), int(b[6])
@@ -132,32 +130,6 @@ func parseFixed(b []byte) (frameHeader, int, int, error) {
 		return h, 0, 0, fmt.Errorf("meshstore: raw frame encLen %d != rawLen %d", h.EncLen, h.RawLen)
 	}
 	return h, keyLen, hashLen, nil
-}
-
-// flateReaderPool recycles inflate state for the codec-1 frames of stores
-// written before the plane codec.
-var flateReaderPool sync.Pool
-
-type byteSliceReader struct {
-	b []byte
-}
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
-}
-
-func (r *byteSliceReader) ReadByte() (byte, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c, nil
 }
 
 // decodeFrame parses one whole frame, which must hold block key, and decodes
@@ -192,15 +164,9 @@ func decodeFrame(frame []byte, key string, alloc func(int) []byte) ([]byte, erro
 // checkRawLen refuses a frame whose payload section cannot fill the raw
 // length its header claims. A reader calls it before it allocates RawLen
 // bytes, so a corrupt header costs no more than the frame it came in: plane
-// tokens are counted (planes.Check), and a DEFLATE stream cannot inflate
-// past maxInflateRatio times its length.
+// tokens are counted (planes.Check).
 func checkRawLen(h frameHeader, enc []byte) error {
-	switch h.Codec {
-	case codecFlate:
-		if h.RawLen > maxInflateRatio*len(enc) {
-			return fmt.Errorf("meshstore: frame %q: %d bytes cannot inflate to rawLen %d", h.Key, len(enc), h.RawLen)
-		}
-	case codecPlanes:
+	if h.Codec == codecPlanes {
 		if err := planes.Check(enc, h.RawLen); err != nil {
 			return fmt.Errorf("meshstore: frame %q: %w", h.Key, err)
 		}
@@ -218,24 +184,6 @@ func decodePayload(out []byte, h frameHeader, enc []byte) error {
 	switch h.Codec {
 	case codecRaw:
 		copy(out, enc)
-	case codecFlate:
-		fr, ok := flateReaderPool.Get().(io.ReadCloser)
-		if !ok {
-			fr = flate.NewReader(nil)
-		}
-		defer flateReaderPool.Put(fr)
-		if err := fr.(flate.Resetter).Reset(&byteSliceReader{b: enc}, nil); err != nil {
-			return fmt.Errorf("meshstore: flate reset: %w", err)
-		}
-		if _, err := io.ReadFull(fr, out); err != nil {
-			return fmt.Errorf("meshstore: frame %q inflate: %w", h.Key, err)
-		}
-		// The stream must end exactly at rawLen: trailing compressed data
-		// means the header lied about the raw size.
-		var extra [1]byte
-		if n, _ := fr.Read(extra[:]); n != 0 {
-			return fmt.Errorf("meshstore: frame %q inflates past rawLen %d", h.Key, h.RawLen)
-		}
 	case codecPlanes:
 		// The tokens must fill exactly the rawLen bytes the header claims.
 		if err := planes.Decode(out, enc); err != nil {
@@ -276,7 +224,7 @@ func CombineHash(recs []HashRecord) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// BlockKey is the canonical key of grid block (i, j); it matches the
-// directory key the placement layer hashes, so a restored run repartitions
-// blocks by the same identity the writing run placed them under.
+// BlockKey is the canonical key of grid block (i, j), the identity a
+// reader fetches a block by: a restored run looks each block of its own
+// placement up under it, whatever node wrote it.
 func BlockKey(i, j int) string { return fmt.Sprintf("block-%d-%d", i, j) }

@@ -2,7 +2,6 @@ package meshstore
 
 import (
 	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -414,44 +413,34 @@ func TestRefinedBlockShrinks(t *testing.T) {
 	}
 }
 
-// Both compressed codecs decode a well-formed payload section — codec 1 is
-// what stores written before the plane codec hold — and reject one whose
-// decoded length disagrees with the raw length its header claims, before the
-// digest is even consulted.
+// The plane codec decodes a well-formed payload section and rejects one
+// whose decoded length disagrees with the raw length its header claims,
+// before the digest is even consulted. A codec-1 (DEFLATE) frame, what a
+// store written before the plane codec holds, is refused by its header.
 func TestDecodePayloadChecksRawLen(t *testing.T) {
 	raw := testPayload(7, 4<<10)
-	var deflated bytes.Buffer
-	fw, err := flate.NewWriter(&deflated, flate.BestSpeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw.Write(raw)
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
 	coded, ok := planes.Encode(nil, raw)
 	if !ok {
 		t.Fatal("test payload stored raw")
 	}
-	for name, c := range map[string]struct {
-		codec byte
-		enc   []byte
-	}{
-		"flate":  {codecFlate, deflated.Bytes()},
-		"planes": {codecPlanes, coded},
-	} {
-		h := frameHeader{Codec: c.codec, Key: name, RawLen: len(raw), EncLen: len(c.enc), Sum: sha256.Sum256(raw)}
-		got := make([]byte, h.RawLen)
-		if err := decodePayload(got, h, c.enc); err != nil || !bytes.Equal(got, raw) {
-			t.Fatalf("%s: well-formed frame: err=%v match=%v", name, err, bytes.Equal(got, raw))
+	h := frameHeader{Codec: codecPlanes, Key: "planes", RawLen: len(raw), EncLen: len(coded), Sum: sha256.Sum256(raw)}
+	got := make([]byte, h.RawLen)
+	if err := decodePayload(got, h, coded); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("well-formed frame: err=%v match=%v", err, bytes.Equal(got, raw))
+	}
+	for _, claimed := range []int{len(raw) - 1, len(raw) + 1} {
+		h.RawLen = claimed
+		err := decodePayload(make([]byte, claimed), h, coded)
+		if err == nil || strings.Contains(err.Error(), "digest") {
+			t.Fatalf("frame claiming %d raw bytes for %d: err=%v, want a length error", claimed, len(raw), err)
 		}
-		for _, claimed := range []int{len(raw) - 1, len(raw) + 1} {
-			h.RawLen = claimed
-			err := decodePayload(make([]byte, claimed), h, c.enc)
-			if err == nil || strings.Contains(err.Error(), "digest") {
-				t.Fatalf("%s: frame claiming %d raw bytes for %d: err=%v, want a length error", name, claimed, len(raw), err)
-			}
-		}
+	}
+
+	var hdr [frameFixedLen]byte
+	copy(hdr[:], frameMagic)
+	hdr[4] = codecFlate
+	if _, _, _, err := parseFixed(hdr[:]); err == nil || !strings.Contains(err.Error(), "codec 1") {
+		t.Fatalf("codec-1 frame header: err=%v, want a refusal naming codec 1", err)
 	}
 }
 
